@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-server
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-server fuzz-wal logvolume
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover crashsweep-short crashsweep-file serve-smoke
+ci: build vet lint test race cover logvolume fuzz-wal crashsweep-short crashsweep-file serve-smoke
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -25,7 +25,7 @@ crashsweep-short:
 # storage (internal/pagestore/filestore) — power cuts, torn writes, and
 # lost fsyncs injected at every 5th file operation of all seven
 # architectures. The full file sweep is `crashsweep -file -every 1`
-# (2504 points); this bounded one still covers every fault kind on
+# (2360 points); this bounded one still covers every fault kind on
 # every engine in a few seconds. Scratch dirs live under a temp dir
 # crashsweep creates and removes itself.
 crashsweep-file:
@@ -117,9 +117,17 @@ examples:
 	$(GO) run ./examples/hypothetical
 	$(GO) run ./examples/debitcredit
 
-# Short runs of the native fuzz targets.
-fuzz:
+# What a transaction costs in stable log bytes, puts and forces, on 8-byte
+# and on 4 KiB pages: the table test's log lines are the report.
+logvolume:
+	$(GO) test -run 'TestLogVolume' -v ./internal/wal/
+
+# Bounded run of the WAL record decoder's fuzz target.
+fuzz-wal:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalRecord -fuzztime 10s ./internal/wal/
+
+# Short runs of the native fuzz targets.
+fuzz: fuzz-wal
 	$(GO) test -run xxx -fuzz FuzzDecodePage -fuzztime 10s ./internal/relation/
 	$(GO) test -run xxx -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/relation/
 

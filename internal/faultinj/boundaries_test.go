@@ -136,14 +136,14 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 
 // TestSweepMutationCountsPinned pins the default workload's per-target
 // mutation counts. These ARE the sweep's crash-point counts at -every 1:
-// 626 engine points, which with the 56 performance-simulator points make
-// the full 682-point sweep. A drift here means the stable-storage
+// 590 engine points, which with the 56 performance-simulator points make
+// the full 646-point sweep. A drift here means the stable-storage
 // contract changed shape (an operation appeared, vanished, or switched
 // class) — that must be a conscious decision, not an accident.
 func TestSweepMutationCountsPinned(t *testing.T) {
 	want := map[string]int64{
-		"wal-1stream":  54,
-		"wal-3streams": 82,
+		"wal-1stream":  37,
+		"wal-3streams": 63,
 		"shadow":       87,
 		"ow-noundo":    112,
 		"ow-noredo":    162,
@@ -174,7 +174,7 @@ func TestSweepMutationCountsPinned(t *testing.T) {
 		}
 		total += ctr.Mutations()
 	}
-	if total != 626 {
-		t.Errorf("total mutations = %d, pinned 626 (682-point sweep = 626 engine + 56 machine)", total)
+	if total != 590 {
+		t.Errorf("total mutations = %d, pinned 590 (646-point sweep = 590 engine + 56 machine)", total)
 	}
 }

@@ -52,17 +52,37 @@ const LogChunkSize = 1 << 16
 const logChunkSize = LogChunkSize
 
 // stream is one parallel log stream persisting to its own region of the log
-// store.
+// store. Records are encoded as they are appended, so the volatile tail is
+// the bytes the next force will write, already cut into chunks.
 type stream struct {
 	idx        int
 	store      *pagestore.Store
-	firstChunk int64    // oldest stable chunk not yet truncated
-	nextChunk  int64    // next stable chunk sequence number
-	chunkMax   []uint64 // max LSN per stable chunk (parallel to firstChunk..)
-	volatile   []Record // appended but not yet forced
+	firstChunk int64      // oldest stable chunk not yet truncated
+	nextChunk  int64      // next stable chunk sequence number
+	chunkMax   []uint64   // max LSN per stable chunk (parallel to firstChunk..)
+	tail       []volChunk // appended but not yet forced, oldest first
+	spare      []byte     // the last forced chunk's buffer, for the next tail
 	forces     int64
 	records    int64
+	bytes      int64 // encoded bytes that reached the log store
 	truncated  int64
+}
+
+// volChunk is one chunk's worth of encoded volatile records. A stream's
+// LSNs ascend, so the first and last records appended hold the chunk's
+// lowest and highest LSN.
+type volChunk struct {
+	buf        []byte
+	first, max uint64
+}
+
+// head reports the LSN of the stream's oldest volatile record, 0 when it
+// has none.
+func (s *stream) head() uint64 {
+	if len(s.tail) == 0 {
+		return 0
+	}
+	return s.tail[0].first
 }
 
 // metaID is the stream's metadata page recording the truncation point.
@@ -75,45 +95,39 @@ func chunkID(streamIdx int, seq int64) pagestore.PageID {
 	return pagestore.PageID(int64(streamIdx)<<40 | seq)
 }
 
-// append buffers a record in the stream's volatile tail.
-func (s *stream) append(r Record) {
-	s.volatile = append(s.volatile, r)
+// append buffers one encoded record in the stream's volatile tail, whole
+// records only: a record that would overflow the open chunk starts the next.
+func (s *stream) append(lsn uint64, enc []byte) {
+	n := len(s.tail)
+	if n == 0 || len(s.tail[n-1].buf)+len(enc) > logChunkSize {
+		s.tail = append(s.tail, volChunk{buf: s.spare[:0], first: lsn})
+		s.spare = nil
+		n++
+	}
+	c := &s.tail[n-1]
+	c.buf = append(c.buf, enc...)
+	c.max = lsn
 	s.records++
 }
 
-// force persists the whole volatile tail. Records are packed into chunks of
-// at most logChunkSize bytes, whole records only, so a crash mid-force
-// leaves a clean prefix of the log.
+// force persists the whole volatile tail, one store write per chunk, so a
+// crash mid-force leaves a clean prefix of the stream.
 func (s *stream) force() error {
-	if len(s.volatile) == 0 {
+	if len(s.tail) == 0 {
 		return nil
 	}
-	i := 0
-	for i < len(s.volatile) {
-		var buf []byte
-		max := uint64(0)
-		j := i
-		for j < len(s.volatile) {
-			sz := s.volatile[j].marshaledSize()
-			if len(buf) > 0 && len(buf)+sz > logChunkSize {
-				break
-			}
-			buf = s.volatile[j].Marshal(buf)
-			if s.volatile[j].LSN > max {
-				max = s.volatile[j].LSN
-			}
-			j++
-		}
-		if err := s.store.Write(chunkID(s.idx, s.nextChunk), buf, 0); err != nil {
+	for i, c := range s.tail {
+		if err := s.store.Write(chunkID(s.idx, s.nextChunk), c.buf, 0); err != nil {
 			// Chunks already written stay durable; keep the rest volatile.
-			s.volatile = append([]Record(nil), s.volatile[i:]...)
+			s.tail = s.tail[i:]
 			return err
 		}
 		s.nextChunk++
-		s.chunkMax = append(s.chunkMax, max)
-		i = j
+		s.chunkMax = append(s.chunkMax, c.max)
+		s.bytes += int64(len(c.buf))
 	}
-	s.volatile = s.volatile[:0]
+	s.spare = s.tail[0].buf // the store copied it; the next tail reuses it
+	s.tail = s.tail[:0]
 	s.forces++
 	return nil
 }
@@ -148,13 +162,14 @@ func (s *stream) truncate(point uint64) error {
 
 // crash drops the volatile tail (power loss).
 func (s *stream) crash() {
-	s.volatile = nil
+	s.tail = nil
 }
 
 // readStable decodes every record that reached stable storage, in append
 // order, rebuilding the stream cursors (including the truncation point) for
-// further appends.
+// further appends. The records alias the chunks read.
 func (s *stream) readStable() ([]Record, error) {
+	s.crash()
 	s.firstChunk = 0
 	if meta, _, err := s.store.Read(metaID(s.idx)); err == nil && len(meta) >= 8 {
 		s.firstChunk = int64(getUint64(meta))
@@ -187,6 +202,47 @@ func (s *stream) readStable() ([]Record, error) {
 		s.chunkMax = append(s.chunkMax, max)
 		s.nextChunk++
 	}
+}
+
+// trim removes every stable record with LSN >= limit — a suffix of the
+// stream, since its LSNs ascend — and reports how many it removed. Whole
+// chunks are deleted newest first, so a crash mid-trim never leaves a gap
+// in the chunk sequence; the chunk straddling limit is rewritten last.
+func (s *stream) trim(limit uint64) (int64, error) {
+	var removed int64
+	for s.nextChunk > s.firstChunk && s.chunkMax[len(s.chunkMax)-1] >= limit {
+		id := chunkID(s.idx, s.nextChunk-1)
+		data, _, err := s.store.Read(id)
+		if err != nil {
+			return removed, err
+		}
+		keep, max := 0, uint64(0)
+		for rest := data; len(rest) > 0; {
+			r, n, err := UnmarshalRecord(rest)
+			if err != nil {
+				return removed, fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk-1, err)
+			}
+			if r.LSN < limit {
+				keep, max = keep+n, r.LSN
+			} else {
+				removed++
+			}
+			rest = rest[n:]
+		}
+		if keep > 0 {
+			if err := s.store.Write(id, data[:keep], 0); err != nil {
+				return removed, err
+			}
+			s.chunkMax[len(s.chunkMax)-1] = max
+			break
+		}
+		if err := s.store.Delete(id); err != nil {
+			return removed, err
+		}
+		s.nextChunk--
+		s.chunkMax = s.chunkMax[:len(s.chunkMax)-1]
+	}
+	return removed, nil
 }
 
 // selector assigns records to streams.

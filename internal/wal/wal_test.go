@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -17,55 +18,123 @@ func newTestManager(cfg Config) (*Manager, *pagestore.Store) {
 func page(s string) []byte { return []byte(s) }
 
 func TestRecordMarshalRoundTrip(t *testing.T) {
-	in := Record{
-		LSN: 42, Type: RecUpdate, Txn: 7, Page: 99, PrevLSN: 40, CompLSN: 12,
-		Before: []byte("old"), After: []byte("new"),
-	}
-	buf := in.Marshal(nil)
-	out, n, err := UnmarshalRecord(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) || n != in.marshaledSize() {
-		t.Fatalf("consumed %d of %d", n, len(buf))
-	}
-	if out.LSN != 42 || out.Type != RecUpdate || out.Txn != 7 || out.Page != 99 ||
-		out.PrevLSN != 40 || out.CompLSN != 12 ||
-		string(out.Before) != "old" || string(out.After) != "new" {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-	if !out.IsCLR() {
-		t.Fatal("CompLSN set but IsCLR false")
+	for _, in := range []Record{
+		{LSN: 42, Type: RecUpdate, Txn: 7, Page: 99, PrevLSN: 40, Off: 5, Del: 3, Old: []byte("old"), New: []byte("newer")},
+		{LSN: 43, Type: RecUpdate, Txn: 7, Page: -1, PrevLSN: 42, CompLSN: 12, Off: 5, Del: 5, New: []byte("old")},
+		{LSN: 1, Type: RecUpdate, Txn: 1, New: []byte("first")},
+		{LSN: 44, Type: RecCommit, Txn: 7, PrevLSN: 43},
+		{LSN: 45, Type: RecAbort, Txn: 8, PrevLSN: 2},
+		{LSN: 46, Type: RecCheckpoint, PrevLSN: 45},
+		{LSN: 1, Type: RecCheckpoint},
+	} {
+		buf := in.Marshal(nil)
+		out, n, err := UnmarshalRecord(append(buf, 0xAA)) // trailing bytes are the next record's
+		if err != nil {
+			t.Fatalf("%+v: %v", in, err)
+		}
+		if n != len(buf) {
+			t.Fatalf("%+v: consumed %d of %d", in, n, len(buf))
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
+		}
+		if out.IsCLR() != (in.CompLSN != 0) {
+			t.Fatalf("%+v: IsCLR = %v", in, out.IsCLR())
+		}
+		// Old and New alias the input: decoding allocates nothing, however
+		// large the lengths an input claims.
+		if a := testing.AllocsPerRun(100, func() { _, _, _ = UnmarshalRecord(buf) }); a != 0 {
+			t.Fatalf("%+v: decoding allocates %v times", in, a)
+		}
 	}
 }
 
 func TestRecordMarshalProperty(t *testing.T) {
-	f := func(lsn, txn, prev, comp uint64, pg int64, before, after []byte) bool {
-		in := Record{LSN: lsn, Type: RecCommit, Txn: txn, Page: pg,
-			PrevLSN: prev, CompLSN: comp, Before: before, After: after}
+	f := func(lsn, txn, prev, comp uint64, pg int64, off uint16, old, ins []byte) bool {
+		lsn |= 1 << 20 // leave room below for PrevLSN and CompLSN
+		in := Record{LSN: lsn, Type: RecUpdate, Txn: txn, Page: pg, PrevLSN: prev % lsn,
+			Off: int(off % 4096), Del: len(old), Old: old, New: ins}
+		if comp%2 == 0 { // a CLR names the update it compensates and carries no Old
+			in.CompLSN, in.Old = 1+comp%(lsn-1), nil
+		}
+		if len(in.Old) == 0 {
+			in.Old = nil
+		}
+		if len(in.New) == 0 {
+			in.New = nil
+		}
 		out, n, err := UnmarshalRecord(in.Marshal(nil))
-		return err == nil && n == in.marshaledSize() &&
-			out.LSN == lsn && out.Txn == txn && out.Page == pg &&
-			out.PrevLSN == prev && out.CompLSN == comp &&
-			bytes.Equal(out.Before, before) && bytes.Equal(out.After, after)
+		return err == nil && n == len(in.Marshal(nil)) && reflect.DeepEqual(in, out)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, _, err := UnmarshalRecord([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated header accepted")
+	r := Record{LSN: 9, Type: RecUpdate, Txn: 2, Page: 4, PrevLSN: 8, Off: 1, Del: 2, Old: []byte("ab"), New: []byte("xyz")}
+	good := r.Marshal(nil)
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	for name, buf := range map[string][]byte{
+		"empty":          {},
+		"header only":    good[:3],
+		"truncated body": good[:len(good)-1],
+		"type 0":         mutate(func(b []byte) []byte { b[0] &^= tagTypeMask; return b }),
+		"type 7":         mutate(func(b []byte) []byte { b[0] |= tagTypeMask; return b }),
+		"commit with a delta flag": mutate(func(b []byte) []byte {
+			b[0] = b[0]&^tagTypeMask | byte(RecCommit)
+			return b
+		}),
+		"overlong LSN":              {byte(RecCommit), 0x89, 0x00, 2},
+		"LSN overflows":             append([]byte{byte(RecCommit)}, bytes.Repeat([]byte{0xff}, 11)...),
+		"PrevLSN flagged but zero":  {byte(RecCommit) | tagPrev, 9, 2, 0},
+		"PrevLSN at or below zero":  {byte(RecCommit) | tagPrev, 9, 2, 9},
+		"Off past the chunk":        {byte(RecUpdate) | tagOff, 9, 2, 8, 0x81, 0x80, 0x04},
+		"Del past the chunk":        {byte(RecUpdate) | tagComp | tagDel, 9, 2, 8, 1, 0x81, 0x80, 0x04},
+		"Off+Del past the chunk":    {byte(RecUpdate) | tagComp | tagOff | tagDel, 9, 2, 8, 1, 0x81, 0x80, 0x02, 0x80, 0x80, 0x02},
+		"New longer than the input": {byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0x7f, 'x'},
+	} {
+		if _, _, err := UnmarshalRecord(buf); err == nil {
+			t.Errorf("%s: accepted %x", name, buf)
+		}
 	}
-	r := Record{Type: RecUpdate, After: []byte("xyz")}
-	buf := r.Marshal(nil)
-	if _, _, err := UnmarshalRecord(buf[:len(buf)-1]); err == nil {
-		t.Fatal("truncated body accepted")
+}
+
+// TestDeltaIsMinimal pins the diff rule: the common prefix and suffix are
+// cut away, whatever the two lengths.
+func TestDeltaIsMinimal(t *testing.T) {
+	for _, c := range []struct {
+		before, after string
+		off, del      int
+		ins           string
+	}{
+		{"", "", 0, 0, ""},
+		{"same", "same", 4, 0, ""},
+		{"", "grow", 0, 0, "grow"},
+		{"shrink", "", 0, 6, ""},
+		{"abcXdef", "abcYdef", 3, 1, "Y"},
+		{"abcdef", "abcXYZdef", 3, 0, "XYZ"},
+		{"abcXYZdef", "abcdef", 3, 3, ""},
+		{"aaaa", "aa", 2, 2, ""},
+		{"aa", "aaaa", 2, 0, "aa"},
+		{"head-old", "head-newer", 5, 3, "newer"},
+		{"nothing", "COMMON?", 0, 7, "COMMON?"},
+	} {
+		off, del, ins := diff([]byte(c.before), []byte(c.after))
+		if off != c.off || del != c.del || string(ins) != c.ins {
+			t.Errorf("diff(%q,%q) = (%d,%d,%q), want (%d,%d,%q)", c.before, c.after, off, del, ins, c.off, c.del, c.ins)
+		}
+		got, err := splice([]byte(c.before), off, del, ins)
+		if err != nil || string(got) != c.after {
+			t.Errorf("splice(%q) = %q, %v; want %q", c.before, got, err, c.after)
+		}
+		back, err := splice(got, off, len(ins), []byte(c.before)[off:off+del])
+		if err != nil || string(back) != c.before {
+			t.Errorf("inverse splice(%q) = %q, %v; want %q", c.after, back, err, c.before)
+		}
 	}
-	buf[0] = 200 // invalid type
-	if _, _, err := UnmarshalRecord(buf); err == nil {
-		t.Fatal("corrupt type accepted")
+	if _, err := splice([]byte("short"), 3, 4, nil); err == nil {
+		t.Error("splice accepted a range past the end of the page")
 	}
 }
 

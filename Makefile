@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-server fuzz-wal logvolume
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal logvolume
 
 all: build vet lint test
 
@@ -72,32 +72,17 @@ cover:
 		 printf "recovery-kernel coverage: %s (minimum %d%%)\n", $$3, min; \
 		 if (pct + 0 < min) { print "FAIL: coverage below minimum"; exit 1 } }'
 
-# Runpool scaling benchmark (table regeneration + crash sweep at jobs=1
-# vs jobs=4, byte-compared -> BENCH_runpool.json) followed by the Guard
-# mutex contention profile (per-op wait/hold percentiles over worker
-# counts -> BENCH_guard_contention.json) and the concurrency-envelope
-# scaling curve (plain vs group-commit vs striped-read ->
-# BENCH_guard.json; see docs/OBSERVABILITY.md). The committed files
-# record gomaxprocs — regenerate on a multi-core machine for meaningful
-# speedups.
+# The repository's benchmark: five workloads over the real server path,
+# end-to-end metrics with audits on every repeat (see bench/README.md).
+# Compare two result sets with `go run ./bench -compare A.json B.json`.
 bench:
-	$(GO) run ./cmd/dbbench -out BENCH_runpool.json \
-		-guard-out BENCH_guard_contention.json
-	$(GO) run ./cmd/dbbench -guardscale -guardscale-out BENCH_guard.json
+	$(GO) run ./bench
 
 # Short end-to-end smoke of the networked front end: dbload self-hosts an
 # in-process dbserver per architecture, drives concurrent debit/credit
-# sessions over TCP, and fails on any balance drift. Small enough for CI;
-# the report goes to stdout and the JSON is discarded.
+# sessions over TCP, and fails on any balance drift. Small enough for CI.
 serve-smoke:
-	$(GO) run ./cmd/dbload -engines all -sessions 25 -txns 2 -pages 32 -out ""
-
-# Full server benchmark: 1000 concurrent sessions per architecture
-# against a self-hosted dbserver, closed loop -> BENCH_server.json
-# (throughput + latency percentiles; see docs/OBSERVABILITY.md).
-bench-server:
-	$(GO) run ./cmd/dbload -engines all -sessions 1000 -txns 3 -pages 256 \
-		-out BENCH_server.json
+	$(GO) run ./cmd/dbload -engines all -sessions 25 -txns 2 -pages 32
 
 # Go's own microbenchmarks.
 gobench:

@@ -30,7 +30,7 @@
 //
 //	go run ./cmd/dbload -engines all -sessions 1000 -txns 3
 //	    [-mode closed|open] [-rate 2000] [-pages 64] [-value 1000]
-//	    [-transfers 1] [-seed 1] [-out BENCH_server.json] [-live :8080]
+//	    [-transfers 1] [-seed 1] [-live :8080]
 //
 // dbload is a benchmark harness, not a simulator: wall-clock reads go
 // through internal/obs/live's Clock, the one scope where host time is
@@ -38,13 +38,11 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,32 +63,16 @@ type options struct {
 	Seed      int64
 }
 
-// engineResult is one architecture's row in BENCH_server.json.
+// engineResult is one architecture's row in the report.
 type engineResult struct {
-	Name            string        `json:"name"`
-	Txns            int64         `json:"txns"`
-	DeadlockRetries int64         `json:"deadlock_retries"`
-	BusyRetries     int64         `json:"busy_retries"`
-	ElapsedMs       float64       `json:"elapsed_ms"`
-	TxnsPerSec      float64       `json:"txns_per_sec"`
-	LatencyMs       live.HistSnap `json:"latency_ms"`
-	Server          server.Stats  `json:"server"`
-	BalanceSum      int64         `json:"balance_sum"`
-	Consistent      bool          `json:"consistent"`
-}
-
-// result is the BENCH_server.json document.
-type result struct {
-	Benchmark  string         `json:"benchmark"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	Mode       string         `json:"mode"`
-	Sessions   int            `json:"sessions"`
-	TxnsPerSes int            `json:"txns_per_session"`
-	Pages      int            `json:"pages"`
-	Transfers  int            `json:"transfers_per_txn"`
-	RatePerSec float64        `json:"rate_per_sec"`
-	Seed       int64          `json:"seed"`
-	Engines    []engineResult `json:"engines"`
+	Name            string
+	Txns            int64
+	DeadlockRetries int64
+	BusyRetries     int64
+	TxnsPerSec      float64
+	LatencyMs       live.HistSnap
+	BalanceSum      int64
+	Consistent      bool
 }
 
 func main() {
@@ -104,7 +86,6 @@ func main() {
 	transfers := flag.Int("transfers", 1, "debit/credit transfers per transaction (each: 2 reads + 2 writes)")
 	rate := flag.Float64("rate", 2000, "open mode: scheduled arrivals per second")
 	seed := flag.Int64("seed", 1, "base RNG seed (worker w uses seed+w)")
-	out := flag.String("out", "BENCH_server.json", "output JSON path (empty: skip)")
 	liveAddr := flag.String("live", "", "serve /metrics and /progress on this address (empty: off)")
 	flag.Parse()
 
@@ -118,13 +99,13 @@ func main() {
 		Rate:      *rate,
 		Seed:      *seed,
 	}
-	if err := run(*addr, *engines, opt, *out, *liveAddr); err != nil {
+	if err := run(*addr, *engines, opt, *liveAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "dbload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, engines string, opt options, out, liveAddr string) error {
+func run(addr, engines string, opt options, liveAddr string) error {
 	if (addr == "") == (engines == "") {
 		return errors.New("pass exactly one of -addr or -engines")
 	}
@@ -149,27 +130,13 @@ func run(addr, engines string, opt options, out, liveAddr string) error {
 		fmt.Printf("dbload: live metrics on http://%s/metrics\n", obs.Addr())
 	}
 
-	res := result{
-		Benchmark:  "server",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Mode:       opt.Mode,
-		Sessions:   opt.Sessions,
-		TxnsPerSes: opt.Txns,
-		Pages:      opt.Pages,
-		Transfers:  opt.Transfers,
-		RatePerSec: opt.Rate,
-		Seed:       opt.Seed,
-	}
-	if opt.Mode == "closed" {
-		res.RatePerSec = 0
-	}
-
+	var results []engineResult
 	if addr != "" {
 		er, err := driveEngine("external", addr, opt, clock, prog)
 		if err != nil {
 			return err
 		}
-		res.Engines = append(res.Engines, er)
+		results = append(results, er)
 	} else {
 		names, err := server.EnginesByName(engines)
 		if err != nil {
@@ -181,11 +148,11 @@ func run(addr, engines string, opt options, out, liveAddr string) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
-			res.Engines = append(res.Engines, er)
+			results = append(results, er)
 		}
 	}
 
-	for _, er := range res.Engines {
+	for _, er := range results {
 		status := "OK"
 		if !er.Consistent {
 			status = "DRIFT"
@@ -195,23 +162,11 @@ func run(addr, engines string, opt options, out, liveAddr string) error {
 			er.LatencyMs.P50, er.LatencyMs.P95, er.LatencyMs.P99,
 			er.DeadlockRetries, er.BusyRetries, status)
 	}
-	for _, er := range res.Engines {
+	for _, er := range results {
 		if !er.Consistent {
 			return fmt.Errorf("%s: balance sum %d after run, want %d — committed writes lost or leaked",
 				er.Name, er.BalanceSum, int64(opt.Pages)*opt.Value)
 		}
-	}
-
-	if out != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(out, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("dbload: wrote %s\n", out)
 	}
 	return nil
 }
@@ -291,9 +246,7 @@ func driveEngine(name, addr string, opt options, clock live.Clock, prog *live.Pr
 		Txns:            committed.Load(),
 		DeadlockRetries: retries.Load(),
 		BusyRetries:     busyRetries.Load(),
-		ElapsedMs:       elapsed,
 		LatencyMs:       hist.Snap(),
-		Server:          stats,
 		BalanceSum:      sum,
 		Consistent:      sum == int64(opt.Pages)*opt.Value,
 	}

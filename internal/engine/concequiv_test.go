@@ -370,15 +370,37 @@ func auditConcRecovered(t *testing.T, e *engine.Engine, initial map[int64][]byte
 	}
 }
 
-// TestConcurrentCrashRecovery cuts power at sampled mutation ordinals
+// ceCrashSpan pins, per target, the stable-mutation count of one
+// representative concurrent probe run. TestConcurrentCrashRecovery places
+// its crash points at fractions of it, so every subtest name — and a
+// `go test -run TestConcurrentCrashRecovery/<target>/mutK` rerun of a
+// failure — is the same on every run. The live count is not: group-commit
+// batching moves the WAL targets' log traffic by a few percent from run to
+// run.
+var ceCrashSpan = map[string]int64{
+	"wal-1stream":  191,
+	"wal-3streams": 242,
+	"shadow":       330,
+	"ow-noundo":    356,
+	"ow-noredo":    599,
+	"verselect":    399,
+	"difffile":     72,
+}
+
+// TestConcurrentCrashRecovery cuts power at pinned mutation ordinals
 // while the relaxed guard is under full concurrent load, recovers, and
 // audits per worker that no group-committed transaction is half-durable.
-// The crash point is sampled from a concurrent probe run; the audit is
-// interleaving-independent by construction, so the nondeterminism of where
-// exactly the power failure lands only widens the coverage.
+// A concurrent probe run checks that the pinned span still matches the
+// workload; the audit is interleaving-independent by construction, so the
+// nondeterminism of where exactly the power failure lands only widens the
+// coverage.
 func TestConcurrentCrashRecovery(t *testing.T) {
 	for _, tg := range equivTargets() {
 		t.Run(tg.name, func(t *testing.T) {
+			span, ok := ceCrashSpan[tg.name]
+			if !ok {
+				t.Fatalf("no pinned crash span for target %q", tg.name)
+			}
 			// Probe: how many stable mutations does one concurrent run make?
 			probe, stores := tg.wrapped(t)
 			probe.Guard().SetGroupCommit(ceRelaxedPolicy, nil)
@@ -397,14 +419,15 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 					t.Fatalf("probe worker %d crashed without injection", w)
 				}
 			}
-			muts := ctr.Mutations()
-			if muts == 0 {
-				t.Fatal("probe run made no stable mutations")
+			// Every crash point but the last must land inside the run, and
+			// the last must still fall in its final quarter.
+			if muts := ctr.Mutations(); muts < 3*span/4 || muts > 4*span/3 {
+				t.Fatalf("probe run made %d stable mutations; pinned span %d is stale", muts, span)
 			}
 
-			points := []int64{1, muts / 4, muts / 2, 3 * muts / 4, muts}
+			points := []int64{1, span / 4, span / 2, 3 * span / 4, span}
 			if testing.Short() {
-				points = []int64{1, muts / 2, muts}
+				points = []int64{1, span / 2, span}
 			}
 			seen := map[int64]bool{}
 			for _, k := range points {

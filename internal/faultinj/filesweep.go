@@ -24,12 +24,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/engine"
 	"repro/internal/pagestore"
 	"repro/internal/pagestore/filestore"
 	"repro/internal/runpool"
-	"repro/internal/shadoweng"
-	"repro/internal/wal"
 )
 
 // fileBuildSeq hands every file-backed Build call its own directory.
@@ -52,71 +49,14 @@ func cleanFileStores(stores []*pagestore.Store) {
 	}
 }
 
-// FileTargets mirrors Targets — the same seven recovery architectures —
-// but every stable store lives on real files under root: a fresh
-// subdirectory per build, a write-ahead page log with explicit fsyncs,
-// and crc-checked records. The WAL engines put their log streams on a
-// second file-backed store sized for wal.LogChunkSize chunks.
+// FileTargets is Targets — the same seven recovery architectures — with
+// every stable store on real files under root: a fresh subdirectory per
+// store and build, a write-ahead page log with explicit fsyncs, and
+// crc-checked records.
 func FileTargets(root string) []Target {
-	dir := func(name string) string {
-		return filepath.Join(root, fmt.Sprintf("%s-%06d", name, fileBuildSeq.Add(1)))
-	}
-	// single-store architectures: one file-backed data store.
-	one := func(name string, mk func(*pagestore.Store) (*engine.Engine, error)) Target {
-		return Target{
-			Name: name,
-			Build: func() (*engine.Engine, []*pagestore.Store, error) {
-				store, err := filestore.Open(dir(name), 4096)
-				if err != nil {
-					return nil, nil, err
-				}
-				e, err := mk(store)
-				if err != nil {
-					cleanFileStores([]*pagestore.Store{store})
-					return nil, nil, err
-				}
-				return e, []*pagestore.Store{store}, nil
-			},
-			Clean: cleanFileStores,
-		}
-	}
-	// WAL architectures: data pages and log chunks on separate stores,
-	// both file-backed (the log store's page size is the chunk size).
-	walT := func(name string, cfg wal.Config) Target {
-		return Target{
-			Name: name,
-			Build: func() (*engine.Engine, []*pagestore.Store, error) {
-				data, err := filestore.Open(dir(name+"-data"), 4096)
-				if err != nil {
-					return nil, nil, err
-				}
-				logs, err := filestore.Open(dir(name+"-log"), wal.LogChunkSize)
-				if err != nil {
-					cleanFileStores([]*pagestore.Store{data})
-					return nil, nil, err
-				}
-				cfg.LogStore = logs
-				e, m := engine.NewWALOn(data, cfg)
-				return e, []*pagestore.Store{data, m.LogStore()}, nil
-			},
-			Clean: cleanFileStores,
-		}
-	}
-	return []Target{
-		walT("wal-1stream", wal.Config{PoolPages: 4}),
-		walT("wal-3streams", wal.Config{Streams: 3, Selection: wal.PageMod, PoolPages: 4}),
-		one("shadow", engine.NewShadowOn),
-		one("ow-noundo", func(s *pagestore.Store) (*engine.Engine, error) {
-			return engine.NewOverwriteOn(s, shadoweng.NoUndo), nil
-		}),
-		one("ow-noredo", func(s *pagestore.Store) (*engine.Engine, error) {
-			return engine.NewOverwriteOn(s, shadoweng.NoRedo), nil
-		}),
-		one("verselect", engine.NewVersionSelectOn),
-		one("difffile", func(s *pagestore.Store) (*engine.Engine, error) {
-			return engine.NewDiffOn(s), nil
-		}),
-	}
+	return architectures(func(name string, pageSize int) (*pagestore.Store, error) {
+		return filestore.Open(filepath.Join(root, fmt.Sprintf("%s-%06d", name, fileBuildSeq.Add(1))), pageSize)
+	}, cleanFileStores)
 }
 
 // FileTargetsByName filters FileTargets(root) to the comma-separated
@@ -262,10 +202,6 @@ func SweepFileTarget(tg Target, opt Options) (*FileTargetReport, error) {
 // a k-derived page operation, finish recovery, and audit.
 func sweepFilePoint(tg Target, opt Options, pt filePoint) (*pointOutcome, error) {
 	po := &pointOutcome{}
-	label := fmt.Sprintf("%s@fileop %d (%s)", tg.Name, pt.k, faultName(pt.fault))
-	fail := func(format string, args ...any) {
-		po.failures = append(po.failures, label+": "+fmt.Sprintf(format, args...))
-	}
 	e, stores, err := tg.Build()
 	if err != nil {
 		return nil, fmt.Errorf("faultinj: build %s: %w", tg.Name, err)
@@ -284,47 +220,12 @@ func sweepFilePoint(tg Target, opt Options, pt filePoint) (*pointOutcome, error)
 	if err := armFileHook(tg, stores, nil); err != nil {
 		return nil, err
 	}
-
-	// Re-crash recovery partway through at the page-operation level, the
-	// same schedule the memory sweep uses; power-on replay must converge
-	// on the second attempt regardless of where the first one died.
-	j := 1 + (pt.k-1)%opt.RecrashCycle
-	rhook := CrashAtOp(j)
-	for _, s := range stores {
-		s.SetFaultHook(rhook)
-	}
-	if err := e.Recover(); err != nil {
-		po.recrashed = true
-		e.Crash()
-		if err := e.Recover(); err != nil {
-			fail("recovery after mid-recovery crash (op %d): %v", j, err)
-			return po, nil
-		}
-	}
-	for _, s := range stores {
-		s.SetFaultHook(nil)
-	}
-
-	fails, applied := AuditState(e, out, opt.Pages)
-	po.failures = append(po.failures, prefixLabel(label, fails)...)
-	if out.Doubt != nil {
-		if applied {
-			po.doubtApplied = true
-		} else {
-			po.doubtReverted = true
-		}
-	}
-	po.failures = append(po.failures, prefixLabel(label, AuditIdempotence(e, opt.Pages))...)
-	po.failures = append(po.failures, prefixLabel(label, AuditLiveness(e, opt.Pages))...)
+	// Recovery is re-crashed at the page-operation level, the same schedule
+	// the memory sweep uses; power-on replay must converge on the second
+	// attempt regardless of where the first one died.
+	po.recoverAndAudit(e, stores, out, opt, pt.k,
+		fmt.Sprintf("%s@fileop %d (%s)", tg.Name, pt.k, faultName(pt.fault)))
 	return po, nil
-}
-
-func prefixLabel(label string, fails []string) []string {
-	out := make([]string, 0, len(fails))
-	for _, f := range fails {
-		out = append(out, label+": "+f)
-	}
-	return out
 }
 
 // SweepFiles runs SweepFileTarget over targets (normally FileTargets) and

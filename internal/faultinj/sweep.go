@@ -34,44 +34,73 @@ func (tg Target) clean(stores []*pagestore.Store) {
 	}
 }
 
-// Targets returns every recovery architecture the sweep knows, mirroring
-// the paper's comparison: WAL with one and three parallel log streams,
-// shadow paging (canonical, both overwrite variants, version selection),
-// and differential files.
+// Targets returns every recovery architecture the sweep knows, on
+// in-memory stores.
 func Targets() []Target {
+	return architectures(func(_ string, pageSize int) (*pagestore.Store, error) {
+		return pagestore.New(pageSize), nil
+	}, nil)
+}
+
+// architectures is the one table of the seven recovery architectures,
+// mirroring the paper's comparison: WAL with one and three parallel log
+// streams, shadow paging (canonical, both overwrite variants, version
+// selection), and differential files. open creates each stable store
+// (name tells a file-backed opener which directory it belongs to); the WAL
+// engines keep data pages and log chunks on separate stores, the log
+// store's page size being the chunk size. clean becomes every target's
+// Clean hook and also releases a build that fails halfway.
+func architectures(open func(name string, pageSize int) (*pagestore.Store, error),
+	clean func([]*pagestore.Store)) []Target {
+	release := func(s *pagestore.Store) {
+		if clean != nil {
+			clean([]*pagestore.Store{s})
+		}
+	}
+	one := func(name string, mk func(*pagestore.Store) (*engine.Engine, error)) Target {
+		return Target{Name: name, Clean: clean, Build: func() (*engine.Engine, []*pagestore.Store, error) {
+			store, err := open(name, 4096)
+			if err != nil {
+				return nil, nil, err
+			}
+			e, err := mk(store)
+			if err != nil {
+				release(store)
+				return nil, nil, err
+			}
+			return e, []*pagestore.Store{store}, nil
+		}}
+	}
+	walT := func(name string, cfg wal.Config) Target {
+		cfg.PoolPages = 4
+		return Target{Name: name, Clean: clean, Build: func() (*engine.Engine, []*pagestore.Store, error) {
+			data, err := open(name+"-data", 4096)
+			if err != nil {
+				return nil, nil, err
+			}
+			c := cfg // Build runs on many pool workers at once
+			if c.LogStore, err = open(name+"-log", wal.LogChunkSize); err != nil {
+				release(data)
+				return nil, nil, err
+			}
+			e, _ := engine.NewWALOn(data, c)
+			return e, []*pagestore.Store{data, c.LogStore}, nil
+		}}
+	}
 	return []Target{
-		{Name: "wal-1stream", Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			store := pagestore.New(4096)
-			e, m := engine.NewWALOn(store, wal.Config{PoolPages: 4})
-			return e, []*pagestore.Store{store, m.LogStore()}, nil
-		}},
-		{Name: "wal-3streams", Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			store := pagestore.New(4096)
-			e, m := engine.NewWALOn(store, wal.Config{Streams: 3, Selection: wal.PageMod, PoolPages: 4})
-			return e, []*pagestore.Store{store, m.LogStore()}, nil
-		}},
-		{Name: "shadow", Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			store := pagestore.New(4096)
-			e, err := engine.NewShadowOn(store)
-			return e, []*pagestore.Store{store}, err
-		}},
-		{Name: "ow-noundo", Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			store := pagestore.New(4096)
-			return engine.NewOverwriteOn(store, shadoweng.NoUndo), []*pagestore.Store{store}, nil
-		}},
-		{Name: "ow-noredo", Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			store := pagestore.New(4096)
-			return engine.NewOverwriteOn(store, shadoweng.NoRedo), []*pagestore.Store{store}, nil
-		}},
-		{Name: "verselect", Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			store := pagestore.New(4096)
-			e, err := engine.NewVersionSelectOn(store)
-			return e, []*pagestore.Store{store}, err
-		}},
-		{Name: "difffile", Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			store := pagestore.New(4096)
-			return engine.NewDiffOn(store), []*pagestore.Store{store}, nil
-		}},
+		walT("wal-1stream", wal.Config{}),
+		walT("wal-3streams", wal.Config{Streams: 3, Selection: wal.PageMod}),
+		one("shadow", engine.NewShadowOn),
+		one("ow-noundo", func(s *pagestore.Store) (*engine.Engine, error) {
+			return engine.NewOverwriteOn(s, shadoweng.NoUndo), nil
+		}),
+		one("ow-noredo", func(s *pagestore.Store) (*engine.Engine, error) {
+			return engine.NewOverwriteOn(s, shadoweng.NoRedo), nil
+		}),
+		one("verselect", engine.NewVersionSelectOn),
+		one("difffile", func(s *pagestore.Store) (*engine.Engine, error) {
+			return engine.NewDiffOn(s), nil
+		}),
 	}
 }
 
@@ -230,9 +259,45 @@ type pointOutcome struct {
 	failures      []string
 }
 
-func (po *pointOutcome) fail(target string, k int64, format string, args ...any) {
-	po.failures = append(po.failures,
-		fmt.Sprintf("%s@%d: %s", target, k, fmt.Sprintf(format, args...)))
+// fail records each audit failure under the point's label.
+func (po *pointOutcome) fail(label string, fails ...string) {
+	for _, f := range fails {
+		po.failures = append(po.failures, label+": "+f)
+	}
+}
+
+// recoverAndAudit is the tail every crash point shares once the fault has
+// fired and the engine has crashed: crash recovery itself at a k-derived
+// page operation, finish recovery, then audit state, idempotence, and
+// liveness. Failures are labelled with label.
+func (po *pointOutcome) recoverAndAudit(e *engine.Engine, stores []*pagestore.Store, out *Outcome, opt Options, k int64, label string) {
+	// Re-crash recovery partway through: the restarted restart must still
+	// converge. CrashAtOp fires exactly once, so the retry below runs over
+	// the same armed stores without tripping again.
+	j := 1 + (k-1)%opt.RecrashCycle
+	rhook := CrashAtOp(j)
+	for _, s := range stores {
+		s.SetFaultHook(rhook)
+	}
+	if err := e.Recover(); err != nil {
+		po.recrashed = true
+		e.Crash()
+		if err := e.Recover(); err != nil {
+			po.fail(label, fmt.Sprintf("recovery after mid-recovery crash (op %d): %v", j, err))
+			return
+		}
+	}
+	for _, s := range stores {
+		s.SetFaultHook(nil)
+	}
+
+	fails, applied := AuditState(e, out, opt.Pages)
+	if out.Doubt != nil {
+		po.doubtApplied = applied
+		po.doubtReverted = !applied
+	}
+	fails = append(fails, AuditIdempotence(e, opt.Pages)...)
+	po.fail(label, append(fails, AuditLiveness(e, opt.Pages)...)...)
 }
 
 // sweepPoint audits one crash point: cut power at the k-th stable mutation,
@@ -263,38 +328,7 @@ func sweepPoint(tg Target, opt Options, k int64, journal *obs.Journal) (*pointOu
 	out := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns)
 	po.commits = int64(out.Commits)
 	e.Crash()
-
-	// Re-crash recovery partway through: the restarted restart must still
-	// converge. CrashAtOp fires exactly once, so the retry below runs over
-	// the same armed stores without tripping again.
-	j := 1 + (k-1)%opt.RecrashCycle
-	rhook := CrashAtOp(j)
-	for _, s := range stores {
-		s.SetFaultHook(rhook)
-	}
-	if err := e.Recover(); err != nil {
-		po.recrashed = true
-		e.Crash()
-		if err := e.Recover(); err != nil {
-			po.fail(tg.Name, k, "recovery after mid-recovery crash (op %d): %v", j, err)
-			return po, nil
-		}
-	}
-	for _, s := range stores {
-		s.SetFaultHook(nil)
-	}
-
-	fails, applied := AuditState(e, out, opt.Pages)
-	po.failures = append(po.failures, prefix(tg.Name, k, fails)...)
-	if out.Doubt != nil {
-		if applied {
-			po.doubtApplied = true
-		} else {
-			po.doubtReverted = true
-		}
-	}
-	po.failures = append(po.failures, prefix(tg.Name, k, AuditIdempotence(e, opt.Pages))...)
-	po.failures = append(po.failures, prefix(tg.Name, k, AuditLiveness(e, opt.Pages))...)
+	po.recoverAndAudit(e, stores, out, opt, k, fmt.Sprintf("%s@%d", tg.Name, k))
 	return po, nil
 }
 
@@ -322,14 +356,6 @@ func JournalPoint(tg Target, opt Options, k int64) (*obs.Journal, *TargetReport,
 		rep.DoubtReverted = 1
 	}
 	return j, rep, nil
-}
-
-func prefix(target string, k int64, fails []string) []string {
-	out := make([]string, 0, len(fails))
-	for _, f := range fails {
-		out = append(out, fmt.Sprintf("%s@%d: %s", target, k, f))
-	}
-	return out
 }
 
 // Sweep runs SweepTarget over targets and bundles the reports. Targets run

@@ -75,6 +75,26 @@ func HistogramBucketLower(i int) float64 { return lowerBound(i) }
 // the constant behind geometric interpolation within a bucket.
 func HistogramLogGrowth() float64 { return histLogGrowth }
 
+// HistogramInterpolate walks per-bucket counts in bucket order until the
+// cumulative count reaches rank, then interpolates geometrically inside
+// that bucket. It reports false when the counts run out first. The caller
+// clamps the estimate to its own range.
+func HistogramInterpolate(counts []int64, rank float64) (float64, bool) {
+	var cum float64
+	for i, c := range counts {
+		if c == 0 {
+			continue
+		}
+		next := cum + float64(c)
+		if next >= rank {
+			frac := (rank - cum) / float64(c)
+			return lowerBound(i) * math.Exp(frac*histLogGrowth), true
+		}
+		cum = next
+	}
+	return 0, false
+}
+
 // Observe records one sample. Non-positive samples land in the lowest
 // bucket (their exact values still shape Min/Mean).
 func (h *Histogram) Observe(v float64) {
@@ -111,29 +131,9 @@ func (h *Histogram) Percentile(p float64) float64 {
 	if p >= 100 {
 		return h.tally.Max()
 	}
-	rank := p / 100 * float64(n)
-	var cum float64
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= rank {
-			frac := (rank - cum) / float64(c)
-			v := lowerBound(i) * math.Exp(frac*histLogGrowth)
-			return clamp(v, h.tally.Min(), h.tally.Max())
-		}
-		cum = next
+	v, ok := HistogramInterpolate(h.buckets[:], p/100*float64(n))
+	if !ok {
+		return h.tally.Max()
 	}
-	return h.tally.Max()
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	return min(max(v, h.tally.Min()), h.tally.Max())
 }

@@ -173,9 +173,6 @@ func (m *GuardMetrics) ReadCacheMisses() int64 { return m.cacheMisses.Value() }
 // Acquired.
 func (m *GuardMetrics) Waiters() int64 { return m.waiters.Value() }
 
-// MaxWaiters reports the high-water mark of the waiter queue depth.
-func (m *GuardMetrics) MaxWaiters() int64 { return m.waiters.Max() }
-
 // Wait returns the wait-time histogram for op (do not mutate).
 func (m *GuardMetrics) Wait(op GuardOp) *Histogram { return &m.wait[op] }
 

@@ -20,8 +20,8 @@
 // The runtime layer must add zero nondeterminism to deterministic outputs:
 // nothing in this package is ever rendered into experiment tables, crash
 // reports, or obs snapshots. It is exported only through the live HTTP
-// surface (see Serve: Prometheus-text /metrics, /debug/pprof, /progress)
-// and the BENCH_*.json files, which are wall-clock measurements by design.
+// surface (see Serve: Prometheus-text /metrics, /debug/pprof, /progress),
+// which is a wall-clock measurement by design.
 package live
 
 import (
@@ -161,31 +161,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // histogram single-threaded.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Merge folds other into h bucket by bucket. Bucket counts and the sample
-// count are plain sums, so merging any permutation of the same histograms
-// yields identical buckets; callers who also need bit-identical sums (the
-// per-worker aggregation in dbbench) merge in a fixed order — worker index —
-// which makes the whole result deterministic. Merge is not atomic with
-// respect to concurrent Observe calls on other; quiesce first.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := range h.buckets {
-		if n := other.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	for {
-		cur := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(cur) + other.Sum())
-		if h.sum.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
 // Quantile estimates the q-th quantile (q in [0,1]) by the same geometric
 // interpolation obs.Histogram uses, clamped to the edges of the occupied
 // bucket range. An empty histogram reports 0.
@@ -194,9 +169,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if n == 0 {
 		return 0
 	}
+	var counts [obs.HistogramBucketCount]int64
 	first, last := -1, -1
 	for i := range h.buckets {
-		if h.buckets[i].Load() != 0 {
+		if counts[i] = h.buckets[i].Load(); counts[i] != 0 {
 			if first < 0 {
 				first = i
 			}
@@ -214,28 +190,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return hi
 	}
-	rank := q * float64(n)
-	var cum float64
-	for i := first; i <= last; i++ {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= rank {
-			frac := (rank - cum) / float64(c)
-			v := obs.HistogramBucketLower(i) * math.Exp(frac*obs.HistogramLogGrowth())
-			if v < lo {
-				v = lo
-			}
-			if v > hi {
-				v = hi
-			}
-			return v
-		}
-		cum = next
+	v, ok := obs.HistogramInterpolate(counts[:], q*float64(n))
+	if !ok {
+		return hi
 	}
-	return hi
+	return min(max(v, lo), hi)
 }
 
 // Snap captures the histogram's summary statistics at one instant. Under

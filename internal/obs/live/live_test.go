@@ -110,47 +110,6 @@ func TestObserveSince(t *testing.T) {
 	}
 }
 
-// TestMergeDeterministic proves per-worker histogram aggregation is
-// order-deterministic: merging the same per-worker histograms in a fixed
-// order always yields identical buckets, counts, sums, and quantiles.
-func TestMergeDeterministic(t *testing.T) {
-	mk := func() []*Histogram {
-		workers := make([]*Histogram, 4)
-		for w := range workers {
-			workers[w] = &Histogram{}
-			for i := 0; i < 50; i++ {
-				workers[w].Observe(float64(w+1) * float64(i%7+1) * 0.3)
-			}
-		}
-		return workers
-	}
-	merge := func(parts []*Histogram) *Histogram {
-		var total Histogram
-		for _, p := range parts {
-			total.Merge(p)
-		}
-		return &total
-	}
-	a, b := merge(mk()), merge(mk())
-	if a.Count() != b.Count() || a.Sum() != b.Sum() {
-		t.Fatalf("merge not deterministic: count %d/%d sum %g/%g",
-			a.Count(), b.Count(), a.Sum(), b.Sum())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != b.Quantile(q) {
-			t.Errorf("q%g differs: %g vs %g", q, a.Quantile(q), b.Quantile(q))
-		}
-	}
-	if a.Count() != 200 {
-		t.Errorf("merged count = %d, want 200", a.Count())
-	}
-	var fromNil Histogram
-	fromNil.Merge(nil) // must not panic
-	if fromNil.Count() != 0 {
-		t.Error("merge(nil) mutated histogram")
-	}
-}
-
 // TestConcurrentStress hammers every metric type from many goroutines while
 // snapshots are taken concurrently; run under -race this is the package's
 // core safety proof.

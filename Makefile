@@ -8,7 +8,7 @@ GO ?= go
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume fuzz-wal crashsweep-short crashsweep-file serve-smoke
+ci: build vet lint test race cover logvolume fuzz-wal crashsweep-short crashsweep-file serve-smoke examples
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).

@@ -10,17 +10,10 @@
 //
 //	go run ./cmd/dbserver -arch wal-1stream [-addr 127.0.0.1:7070]
 //	    [-pages 64] [-value 1000] [-live 127.0.0.1:8080]
-//	    [-group-commit 8] [-group-wait 1ms] [-read-stripes 64]
 //
 // With -live, a live.Registry HTTP endpoint exposes the server's per-op
 // service-time histograms, the in-flight session gauge, and the engine
 // Guard's contention profile at /metrics (plus /debug/pprof).
-//
-// -group-commit, -group-wait, and -read-stripes tune the Guard's relaxed
-// concurrency envelope (docs/DESIGN.md, "Concurrency envelope v2"):
-// concurrent commits are batched into one kernel log force per group, and
-// committed-page reads are served through striped latches without taking
-// the kernel mutex. The defaults keep the plain fully-serialized Guard.
 //
 // dbserver is a serving harness, not a simulator: wall-clock reads go
 // through internal/obs/live's Clock, the one scope where host time is
@@ -43,23 +36,15 @@ func main() {
 	pages := flag.Int("pages", 64, "balance pages to preload (ids 0..pages-1)")
 	value := flag.Int64("value", 1000, "initial balance per page")
 	liveAddr := flag.String("live", "", "serve /metrics and /debug/pprof on this address (empty: off)")
-	groupCommit := flag.Int("group-commit", 0, "group-commit batch cap; 0 or 1 keeps plain per-txn commits")
-	groupWait := flag.Duration("group-wait", 0, "max time a commit leader waits for batch company (with -group-commit)")
-	readStripes := flag.Int("read-stripes", 0, "latch stripes for the committed-page read cache; 0 disables")
 	flag.Parse()
 
-	tuning := server.GuardTuning{
-		GroupCommit: *groupCommit,
-		GroupWait:   *groupWait,
-		ReadStripes: *readStripes,
-	}
-	if err := run(*arch, *addr, *pages, *value, *liveAddr, tuning); err != nil {
+	if err := run(*arch, *addr, *pages, *value, *liveAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "dbserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(arch, addr string, pages int, value int64, liveAddr string, tuning server.GuardTuning) error {
+func run(arch, addr string, pages int, value int64, liveAddr string) error {
 	eng, err := server.NewEngine(arch)
 	if err != nil {
 		return err
@@ -67,9 +52,6 @@ func run(arch, addr string, pages int, value int64, liveAddr string, tuning serv
 	if err := server.InitPages(eng, pages, value); err != nil {
 		return err
 	}
-	// Tune the concurrency envelope before the listener opens: stripes must
-	// be installed while the engine is quiescent.
-	tuning.Apply(eng)
 
 	clock := live.Wall()
 	mx := server.NewMetrics(clock)
@@ -91,7 +73,7 @@ func run(arch, addr string, pages int, value int64, liveAddr string, tuning serv
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dbserver: %s serving %d pages (balance %d) on %s [%s]\n", arch, pages, value, bound, tuning)
+	fmt.Printf("dbserver: %s serving %d pages (balance %d) on %s\n", arch, pages, value, bound)
 
 	// Serve until the process is killed: Start's accept loop owns the
 	// listener, so blocking forever here keeps the sessions alive.

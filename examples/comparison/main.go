@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/machine"
@@ -59,7 +58,7 @@ func simulatedComparison() {
 
 	// And the paper's own Table 12 at reduced scale:
 	fmt.Println("\npaper's Table 12 (reduced load):")
-	tab, err := core.Experiment("table12", experiments.Options{NumTxns: 10})
+	tab, err := experiments.Run("table12", experiments.Options{NumTxns: 10})
 	if err != nil {
 		log.Fatal(err)
 	}

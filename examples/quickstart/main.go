@@ -1,14 +1,14 @@
 // Quickstart: simulate the paper's database machine with and without
 // parallel logging and print the two headline metrics, then regenerate the
-// paper's Table 2 — all through the public core facade.
+// paper's Table 2.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/machine"
 	"repro/internal/recovery/logging"
 )
 
@@ -16,14 +16,14 @@ func main() {
 	// The paper's standard machine: 25 query processors, 100 cache frames,
 	// 2 data disks, transactions of 1..250 pages updating 20% of what they
 	// read. Scaled to 12 transactions so the example runs instantly.
-	cfg := core.MachineConfig()
+	cfg := machine.DefaultConfig()
 	cfg.NumTxns = 12
 
-	bare, err := core.Simulate(cfg, core.Bare())
+	bare, err := machine.Run(cfg, nil) // nil model: the bare machine
 	if err != nil {
 		log.Fatal(err)
 	}
-	logged, err := core.Simulate(cfg, core.ParallelLogging(logging.Config{LogProcessors: 1}))
+	logged, err := machine.Run(cfg, logging.New(logging.Config{LogProcessors: 1}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func main() {
 	fmt.Println()
 
 	// Any of the paper's tables can be regenerated directly.
-	tab, err := core.Experiment("table2", experiments.Options{NumTxns: 12})
+	tab, err := experiments.Run("table2", experiments.Options{NumTxns: 12})
 	if err != nil {
 		log.Fatal(err)
 	}

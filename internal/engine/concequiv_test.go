@@ -1,33 +1,20 @@
-// Concurrent-equivalence harness for the relaxed concurrency envelope
-// (group commit + striped read latching): the proof that breaking the
-// single Guard mutex changed performance and nothing else.
+// Concurrent crash harness for the Guard: the proof that K workers
+// driving one wrapped engine at once leave exactly the committed state
+// their per-worker oracles predict, and that a power failure anywhere in
+// the concurrent run is recovered all-or-nothing per transaction.
 //
-// Three layers of evidence, all across the 7 canonical architectures and
-// all meaningful under -race:
-//
-//  1. TestConcurrentEquivalenceClean replays the same logical schedule —
-//     K workers × M transactions with per-worker RNGs, disjoint write
-//     pages, and shared read-only pages — through a relaxed guard and a
-//     plain-Guard oracle, and demands identical committed page bytes
-//     (crc-checked), identical per-worker models, and identical op
-//     counters. Disjoint write sets make the final committed state
-//     interleaving-independent, which is what makes the concurrent
-//     comparison well-defined.
-//
-//  2. TestConcurrentCrashRecovery cuts power mid-load (a shared hook that
-//     models whole-machine power failure across every store) under full
-//     concurrency, recovers, and audits the paper's claims per worker: a
-//     group-committed transaction is never half-durable — a commit whose
-//     force completed is wholly present, a batch member whose force never
-//     completed is wholly in-doubt or wholly absent, and a member rolled
-//     back by a failing batch (ErrGroupAborted) is wholly absent.
-//
-//  3. TestSequentialCrashEquivalenceGroupCommit drives the deterministic
-//     faultinj script through a group-commit guard and a plain guard with
-//     a crash injected at the same mutation ordinal, and demands
-//     byte-identical outcomes, in-doubt sets, recovered pages, and kernel
-//     counters — the strongest point-for-point equivalence, possible
-//     sequentially because group commit adds no kernel traffic.
+// TestConcurrentCrashRecovery runs a randomized concurrent schedule — K
+// workers × M transactions with per-worker RNGs, disjoint write pages, and
+// shared read-only pages — on all 7 canonical architectures under -race.
+// Disjoint write sets make the final committed state
+// interleaving-independent, so each worker's model is an exact oracle. One
+// clean point audits the run as it stands and again after a crash and
+// restart; the other points cut power mid-load (a shared hook that models
+// whole-machine power failure across every store), recover, and audit per
+// worker: a commit that returned is wholly present, a commit whose force
+// failed is wholly present or wholly absent, and nothing else is.
+// Sequential point-for-point equivalence of the Guard with the bare
+// kernel, crashed at every sampled mutation, is equiv_test.go's job.
 //
 // Like equiv_test.go this lives in package engine_test (faultinj imports
 // internal/engine).
@@ -35,16 +22,12 @@ package engine_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/faultinj"
-	"repro/internal/obs/live"
 	"repro/internal/pagestore"
 	"repro/internal/sim"
 )
@@ -57,9 +40,6 @@ const (
 	ceSharedPages    = 2
 	cePages          = ceSharedPages + ceWorkers*cePagesPerWorker
 )
-
-// ceRelaxedPolicy is the envelope under test in the concurrent suites.
-var ceRelaxedPolicy = engine.GroupCommitPolicy{MaxBatch: ceWorkers, MaxWait: time.Millisecond}
 
 // ceWorkerPage maps worker w's j-th private page into the page space above
 // the shared read-only range.
@@ -76,9 +56,6 @@ type ceAudit struct {
 	// (power failed during the force): recovery may surface it fully
 	// applied or fully reverted, never torn. Nil when no commit is in doubt.
 	doubt map[int64][]byte
-	// groupAborted reports that the final commit was rolled back because a
-	// preceding member of its batch failed; its writes must be absent.
-	groupAborted bool
 	// stopped reports the worker quit early on a storage error.
 	stopped bool
 	// badRead records a successful read of a shared page that returned
@@ -137,11 +114,7 @@ func runConcWorker(e *engine.Engine, w int, initial map[int64][]byte) *ceAudit {
 		}
 		if err := tx.Commit(); err != nil {
 			a.stopped = true
-			if errors.Is(err, engine.ErrGroupAborted) {
-				a.groupAborted = true
-			} else {
-				a.doubt = writes
-			}
+			a.doubt = writes
 			return a
 		}
 		a.commits++
@@ -165,125 +138,6 @@ func runConcWorkload(e *engine.Engine, initial map[int64][]byte) []*ceAudit {
 	}
 	wg.Wait()
 	return audits
-}
-
-// TestConcurrentEquivalenceClean is the headline equivalence proof: the
-// relaxed guard (group commit + striped reads) and the plain-Guard oracle
-// run the same concurrent schedule and must be indistinguishable in every
-// observable — committed page bytes, per-worker models, op counters — with
-// op counters additionally scraped concurrently and required monotone.
-func TestConcurrentEquivalenceClean(t *testing.T) {
-	for _, tg := range equivTargets() {
-		t.Run(tg.name, func(t *testing.T) {
-			relaxed, _ := tg.wrapped(t)
-			plain, _ := tg.wrapped(t)
-			gm := live.NewGuardMetrics(live.Wall())
-			relaxed.Guard().SetMetrics(gm)
-			relaxed.Guard().SetGroupCommit(ceRelaxedPolicy, nil)
-			relaxed.Guard().SetReadStripes(8)
-
-			rInit, err := faultinj.LoadPages(relaxed, cePages)
-			if err != nil {
-				t.Fatalf("relaxed load: %v", err)
-			}
-			pInit, err := faultinj.LoadPages(plain, cePages)
-			if err != nil {
-				t.Fatalf("plain load: %v", err)
-			}
-
-			// Monotone-counter scraper rides along with the relaxed run.
-			stop := make(chan struct{})
-			var scraper sync.WaitGroup
-			scraper.Add(1)
-			go func() {
-				defer scraper.Done()
-				last := map[string]int64{}
-				for {
-					for k, v := range relaxed.Guard().OpCounts() {
-						if v < last[k] {
-							t.Errorf("relaxed op counter %q regressed: %d -> %d", k, last[k], v)
-							return
-						}
-						last[k] = v
-					}
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-			}()
-			rAudits := runConcWorkload(relaxed, rInit)
-			close(stop)
-			scraper.Wait()
-			pAudits := runConcWorkload(plain, pInit)
-
-			totalCommits := 0
-			for w := 0; w < ceWorkers; w++ {
-				for side, a := range map[string]*ceAudit{"relaxed": rAudits[w], "plain": pAudits[w]} {
-					if a.stopped || a.doubt != nil || a.groupAborted {
-						t.Fatalf("%s worker %d did not run clean: %+v", side, w, a)
-					}
-					if a.badRead != "" {
-						t.Errorf("%s worker %d: %s", side, w, a.badRead)
-					}
-					if a.commits+a.aborts != ceTxnsPerWorker {
-						t.Errorf("%s worker %d: %d commits + %d aborts != %d txns",
-							side, w, a.commits, a.aborts, ceTxnsPerWorker)
-					}
-				}
-				if !reflect.DeepEqual(rAudits[w].model, pAudits[w].model) {
-					t.Errorf("worker %d models diverge:\n  relaxed: %v\n  plain:   %v",
-						w, rAudits[w].model, pAudits[w].model)
-				}
-				totalCommits += rAudits[w].commits
-			}
-
-			// Committed state, page by page, both guards, crc-checked.
-			model := map[int64][]byte{}
-			for p, v := range rInit {
-				model[p] = v
-			}
-			for _, a := range rAudits {
-				for p, v := range a.model {
-					model[p] = v
-				}
-			}
-			for p := int64(0); p < cePages; p++ {
-				rv, rerr := relaxed.ReadCommitted(p)
-				pv, perr := plain.ReadCommitted(p)
-				if rerr != nil || perr != nil {
-					t.Fatalf("page %d: read errors relaxed=%v plain=%v", p, rerr, perr)
-				}
-				if !bytes.Equal(rv, pv) {
-					t.Errorf("page %d diverges: relaxed=%q plain=%q", p, rv, pv)
-				}
-				if !bytes.Equal(rv, model[p]) {
-					t.Errorf("page %d = %q, want committed model %q", p, rv, model[p])
-				}
-				if msg := faultinj.CheckPayload(rv, p); msg != "" {
-					t.Errorf("relaxed state corrupt: %s", msg)
-				}
-			}
-
-			// The relaxed guard must count exactly what the oracle counts.
-			rOps, pOps := relaxed.Guard().OpCounts(), plain.Guard().OpCounts()
-			if !reflect.DeepEqual(rOps, pOps) {
-				t.Errorf("op counters diverge:\n  relaxed: %v\n  plain:   %v", rOps, pOps)
-			}
-
-			// And the batching/caching machinery must actually have run:
-			// every commit passed through a flushed batch, and the shared
-			// read-only pages were served from the stripe cache.
-			if got := gm.CommitBatchSize().Sum(); got != float64(totalCommits) {
-				t.Errorf("batched commits = %v, want %d (every commit in exactly one batch)",
-					got, totalCommits)
-			}
-			if gm.ReadCacheHits() == 0 {
-				t.Error("stripe cache served no reads; striped path not exercised")
-			}
-		})
-	}
 }
 
 // powerFail returns a fault hook modeling whole-machine power loss: it
@@ -312,8 +166,7 @@ func powerFail(k int64) pagestore.FaultHook {
 
 // auditConcRecovered checks the recovered committed state against every
 // worker's oracle: shared pages untouched, committed writes durable,
-// losers and group-aborted members absent, and an in-doubt commit applied
-// all or nothing.
+// losers absent, and an in-doubt commit applied all or nothing.
 func auditConcRecovered(t *testing.T, e *engine.Engine, initial map[int64][]byte, audits []*ceAudit) {
 	t.Helper()
 	for p := int64(0); p < ceSharedPages; p++ {
@@ -359,27 +212,27 @@ func auditConcRecovered(t *testing.T, e *engine.Engine, initial map[int64][]byte
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("worker %d page %d = %q, want %q (groupAborted=%v)",
-					w, p, got, want, a.groupAborted)
+				t.Errorf("worker %d page %d = %q, want %q", w, p, got, want)
 			}
 		}
 		if applied > 0 && reverted > 0 {
-			t.Errorf("worker %d: in-doubt group commit torn (%d pages applied, %d reverted)",
+			t.Errorf("worker %d: in-doubt commit torn (%d pages applied, %d reverted)",
 				w, applied, reverted)
 		}
 	}
 }
 
 // ceCrashSpan pins, per target, the stable-mutation count of one
-// representative concurrent probe run. TestConcurrentCrashRecovery places
-// its crash points at fractions of it, so every subtest name — and a
+// representative concurrent run. TestConcurrentCrashRecovery places its
+// crash points at fractions of it, so every subtest name — and a
 // `go test -run TestConcurrentCrashRecovery/<target>/mutK` rerun of a
-// failure — is the same on every run. The live count is not: group-commit
-// batching moves the WAL targets' log traffic by a few percent from run to
-// run.
+// failure — is the same on every run. The live count is not: the WAL
+// targets' 4-page buffer pool steals whichever page the interleaving left
+// coldest, so their count runs from a nearly serial run's (105 and 182)
+// to almost twice that under the race detector (199 and 281).
 var ceCrashSpan = map[string]int64{
-	"wal-1stream":  191,
-	"wal-3streams": 242,
+	"wal-1stream":  128,
+	"wal-3streams": 216,
 	"shadow":       330,
 	"ow-noundo":    356,
 	"ow-noredo":    599,
@@ -387,10 +240,10 @@ var ceCrashSpan = map[string]int64{
 	"difffile":     72,
 }
 
-// TestConcurrentCrashRecovery cuts power at pinned mutation ordinals
-// while the relaxed guard is under full concurrent load, recovers, and
-// audits per worker that no group-committed transaction is half-durable.
-// A concurrent probe run checks that the pinned span still matches the
+// TestConcurrentCrashRecovery runs the concurrent schedule on the Guard
+// once clean and then with the power cut at pinned mutation ordinals,
+// recovers, and audits per worker that no transaction is half-durable.
+// The clean point also checks that the pinned span still matches the
 // workload; the audit is interleaving-independent by construction, so the
 // nondeterminism of where exactly the power failure lands only widens the
 // coverage.
@@ -401,28 +254,41 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 			if !ok {
 				t.Fatalf("no pinned crash span for target %q", tg.name)
 			}
-			// Probe: how many stable mutations does one concurrent run make?
-			probe, stores := tg.wrapped(t)
-			probe.Guard().SetGroupCommit(ceRelaxedPolicy, nil)
-			probe.Guard().SetReadStripes(8)
-			initial, err := faultinj.LoadPages(probe, cePages)
-			if err != nil {
-				t.Fatalf("probe load: %v", err)
-			}
-			ctr := &faultinj.Counter{}
-			hook := ctr.Hook()
-			for _, s := range stores {
-				s.SetFaultHook(hook)
-			}
-			for w, a := range runConcWorkload(probe, initial) {
-				if a.stopped {
-					t.Fatalf("probe worker %d crashed without injection", w)
+			clean := t.Run("clean", func(t *testing.T) {
+				e, stores := tg.wrapped(t)
+				initial, err := faultinj.LoadPages(e, cePages)
+				if err != nil {
+					t.Fatalf("load: %v", err)
 				}
-			}
-			// Every crash point but the last must land inside the run, and
-			// the last must still fall in its final quarter.
-			if muts := ctr.Mutations(); muts < 3*span/4 || muts > 4*span/3 {
-				t.Fatalf("probe run made %d stable mutations; pinned span %d is stale", muts, span)
+				ctr := &faultinj.Counter{}
+				hook := ctr.Hook()
+				for _, s := range stores {
+					s.SetFaultHook(hook)
+				}
+				audits := runConcWorkload(e, initial)
+				for w, a := range audits {
+					if a.stopped {
+						t.Fatalf("worker %d stopped without injection: %+v", w, a)
+					}
+					if a.commits+a.aborts != ceTxnsPerWorker {
+						t.Errorf("worker %d: %d commits + %d aborts != %d txns",
+							w, a.commits, a.aborts, ceTxnsPerWorker)
+					}
+				}
+				// Every crash point but the last must land inside the run,
+				// and the last must still fall in its second half.
+				if muts := ctr.Mutations(); muts < 3*span/4 || muts > 2*span {
+					t.Fatalf("clean run made %d stable mutations; pinned span %d is stale", muts, span)
+				}
+				auditConcRecovered(t, e, initial, audits)
+				e.Crash()
+				if err := e.Recover(); err != nil {
+					t.Fatalf("recover: %v", err)
+				}
+				auditConcRecovered(t, e, initial, audits)
+			})
+			if !clean {
+				return
 			}
 
 			points := []int64{1, span / 4, span / 2, 3 * span / 4, span}
@@ -437,8 +303,6 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 				seen[k] = true
 				t.Run(fmt.Sprintf("mut%d", k), func(t *testing.T) {
 					e, stores := tg.wrapped(t)
-					e.Guard().SetGroupCommit(ceRelaxedPolicy, nil)
-					e.Guard().SetReadStripes(8)
 					initial, err := faultinj.LoadPages(e, cePages)
 					if err != nil {
 						t.Fatalf("load: %v", err)
@@ -458,109 +322,13 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 					}
 					auditConcRecovered(t, e, initial, audits)
 
-					// Liveness: the recovered relaxed guard accepts new work
-					// through the group-commit path.
+					// Liveness: the recovered engine accepts new work.
 					v := faultinj.Payload(0, 1<<40, 0)
 					if err := e.Update(func(tx *engine.Txn) error { return tx.Write(0, v) }); err != nil {
 						t.Fatalf("post-recovery update: %v", err)
 					}
 					if got, err := e.ReadCommitted(0); err != nil || !bytes.Equal(got, v) {
 						t.Fatalf("post-recovery read = %q, %v (want %q)", got, err, v)
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestSequentialCrashEquivalenceGroupCommit injects a crash at the same
-// mutation ordinal into a plain guard and a group-commit guard running the
-// deterministic faultinj script, and demands identical outcomes, identical
-// in-doubt sets, byte-identical recovered pages, and identical kernel
-// counters. Group commit adds no kernel traffic, so the two runs share
-// mutation ordinals exactly; striped reads are left off here because the
-// cache legitimately changes kernel read traffic (and with it buffer-pool
-// eviction), which would shift ordinals.
-func TestSequentialCrashEquivalenceGroupCommit(t *testing.T) {
-	stride := int64(5)
-	if testing.Short() {
-		stride = 11
-	}
-	for _, tg := range equivTargets() {
-		t.Run(tg.name, func(t *testing.T) {
-			probe, stores := tg.wrapped(t)
-			model, err := faultinj.LoadPages(probe, equivPages)
-			if err != nil {
-				t.Fatalf("probe load: %v", err)
-			}
-			ctr := &faultinj.Counter{}
-			hook := ctr.Hook()
-			for _, s := range stores {
-				s.SetFaultHook(hook)
-			}
-			if out := faultinj.RunScript(probe, model, equivSeed, equivPages, equivTxns); out.Crashed {
-				t.Fatal("probe run crashed without injection")
-			}
-			muts := ctr.Mutations()
-
-			points := []int64{1}
-			for k := stride; k < muts; k += stride {
-				points = append(points, k)
-			}
-			points = append(points, muts)
-
-			for _, k := range points {
-				t.Run(fmt.Sprintf("mut%d", k), func(t *testing.T) {
-					plain, pstores := tg.wrapped(t)
-					relaxed, rstores := tg.wrapped(t)
-					relaxed.Guard().SetGroupCommit(engine.GroupCommitPolicy{MaxBatch: 4}, nil)
-					pModel, err := faultinj.LoadPages(plain, equivPages)
-					if err != nil {
-						t.Fatalf("plain load: %v", err)
-					}
-					rModel, err := faultinj.LoadPages(relaxed, equivPages)
-					if err != nil {
-						t.Fatalf("relaxed load: %v", err)
-					}
-					phook := faultinj.CrashAtMutation(k)
-					for _, s := range pstores {
-						s.SetFaultHook(phook)
-					}
-					rhook := faultinj.CrashAtMutation(k)
-					for _, s := range rstores {
-						s.SetFaultHook(rhook)
-					}
-					pOut := faultinj.RunScript(plain, pModel, equivSeed, equivPages, equivTxns)
-					rOut := faultinj.RunScript(relaxed, rModel, equivSeed, equivPages, equivTxns)
-					compareOutcomes(t, pOut, rOut)
-
-					plain.Crash()
-					relaxed.Crash()
-					if err := plain.Recover(); err != nil {
-						t.Fatalf("plain recover: %v", err)
-					}
-					if err := relaxed.Recover(); err != nil {
-						t.Fatalf("relaxed recover: %v", err)
-					}
-					for p := int64(0); p < equivPages; p++ {
-						pv, perr := plain.ReadCommitted(p)
-						rv, rerr := relaxed.ReadCommitted(p)
-						if (perr == nil) != (rerr == nil) {
-							t.Fatalf("page %d: read errors diverge: plain=%v relaxed=%v", p, perr, rerr)
-						}
-						if perr != nil {
-							continue
-						}
-						if !bytes.Equal(pv, rv) {
-							t.Errorf("page %d: recovered bytes diverge: plain=%q relaxed=%q", p, pv, rv)
-						}
-						if msg := faultinj.CheckPayload(pv, p); msg != "" {
-							t.Errorf("recovered state corrupt: %s", msg)
-						}
-					}
-					ps, rs := plain.Guard().Stats(), relaxed.Guard().Stats()
-					if !reflect.DeepEqual(ps, rs) {
-						t.Errorf("kernel counters diverge:\n  plain:   %v\n  relaxed: %v", ps, rs)
 					}
 				})
 			}

@@ -5,7 +5,9 @@
 // indistinguishable: identical script outcomes, identical recovered page
 // bytes, identical kernel counters. This holds both for clean runs and for
 // runs cut down by an injected crash at every sampled stable-storage
-// mutation.
+// mutation, and both for the script as written (one transaction at a time)
+// and for the same transactions replayed in commit groups (several in
+// flight at once, committing back to back).
 //
 // The test lives in package engine_test because faultinj imports
 // internal/engine; an in-package test would be an import cycle.
@@ -283,6 +285,223 @@ func compareRecovered(t *testing.T, rm engine.RecoveryManager, e *engine.Engine,
 	ks, ws := kernelStats(rm), e.Guard().Stats()
 	if !reflect.DeepEqual(ks, ws) {
 		t.Errorf("kernel counters diverge:\n  kernel:  %v\n  wrapper: %v", ks, ws)
+	}
+}
+
+// groupTxn is one transaction of the grouped script: its writes in order
+// and whether it ends in a voluntary abort.
+type groupTxn struct {
+	pages []int64
+	abort bool
+}
+
+// groupPlan draws the faultinj script's transaction mix (the same RNG
+// draws, in the same order, as faultinj.RunScript) and cuts it into commit
+// groups: runs of up to four consecutive transactions with pairwise
+// disjoint write sets, so every member of a group can hold its exclusive
+// locks at once on one goroutine.
+func groupPlan(seed int64, pages, maxTxns int) [][]groupTxn {
+	rng := sim.NewRNG(seed)
+	var plan [][]groupTxn
+	var group []groupTxn
+	held := map[int64]bool{}
+	for i := 0; i < maxTxns; i++ {
+		var tx groupTxn
+		n := rng.UniformInt(1, 3)
+		for j := 0; j < n; j++ {
+			tx.pages = append(tx.pages, int64(rng.Intn(pages)))
+		}
+		tx.abort = rng.Bool(0.2)
+		clash := len(group) == 4
+		for _, p := range tx.pages {
+			clash = clash || held[p]
+		}
+		if clash {
+			plan = append(plan, group)
+			group, held = nil, map[int64]bool{}
+		}
+		group = append(group, tx)
+		for _, p := range tx.pages {
+			held[p] = true
+		}
+	}
+	if len(group) > 0 {
+		plan = append(plan, group)
+	}
+	return plan
+}
+
+// groupDriver is the transaction surface runGroupPlan drives: the bare
+// kernel (sequential ids, exactly as the engine's counter assigns them) or
+// the wrapped engine (Guard + 2PL).
+type groupDriver interface {
+	begin() (uint64, error)
+	write(tid uint64, p int64, v []byte) error
+	commit(tid uint64) error
+	abort(tid uint64) error
+}
+
+type kernelDriver struct {
+	rm  engine.RecoveryManager
+	tid uint64
+}
+
+func (d *kernelDriver) begin() (uint64, error) {
+	d.tid++
+	return d.tid, d.rm.Begin(d.tid)
+}
+func (d *kernelDriver) write(tid uint64, p int64, v []byte) error { return d.rm.Write(tid, p, v) }
+func (d *kernelDriver) commit(tid uint64) error                   { return d.rm.Commit(tid) }
+func (d *kernelDriver) abort(tid uint64) error                    { return d.rm.Abort(tid) }
+
+type engineDriver struct {
+	e   *engine.Engine
+	txs map[uint64]*engine.Txn
+}
+
+func (d *engineDriver) begin() (uint64, error) {
+	tx, err := d.e.Begin()
+	if err != nil {
+		return 0, err
+	}
+	d.txs[tx.ID()] = tx
+	return tx.ID(), nil
+}
+func (d *engineDriver) write(tid uint64, p int64, v []byte) error { return d.txs[tid].Write(p, v) }
+func (d *engineDriver) commit(tid uint64) error                   { return d.txs[tid].Commit() }
+func (d *engineDriver) abort(tid uint64) error                    { return d.txs[tid].Abort() }
+
+// runGroupPlan executes plan group by group: every member begins, the
+// members' writes interleave round-robin, and then the members finish back
+// to back in order, so each group's commits arrive together with the rest
+// of the group still in flight. The run stops at the first storage error
+// (the injected crash) and leaves the open members to restart recovery.
+func runGroupPlan(d groupDriver, model map[int64][]byte, plan [][]groupTxn) *faultinj.Outcome {
+	out := &faultinj.Outcome{Model: model}
+	for _, group := range plan {
+		tids := make([]uint64, len(group))
+		writes := make([]map[int64][]byte, len(group))
+		for i := range group {
+			tid, err := d.begin()
+			if err != nil {
+				out.Crashed = true
+				return out
+			}
+			tids[i], writes[i] = tid, map[int64][]byte{}
+		}
+		for j := 0; j < 3; j++ {
+			for i, tx := range group {
+				if j >= len(tx.pages) {
+					continue
+				}
+				p := tx.pages[j]
+				v := faultinj.Payload(p, tids[i], j)
+				if err := d.write(tids[i], p, v); err != nil {
+					out.Crashed = true
+					return out
+				}
+				writes[i][p] = v
+			}
+		}
+		for i, tx := range group {
+			if tx.abort {
+				if err := d.abort(tids[i]); err != nil {
+					out.Crashed = true
+					return out
+				}
+				continue
+			}
+			if err := d.commit(tids[i]); err != nil {
+				out.Doubt = writes[i]
+				out.Crashed = true
+				return out
+			}
+			out.Commits++
+			for p, v := range writes[i] {
+				out.Model[p] = v
+			}
+		}
+	}
+	return out
+}
+
+// TestSequentialCrashEquivalenceGroupCommit replays the script's
+// transactions in commit groups — several transactions in flight at once,
+// committing back to back — through the bare kernel and through the Guard,
+// with a crash injected at the same mutation ordinal in both. The two runs
+// must agree on outcomes, in-doubt sets, recovered page bytes and kernel
+// counters, and the recovered state must pass the sweep's audit: every
+// returned commit durable, every open or aborted group member absent, an
+// in-doubt commit applied all or nothing.
+func TestSequentialCrashEquivalenceGroupCommit(t *testing.T) {
+	plan := groupPlan(equivSeed, equivPages, equivTxns)
+	grouped := 0
+	for _, g := range plan {
+		if len(g) > 1 {
+			grouped++
+		}
+	}
+	if grouped == 0 {
+		t.Fatalf("plan has no group of two or more transactions: %v", plan)
+	}
+	stride := int64(5)
+	if testing.Short() {
+		stride = 11
+	}
+	for _, tg := range equivTargets() {
+		t.Run(tg.name, func(t *testing.T) {
+			probe, stores := tg.wrapped(t)
+			model, err := faultinj.LoadPages(probe, equivPages)
+			if err != nil {
+				t.Fatalf("probe load: %v", err)
+			}
+			ctr := &faultinj.Counter{}
+			hook := ctr.Hook()
+			for _, s := range stores {
+				s.SetFaultHook(hook)
+			}
+			if out := runGroupPlan(&engineDriver{probe, map[uint64]*engine.Txn{}}, model, plan); out.Crashed {
+				t.Fatal("probe run crashed without injection")
+			}
+			muts := ctr.Mutations()
+
+			points := []int64{1}
+			for k := stride; k < muts; k += stride {
+				points = append(points, k)
+			}
+			points = append(points, muts)
+
+			for _, k := range points {
+				t.Run(fmt.Sprintf("mut%d", k), func(t *testing.T) {
+					rm, kstores := tg.kernel(t)
+					e, wstores := tg.wrapped(t)
+					kmodel, err := loadKernelPages(rm, equivPages)
+					if err != nil {
+						t.Fatalf("kernel load: %v", err)
+					}
+					wmodel, err := faultinj.LoadPages(e, equivPages)
+					if err != nil {
+						t.Fatalf("wrapper load: %v", err)
+					}
+					khook := faultinj.CrashAtMutation(k)
+					for _, s := range kstores {
+						s.SetFaultHook(khook)
+					}
+					whook := faultinj.CrashAtMutation(k)
+					for _, s := range wstores {
+						s.SetFaultHook(whook)
+					}
+					pure := runGroupPlan(&kernelDriver{rm: rm}, kmodel, plan)
+					wrapped := runGroupPlan(&engineDriver{e, map[uint64]*engine.Txn{}}, wmodel, plan)
+					compareOutcomes(t, pure, wrapped)
+					compareRecovered(t, rm, e, equivPages)
+					fails, _ := faultinj.AuditState(e, wrapped, equivPages)
+					for _, f := range fails {
+						t.Error(f)
+					}
+				})
+			}
+		})
 	}
 }
 

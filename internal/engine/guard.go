@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -48,12 +47,7 @@ var ErrUnsupported = fmt.Errorf("engine: operation not supported by this recover
 // Guard wraps a pure recovery kernel, making it safe for concurrent use.
 // All kernel calls — transactional operations and maintenance alike — are
 // serialized behind a single mutex, and per-operation atomic counters
-// record the traffic the kernel absorbed. Two opt-in relaxations of the
-// envelope live in groupguard.go: group commit (SetGroupCommit) batches
-// concurrent committers through one mutex acquisition, and striped read
-// latching (SetReadStripes) serves reads of committed pages from a
-// guard-owned cache without the mutex at all. Neither changes what the
-// kernel sees: every kernel call still happens under the one mutex.
+// record the traffic the kernel absorbed.
 type Guard struct {
 	mu sync.Mutex
 	rm RecoveryManager
@@ -63,12 +57,6 @@ type Guard struct {
 	// extending the guarded section; a nil profile makes every token
 	// operation a no-op.
 	mx atomic.Pointer[live.GuardMetrics]
-
-	// gc batches concurrent commits (nil: plain path); stripes is the
-	// committed-page cache behind the parallel read path (nil: all reads
-	// serialize). Both are attached atomically, like mx.
-	gc      atomic.Pointer[groupCommitter]
-	stripes atomic.Pointer[stripeCache]
 
 	// journal is the guard's own copy of the attached recovery journal
 	// (guarded by mu): backup-plane operations (Snapshot, Restore) are
@@ -111,9 +99,6 @@ func (g *Guard) Load(p int64, data []byte) error {
 	tok.Acquired()
 	defer g.mu.Unlock()
 	defer tok.Release()
-	if sc := g.stripes.Load(); sc != nil {
-		sc.invalidate(p)
-	}
 	return g.rm.Load(p, data)
 }
 
@@ -129,33 +114,15 @@ func (g *Guard) Begin(tid uint64) error {
 }
 
 // Read returns page p as seen by tid (which must be an active
-// transaction). With a stripe cache attached, a read of a page no active
-// transaction has written is served from the cache under a stripe read
-// latch — in parallel with other reads, without the kernel mutex. A page
-// in no active write set reads identically for every transaction, so the
-// committed image is exactly tid's view of it.
+// transaction).
 func (g *Guard) Read(tid uint64, p int64) ([]byte, error) {
-	if sc := g.stripes.Load(); sc != nil {
-		if v, ok := sc.get(p); ok {
-			g.reads.Inc()
-			g.mx.Load().ReadCacheHit()
-			return v, nil
-		}
-		g.mx.Load().ReadCacheMiss()
-	}
 	tok := g.mx.Load().Enter(live.GuardRead)
 	g.mu.Lock()
 	tok.Acquired()
 	defer g.mu.Unlock()
 	defer tok.Release()
 	g.reads.Inc()
-	v, err := g.rm.Read(tid, p)
-	if err == nil {
-		if sc := g.stripes.Load(); sc != nil && sc.clean(p) {
-			sc.put(p, v)
-		}
-	}
-	return v, err
+	return g.rm.Read(tid, p)
 }
 
 // Write replaces page p on behalf of tid.
@@ -166,32 +133,18 @@ func (g *Guard) Write(tid uint64, p int64, data []byte) error {
 	defer g.mu.Unlock()
 	defer tok.Release()
 	g.writes.Inc()
-	if sc := g.stripes.Load(); sc != nil {
-		// Before the kernel call: even a write the kernel tears mid-crash
-		// must leave no stale committed image behind.
-		sc.noteWrite(tid, p)
-	}
 	return g.rm.Write(tid, p, data)
 }
 
-// Commit makes tid durable. With a group-commit policy attached
-// (SetGroupCommit), the call may park until its batch flushes; the result
-// is always this transaction's own kernel commit outcome.
+// Commit makes tid durable.
 func (g *Guard) Commit(tid uint64) error {
-	if gc := g.gc.Load(); gc != nil {
-		return gc.commit(tid)
-	}
 	tok := g.mx.Load().Enter(live.GuardCommit)
 	g.mu.Lock()
 	tok.Acquired()
 	defer g.mu.Unlock()
 	defer tok.Release()
 	g.commits.Inc()
-	err := g.rm.Commit(tid)
-	if sc := g.stripes.Load(); sc != nil {
-		sc.finishTxn(tid)
-	}
-	return err
+	return g.rm.Commit(tid)
 }
 
 // Abort rolls tid back.
@@ -202,66 +155,38 @@ func (g *Guard) Abort(tid uint64) error {
 	defer g.mu.Unlock()
 	defer tok.Release()
 	g.aborts.Inc()
-	err := g.rm.Abort(tid)
-	if sc := g.stripes.Load(); sc != nil {
-		sc.finishTxn(tid)
-	}
-	return err
+	return g.rm.Abort(tid)
 }
 
-// Crash simulates power loss on the kernel. Volatile state — including
-// the guard's committed-page cache and its writer bookkeeping — is lost
-// with the machine.
+// Crash simulates power loss on the kernel.
 func (g *Guard) Crash() {
 	tok := g.mx.Load().Enter(live.GuardOther)
 	g.mu.Lock()
 	tok.Acquired()
 	defer g.mu.Unlock()
 	defer tok.Release()
-	if sc := g.stripes.Load(); sc != nil {
-		sc.invalidateAll()
-	}
 	g.rm.Crash()
 }
 
-// Recover runs restart recovery on the kernel. Anything the guard cached
-// before the crash is dropped; recovered pages re-enter the cache on
-// their next clean read.
+// Recover runs restart recovery on the kernel.
 func (g *Guard) Recover() error {
 	tok := g.mx.Load().Enter(live.GuardRecover)
 	g.mu.Lock()
 	tok.Acquired()
 	defer g.mu.Unlock()
 	defer tok.Release()
-	if sc := g.stripes.Load(); sc != nil {
-		sc.invalidateAll()
-	}
 	g.recoveries.Inc()
 	return g.rm.Recover()
 }
 
-// ReadCommitted reads the committed contents of page p. Like Read, it is
-// served from the stripe cache when one is attached and the page is clean.
+// ReadCommitted reads the committed contents of page p.
 func (g *Guard) ReadCommitted(p int64) ([]byte, error) {
-	if sc := g.stripes.Load(); sc != nil {
-		if v, ok := sc.get(p); ok {
-			g.mx.Load().ReadCacheHit()
-			return v, nil
-		}
-		g.mx.Load().ReadCacheMiss()
-	}
 	tok := g.mx.Load().Enter(live.GuardOther)
 	g.mu.Lock()
 	tok.Acquired()
 	defer g.mu.Unlock()
 	defer tok.Release()
-	v, err := g.rm.ReadCommitted(p)
-	if err == nil {
-		if sc := g.stripes.Load(); sc != nil && sc.clean(p) {
-			sc.put(p, v)
-		}
-	}
-	return v, err
+	return g.rm.ReadCommitted(p)
 }
 
 // Checkpoint runs the kernel's checkpoint maintenance operation under the
@@ -332,18 +257,6 @@ func (g *Guard) OpCounts() map[string]int64 {
 		"checkpoints": g.checkpoints.Value(),
 		"merges":      g.merges.Value(),
 	}
-}
-
-// OpCountKeys lists the OpCounts keys in sorted order (for deterministic
-// reporting).
-func (g *Guard) OpCountKeys() []string {
-	counts := g.OpCounts()
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // SetMetrics attaches (or with nil detaches) a runtime contention profile.

@@ -147,9 +147,6 @@ func (g *Guard) Restore(rs ...io.Reader) error {
 	g.journal.Emit(obs.JournalRecord{
 		Event: "restore", Engine: g.rm.Name(), N: int64(len(rs)),
 	})
-	if sc := g.stripes.Load(); sc != nil {
-		sc.invalidateAll()
-	}
 	g.rm.Crash()
 	g.recoveries.Inc()
 	return g.rm.Recover()

@@ -118,12 +118,7 @@ type RuleInfo struct {
 // stay pure (testdata/d004runpool pins that boundary), server owns
 // the per-session goroutines and connection-table mutexes that drive the
 // kernels over TCP, reaching them only through engine.Guard
-// (testdata/d004server pins that boundary), and engine's groupguard.go —
-// the relaxed concurrency envelope of group-commit batching and striped
-// read latches — keeps its mutexes, channels, and atomics on the wrapper
-// side of the same line: every kernel call it makes still runs under the
-// one kernel mutex (testdata/d004group pins that boundary). The
-// file-backed stable-storage backend (internal/pagestore/filestore) is
+// (testdata/d004server pins that boundary). The file-backed stable-storage backend (internal/pagestore/filestore) is
 // wrapper-side too: it owns the os.File handles and fsync barriers that
 // make the pagestore durable, is serialized by the owning
 // pagestore.Store, and is never entered by kernel code directly — kernels

@@ -57,19 +57,6 @@ type GuardMetrics struct {
 	waiters Gauge
 	wait    [numGuardOps]Histogram
 	hold    [numGuardOps]Histogram
-
-	// Group-commit batching (engine.Guard with a GroupCommitPolicy): one
-	// sample per flushed batch, plus a counter per flush reason.
-	batchSize  Histogram // members per batch
-	batchWait  Histogram // ms from the leader's arrival to the flush
-	flushFull  Counter   // batches flushed because MaxBatch was reached
-	flushTimer Counter   // batches flushed because MaxWait expired
-
-	// Striped read latching: committed-page cache traffic. A hit is a
-	// read served without touching the kernel mutex; a miss fell through
-	// to the exclusive path.
-	cacheHits   Counter
-	cacheMisses Counter
 }
 
 // NewGuardMetrics returns guard metrics reading time from clock (Wall() in
@@ -117,58 +104,6 @@ func (t *GuardToken) Release() {
 	t.m.hold[t.op].Observe(float64(t.m.clock.Now().Sub(t.acq)) / float64(time.Millisecond))
 }
 
-// ObserveCommitBatch records one flushed group-commit batch: its size, how
-// long the batch window stayed open (ms), and why it closed (full = MaxBatch
-// reached; otherwise the MaxWait timer expired). Nil-safe.
-func (m *GuardMetrics) ObserveCommitBatch(size int, waitMs float64, full bool) {
-	if m == nil {
-		return
-	}
-	m.batchSize.Observe(float64(size))
-	m.batchWait.Observe(waitMs)
-	if full {
-		m.flushFull.Inc()
-	} else {
-		m.flushTimer.Inc()
-	}
-}
-
-// ReadCacheHit records a read served from the striped committed-page cache
-// without entering the kernel mutex. Nil-safe.
-func (m *GuardMetrics) ReadCacheHit() {
-	if m == nil {
-		return
-	}
-	m.cacheHits.Inc()
-}
-
-// ReadCacheMiss records a read that missed the stripe cache and fell through
-// to the exclusive kernel path. Nil-safe.
-func (m *GuardMetrics) ReadCacheMiss() {
-	if m == nil {
-		return
-	}
-	m.cacheMisses.Inc()
-}
-
-// CommitBatchSize returns the batch-size histogram (do not mutate).
-func (m *GuardMetrics) CommitBatchSize() *Histogram { return &m.batchSize }
-
-// CommitBatchWait returns the batch-window histogram in ms (do not mutate).
-func (m *GuardMetrics) CommitBatchWait() *Histogram { return &m.batchWait }
-
-// FlushFull reports batches flushed because MaxBatch was reached.
-func (m *GuardMetrics) FlushFull() int64 { return m.flushFull.Value() }
-
-// FlushTimer reports batches flushed because MaxWait expired.
-func (m *GuardMetrics) FlushTimer() int64 { return m.flushTimer.Value() }
-
-// ReadCacheHits reports reads served from the stripe cache.
-func (m *GuardMetrics) ReadCacheHits() int64 { return m.cacheHits.Value() }
-
-// ReadCacheMisses reports reads that fell through to the kernel.
-func (m *GuardMetrics) ReadCacheMisses() int64 { return m.cacheMisses.Value() }
-
 // Waiters reports the number of threads currently between Enter and
 // Acquired.
 func (m *GuardMetrics) Waiters() int64 { return m.waiters.Value() }
@@ -190,15 +125,5 @@ func (m *GuardMetrics) Collect(s *Snapshot) {
 		if m.hold[op].Count() != 0 {
 			s.PutHist("guard."+op.String()+".hold_ms", m.hold[op].Snap())
 		}
-	}
-	if m.batchSize.Count() != 0 {
-		s.PutHist("guard.commit_batch.size", m.batchSize.Snap())
-		s.PutHist("guard.commit_batch.wait_ms", m.batchWait.Snap())
-		s.PutCounter("guard.commit_batch.flush_full", m.flushFull.Value())
-		s.PutCounter("guard.commit_batch.flush_timer", m.flushTimer.Value())
-	}
-	if hits, misses := m.cacheHits.Value(), m.cacheMisses.Value(); hits != 0 || misses != 0 {
-		s.PutCounter("guard.readcache.hits", hits)
-		s.PutCounter("guard.readcache.misses", misses)
 	}
 }

@@ -182,61 +182,3 @@ func TestConcurrentStress(t *testing.T) {
 type safeDiscard struct{ n int }
 
 func (d *safeDiscard) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
-
-// TestGuardMetricsBatchAndCache covers the group-commit and read-cache
-// instrumentation: nil-safety of the observer methods, flush-reason
-// accounting, and the conditional Collect emission (an engine that never
-// batched or cached must not grow new series).
-func TestGuardMetricsBatchAndCache(t *testing.T) {
-	var nilGM *GuardMetrics
-	nilGM.ObserveCommitBatch(3, 1.5, true) // must not panic
-	nilGM.ReadCacheHit()
-	nilGM.ReadCacheMiss()
-
-	gm := NewGuardMetrics(NewManualClock(time.Unix(0, 0)))
-	snap := &Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]GaugeSnap{},
-		Histograms: map[string]HistSnap{},
-	}
-	gm.Collect(snap)
-	for _, name := range []string{
-		"guard.commit_batch.size", "guard.commit_batch.wait_ms",
-	} {
-		if _, ok := snap.Histograms[name]; ok {
-			t.Errorf("idle metrics emitted %s", name)
-		}
-	}
-	if _, ok := snap.Counters["guard.readcache.hits"]; ok {
-		t.Error("idle metrics emitted guard.readcache.hits")
-	}
-
-	gm.ObserveCommitBatch(4, 2.5, true)
-	gm.ObserveCommitBatch(2, 10, false)
-	gm.ReadCacheHit()
-	gm.ReadCacheHit()
-	gm.ReadCacheMiss()
-	if gm.FlushFull() != 1 || gm.FlushTimer() != 1 {
-		t.Errorf("flush counts full=%d timer=%d, want 1/1", gm.FlushFull(), gm.FlushTimer())
-	}
-	if got := gm.CommitBatchSize().Sum(); got != 6 {
-		t.Errorf("batch size sum = %v, want 6", got)
-	}
-	if got := gm.CommitBatchWait().Sum(); got != 12.5 {
-		t.Errorf("batch wait sum = %v, want 12.5", got)
-	}
-	if gm.ReadCacheHits() != 2 || gm.ReadCacheMisses() != 1 {
-		t.Errorf("cache hits=%d misses=%d, want 2/1", gm.ReadCacheHits(), gm.ReadCacheMisses())
-	}
-
-	gm.Collect(snap)
-	if got := snap.Counters["guard.commit_batch.flush_full"]; got != 1 {
-		t.Errorf("flush_full series = %d, want 1", got)
-	}
-	if got := snap.Counters["guard.readcache.hits"]; got != 2 {
-		t.Errorf("readcache.hits series = %d, want 2", got)
-	}
-	if h, ok := snap.Histograms["guard.commit_batch.size"]; !ok || h.Count != 2 {
-		t.Errorf("commit_batch.size series = %+v, want count 2", h)
-	}
-}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,9 +48,13 @@ func NewEngine(name string) (*engine.Engine, error) {
 	case "difffile":
 		return engine.NewDiff(), nil
 	}
+	return nil, unknownArchitecture(name)
+}
+
+func unknownArchitecture(name string) error {
 	known := Architectures()
 	sort.Strings(known)
-	return nil, fmt.Errorf("server: unknown architecture %q (have %s)",
+	return fmt.Errorf("server: unknown architecture %q (have %s)",
 		name, strings.Join(known, ", "))
 }
 
@@ -62,8 +67,8 @@ func EnginesByName(sel string) ([]string, error) {
 	var out []string
 	for _, name := range strings.Split(sel, ",") {
 		name = strings.TrimSpace(name)
-		if _, err := NewEngine(name); err != nil {
-			return nil, err
+		if !slices.Contains(Architectures(), name) {
+			return nil, unknownArchitecture(name)
 		}
 		out = append(out, name)
 	}

@@ -187,10 +187,11 @@ func (e *VersionEngine) olderSide(p int64, ownTS uint64) int {
 }
 
 // Commit publishes tid's versions: bumping the committed-timestamp page to
-// the transaction's stamp is the atomic commit point. Version-selection
-// requires timestamps to become visible in order, so commits are admitted
-// only when no older uncommitted stamp exists; with 2PL above this engine
-// that is always true.
+// the transaction's stamp is the atomic commit point. Timestamps become
+// visible in order, one commit at a time, and transactions commit in any
+// order, so the stamp a commit publishes may be one another active
+// transaction already wrote its blocks with; that transaction moves to a
+// fresh stamp first.
 func (e *VersionEngine) Commit(tid uint64) error {
 	t, ok := e.att[tid]
 	if !ok {
@@ -200,18 +201,24 @@ func (e *VersionEngine) Commit(tid uint64) error {
 	// Making t.ts visible must not leak other transactions' tentative
 	// stamps below it: restamp to one above the committed horizon.
 	target := e.committedTS + 1
-	if t.ts != target {
-		for _, p := range t.order {
-			side := t.touched[p]
-			data, _, err := e.store.Read(vsBlock(p, side))
-			if err != nil {
-				return err
-			}
-			if err := e.store.Write(vsBlock(p, side), data, target); err != nil {
-				return err
-			}
+	// Stamps are unique and every active one is above the horizon, so at
+	// most one other transaction holds target.
+	var holder *vsTxn
+	for otid, o := range e.att {
+		if otid != tid && o.ts == target {
+			holder = o
 		}
-		t.ts = target
+	}
+	if holder != nil {
+		e.nextTS++
+		if err := e.restamp(holder, e.nextTS); err != nil {
+			return err
+		}
+	}
+	if t.ts != target {
+		if err := e.restamp(t, target); err != nil {
+			return err
+		}
 	}
 	if err := e.writeTS(target); err != nil {
 		return fmt.Errorf("shadoweng: commit %d in doubt: %w", tid, err)
@@ -219,6 +226,22 @@ func (e *VersionEngine) Commit(tid uint64) error {
 	delete(e.att, tid)
 	e.commits++
 	e.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid, LSN: target})
+	return nil
+}
+
+// restamp rewrites every block t has written with stamp ts.
+func (e *VersionEngine) restamp(t *vsTxn, ts uint64) error {
+	for _, p := range t.order {
+		side := t.touched[p]
+		data, _, err := e.store.Read(vsBlock(p, side))
+		if err != nil {
+			return err
+		}
+		if err := e.store.Write(vsBlock(p, side), data, ts); err != nil {
+			return err
+		}
+	}
+	t.ts = ts
 	return nil
 }
 

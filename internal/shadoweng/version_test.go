@@ -100,6 +100,52 @@ func TestVersionAbortedStampNeverResurfaces(t *testing.T) {
 	}
 }
 
+func TestVersionOutOfOrderCommitHidesActiveStamp(t *testing.T) {
+	// Transactions commit in any order, so a commit may publish the stamp
+	// an older, still-active transaction wrote its blocks with. Those
+	// blocks must stay invisible — before a crash and after recovery.
+	e, _ := newVersion(t)
+	for p := int64(1); p <= 3; p++ {
+		if err := e.Load(p, []byte("v0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Begin(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Write(1, 1, []byte("loser")); err != nil {
+		t.Fatal(err)
+	}
+	// Two later transactions commit while txn 1 stays open; the second
+	// publishes the stamp txn 1 began with.
+	for tid := uint64(2); tid <= 3; tid++ {
+		if err := e.Begin(tid); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Write(tid, int64(tid), []byte("won")); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Commit(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := e.ReadCommitted(1); string(got) != "v0" {
+		t.Fatalf("active txn's write visible as committed: %q", got)
+	}
+	if got, _ := e.Read(1, 1); string(got) != "loser" {
+		t.Fatalf("txn 1 lost sight of its own write: %q", got)
+	}
+	e.Crash()
+	if err := e.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range map[int64]string{1: "v0", 2: "won", 3: "won"} {
+		if got, _ := e.ReadCommitted(p); string(got) != want {
+			t.Errorf("after recovery page %d = %q, want %q", p, got, want)
+		}
+	}
+}
+
 func TestVersionCrashAtomicity(t *testing.T) {
 	for budget := int64(0); budget < 8; budget++ {
 		store := pagestore.New(4096)

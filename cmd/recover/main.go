@@ -1,25 +1,30 @@
 // Command recover drives the functional recovery engines through a
-// crash-and-restart drill: run a workload, cut power at a chosen write
-// budget, recover, and verify the committed state — for any of the six
-// recovery architectures in this repository.
+// crash-and-restart drill: load pages, run faultinj's seeded script, cut
+// power after a chosen number of stable mutations, recover, and audit every
+// page against the script's committed outcome — for any of the seven
+// recovery architectures of internal/faultinj (the names crashsweep and
+// dbserver use).
 //
 // Usage:
 //
-//	recover -engine wal -streams 4 -txns 500
-//	recover -engine shadow -crash-after 100
 //	recover -engine all
+//	recover -engine wal-3streams -crash-after 100
+//	recover -engine shadow -txns 500
 //
 // Point-in-time backup and restore (one engine at a time):
 //
-//	recover -engine wal -snapshot full.snap
-//	recover -engine wal -txns 600 -snapshot incr.snap -snapshot-since full.snap
-//	recover -engine wal -restore full.snap,incr.snap
+//	recover -engine wal-3streams -snapshot full.snap
+//	recover -engine wal-3streams -txns 600 -snapshot incr.snap -snapshot-since full.snap
+//	recover -engine wal-3streams -restore full.snap,incr.snap
 //
 // -snapshot archives the engine's stable stores right before the crash and
 // verifies the archive round-trips into a fresh engine; -snapshot-since
 // makes that archive incremental relative to an existing chain; -restore
 // skips the workload, applies a chain to a fresh engine, and reports the
 // recovered state.
+//
+// Exit status: 0 when every audit passes, 1 on an audit or drill failure,
+// 2 on usage errors.
 package main
 
 import (
@@ -29,178 +34,146 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"log"
 	"os"
 	"strings"
 
 	"repro/internal/engine"
+	"repro/internal/faultinj"
 	"repro/internal/pagestore"
-	"repro/internal/shadoweng"
-	"repro/internal/wal"
 )
 
-var (
-	engineName = flag.String("engine", "all", "wal | shadow | noundo | noredo | verselect | diff | all")
-	streams    = flag.Int("streams", 2, "parallel WAL streams (wal engine only)")
-	txns       = flag.Int("txns", 300, "transactions to run before the crash")
-	pages      = flag.Int("pages", 32, "database size in pages")
-	crashAfter = flag.Int64("crash-after", -1, "cut power after N stable writes (-1: crash after the workload)")
-	seed       = flag.Int64("seed", 1985, "workload seed")
-	snapPath   = flag.String("snapshot", "",
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// options are the parsed workload flags one drill needs.
+type options struct {
+	txns, pages      int
+	crashAfter, seed int64
+	snapshot, since  string
+}
+
+// run is the whole command behind a testable seam: flag parsing, target
+// selection, and the drills, with the exit status returned instead of
+// raised.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("recover", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	engines := fs.String("engine", "all",
+		"recovery architecture (wal-1stream, wal-3streams, shadow, ow-noundo, ow-noredo, verselect, difffile), or \"all\"")
+	fs.IntVar(&o.txns, "txns", 300, "transactions to run before the crash")
+	fs.IntVar(&o.pages, "pages", 32, "database size in pages")
+	fs.Int64Var(&o.crashAfter, "crash-after", -1,
+		"cut power after N stable mutations, counted across every store (-1: crash after the workload)")
+	fs.Int64Var(&o.seed, "seed", 1985, "workload seed")
+	fs.StringVar(&o.snapshot, "snapshot", "",
 		"write a point-in-time snapshot archive to this file before the crash and verify it restores into a fresh engine")
-	snapSince = flag.String("snapshot-since", "",
+	fs.StringVar(&o.since, "snapshot-since", "",
 		"comma-separated base archive chain; makes -snapshot incremental relative to it")
-	restoreChain = flag.String("restore", "",
+	restore := fs.String("restore", "",
 		"skip the workload: restore this comma-separated archive chain into a fresh engine and report the recovered state")
-)
-
-func build(name string) (*engine.Engine, *pagestore.Store, error) {
-	store := pagestore.New(4096)
-	switch name {
-	case "wal":
-		e, _ := engine.NewWALOn(store, wal.Config{Streams: *streams, Selection: wal.PageMod})
-		return e, store, nil
-	case "shadow":
-		e, err := engine.NewShadowOn(store)
-		return e, store, err
-	case "noundo":
-		return engine.NewOverwriteOn(store, shadoweng.NoUndo), store, nil
-	case "noredo":
-		return engine.NewOverwriteOn(store, shadoweng.NoRedo), store, nil
-	case "verselect":
-		e, err := engine.NewVersionSelectOn(store)
-		return e, store, err
-	case "diff":
-		return engine.NewDiffOn(store), store, nil
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	return nil, nil, fmt.Errorf("unknown engine %q", name)
-}
-
-func enc(v int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	return b[:]
-}
-
-func dec(b []byte) int64 {
-	if len(b) < 8 {
+	if o.since != "" && o.snapshot == "" {
+		fmt.Fprintln(stderr, "recover: -snapshot-since requires -snapshot")
+		return 2
+	}
+	targets, err := faultinj.TargetsByName(*engines)
+	if err != nil {
+		fmt.Fprintln(stderr, "recover:", err)
+		return 2
+	}
+	if (o.snapshot != "" || *restore != "") && len(targets) != 1 {
+		fmt.Fprintln(stderr, "recover: -snapshot and -restore need a single -engine")
+		return 2
+	}
+	if *restore != "" {
+		if err := restoreDrill(targets[0], splitChain(*restore), o.pages, stdout); err != nil {
+			fmt.Fprintf(stderr, "recover: %s: %v\n", targets[0].Name, err)
+			return 1
+		}
 		return 0
 	}
-	return int64(binary.BigEndian.Uint64(b))
+	code := 0
+	for _, tg := range targets {
+		if err := drill(tg, o, stdout); err != nil {
+			fmt.Fprintf(stderr, "recover: %s: %v\n", tg.Name, err)
+			code = 1
+		}
+	}
+	return code
 }
 
-func drill(name string) error {
-	e, store, err := build(name)
+// drill runs one target through LoadPages → RunScript → optional
+// snapshot → Crash → Recover → AuditState and reports it on one line.
+func drill(tg faultinj.Target, o options, stdout io.Writer) error {
+	e, stores, err := tg.Build()
 	if err != nil {
 		return err
 	}
-	for p := int64(0); p < int64(*pages); p++ {
-		if err := e.Load(p, enc(0)); err != nil {
-			return err
+	model, err := faultinj.LoadPages(e, o.pages)
+	if err != nil {
+		return err
+	}
+	if o.crashAfter >= 0 {
+		// One hook on every store, data and log both: the count runs over
+		// their combined mutations, so a WAL commit can be cut mid-force.
+		hook := pagestore.CrashAtMutation(o.crashAfter + 1)
+		for _, s := range stores {
+			s.SetFaultHook(hook)
 		}
 	}
-	if *crashAfter >= 0 {
-		store.SetWriteBudget(*crashAfter)
-	}
-
-	// The committed model; counters per page.
-	model := make([]int64, *pages)
-	committed, losers := 0, 0
-	var doubtPage int64 = -1
-	var doubtVal int64
-	rng := int64(*seed)
-	next := func(n int64) int64 {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		v := rng >> 33
-		if v < 0 {
-			v = -v
-		}
-		return v % n
-	}
-
-	for i := 0; i < *txns; i++ {
-		tx, err := e.Begin()
-		if err != nil {
-			break
-		}
-		p := next(int64(*pages))
-		cur, err := tx.Read(p)
-		if err != nil {
-			_ = tx.Abort()
-			losers++
-			break
-		}
-		v := dec(cur) + 1
-		if err := tx.Write(p, enc(v)); err != nil {
-			_ = tx.Abort()
-			losers++
-			break
-		}
-		if next(5) == 0 {
-			if err := tx.Abort(); err != nil {
-				break
-			}
-			losers++
-			continue
-		}
-		if err := tx.Commit(); err != nil {
-			doubtPage, doubtVal = p, v
-			break
-		}
-		model[p] = v
-		committed++
-	}
+	out := faultinj.RunScript(e, model, o.seed, o.pages, o.txns)
 
 	// A snapshot taken here is a transaction-consistent image of the
-	// pre-crash instant: after restore + recovery, committed state must
-	// equal the drill's model (the in-doubt commit may resolve either way).
+	// pre-crash instant: restored and recovered, it must pass the same
+	// audit against the same outcome.
 	var chain []string
-	if *snapPath != "" {
-		if *snapSince != "" {
-			chain = splitChain(*snapSince)
-		}
-		if err := writeSnapshot(e, *snapPath, chain); err != nil {
+	if o.snapshot != "" {
+		base := splitChain(o.since)
+		if err := writeSnapshot(e, o.snapshot, base); err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
-		chain = append(chain, *snapPath)
+		chain = append(base, o.snapshot)
 	}
 
 	e.Crash()
+	for _, s := range stores {
+		s.SetFaultHook(nil)
+	}
 	if err := e.Recover(); err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	mismatches := 0
-	for p := int64(0); p < int64(*pages); p++ {
-		got, err := e.ReadCommitted(p)
-		if err != nil {
-			return err
-		}
-		g := dec(got)
-		if p == doubtPage {
-			if g != model[p] && g != doubtVal {
-				mismatches++
-			}
-			continue
-		}
-		if g != model[p] {
-			mismatches++
-		}
-	}
-	status := "CONSISTENT"
-	if mismatches > 0 {
-		status = fmt.Sprintf("INCONSISTENT (%d pages)", mismatches)
-	}
-	doubt := ""
-	if doubtPage >= 0 {
-		doubt = " (one in-doubt commit resolved atomically)"
-	}
-	fmt.Printf("%-28s committed=%-4d aborted=%-3d recovered: %s%s\n",
-		e.Name(), committed, losers, status, doubt)
-	if mismatches > 0 {
-		return errors.New("recovery verification failed")
+	if err := audit(stdout, fmt.Sprintf("%-14s committed=%-4d recovered", tg.Name, out.Commits),
+		e, out, o.pages); err != nil {
+		return err
 	}
 	if len(chain) > 0 {
-		return verifyRestore(name, chain, model, doubtPage, doubtVal)
+		return verifyRestore(tg, chain, out, o.pages, stdout)
+	}
+	return nil
+}
+
+// audit checks e against the script's outcome and prints the verdict after
+// label; it returns the audit failures as one error.
+func audit(stdout io.Writer, label string, e *engine.Engine, out *faultinj.Outcome, pages int) error {
+	fails, applied := faultinj.AuditState(e, out, pages)
+	status := "CONSISTENT"
+	if len(fails) > 0 {
+		status = fmt.Sprintf("INCONSISTENT (%d audit failures)", len(fails))
+	}
+	switch {
+	case out.Doubt == nil:
+	case applied:
+		status += " (in-doubt commit applied)"
+	default:
+		status += " (in-doubt commit rolled back)"
+	}
+	fmt.Fprintf(stdout, "%s: %s\n", label, status)
+	if len(fails) > 0 {
+		return errors.New(strings.Join(fails, "; "))
 	}
 	return nil
 }
@@ -266,114 +239,60 @@ func writeSnapshot(e *engine.Engine, path string, base []string) error {
 	return err
 }
 
-// verifyRestore proves the snapshot round-trips: apply the chain to a
-// fresh engine and check its committed state equals the drill's model at
-// the snapshot instant (the in-doubt commit may resolve either way).
-func verifyRestore(name string, chain []string, model []int64, doubtPage, doubtVal int64) error {
-	e, _, err := build(name)
+// restoreChain builds a fresh engine of tg and applies the archive chain
+// to it; Restore runs crash-restart recovery over the restored bytes.
+func restoreChain(tg faultinj.Target, chain []string) (*engine.Engine, error) {
+	e, _, err := tg.Build()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rs, closeAll, err := openChain(chain)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer closeAll()
 	if err := e.Restore(rs...); err != nil {
-		return fmt.Errorf("restore: %w", err)
+		return nil, fmt.Errorf("restore: %w", err)
 	}
-	mismatches := 0
-	for p := int64(0); p < int64(*pages); p++ {
-		got, err := e.ReadCommitted(p)
-		if err != nil {
-			return err
-		}
-		g := dec(got)
-		if p == doubtPage {
-			if g != model[p] && g != doubtVal {
-				mismatches++
-			}
-			continue
-		}
-		if g != model[p] {
-			mismatches++
-		}
+	return e, nil
+}
+
+// verifyRestore proves the snapshot round-trips: the chain restored into a
+// fresh engine passes the drill's audit against the same outcome.
+func verifyRestore(tg faultinj.Target, chain []string, out *faultinj.Outcome, pages int, stdout io.Writer) error {
+	e, err := restoreChain(tg, chain)
+	if err != nil {
+		return err
 	}
-	if mismatches > 0 {
-		return fmt.Errorf("snapshot round-trip: %d pages diverge after restore", mismatches)
-	}
-	fmt.Printf("%-28s snapshot chain (%d archives) restored into a fresh engine: CONSISTENT\n",
-		e.Name(), len(chain))
-	return nil
+	return audit(stdout, fmt.Sprintf("%-14s snapshot chain (%d archives) restored into a fresh engine",
+		tg.Name, len(chain)), e, out, pages)
 }
 
 // restoreDrill is the -restore path: no workload, just apply the chain to
-// a fresh engine, report the recovered state, and prove the engine is
-// live again.
-func restoreDrill(name string, chain []string) error {
-	e, _, err := build(name)
+// a fresh engine, check every page's payload, report a state crc, and prove
+// the engine is live again.
+func restoreDrill(tg faultinj.Target, chain []string, pages int, stdout io.Writer) error {
+	e, err := restoreChain(tg, chain)
 	if err != nil {
 		return err
-	}
-	rs, closeAll, err := openChain(chain)
-	if err != nil {
-		return err
-	}
-	defer closeAll()
-	if err := e.Restore(rs...); err != nil {
-		return fmt.Errorf("restore: %w", err)
 	}
 	sum := crc32.NewIEEE()
-	for p := int64(0); p < int64(*pages); p++ {
+	for p := int64(0); p < int64(pages); p++ {
 		got, err := e.ReadCommitted(p)
 		if err != nil {
 			return fmt.Errorf("page %d after restore: %w", p, err)
 		}
-		sum.Write(enc(p))
+		if msg := faultinj.CheckPayload(got, p); msg != "" {
+			return errors.New(msg)
+		}
+		sum.Write(binary.BigEndian.AppendUint64(nil, uint64(p)))
 		sum.Write(got)
 	}
-	// The restored engine must accept new transactions.
-	tx, err := e.Begin()
-	if err != nil {
-		return fmt.Errorf("begin after restore: %w", err)
+	state := sum.Sum32()
+	if fails := faultinj.AuditLiveness(e, pages); len(fails) > 0 {
+		return errors.New(strings.Join(fails, "; "))
 	}
-	if _, err := tx.Read(0); err != nil {
-		return fmt.Errorf("read after restore: %w", err)
-	}
-	if err := tx.Abort(); err != nil {
-		return fmt.Errorf("abort after restore: %w", err)
-	}
-	fmt.Printf("%-28s restored %d archives: %d pages, state crc %08x, engine live\n",
-		e.Name(), len(chain), *pages, sum.Sum32())
+	fmt.Fprintf(stdout, "%-14s restored %d archives: %d pages, state crc %08x, engine live\n",
+		tg.Name, len(chain), pages, state)
 	return nil
-}
-
-func main() {
-	flag.Parse()
-	if *snapSince != "" && *snapPath == "" {
-		log.Fatal("recover: -snapshot-since requires -snapshot")
-	}
-	if (*snapPath != "" || *restoreChain != "") && *engineName == "all" {
-		log.Fatal("recover: -snapshot and -restore need a specific -engine")
-	}
-	if *restoreChain != "" {
-		if err := restoreDrill(*engineName, splitChain(*restoreChain)); err != nil {
-			log.Fatalf("%s: %v", *engineName, err)
-		}
-		return
-	}
-	names := []string{*engineName}
-	if *engineName == "all" {
-		names = []string{"wal", "shadow", "noundo", "noredo", "verselect", "diff"}
-	}
-	failed := false
-	for _, n := range names {
-		if err := drill(n); err != nil {
-			log.Printf("%s: %v", n, err)
-			failed = true
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
 }

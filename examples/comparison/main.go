@@ -1,29 +1,21 @@
 // Comparison: the paper's bottom line (Table 12) regenerated on a custom
-// machine, followed by a crash drill across every functional recovery
-// engine — the same application survives a power failure under all six
-// architectures.
+// machine, after a head-to-head run of every simulated recovery
+// architecture. The functional counterpart — the same crash drill under
+// all seven real engines — is `go run ./cmd/recover -engine all`.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/recovery/difffile"
 	"repro/internal/recovery/logging"
 	"repro/internal/recovery/shadow"
-	"repro/internal/shadoweng"
-	"repro/internal/wal"
 )
 
 func main() {
-	simulatedComparison()
-	functionalDrill()
-}
-
-func simulatedComparison() {
 	fmt.Println("== simulated: all recovery architectures on a custom machine ==")
 	// A beefier machine than the paper's: 50 query processors, 4 data
 	// disks, 200 frames.
@@ -63,55 +55,4 @@ func simulatedComparison() {
 		log.Fatal(err)
 	}
 	fmt.Print(tab.Render())
-}
-
-func functionalDrill() {
-	fmt.Println("== functional: the same crash drill under every engine ==")
-	shadowEng, err := engine.NewShadow()
-	if err != nil {
-		log.Fatal(err)
-	}
-	vsEng, err := engine.NewVersionSelect()
-	if err != nil {
-		log.Fatal(err)
-	}
-	engines := []*engine.Engine{
-		engine.NewWAL(wal.Config{Streams: 2, Selection: wal.PageMod}),
-		shadowEng,
-		engine.NewOverwrite(shadoweng.NoUndo),
-		engine.NewOverwrite(shadoweng.NoRedo),
-		vsEng,
-		engine.NewDiff(),
-	}
-	for _, e := range engines {
-		if err := e.Load(1, []byte("before")); err != nil {
-			log.Fatal(err)
-		}
-		// One committed update, one in-flight loser, then power failure.
-		if err := e.Update(func(tx *engine.Txn) error {
-			return tx.Write(1, []byte("committed"))
-		}); err != nil {
-			log.Fatal(err)
-		}
-		loser, err := e.Begin()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := loser.Write(1, []byte("loser")); err != nil {
-			log.Fatal(err)
-		}
-		e.Crash()
-		if err := e.Recover(); err != nil {
-			log.Fatal(err)
-		}
-		got, err := e.ReadCommitted(1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		status := "OK"
-		if string(got) != "committed" {
-			status = fmt.Sprintf("FAILED (%q)", got)
-		}
-		fmt.Printf("  %-28s %s\n", e.Name(), status)
-	}
 }

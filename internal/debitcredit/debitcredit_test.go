@@ -84,9 +84,10 @@ func TestDebitCreditCrashMidCommitStaysAtomic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store.SetWriteBudget(budget)
+		store.SetFaultHook(pagestore.CrashAtMutation(budget + 1))
 		_ = b.Run(50, 2) // errors expected when power fails
 		eng.Crash()
+		store.SetFaultHook(nil)
 		if err := eng.Recover(); err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}

@@ -151,9 +151,10 @@ func TestInDoubtCommitAtomic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		store.SetWriteBudget(budget)
+		store.SetFaultHook(pagestore.CrashAtMutation(budget + 1))
 		commitErr := e.Commit(1)
 		e.Crash()
+		store.SetFaultHook(nil)
 		if err := e.Recover(); err != nil {
 			t.Fatal(err)
 		}

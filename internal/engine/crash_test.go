@@ -10,7 +10,7 @@ import (
 	"repro/internal/wal"
 )
 
-// crashCase builds an engine plus the store whose write budget injects the
+// crashCase builds an engine plus the store whose fault hook injects the
 // crash.
 type crashCase struct {
 	name  string
@@ -90,7 +90,7 @@ func runCrashSchedule(t *testing.T, cc crashCase, budget int64, pages int) {
 		model[p] = v
 	}
 	rng := sim.NewRNG(budget * 7919)
-	store.SetWriteBudget(budget)
+	store.SetFaultHook(pagestore.CrashAtMutation(budget + 1))
 
 	// Run transactions until the store crashes (or a fixed cap).
 	var doubt map[int64]string
@@ -131,6 +131,7 @@ func runCrashSchedule(t *testing.T, cc crashCase, budget int64, pages int) {
 	}
 
 	e.Crash()
+	store.SetFaultHook(nil)
 	if err := e.Recover(); err != nil {
 		t.Fatalf("budget %d: recover: %v", budget, err)
 	}

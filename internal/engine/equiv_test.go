@@ -483,11 +483,11 @@ func TestSequentialCrashEquivalenceGroupCommit(t *testing.T) {
 					if err != nil {
 						t.Fatalf("wrapper load: %v", err)
 					}
-					khook := faultinj.CrashAtMutation(k)
+					khook := pagestore.CrashAtMutation(k)
 					for _, s := range kstores {
 						s.SetFaultHook(khook)
 					}
-					whook := faultinj.CrashAtMutation(k)
+					whook := pagestore.CrashAtMutation(k)
 					for _, s := range wstores {
 						s.SetFaultHook(whook)
 					}
@@ -587,11 +587,11 @@ func TestKernelWrapperEquivalenceUnderCrashes(t *testing.T) {
 					// Each layer gets its own hook: CrashAtMutation closes over
 					// a private ordinal counter, so sharing one would halve the
 					// observed crash point.
-					khook := faultinj.CrashAtMutation(k)
+					khook := pagestore.CrashAtMutation(k)
 					for _, s := range kstores {
 						s.SetFaultHook(khook)
 					}
-					whook := faultinj.CrashAtMutation(k)
+					whook := pagestore.CrashAtMutation(k)
 					for _, s := range wstores {
 						s.SetFaultHook(whook)
 					}

@@ -278,16 +278,17 @@ func TestSnapshotRefusesCrashedStore(t *testing.T) {
 	if err := e.Load(1, enc(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Cut the store's power (an exhausted write budget powers it off).
-	store.SetWriteBudget(0)
+	// Cut the store's power at its next mutation.
+	store.SetFaultHook(pagestore.CrashAtMutation(1))
 	if err := store.Write(99, []byte("x"), 0); !errors.Is(err, pagestore.ErrCrashed) {
-		t.Fatalf("budget crash: %v", err)
+		t.Fatalf("injected crash: %v", err)
 	}
 	var buf bytes.Buffer
 	if _, err := e.Snapshot(&buf); !errors.Is(err, pagestore.ErrCrashed) {
 		t.Fatalf("snapshot of crashed store: %v", err)
 	}
 	e.Crash()
+	store.SetFaultHook(nil)
 	if err := e.Recover(); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func (tr *opTrace) hook() pagestore.FaultHook {
 
 // TestSweepEnumeratesExistsAndDeleteBoundaries pins the two operation
 // classes the old pagestore hid from the sweep: existence probes (Exists
-// now fires the hook as an OpRead) and deletes (now budget-charged
+// now fires the hook as an OpRead) and deletes (now counted as
 // mutations). Both must appear in the scripted workload's operation
 // stream, and cutting power exactly at each kind must recover cleanly.
 func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
@@ -111,7 +111,7 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chook := CrashAtOp(int64(existsAt))
+	chook := pagestore.CrashAtOp(int64(existsAt))
 	for _, s := range stores2 {
 		s.SetFaultHook(chook)
 	}

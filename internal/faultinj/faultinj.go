@@ -1,7 +1,7 @@
 // Package faultinj is the deterministic fault-injection and recovery-audit
 // harness for the functional recovery engines and the performance
 // simulator. Where internal/engine's crash tests cut power at a handful of
-// hand-picked write budgets, this package enumerates crash points
+// hand-picked mutations, this package enumerates crash points
 // systematically:
 //
 //   - every mutation (page write or delete) a recovery engine makes to
@@ -29,16 +29,15 @@ import "repro/internal/pagestore"
 // sweeps install it for the probe run that discovers how many crash points
 // a workload has. One Counter may be shared by several stores (the WAL
 // engine's data and log stores), in which case it counts their combined,
-// deterministic operation sequence.
+// deterministic mutation sequence — the one pagestore.CrashAtMutation
+// counts.
 type Counter struct {
-	ops  int64
 	muts int64
 }
 
 // Hook returns the counting fault hook; it never fires.
 func (c *Counter) Hook() pagestore.FaultHook {
 	return func(op pagestore.Op, _ pagestore.PageID, _ int64) bool {
-		c.ops++
 		if op != pagestore.OpRead {
 			c.muts++
 		}
@@ -46,35 +45,5 @@ func (c *Counter) Hook() pagestore.FaultHook {
 	}
 }
 
-// Ops reports the operations observed (reads, writes, and deletes).
-func (c *Counter) Ops() int64 { return c.ops }
-
 // Mutations reports the mutations observed (writes and deletes).
 func (c *Counter) Mutations() int64 { return c.muts }
-
-// CrashAtMutation returns a hook that cuts power at exactly the n-th
-// mutation (write or delete) it observes, counting across every store it
-// is installed on. It fires once; afterwards it stays quiet, so recovery
-// can proceed over the same store without re-tripping.
-func CrashAtMutation(n int64) pagestore.FaultHook {
-	var seen int64
-	return func(op pagestore.Op, _ pagestore.PageID, _ int64) bool {
-		if op == pagestore.OpRead {
-			return false
-		}
-		seen++
-		return seen == n
-	}
-}
-
-// CrashAtOp returns a hook that cuts power at exactly the n-th operation of
-// any kind — reads included, because restart recovery on the shadow and
-// differential engines is read-mostly and would otherwise present no crash
-// points. Like CrashAtMutation it fires exactly once.
-func CrashAtOp(n int64) pagestore.FaultHook {
-	var seen int64
-	return func(pagestore.Op, pagestore.PageID, int64) bool {
-		seen++
-		return seen == n
-	}
-}

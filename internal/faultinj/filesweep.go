@@ -84,20 +84,6 @@ type filePoint struct {
 	fault pagestore.FileFault
 }
 
-func faultName(f pagestore.FileFault) string {
-	switch f {
-	case pagestore.FileCrash:
-		return "crash"
-	case pagestore.FileTorn:
-		return "torn"
-	case pagestore.FileLostSync:
-		return "lostsync"
-	case pagestore.FileSkipSync:
-		return "skipsync"
-	}
-	return "ok"
-}
-
 // crashAtFileOp returns a one-shot FileHook injecting fault at the n-th
 // file operation counted across every store it is installed on (a WAL
 // engine's data and log stores share the same countdown, so points
@@ -224,7 +210,7 @@ func sweepFilePoint(tg Target, opt Options, pt filePoint) (*pointOutcome, error)
 	// the memory sweep uses; power-on replay must converge on the second
 	// attempt regardless of where the first one died.
 	po.recoverAndAudit(e, stores, out, opt, pt.k,
-		fmt.Sprintf("%s@fileop %d (%s)", tg.Name, pt.k, faultName(pt.fault)))
+		fmt.Sprintf("%s@fileop %d (%s)", tg.Name, pt.k, pt.fault))
 	return po, nil
 }
 

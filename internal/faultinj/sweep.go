@@ -275,7 +275,7 @@ func (po *pointOutcome) recoverAndAudit(e *engine.Engine, stores []*pagestore.St
 	// converge. CrashAtOp fires exactly once, so the retry below runs over
 	// the same armed stores without tripping again.
 	j := 1 + (k-1)%opt.RecrashCycle
-	rhook := CrashAtOp(j)
+	rhook := pagestore.CrashAtOp(j)
 	for _, s := range stores {
 		s.SetFaultHook(rhook)
 	}
@@ -321,7 +321,7 @@ func sweepPoint(tg Target, opt Options, k int64, journal *obs.Journal) (*pointOu
 	if err != nil {
 		return nil, fmt.Errorf("faultinj: load %s: %w", tg.Name, err)
 	}
-	hook := CrashAtMutation(k)
+	hook := pagestore.CrashAtMutation(k)
 	for _, s := range stores {
 		s.SetFaultHook(hook)
 	}

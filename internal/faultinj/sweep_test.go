@@ -2,8 +2,11 @@ package faultinj
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // quickOpt keeps unit-test sweeps fast; the full stride-1 sweep runs in
@@ -119,5 +122,13 @@ func TestTargetsByName(t *testing.T) {
 	all, err := TargetsByName("all")
 	if err != nil || len(all) != len(Targets()) {
 		t.Fatalf("all = %d targets, %v", len(all), err)
+	}
+	// One list of names drives dbserver, crashsweep and recover.
+	var names []string
+	for _, tg := range Targets() {
+		names = append(names, tg.Name)
+	}
+	if want := server.Architectures(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("target names = %v, server architectures = %v", names, want)
 	}
 }

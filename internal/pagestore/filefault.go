@@ -118,15 +118,3 @@ func (s *Store) SetFileHook(h FileHook) bool {
 	fi.SetFileHook(h)
 	return true
 }
-
-// FileOps reports the backend's lifetime file-operation sequence number,
-// and whether the backend has a file surface at all.
-func (s *Store) FileOps() (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fi, ok := s.be.(FileInjectable)
-	if !ok {
-		return 0, false
-	}
-	return fi.FileOps(), true
-}

@@ -230,10 +230,10 @@ func TestSkipSyncViolatesDurability(t *testing.T) {
 	if err := s.Write(1, []byte("acked"), 1); err != nil {
 		t.Fatalf("skip-sync write must be (falsely) acknowledged: %v", err)
 	}
-	// Power cut via the page-level budget.
-	s.SetWriteBudget(0)
+	// Power cut via the page-level fault hook.
+	s.SetFaultHook(pagestore.CrashAtMutation(1))
 	if err := s.Write(2, []byte("x"), 1); !errors.Is(err, pagestore.ErrCrashed) {
-		t.Fatal("budget crash expected")
+		t.Fatal("injected crash expected")
 	}
 	if err := s.Reset(); err != nil {
 		t.Fatal(err)

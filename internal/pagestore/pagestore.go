@@ -15,20 +15,19 @@
 // invisible to a crash sweep.
 //
 // Store separates the contract from the medium: the crash state, fault
-// hooks, budget, and statistics live in Store, while the bytes live behind
-// the Backend interface. New builds the in-memory backend (the simulated
-// disk the experiments run on); internal/pagestore/filestore implements the
+// hooks, and statistics live in Store, while the bytes live behind the
+// Backend interface. New builds the in-memory backend (the simulated disk
+// the experiments run on); internal/pagestore/filestore implements the
 // same contract over a real page file and an on-disk write-ahead log with
 // explicit fsync discipline, so the same recovery audits run against bytes
 // on disk.
 //
-// Fault injection: SetWriteBudget arms a countdown; when it reaches zero
-// the store "crashes" — every subsequent operation fails with ErrCrashed
-// until Reset is called. This lets tests cut power at any mutation
-// boundary (writes AND deletes are charged). For systematic crash-point
-// sweeps, SetFaultHook installs an arbitrary predicate consulted before
+// Fault injection: SetFaultHook installs a predicate consulted before
 // every read, write, delete, and existence probe; returning true cuts
-// power at exactly that operation (see internal/faultinj). File-backed
+// power at exactly that operation, and every later operation fails with
+// ErrCrashed until Reset. CrashAtMutation and CrashAtOp are the one-shot
+// hooks tests and sweeps install (see internal/faultinj); one hook shared
+// by several stores counts their combined operation sequence. File-backed
 // stores additionally expose file-operation-granularity injection through
 // SetFileHook (torn writes, lost fsyncs; see filefault.go).
 package pagestore
@@ -43,9 +42,9 @@ import (
 // PageID identifies a page in a Store.
 type PageID int64
 
-// ErrCrashed is returned once the injected write budget is exhausted (and
-// until Reset): the simulated machine has lost power.
-var ErrCrashed = errors.New("pagestore: store has crashed (write budget exhausted)")
+// ErrCrashed is returned once an injected fault has cut power (and until
+// Reset): the simulated machine has lost power.
+var ErrCrashed = errors.New("pagestore: store has crashed (power cut)")
 
 // ErrNotFound is returned when reading a page that was never written.
 var ErrNotFound = errors.New("pagestore: page not found")
@@ -89,7 +88,7 @@ func (o Op) String() string {
 type FaultHook func(op Op, id PageID, seq int64) bool
 
 // Backend stores the bytes for a Store. The Store owns the crash contract
-// (ErrCrashed gating, fault hooks, budget, stats) and calls the backend
+// (ErrCrashed gating, fault hooks, stats) and calls the backend
 // only while live; backends own the medium.
 //
 // Buffer ownership: Put receives a buffer the backend may retain; Get may
@@ -169,11 +168,10 @@ type Store struct {
 	pageSize int
 	be       Backend
 
-	writeBudget int64 // -1 = unlimited
-	crashed     bool
-	closed      bool
-	hook        FaultHook
-	opSeq       int64
+	crashed bool
+	closed  bool
+	hook    FaultHook
+	opSeq   int64
 
 	reads  int64
 	writes int64
@@ -191,11 +189,7 @@ func NewOn(pageSize int, be Backend) *Store {
 	if be == nil {
 		panic("pagestore: nil backend")
 	}
-	return &Store{
-		pageSize:    pageSize,
-		be:          be,
-		writeBudget: -1,
-	}
+	return &Store{pageSize: pageSize, be: be}
 }
 
 // Backend returns the store's backend (for experimenters that need the
@@ -230,9 +224,9 @@ func (s *Store) backendErr(err error) error {
 
 // Write atomically replaces page id with data and its version word. The
 // write is durable once Write returns nil. Checks run in contract order —
-// crashed, fault hook, size, budget — all under the lock, so even an
-// oversize attempt on a crashed store reports ErrCrashed and every attempt
-// is visible in the operation sequence.
+// crashed, fault hook, size — all under the lock, so even an oversize
+// attempt on a crashed store reports ErrCrashed and every attempt is
+// visible in the operation sequence.
 func (s *Store) Write(id PageID, data []byte, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -248,13 +242,6 @@ func (s *Store) Write(id PageID, data []byte, version uint64) error {
 	if len(data) > s.pageSize {
 		return fmt.Errorf("pagestore: page %d: %d bytes exceeds page size %d",
 			id, len(data), s.pageSize)
-	}
-	if s.writeBudget == 0 {
-		s.crash()
-		return ErrCrashed
-	}
-	if s.writeBudget > 0 {
-		s.writeBudget--
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
@@ -310,11 +297,10 @@ func (s *Store) Exists(id PageID) (bool, error) {
 }
 
 // Delete removes page id (used by compaction); deleting an absent page is a
-// no-op. Deletes are stable-storage mutations: they are charged against the
-// write budget and counted in the write statistics exactly like Write, so
-// budget-based injection can land on a delete boundary (several commit
-// points — the overwrite engines' intent-record removal, the WAL's log
-// truncation — ARE deletes).
+// no-op. Deletes are stable-storage mutations: CrashAtMutation counts them
+// and the write statistics include them exactly like Write, so injection
+// can land on a delete boundary (several commit points — the overwrite
+// engines' intent-record removal, the WAL's log truncation — ARE deletes).
 func (s *Store) Delete(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -326,13 +312,6 @@ func (s *Store) Delete(id PageID) error {
 	}
 	if s.fire(OpDelete, id) {
 		return ErrCrashed
-	}
-	if s.writeBudget == 0 {
-		s.crash()
-		return ErrCrashed
-	}
-	if s.writeBudget > 0 {
-		s.writeBudget--
 	}
 	if err := s.be.Del(id); err != nil {
 		return s.backendErr(err)
@@ -353,36 +332,41 @@ func (s *Store) fire(op Op, id PageID) bool {
 	return false
 }
 
-// SetFaultHook installs (or, with nil, removes) the fault hook. Unlike the
-// write budget, the hook survives Reset: restoring power does not disarm an
-// experimenter's probe, which is what lets sweeps crash a store again in the
-// middle of recovery.
+// SetFaultHook installs (or, with nil, removes) the fault hook. The hook
+// survives Reset: restoring power does not disarm an experimenter's probe,
+// which is what lets sweeps crash a store again in the middle of recovery.
+// So a caller that cuts power mid-workload removes the hook before
+// recovering, in case it has not fired yet.
 func (s *Store) SetFaultHook(h FaultHook) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hook = h
 }
 
-// OpSeq reports the store's lifetime operation sequence number: the count of
-// reads, writes, deletes, and existence probes attempted on a live store so
-// far. Reset does not rewind it.
-func (s *Store) OpSeq() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.opSeq
+// CrashAtMutation returns a hook that cuts power at exactly the n-th
+// mutation (write or delete) it observes, counting across every store it
+// is installed on. It fires once; afterwards it stays quiet, so recovery
+// can proceed over the same store without re-tripping.
+func CrashAtMutation(n int64) FaultHook {
+	var seen int64
+	return func(op Op, _ PageID, _ int64) bool {
+		if op == OpRead {
+			return false
+		}
+		seen++
+		return seen == n
+	}
 }
 
-// SetWriteBudget arms fault injection: after n more successful mutations
-// (writes and deletes), the store crashes (all operations fail with
-// ErrCrashed until Reset). n < 0 disarms the injection.
-func (s *Store) SetWriteBudget(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeBudget = n
-	if n >= 0 && s.crashed {
-		// Re-arming implies the experimenter wants further writes counted
-		// from a live store.
-		s.crashed = false
+// CrashAtOp returns a hook that cuts power at exactly the n-th operation of
+// any kind — reads included, because restart recovery on the shadow and
+// differential engines is read-mostly and would otherwise present no crash
+// points. Like CrashAtMutation it fires exactly once.
+func CrashAtOp(n int64) FaultHook {
+	var seen int64
+	return func(Op, PageID, int64) bool {
+		seen++
+		return seen == n
 	}
 }
 
@@ -397,8 +381,8 @@ func (s *Store) Crashed() bool {
 // contents are preserved — that is the point; the backend reloads them
 // from its medium (a no-op for memory, a page-file load plus log replay
 // with torn-tail truncation for files) and reports unrecoverable
-// corruption as an error. The write budget is disarmed; an installed fault
-// hook stays armed (see SetFaultHook).
+// corruption as an error. An installed fault hook stays armed (see
+// SetFaultHook).
 func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,7 +390,6 @@ func (s *Store) Reset() error {
 		return ErrClosed
 	}
 	s.crashed = false
-	s.writeBudget = -1
 	return s.be.PowerOn()
 }
 

@@ -76,9 +76,9 @@ func TestOversizedWriteRejected(t *testing.T) {
 	}
 }
 
-func TestWriteBudgetCrash(t *testing.T) {
+func TestCrashAtMutationCutsPower(t *testing.T) {
 	s := New(64)
-	s.SetWriteBudget(2)
+	s.SetFaultHook(CrashAtMutation(3))
 	if err := s.Write(1, []byte("a"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,9 @@ func TestStats(t *testing.T) {
 func TestDurabilityProperty(t *testing.T) {
 	// Property: whatever sequence of writes precedes a crash, every write
 	// that returned nil is readable (with its exact contents) after Reset.
-	f := func(values []uint8, budget uint8) bool {
+	f := func(values []uint8, cut uint8) bool {
 		s := New(16)
-		s.SetWriteBudget(int64(budget % 16))
+		s.SetFaultHook(CrashAtMutation(int64(cut%16) + 1))
 		acked := map[PageID][]byte{}
 		for i, v := range values {
 			id := PageID(i % 8)
@@ -256,7 +256,7 @@ func TestFaultHookSurvivesReset(t *testing.T) {
 	}
 }
 
-func TestOpSeqMonotoneAcrossReset(t *testing.T) {
+func TestHookSeqMonotoneAcrossReset(t *testing.T) {
 	s := New(64)
 	var seqs []int64
 	s.SetFaultHook(func(op Op, id PageID, seq int64) bool {
@@ -270,30 +270,25 @@ func TestOpSeqMonotoneAcrossReset(t *testing.T) {
 	if _, _, err := s.Read(1); err != nil {
 		t.Fatal(err)
 	}
-	if s.OpSeq() != 2 {
-		t.Fatalf("OpSeq = %d, want 2", s.OpSeq())
-	}
-	for i, want := range []int64{1, 2} {
-		if seqs[i] != want {
-			t.Fatalf("seqs = %v, want [1 2]", seqs)
-		}
+	if len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 2 {
+		t.Fatalf("seqs = %v, want [1 2]", seqs)
 	}
 }
 
 // --- Regression tests for the crash-contract holes fixed in this change.
 // Each of these fails against the previous pagestore: Exists ignored the
-// crashed flag and never consulted the fault hook, Delete charged neither
-// the write budget nor the write stats, and Write's size check ran before
-// the crashed check (outside any contract ordering).
+// crashed flag and never consulted the fault hook, Delete was neither
+// counted as a mutation nor in the write stats, and Write's size check ran
+// before the crashed check (outside any contract ordering).
 
 func TestExistsRespectsCrash(t *testing.T) {
 	s := New(64)
 	if err := s.Write(1, []byte("a"), 0); err != nil {
 		t.Fatal(err)
 	}
-	s.SetWriteBudget(0)
+	s.SetFaultHook(CrashAtMutation(1))
 	if err := s.Write(2, []byte("b"), 0); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("budget crash: %v", err)
+		t.Fatalf("injected crash: %v", err)
 	}
 	// Down means down — an existence probe is a stable-storage read.
 	if _, err := s.Exists(1); !errors.Is(err, ErrCrashed) {
@@ -330,26 +325,26 @@ func TestExistsFiresHookAndCountsRead(t *testing.T) {
 	}
 }
 
-func TestDeleteChargesBudget(t *testing.T) {
+func TestCrashAtMutationCountsDeletes(t *testing.T) {
 	s := New(64)
 	for id := PageID(1); id <= 3; id++ {
 		if err := s.Write(id, []byte("x"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.SetWriteBudget(1)
-	if err := s.Delete(1); err != nil { // spends the last budget unit
+	s.SetFaultHook(CrashAtMutation(2))
+	if err := s.Delete(1); err != nil { // mutation 1: lands
 		t.Fatal(err)
 	}
 	if err := s.Delete(2); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("delete beyond budget: %v, want ErrCrashed", err)
+		t.Fatalf("delete at the crash point: %v, want ErrCrashed", err)
 	}
 	if !s.Crashed() {
-		t.Fatal("store not crashed after budget-exhausted delete")
+		t.Fatal("store not crashed after the hook fired on a delete")
 	}
 	s.Reset()
 	if mustExists(t, s, 1) {
-		t.Fatal("budgeted delete did not stick")
+		t.Fatal("delete before the crash point did not stick")
 	}
 	if !mustExists(t, s, 2) {
 		t.Fatal("crashed delete was applied")
@@ -371,9 +366,9 @@ func TestDeleteCountsAsWrite(t *testing.T) {
 
 func TestWriteChecksCrashBeforeSize(t *testing.T) {
 	s := New(4)
-	s.SetWriteBudget(0)
+	s.SetFaultHook(CrashAtMutation(1))
 	if err := s.Write(1, []byte("x"), 0); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("budget crash: %v", err)
+		t.Fatalf("injected crash: %v", err)
 	}
 	// An oversize attempt on a crashed store is a crashed-store error, not
 	// a size error: the device is off, nothing examines the payload.

@@ -116,9 +116,10 @@ func TestShadowCommitAtomicUnderCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		store.SetWriteBudget(budget)
+		store.SetFaultHook(pagestore.CrashAtMutation(budget + 1))
 		commitErr := e.Commit(1)
 		e.Crash()
+		store.SetFaultHook(nil)
 		if err := e.Recover(); err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func TestOverwriteCrashAtomicity(t *testing.T) {
 				if err := e.Begin(1); err != nil {
 					t.Fatal(err)
 				}
-				store.SetWriteBudget(budget)
+				store.SetFaultHook(pagestore.CrashAtMutation(budget + 1))
 				failed := false
 				for p := int64(0); p < 3; p++ {
 					if err := e.Write(1, p, []byte("new")); err != nil {
@@ -255,6 +256,7 @@ func TestOverwriteCrashAtomicity(t *testing.T) {
 					commitErr = fmt.Errorf("write failed")
 				}
 				e.Crash()
+				store.SetFaultHook(nil)
 				if err := e.Recover(); err != nil {
 					t.Fatal(err)
 				}
@@ -296,13 +298,14 @@ func TestOverwriteRecoveryRedoesCommitted(t *testing.T) {
 	if err := e.Write(1, 1, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	// Budget: 1 scratch write + 1 intent write, then power fails on the
-	// home overwrite.
-	store.SetWriteBudget(2)
+	// 1 scratch write + 1 intent write, then power fails on the home
+	// overwrite (mutation 3).
+	store.SetFaultHook(pagestore.CrashAtMutation(3))
 	if err := e.Commit(1); err == nil {
 		t.Fatal("commit should report interrupted overwrite")
 	}
 	e.Crash()
+	store.SetFaultHook(nil)
 	if err := e.Recover(); err != nil {
 		t.Fatal(err)
 	}

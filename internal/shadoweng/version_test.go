@@ -166,9 +166,10 @@ func TestVersionCrashAtomicity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		store.SetWriteBudget(budget)
+		store.SetFaultHook(pagestore.CrashAtMutation(budget + 1))
 		commitErr := e.Commit(1)
 		e.Crash()
+		store.SetFaultHook(nil)
 		if err := e.Recover(); err != nil {
 			t.Fatal(err)
 		}

@@ -218,11 +218,12 @@ func TestGapEndsTheLog(t *testing.T) {
 		must(t, m.Write(1, 1, page("0123456789-grown")))
 		must(t, m.Write(1, 1, page("01-shrunk")))
 		must(t, m.Write(1, 1, page("01-shrunk-and-grown-again")))
-		m.LogStore().SetWriteBudget(cut) // power fails during the commit's forces
+		m.LogStore().SetFaultHook(pagestore.CrashAtMutation(cut + 1)) // power fails during the commit's forces
 		if err := m.Commit(1); err == nil {
 			t.Fatalf("cut %d: commit survived the power cut", cut)
 		}
 		m.Crash()
+		m.LogStore().SetFaultHook(nil)
 		must(t, m.Recover())
 		if got, _ := m.ReadCommitted(1); string(got) != "0123456789" {
 			t.Fatalf("cut %d: page = %q after restart", cut, got)

@@ -371,9 +371,10 @@ func TestInDoubtCommitIsAtomic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		m.LogStore().SetWriteBudget(budget)
+		m.LogStore().SetFaultHook(pagestore.CrashAtMutation(budget + 1))
 		err := m.Commit(1)
 		m.Crash()
+		m.LogStore().SetFaultHook(nil)
 		if rerr := m.Recover(); rerr != nil {
 			t.Fatal(rerr)
 		}
@@ -541,7 +542,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 			model[p] = v
 		}
-		store.SetWriteBudget(int64(crashBudget%128) + 4)
+		store.SetFaultHook(pagestore.CrashAtMutation(int64(crashBudget%128) + 5))
 		tid := uint64(0)
 		active := false
 		pending := map[int]string{}
@@ -593,6 +594,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 		}
 		m.Crash()
+		store.SetFaultHook(nil)
 		if err := m.Recover(); err != nil {
 			return false
 		}

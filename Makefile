@@ -99,8 +99,6 @@ examples:
 	$(GO) run ./examples/parallellog
 	$(GO) run ./examples/comparison
 	$(GO) run ./examples/hotspot
-	$(GO) run ./examples/hypothetical
-	$(GO) run ./examples/debitcredit
 
 # What a transaction costs in stable log bytes, puts and forces, on 8-byte
 # and on 4 KiB pages: the table test's log lines are the report.
@@ -113,8 +111,6 @@ fuzz-wal:
 
 # Short runs of the native fuzz targets.
 fuzz: fuzz-wal
-	$(GO) test -run xxx -fuzz FuzzDecodePage -fuzztime 10s ./internal/relation/
-	$(GO) test -run xxx -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/relation/
 
 clean:
 	rm -rf internal/*/testdata/fuzz

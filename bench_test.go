@@ -11,15 +11,12 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/debitcredit"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/pagestore"
 	"repro/internal/recovery/logging"
-	"repro/internal/relation"
-	"repro/internal/shadoweng"
-	"repro/internal/sim"
+	"repro/internal/server"
 	"repro/internal/wal"
 )
 
@@ -154,23 +151,12 @@ func BenchmarkWALStreams(b *testing.B) {
 }
 
 // BenchmarkEngineCommit compares the per-commit cost of every functional
-// recovery engine on an identical single-page update.
+// recovery engine the server builds on an identical single-page update.
 func BenchmarkEngineCommit(b *testing.B) {
-	builders := []struct {
-		name  string
-		build func() (*engine.Engine, error)
-	}{
-		{"wal", func() (*engine.Engine, error) { return engine.NewWAL(wal.Config{}), nil }},
-		{"shadow", func() (*engine.Engine, error) { return engine.NewShadow() }},
-		{"ow-noundo", func() (*engine.Engine, error) { return engine.NewOverwrite(shadoweng.NoUndo), nil }},
-		{"ow-noredo", func() (*engine.Engine, error) { return engine.NewOverwrite(shadoweng.NoRedo), nil }},
-		{"verselect", func() (*engine.Engine, error) { return engine.NewVersionSelect() }},
-		{"difffile", func() (*engine.Engine, error) { return engine.NewDiff(), nil }},
-	}
-	for _, bb := range builders {
-		bb := bb
-		b.Run(bb.name, func(b *testing.B) {
-			e, err := bb.build()
+	for _, arch := range server.Architectures() {
+		arch := arch
+		b.Run(arch, func(b *testing.B) {
+			e, err := server.NewEngine(arch)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -186,126 +172,6 @@ func BenchmarkEngineCommit(b *testing.B) {
 					return tx.Write(int64(i%16), buf)
 				})
 				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDiffViewScan compares the basic and optimal differential-file
-// query strategies on the tuple-level relation layer — the functional
-// analogue of Table 9's CPU cost gap.
-func BenchmarkDiffViewScan(b *testing.B) {
-	for _, strat := range []relation.Strategy{relation.Basic, relation.Optimal} {
-		strat := strat
-		b.Run(strat.String(), func(b *testing.B) {
-			e := engine.NewWAL(wal.Config{})
-			for p := int64(0); p < 48; p++ {
-				if err := e.Load(p, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			v := relation.NewDiffView("bench", 0, 16, 16)
-			err := e.Update(func(tx *engine.Txn) error {
-				for i := int64(0); i < 300; i++ {
-					if err := v.B.Insert(tx, relation.Tuple{Key: i, Value: "xxxxxxxxxxxx"}); err != nil {
-						return err
-					}
-				}
-				for i := int64(0); i < 30; i++ {
-					if err := v.Update(tx, i*7, "updated"); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pred := func(t relation.Tuple) bool { return t.Key == 42 }
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := e.Update(func(tx *engine.Txn) error {
-					_, err := v.Scan(tx, pred, strat)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelScan measures the goroutine-query-processor scan at
-// several worker counts.
-func BenchmarkParallelScan(b *testing.B) {
-	e := engine.NewWAL(wal.Config{})
-	for p := int64(0); p < 64; p++ {
-		if err := e.Load(p, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	r := relation.New("bench", 0, 64)
-	err := e.Update(func(tx *engine.Txn) error {
-		for i := int64(0); i < 2000; i++ {
-			if err := r.Insert(tx, relation.Tuple{Key: i, Value: "xxxxxxxxxxxxxxxx"}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred := func(t relation.Tuple) bool { return t.Key%5 == 0 }
-	for _, workers := range []int{1, 4, 16} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tx, err := e.Begin()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = tx.Commit() }()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := relation.ParallelScan(tx, r, pred, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDebitCredit measures the 1985 DebitCredit transaction on each
-// functional recovery engine (4 concurrent tellers).
-func BenchmarkDebitCredit(b *testing.B) {
-	builders := []struct {
-		name  string
-		build func() (*engine.Engine, error)
-	}{
-		{"wal", func() (*engine.Engine, error) {
-			return engine.NewWAL(wal.Config{Streams: 2, Selection: wal.PageMod, PoolPages: 16}), nil
-		}},
-		{"shadow", func() (*engine.Engine, error) { return engine.NewShadow() }},
-		{"difffile", func() (*engine.Engine, error) { return engine.NewDiff(), nil }},
-	}
-	for _, bb := range builders {
-		bb := bb
-		b.Run(bb.name, func(b *testing.B) {
-			e, err := bb.build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			bank, err := debitcredit.New(e, debitcredit.Config{HistoryPages: 4096})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := sim.NewRNG(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bank.Transact(rng, int64(i%20), int64(i%97)-48); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -21,13 +21,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Cache is a frame accountant with FIFO waiting for frame availability.
+// Cache is a frame accountant; callers that find no free frame queue
+// themselves.
 type Cache struct {
 	eng    *sim.Engine
 	frames int
 	free   int
-
-	waiters []func()
 
 	usedTW    *sim.TimeWeighted
 	blockedTW *sim.TimeWeighted
@@ -40,8 +39,7 @@ type Cache struct {
 	misses    int64
 	evictions int64
 
-	allocWaits int64
-	sink       *obs.Sink
+	sink *obs.Sink
 }
 
 // New returns a cache with the given number of page frames.
@@ -69,7 +67,6 @@ func (c *Cache) Instrument(sink *obs.Sink) {
 	reg.Func("cache.hits", func() float64 { return float64(c.hits) })
 	reg.Func("cache.misses", func() float64 { return float64(c.misses) })
 	reg.Func("cache.evictions", func() float64 { return float64(c.evictions) })
-	reg.Func("cache.allocWaits", func() float64 { return float64(c.allocWaits) })
 	reg.Func("cache.hitRatio", c.HitRatio)
 }
 
@@ -82,9 +79,6 @@ func (c *Cache) Free() int { return c.free }
 // Used reports currently allocated frames.
 func (c *Cache) Used() int { return c.frames - c.free }
 
-// Waiting reports the number of pending Alloc callbacks.
-func (c *Cache) Waiting() int { return len(c.waiters) }
-
 // TryAlloc claims a frame immediately if one is free.
 func (c *Cache) TryAlloc() bool {
 	if c.free == 0 {
@@ -96,27 +90,8 @@ func (c *Cache) TryAlloc() bool {
 	return true
 }
 
-// Alloc claims a frame, invoking grant immediately if one is free or when a
-// frame is released otherwise. Grants are FIFO.
-func (c *Cache) Alloc(grant func()) {
-	if c.TryAlloc() {
-		grant()
-		return
-	}
-	c.allocWaits++
-	c.waiters = append(c.waiters, grant)
-}
-
-// Release returns one frame to the pool, handing it to the oldest waiter if
-// any.
+// Release returns one frame to the pool.
 func (c *Cache) Release() {
-	if len(c.waiters) > 0 {
-		grant := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		// Frame passes directly to the waiter; usage is unchanged.
-		grant()
-		return
-	}
 	if c.free == c.frames {
 		panic(fmt.Sprintf("cache: release with all %d frames free", c.frames))
 	}
@@ -172,18 +147,6 @@ func (c *Cache) NoteAccess(p int) bool {
 	c.resident[p] = true
 	return false
 }
-
-// Hits reports residency-tracker hits.
-func (c *Cache) Hits() int64 { return c.hits }
-
-// Misses reports residency-tracker misses.
-func (c *Cache) Misses() int64 { return c.misses }
-
-// Evictions reports residency-tracker evictions.
-func (c *Cache) Evictions() int64 { return c.evictions }
-
-// AllocWaits reports how many frame allocations had to wait.
-func (c *Cache) AllocWaits() int64 { return c.allocWaits }
 
 // HitRatio reports hits / (hits + misses), or 0 before any access.
 func (c *Cache) HitRatio() float64 {

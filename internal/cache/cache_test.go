@@ -24,25 +24,6 @@ func TestAllocRelease(t *testing.T) {
 	}
 }
 
-func TestAllocWaitsFIFO(t *testing.T) {
-	c := New(sim.New(), 1)
-	var order []int
-	c.Alloc(func() { order = append(order, 0) }) // immediate
-	c.Alloc(func() { order = append(order, 1) }) // waits
-	c.Alloc(func() { order = append(order, 2) }) // waits
-	if c.Waiting() != 2 {
-		t.Fatalf("waiting = %d", c.Waiting())
-	}
-	c.Release() // -> grants 1
-	c.Release() // -> grants 2
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("grant order %v", order)
-	}
-	if c.Free() != 0 || c.Used() != 1 {
-		t.Fatalf("frame accounting after handoff: free=%d used=%d", c.Free(), c.Used())
-	}
-}
-
 func TestReleaseAllFreePanics(t *testing.T) {
 	c := New(sim.New(), 1)
 	defer func() {
@@ -93,25 +74,33 @@ func TestZeroFramesPanics(t *testing.T) {
 
 func TestFrameConservationProperty(t *testing.T) {
 	// Property: after any sequence of allocs and matching releases,
-	// free + used == frames and no waiter is lost.
+	// free + used == frames, TryAlloc succeeds exactly while a frame is
+	// free, and releasing every held frame empties the cache.
 	f := func(ops []bool, framesRaw uint8) bool {
 		frames := int(framesRaw%16) + 1
 		c := New(sim.New(), frames)
-		granted, released := 0, 0
+		held := 0
 		for _, alloc := range ops {
 			if alloc {
-				c.Alloc(func() { granted++ })
-			} else if granted > released {
+				ok := c.TryAlloc()
+				if ok != (held < frames) {
+					return false
+				}
+				if ok {
+					held++
+				}
+			} else if held > 0 {
 				c.Release()
-				released++
+				held--
+			}
+			if c.Free()+c.Used() != frames || c.Used() != held {
+				return false
 			}
 		}
-		// Drain: release everything granted so far.
-		for released < granted {
+		for ; held > 0; held-- {
 			c.Release()
-			released++
 		}
-		return c.Free()+c.Used() == frames && c.Used() == c.Waiting()
+		return c.Free() == frames && c.Used() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -19,13 +19,6 @@ type Geometry struct {
 	Cylinders     int
 }
 
-// Default3350Geometry approximates an IBM 3350: roughly 4 four-KB pages per
-// 19 KB track; 30 surfaces grouped here into 12-track logical cylinders to
-// keep cylinder capacity near the paper's batching behaviour.
-func Default3350Geometry() Geometry {
-	return Geometry{PagesPerTrack: 4, TracksPerCyl: 12, Cylinders: 555}
-}
-
 // PagesPerCyl reports the number of pages in one cylinder.
 func (g Geometry) PagesPerCyl() int { return g.PagesPerTrack * g.TracksPerCyl }
 

@@ -204,8 +204,3 @@ func (e *Engine) Stats() (commits, aborts, deadlocks int64) {
 	defer e.mu.Unlock()
 	return e.commits, e.aborts, e.deadlocks
 }
-
-// DeadlockVictims returns the transaction ids chosen as deadlock victims
-// since the last Crash, in detection order. With the deterministic
-// youngest-on-cycle rule in lockmgr, same-seed runs yield identical traces.
-func (e *Engine) DeadlockVictims() []lockmgr.TxnID { return e.locks.Victims() }

@@ -309,9 +309,6 @@ func (m *Machine) RNG() *sim.RNG { return m.rng }
 // Cfg returns the machine configuration.
 func (m *Machine) Cfg() Config { return m.cfg }
 
-// CachePool returns the disk cache.
-func (m *Machine) CachePool() *cache.Cache { return m.cache }
-
 // Place returns the physical placement map.
 func (m *Machine) Place() Placement { return m.place }
 
@@ -395,11 +392,6 @@ func (m *Machine) SubmitPhys(pages []int, write bool, done func()) {
 // now; it advances the transaction's last-write time used for the
 // completion-time metric.
 func (m *Machine) NoteTxnWrite(t *ActiveTxn) { t.lastWrite = m.eng.Now() }
-
-// NoteProcessedWrite counts n additional written pages in the machine's
-// pages-processed metric (used by models whose updated pages are written
-// outside the standard plan, such as differential-file output pages).
-func (m *Machine) NoteProcessedWrite(n int) { m.pagesProcessed += int64(n) }
 
 // --- transaction pipeline ---
 

@@ -336,13 +336,3 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// WriteRequest encodes r and writes it as one frame.
-func WriteRequest(w io.Writer, r Request) error {
-	return WriteFrame(w, AppendRequest(nil, r))
-}
-
-// WriteResponse encodes r and writes it as one frame.
-func WriteResponse(w io.Writer, r Response) error {
-	return WriteFrame(w, AppendResponse(nil, r))
-}

@@ -106,9 +106,6 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Pending reports the number of scheduled, not yet executed events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Run executes events in timestamp order until no events remain.
 func (e *Engine) Run() {
 	for len(e.events) > 0 {

@@ -60,9 +60,6 @@ func (r *Resource) Name() string { return r.name }
 // Capacity reports the number of servers.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// Busy reports the number of currently busy servers.
-func (r *Resource) Busy() int { return r.busy }
-
 // QueueLen reports the number of waiting (not in service) requests.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 

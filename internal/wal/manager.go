@@ -97,10 +97,6 @@ type Manager struct {
 	scanned    int64 // log records merged by the last Recover
 	recoveries int64
 
-	// archiveLSN pins log truncation while an archive snapshot is live:
-	// records above it must survive for media recovery.
-	archiveLSN uint64
-
 	// journal, when attached, records recovery decisions in order. A nil
 	// journal is a no-op sink; like every kernel it survives Crash — it
 	// belongs to the observer, not to volatile state.
@@ -460,9 +456,6 @@ func (m *Manager) Checkpoint() error {
 		if ts.firstLSN != 0 && ts.firstLSN < point {
 			point = ts.firstLSN
 		}
-	}
-	if m.archiveLSN > 0 && m.archiveLSN+1 < point {
-		point = m.archiveLSN + 1 // retain the suffix media recovery needs
 	}
 	cpLSN := m.appendRec(Record{Type: RecCheckpoint, PrevLSN: point - 1})
 	if err := m.forceAll(); err != nil {

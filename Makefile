@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal logvolume
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal fuzz-server logvolume
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume fuzz-wal crashsweep-short crashsweep-file serve-smoke examples
+ci: build vet lint test race cover logvolume fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -109,8 +109,12 @@ logvolume:
 fuzz-wal:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalRecord -fuzztime 10s ./internal/wal/
 
+# Bounded run of the wire protocol's request decoder fuzz target.
+fuzz-server:
+	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/server/
+
 # Short runs of the native fuzz targets.
-fuzz: fuzz-wal
+fuzz: fuzz-wal fuzz-server
 
 clean:
 	rm -rf internal/*/testdata/fuzz

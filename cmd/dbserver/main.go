@@ -3,8 +3,9 @@
 // It builds the selected engine (any of the seven functional recovery
 // architectures, wrapped in engine.Guard by construction), preloads a
 // bank of balance pages, and then speaks the length-prefixed binary
-// protocol of internal/server: Begin/Read/Write/Commit/Abort/Stats
-// sessions, with deadlock victims surfaced as a retryable status code.
+// protocol of internal/server: Begin/Read/Commit/Abort/Stats sessions,
+// each Commit carrying its transaction's writes, with deadlock victims
+// surfaced as a retryable status code.
 //
 // Usage:
 //

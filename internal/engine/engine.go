@@ -114,6 +114,36 @@ func (t *Txn) Write(p int64, data []byte) error {
 	return t.e.rm.Write(t.id, p, data)
 }
 
+// PageWrite is one page image of a write set.
+type PageWrite struct {
+	Page int64
+	Data []byte
+}
+
+// WriteAll writes a whole write set: it takes an exclusive lock on every
+// page of ws before it writes the first, so a deadlock victim has written
+// nothing. On deadlock the transaction is aborted and ErrDeadlock returned,
+// as Write does. Any other failure aborts the transaction too, so no part of
+// ws outlives a WriteAll that failed.
+func (t *Txn) WriteAll(ws []PageWrite) error {
+	if t.done {
+		return ErrDone
+	}
+	for _, w := range ws {
+		if err := t.lock(w.Page, lockmgr.Exclusive); err != nil {
+			_ = t.Abort() // ErrDone after a deadlock, which aborted already
+			return err
+		}
+	}
+	for _, w := range ws {
+		if err := t.e.rm.Write(t.id, w.Page, w.Data); err != nil {
+			_ = t.Abort() // the write error is the one to report
+			return err
+		}
+	}
+	return nil
+}
+
 func (t *Txn) lock(p int64, mode lockmgr.Mode) error {
 	err := t.e.locks.Lock(lockmgr.TxnID(t.id), lockmgr.PageID(p), mode)
 	if errors.Is(err, lockmgr.ErrDeadlock) {

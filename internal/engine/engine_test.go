@@ -328,3 +328,45 @@ func TestUpdateAbortsOnError(t *testing.T) {
 		t.Fatalf("aborts = %d", aborts)
 	}
 }
+
+// TestWriteAllIsAllOrNothing: a write set commits whole on every engine, and
+// a set the kernel refuses part of leaves nothing behind and the
+// transaction aborted.
+func TestWriteAllIsAllOrNothing(t *testing.T) {
+	for name, e := range allEngines(t) {
+		t.Run(name, func(t *testing.T) {
+			for p := int64(1); p <= 2; p++ {
+				if err := e.Load(p, enc(100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx, _ := e.Begin()
+			if err := tx.WriteAll([]PageWrite{{Page: 1, Data: enc(90)}, {Page: 2, Data: enc(110)}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			for p, want := range map[int64]int64{1: 90, 2: 110} {
+				if got, err := e.ReadCommitted(p); err != nil || dec(got) != want {
+					t.Fatalf("page %d = %d (err %v), want %d", p, dec(got), err, want)
+				}
+			}
+		})
+	}
+
+	e := NewWAL(wal.Config{})
+	if err := e.Load(1, enc(100)); err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := e.Begin()
+	if err := tx.WriteAll([]PageWrite{{Page: 1, Data: enc(5)}, {Page: 2, Data: make([]byte, 1<<16)}}); err == nil {
+		t.Fatal("WriteAll accepted a write larger than a page")
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrDone) {
+		t.Fatalf("commit after a failed WriteAll: %v, want ErrDone", err)
+	}
+	if got, _ := e.ReadCommitted(1); dec(got) != 100 {
+		t.Fatalf("failed WriteAll left page 1 = %d, want 100", dec(got))
+	}
+}

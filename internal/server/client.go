@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+
+	"repro/internal/engine"
 )
 
 // ErrDeadlock is returned by Client calls whose transaction was chosen as a
@@ -18,15 +20,33 @@ var ErrDeadlock = errors.New("server: transaction aborted as deadlock victim (re
 // after a short backoff.
 var ErrBusy = errors.New("server: transaction aborted at kernel admission limit (retry)")
 
-// Client is one session against a dbserver: a single TCP connection
-// carrying strict request-response frames. A Client is owned by one
-// goroutine; open as many Clients as you want concurrent sessions.
+// maxAhead bounds the Begin requests a Client sends ahead of a flush. Their
+// replies wait in the socket until the next flushing call reads them, so the
+// bound keeps those replies far smaller than any socket buffer.
+const maxAhead = 64
+
+// Client is one session against a dbserver: a single TCP connection. A
+// Client is owned by one goroutine; open as many Clients as you want
+// concurrent sessions.
+//
+// A transfer costs three round trips. Begin picks the transaction's handle
+// and queues its request, which goes out, and is answered, with the next
+// call that waits for a reply. Write only keeps the page image in the
+// client, and Commit carries the transaction's whole write set in one
+// frame. So a failed Begin is reported by the next Read, Commit, Abort or
+// Stats that goes to the server, whichever transaction that call names,
+// and a write the server refuses is reported by Commit. Handles are local
+// to this session: another Client's handle names nothing here.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	in   []byte
 	out  []byte
+
+	next  uint64                        // the last handle Begin picked
+	ahead int                           // Begins sent whose replies are unread
+	sets  map[uint64][]engine.PageWrite // write sets of open transactions
 }
 
 // Dial opens a session to addr.
@@ -45,22 +65,37 @@ func NewClient(conn net.Conn) *Client {
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 8<<10),
 		bw:   bufio.NewWriterSize(conn, 8<<10),
+		sets: make(map[uint64][]engine.PageWrite),
 	}
 }
 
 // Close ends the session. Transactions still open are aborted server-side.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends req and decodes the matching response, translating
-// StatusDeadlock and StatusError into errors.
-func (c *Client) roundTrip(req Request) (Response, error) {
+// send buffers one request frame.
+func (c *Client) send(req Request) error {
 	c.out = AppendRequest(c.out[:0], req)
-	if err := WriteFrame(c.bw, c.out); err != nil {
-		return Response{}, err
-	}
+	return WriteFrame(c.bw, c.out)
+}
+
+// flush sends every buffered request and reads the replies to the Begins
+// sent ahead, returning the first failure among them.
+func (c *Client) flush() error {
 	if err := c.bw.Flush(); err != nil {
-		return Response{}, err
+		return err
 	}
+	var first error
+	for ; c.ahead > 0; c.ahead-- {
+		if _, err := c.receive(OpBegin); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// receive reads one reply to a request of op, translating StatusDeadlock,
+// StatusBusy and StatusError into errors.
+func (c *Client) receive(op byte) (Response, error) {
 	payload, err := ReadFrame(c.br, c.in)
 	if err != nil {
 		return Response{}, err
@@ -70,9 +105,9 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	if resp.Op != req.Op {
+	if resp.Op != op {
 		return Response{}, fmt.Errorf("server: response op %s for request %s — stream out of sync",
-			opName(resp.Op), opName(req.Op))
+			opName(resp.Op), opName(op))
 	}
 	switch resp.Status {
 	case StatusOK:
@@ -82,19 +117,49 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	case StatusBusy:
 		return resp, ErrBusy
 	default:
-		return resp, fmt.Errorf("server: %s: %s", opName(req.Op), resp.Msg)
+		return resp, fmt.Errorf("server: %s: %s", opName(op), resp.Msg)
 	}
 }
 
-// Begin starts a transaction and returns its id.
-func (c *Client) Begin() (uint64, error) {
-	resp, err := c.roundTrip(Request{Op: OpBegin})
-	return resp.Txn, err
+// roundTrip sends req with every request buffered ahead of it and reads the
+// replies. A failed Begin sent ahead takes precedence over req's own result.
+func (c *Client) roundTrip(req Request) (Response, error) {
+	if err := c.send(req); err != nil {
+		return Response{}, err
+	}
+	beginErr := c.flush()
+	resp, err := c.receive(req.Op)
+	if beginErr != nil {
+		return resp, beginErr
+	}
+	if errors.Is(err, ErrDeadlock) || errors.Is(err, ErrBusy) {
+		delete(c.sets, req.Txn) // the server has aborted the transaction
+	}
+	return resp, err
 }
 
-// Read returns page p under txn's shared lock. ErrDeadlock means txn was
-// aborted as a deadlock victim.
+// Begin starts a transaction and returns its handle. The request is sent
+// with the next call that flushes, which also reports a Begin that failed.
+func (c *Client) Begin() (uint64, error) {
+	c.next++
+	if err := c.send(Request{Op: OpBegin, Txn: c.next}); err != nil {
+		return 0, err
+	}
+	if c.ahead++; c.ahead < maxAhead {
+		return c.next, nil
+	}
+	return c.next, c.flush()
+}
+
+// Read returns page p under txn's shared lock, or the image an earlier Write
+// of txn left, without a round trip. ErrDeadlock means txn was aborted as a
+// deadlock victim.
 func (c *Client) Read(txn uint64, p int64) ([]byte, error) {
+	for _, w := range c.sets[txn] {
+		if w.Page == p {
+			return append([]byte(nil), w.Data...), nil
+		}
+	}
 	resp, err := c.roundTrip(Request{Op: OpRead, Txn: txn, Page: p})
 	if err != nil {
 		return nil, err
@@ -102,21 +167,34 @@ func (c *Client) Read(txn uint64, p int64) ([]byte, error) {
 	return append([]byte(nil), resp.Data...), nil
 }
 
-// Write replaces page p under txn's exclusive lock. ErrDeadlock means txn
-// was aborted as a deadlock victim.
+// Write replaces page p in txn's write set. Nothing is sent: Commit takes
+// the exclusive locks and writes the set, and reports what the server
+// refused.
 func (c *Client) Write(txn uint64, p int64, data []byte) error {
-	_, err := c.roundTrip(Request{Op: OpWrite, Txn: txn, Page: p, Data: data})
-	return err
+	ws := c.sets[txn]
+	for i := range ws {
+		if ws[i].Page == p {
+			ws[i].Data = append(ws[i].Data[:0], data...)
+			return nil
+		}
+	}
+	c.sets[txn] = append(ws, engine.PageWrite{Page: p, Data: append([]byte(nil), data...)})
+	return nil
 }
 
-// Commit makes txn durable and releases its locks.
+// Commit writes txn's write set, makes it durable and releases txn's
+// locks. ErrDeadlock means txn was aborted as a deadlock victim, with
+// nothing written.
 func (c *Client) Commit(txn uint64) error {
-	_, err := c.roundTrip(Request{Op: OpCommit, Txn: txn})
+	ws := c.sets[txn]
+	delete(c.sets, txn)
+	_, err := c.roundTrip(Request{Op: OpCommit, Txn: txn, Writes: ws})
 	return err
 }
 
-// Abort rolls txn back and releases its locks.
+// Abort drops txn's write set, rolls txn back and releases its locks.
 func (c *Client) Abort(txn uint64) error {
+	delete(c.sets, txn)
 	_, err := c.roundTrip(Request{Op: OpAbort, Txn: txn})
 	return err
 }

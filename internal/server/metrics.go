@@ -5,7 +5,8 @@ import (
 )
 
 // metricOp indexes the per-op histogram arrays in Metrics. It mirrors the
-// protocol opcodes (metricOp(op-1) for a valid op byte).
+// protocol opcodes (metricOp(op-1) for a valid op byte); mWrite, the retired
+// OpWrite's slot, is never observed.
 type metricOp int
 
 const (

@@ -1,12 +1,12 @@
 // Package server is the networked transactional front end over the seven
 // recovery architectures: a concurrent TCP server speaking a length-prefixed
-// binary protocol that exposes Begin/Read/Write/Commit/Abort/Stats sessions
-// over any engine.Engine, plus the matching client. It plays the role of the
-// paper's back-end controller interface: many front-end hosts submit
-// transaction requests, the controller schedules them against the recovery
-// engine (page locks via internal/lockmgr, kernel calls serialized by
-// engine.Guard), and deadlock victims are surfaced as a retryable response
-// code rather than an error.
+// binary protocol of Begin/Read/Commit/Abort/Stats requests over any
+// engine.Engine, plus the matching client, whose Write buffers page images
+// until Commit carries them. It plays the role of the paper's back-end
+// controller interface: many front-end hosts submit transaction requests,
+// the controller schedules them against the recovery engine (page locks via
+// internal/lockmgr, kernel calls serialized by engine.Guard), and deadlock
+// victims are surfaced as a retryable response code rather than an error.
 //
 // This package is wrapper-side of the simlint D004 boundary: it owns
 // goroutines, channels, and mutexes, and it reaches the pure kernels only
@@ -19,20 +19,26 @@
 //
 //	uint32 big-endian payload length | payload (1 ≤ length ≤ MaxFrame)
 //
-// A request payload is an opcode byte followed by fixed big-endian fields:
+// A request payload is an opcode byte followed by big-endian fields:
 //
-//	OpBegin  : op
+//	OpBegin  : op txn(8)
 //	OpRead   : op txn(8) page(8)
-//	OpWrite  : op txn(8) page(8) data…
-//	OpCommit : op txn(8)
+//	OpCommit : op txn(8) {page(8) len(4) data(len)}*
 //	OpAbort  : op txn(8)
 //	OpStats  : op
 //
+// txn is a handle the client picks in Begin. It names the transaction on
+// this session only, and must not name another transaction the session has
+// open. A Commit carries the transaction's whole write set, and zero writes
+// is a plain commit. The server takes an exclusive lock on every page of
+// the set before it writes the first, then commits. No request writes a
+// single page: OpWrite is a retired opcode, rejected like an unknown one.
+//
 // A response payload echoes the opcode, then a status byte, then a body:
 //
-//	StatusOK       : Begin → txn(8); Read → data…; Stats → nameLen(2) name
+//	StatusOK       : Read → data…; Stats → nameLen(2) name
 //	                 commits(8) aborts(8) deadlocks(8) sessions(8);
-//	                 Write/Commit/Abort → empty
+//	                 Begin/Commit/Abort → empty
 //	StatusDeadlock : empty — the transaction was chosen as a deadlock victim
 //	                 and has already been aborted server-side; begin a new
 //	                 transaction and retry
@@ -42,9 +48,17 @@
 //	                 the transaction has been aborted server-side; begin a
 //	                 new transaction and retry
 //
-// Decoding is strict: unknown opcodes, unknown statuses, truncated fixed
-// fields, and over-long frames are errors, never panics, and a frame header
-// can never cause more than MaxFrame bytes to be allocated.
+// Requests may be pipelined: the server answers them in order, and it
+// flushes its replies only when no complete next request is already
+// buffered, so a client that sends a Begin and a Read in one write gets
+// both replies in one. A reply held back waits until the request after it
+// has been served, which may wait for a lock, so a client should send
+// ahead only requests whose replies it does not need first; Client sends
+// only Begins ahead.
+//
+// Decoding is strict: unknown opcodes, unknown statuses, truncated fields,
+// stray bytes, and over-long frames are errors, never panics, and a frame
+// header can never cause more than MaxFrame bytes to be allocated.
 package server
 
 import (
@@ -52,9 +66,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/engine"
 )
 
-// Request opcodes.
+// Request opcodes. OpWrite is retired: no request carries it, and it keeps
+// its value so that per-op metrics stay indexed by opcode.
 const (
 	OpBegin byte = iota + 1
 	OpRead
@@ -99,8 +116,6 @@ func opName(op byte) string {
 		return "begin"
 	case OpRead:
 		return "read"
-	case OpWrite:
-		return "write"
 	case OpCommit:
 		return "commit"
 	case OpAbort:
@@ -113,11 +128,14 @@ func opName(op byte) string {
 
 // Request is one client request.
 type Request struct {
-	Op   byte
-	Txn  uint64
-	Page int64
-	Data []byte // OpWrite payload
+	Op     byte
+	Txn    uint64             // the session-local handle; Begin names the one it opens
+	Page   int64              // OpRead
+	Writes []engine.PageWrite // OpCommit: the transaction's write set
 }
+
+// writeHeader is the size of a write-set entry's fixed fields: page(8) len(4).
+const writeHeader = 12
 
 // Stats is the server-side counter snapshot returned by OpStats.
 type Stats struct {
@@ -133,7 +151,6 @@ type Stats struct {
 type Response struct {
 	Op     byte
 	Status byte
-	Txn    uint64 // OpBegin result
 	Data   []byte // OpRead result
 	Msg    string // StatusError message
 	Stats  Stats  // OpStats result
@@ -143,22 +160,24 @@ type Response struct {
 func AppendRequest(buf []byte, r Request) []byte {
 	buf = append(buf, r.Op)
 	switch r.Op {
-	case OpBegin, OpStats:
-	case OpCommit, OpAbort:
+	case OpBegin, OpAbort:
 		buf = binary.BigEndian.AppendUint64(buf, r.Txn)
 	case OpRead:
 		buf = binary.BigEndian.AppendUint64(buf, r.Txn)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Page))
-	case OpWrite:
+	case OpCommit:
 		buf = binary.BigEndian.AppendUint64(buf, r.Txn)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Page))
-		buf = append(buf, r.Data...)
+		for _, w := range r.Writes {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(w.Page))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.Data)))
+			buf = append(buf, w.Data...)
+		}
 	}
 	return buf
 }
 
-// DecodeRequest parses one request payload. The returned Request's Data
-// aliases payload; callers that keep it across frames must copy.
+// DecodeRequest parses one request payload. The returned Request's write
+// images alias payload; callers that keep them across frames must copy.
 func DecodeRequest(payload []byte) (Request, error) {
 	if len(payload) == 0 {
 		return Request{}, ErrEmptyFrame
@@ -166,11 +185,11 @@ func DecodeRequest(payload []byte) (Request, error) {
 	r := Request{Op: payload[0]}
 	body := payload[1:]
 	switch r.Op {
-	case OpBegin, OpStats:
+	case OpStats:
 		if len(body) != 0 {
-			return Request{}, fmt.Errorf("server: %s request carries %d stray bytes", opName(r.Op), len(body))
+			return Request{}, fmt.Errorf("server: stats request carries %d stray bytes", len(body))
 		}
-	case OpCommit, OpAbort:
+	case OpBegin, OpAbort:
 		if len(body) != 8 {
 			return Request{}, fmt.Errorf("server: %s request body is %d bytes, want 8", opName(r.Op), len(body))
 		}
@@ -181,13 +200,27 @@ func DecodeRequest(payload []byte) (Request, error) {
 		}
 		r.Txn = binary.BigEndian.Uint64(body)
 		r.Page = int64(binary.BigEndian.Uint64(body[8:]))
-	case OpWrite:
-		if len(body) < 16 {
-			return Request{}, fmt.Errorf("server: write request body is %d bytes, want ≥ 16", len(body))
+	case OpCommit:
+		if len(body) < 8 {
+			return Request{}, fmt.Errorf("server: commit request body is %d bytes, want ≥ 8", len(body))
 		}
 		r.Txn = binary.BigEndian.Uint64(body)
-		r.Page = int64(binary.BigEndian.Uint64(body[8:]))
-		r.Data = body[16:]
+		// Every entry takes at least writeHeader bytes, so the set can never
+		// hold more than len(body)/writeHeader entries.
+		for rest := body[8:]; len(rest) > 0; {
+			if len(rest) < writeHeader {
+				return Request{}, fmt.Errorf("server: commit write %d: header is %d bytes, want %d", len(r.Writes), len(rest), writeHeader)
+			}
+			n := uint64(binary.BigEndian.Uint32(rest[8:]))
+			if n > uint64(len(rest)-writeHeader) {
+				return Request{}, fmt.Errorf("server: commit write %d: %d bytes announced, %d left", len(r.Writes), n, len(rest)-writeHeader)
+			}
+			r.Writes = append(r.Writes, engine.PageWrite{
+				Page: int64(binary.BigEndian.Uint64(rest)),
+				Data: rest[writeHeader : writeHeader+n : writeHeader+n],
+			})
+			rest = rest[writeHeader+n:]
+		}
 	default:
 		return Request{}, fmt.Errorf("server: unknown opcode %d", r.Op)
 	}
@@ -204,8 +237,6 @@ func AppendResponse(buf []byte, r Response) []byte {
 		return buf
 	}
 	switch r.Op {
-	case OpBegin:
-		return binary.BigEndian.AppendUint64(buf, r.Txn)
 	case OpRead:
 		return append(buf, r.Data...)
 	case OpStats:
@@ -242,7 +273,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 		return r, nil
 	}
 	switch r.Op {
-	case OpBegin, OpRead, OpWrite, OpCommit, OpAbort, OpStats:
+	case OpBegin, OpRead, OpCommit, OpAbort, OpStats:
 	default:
 		return Response{}, fmt.Errorf("server: unknown opcode %d in response", r.Op)
 	}
@@ -257,14 +288,9 @@ func DecodeResponse(payload []byte) (Response, error) {
 		return Response{}, fmt.Errorf("server: unknown status %d", r.Status)
 	}
 	switch r.Op {
-	case OpBegin:
-		if len(body) != 8 {
-			return Response{}, fmt.Errorf("server: begin response body is %d bytes, want 8", len(body))
-		}
-		r.Txn = binary.BigEndian.Uint64(body)
 	case OpRead:
 		r.Data = body
-	case OpWrite, OpCommit, OpAbort:
+	case OpBegin, OpCommit, OpAbort:
 		if len(body) != 0 {
 			return Response{}, fmt.Errorf("server: %s response carries %d stray bytes", opName(r.Op), len(body))
 		}

@@ -9,31 +9,31 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
-		{Op: OpBegin},
+		{Op: OpBegin, Txn: 1},
+		{Op: OpBegin, Txn: 1<<64 - 1},
 		{Op: OpStats},
 		{Op: OpCommit, Txn: 7},
 		{Op: OpAbort, Txn: 1<<63 + 9},
 		{Op: OpRead, Txn: 3, Page: 41},
 		{Op: OpRead, Txn: 3, Page: -1},
-		{Op: OpWrite, Txn: 12, Page: 5, Data: []byte{}},
-		{Op: OpWrite, Txn: 12, Page: 5, Data: []byte("hello page")},
+		{Op: OpCommit, Txn: 12, Writes: []engine.PageWrite{{Page: 5, Data: []byte{}}}},
+		{Op: OpCommit, Txn: 12, Writes: []engine.PageWrite{
+			{Page: 5, Data: []byte("hello page")},
+			{Page: -2, Data: []byte{}},
+			{Page: 1 << 40, Data: bytes.Repeat([]byte{0xAB}, 300)},
+		}},
 	}
 	for _, want := range reqs {
 		payload := AppendRequest(nil, want)
 		got, err := DecodeRequest(payload)
 		if err != nil {
 			t.Fatalf("decode %s: %v", opName(want.Op), err)
-		}
-		// Empty and nil Data are the same wire message.
-		if len(want.Data) == 0 {
-			want.Data, got.Data = nil, got.Data[:0:0]
-			if len(got.Data) == 0 {
-				got.Data = nil
-			}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip %s: got %+v, want %+v", opName(want.Op), got, want)
@@ -43,18 +43,18 @@ func TestRequestRoundTrip(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	resps := []Response{
-		{Op: OpBegin, Status: StatusOK, Txn: 99},
+		{Op: OpBegin, Status: StatusOK},
 		{Op: OpRead, Status: StatusOK, Data: []byte("page image")},
-		{Op: OpWrite, Status: StatusOK},
 		{Op: OpCommit, Status: StatusOK},
 		{Op: OpAbort, Status: StatusOK},
 		{Op: OpStats, Status: StatusOK, Stats: Stats{
 			Engine: "wal-1stream", Commits: 10, Aborts: 2, Deadlocks: 1, Sessions: 42,
 		}},
 		{Op: OpRead, Status: StatusDeadlock},
-		{Op: OpWrite, Status: StatusDeadlock},
-		{Op: OpWrite, Status: StatusBusy},
+		{Op: OpCommit, Status: StatusDeadlock},
+		{Op: OpRead, Status: StatusBusy},
 		{Op: OpCommit, Status: StatusBusy},
+		{Op: OpBegin, Status: StatusError, Msg: "transaction 3 is already open"},
 		{Op: OpCommit, Status: StatusError, Msg: "unknown transaction 7"},
 		// An error response may echo an opcode the decoder does not know:
 		// the server echoes the byte that led a malformed request.
@@ -79,18 +79,37 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRequestRejectsMalformed(t *testing.T) {
+	commit := func(tail ...byte) []byte {
+		return append(append([]byte{OpCommit}, make([]byte, 8)...), tail...)
+	}
+	write := func(page uint64, n uint32, data ...byte) []byte {
+		b := binary.BigEndian.AppendUint64(nil, page)
+		return append(binary.BigEndian.AppendUint32(b, n), data...)
+	}
 	bad := [][]byte{
 		{},                                   // empty payload
 		{0},                                  // opcode 0
 		{99},                                 // unknown opcode
 		{255, 1, 2, 3},                       // unknown opcode with body
-		{OpBegin, 1},                         // stray byte after begin
+		{OpBegin},                            // begin without its handle
+		{OpBegin, 1, 2, 3, 4, 5, 6, 7},       // begin handle short
+		{OpBegin, 1, 2, 3, 4, 5, 6, 7, 8, 9}, // begin handle long
 		{OpStats, 0, 0},                      // stray bytes after stats
 		{OpCommit, 1, 2, 3},                  // commit body too short
 		{OpAbort, 1, 2, 3, 4, 5, 6, 7, 8, 9}, // abort body too long
-		append([]byte{OpRead}, make([]byte, 15)...),  // read body short
-		append([]byte{OpRead}, make([]byte, 17)...),  // read body long
-		append([]byte{OpWrite}, make([]byte, 15)...), // write header short
+		append([]byte{OpRead}, make([]byte, 15)...), // read body short
+		append([]byte{OpRead}, make([]byte, 17)...), // read body long
+		// The retired single-page write, in its old shape and with no body.
+		append([]byte{OpWrite}, make([]byte, 16)...),
+		{OpWrite},
+		commit(0),                                                // stray byte after the handle
+		commit(make([]byte, 11)...),                              // write header truncated
+		commit(write(1, 1)...),                                   // length past the end
+		commit(write(1, 4, 'a', 'b')...),                         // length past the end, some data
+		commit(write(1, 1<<32-1, 'x')...),                        // length far past the end
+		commit(append(write(1, 1, 'x'), 0)...),                   // stray byte after a write
+		commit(append(write(1, 0), write(2, 2, 'y')...)...),      // second write truncated
+		commit(append(write(1, 1, 'x'), make([]byte, 11)...)...), // second header truncated
 	}
 	for _, payload := range bad {
 		if _, err := DecodeRequest(payload); err == nil {
@@ -108,8 +127,9 @@ func TestDecodeResponseRejectsMalformed(t *testing.T) {
 		{OpRead, 9},                    // unknown status
 		{OpRead, StatusDeadlock, 1},    // stray bytes on deadlock
 		{OpWrite, StatusBusy, 1},       // stray bytes on busy
-		{OpBegin, StatusOK, 1, 2, 3},   // begin body short
-		{OpWrite, StatusOK, 1},         // stray bytes on write ok
+		{OpBegin, StatusOK, 1, 2, 3},   // stray bytes on begin ok
+		{OpWrite, StatusOK},            // the retired write opcode
+		{OpCommit, StatusOK, 1},        // stray bytes on commit ok
 		{OpStats, StatusOK, 0},         // stats body shorter than nameLen
 		{OpStats, StatusOK, 0, 3, 'a'}, // stats name overruns body
 	}
@@ -136,10 +156,13 @@ func TestDecodeNeverPanics(t *testing.T) {
 		DecodeResponse(payload)
 	}
 	valid := [][]byte{
-		AppendRequest(nil, Request{Op: OpWrite, Txn: 1, Page: 2, Data: []byte("data")}),
+		AppendRequest(nil, Request{Op: OpBegin, Txn: 3}),
 		AppendRequest(nil, Request{Op: OpRead, Txn: 1, Page: 2}),
+		AppendRequest(nil, Request{Op: OpCommit, Txn: 1, Writes: []engine.PageWrite{
+			{Page: 2, Data: []byte("data")}, {Page: 7, Data: []byte("more data")},
+		}}),
 		AppendResponse(nil, Response{Op: OpStats, Status: StatusOK, Stats: Stats{Engine: "shadow", Commits: 5}}),
-		AppendResponse(nil, Response{Op: OpBegin, Status: StatusOK, Txn: 3}),
+		AppendResponse(nil, Response{Op: OpBegin, Status: StatusOK}),
 	}
 	for _, v := range valid {
 		for i := 0; i < 2000; i++ {
@@ -223,4 +246,34 @@ func TestReadFrameOversizedHeaderDoesNotAllocate(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxFrame {
 		t.Fatalf("rejecting oversized headers allocated %d bytes", grew)
 	}
+}
+
+// FuzzDecodeRequest: no input panics the decoder, a commit never decodes to
+// more writes than its body can hold, and every payload it accepts
+// re-encodes to the same bytes — so the encoding has one form, and what the
+// server executes is exactly what the client sent.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, r := range []Request{
+		{Op: OpBegin, Txn: 1},
+		{Op: OpRead, Txn: 1, Page: 9},
+		{Op: OpAbort, Txn: 4},
+		{Op: OpStats},
+		{Op: OpCommit, Txn: 2},
+		{Op: OpCommit, Txn: 2, Writes: []engine.PageWrite{{Page: 3, Data: []byte("abcdefgh")}, {Page: 4, Data: nil}}},
+	} {
+		f.Add(AppendRequest(nil, r))
+	}
+	f.Add([]byte{OpWrite, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 'x'})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		r, err := DecodeRequest(payload)
+		if err != nil {
+			return
+		}
+		if max := len(payload) / writeHeader; len(r.Writes) > max {
+			t.Fatalf("%d-byte payload decoded to %d writes, at most %d fit", len(payload), len(r.Writes), max)
+		}
+		if again := AppendRequest(nil, r); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted %x re-encodes as %x", payload, again)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -29,14 +30,14 @@ type Config struct {
 
 // Server serves the wire protocol over TCP for one engine.Engine. Each
 // accepted connection is one session, handled by its own goroutine; a
-// session may interleave any number of concurrent transactions (the txn id
-// returned by Begin multiplexes them), but frames on one connection are
-// processed strictly in order.
+// session may interleave any number of concurrent transactions (the handle
+// the client names in Begin multiplexes them), but frames on one connection
+// are processed strictly in order.
 //
-// Transactions are owned by their session: ids minted by one connection's
-// Begin are invisible to other connections, and any transaction still open
-// when the session ends is aborted, so a dropped client cannot strand page
-// locks and block the rest of the system.
+// Transactions are owned by their session: a handle names a transaction on
+// the connection whose Begin opened it and nowhere else, and any transaction
+// still open when the session ends is aborted, so a dropped client cannot
+// strand page locks and block the rest of the system.
 type Server struct {
 	eng   *engine.Engine
 	clock live.Clock
@@ -174,10 +175,10 @@ func (s *Server) stats() Stats {
 	}
 }
 
-// handle runs one session: a strict request-response loop over length-
-// prefixed frames. Any protocol error (malformed frame, unknown opcode)
-// produces one StatusError response and closes the session — the stream
-// cannot be trusted to be in sync afterwards.
+// handle runs one session: it answers length-prefixed request frames in
+// order, one reply each. Any protocol error (malformed frame, unknown
+// opcode) produces one StatusError response and closes the session — the
+// stream cannot be trusted to be in sync afterwards.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -229,14 +230,29 @@ func (s *Server) handle(conn net.Conn) {
 		if err := WriteFrame(bw, outbuf); err != nil {
 			return
 		}
+		if frameBuffered(br) {
+			continue // flushed with the next request's reply
+		}
 		if err := bw.Flush(); err != nil {
 			return
 		}
 	}
 }
 
+// frameBuffered reports whether br already holds the whole of the next
+// frame. Only then may a reply wait unflushed: the rest of a partial frame
+// may come only after the client has seen the replies so far. It never
+// reads from the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4) // cannot fail: four bytes are buffered
+	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+}
+
 // abortOpen rolls back every transaction the departing session left open,
-// in ascending id order so lock releases replay deterministically.
+// in ascending handle order so lock releases replay deterministically.
 func (s *Server) abortOpen(txns map[uint64]*engine.Txn) {
 	ids := make([]uint64, 0, len(txns))
 	for id := range txns {
@@ -249,20 +265,22 @@ func (s *Server) abortOpen(txns map[uint64]*engine.Txn) {
 }
 
 // dispatch executes one decoded request against the engine. txns is the
-// session's live transaction table; only ids minted by this session's
-// Begins are honored.
+// session's live transaction table, keyed by the handles its Begins named.
 func (s *Server) dispatch(txns map[uint64]*engine.Txn, req Request) Response {
 	fail := func(err error) Response {
 		return Response{Op: req.Op, Status: StatusError, Msg: err.Error()}
 	}
 	switch req.Op {
 	case OpBegin:
+		if txns[req.Txn] != nil {
+			return fail(fmt.Errorf("server: transaction %d is already open on this session", req.Txn))
+		}
 		txn, err := s.eng.Begin()
 		if err != nil {
 			return fail(err)
 		}
-		txns[txn.ID()] = txn
-		return Response{Op: req.Op, Status: StatusOK, Txn: txn.ID()}
+		txns[req.Txn] = txn
+		return Response{Op: req.Op, Status: StatusOK}
 
 	case OpStats:
 		return Response{Op: req.Op, Status: StatusOK, Stats: s.stats()}
@@ -275,7 +293,7 @@ func (s *Server) dispatch(txns map[uint64]*engine.Txn, req Request) Response {
 	// retryable maps the engine's transient rejections onto wire statuses.
 	// A deadlock victim is already aborted by the lock manager; a kernel
 	// admission rejection (engine.ErrBusy, e.g. the overwriting engines'
-	// fixed intention list) leaves the transaction open, so it is aborted
+	// fixed intention list) may leave the transaction open, so it is aborted
 	// here — either way the client begins a fresh transaction and retries.
 	retryable := func(err error) (Response, bool) {
 		switch {
@@ -283,7 +301,7 @@ func (s *Server) dispatch(txns map[uint64]*engine.Txn, req Request) Response {
 			delete(txns, req.Txn)
 			return Response{Op: req.Op, Status: StatusDeadlock}, true
 		case errors.Is(err, engine.ErrBusy):
-			_ = txn.Abort()
+			_ = txn.Abort() // ErrDone when WriteAll has aborted it already
 			delete(txns, req.Txn)
 			return Response{Op: req.Op, Status: StatusBusy}, true
 		}
@@ -301,18 +319,17 @@ func (s *Server) dispatch(txns map[uint64]*engine.Txn, req Request) Response {
 		}
 		return Response{Op: req.Op, Status: StatusOK, Data: data}
 
-	case OpWrite:
-		err := txn.Write(req.Page, req.Data)
+	case OpCommit:
+		// WriteAll aborts the transaction on any failure, so a Commit
+		// installs its whole write set or none of it.
+		err := txn.WriteAll(req.Writes)
 		if resp, ok := retryable(err); ok {
 			return resp
 		}
+		delete(txns, req.Txn)
 		if err != nil {
 			return fail(err)
 		}
-		return Response{Op: req.Op, Status: StatusOK}
-
-	case OpCommit:
-		delete(txns, req.Txn)
 		if err := txn.Commit(); err != nil {
 			// A commit rejected at the admission limit has released its
 			// locks without applying any effects (the intention record was

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -108,13 +109,18 @@ func TestUnknownTransactionRejected(t *testing.T) {
 	if err == nil || errors.Is(err, ErrDeadlock) {
 		t.Fatalf("commit of never-begun txn: %v, want a status error", err)
 	}
-	// The session survives the error and can begin work.
-	if _, err := c.Begin(); err != nil {
+	// The session survives the error and can run work. Begin does not wait
+	// for its reply, so the Read after it is what proves the session alive.
+	txn, err := c.Begin()
+	if err != nil {
 		t.Fatalf("begin after rejected commit: %v", err)
+	}
+	if _, err := c.Read(txn, 0); err != nil {
+		t.Fatalf("read after rejected commit: %v", err)
 	}
 }
 
-// TestTxnsArePerSession: ids minted on one connection are invisible to
+// TestTxnsArePerSession: handles opened on one connection are invisible to
 // another — a second session cannot commit (or abort) someone else's
 // transaction.
 func TestTxnsArePerSession(t *testing.T) {
@@ -134,10 +140,12 @@ func TestTxnsArePerSession(t *testing.T) {
 }
 
 // TestDeadlockSurfacedAsRetryable manufactures a two-transaction deadlock
-// over the wire and asserts the victim's call returns ErrDeadlock while the
-// survivor completes.
+// over the wire: each transaction holds a shared lock on the page the other
+// writes, so both Commits wait for an exclusive lock. Exactly one Commit
+// returns ErrDeadlock; the survivor's writes are committed and the victim's
+// are not.
 func TestDeadlockSurfacedAsRetryable(t *testing.T) {
-	_, addr := startServer(t, "wal-1stream", 2, 100)
+	srv, addr := startServer(t, "wal-1stream", 2, 100)
 	c1 := dialT(t, addr)
 	c2 := dialT(t, addr)
 
@@ -149,45 +157,52 @@ func TestDeadlockSurfacedAsRetryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Write(t1, 0, EncodeBalance(1)); err != nil {
+	if _, err := c1.Read(t1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Write(t2, 1, EncodeBalance(2)); err != nil {
+	if _, err := c2.Read(t2, 1); err != nil {
 		t.Fatal(err)
 	}
-
-	// Each session's result on its own channel: which write returns first
-	// is up to the scheduler, and the survivor must commit on its own session.
-	err1, err2 := make(chan error, 1), make(chan error, 1)
-	go func() { err1 <- c1.Write(t1, 1, EncodeBalance(3)) }()
-	go func() { err2 <- c2.Write(t2, 0, EncodeBalance(4)) }()
-	errA, errB := <-err1, <-err2
-
-	victims := 0
-	if errors.Is(errA, ErrDeadlock) {
-		victims++
-	}
-	if errors.Is(errB, ErrDeadlock) {
-		victims++
-	}
-	if victims != 1 {
-		t.Fatalf("deadlock produced %d victims (errs %v / %v), want exactly 1", victims, errA, errB)
-	}
-	// The survivor's transaction is still usable end to end.
-	if errA == nil {
-		if err := c1.Commit(t1); err != nil {
-			t.Fatalf("survivor commit: %v", err)
+	for _, w := range []struct {
+		c        *Client
+		txn      uint64
+		page, to int64
+	}{{c1, t1, 0, 1}, {c1, t1, 1, 3}, {c2, t2, 1, 2}, {c2, t2, 0, 4}} {
+		if err := w.c.Write(w.txn, w.page, EncodeBalance(w.to)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if errB == nil {
-		if err := c2.Commit(t2); err != nil {
-			t.Fatalf("survivor commit: %v", err)
+
+	// Each session's result on its own channel: which Commit returns first
+	// is up to the scheduler.
+	err1, err2 := make(chan error, 1), make(chan error, 1)
+	go func() { err1 <- c1.Commit(t1) }()
+	go func() { err2 <- c2.Commit(t2) }()
+	errA, errB := <-err1, <-err2
+
+	var want [2]int64
+	switch {
+	case errA == nil && errors.Is(errB, ErrDeadlock):
+		want = [2]int64{1, 3}
+	case errB == nil && errors.Is(errA, ErrDeadlock):
+		want = [2]int64{4, 2}
+	default:
+		t.Fatalf("commits returned %v / %v, want exactly one ErrDeadlock and one success", errA, errB)
+	}
+	for p, v := range want {
+		img, err := srv.Engine().ReadCommitted(int64(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DecodeBalance(img); got != v {
+			t.Fatalf("page %d holds %d, want the survivor's %d", p, got, v)
 		}
 	}
 }
 
 // TestSessionDropAbortsOpenTxns: a client that vanishes mid-transaction must
-// not strand its page locks.
+// not strand its page locks. A buffered write never reaches the server, so
+// the dropped transaction holds its lock through a Read.
 func TestSessionDropAbortsOpenTxns(t *testing.T) {
 	_, addr := startServer(t, "verselect", 2, 100)
 	c1 := dialT(t, addr)
@@ -195,13 +210,16 @@ func TestSessionDropAbortsOpenTxns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c1.Read(t1, 0); err != nil {
+		t.Fatal(err)
+	}
 	if err := c1.Write(t1, 0, EncodeBalance(55)); err != nil {
 		t.Fatal(err)
 	}
-	c1.Close() // vanish holding an X lock on page 0
+	c1.Close() // vanish holding an S lock on page 0
 
 	// The handler aborts t1 asynchronously; a fresh session must be able to
-	// take the lock promptly.
+	// take the exclusive lock promptly.
 	c2 := dialT(t, addr)
 	t2, err := c2.Begin()
 	if err != nil {
@@ -218,10 +236,10 @@ func TestSessionDropAbortsOpenTxns(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("write after session drop: %v", err)
+			t.Fatalf("commit after session drop: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("write after session drop still blocked — dropped session stranded its lock")
+		t.Fatal("commit after session drop still blocked — dropped session stranded its lock")
 	}
 	// The dropped transaction's write must not have survived.
 	img, err := c2Read(c2, 0)
@@ -230,6 +248,135 @@ func TestSessionDropAbortsOpenTxns(t *testing.T) {
 	}
 	if got := DecodeBalance(img); got != 77 {
 		t.Fatalf("balance %d, want 77 (dropped txn's 55 must be rolled back)", got)
+	}
+}
+
+// TestCommitWriteSetIsAllOrNothing: a Read after a Write in the same
+// transaction sees the written image, and a Commit whose second write the
+// kernel refuses (larger than a page) fails as a plain error, leaving the
+// first page as it was.
+func TestCommitWriteSetIsAllOrNothing(t *testing.T) {
+	srv, addr := startServer(t, "wal-1stream", 2, 100)
+	c := dialT(t, addr)
+	txn, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(txn, 0, EncodeBalance(5)); err != nil {
+		t.Fatal(err)
+	}
+	img, err := c.Read(txn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DecodeBalance(img); got != 5 {
+		t.Fatalf("read after write saw %d, want the written 5", got)
+	}
+	if err := c.Write(txn, 1, make([]byte, 1<<16)); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Commit(txn)
+	if err == nil || errors.Is(err, ErrDeadlock) || errors.Is(err, ErrBusy) {
+		t.Fatalf("commit of an oversized write: %v, want a status error", err)
+	}
+	if img, err := srv.Engine().ReadCommitted(0); err != nil || DecodeBalance(img) != 100 {
+		t.Fatalf("after the refused commit page 0 holds %d (err %v), want 100", DecodeBalance(img), err)
+	}
+	// The refused transaction is gone, and the session goes on.
+	if err := c.Abort(txn); err == nil {
+		t.Fatal("abort of the refused transaction succeeded; it should be gone")
+	}
+	if img, err := c2Read(c, 0); err != nil || DecodeBalance(img) != 100 {
+		t.Fatalf("read after the refused commit: %d (err %v), want 100", DecodeBalance(img), err)
+	}
+}
+
+// countingConn counts the writes that reach the connection: one per flush.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestRoundTripsPerTransaction pins the client's flushes, each a round trip:
+// a transfer (Begin, two Reads, two Writes, Commit) costs three, and a
+// query of eight Reads costs nine.
+func TestRoundTripsPerTransaction(t *testing.T) {
+	_, addr := startServer(t, "wal-1stream", 16, 100)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: conn}
+	c := NewClient(cc)
+	defer c.Close()
+	rng := rand.New(rand.NewSource(1))
+	var retries atomic.Int64
+	if err := transferT(c, rng, 16, &retries); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.writes.Load(); got != 3 || retries.Load() != 0 {
+		t.Fatalf("a transfer took %d flushes (%d retries), want 3", got, retries.Load())
+	}
+
+	cc.writes.Store(0)
+	txn, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := int64(0); p < 8; p++ {
+		if _, err := c.Read(txn, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.writes.Load(); got != 9 {
+		t.Fatalf("an 8-read query took %d flushes, want 9", got)
+	}
+}
+
+// TestServerFlushesBeforePartialFrame: the server holds a reply back only
+// while a whole next request is already buffered. One write carries a Begin
+// and half of a Read; the Begin's reply must arrive before the rest of the
+// Read is sent, or a client that waits for it would wait forever.
+func TestServerFlushesBeforePartialFrame(t *testing.T) {
+	_, addr := startServer(t, "wal-1stream", 2, 100)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, AppendRequest(nil, Request{Op: OpBegin, Txn: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(&stream, AppendRequest(nil, Request{Op: OpRead, Txn: 1, Page: 0})); err != nil {
+		t.Fatal(err)
+	}
+	half := stream.Len() - 8
+	if _, err := conn.Write(stream.Bytes()[:half]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for _, op := range []byte{OpBegin, OpRead} {
+		payload, err := ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("reply to %s: %v", opName(op), err)
+		}
+		if resp, err := DecodeResponse(payload); err != nil || resp.Op != op || resp.Status != StatusOK {
+			t.Fatalf("reply to %s: %+v, %v", opName(op), resp, err)
+		}
+		if op == OpBegin {
+			if _, err := conn.Write(stream.Bytes()[half:]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench gobench tables examples fuzz ci clean
+.PHONY: all build vet lint test race cover bench gobench tables examples fuzz loc ci clean
 .PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal fuzz-server logvolume
 
 all: build vet lint test
@@ -98,7 +98,10 @@ examples:
 	$(GO) run ./examples/banking
 	$(GO) run ./examples/parallellog
 	$(GO) run ./examples/comparison
-	$(GO) run ./examples/hotspot
+
+# Non-test Go lines outside testdata/: the size ROADMAP tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs cat | wc -l
 
 # What a transaction costs in stable log bytes, puts and forces, on 8-byte
 # and on 4 KiB pages: the table test's log lines are the report.

@@ -209,7 +209,7 @@ func BenchmarkRecovery(b *testing.B) {
 	b.Run("shadow", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e, err := engine.NewShadow()
+			e, err := engine.NewShadowOn(pagestore.New(4096))
 			if err != nil {
 				b.Fatal(err)
 			}

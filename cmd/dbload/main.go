@@ -47,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs/live"
 	"repro/internal/server"
 )
@@ -138,7 +139,7 @@ func run(addr, engines string, opt options, liveAddr string) error {
 		}
 		results = append(results, er)
 	} else {
-		names, err := server.EnginesByName(engines)
+		names, err := engine.Select(engines)
 		if err != nil {
 			return err
 		}

@@ -9,10 +9,10 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/lockmgr"
+	"repro/internal/obs/live"
 )
 
 // RecoveryManager is a functional recovery engine: it stores pages durably,
@@ -47,17 +47,13 @@ type Engine struct {
 	locks   *lockmgr.Manager
 	nextTID atomic.Uint64
 
-	mu        sync.Mutex
-	commits   int64
-	aborts    int64
-	deadlocks int64
+	commits, aborts, deadlocks live.Counter
 }
 
-// New builds an engine over rm. Pure recovery kernels (which contain no
-// locking of their own) are wrapped in a Guard automatically; passing an
-// existing Guard reuses it.
+// New builds an engine over the pure recovery kernel rm (which contains no
+// locking of its own), wrapping it in a Guard.
 func New(rm RecoveryManager) *Engine {
-	return &Engine{rm: NewGuard(rm), locks: lockmgr.New()}
+	return &Engine{rm: &Guard{rm: rm}, locks: lockmgr.New()}
 }
 
 // Guard exposes the engine's thread-safe kernel wrapper, through which
@@ -147,7 +143,7 @@ func (t *Txn) WriteAll(ws []PageWrite) error {
 func (t *Txn) lock(p int64, mode lockmgr.Mode) error {
 	err := t.e.locks.Lock(lockmgr.TxnID(t.id), lockmgr.PageID(p), mode)
 	if errors.Is(err, lockmgr.ErrDeadlock) {
-		t.e.bump(&t.e.deadlocks)
+		t.e.deadlocks.Inc()
 		if aerr := t.Abort(); aerr != nil {
 			return fmt.Errorf("%w (abort failed: %v)", ErrDeadlock, aerr)
 		}
@@ -165,7 +161,7 @@ func (t *Txn) Commit() error {
 	err := t.e.rm.Commit(t.id)
 	t.e.locks.ReleaseAll(lockmgr.TxnID(t.id))
 	if err == nil {
-		t.e.bump(&t.e.commits)
+		t.e.commits.Inc()
 	}
 	return err
 }
@@ -178,14 +174,8 @@ func (t *Txn) Abort() error {
 	t.done = true
 	err := t.e.rm.Abort(t.id)
 	t.e.locks.ReleaseAll(lockmgr.TxnID(t.id))
-	t.e.bump(&t.e.aborts)
+	t.e.aborts.Inc()
 	return err
-}
-
-func (e *Engine) bump(c *int64) {
-	e.mu.Lock()
-	*c++
-	e.mu.Unlock()
 }
 
 // Update runs fn inside a transaction, committing on nil return and
@@ -230,7 +220,5 @@ func (e *Engine) ReadCommitted(p int64) ([]byte, error) { return e.rm.ReadCommit
 
 // Stats reports commit/abort/deadlock counts.
 func (e *Engine) Stats() (commits, aborts, deadlocks int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.commits, e.aborts, e.deadlocks
+	return e.commits.Value(), e.aborts.Value(), e.deadlocks.Value()
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/pagestore"
 	"repro/internal/shadoweng"
 	"repro/internal/wal"
 )
@@ -14,21 +15,21 @@ import (
 // allEngines builds one engine per recovery architecture.
 func allEngines(t *testing.T) map[string]*Engine {
 	t.Helper()
-	shadow, err := NewShadow()
+	shadow, err := NewShadowOn(pagestore.New(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := NewVersionSelect()
+	vs, err := NewVersionSelectOn(pagestore.New(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string]*Engine{
 		"wal":       NewWAL(wal.Config{Streams: 2, Selection: wal.PageMod}),
 		"shadow":    shadow,
-		"ow-noundo": NewOverwrite(shadoweng.NoUndo),
-		"ow-noredo": NewOverwrite(shadoweng.NoRedo),
+		"ow-noundo": NewOverwriteOn(pagestore.New(4096), shadoweng.NoUndo),
+		"ow-noredo": NewOverwriteOn(pagestore.New(4096), shadoweng.NoRedo),
 		"verselect": vs,
-		"difffile":  NewDiff(),
+		"difffile":  NewDiffOn(pagestore.New(4096)),
 	}
 }
 

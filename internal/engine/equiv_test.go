@@ -34,29 +34,6 @@ const (
 	equivTxns  = 25
 )
 
-// kernelAdapter bridges wal.Manager's pagestore.PageID signatures to the
-// int64 RecoveryManager interface, mirroring the engine package's own
-// unexported adapter.
-type kernelAdapter struct{ m *wal.Manager }
-
-func (a kernelAdapter) Name() string                 { return a.m.Name() }
-func (a kernelAdapter) Load(p int64, d []byte) error { return a.m.Load(pagestore.PageID(p), d) }
-func (a kernelAdapter) Begin(tid uint64) error       { return a.m.Begin(tid) }
-func (a kernelAdapter) Commit(tid uint64) error      { return a.m.Commit(tid) }
-func (a kernelAdapter) Abort(tid uint64) error       { return a.m.Abort(tid) }
-func (a kernelAdapter) Crash()                       { a.m.Crash() }
-func (a kernelAdapter) Recover() error               { return a.m.Recover() }
-func (a kernelAdapter) Stats() map[string]int64      { return a.m.Stats() }
-func (a kernelAdapter) Read(tid uint64, p int64) ([]byte, error) {
-	return a.m.Read(tid, pagestore.PageID(p))
-}
-func (a kernelAdapter) Write(tid uint64, p int64, d []byte) error {
-	return a.m.Write(tid, pagestore.PageID(p), d)
-}
-func (a kernelAdapter) ReadCommitted(p int64) ([]byte, error) {
-	return a.m.ReadCommitted(pagestore.PageID(p))
-}
-
 // equivTarget builds one recovery architecture twice: the bare kernel and
 // the wrapped engine, each over its own stores (every stable store is
 // returned so fault hooks cover the WAL engine's separate log store).
@@ -71,99 +48,55 @@ func equivTargets() []equivTarget {
 		return func(*testing.T) (engine.RecoveryManager, []*pagestore.Store) {
 			store := pagestore.New(4096)
 			m := wal.NewManager(store, cfg)
-			return kernelAdapter{m}, []*pagestore.Store{store, m.LogStore()}
+			return m, []*pagestore.Store{store, m.LogStore()}
 		}
 	}
-	walWrapped := func(cfg wal.Config) func(*testing.T) (*engine.Engine, []*pagestore.Store) {
-		return func(*testing.T) (*engine.Engine, []*pagestore.Store) {
+	one := func(mk func(*pagestore.Store) (engine.RecoveryManager, error)) func(*testing.T) (engine.RecoveryManager, []*pagestore.Store) {
+		return func(t *testing.T) (engine.RecoveryManager, []*pagestore.Store) {
 			store := pagestore.New(4096)
-			e, m := engine.NewWALOn(store, cfg)
-			return e, []*pagestore.Store{store, m.LogStore()}
+			rm, err := mk(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rm, []*pagestore.Store{store}
 		}
 	}
-	return []equivTarget{
-		{
-			name:    "wal-1stream",
-			kernel:  walKernel(wal.Config{PoolPages: 4}),
-			wrapped: walWrapped(wal.Config{PoolPages: 4}),
-		},
-		{
-			name:    "wal-3streams",
-			kernel:  walKernel(wal.Config{Streams: 3, Selection: wal.PageMod, PoolPages: 4}),
-			wrapped: walWrapped(wal.Config{Streams: 3, Selection: wal.PageMod, PoolPages: 4}),
-		},
-		{
-			name: "shadow",
-			kernel: func(t *testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				se, err := shadoweng.New(store)
-				if err != nil {
-					t.Fatalf("shadoweng.New: %v", err)
-				}
-				return se, []*pagestore.Store{store}
-			},
-			wrapped: func(t *testing.T) (*engine.Engine, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				e, err := engine.NewShadowOn(store)
-				if err != nil {
-					t.Fatalf("NewShadowOn: %v", err)
-				}
-				return e, []*pagestore.Store{store}
-			},
-		},
-		{
-			name: "ow-noundo",
-			kernel: func(*testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				return shadoweng.NewOverwrite(store, shadoweng.NoUndo), []*pagestore.Store{store}
-			},
-			wrapped: func(*testing.T) (*engine.Engine, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				return engine.NewOverwriteOn(store, shadoweng.NoUndo), []*pagestore.Store{store}
-			},
-		},
-		{
-			name: "ow-noredo",
-			kernel: func(*testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				return shadoweng.NewOverwrite(store, shadoweng.NoRedo), []*pagestore.Store{store}
-			},
-			wrapped: func(*testing.T) (*engine.Engine, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				return engine.NewOverwriteOn(store, shadoweng.NoRedo), []*pagestore.Store{store}
-			},
-		},
-		{
-			name: "verselect",
-			kernel: func(t *testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				ve, err := shadoweng.NewVersion(store)
-				if err != nil {
-					t.Fatalf("shadoweng.NewVersion: %v", err)
-				}
-				return ve, []*pagestore.Store{store}
-			},
-			wrapped: func(t *testing.T) (*engine.Engine, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				e, err := engine.NewVersionSelectOn(store)
-				if err != nil {
-					t.Fatalf("NewVersionSelectOn: %v", err)
-				}
-				return e, []*pagestore.Store{store}
-			},
-		},
-		{
-			name: "difffile",
-			kernel: func(*testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				return diffeng.New(store), []*pagestore.Store{store}
-			},
-			wrapped: func(*testing.T) (*engine.Engine, []*pagestore.Store) {
-				store := pagestore.New(4096)
-				return engine.NewDiffOn(store), []*pagestore.Store{store}
-			},
-		},
+	kernels := map[string]func(*testing.T) (engine.RecoveryManager, []*pagestore.Store){
+		"wal-1stream":  walKernel(wal.Config{PoolPages: 4}),
+		"wal-3streams": walKernel(wal.Config{Streams: 3, Selection: wal.PageMod, PoolPages: 4}),
+		"shadow": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
+			return shadoweng.New(s)
+		}),
+		"ow-noundo": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
+			return shadoweng.NewOverwrite(s, shadoweng.NoUndo), nil
+		}),
+		"ow-noredo": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
+			return shadoweng.NewOverwrite(s, shadoweng.NoRedo), nil
+		}),
+		"verselect": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
+			return shadoweng.NewVersion(s)
+		}),
+		"difffile": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
+			return diffeng.New(s), nil
+		}),
 	}
+	var out []equivTarget
+	for _, name := range engine.Architectures() {
+		out = append(out, equivTarget{
+			name:   name,
+			kernel: kernels[name],
+			wrapped: func(t *testing.T) (*engine.Engine, []*pagestore.Store) {
+				e, stores, err := engine.Build(name, 4, func(_ string, pageSize int) (*pagestore.Store, error) {
+					return pagestore.New(pageSize), nil
+				})
+				if err != nil {
+					t.Fatalf("Build(%s): %v", name, err)
+				}
+				return e, stores
+			},
+		})
+	}
+	return out
 }
 
 // loadKernelPages is faultinj.LoadPages for a bare kernel: identical

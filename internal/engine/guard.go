@@ -12,9 +12,9 @@ import (
 // The recovery kernels (internal/wal, internal/shadoweng, internal/diffeng)
 // are pure and single-threaded by contract — simlint rule D004 bans sync
 // primitives and goroutines inside them. Guard is their concurrency
-// envelope: it serializes every kernel call behind one mutex and counts
-// operations with obs counters, so the concurrent runtime sees exactly the
-// call sequences the single-threaded kernels are proven against.
+// envelope: it serializes every kernel call behind one mutex, so the
+// concurrent runtime sees exactly the call sequences the single-threaded
+// kernels are proven against.
 
 // Checkpointer is implemented by kernels with a checkpoint maintenance
 // operation (the WAL manager).
@@ -46,8 +46,8 @@ var ErrUnsupported = fmt.Errorf("engine: operation not supported by this recover
 
 // Guard wraps a pure recovery kernel, making it safe for concurrent use.
 // All kernel calls — transactional operations and maintenance alike — are
-// serialized behind a single mutex, and per-operation atomic counters
-// record the traffic the kernel absorbed.
+// serialized behind a single mutex; an attached live.GuardMetrics records
+// each call's wait for and hold of it.
 type Guard struct {
 	mu sync.Mutex
 	rm RecoveryManager
@@ -62,27 +62,22 @@ type Guard struct {
 	// (guarded by mu): backup-plane operations (Snapshot, Restore) are
 	// guard-side, not kernel-side, so the guard emits their events itself.
 	journal *obs.Journal
-
-	// The op counters are live.Counters (single atomic words), NOT values
-	// guarded by mu: hot paths increment them while holding the mutex,
-	// but OpCounts snapshots them without it — scraping must never queue
-	// behind the kernel.
-	reads, writes live.Counter
-	begins        live.Counter
-	commits       live.Counter
-	aborts        live.Counter
-	recoveries    live.Counter
-	checkpoints   live.Counter
-	merges        live.Counter
 }
 
-// NewGuard wraps kernel rm. Wrapping an already-wrapped kernel returns it
-// unchanged.
-func NewGuard(rm RecoveryManager) *Guard {
-	if g, ok := rm.(*Guard); ok {
-		return g
-	}
-	return &Guard{rm: rm}
+// lock enters the guarded section for op: the contention token starts the
+// wait, the mutex is taken, and the token marks the hand-off.
+func (g *Guard) lock(op live.GuardOp) live.GuardToken {
+	tok := g.mx.Load().Enter(op)
+	g.mu.Lock()
+	tok.Acquired()
+	return tok
+}
+
+// unlock leaves the guarded section. The token is released before the
+// mutex, so the hold time covers the kernel call.
+func (g *Guard) unlock(tok *live.GuardToken) {
+	tok.Release()
+	g.mu.Unlock()
 }
 
 // Unwrap returns the pure kernel. Callers may use it only while no other
@@ -94,98 +89,65 @@ func (g *Guard) Name() string { return g.rm.Name() }
 
 // Load populates page p before transactions run.
 func (g *Guard) Load(p int64, data []byte) error {
-	tok := g.mx.Load().Enter(live.GuardOther)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
+	tok := g.lock(live.GuardOther)
+	defer g.unlock(&tok)
 	return g.rm.Load(p, data)
 }
 
 // Begin starts transaction tid.
 func (g *Guard) Begin(tid uint64) error {
-	tok := g.mx.Load().Enter(live.GuardBegin)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
-	g.begins.Inc()
+	tok := g.lock(live.GuardBegin)
+	defer g.unlock(&tok)
 	return g.rm.Begin(tid)
 }
 
 // Read returns page p as seen by tid (which must be an active
 // transaction).
 func (g *Guard) Read(tid uint64, p int64) ([]byte, error) {
-	tok := g.mx.Load().Enter(live.GuardRead)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
-	g.reads.Inc()
+	tok := g.lock(live.GuardRead)
+	defer g.unlock(&tok)
 	return g.rm.Read(tid, p)
 }
 
 // Write replaces page p on behalf of tid.
 func (g *Guard) Write(tid uint64, p int64, data []byte) error {
-	tok := g.mx.Load().Enter(live.GuardWrite)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
-	g.writes.Inc()
+	tok := g.lock(live.GuardWrite)
+	defer g.unlock(&tok)
 	return g.rm.Write(tid, p, data)
 }
 
 // Commit makes tid durable.
 func (g *Guard) Commit(tid uint64) error {
-	tok := g.mx.Load().Enter(live.GuardCommit)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
-	g.commits.Inc()
+	tok := g.lock(live.GuardCommit)
+	defer g.unlock(&tok)
 	return g.rm.Commit(tid)
 }
 
 // Abort rolls tid back.
 func (g *Guard) Abort(tid uint64) error {
-	tok := g.mx.Load().Enter(live.GuardAbort)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
-	g.aborts.Inc()
+	tok := g.lock(live.GuardAbort)
+	defer g.unlock(&tok)
 	return g.rm.Abort(tid)
 }
 
 // Crash simulates power loss on the kernel.
 func (g *Guard) Crash() {
-	tok := g.mx.Load().Enter(live.GuardOther)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
+	tok := g.lock(live.GuardOther)
+	defer g.unlock(&tok)
 	g.rm.Crash()
 }
 
 // Recover runs restart recovery on the kernel.
 func (g *Guard) Recover() error {
-	tok := g.mx.Load().Enter(live.GuardRecover)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
-	g.recoveries.Inc()
+	tok := g.lock(live.GuardRecover)
+	defer g.unlock(&tok)
 	return g.rm.Recover()
 }
 
 // ReadCommitted reads the committed contents of page p.
 func (g *Guard) ReadCommitted(p int64) ([]byte, error) {
-	tok := g.mx.Load().Enter(live.GuardOther)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
+	tok := g.lock(live.GuardOther)
+	defer g.unlock(&tok)
 	return g.rm.ReadCommitted(p)
 }
 
@@ -194,16 +156,12 @@ func (g *Guard) ReadCommitted(p int64) ([]byte, error) {
 // checkpoint of the WAL kernel). Returns ErrUnsupported for kernels
 // without one.
 func (g *Guard) Checkpoint() error {
-	tok := g.mx.Load().Enter(live.GuardCheckpoint)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
+	tok := g.lock(live.GuardCheckpoint)
+	defer g.unlock(&tok)
 	cp, ok := g.rm.(Checkpointer)
 	if !ok {
 		return ErrUnsupported
 	}
-	g.checkpoints.Inc()
 	return cp.Checkpoint()
 }
 
@@ -212,51 +170,24 @@ func (g *Guard) Checkpoint() error {
 // kernels without one; the kernel itself may also refuse (diffeng requires
 // quiescence).
 func (g *Guard) Merge() error {
-	tok := g.mx.Load().Enter(live.GuardMerge)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
+	tok := g.lock(live.GuardMerge)
+	defer g.unlock(&tok)
 	mg, ok := g.rm.(Merger)
 	if !ok {
 		return ErrUnsupported
 	}
-	g.merges.Inc()
 	return mg.Merge()
 }
 
 // Stats reports the wrapped kernel's counters (empty for kernels without
 // any), taken under the guard lock.
 func (g *Guard) Stats() map[string]int64 {
-	tok := g.mx.Load().Enter(live.GuardOther)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
+	tok := g.lock(live.GuardOther)
+	defer g.unlock(&tok)
 	if ss, ok := g.rm.(StatsSource); ok {
 		return ss.Stats()
 	}
 	return map[string]int64{}
-}
-
-// OpCounts reports the guard's own instrumentation: how many operations of
-// each kind the kernel absorbed since construction. The counters are
-// atomic (live.Counter), so the snapshot is taken WITHOUT the kernel
-// mutex — a scraper polling OpCounts never queues behind transactions.
-// Each value is read atomically but the set is not a consistent cut;
-// every counter is individually monotone. (Stats, by contrast, must call
-// into the kernel and therefore still serializes under the mutex.)
-func (g *Guard) OpCounts() map[string]int64 {
-	return map[string]int64{
-		"begins":      g.begins.Value(),
-		"reads":       g.reads.Value(),
-		"writes":      g.writes.Value(),
-		"commits":     g.commits.Value(),
-		"aborts":      g.aborts.Value(),
-		"recoveries":  g.recoveries.Value(),
-		"checkpoints": g.checkpoints.Value(),
-		"merges":      g.merges.Value(),
-	}
 }
 
 // SetMetrics attaches (or with nil detaches) a runtime contention profile.

@@ -118,7 +118,7 @@ func TestGuardMetricsAndJournal(t *testing.T) {
 
 // TestSetJournalUnsupported covers kernels without a journal via a stub.
 func TestSetJournalUnsupported(t *testing.T) {
-	g := NewGuard(stubRM{})
+	g := New(stubRM{}).Guard()
 	if err := g.SetJournal(obs.NewJournal()); err != ErrUnsupported {
 		t.Fatalf("SetJournal on journal-less kernel: %v, want ErrUnsupported", err)
 	}

@@ -53,11 +53,8 @@ type Snapshotter interface {
 // The call runs under the guard lock, so the image is transaction-
 // consistent. Returns ErrUnsupported for kernels without stable stores.
 func (g *Guard) Snapshot(w io.Writer, base []pagestore.Manifest) ([]pagestore.Manifest, error) {
-	tok := g.mx.Load().Enter(live.GuardOther)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
+	tok := g.lock(live.GuardOther)
+	defer g.unlock(&tok)
 	sn, ok := g.rm.(Snapshotter)
 	if !ok {
 		return nil, ErrUnsupported
@@ -110,11 +107,8 @@ func (g *Guard) Snapshot(w io.Writer, base []pagestore.Manifest) ([]pagestore.Ma
 // under the guard lock. Returns ErrUnsupported for kernels without stable
 // stores.
 func (g *Guard) Restore(rs ...io.Reader) error {
-	tok := g.mx.Load().Enter(live.GuardOther)
-	g.mu.Lock()
-	tok.Acquired()
-	defer g.mu.Unlock()
-	defer tok.Release()
+	tok := g.lock(live.GuardOther)
+	defer g.unlock(&tok)
 	sn, ok := g.rm.(Snapshotter)
 	if !ok {
 		return ErrUnsupported
@@ -148,7 +142,6 @@ func (g *Guard) Restore(rs ...io.Reader) error {
 		Event: "restore", Engine: g.rm.Name(), N: int64(len(rs)),
 	})
 	g.rm.Crash()
-	g.recoveries.Inc()
 	return g.rm.Recover()
 }
 

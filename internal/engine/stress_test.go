@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinj"
+	"repro/internal/obs/live"
 	"repro/internal/sim"
-	"repro/internal/wal"
 )
 
 const (
@@ -60,6 +60,8 @@ func TestWrapperStress(t *testing.T) {
 		t.Run(tg.name, func(t *testing.T) {
 			t.Parallel()
 			e, _ := tg.wrapped(t)
+			gm := live.NewGuardMetrics(live.Wall())
+			e.Guard().SetMetrics(gm)
 			if _, err := faultinj.LoadPages(e, stressPages); err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -91,7 +93,8 @@ func TestWrapperStress(t *testing.T) {
 				}
 			}()
 
-			// Reader: stats snapshots must be safe to take mid-flight.
+			// Reader: stats and contention snapshots must be safe to take
+			// mid-flight.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -102,7 +105,7 @@ func TestWrapperStress(t *testing.T) {
 					default:
 					}
 					_ = e.Guard().Stats()
-					_ = e.Guard().OpCounts()
+					_ = gm.Wait(live.GuardCommit).Snap()
 				}
 			}()
 
@@ -123,10 +126,11 @@ func TestWrapperStress(t *testing.T) {
 
 			// Quiesced: the Guard's books must balance — every transaction the
 			// kernel began either committed or aborted.
-			ops := e.Guard().OpCounts()
-			if ops["begins"] != ops["commits"]+ops["aborts"] {
-				t.Errorf("unbalanced guard counters: begins=%d commits=%d aborts=%d",
-					ops["begins"], ops["commits"], ops["aborts"])
+			begins, commitOps, abortOps := gm.Wait(live.GuardBegin).Count(),
+				gm.Wait(live.GuardCommit).Count(), gm.Wait(live.GuardAbort).Count()
+			if begins != commitOps+abortOps {
+				t.Errorf("unbalanced guard ops: begins=%d commits=%d aborts=%d",
+					begins, commitOps, abortOps)
 			}
 			commits, _, _ := e.Stats()
 			if want := int64(stressWorkers * stressTxns); commits != want {
@@ -209,91 +213,5 @@ func TestGuardSerializesDirectCalls(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestOpCountsConcurrentWithLoad: OpCounts is snapshotted from atomic
-// counters with NO kernel lock, so it must be safe (and monotone per key)
-// while transaction load hammers the same Guard. Run under -race this also
-// proves the counters are sound to scrape without the mutex.
-func TestOpCountsConcurrentWithLoad(t *testing.T) {
-	e := engine.NewWAL(wal.Config{})
-	for p := int64(0); p < 8; p++ {
-		if err := e.Load(p, []byte("seed")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const workers, txns = 4, 200
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	// Scraper: OpCounts must never regress while load is in flight. The
-	// load starts only once the scraper is past its first poll, so it polls
-	// at least once more before it can see stop.
-	scraped := make(chan int64, 1)
-	started := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		last := map[string]int64{}
-		var polls int64
-		for {
-			polls++
-			counts := e.Guard().OpCounts()
-			for k, v := range counts {
-				if v < last[k] {
-					t.Errorf("counter %q regressed: %d -> %d", k, last[k], v)
-					scraped <- polls
-					return
-				}
-				last[k] = v
-			}
-			select {
-			case <-stop:
-				scraped <- polls
-				return
-			default:
-			}
-			if polls == 1 {
-				close(started)
-			}
-		}
-	}()
-	<-started
-
-	var load sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		load.Add(1)
-		go func(w int) {
-			defer load.Done()
-			for i := 0; i < txns; i++ {
-				p := int64((w*txns + i) % 8)
-				err := e.Update(func(tx *engine.Txn) error {
-					if _, err := tx.Read(p); err != nil {
-						return err
-					}
-					return tx.Write(p, []byte("v"))
-				})
-				if err != nil {
-					t.Errorf("worker %d txn %d: %v", w, i, err)
-					return
-				}
-			}
-		}(w)
-	}
-	load.Wait()
-	close(stop)
-	wg.Wait()
-	if polls := <-scraped; polls < 2 {
-		t.Fatalf("scraper made only %d polls", polls)
-	}
-
-	ops := e.Guard().OpCounts()
-	if ops["commits"] != workers*txns {
-		t.Errorf("commits = %d, want %d", ops["commits"], workers*txns)
-	}
-	if ops["begins"] != ops["commits"]+ops["aborts"] {
-		t.Errorf("unbalanced: begins=%d commits=%d aborts=%d",
-			ops["begins"], ops["commits"], ops["aborts"])
 	}
 }

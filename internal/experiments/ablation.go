@@ -218,14 +218,14 @@ func FuncRecovery(opt Options) (*Table, error) {
 			}, nil
 		}},
 		{"shadow", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			e, err := engine.NewShadow()
+			e, err := engine.NewShadowOn(pagestore.New(4096))
 			return e, none, err
 		}},
 		{"overwrite-no-undo", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			return engine.NewOverwrite(shadoweng.NoUndo), none, nil
+			return engine.NewOverwriteOn(pagestore.New(4096), shadoweng.NoUndo), none, nil
 		}},
 		{"version-selection", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			e, err := engine.NewVersionSelect()
+			e, err := engine.NewVersionSelectOn(pagestore.New(4096))
 			return e, none, err
 		}},
 		{"difffile", func() (*engine.Engine, func() (int64, int64, int64), error) {

@@ -2,16 +2,13 @@ package faultinj
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/pagestore"
 	"repro/internal/runpool"
-	"repro/internal/shadoweng"
-	"repro/internal/wal"
 )
 
 // A Target is one recovery architecture under test: a builder for a fresh
@@ -42,66 +39,30 @@ func Targets() []Target {
 	}, nil)
 }
 
-// architectures is the one table of the seven recovery architectures,
-// mirroring the paper's comparison: WAL with one and three parallel log
-// streams, shadow paging (canonical, both overwrite variants, version
-// selection), and differential files. open creates each stable store
-// (name tells a file-backed opener which directory it belongs to); the WAL
-// engines keep data pages and log chunks on separate stores, the log
-// store's page size being the chunk size. clean becomes every target's
-// Clean hook and also releases a build that fails halfway.
+// architectures builds one Target per recovery architecture of engine's
+// table. open creates each stable store; name is the architecture and the
+// store's role ("wal-1stream-log", "shadow-data"), which tells a file-backed
+// opener which directory it belongs to. The WAL pool is 4 pages, so the
+// 6-page script steals. clean becomes every target's Clean hook and also
+// releases a build that fails halfway.
 func architectures(open func(name string, pageSize int) (*pagestore.Store, error),
 	clean func([]*pagestore.Store)) []Target {
-	release := func(s *pagestore.Store) {
-		if clean != nil {
-			clean([]*pagestore.Store{s})
-		}
-	}
-	one := func(name string, mk func(*pagestore.Store) (*engine.Engine, error)) Target {
-		return Target{Name: name, Clean: clean, Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			store, err := open(name, 4096)
+	var out []Target
+	for _, name := range engine.Architectures() {
+		out = append(out, Target{Name: name, Clean: clean, Build: func() (*engine.Engine, []*pagestore.Store, error) {
+			e, stores, err := engine.Build(name, 4, func(role string, pageSize int) (*pagestore.Store, error) {
+				return open(name+"-"+role, pageSize)
+			})
 			if err != nil {
+				if clean != nil {
+					clean(stores)
+				}
 				return nil, nil, err
 			}
-			e, err := mk(store)
-			if err != nil {
-				release(store)
-				return nil, nil, err
-			}
-			return e, []*pagestore.Store{store}, nil
-		}}
+			return e, stores, nil
+		}})
 	}
-	walT := func(name string, cfg wal.Config) Target {
-		cfg.PoolPages = 4
-		return Target{Name: name, Clean: clean, Build: func() (*engine.Engine, []*pagestore.Store, error) {
-			data, err := open(name+"-data", 4096)
-			if err != nil {
-				return nil, nil, err
-			}
-			c := cfg // Build runs on many pool workers at once
-			if c.LogStore, err = open(name+"-log", wal.LogChunkSize); err != nil {
-				release(data)
-				return nil, nil, err
-			}
-			e, _ := engine.NewWALOn(data, c)
-			return e, []*pagestore.Store{data, c.LogStore}, nil
-		}}
-	}
-	return []Target{
-		walT("wal-1stream", wal.Config{}),
-		walT("wal-3streams", wal.Config{Streams: 3, Selection: wal.PageMod}),
-		one("shadow", engine.NewShadowOn),
-		one("ow-noundo", func(s *pagestore.Store) (*engine.Engine, error) {
-			return engine.NewOverwriteOn(s, shadoweng.NoUndo), nil
-		}),
-		one("ow-noredo", func(s *pagestore.Store) (*engine.Engine, error) {
-			return engine.NewOverwriteOn(s, shadoweng.NoRedo), nil
-		}),
-		one("verselect", engine.NewVersionSelectOn),
-		one("difffile", func(s *pagestore.Store) (*engine.Engine, error) {
-			return engine.NewDiffOn(s), nil
-		}),
-	}
+	return out
 }
 
 // TargetsByName filters Targets to the comma-separated names in sel; empty
@@ -111,25 +72,13 @@ func TargetsByName(sel string) ([]Target, error) {
 }
 
 func selectTargets(all []Target, sel string) ([]Target, error) {
-	if sel == "" || sel == "all" {
-		return all, nil
+	names, err := engine.Select(sel)
+	if err != nil {
+		return nil, err
 	}
-	byName := make(map[string]Target, len(all))
-	known := make([]string, 0, len(all))
-	for _, tg := range all {
-		byName[tg.Name] = tg
-		known = append(known, tg.Name)
-	}
-	var out []Target
-	for _, name := range strings.Split(sel, ",") {
-		name = strings.TrimSpace(name)
-		tg, ok := byName[name]
-		if !ok {
-			sort.Strings(known)
-			return nil, fmt.Errorf("faultinj: unknown engine %q (have %s)",
-				name, strings.Join(known, ", "))
-		}
-		out = append(out, tg)
+	out := make([]Target, len(names))
+	for i, name := range names {
+		out[i] = all[slices.IndexFunc(all, func(tg Target) bool { return tg.Name == name })]
 	}
 	return out, nil
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/server"
+	"repro/internal/engine"
 )
 
 // quickOpt keeps unit-test sweeps fast; the full stride-1 sweep runs in
@@ -128,7 +128,7 @@ func TestTargetsByName(t *testing.T) {
 	for _, tg := range Targets() {
 		names = append(names, tg.Name)
 	}
-	if want := server.Architectures(); !reflect.DeepEqual(names, want) {
-		t.Fatalf("target names = %v, server architectures = %v", names, want)
+	if want := engine.Architectures(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("target names = %v, engine architectures = %v", names, want)
 	}
 }

@@ -45,7 +45,7 @@ func TestLogVolume(t *testing.T) {
 		{name: "read-only commit", image: balance, maxBytes: 0, puts: 0, forces: 0,
 			run: func(t *testing.T, m *Manager, _ func(byte) []byte) {
 				must(t, m.Begin(tid))
-				for p := pagestore.PageID(0); p < 8; p++ {
+				for p := int64(0); p < 8; p++ {
 					if _, err := m.Read(tid, p); err != nil {
 						t.Fatal(err)
 					}
@@ -82,7 +82,7 @@ func TestLogVolume(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, _ := newTestManager(Config{})
-			for p := pagestore.PageID(0); p < 8; p++ {
+			for p := int64(0); p < 8; p++ {
 				must(t, m.Load(p, c.image(0)))
 			}
 			// LSNs as wide as in a long run too: a fresh log would flatter
@@ -112,7 +112,7 @@ func TestStealForcesOnlyWhenTheRuleDemands(t *testing.T) {
 	for _, streams := range []int{1, 3} {
 		t.Run(fmt.Sprintf("%d streams", streams), func(t *testing.T) {
 			m, store := newTestManager(Config{Streams: streams, PoolPages: 2})
-			for p := pagestore.PageID(0); p < 4; p++ {
+			for p := int64(0); p < 4; p++ {
 				must(t, m.Load(p, page("orig")))
 			}
 			// Page 0 is dirtied by a committed transaction: its records are
@@ -300,7 +300,7 @@ func newDeltaScript(m *Manager, seed int64, pages int) (*deltaScript, error) {
 		if p == 0 {
 			v = nil // a page that starts empty
 		}
-		if err := m.Load(pagestore.PageID(p), v); err != nil {
+		if err := m.Load(int64(p), v); err != nil {
 			return nil, err
 		}
 		s.model[p] = v
@@ -356,7 +356,7 @@ func (s *deltaScript) step() bool {
 			cur = s.model[p]
 		}
 		v := edit(s.rng, cur)
-		if s.m.Write(tid, pagestore.PageID(p), v) != nil {
+		if s.m.Write(tid, int64(p), v) != nil {
 			return false
 		}
 		s.owner[p], ws[p] = tid, v
@@ -393,7 +393,7 @@ func (s *deltaScript) crashed() {
 func (s *deltaScript) audit() error {
 	applied, reverted := 0, 0
 	for p := 0; p < s.pages; p++ {
-		got, err := s.m.ReadCommitted(pagestore.PageID(p))
+		got, err := s.m.ReadCommitted(int64(p))
 		if err != nil {
 			return err
 		}
@@ -526,7 +526,7 @@ func BenchmarkManagerTransfer(b *testing.B) {
 	const pages = 1024
 	m, _ := newTestManager(Config{})
 	bal := make([]byte, 8)
-	for p := pagestore.PageID(0); p < pages; p++ {
+	for p := int64(0); p < pages; p++ {
 		if err := m.Load(p, bal); err != nil {
 			b.Fatal(err)
 		}
@@ -536,11 +536,11 @@ func BenchmarkManagerTransfer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tid := uint64(i + 1)
-		from, to := pagestore.PageID(rng.Intn(pages)), pagestore.PageID(rng.Intn(pages))
+		from, to := int64(rng.Intn(pages)), int64(rng.Intn(pages))
 		if err := m.Begin(tid); err != nil {
 			b.Fatal(err)
 		}
-		for _, p := range []pagestore.PageID{from, to} {
+		for _, p := range []int64{from, to} {
 			v, err := m.Read(tid, p)
 			if err != nil {
 				b.Fatal(err)

@@ -153,11 +153,11 @@ func (m *Manager) SetJournal(j *obs.Journal) { m.journal = j }
 
 // Load populates page p with initial data, bypassing logging. Call before
 // running transactions.
-func (m *Manager) Load(p pagestore.PageID, data []byte) error {
-	if err := m.data.Write(p, data, 0); err != nil {
+func (m *Manager) Load(p int64, data []byte) error {
+	if err := m.data.Write(pagestore.PageID(p), data, 0); err != nil {
 		return err
 	}
-	m.journal.Emit(obs.JournalRecord{Event: "load", Page: obs.JournalPage(int64(p))})
+	m.journal.Emit(obs.JournalRecord{Event: "load", Page: obs.JournalPage(p)})
 	return nil
 }
 
@@ -173,8 +173,8 @@ func (m *Manager) Begin(tid uint64) error {
 
 // Read returns the current contents of page p as seen by tid (its own
 // uncommitted writes included).
-func (m *Manager) Read(tid uint64, p pagestore.PageID) ([]byte, error) {
-	bp, err := m.getPage(p)
+func (m *Manager) Read(tid uint64, p int64) ([]byte, error) {
+	bp, err := m.getPage(pagestore.PageID(p))
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ func (m *Manager) Read(tid uint64, p pagestore.PageID) ([]byte, error) {
 // that changes first (the write-ahead protocol: the record is buffered now
 // and forced before the page can reach stable storage). A write that
 // changes nothing logs nothing.
-func (m *Manager) Write(tid uint64, p pagestore.PageID, data []byte) error {
+func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 	ts := m.att[tid]
 	if ts == nil {
 		return fmt.Errorf("wal: transaction %d not active", tid)
@@ -193,7 +193,7 @@ func (m *Manager) Write(tid uint64, p pagestore.PageID, data []byte) error {
 	if len(data) > m.data.PageSize() {
 		return fmt.Errorf("wal: page %d: %d bytes exceeds page size %d", p, len(data), m.data.PageSize())
 	}
-	bp, err := m.getPage(p)
+	bp, err := m.getPage(pagestore.PageID(p))
 	if err != nil {
 		return err
 	}
@@ -205,7 +205,7 @@ func (m *Manager) Write(tid uint64, p pagestore.PageID, data []byte) error {
 	lsn := m.appendRec(Record{
 		Type:    RecUpdate,
 		Txn:     tid,
-		Page:    int64(p),
+		Page:    p,
 		PrevLSN: ts.lastLSN,
 		Off:     off,
 		Del:     del,
@@ -216,7 +216,7 @@ func (m *Manager) Write(tid uint64, p pagestore.PageID, data []byte) error {
 		ts.firstLSN = lsn
 	}
 	ts.lastLSN = lsn
-	ts.updates = append(ts.updates, undoRec{lsn: lsn, page: p, off: off, ins: len(ins), old: old})
+	ts.updates = append(ts.updates, undoRec{lsn: lsn, page: pagestore.PageID(p), off: off, ins: len(ins), old: old})
 	bp.data = append(bp.data[:0], data...)
 	bp.lsn = lsn
 	bp.dirty = true
@@ -683,8 +683,8 @@ func (m *Manager) redoOne(r *Record) error {
 
 // ReadCommitted reads page p's current contents; meaningful once no
 // transaction is active (for example right after Recover).
-func (m *Manager) ReadCommitted(p pagestore.PageID) ([]byte, error) {
-	bp, err := m.getPage(p)
+func (m *Manager) ReadCommitted(p int64) ([]byte, error) {
+	bp, err := m.getPage(pagestore.PageID(p))
 	if err != nil {
 		return nil, err
 	}

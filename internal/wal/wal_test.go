@@ -168,7 +168,7 @@ func TestCommitDurableAcrossCrash(t *testing.T) {
 func TestUncommittedRolledBack(t *testing.T) {
 	m, _ := newTestManager(Config{PoolPages: 2}) // tiny pool forces steals
 	for p := 0; p < 4; p++ {
-		if err := m.Load(pagestore.PageID(p), page(fmt.Sprintf("orig%d", p))); err != nil {
+		if err := m.Load(int64(p), page(fmt.Sprintf("orig%d", p))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestUncommittedRolledBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
-		if err := m.Write(1, pagestore.PageID(p), page("dirty")); err != nil {
+		if err := m.Write(1, int64(p), page("dirty")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestUncommittedRolledBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {
-		got, err := m.ReadCommitted(pagestore.PageID(p))
+		got, err := m.ReadCommitted(int64(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestParallelStreamsDistributeAndRecover(t *testing.T) {
 		t.Run(sel.String(), func(t *testing.T) {
 			m, _ := newTestManager(Config{Streams: 4, Selection: sel})
 			for p := 0; p < 16; p++ {
-				if err := m.Load(pagestore.PageID(p), page("orig")); err != nil {
+				if err := m.Load(int64(p), page("orig")); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -321,7 +321,7 @@ func TestParallelStreamsDistributeAndRecover(t *testing.T) {
 					t.Fatal(err)
 				}
 				for p := 0; p < 16; p += 2 {
-					if err := m.Write(tid, pagestore.PageID(p), page(fmt.Sprintf("t%d", tid))); err != nil {
+					if err := m.Write(tid, int64(p), page(fmt.Sprintf("t%d", tid))); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -344,7 +344,7 @@ func TestParallelStreamsDistributeAndRecover(t *testing.T) {
 				t.Fatal(err)
 			}
 			for p := 0; p < 16; p += 2 {
-				got, _ := m.ReadCommitted(pagestore.PageID(p))
+				got, _ := m.ReadCommitted(int64(p))
 				if string(got) != "t8" {
 					t.Fatalf("page %d = %q, want t8", p, got)
 				}
@@ -359,7 +359,7 @@ func TestInDoubtCommitIsAtomic(t *testing.T) {
 	for budget := int64(0); budget < 6; budget++ {
 		m, _ := newTestManager(Config{Streams: 3})
 		for p := 0; p < 3; p++ {
-			if err := m.Load(pagestore.PageID(p), page("orig")); err != nil {
+			if err := m.Load(int64(p), page("orig")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -367,7 +367,7 @@ func TestInDoubtCommitIsAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p := 0; p < 3; p++ {
-			if err := m.Write(1, pagestore.PageID(p), page("new")); err != nil {
+			if err := m.Write(1, int64(p), page("new")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,7 +380,7 @@ func TestInDoubtCommitIsAtomic(t *testing.T) {
 		}
 		var news, origs int
 		for p := 0; p < 3; p++ {
-			got, rerr := m.ReadCommitted(pagestore.PageID(p))
+			got, rerr := m.ReadCommitted(int64(p))
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
@@ -488,7 +488,7 @@ func TestFuzzyCheckpointKeepsActiveTxnRecords(t *testing.T) {
 func TestCheckpointDuringWorkloadRepeatedly(t *testing.T) {
 	m, _ := newTestManager(Config{Streams: 3, Selection: PageMod, PoolPages: 4})
 	for p := 0; p < 8; p++ {
-		if err := m.Load(pagestore.PageID(p), page("init")); err != nil {
+		if err := m.Load(int64(p), page("init")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -500,7 +500,7 @@ func TestCheckpointDuringWorkloadRepeatedly(t *testing.T) {
 		}
 		p := i % 8
 		v := fmt.Sprintf("v%d", i)
-		if err := m.Write(tid, pagestore.PageID(p), page(v)); err != nil {
+		if err := m.Write(tid, int64(p), page(v)); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Commit(tid); err != nil {
@@ -521,7 +521,7 @@ func TestCheckpointDuringWorkloadRepeatedly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p, v := range want {
-		got, _ := m.ReadCommitted(pagestore.PageID(p))
+		got, _ := m.ReadCommitted(int64(p))
 		if string(got) != v {
 			t.Fatalf("page %d = %q, want %q", p, got, v)
 		}
@@ -537,7 +537,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		model := map[int]string{} // committed state
 		for p := 0; p < pages; p++ {
 			v := fmt.Sprintf("init%d", p)
-			if err := m.Load(pagestore.PageID(p), page(v)); err != nil {
+			if err := m.Load(int64(p), page(v)); err != nil {
 				return false
 			}
 			model[p] = v
@@ -566,7 +566,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if active {
 					p := int(op/4) % pages
 					v := fmt.Sprintf("t%d-%d", tid, i)
-					if err := m.Write(tid, pagestore.PageID(p), page(v)); err != nil {
+					if err := m.Write(tid, int64(p), page(v)); err != nil {
 						crashed = true
 						break
 					}
@@ -601,7 +601,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		// The in-doubt commit must be all-or-nothing.
 		doubtApplied, doubtReverted := 0, 0
 		for p := 0; p < pages; p++ {
-			got, err := m.ReadCommitted(pagestore.PageID(p))
+			got, err := m.ReadCommitted(int64(p))
 			if err != nil {
 				return false
 			}

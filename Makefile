@@ -108,9 +108,11 @@ loc:
 logvolume:
 	$(GO) test -run 'TestLogVolume' -v ./internal/wal/
 
-# Bounded run of the WAL record decoder's fuzz target.
+# Bounded runs of the WAL's fuzz targets: the record decoder, and restart
+# over arbitrary stable chunks. `go test -fuzz` takes one target per run.
 fuzz-wal:
-	$(GO) test -run xxx -fuzz FuzzUnmarshalRecord -fuzztime 10s ./internal/wal/
+	$(GO) test -run xxx -fuzz 'FuzzUnmarshalRecord$$' -fuzztime 10s ./internal/wal/
+	$(GO) test -run xxx -fuzz 'FuzzRecover$$' -fuzztime 10s ./internal/wal/
 
 # Bounded run of the wire protocol's request decoder fuzz target.
 fuzz-server:

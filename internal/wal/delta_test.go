@@ -204,40 +204,67 @@ func TestLoserIsUndoneOnce(t *testing.T) {
 	}
 }
 
-// TestGapEndsTheLog: with records dealt round-robin over three streams, a
-// power cut between two stream forces leaves a later record durable and an
-// earlier one lost. Restart must end the log at the gap, trim what lies
-// beyond it, and never replay a delta over a page that missed its
-// predecessor — here the page's length changes, so a misapplied delta would
-// be visible.
+// TestGapEndsTheLog: with records spread over three streams, a power cut
+// between two stream forces can leave a later record durable and an earlier
+// one lost. Restart must end the log at the gap, trim what lies beyond it,
+// and never replay a delta over a page that missed its predecessor — here
+// the page's length changes, so a misapplied delta would be visible. The
+// power is cut at every log write of the commit in turn, under every
+// selection policy; a second transaction, open on another page, puts
+// records on a stream the first does not use.
 func TestGapEndsTheLog(t *testing.T) {
-	for cut := int64(0); cut < 3; cut++ {
-		m, _ := newTestManager(Config{Streams: 3, Selection: Cyclic})
-		must(t, m.Load(1, page("0123456789")))
-		must(t, m.Begin(1))
-		must(t, m.Write(1, 1, page("0123456789-grown")))
-		must(t, m.Write(1, 1, page("01-shrunk")))
-		must(t, m.Write(1, 1, page("01-shrunk-and-grown-again")))
-		m.LogStore().SetFaultHook(pagestore.CrashAtMutation(cut + 1)) // power fails during the commit's forces
-		if err := m.Commit(1); err == nil {
-			t.Fatalf("cut %d: commit survived the power cut", cut)
-		}
-		m.Crash()
-		m.LogStore().SetFaultHook(nil)
-		must(t, m.Recover())
-		if got, _ := m.ReadCommitted(1); string(got) != "0123456789" {
-			t.Fatalf("cut %d: page = %q after restart", cut, got)
-		}
-		// The trimmed LSNs are handed out again; a further crash must read
-		// a clean log.
-		must(t, m.Begin(2))
-		must(t, m.Write(2, 1, page("after")))
-		must(t, m.Commit(2))
-		m.Crash()
-		must(t, m.Recover())
-		if got, _ := m.ReadCommitted(1); string(got) != "after" {
-			t.Fatalf("cut %d: page = %q after the second restart", cut, got)
-		}
+	for _, sel := range []Selection{Cyclic, Random, PageMod, TxnMod} {
+		t.Run(sel.String(), func(t *testing.T) {
+			trims := int64(0)
+			for cut := int64(0); ; cut++ {
+				m, _ := newTestManager(Config{Streams: 3, Selection: sel})
+				journal := obs.NewJournal()
+				m.SetJournal(journal)
+				must(t, m.Load(1, page("0123456789")))
+				must(t, m.Load(2, page("two")))
+				must(t, m.Begin(1))
+				must(t, m.Begin(2))
+				must(t, m.Write(1, 1, page("0123456789-grown")))
+				must(t, m.Write(2, 2, page("loser")))
+				must(t, m.Write(1, 1, page("01-shrunk")))
+				must(t, m.Write(1, 1, page("01-shrunk-and-grown-again")))
+				m.LogStore().SetFaultHook(pagestore.CrashAtMutation(cut + 1)) // power fails during the commit's forces
+				want := "0123456789"
+				if err := m.Commit(1); err == nil {
+					want = "01-shrunk-and-grown-again" // cut lies past the commit's last force
+				}
+				m.Crash()
+				m.LogStore().SetFaultHook(nil)
+				must(t, m.Recover())
+				if got, _ := m.ReadCommitted(1); string(got) != want {
+					t.Fatalf("cut %d: page 1 = %q after restart, want %q", cut, got, want)
+				}
+				if got, _ := m.ReadCommitted(2); string(got) != "two" {
+					t.Fatalf("cut %d: the loser's page 2 = %q after restart", cut, got)
+				}
+				for _, r := range journal.Records() {
+					if r.Event == "trim" {
+						trims += r.N
+					}
+				}
+				// The trimmed LSNs are handed out again; a further crash must read
+				// a clean log.
+				must(t, m.Begin(3))
+				must(t, m.Write(3, 1, page("after")))
+				must(t, m.Commit(3))
+				m.Crash()
+				must(t, m.Recover())
+				if got, _ := m.ReadCommitted(1); string(got) != "after" {
+					t.Fatalf("cut %d: page = %q after the second restart", cut, got)
+				}
+				if want != "0123456789" {
+					break
+				}
+			}
+			if trims == 0 {
+				t.Error("no cut left a gap between streams: trimming went unexercised")
+			}
+		})
 	}
 }
 
@@ -438,6 +465,7 @@ func TestDeltaCrashProperty(t *testing.T) {
 		{Streams: 3, Selection: Cyclic, PoolPages: 3},
 		{Streams: 3, Selection: PageMod, PoolPages: 3},
 		{Streams: 3, Selection: Random, PoolPages: 3},
+		{Streams: 3, Selection: TxnMod, PoolPages: 3},
 	} {
 		cfg := cfg
 		t.Run(fmt.Sprintf("%d-%v", cfg.Streams, cfg.Selection), func(t *testing.T) {

@@ -505,35 +505,30 @@ func (m *Manager) Recover() error {
 	}
 	m.recoveries++
 
-	var all []Record
+	log := &restartLog{}
 	for _, s := range m.streams {
-		recs, err := s.readStable()
-		if err != nil {
+		if err := s.readStable(log); err != nil {
 			return err
 		}
-		all = append(all, recs...)
 	}
-	if len(m.streams) > 1 {
-		sort.Slice(all, func(i, j int) bool { return all[i].LSN < all[j].LSN })
-	}
-	m.scanned = int64(len(all))
+	m.scanned = int64(log.n)
 	m.journal.Emit(obs.JournalRecord{Event: "scan", Engine: m.Name(), N: m.scanned})
 
-	all, err := m.livePrefix(all)
-	if err != nil {
+	if err := m.livePrefix(log); err != nil {
 		return err
 	}
 
 	// Analysis: which transactions committed, and which loser updates were
 	// already compensated by a durable CLR?
-	committed := map[uint64]bool{}
-	compensated := map[uint64]bool{} // update LSNs with a durable CLR
-	for _, r := range all {
+	committed := make(map[uint64]bool, log.commits)
+	compensated := make(map[uint64]bool, log.clrs) // update LSNs with a durable CLR
+	c := log.merge()
+	for r := c.next(); r != nil; r = c.next() {
 		switch {
-		case r.Type == RecCommit:
-			committed[r.Txn] = true
-		case r.Type == RecUpdate && r.IsCLR():
-			compensated[r.CompLSN] = true
+		case r.typ == RecCommit:
+			committed[r.txn] = true
+		case r.isCLR():
+			compensated[r.comp] = true
 		}
 	}
 
@@ -541,41 +536,42 @@ func (m *Manager) Recover() error {
 	// committed map, whose order is nondeterministic — and collect what the
 	// losers' rollback needs: per loser its uncompensated updates, and
 	// across losers the order they were made in.
-	txns := map[uint64]*txnState{} // every transaction in the log; nil for a winner
-	var undo []uint64              // the loser behind each uncompensated update, in LSN order
-	for i := range all {
-		r := &all[i]
-		if r.Txn == 0 {
+	txns := make(map[uint64]*txnState, len(committed)) // every transaction in the log; nil for a winner
+	var undo []uint64                                  // the loser behind each uncompensated update, in LSN order
+	c = log.merge()
+	for r := c.next(); r != nil; r = c.next() {
+		if r.txn == 0 {
 			continue // checkpoint record
 		}
-		ts, seen := txns[r.Txn]
+		ts, seen := txns[r.txn]
 		if !seen {
 			ev := "winner"
-			if !committed[r.Txn] {
+			if !committed[r.txn] {
 				ev, ts = "loser", &txnState{}
 			}
-			txns[r.Txn] = ts
-			m.journal.Emit(obs.JournalRecord{Event: ev, Txn: r.Txn})
+			txns[r.txn] = ts
+			m.journal.Emit(obs.JournalRecord{Event: ev, Txn: r.txn})
 		}
 		if ts == nil {
 			continue
 		}
-		ts.lastLSN = r.LSN
-		if r.Type == RecUpdate && !r.IsCLR() && !compensated[r.LSN] {
+		ts.lastLSN = r.lsn
+		if r.typ == RecUpdate && !r.isCLR() && !compensated[r.lsn] {
 			ts.updates = append(ts.updates, undoRec{
-				lsn: r.LSN, page: pagestore.PageID(r.Page), off: r.Off, ins: len(r.New), old: r.Old,
+				lsn: r.lsn, page: pagestore.PageID(r.page), off: int(r.off), ins: len(r.ins()), old: r.old(),
 			})
-			undo = append(undo, r.Txn)
+			undo = append(undo, r.txn)
 		}
 	}
 
 	// Redo: repeat history — every durable update and CLR, winners and
 	// losers alike, in LSN order.
-	for i := range all {
-		if all[i].Type != RecUpdate {
+	c = log.merge()
+	for r := c.next(); r != nil; r = c.next() {
+		if r.typ != RecUpdate {
 			continue
 		}
-		if err := m.redoOne(&all[i]); err != nil {
+		if err := m.redoOne(r); err != nil {
 			return err
 		}
 	}
@@ -615,70 +611,80 @@ func (m *Manager) Recover() error {
 // must never be replayed over a page that missed an earlier one, so the log
 // ends at the first gap. What lies beyond is trimmed from the streams, and
 // the LSNs are handed out again.
-func (m *Manager) livePrefix(all []Record) ([]Record, error) {
-	var dead uint64
-	for i := range all {
-		if all[i].Type == RecCheckpoint && all[i].PrevLSN > dead {
-			dead = all[i].PrevLSN
+//
+// A checkpoint beyond the gap is trimmed with the rest, so its horizon must
+// not count either: the log is cut again at the highest horizon of a
+// checkpoint that survives, until the cut stands. A log the manager wrote
+// never holds such a checkpoint — every record below a checkpoint is forced
+// before it is appended — so there the first cut stands.
+//
+// Each stream's LSNs ascend, so its live records are one run of it, and
+// livePrefix narrows log to those runs.
+func (m *Manager) livePrefix(log *restartLog) error {
+	next, gap, err := log.end()
+	for err == nil {
+		dead := uint64(0)
+		for _, c := range log.ckpts {
+			if c.lsn < next && c.horizon > dead {
+				dead = c.horizon
+			}
 		}
-	}
-	live := all[:0]
-	next := dead + 1
-	gap := false
-	for i := range all {
-		lsn := all[i].LSN
-		if lsn <= dead {
-			continue
-		}
-		if lsn < next {
-			return nil, fmt.Errorf("wal: LSN %d is in the log twice", lsn)
-		}
-		if lsn > next {
-			gap = true
+		if dead == log.dead {
 			break
 		}
-		live = append(live, all[i])
-		next++
+		log.dead = dead
+		next, gap, err = log.end()
+	}
+	if err != nil {
+		return err
+	}
+	for i := range log.lo {
+		for log.lo[i] < log.hi[i] && log.at(log.lo[i]).lsn <= log.dead {
+			log.lo[i]++
+		}
+		for log.hi[i] > log.lo[i] && log.at(log.hi[i]-1).lsn >= next {
+			log.hi[i]--
+		}
 	}
 	m.nextLSN = next
 	if !gap {
-		return live, nil
+		return nil
 	}
 	var trimmed int64
 	for _, s := range m.streams {
 		n, err := s.trim(next)
 		trimmed += n
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	m.journal.Emit(obs.JournalRecord{Event: "trim", Engine: m.Name(), LSN: next, N: trimmed})
-	return live, nil
+	return nil
 }
 
 // redoOne repeats one update against the stable page unless the page
 // already holds it.
-func (m *Manager) redoOne(r *Record) error {
-	id := pagestore.PageID(r.Page)
+func (m *Manager) redoOne(r *restartRec) error {
+	id := pagestore.PageID(r.page)
 	data, version, err := m.data.Read(id)
 	if err == pagestore.ErrNotFound {
 		data, version = nil, 0
 	} else if err != nil {
 		return err
 	}
-	if version >= r.LSN {
+	if version >= r.lsn {
 		return nil // already applied
 	}
-	if data, err = splice(data, r.Off, r.Del, r.New); err != nil {
-		return fmt.Errorf("wal: redo of LSN %d on page %d: %w", r.LSN, r.Page, err)
+	if data, err = splice(data, int(r.off), int(r.del), r.ins()); err != nil {
+		return fmt.Errorf("wal: redo of LSN %d on page %d: %w", r.lsn, r.page, err)
 	}
 	m.redone++
 	note := ""
-	if r.IsCLR() {
+	if r.isCLR() {
 		note = "clr"
 	}
-	m.journal.Emit(obs.JournalRecord{Event: "redo", Txn: r.Txn, Page: obs.JournalPage(r.Page), LSN: r.LSN, Note: note})
-	return m.data.Write(id, data, r.LSN)
+	m.journal.Emit(obs.JournalRecord{Event: "redo", Txn: r.txn, Page: obs.JournalPage(r.page), LSN: r.lsn, Note: note})
+	return m.data.Write(id, data, r.lsn)
 }
 
 // ReadCommitted reads page p's current contents; meaningful once no

@@ -1,0 +1,224 @@
+package wal
+
+import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/pagestore"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// transferLog runs txns committed transfers between two 8-byte balances over
+// pages pages, with cfg's pool and no checkpoint, and then cuts the power:
+// the crash-restart workload of the repository's benchmark, without the
+// server.
+func transferLog(tb testing.TB, cfg Config, txns, pages int) *Manager {
+	tb.Helper()
+	m, _ := newTestManager(cfg)
+	bal := make([]byte, 8)
+	for p := int64(0); p < int64(pages); p++ {
+		if err := m.Load(p, bal); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < txns; i++ {
+		tid := uint64(i + 1)
+		from, to := int64(rng.Intn(pages)), int64(rng.Intn(pages))
+		if err := m.Begin(tid); err != nil {
+			tb.Fatal(err)
+		}
+		for _, p := range []int64{from, to} {
+			v, err := m.Read(tid, p)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			v[7]++
+			if err := m.Write(tid, p, v); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := m.Commit(tid); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	m.Crash()
+	return m
+}
+
+// BenchmarkManagerRecover times restart alone over the crash-restart log:
+// 30,000 committed transfers over 1,024 pages, built and crashed outside
+// the timer. ns/txn, B/txn and allocs/txn are per logged transaction.
+func BenchmarkManagerRecover(b *testing.B) {
+	const txns, pages = 30000, 1024
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"1stream", Config{}},
+		{"3streams-pagemod", Config{Streams: 3, Selection: PageMod}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var bytes, allocs float64
+			var before, after runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := transferLog(b, c.cfg, txns, pages)
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				if err := m.Recover(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				bytes += float64(after.TotalAlloc - before.TotalAlloc)
+				allocs += float64(after.Mallocs - before.Mallocs)
+			}
+			per := float64(b.N) * txns
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/txn")
+			b.ReportMetric(bytes/per, "B/txn")
+			b.ReportMetric(allocs/per, "allocs/txn")
+		})
+	}
+}
+
+// TestRecoverAllocationBudget pins what restart allocates per logged
+// transaction on the crash-restart log: each record is decoded once into a
+// compact form that aliases its chunk, so restart allocates about ten times
+// the log it reads.
+func TestRecoverAllocationBudget(t *testing.T) {
+	const txns, pages, budget = 30000, 1024, 600
+	m := transferLog(t, Config{}, txns, pages)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	must(t, m.Recover())
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / txns
+	t.Logf("Recover allocated %.0f B per logged transaction (%d records scanned)", per, m.Stats()["scanned"])
+	if per > budget {
+		t.Fatalf("Recover allocated %.0f B per logged transaction, budget %d", per, budget)
+	}
+}
+
+// TestOutOfOrderStreamIsCorrupt: a stream's LSNs ascend, so a chunk whose
+// records go 1, 2, 4, 3 is corrupt. Restart must say so, naming the stream
+// and the chunk, rather than end the log at a gap that is not there (one
+// stream) or quietly reorder the records (several).
+func TestOutOfOrderStreamIsCorrupt(t *testing.T) {
+	var chunk []byte
+	for _, r := range []Record{
+		{LSN: 1, Type: RecUpdate, Txn: 1, Page: 1, Del: 1, Old: page("a"), New: page("A")},
+		{LSN: 2, Type: RecCommit, Txn: 1, PrevLSN: 1},
+		{LSN: 4, Type: RecCommit, Txn: 2, PrevLSN: 3},
+		{LSN: 3, Type: RecUpdate, Txn: 2, Page: 2, Del: 1, Old: page("b"), New: page("B")},
+	} {
+		chunk = r.Marshal(chunk)
+	}
+	for _, streams := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d_streams", streams), func(t *testing.T) {
+			m, _ := newTestManager(Config{Streams: streams, Selection: Cyclic})
+			must(t, m.Load(1, page("a")))
+			must(t, m.Load(2, page("b")))
+			must(t, m.LogStore().Write(chunkID(0, 0), chunk, 0))
+			m.Crash()
+			err := m.Recover()
+			if err == nil {
+				p2, _ := m.ReadCommitted(2)
+				t.Fatalf("Recover accepted LSN 3 after LSN 4 in one stream; page 2 = %q", p2)
+			}
+			if !strings.Contains(err.Error(), "stream 0 chunk 0") {
+				t.Fatalf("error does not name the stream and chunk: %v", err)
+			}
+		})
+	}
+}
+
+// TestRecoverStoreOpSequence pins every stable-storage operation restart
+// issues, in order, on a script with a loser, a CLR, a checkpoint and a gap
+// between three streams. The crash sweeps re-crash restart at its first
+// operations, so their crash points depend on exactly this sequence.
+// Regenerate with go test ./internal/wal -run RecoverStoreOpSequence -update.
+func TestRecoverStoreOpSequence(t *testing.T) {
+	m, data := newTestManager(Config{Streams: 3, Selection: Cyclic, PoolPages: 3})
+	journal := obs.NewJournal()
+	m.SetJournal(journal)
+	for p := int64(1); p <= 5; p++ {
+		must(t, m.Load(p, page(fmt.Sprintf("page-%d", p))))
+	}
+	must(t, m.Begin(1)) // a winner
+	must(t, m.Write(1, 1, page("page-1-one")))
+	must(t, m.Write(1, 2, page("page-2-one")))
+	must(t, m.Commit(1))
+	must(t, m.Checkpoint())
+	must(t, m.Begin(3)) // a loser whose records reach disk
+	must(t, m.Write(3, 4, page("page-4-three")))
+	must(t, m.Write(3, 1, page("p1")))
+	must(t, m.Begin(4)) // its commit forces the loser's records
+	must(t, m.Write(4, 5, page("page-5-four")))
+	must(t, m.Write(4, 2, page("page-2-four-grown")))
+	must(t, m.Begin(2)) // rolled back at run time: a CLR
+	must(t, m.Write(2, 3, page("page-3-two")))
+	must(t, m.Abort(2))
+	must(t, m.Commit(4))
+	must(t, m.Begin(5)) // cut mid-commit: a gap between the streams
+	must(t, m.Write(5, 3, page("page-3-five")))
+	must(t, m.Write(5, 5, page("5")))
+	must(t, m.Write(5, 3, page("page-3-five-again")))
+	m.LogStore().SetFaultHook(pagestore.CrashAtMutation(2))
+	if err := m.Commit(5); err == nil {
+		t.Fatal("commit survived the power cut")
+	}
+	m.Crash()
+
+	var ops []string
+	record := func(store string) pagestore.FaultHook {
+		return func(op pagestore.Op, id pagestore.PageID, _ int64) bool {
+			name := fmt.Sprint(int64(id))
+			if store == "log" {
+				s, seq := int64(id)>>40, int64(id)&(1<<40-1)
+				name = fmt.Sprintf("s%d.c%d", s, seq)
+				if seq&(1<<39) != 0 {
+					name = fmt.Sprintf("s%d.meta", s)
+				}
+			}
+			ops = append(ops, fmt.Sprintf("%s %v %s", store, op, name))
+			return false
+		}
+	}
+	data.SetFaultHook(record("data"))
+	m.LogStore().SetFaultHook(record("log"))
+	must(t, m.Recover())
+	data.SetFaultHook(nil)
+	m.LogStore().SetFaultHook(nil)
+
+	events := map[string]int{}
+	for _, r := range journal.Records() {
+		events[r.Event+r.Note]++
+	}
+	for _, ev := range []string{"checkpoint", "truncate", "trim", "winner", "loser", "redo", "redoclr", "undo"} {
+		if events[ev] == 0 {
+			t.Fatalf("the script never produced a %q journal event: %v", ev, events)
+		}
+	}
+	got := strings.Join(ops, "\n") + "\n"
+	golden := filepath.Join("testdata", "recover_store_ops.txt")
+	if *updateGolden {
+		must(t, os.MkdirAll("testdata", 0o755))
+		must(t, os.WriteFile(golden, []byte(got), 0o644))
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("restart's store operations changed:\n got:\n%s\n want:\n%s", got, want)
+	}
+}

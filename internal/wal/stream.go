@@ -165,38 +165,169 @@ func (s *stream) crash() {
 	s.tail = nil
 }
 
-// readStable decodes every record that reached stable storage, in append
-// order, rebuilding the stream cursors (including the truncation point) for
-// further appends. The records alias the chunks read.
-func (s *stream) readStable() ([]Record, error) {
+// restartRec is what restart reads of one stable record, decoded once: 72
+// bytes where a Record takes 120. The Old and New bytes stay where they
+// were read, as one slice of the chunk.
+type restartRec struct {
+	lsn   uint64
+	txn   uint64
+	comp  uint64 // an update's CompLSN; a checkpoint's dead horizon
+	page  int64
+	off   int32
+	del   int32
+	typ   RecType
+	delta []byte // Old‖New; a CLR has no Old
+}
+
+func (r *restartRec) isCLR() bool { return r.typ == RecUpdate && r.comp != 0 }
+
+func (r *restartRec) old() []byte {
+	if r.isCLR() {
+		return nil
+	}
+	return r.delta[:r.del]
+}
+
+func (r *restartRec) ins() []byte { return r.delta[len(r.old()):] }
+
+// restartBlock is the number of records in one block of a restartLog.
+const restartBlock = 1024
+
+// restartLog holds every stream's stable records for restart, stream after
+// stream, each in the order it was written. Records live in fixed-size
+// blocks, so a long log is never copied to make room for more of it.
+type restartLog struct {
+	blocks [][]restartRec
+	n      int
+	lo, hi []int // stream i's records are [lo[i], hi[i]); after livePrefix, its live ones
+	ckpts  []restartCkpt
+	dead   uint64 // the highest dead horizon of a checkpoint; after livePrefix, of a live one
+	// Record counts by kind, to size restart's tables.
+	commits, clrs int
+}
+
+// restartCkpt is a checkpoint record's LSN and its dead horizon.
+type restartCkpt struct{ lsn, horizon uint64 }
+
+func (l *restartLog) at(i int) *restartRec {
+	return &l.blocks[i/restartBlock][i%restartBlock]
+}
+
+// add appends r, whose Old and New are the last bytes of enc.
+func (l *restartLog) add(r *Record, enc []byte) {
+	if l.n%restartBlock == 0 {
+		l.blocks = append(l.blocks, make([]restartRec, restartBlock))
+	}
+	comp := r.CompLSN
+	switch {
+	case r.Type == RecCommit:
+		l.commits++
+	case r.IsCLR():
+		l.clrs++
+	case r.Type == RecCheckpoint:
+		comp = r.PrevLSN
+		l.ckpts = append(l.ckpts, restartCkpt{r.LSN, comp})
+		if comp > l.dead {
+			l.dead = comp
+		}
+	}
+	n := len(enc)
+	*l.at(l.n) = restartRec{
+		lsn: r.LSN, txn: r.Txn, comp: comp, page: r.Page,
+		off: int32(r.Off), del: int32(r.Del), typ: r.Type,
+		delta: enc[n-len(r.Old)-len(r.New) : n : n],
+	}
+	l.n++
+}
+
+// merge returns a cursor over the streams' records in LSN order.
+func (l *restartLog) merge() *cursor {
+	return &cursor{log: l, heads: append([]int(nil), l.lo...)}
+}
+
+// cursor walks a restartLog in LSN order. Each stream's LSNs ascend, so
+// this is a k-way merge: the next record is the least of the streams'
+// heads. One stream is read straight through.
+type cursor struct {
+	log   *restartLog
+	heads []int // per stream, the index of its next record
+}
+
+// next returns the record with the least LSN not yet returned, nil after
+// the last.
+func (c *cursor) next() *restartRec {
+	var best *restartRec
+	bi := 0
+	for i, h := range c.heads {
+		if h < c.log.hi[i] {
+			if r := c.log.at(h); best == nil || r.lsn < best.lsn {
+				best, bi = r, i
+			}
+		}
+	}
+	if best != nil {
+		c.heads[bi]++
+	}
+	return best
+}
+
+// end walks the log in LSN order from above the dead horizon and returns
+// the LSN after the last one before the first gap, and whether there is a
+// gap (records beyond it).
+func (l *restartLog) end() (next uint64, gap bool, err error) {
+	next = l.dead + 1
+	c := l.merge()
+	for r := c.next(); r != nil; r = c.next() {
+		if r.lsn <= l.dead {
+			continue
+		}
+		if r.lsn < next {
+			return 0, false, fmt.Errorf("wal: LSN %d is in the log twice", r.lsn)
+		}
+		if r.lsn > next {
+			return next, true, nil
+		}
+		next++
+	}
+	return next, false, nil
+}
+
+// readStable decodes every record that reached stable storage onto the end
+// of log, in append order, rebuilding the stream cursors (including the
+// truncation point) for further appends. A stream's LSNs ascend; a record
+// whose LSN does not is corruption. The records alias the chunks read.
+func (s *stream) readStable(log *restartLog) error {
 	s.crash()
 	s.firstChunk = 0
 	if meta, _, err := s.store.Read(metaID(s.idx)); err == nil && len(meta) >= 8 {
 		s.firstChunk = int64(getUint64(meta))
 	} else if err != nil && !errors.Is(err, pagestore.ErrNotFound) {
-		return nil, err
+		return err
 	}
-	var out []Record
 	s.chunkMax = nil
 	s.nextChunk = s.firstChunk
+	log.lo = append(log.lo, log.n)
+	last := uint64(0)
 	for {
 		data, _, err := s.store.Read(chunkID(s.idx, s.nextChunk))
 		if errors.Is(err, pagestore.ErrNotFound) {
-			return out, nil
+			log.hi = append(log.hi, log.n)
+			return nil
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		max := uint64(0)
 		for len(data) > 0 {
 			r, n, err := UnmarshalRecord(data)
 			if err != nil {
-				return nil, fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk, err)
+				return fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk, err)
 			}
-			if r.LSN > max {
-				max = r.LSN
+			if r.LSN <= last {
+				return fmt.Errorf("wal: stream %d chunk %d: LSN %d is not above %d, but a stream's LSNs ascend from 1", s.idx, s.nextChunk, r.LSN, last)
 			}
-			out = append(out, r)
+			last, max = r.LSN, r.LSN
+			log.add(&r, data[:n])
 			data = data[n:]
 		}
 		s.chunkMax = append(s.chunkMax, max)

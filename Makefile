@@ -25,7 +25,7 @@ crashsweep-short:
 # storage (internal/pagestore/filestore) — power cuts, torn writes, and
 # lost fsyncs injected at every 5th file operation of all seven
 # architectures. The full file sweep is `crashsweep -file -every 1`
-# (2360 points); this bounded one still covers every fault kind on
+# (2950 points); this bounded one still covers every fault kind on
 # every engine in a few seconds. Scratch dirs live under a temp dir
 # crashsweep creates and removes itself.
 crashsweep-file:
@@ -47,8 +47,11 @@ lint:
 build:
 	$(GO) build ./...
 
+# go vet, then gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -9,10 +9,12 @@
 // For each selected engine it cuts power at every -every-th stable-storage
 // mutation of a seeded workload, re-crashes recovery itself partway
 // through, recovers, and audits atomicity, durability, page checksums,
-// idempotence, and liveness. It also cuts performance-simulator runs at
-// virtual-time instants and audits determinism, monotone progress, and
-// loss-free resume. The report is deterministic: the same flags produce
-// byte-identical output.
+// idempotence, and liveness. With -file the same engines are also built on
+// file-backed stores and join the same sweep, which there faults every
+// -every-th file operation instead (power cut, torn write, lost fsync). It
+// also cuts performance-simulator runs at virtual-time instants and audits
+// determinism, monotone progress, and loss-free resume. The report is
+// deterministic: the same flags produce byte-identical output.
 //
 // Exit status: 0 when every audit passes, 1 on audit failures, 2 on usage
 // or harness errors.
@@ -91,12 +93,6 @@ func main() {
 		defer stop()
 	}
 
-	rep, err := faultinj.Sweep(targets, faultinj.Options{
-		Seed: *seed, Every: *every, Jobs: *jobs, Progress: prog,
-	})
-	if err != nil {
-		fatal(err)
-	}
 	if *fileSweep {
 		root := *fileDir
 		if root == "" {
@@ -113,13 +109,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		frs, err := faultinj.SweepFiles(ftargets, faultinj.Options{
-			Seed: *seed, Every: *every, Jobs: *jobs, Progress: prog,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		rep.Files = frs
+		targets = append(targets, ftargets...)
+	}
+	rep, err := faultinj.Sweep(targets, faultinj.Options{
+		Seed: *seed, Every: *every, Jobs: *jobs, Progress: prog,
+	})
+	if err != nil {
+		fatal(err)
 	}
 	if *machinePoints > 0 {
 		ms, err := faultinj.SweepMachines(faultinj.MachineOptions{

@@ -3,14 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/diffeng"
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/pagestore"
 	"repro/internal/recovery/logging"
 	"repro/internal/runpool"
-	"repro/internal/shadoweng"
-	"repro/internal/wal"
 )
 
 // The experiments in this file go beyond the paper's tables: they ablate
@@ -195,52 +192,13 @@ func FuncRecovery(opt Options) (*Table, error) {
 	if n == 0 && !opt.NumTxnsSet {
 		n = 200
 	}
-	type build struct {
-		name string
-		mk   func() (*engine.Engine, func() (scanned, redo, undo int64), error)
-	}
-	none := func() (int64, int64, int64) { return 0, 0, 0 }
-	builds := []build{
-		{"wal(1 stream)", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			store := pagestore.New(4096)
-			e, m := engine.NewWALOn(store, wal.Config{PoolPages: 8})
-			return e, func() (int64, int64, int64) {
-				s := m.Stats()
-				return s["scanned"], s["redone"], s["undone"]
-			}, nil
-		}},
-		{"wal(4 streams)", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			store := pagestore.New(4096)
-			e, m := engine.NewWALOn(store, wal.Config{Streams: 4, Selection: wal.PageMod, PoolPages: 8})
-			return e, func() (int64, int64, int64) {
-				s := m.Stats()
-				return s["scanned"], s["redone"], s["undone"]
-			}, nil
-		}},
-		{"shadow", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			e, err := engine.NewShadowOn(pagestore.New(4096))
-			return e, none, err
-		}},
-		{"overwrite-no-undo", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			return engine.NewOverwriteOn(pagestore.New(4096), shadoweng.NoUndo), none, nil
-		}},
-		{"version-selection", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			e, err := engine.NewVersionSelectOn(pagestore.New(4096))
-			return e, none, err
-		}},
-		{"difffile", func() (*engine.Engine, func() (int64, int64, int64), error) {
-			store := pagestore.New(4096)
-			de := diffeng.New(store)
-			return engine.New(de), func() (int64, int64, int64) {
-				return de.Stats()["replayed"], 0, 0
-			}, nil
-		}},
-	}
-	// Each build owns a private engine and store; the builds are
-	// shared-nothing, so they fan out like the simulator cells do.
-	rows, err := runpool.Map(opt.Jobs, len(builds), func(bi int) ([]string, error) {
-		b := builds[bi]
-		e, stats, err := b.mk()
+	// Each architecture owns a private engine and memory stores; the runs
+	// are shared-nothing, so they fan out like the simulator cells do.
+	archs := engine.Architectures()
+	rows, err := runpool.Map(opt.Jobs, len(archs), func(ai int) ([]string, error) {
+		e, _, err := engine.Build(archs[ai], 8, func(_ string, pageSize int) (*pagestore.Store, error) {
+			return pagestore.New(pageSize), nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -261,13 +219,15 @@ func FuncRecovery(opt Options) (*Table, error) {
 		if err := e.Recover(); err != nil {
 			return nil, err
 		}
-		scanned, redo, undo := stats()
+		// WAL scans log records and differential files replay entries; a
+		// kernel without a counter reports 0.
+		s := e.Guard().Stats()
 		return []string{
-			b.name,
+			archs[ai],
 			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", scanned),
-			fmt.Sprintf("%d", redo),
-			fmt.Sprintf("%d", undo),
+			fmt.Sprintf("%d", s["scanned"]+s["replayed"]),
+			fmt.Sprintf("%d", s["redone"]),
+			fmt.Sprintf("%d", s["undone"]),
 		}, nil
 	})
 	if err != nil {

@@ -71,7 +71,7 @@ func TestFuncRecoveryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 6 {
+	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// The WAL engines must report real restart work (records scanned, redo);
@@ -81,15 +81,18 @@ func TestFuncRecoveryShape(t *testing.T) {
 		return v
 	}
 	if col(0, 2) == 0 {
-		t.Error("wal(1 stream) scanned no log records at restart")
+		t.Error("wal-1stream scanned no log records at restart")
 	}
 	if col(0, 3) == 0 {
-		t.Error("wal(1 stream) reported no redo work")
+		t.Error("wal-1stream reported no redo work")
 	}
 	if col(2, 2) != 0 || col(2, 3) != 0 {
 		t.Error("shadow reported restart work")
 	}
-	if col(5, 2) == 0 {
+	if tab.Rows[6][0] != "difffile" {
+		t.Fatalf("row 6 = %q, want difffile", tab.Rows[6][0])
+	}
+	if col(6, 2) == 0 {
 		t.Error("difffile replayed no differential entries at restart")
 	}
 

@@ -166,8 +166,8 @@ func Table7(opt Options) (*Table, error) {
 // thru-page-table shadow, and overwriting.
 func Table8(opt Options) (*Table, error) {
 	t := &Table{
-		ID:    "table8",
-		Title: "Random Transactions: thru page-table vs overwriting",
+		ID:      "table8",
+		Title:   "Random Transactions: thru page-table vs overwriting",
 		Columns: []string{"Data Disk Type", "Bare", "thru PageTable", "Overwriting"},
 		Paper: [][]string{
 			{"Conventional", "18.00", "20.51", "26.94"},

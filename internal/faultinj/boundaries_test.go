@@ -89,7 +89,7 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 	// Cut power exactly at the delete (NoRedo's commit-time intent
 	// cleanup): the commit is in doubt, recovery must resolve it
 	// atomically and every audit must pass.
-	po, err := sweepPoint(tg, opt, deleteMut, nil)
+	po, err := sweepPoint(tg, opt, point{k: deleteMut}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,9 @@
 //   - every mutation (page write or delete) a recovery engine makes to
 //     stable storage during a scripted workload, including the WAL engine's
 //     separate log store;
+//   - on file-backed stores, every file operation (append, fsync, fold
+//     page-write, truncate) instead, with a torn write at appends and page
+//     writes and a lost fsync at syncs;
 //   - every stable-storage operation (reads included) during restart
 //     recovery itself, so recovery is re-crashed mid-flight and rerun;
 //   - virtual-time instants inside internal/machine performance runs.

@@ -15,11 +15,11 @@ import (
 // three fault kinds represented.
 func TestSweepFileTargetQuick(t *testing.T) {
 	tg := FileTargets(t.TempDir())[2] // shadow
-	rep, err := SweepFileTarget(tg, Options{Seed: 1985, Every: 7})
+	rep, err := SweepTarget(tg, Options{Seed: 1985, Every: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FileOps == 0 || rep.Points == 0 {
+	if rep.Ops == 0 || rep.Points == 0 {
 		t.Fatalf("empty sweep: %+v", rep)
 	}
 	if rep.Torn == 0 || rep.LostSyncs == 0 {
@@ -36,12 +36,15 @@ func TestSweepFileTargetQuick(t *testing.T) {
 // fault point countdown spans both stores.
 func TestSweepFilesWALTarget(t *testing.T) {
 	tg := FileTargets(t.TempDir())[0] // wal-1stream
-	rep, err := SweepFileTarget(tg, Options{Seed: 1985, Every: 9, MaxTxns: 10})
+	rep, err := SweepTarget(tg, Options{Seed: 1985, Every: 9, MaxTxns: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Points == 0 {
 		t.Fatal("no points")
+	}
+	if !rep.files {
+		t.Fatal("file-backed target swept at page-mutation granularity")
 	}
 	if len(rep.Failures) != 0 {
 		t.Fatalf("file sweep failures: %v", rep.Failures)
@@ -53,7 +56,7 @@ func TestSweepFilesWALTarget(t *testing.T) {
 func TestFileTargetsCleanRemovesDirs(t *testing.T) {
 	root := t.TempDir()
 	tg := FileTargets(root)[6] // difffile: smallest workload
-	if _, err := SweepFileTarget(tg, Options{Seed: 1985, Every: 5}); err != nil {
+	if _, err := SweepTarget(tg, Options{Seed: 1985, Every: 5}); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(root)
@@ -96,15 +99,15 @@ func TestFileSweepCatchesLyingSync(t *testing.T) {
 			}
 			return pagestore.FileOK
 		}
-		if err := armFileHook(tg, stores, lie); err != nil {
+		if !armFileHook(stores, lie) {
 			tg.clean(stores)
-			t.Fatal(err)
+			t.Fatal("store backend is not file-injectable")
 		}
 		out := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns)
 		e.Crash()
-		if err := armFileHook(tg, stores, nil); err != nil {
+		if !armFileHook(stores, nil) {
 			tg.clean(stores)
-			t.Fatal(err)
+			t.Fatal("store backend is not file-injectable")
 		}
 		if err := e.Recover(); err != nil {
 			// Recovery itself refusing the corrupted state counts as
@@ -128,7 +131,7 @@ func TestFileSweepCatchesLyingSync(t *testing.T) {
 // only when present (memory-only reports stay byte-identical).
 func TestFileReportRendering(t *testing.T) {
 	base := &Report{Seed: 1, Every: 1, Pages: 6, MaxTxns: 25,
-		Engines: []*TargetReport{{Target: "shadow", Mutations: 3, Points: 3}}}
+		Engines: []*TargetReport{{Target: "shadow", Ops: 3, Points: 3}}}
 	var memOnly bytes.Buffer
 	if err := base.Render(&memOnly); err != nil {
 		t.Fatal(err)
@@ -136,7 +139,7 @@ func TestFileReportRendering(t *testing.T) {
 	if strings.Contains(memOnly.String(), "file-backed") {
 		t.Fatal("memory-only report mentions the file section")
 	}
-	base.Files = []*FileTargetReport{{Target: "shadow", FileOps: 6, Points: 9, Torn: 2, LostSyncs: 1,
+	base.Files = []*TargetReport{{Target: "shadow", Ops: 6, Points: 9, Torn: 2, LostSyncs: 1,
 		Failures: []string{"shadow@fileop 3 (torn): boom"}}}
 	var withFiles bytes.Buffer
 	if err := base.Render(&withFiles); err != nil {

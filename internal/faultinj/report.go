@@ -3,10 +3,11 @@ package faultinj
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
-// Report bundles one whole crash sweep: the engine crash-point sweeps plus
-// the virtual-time machine sweeps. Rendering is fully deterministic — no
+// Report bundles one whole crash sweep: the engine crash-point sweeps on
+// memory and on file-backed stores plus the virtual-time machine sweeps. Rendering is fully deterministic — no
 // wall-clock, no map iteration — so two sweeps with the same options emit
 // byte-identical reports.
 type Report struct {
@@ -16,18 +17,18 @@ type Report struct {
 	MaxTxns int
 
 	Engines  []*TargetReport
-	Files    []*FileTargetReport
+	Files    []*TargetReport
 	Machines []*ModelReport
 }
+
+// targets lists every target report, the memory section's first.
+func (r *Report) targets() []*TargetReport { return slices.Concat(r.Engines, r.Files) }
 
 // TotalPoints counts every audited crash point in the report.
 func (r *Report) TotalPoints() int {
 	n := 0
-	for _, tr := range r.Engines {
+	for _, tr := range r.targets() {
 		n += tr.Points
-	}
-	for _, fr := range r.Files {
-		n += fr.Points
 	}
 	for _, mr := range r.Machines {
 		n += mr.Points
@@ -38,11 +39,8 @@ func (r *Report) TotalPoints() int {
 // TotalFailures counts every audit failure in the report.
 func (r *Report) TotalFailures() int {
 	n := 0
-	for _, tr := range r.Engines {
+	for _, tr := range r.targets() {
 		n += len(tr.Failures)
-	}
-	for _, fr := range r.Files {
-		n += len(fr.Failures)
 	}
 	for _, mr := range r.Machines {
 		n += len(mr.Failures)
@@ -70,7 +68,7 @@ func (r *Report) Render(w io.Writer) error {
 		}
 		for _, tr := range r.Engines {
 			if err := p("  %-12s %9d %7d %9d %8d %8d %8d %9d\n",
-				tr.Target, tr.Mutations, tr.Points, tr.Recrashes,
+				tr.Target, tr.Ops, tr.Points, tr.Recrashes,
 				tr.DoubtApplied, tr.DoubtReverted, tr.Commits, len(tr.Failures)); err != nil {
 				return err
 			}
@@ -89,7 +87,7 @@ func (r *Report) Render(w io.Writer) error {
 		}
 		for _, fr := range r.Files {
 			if err := p("  %-12s %8d %7d %6d %9d %9d %8d %9d\n",
-				fr.Target, fr.FileOps, fr.Points, fr.Torn, fr.LostSyncs,
+				fr.Target, fr.Ops, fr.Points, fr.Torn, fr.LostSyncs,
 				fr.Recrashes, fr.Commits, len(fr.Failures)); err != nil {
 				return err
 			}
@@ -116,15 +114,8 @@ func (r *Report) Render(w io.Writer) error {
 			return err
 		}
 	}
-	for _, tr := range r.Engines {
+	for _, tr := range r.targets() {
 		for _, f := range tr.Failures {
-			if err := p("FAIL %s\n", f); err != nil {
-				return err
-			}
-		}
-	}
-	for _, fr := range r.Files {
-		for _, f := range fr.Failures {
 			if err := p("FAIL %s\n", f); err != nil {
 				return err
 			}

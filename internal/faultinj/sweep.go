@@ -3,6 +3,7 @@ package faultinj
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -86,7 +87,7 @@ func selectTargets(all []Target, sel string) ([]Target, error) {
 // Options configures an engine sweep.
 type Options struct {
 	Seed    int64 // workload seed (same seed → byte-identical report)
-	Every   int64 // stride between crash points; 1 = every mutation
+	Every   int64 // stride between crash points; 1 = every mutation or file operation
 	Pages   int   // database pages in the scripted workload (default 6)
 	MaxTxns int   // transactions per scripted run (default 25)
 	// RecrashCycle varies where recovery itself is re-crashed: crash point k
@@ -123,26 +124,42 @@ func (o Options) withDefaults() Options {
 
 // TargetReport is the audited result of sweeping one recovery architecture.
 type TargetReport struct {
-	Target        string
-	Mutations     int64    // stable mutations in the crash-free probe run
-	Points        int      // crash points injected and audited
+	Target string
+	// Ops counts the crash-free probe run's stable mutations on memory
+	// stores, or its file operations on file-backed ones.
+	Ops           int64
+	Points        int      // crash points injected and audited (all kinds)
+	Torn          int      // points injecting a torn write (file-backed only)
+	LostSyncs     int      // points injecting a lost fsync (file-backed only)
 	Recrashes     int      // recoveries that were crashed mid-flight and rerun
 	DoubtApplied  int      // in-doubt commits recovery surfaced as applied
 	DoubtReverted int      // in-doubt commits recovery rolled back
 	Commits       int64    // committed transactions across all point runs
 	Failures      []string // audit failures; empty means every audit passed
+
+	files bool // swept at file-operation granularity
 }
 
-// SweepTarget enumerates every opt.Every-th stable mutation of the scripted
-// workload as a crash point and, for each one, runs crash → recover →
-// audit, re-crashing recovery itself partway through. The returned error
+// A point is one crash point: the k-th stable mutation on memory stores,
+// or fault at the k-th file operation on file-backed ones.
+type point struct {
+	k     int64
+	fault pagestore.FileFault // FileOK on memory stores
+}
+
+// SweepTarget runs a crash-free probe of the scripted workload, lists its
+// crash points, and for every one runs crash → recover → audit, re-crashing
+// recovery itself partway through. The stores decide what a point is: if
+// they accept a FileHook, every opt.Every-th file operation is a power-cut
+// point, plus a torn-write point where it is an append or fold page-write
+// and a lost-fsync point where it is an fsync; otherwise every
+// opt.Every-th stable mutation is a power-cut point. The returned error
 // reports harness problems (a target that cannot even be built); audit
 // verdicts live in the report.
 func SweepTarget(tg Target, opt Options) (*TargetReport, error) {
 	opt = opt.withDefaults()
 	rep := &TargetReport{Target: tg.Name}
 
-	// Probe run: count the workload's stable mutations without crashing.
 	e, stores, err := tg.Build()
 	if err != nil {
 		return nil, fmt.Errorf("faultinj: build %s: %w", tg.Name, err)
@@ -152,25 +169,49 @@ func SweepTarget(tg Target, opt Options) (*TargetReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faultinj: load %s: %w", tg.Name, err)
 	}
+	var mu sync.Mutex
+	var ops []pagestore.FileOp
+	rep.files = armFileHook(stores, func(op pagestore.FileOp, _ string, _ int64) pagestore.FileFault {
+		mu.Lock()
+		ops = append(ops, op)
+		mu.Unlock()
+		return pagestore.FileOK
+	})
 	ctr := &Counter{}
-	hook := ctr.Hook()
-	for _, s := range stores {
-		s.SetFaultHook(hook)
+	if !rep.files {
+		hook := ctr.Hook()
+		for _, s := range stores {
+			s.SetFaultHook(hook)
+		}
 	}
 	probe := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns)
 	if probe.Crashed {
 		return nil, fmt.Errorf("faultinj: %s: probe run crashed without injection", tg.Name)
 	}
-	rep.Mutations = ctr.Mutations()
+
+	rep.Ops = ctr.Mutations()
+	if rep.files {
+		rep.Ops = int64(len(ops))
+	}
+	var points []point
+	for k := int64(1); k <= rep.Ops; k += opt.Every {
+		if !rep.files {
+			points = append(points, point{k: k})
+			continue
+		}
+		points = append(points, point{k, pagestore.FileCrash})
+		switch ops[k-1] {
+		case pagestore.FileAppend, pagestore.FilePageWrite:
+			points = append(points, point{k, pagestore.FileTorn})
+		case pagestore.FileSync:
+			points = append(points, point{k, pagestore.FileLostSync})
+		}
+	}
 
 	// Every crash point builds its own engine and stores, so points are
 	// shared-nothing jobs; they fan out across workers and their outcomes
 	// are folded into the report in point order, keeping it byte-identical
 	// at any worker count.
-	var points []int64
-	for k := int64(1); k <= rep.Mutations; k += opt.Every {
-		points = append(points, k)
-	}
 	opt.Progress.AddTotal(int64(len(points)))
 	outcomes, err := runpool.Map(opt.Jobs, len(points), func(i int) (*pointOutcome, error) {
 		po, err := sweepPoint(tg, opt, points[i], nil)
@@ -180,19 +221,8 @@ func SweepTarget(tg Target, opt Options) (*TargetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, po := range outcomes {
-		rep.Points++
-		rep.Commits += po.commits
-		if po.recrashed {
-			rep.Recrashes++
-		}
-		if po.doubtApplied {
-			rep.DoubtApplied++
-		}
-		if po.doubtReverted {
-			rep.DoubtReverted++
-		}
-		rep.Failures = append(rep.Failures, po.failures...)
+	for i, po := range outcomes {
+		rep.add(points[i], po)
 	}
 	return rep, nil
 }
@@ -208,54 +238,34 @@ type pointOutcome struct {
 	failures      []string
 }
 
-// fail records each audit failure under the point's label.
-func (po *pointOutcome) fail(label string, fails ...string) {
-	for _, f := range fails {
-		po.failures = append(po.failures, label+": "+f)
+// add folds one point's outcome into the report.
+func (rep *TargetReport) add(pt point, po *pointOutcome) {
+	rep.Points++
+	switch pt.fault {
+	case pagestore.FileTorn:
+		rep.Torn++
+	case pagestore.FileLostSync:
+		rep.LostSyncs++
 	}
+	rep.Commits += po.commits
+	if po.recrashed {
+		rep.Recrashes++
+	}
+	if po.doubtApplied {
+		rep.DoubtApplied++
+	}
+	if po.doubtReverted {
+		rep.DoubtReverted++
+	}
+	rep.Failures = append(rep.Failures, po.failures...)
 }
 
-// recoverAndAudit is the tail every crash point shares once the fault has
-// fired and the engine has crashed: crash recovery itself at a k-derived
-// page operation, finish recovery, then audit state, idempotence, and
-// liveness. Failures are labelled with label.
-func (po *pointOutcome) recoverAndAudit(e *engine.Engine, stores []*pagestore.Store, out *Outcome, opt Options, k int64, label string) {
-	// Re-crash recovery partway through: the restarted restart must still
-	// converge. CrashAtOp fires exactly once, so the retry below runs over
-	// the same armed stores without tripping again.
-	j := 1 + (k-1)%opt.RecrashCycle
-	rhook := pagestore.CrashAtOp(j)
-	for _, s := range stores {
-		s.SetFaultHook(rhook)
-	}
-	if err := e.Recover(); err != nil {
-		po.recrashed = true
-		e.Crash()
-		if err := e.Recover(); err != nil {
-			po.fail(label, fmt.Sprintf("recovery after mid-recovery crash (op %d): %v", j, err))
-			return
-		}
-	}
-	for _, s := range stores {
-		s.SetFaultHook(nil)
-	}
-
-	fails, applied := AuditState(e, out, opt.Pages)
-	if out.Doubt != nil {
-		po.doubtApplied = applied
-		po.doubtReverted = !applied
-	}
-	fails = append(fails, AuditIdempotence(e, opt.Pages)...)
-	po.fail(label, append(fails, AuditLiveness(e, opt.Pages)...)...)
-}
-
-// sweepPoint audits one crash point: cut power at the k-th stable mutation,
-// crash recovery itself at a k-derived operation, finish recovery, then
-// audit state, idempotence, and liveness. A non-nil journal is attached to
-// the engine's kernel before the run, so it records the checkpoint and
-// recovery decisions of exactly this point.
-func sweepPoint(tg Target, opt Options, k int64, journal *obs.Journal) (*pointOutcome, error) {
-	po := &pointOutcome{}
+// sweepPoint audits one crash point: arm the point, run the script, crash
+// the engine, crash recovery itself at a k-derived page operation, finish
+// recovery, then audit state, idempotence, and liveness. A non-nil journal
+// is attached to the engine's kernel before the run, so it records the
+// checkpoint and recovery decisions of exactly this point.
+func sweepPoint(tg Target, opt Options, pt point, journal *obs.Journal) (*pointOutcome, error) {
 	e, stores, err := tg.Build()
 	if err != nil {
 		return nil, fmt.Errorf("faultinj: build %s: %w", tg.Name, err)
@@ -270,15 +280,58 @@ func sweepPoint(tg Target, opt Options, k int64, journal *obs.Journal) (*pointOu
 	if err != nil {
 		return nil, fmt.Errorf("faultinj: load %s: %w", tg.Name, err)
 	}
-	hook := pagestore.CrashAtMutation(k)
-	for _, s := range stores {
-		s.SetFaultHook(hook)
+	label := fmt.Sprintf("%s@%d", tg.Name, pt.k)
+	if pt.fault == pagestore.FileOK {
+		hook := pagestore.CrashAtMutation(pt.k)
+		for _, s := range stores {
+			s.SetFaultHook(hook)
+		}
+	} else {
+		label = fmt.Sprintf("%s@fileop %d (%s)", tg.Name, pt.k, pt.fault)
+		if !armFileHook(stores, crashAtFileOp(pt.k, pt.fault)) {
+			return nil, fmt.Errorf("faultinj: %s: store backend is not file-injectable", tg.Name)
+		}
 	}
 	out := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns)
-	po.commits = int64(out.Commits)
+	po := &pointOutcome{commits: int64(out.Commits)}
 	e.Crash()
-	po.recoverAndAudit(e, stores, out, opt, k, fmt.Sprintf("%s@%d", tg.Name, k))
+	armFileHook(stores, nil)
+
+	// Re-crash recovery partway through: the restarted restart must still
+	// converge. CrashAtOp fires exactly once, so the retry below runs over
+	// the same armed stores without tripping again.
+	j := 1 + (pt.k-1)%opt.RecrashCycle
+	rhook := pagestore.CrashAtOp(j)
+	for _, s := range stores {
+		s.SetFaultHook(rhook)
+	}
+	if err := e.Recover(); err != nil {
+		po.recrashed = true
+		e.Crash()
+		if err := e.Recover(); err != nil {
+			po.fail(label, fmt.Sprintf("recovery after mid-recovery crash (op %d): %v", j, err))
+			return po, nil
+		}
+	}
+	for _, s := range stores {
+		s.SetFaultHook(nil)
+	}
+
+	fails, applied := AuditState(e, out, opt.Pages)
+	if out.Doubt != nil {
+		po.doubtApplied = applied
+		po.doubtReverted = !applied
+	}
+	fails = append(fails, AuditIdempotence(e, opt.Pages)...)
+	po.fail(label, append(fails, AuditLiveness(e, opt.Pages)...)...)
 	return po, nil
+}
+
+// fail records each audit failure under the point's label.
+func (po *pointOutcome) fail(label string, fails ...string) {
+	for _, f := range fails {
+		po.failures = append(po.failures, label+": "+f)
+	}
 }
 
 // JournalPoint replays one crash point of tg with a recovery journal
@@ -290,26 +343,21 @@ func sweepPoint(tg Target, opt Options, k int64, journal *obs.Journal) (*pointOu
 func JournalPoint(tg Target, opt Options, k int64) (*obs.Journal, *TargetReport, error) {
 	opt = opt.withDefaults()
 	j := obs.NewJournal()
-	po, err := sweepPoint(tg, opt, k, j)
+	pt := point{k: k}
+	po, err := sweepPoint(tg, opt, pt, j)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &TargetReport{Target: tg.Name, Points: 1, Commits: po.commits, Failures: po.failures}
-	if po.recrashed {
-		rep.Recrashes = 1
-	}
-	if po.doubtApplied {
-		rep.DoubtApplied = 1
-	}
-	if po.doubtReverted {
-		rep.DoubtReverted = 1
-	}
+	rep := &TargetReport{Target: tg.Name}
+	rep.add(pt, po)
 	return j, rep, nil
 }
 
-// Sweep runs SweepTarget over targets and bundles the reports. Targets run
-// one after another — the per-target crash points already saturate
-// opt.Jobs workers — and the report lists them in the given order.
+// Sweep runs SweepTarget over targets and bundles the reports: memory
+// targets under Report.Engines, file-backed ones under Report.Files.
+// Targets run one after another — the per-target crash points already
+// saturate opt.Jobs workers — and each section lists them in the given
+// order.
 func Sweep(targets []Target, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
 	rep := &Report{Seed: opt.Seed, Every: opt.Every, Pages: opt.Pages, MaxTxns: opt.MaxTxns}
@@ -318,7 +366,11 @@ func Sweep(targets []Target, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.Engines = append(rep.Engines, tr)
+		if tr.files {
+			rep.Files = append(rep.Files, tr)
+		} else {
+			rep.Engines = append(rep.Engines, tr)
+		}
 	}
 	return rep, nil
 }

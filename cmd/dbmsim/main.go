@@ -23,7 +23,7 @@ import (
 func main() {
 	table := flag.String("table", "all", `experiment to run: 1..12, an extension id (see -list), or "all"`)
 	txns := flag.Int("txns", 0, "transactions per simulation (0 = paper-scale default)")
-	seed := flag.Int64("seed", 0, "base random seed (0 = default; pass -seed 0 explicitly for a true zero seed)")
+	seed := flag.Int64("seed", 0, "base random seed (0 = default 1985)")
 	jobs := flag.Int("jobs", 0,
 		"worker count for fanning tables and their simulation cells out (0 = GOMAXPROCS); any value produces byte-identical tables")
 	format := flag.String("format", "text", `output format: "text" or "md"`)
@@ -65,16 +65,6 @@ func main() {
 	}
 
 	opt := experiments.Options{NumTxns: *txns, Seed: *seed, Jobs: *jobs}
-	// A flag passed explicitly means exactly what it says — "-seed 0" and
-	// "-txns 0" are real zeros, not the use-the-default sentinel.
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			opt.SeedSet = true
-		case "txns":
-			opt.NumTxnsSet = true
-		}
-	})
 	ids := experiments.IDs()
 	if *table != "all" {
 		id := *table

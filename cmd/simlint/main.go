@@ -7,10 +7,11 @@
 //
 // Patterns are module-relative package patterns ("./internal/...",
 // "./cmd/simlint"); with no patterns it checks ./internal/... and
-// ./cmd/... . Exit status: 0 clean, 1 findings, 2 usage or load error.
-// Stale-suppression warnings are printed but only fail the run under
-// -strict. With -json the findings are written as a machine-readable
-// report on stdout (the exit-status contract is unchanged).
+// ./cmd/... . Every run applies all eight rules, and every finding fails
+// it: there is no rule subset and no waiver comment. Exit status: 0
+// clean, 1 findings, 2 usage or load error. With -json the findings are
+// written as a machine-readable report on stdout (the exit-status
+// contract is unchanged).
 package main
 
 import (
@@ -27,18 +28,16 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole command behind a testable seam: flag parsing, rule
-// validation, analysis, and rendering, with the exit status returned
-// instead of raised.
+// run is the whole command behind a testable seam: flag parsing,
+// analysis, and rendering, with the exit status returned instead of
+// raised.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rules := fs.String("rules", "", "comma-separated rule IDs to enable (default: all)")
-	strict := fs.Bool("strict", false, "treat warnings (stale suppressions) as failures")
 	list := fs.Bool("list", false, "print the rule table and exit")
 	jsonOut := fs.Bool("json", false, "write findings as a JSON report on stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: simlint [-rules D001,D003] [-strict] [-json] [patterns...]\n")
+		fmt.Fprintf(stderr, "usage: simlint [-list] [-json] [patterns...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -50,17 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s  %s  (scope: %s)\n", r.ID, r.Short, strings.Join(r.Scope, ", "))
 		}
 		return 0
-	}
-
-	var cfg lint.Config
-	if *rules != "" {
-		cfg.Rules = strings.Split(*rules, ",")
-		for _, id := range cfg.Rules {
-			if id = strings.TrimSpace(id); id != "" && !lint.KnownRule(id) {
-				fmt.Fprintf(stderr, "simlint: unknown rule %q (run simlint -list for the rule table)\n", id)
-				return 2
-			}
-		}
 	}
 
 	wd, err := os.Getwd()
@@ -76,15 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./internal/...", "./cmd/..."}
 	}
 
-	diags, err := lint.Run(root, patterns, cfg)
+	diags, err := lint.Run(root, patterns)
 	if err != nil {
 		return fatal(stderr, err)
-	}
-	failures := 0
-	for _, d := range diags {
-		if !d.Warning || *strict {
-			failures++
-		}
 	}
 	if *jsonOut {
 		if err := lint.WriteJSON(stdout, root, diags); err != nil {
@@ -94,11 +76,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}
-		if failures > 0 {
-			fmt.Fprintf(stdout, "simlint: %d finding(s)\n", failures)
+		if len(diags) > 0 {
+			fmt.Fprintf(stdout, "simlint: %d finding(s)\n", len(diags))
 		}
 	}
-	if failures > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0

@@ -47,16 +47,6 @@ func TestExitCodeFindings(t *testing.T) {
 	}
 }
 
-func TestExitCodeUnknownRule(t *testing.T) {
-	code, _, stderr := runCLI(t, "-rules", "D001,D099", fixture("clean"))
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, `unknown rule "D099"`) {
-		t.Fatalf("stderr missing unknown-rule message:\n%s", stderr)
-	}
-}
-
 func TestExitCodeBadFlag(t *testing.T) {
 	code, _, stderr := runCLI(t, "-no-such-flag")
 	if code != 2 {
@@ -71,15 +61,6 @@ func TestExitCodeBadPattern(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "simlint:") {
 		t.Fatalf("stderr missing error prefix:\n%s", stderr)
-	}
-}
-
-// TestRulesSubset proves -rules really narrows the run: the d003
-// fixture is clean when only D001 is enabled.
-func TestRulesSubset(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-rules", "D001", fixture("d003"))
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }
 

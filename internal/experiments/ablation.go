@@ -189,7 +189,7 @@ func FuncRecovery(opt Options) (*Table, error) {
 			"logging optimizes the normal case and pays at restart; shadow variants restart almost for free",
 	}
 	n := opt.NumTxns
-	if n == 0 && !opt.NumTxnsSet {
+	if n == 0 {
 		n = 200
 	}
 	// Each architecture owns a private engine and memory stores; the runs

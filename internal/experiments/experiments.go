@@ -14,24 +14,14 @@ import (
 	"repro/internal/runpool"
 )
 
-// Options tune an experiment run.
-//
-// The zero value keeps the historical sentinel behavior: NumTxns == 0 and
-// Seed == 0 mean "use the machine.DefaultConfig value" (the full 40
-// transactions, seed 1985). To actually request zero — a zero seed, or a
-// run with no transactions — set the matching *Set flag, or start from
-// DefaultOptions and override.
+// Options tune an experiment run. Zero means default, as in every other
+// options struct here: NumTxns == 0 and Seed == 0 take the
+// machine.DefaultConfig values (the full 40 transactions, seed 1985).
 type Options struct {
-	// NumTxns is the transaction count per simulation. Zero is the
-	// use-the-default sentinel unless NumTxnsSet marks it explicit.
+	// NumTxns is the transaction count per simulation (0 = default).
 	NumTxns int
-	// NumTxnsSet marks NumTxns as explicit, making NumTxns == 0 expressible.
-	NumTxnsSet bool
-	// Seed is the base random seed. Zero is the use-the-default sentinel
-	// unless SeedSet marks it explicit.
+	// Seed is the base random seed (0 = default).
 	Seed int64
-	// SeedSet marks Seed as explicit, making Seed == 0 expressible.
-	SeedSet bool
 	// Jobs is the worker count for fanning a table's independent simulation
 	// cells out through internal/runpool (< 1 = GOMAXPROCS). Every cell owns
 	// its own seeded engine and results are collected in submission order,
@@ -39,23 +29,11 @@ type Options struct {
 	Jobs int
 }
 
-// DefaultOptions returns the experiment defaults fully resolved and marked
-// explicit: machine.DefaultConfig's paper-scale transaction count and seed.
-// Unlike the zero Options value, overriding a field of DefaultOptions to
-// zero means zero.
-func DefaultOptions() Options {
-	cfg := machine.DefaultConfig()
-	return Options{
-		NumTxns: cfg.NumTxns, NumTxnsSet: true,
-		Seed: cfg.Seed, SeedSet: true,
-	}
-}
-
 func (o Options) apply(cfg machine.Config) machine.Config {
-	if o.NumTxnsSet || o.NumTxns > 0 {
+	if o.NumTxns > 0 {
 		cfg.NumTxns = o.NumTxns
 	}
-	if o.SeedSet || o.Seed != 0 {
+	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
 	return cfg

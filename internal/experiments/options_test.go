@@ -1,14 +1,14 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
 )
 
-// TestOptionsSentinels pins the Options resolution rules: the zero value
-// keeps its historical "use the default" meaning, while the *Set flags make
-// the zeros expressible.
+// TestOptionsSentinels pins the Options resolution rules: zero means
+// "use the machine.DefaultConfig value", any other value is taken as is.
 func TestOptionsSentinels(t *testing.T) {
 	def := machine.DefaultConfig()
 	if def.Seed != 1985 {
@@ -24,9 +24,7 @@ func TestOptionsSentinels(t *testing.T) {
 		{"zero value keeps defaults", Options{}, def.NumTxns, 1985},
 		{"legacy sentinel: Seed 0 resolves to 1985", Options{Seed: 0}, def.NumTxns, 1985},
 		{"explicit seed", Options{Seed: 7}, def.NumTxns, 7},
-		{"explicit zero seed", Options{Seed: 0, SeedSet: true}, def.NumTxns, 0},
 		{"explicit txns", Options{NumTxns: 12}, 12, 1985},
-		{"explicit zero txns", Options{NumTxns: 0, NumTxnsSet: true}, 0, 1985},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -40,23 +38,19 @@ func TestOptionsSentinels(t *testing.T) {
 	}
 }
 
-// TestDefaultOptionsResolved: DefaultOptions is the explicit form of the
-// zero value — same resolved config, but with every field marked set, so
-// overriding a field to zero means zero.
+// TestDefaultOptionsResolved: the zero value is the default form of Options.
+// It resolves to machine.DefaultConfig field for field, and overriding a
+// field back to zero keeps that field's default.
 func TestDefaultOptionsResolved(t *testing.T) {
 	def := machine.DefaultConfig()
-	opt := DefaultOptions()
-	if !opt.SeedSet || !opt.NumTxnsSet {
-		t.Fatalf("DefaultOptions fields not marked explicit: %+v", opt)
+	if cfg := (Options{}).apply(machine.DefaultConfig()); !reflect.DeepEqual(cfg, def) {
+		t.Fatalf("Options{} resolves to %+v, want machine.DefaultConfig %+v", cfg, def)
 	}
+	opt := Options{NumTxns: 12, Seed: 7}
+	opt.Seed = 0
 	cfg := opt.apply(machine.DefaultConfig())
-	if cfg.NumTxns != def.NumTxns || cfg.Seed != def.Seed {
-		t.Fatalf("DefaultOptions resolves to txns=%d seed=%d, want the machine defaults %d/%d",
-			cfg.NumTxns, cfg.Seed, def.NumTxns, def.Seed)
-	}
-	zeroSeed := DefaultOptions()
-	zeroSeed.Seed = 0
-	if got := zeroSeed.apply(machine.DefaultConfig()).Seed; got != 0 {
-		t.Fatalf("DefaultOptions with Seed overridden to 0 resolves to %d, want 0", got)
+	if cfg.Seed != def.Seed || cfg.NumTxns != 12 {
+		t.Fatalf("Seed overridden to 0 resolves to txns=%d seed=%d, want 12/%d",
+			cfg.NumTxns, cfg.Seed, def.Seed)
 	}
 }

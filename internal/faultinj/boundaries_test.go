@@ -41,7 +41,7 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := LoadPages(e, opt.Pages)
+	model, err := LoadPages(e, sweepPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 	for _, s := range stores {
 		s.SetFaultHook(hook)
 	}
-	if out := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns); out.Crashed {
+	if out := RunScript(e, model, opt.Seed, sweepPages, sweepTxns); out.Crashed {
 		t.Fatal("probe crashed")
 	}
 
@@ -107,7 +107,7 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model2, err := LoadPages(e2, opt.Pages)
+	model2, err := LoadPages(e2, sweepPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 	for _, s := range stores2 {
 		s.SetFaultHook(chook)
 	}
-	out := RunScript(e2, model2, opt.Seed, opt.Pages, opt.MaxTxns)
+	out := RunScript(e2, model2, opt.Seed, sweepPages, sweepTxns)
 	if !out.Crashed {
 		t.Fatalf("CrashAtOp(%d) never fired at the existence probe", existsAt)
 	}
@@ -126,9 +126,9 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 	if err := e2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	fails, _ := AuditState(e2, out, opt.Pages)
-	fails = append(fails, AuditIdempotence(e2, opt.Pages)...)
-	fails = append(fails, AuditLiveness(e2, opt.Pages)...)
+	fails, _ := AuditState(e2, out, sweepPages)
+	fails = append(fails, AuditIdempotence(e2, sweepPages)...)
+	fails = append(fails, AuditLiveness(e2, sweepPages)...)
 	if len(fails) != 0 {
 		t.Fatalf("crash at existence probe (op %d): %v", existsAt, fails)
 	}
@@ -157,7 +157,7 @@ func TestSweepMutationCountsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := LoadPages(e, opt.Pages)
+		model, err := LoadPages(e, sweepPages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestSweepMutationCountsPinned(t *testing.T) {
 		for _, s := range stores {
 			s.SetFaultHook(hook)
 		}
-		if out := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns); out.Crashed {
+		if out := RunScript(e, model, opt.Seed, sweepPages, sweepTxns); out.Crashed {
 			t.Fatalf("%s: probe crashed", tg.Name)
 		}
 		if got := ctr.Mutations(); got != want[tg.Name] {

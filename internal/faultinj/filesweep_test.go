@@ -36,7 +36,7 @@ func TestSweepFileTargetQuick(t *testing.T) {
 // fault point countdown spans both stores.
 func TestSweepFilesWALTarget(t *testing.T) {
 	tg := FileTargets(t.TempDir())[0] // wal-1stream
-	rep, err := SweepTarget(tg, Options{Seed: 1985, Every: 9, MaxTxns: 10})
+	rep, err := SweepTarget(tg, Options{Seed: 1985, Every: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFileSweepCatchesLyingSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model, err := LoadPages(e, opt.Pages)
+		model, err := LoadPages(e, sweepPages)
 		if err != nil {
 			tg.clean(stores)
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestFileSweepCatchesLyingSync(t *testing.T) {
 			tg.clean(stores)
 			t.Fatal("store backend is not file-injectable")
 		}
-		out := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns)
+		out := RunScript(e, model, opt.Seed, sweepPages, sweepTxns)
 		e.Crash()
 		if !armFileHook(stores, nil) {
 			tg.clean(stores)
@@ -114,8 +114,8 @@ func TestFileSweepCatchesLyingSync(t *testing.T) {
 			// detection.
 			caught = true
 		} else {
-			fails, _ := AuditState(e, out, opt.Pages)
-			fails = append(fails, AuditIdempotence(e, opt.Pages)...)
+			fails, _ := AuditState(e, out, sweepPages)
+			fails = append(fails, AuditIdempotence(e, sweepPages)...)
 			if len(fails) > 0 {
 				caught = true
 			}
@@ -130,7 +130,7 @@ func TestFileSweepCatchesLyingSync(t *testing.T) {
 // TestFileReportRendering: the file section renders deterministically and
 // only when present (memory-only reports stay byte-identical).
 func TestFileReportRendering(t *testing.T) {
-	base := &Report{Seed: 1, Every: 1, Pages: 6, MaxTxns: 25,
+	base := &Report{Seed: 1, Every: 1,
 		Engines: []*TargetReport{{Target: "shadow", Ops: 3, Points: 3}}}
 	var memOnly bytes.Buffer
 	if err := base.Render(&memOnly); err != nil {

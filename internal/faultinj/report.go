@@ -11,10 +11,8 @@ import (
 // wall-clock, no map iteration — so two sweeps with the same options emit
 // byte-identical reports.
 type Report struct {
-	Seed    int64
-	Every   int64
-	Pages   int
-	MaxTxns int
+	Seed  int64
+	Every int64
 
 	Engines  []*TargetReport
 	Files    []*TargetReport
@@ -55,7 +53,7 @@ func (r *Report) Render(w io.Writer) error {
 		return err
 	}
 	if err := p("crashsweep report (seed=%d every=%d pages=%d txns=%d)\n\n",
-		r.Seed, r.Every, r.Pages, r.MaxTxns); err != nil {
+		r.Seed, r.Every, sweepPages, sweepTxns); err != nil {
 		return err
 	}
 	if len(r.Engines) > 0 {

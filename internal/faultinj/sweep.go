@@ -84,16 +84,20 @@ func selectTargets(all []Target, sel string) ([]Target, error) {
 	return out, nil
 }
 
+// The scripted workload every engine sweep replays: sweepTxns
+// transactions over sweepPages database pages. recrashCycle varies where
+// recovery itself is re-crashed: crash point k re-crashes recovery at
+// stable-storage operation 1+(k-1)%recrashCycle.
+const (
+	sweepPages   = 6
+	sweepTxns    = 25
+	recrashCycle = 5
+)
+
 // Options configures an engine sweep.
 type Options struct {
-	Seed    int64 // workload seed (same seed → byte-identical report)
-	Every   int64 // stride between crash points; 1 = every mutation or file operation
-	Pages   int   // database pages in the scripted workload (default 6)
-	MaxTxns int   // transactions per scripted run (default 25)
-	// RecrashCycle varies where recovery itself is re-crashed: crash point k
-	// re-crashes recovery at stable-storage operation 1+(k-1)%RecrashCycle
-	// (default 5).
-	RecrashCycle int64
+	Seed  int64 // workload seed (same seed → byte-identical report)
+	Every int64 // stride between crash points; 1 = every mutation or file operation
 	// Jobs is the worker count for fanning crash points out through
 	// internal/runpool (< 1 = GOMAXPROCS). Every point builds its own engine
 	// and stores, and outcomes are assembled in point order, so any value
@@ -109,15 +113,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Every <= 0 {
 		o.Every = 1
-	}
-	if o.Pages <= 0 {
-		o.Pages = 6
-	}
-	if o.MaxTxns <= 0 {
-		o.MaxTxns = 25
-	}
-	if o.RecrashCycle <= 0 {
-		o.RecrashCycle = 5
 	}
 	return o
 }
@@ -165,7 +160,7 @@ func SweepTarget(tg Target, opt Options) (*TargetReport, error) {
 		return nil, fmt.Errorf("faultinj: build %s: %w", tg.Name, err)
 	}
 	defer tg.clean(stores)
-	model, err := LoadPages(e, opt.Pages)
+	model, err := LoadPages(e, sweepPages)
 	if err != nil {
 		return nil, fmt.Errorf("faultinj: load %s: %w", tg.Name, err)
 	}
@@ -184,7 +179,7 @@ func SweepTarget(tg Target, opt Options) (*TargetReport, error) {
 			s.SetFaultHook(hook)
 		}
 	}
-	probe := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns)
+	probe := RunScript(e, model, opt.Seed, sweepPages, sweepTxns)
 	if probe.Crashed {
 		return nil, fmt.Errorf("faultinj: %s: probe run crashed without injection", tg.Name)
 	}
@@ -276,7 +271,7 @@ func sweepPoint(tg Target, opt Options, pt point, journal *obs.Journal) (*pointO
 			return nil, fmt.Errorf("faultinj: %s does not journal: %w", tg.Name, err)
 		}
 	}
-	model, err := LoadPages(e, opt.Pages)
+	model, err := LoadPages(e, sweepPages)
 	if err != nil {
 		return nil, fmt.Errorf("faultinj: load %s: %w", tg.Name, err)
 	}
@@ -292,7 +287,7 @@ func sweepPoint(tg Target, opt Options, pt point, journal *obs.Journal) (*pointO
 			return nil, fmt.Errorf("faultinj: %s: store backend is not file-injectable", tg.Name)
 		}
 	}
-	out := RunScript(e, model, opt.Seed, opt.Pages, opt.MaxTxns)
+	out := RunScript(e, model, opt.Seed, sweepPages, sweepTxns)
 	po := &pointOutcome{commits: int64(out.Commits)}
 	e.Crash()
 	armFileHook(stores, nil)
@@ -300,7 +295,7 @@ func sweepPoint(tg Target, opt Options, pt point, journal *obs.Journal) (*pointO
 	// Re-crash recovery partway through: the restarted restart must still
 	// converge. CrashAtOp fires exactly once, so the retry below runs over
 	// the same armed stores without tripping again.
-	j := 1 + (pt.k-1)%opt.RecrashCycle
+	j := 1 + (pt.k-1)%recrashCycle
 	rhook := pagestore.CrashAtOp(j)
 	for _, s := range stores {
 		s.SetFaultHook(rhook)
@@ -317,13 +312,13 @@ func sweepPoint(tg Target, opt Options, pt point, journal *obs.Journal) (*pointO
 		s.SetFaultHook(nil)
 	}
 
-	fails, applied := AuditState(e, out, opt.Pages)
+	fails, applied := AuditState(e, out, sweepPages)
 	if out.Doubt != nil {
 		po.doubtApplied = applied
 		po.doubtReverted = !applied
 	}
-	fails = append(fails, AuditIdempotence(e, opt.Pages)...)
-	po.fail(label, append(fails, AuditLiveness(e, opt.Pages)...)...)
+	fails = append(fails, AuditIdempotence(e, sweepPages)...)
+	po.fail(label, append(fails, AuditLiveness(e, sweepPages)...)...)
 	return po, nil
 }
 
@@ -360,7 +355,7 @@ func JournalPoint(tg Target, opt Options, k int64) (*obs.Journal, *TargetReport,
 // order.
 func Sweep(targets []Target, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
-	rep := &Report{Seed: opt.Seed, Every: opt.Every, Pages: opt.Pages, MaxTxns: opt.MaxTxns}
+	rep := &Report{Seed: opt.Seed, Every: opt.Every}
 	for _, tg := range targets {
 		tr, err := SweepTarget(tg, opt)
 		if err != nil {

@@ -18,23 +18,20 @@ type JSONFinding struct {
 	Line    int    `json:"line"`
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
-	Warning bool   `json:"warning,omitempty"`
 }
 
 // JSONReport is the top-level document written by WriteJSON.
 type JSONReport struct {
 	Findings []JSONFinding `json:"findings"`
 	Failures int           `json:"failures"`
-	Warnings int           `json:"warnings"`
 }
 
 // WriteJSON writes diags as an indented JSON report followed by a
 // newline. Paths are rewritten relative to root (slash-separated), so
 // the report is byte-identical wherever the module is checked out.
-// Failures counts the findings that make a run fail (warnings only do
-// under -strict; the caller applies that policy to the counts).
+// Every finding fails the run, so Failures is the finding count.
 func WriteJSON(w io.Writer, root string, diags []Diagnostic) error {
-	rep := JSONReport{Findings: make([]JSONFinding, 0, len(diags))}
+	rep := JSONReport{Findings: make([]JSONFinding, 0, len(diags)), Failures: len(diags)}
 	for _, d := range diags {
 		file := d.Pos.Filename
 		if rel, err := filepath.Rel(root, file); err == nil && filepath.IsLocal(rel) {
@@ -45,13 +42,7 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic) error {
 			Line:    d.Pos.Line,
 			Rule:    d.Rule,
 			Message: d.Message,
-			Warning: d.Warning,
 		})
-		if d.Warning {
-			rep.Warnings++
-		} else {
-			rep.Failures++
-		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -58,14 +58,9 @@
 //	      journal sink (obs.Journal.Emit), so the forensic trail cannot
 //	      silently rot as kernels grow new mutation paths.
 //
-// A finding can be suppressed with a comment on the same line or the
-// line directly above it:
-//
-//	//simlint:ignore D001 <reason — mandatory>
-//
-// A suppression without a reason or naming an unknown rule is itself an
-// error; a suppression that matches no diagnostic is reported as a
-// stale-suppression warning. Test files (_test.go) are not analyzed:
+// There is no way to waive or narrow the check: no per-line ignore
+// comment, no rule subset. A finding is fixed, or the rule's scope
+// table changes in review. Test files (_test.go) are not analyzed:
 // tests may legitimately use wall-clock timeouts and goroutines.
 package lint
 
@@ -81,24 +76,17 @@ type Diagnostic struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	// Warning findings (stale suppressions) are reported but do not make
-	// the run fail unless the caller opts in.
-	Warning bool
 }
 
 func (d Diagnostic) String() string {
-	s := fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Message)
-	if d.Warning {
-		s += " (warning)"
-	}
-	return s
+	return fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Message)
 }
 
 // RuleInfo describes one rule and the package subtree(s) it applies to.
 // Scope and Exclude entries are module-relative paths; a trailing "/..."
 // matches the whole subtree. A package matching any Exclude entry is out
 // of scope even when a Scope entry matches it — carve-outs are part of
-// the rule table, never per-line suppressions.
+// the rule table, never per-line waivers.
 type RuleInfo struct {
 	ID      string
 	Short   string
@@ -106,29 +94,42 @@ type RuleInfo struct {
 	Exclude []string
 }
 
-// Rules is the rule table, in ID order. The D004 scope pins the
-// single-threaded simulator kernel: the event engine, the machine model,
-// and every pure recovery kernel built on them — including the functional
-// engines (internal/wal, internal/shadoweng, internal/diffeng), which must
-// stay free of sync primitives. Concurrent runtime-side packages
+// kernelScope, shared by D004 and D006, pins the single-threaded
+// simulator kernel: the event engine, the machine model, and every pure
+// recovery kernel built on them — including the functional engines
+// (internal/wal, internal/shadoweng, internal/diffeng), which must stay
+// free of sync primitives. Concurrent runtime-side packages
 // (internal/lockmgr, internal/engine with its Guard wrapper, the
 // internal/runpool fan-out pool, the internal/server network front end,
 // workload drivers) are deliberately outside it: runpool holds all of the
 // experiment drivers' goroutines and atomics so the kernels it fans out
-// stay pure (testdata/d004runpool pins that boundary), server owns
-// the per-session goroutines and connection-table mutexes that drive the
+// stay pure (testdata/d004runpool pins that boundary), server owns the
+// per-session goroutines and connection-table mutexes that drive the
 // kernels over TCP, reaching them only through engine.Guard
-// (testdata/d004server pins that boundary). The file-backed stable-storage backend (internal/pagestore/filestore) is
-// wrapper-side too: it owns the os.File handles and fsync barriers that
-// make the pagestore durable, is serialized by the owning
-// pagestore.Store, and is never entered by kernel code directly — kernels
-// reach the disk only through *pagestore.Store, so the file surface must
-// stay outside the D004/D006 kernel scopes (testdata/d004filestore pins
-// that boundary). On the D007 side the same seam appears as
+// (testdata/d004server pins that boundary). The file-backed
+// stable-storage backend (internal/pagestore/filestore) is wrapper-side
+// too: it owns the os.File handles and fsync barriers that make the
+// pagestore durable, is serialized by the owning pagestore.Store, and is
+// never entered by kernel code directly — kernels reach the disk only
+// through *pagestore.Store (testdata/d004filestore pins that boundary).
+var kernelScope = []string{
+	"internal/sim",
+	"internal/machine",
+	"internal/recovery/...",
+	"internal/shadoweng",
+	"internal/diffeng",
+	"internal/wal",
+}
+
+// engineScope, shared by D007 and D008, is the functional engines behind
+// engine.Guard. On the D007 side the pagestore seam appears as
 // Snapshotter.Stores(): a kernel handing []*pagestore.Store to the
 // wrapper's snapshot plane is exempt exactly like a single
 // *pagestore.Store — the elements are the thread-safe substrate — while a
 // slice of anything else still escapes (testdata/d007 pins both sides).
+var engineScope = []string{"internal/wal", "internal/shadoweng", "internal/diffeng"}
+
+// Rules is the rule table, in ID order.
 var Rules = []RuleInfo{
 	{
 		ID:    "D001",
@@ -137,7 +138,7 @@ var Rules = []RuleInfo{
 		// internal/obs/live is the runtime observability layer: the one
 		// place that is *supposed* to read the host clock. Everything else
 		// reaches wall time only through its Clock interface, so the
-		// carve-out is a scope rule, not a scatter of suppressions.
+		// carve-out is a scope rule.
 		Exclude: []string{"internal/obs/live"},
 	},
 	{
@@ -153,14 +154,7 @@ var Rules = []RuleInfo{
 	{
 		ID:    "D004",
 		Short: "no goroutines, channels, select, or sync primitives in the single-threaded sim kernel",
-		Scope: []string{
-			"internal/sim",
-			"internal/machine",
-			"internal/recovery/...",
-			"internal/shadoweng",
-			"internal/diffeng",
-			"internal/wal",
-		},
+		Scope: kernelScope,
 	},
 	{
 		ID:    "D005",
@@ -170,88 +164,27 @@ var Rules = []RuleInfo{
 	{
 		ID:    "D006",
 		Short: "no transitive reachability of wall-clock/rand/env sinks from kernel code (call-graph taint)",
-		Scope: []string{
-			"internal/sim",
-			"internal/machine",
-			"internal/recovery/...",
-			"internal/shadoweng",
-			"internal/diffeng",
-			"internal/wal",
-		},
+		Scope: kernelScope,
 	},
 	{
 		ID:    "D007",
 		Short: "exported kernel methods must not leak aliases of kernel state across the Guard boundary",
-		Scope: []string{"internal/wal", "internal/shadoweng", "internal/diffeng"},
+		Scope: engineScope,
 	},
 	{
 		ID:    "D008",
 		Short: "exported kernel methods that mutate stable storage must emit through the recovery journal",
-		Scope: []string{"internal/wal", "internal/shadoweng", "internal/diffeng"},
+		Scope: engineScope,
 	},
 }
 
-// ruleByID reports the rule table entry for id.
-func ruleByID(id string) (RuleInfo, bool) {
-	for _, r := range Rules {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return RuleInfo{}, false
-}
-
-// KnownRule reports whether id names a rule in the table.
-func KnownRule(id string) bool {
-	_, ok := ruleByID(id)
-	return ok
-}
-
-// Config selects which rules run.
-type Config struct {
-	// Rules enables a subset of rule IDs; nil or empty enables all.
-	Rules []string
-}
-
-func enabledSet(ids []string) (map[string]bool, error) {
-	enabled := make(map[string]bool, len(Rules))
-	if len(ids) == 0 {
-		for _, r := range Rules {
-			enabled[r.ID] = true
-		}
-		return enabled, nil
-	}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
-		}
-		if !KnownRule(id) {
-			return nil, fmt.Errorf("lint: unknown rule %q (known: %s)", id, strings.Join(ruleIDs(), ", "))
-		}
-		enabled[id] = true
-	}
-	return enabled, nil
-}
-
-func ruleIDs() []string {
-	ids := make([]string, 0, len(Rules))
-	for _, r := range Rules {
-		ids = append(ids, r.ID)
-	}
-	return ids
-}
-
 // Run analyzes the packages matched by patterns (e.g. "./internal/...",
-// "./cmd/simlint") under the module root and returns the findings sorted
-// by file, line, and rule. A non-empty result does not set err; err is
-// reserved for load failures (bad pattern, unreadable directory,
-// unparseable source).
-func Run(root string, patterns []string, cfg Config) ([]Diagnostic, error) {
-	enabled, err := enabledSet(cfg.Rules)
-	if err != nil {
-		return nil, err
-	}
+// "./cmd/simlint") under the module root with every rule and returns the
+// findings sorted by file, line, and rule. A non-empty result does not
+// set err; err is reserved for load failures (bad pattern, unreadable
+// directory, unparseable source, a std package the importer cannot
+// check).
+func Run(root string, patterns []string) ([]Diagnostic, error) {
 	dirs, err := expandPatterns(root, patterns)
 	if err != nil {
 		return nil, err
@@ -271,7 +204,7 @@ func Run(root string, patterns []string, cfg Config) ([]Diagnostic, error) {
 	g := buildGraph(ld)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, checkPackage(pkg, enabled, g)...)
+		diags = append(diags, checkPackage(pkg, g)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -3,9 +3,6 @@ package lint
 import (
 	"flag"
 	"fmt"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,7 +43,7 @@ func TestRuleFixtures(t *testing.T) {
 	for i, d := range dirs {
 		patterns[i] = "./" + d
 	}
-	diags, err := Run(root, patterns, Config{})
+	diags, err := Run(root, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,40 +81,16 @@ func TestRuleFixtures(t *testing.T) {
 	}
 }
 
-// TestRuleToggle checks that -rules narrows the analysis to the selected
-// rules and that unknown IDs are rejected.
-func TestRuleToggle(t *testing.T) {
-	root, _ := fixtureDirs(t)
-	diags, err := Run(root, []string{"./d001"}, Config{Rules: []string{"D002"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Errorf("D001 fixture with only D002 enabled: want 0 diagnostics, got %v", diags)
-	}
-	diags, err = Run(root, []string{"./d001"}, Config{Rules: []string{"D001"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 3 {
-		t.Errorf("D001 fixture with D001 enabled: want 3 diagnostics, got %v", diags)
-	}
-	if _, err := Run(root, []string{"./d001"}, Config{Rules: []string{"D042"}}); err == nil {
-		t.Error("unknown rule ID accepted")
-	}
-}
-
 // TestSelfCheck keeps the repository clean: the analyzer must report
-// nothing (not even warnings) over internal/... and cmd/... — the same
-// invocation `make lint` runs. Every true positive the original sweep
-// found is fixed or carries a reasoned suppression; this test is the
-// regression guard for both.
+// nothing over internal/... and cmd/... — the same invocation `make lint`
+// runs. Every true positive the analyzer ever found was fixed, since no
+// finding can be waived; this test is the regression guard.
 func TestSelfCheck(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(root, []string{"./internal/...", "./cmd/..."}, Config{})
+	diags, err := Run(root, []string{"./internal/...", "./cmd/..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +106,6 @@ func TestDiagnosticFormat(t *testing.T) {
 	d.Pos.Line = 7
 	if got, want := d.String(), "a/b.go:7: [D001] no"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-	d.Warning = true
-	if got := d.String(); !strings.HasSuffix(got, " (warning)") {
-		t.Errorf("warning diagnostic %q lacks the (warning) suffix", got)
 	}
 }
 
@@ -208,43 +177,4 @@ func ExampleDiagnostic_String() {
 	d.Pos.Line = 12
 	fmt.Println(d)
 	// Output: internal/obs/obs.go:12: [D003] map iteration
-}
-
-// TestZeroSuppressions asserts the tree carries no //simlint:ignore
-// directives at all: every finding the analyzer ever raised against the
-// repository was fixed, not waived. The walk parses comments (so
-// directive-shaped text inside string literals — the suppression
-// parser's own tests — does not count) and skips the fixture corpus,
-// which exists to exercise suppressions.
-func TestZeroSuppressions(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-		for _, s := range parseDirectives(fset, file).supps {
-			t.Errorf("%s:%d: suppression //simlint:ignore %s — fix the finding instead of waiving it", path, s.pos.Line, s.rule)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

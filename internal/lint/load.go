@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -41,7 +40,7 @@ type loader struct {
 	root    string
 	modPath string
 	fset    *token.FileSet
-	std     types.Importer
+	std     *stdImporter
 	byDir   map[string]*Package
 	byPath  map[string]*types.Package
 	loading map[string]bool
@@ -64,22 +63,20 @@ func newLoader(root string) *loader {
 // IgnoreFuncBodies: the analyzed module only needs the API surface of its
 // std imports (exported signatures and types), so skipping every std
 // function body cuts the wall-clock cost of a full simlint run severely —
-// see docs/LINTING.md for the measured numbers. Packages that fail the
-// fast path for any reason fall back to the gc source importer, which
-// checks bodies too but is always correct.
+// see docs/LINTING.md for the measured numbers. A package it cannot
+// check is recorded in err, and the loader turns that into a load error.
 type stdImporter struct {
-	fset     *token.FileSet
-	pkgs     map[string]*types.Package
-	loading  map[string]bool
-	fallback types.Importer
+	fset    *token.FileSet
+	pkgs    map[string]*types.Package
+	loading map[string]bool
+	err     error // the first package that failed to check
 }
 
 func newStdImporter(fset *token.FileSet) *stdImporter {
 	return &stdImporter{
-		fset:     fset,
-		pkgs:     map[string]*types.Package{},
-		loading:  map[string]bool{},
-		fallback: importer.ForCompiler(fset, "source", nil),
+		fset:    fset,
+		pkgs:    map[string]*types.Package{},
+		loading: map[string]bool{},
 	}
 }
 
@@ -99,13 +96,10 @@ func (si *stdImporter) Import(path string) (*types.Package, error) {
 
 	tpkg, err := si.check(path)
 	if tpkg == nil {
-		// Fast path failed outright; let the source importer try. It
-		// resolves its own dependency graph, so anything it returns is
-		// complete and safe to memoize.
-		tpkg, err = si.fallback.Import(path)
-		if tpkg == nil {
-			return nil, err
+		if si.err == nil {
+			si.err = fmt.Errorf("lint: std package %q: %v", path, err)
 		}
+		return nil, err
 	}
 	si.pkgs[path] = tpkg
 	return tpkg, nil
@@ -245,9 +239,13 @@ func (l *loader) load(dir string) (*Package, error) {
 	}
 	tpkg, err := conf.Check(importPath, l.fset, files, pkg.Info)
 	// Soft type errors were collected through conf.Error; only a nil
-	// package (nothing checked at all) is fatal.
+	// package (nothing checked at all) or a std import the importer could
+	// not check is fatal.
 	if tpkg == nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", dir, err)
+	}
+	if l.std.err != nil {
+		return nil, l.std.err
 	}
 	pkg.Types = tpkg
 	l.byPath[importPath] = tpkg

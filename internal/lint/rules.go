@@ -107,15 +107,14 @@ type checker struct {
 	file    *ast.File
 	g       *graph            // program-wide call graph (D003 effects, D006–D008)
 	imports map[string]string // fallback identifier -> import path map
-	active  map[string]bool   // rule ID -> enabled && in scope for this file
+	active  map[string]bool   // rule ID -> in scope for this file
 	diags   []Diagnostic
 }
 
-// checkPackage runs every enabled rule over every file of pkg — the
-// syntactic walk first, then the call-graph rules — and resolves
-// suppression comments last, so a graph finding is suppressible exactly
-// like a syntactic one.
-func checkPackage(pkg *Package, enabled map[string]bool, g *graph) []Diagnostic {
+// checkPackage runs every rule over every file of pkg — the syntactic
+// walk first, then the call-graph rules — and appends the file's
+// malformed-directive errors.
+func checkPackage(pkg *Package, g *graph) []Diagnostic {
 	var out []Diagnostic
 	for _, file := range pkg.Files {
 		dirs := parseDirectives(pkg.Fset, file)
@@ -131,7 +130,7 @@ func checkPackage(pkg *Package, enabled map[string]bool, g *graph) []Diagnostic 
 			active:  map[string]bool{},
 		}
 		for _, r := range Rules {
-			c.active[r.ID] = enabled[r.ID] && inScope(r, rel)
+			c.active[r.ID] = inScope(r, rel)
 		}
 		c.checkKernelImports()
 		c.walk()
@@ -140,7 +139,7 @@ func checkPackage(pkg *Package, enabled map[string]bool, g *graph) []Diagnostic 
 				c.checkGraphRules(fd)
 			}
 		}
-		out = append(out, applySuppressions(c.diags, dirs)...)
+		out = append(append(out, c.diags...), dirs.malformed...)
 	}
 	return out
 }

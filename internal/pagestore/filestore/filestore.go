@@ -9,14 +9,18 @@
 //   - Power-off loses everything the device had not synced: the file is
 //     truncated back to the synced frontier, keeping at most a torn prefix
 //     of the record that was in flight.
-//   - Power-on reloads the page file, then replays the log sequentially;
-//     a torn or corrupt tail is detected by per-record crc32 and truncated
-//     away. Replay skips records already folded into the page file (each
-//     record carries a monotone sequence number; data.db records the fold
-//     horizon), so a crash between fold and log truncation cannot replay
-//     stale images over newer ones.
+//   - Power-on reloads the page file, then replays the log sequentially.
+//     A crash tears at most a strict prefix of the last record, so a tail
+//     shorter than a header, or shorter than its header's declared
+//     length, is torn and truncated away. A complete record that fails
+//     its crc32, or a complete header with an impossible op or length, is
+//     interior damage: power-on refuses with ErrCorrupt rather than drop
+//     the fsynced records behind it. Replay skips records already folded
+//     into the page file (each record carries a monotone sequence number;
+//     data.db records the fold horizon), so a crash between fold and log
+//     truncation cannot replay stale images over newer ones.
 //
-// When the log grows past Config.FoldBytes, the store folds: it writes the
+// When the log grows past foldBytes, the store folds: it writes the
 // full page image to data.db.tmp, fsyncs, renames over data.db (atomic on
 // POSIX), fsyncs the directory, and only then truncates the log. The fold
 // runs BEFORE the triggering record is appended, so a crash mid-fold can
@@ -63,31 +67,24 @@ const (
 	// walHdrLen is seq(8) + op(1) + id(8) + version(8) + len(4).
 	walHdrLen = 29
 
-	// DefaultFoldBytes is the log size that triggers a fold into the page
-	// file.
-	DefaultFoldBytes = 1 << 20
+	// foldBytes is the log size that triggers a fold into the page file.
+	foldBytes = 1 << 20
 )
 
 var dataMagic = [8]byte{'P', 'A', 'G', 'E', 'D', 'B', '1', '\n'}
 
-// ErrCorrupt is wrapped by unrecoverable on-disk corruption (a damaged
-// page file; torn log tails are recovered from, not errors).
+// ErrCorrupt is wrapped by unrecoverable on-disk corruption: a damaged
+// page file, or a damaged complete record in the log. Torn log tails are
+// recovered from, not errors.
 var ErrCorrupt = errors.New("filestore: corrupt")
-
-// Config tunes a file-backed store.
-type Config struct {
-	// FoldBytes folds the log into the page file when the log exceeds this
-	// many bytes; 0 means DefaultFoldBytes.
-	FoldBytes int64
-}
 
 type pageRec struct {
 	data    []byte
 	version uint64
 }
 
-// Backend is the file-backed pagestore.Backend. Obtain one through Open /
-// OpenConfig, which wrap it in a pagestore.Store.
+// Backend is the file-backed pagestore.Backend. Obtain one through Open,
+// which wraps it in a pagestore.Store.
 type Backend struct {
 	dir      string
 	pageSize int
@@ -115,20 +112,16 @@ type Backend struct {
 	tornDetected int64
 }
 
-// Open opens (creating if needed) a file-backed store rooted at dir with
-// the default configuration.
+// Open opens (creating if needed) a file-backed store rooted at dir.
 func Open(dir string, pageSize int) (*pagestore.Store, error) {
-	return OpenConfig(dir, pageSize, Config{})
+	return open(dir, pageSize, foldBytes)
 }
 
-// OpenConfig opens (creating if needed) a file-backed store rooted at dir.
-func OpenConfig(dir string, pageSize int, cfg Config) (*pagestore.Store, error) {
+// open is Open with the fold threshold as a parameter, so tests can force
+// folds with a few writes.
+func open(dir string, pageSize int, fold int64) (*pagestore.Store, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("filestore: page size must be positive")
-	}
-	fold := cfg.FoldBytes
-	if fold <= 0 {
-		fold = DefaultFoldBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -157,8 +150,7 @@ func (b *Backend) Dir() string { return b.dir }
 // Folds reports how many times the log has been folded into the page file.
 func (b *Backend) Folds() int64 { return b.folds }
 
-// TornDetected reports how many power-ons truncated a torn or corrupt log
-// tail.
+// TornDetected reports how many power-ons truncated a torn log tail.
 func (b *Backend) TornDetected() int64 { return b.tornDetected }
 
 // SetFileHook implements pagestore.FileInjectable.
@@ -219,7 +211,9 @@ func (b *Backend) PowerOff() {
 
 // PowerOn rebuilds the in-memory mirror from the files: remove any
 // incomplete fold, load the page file, replay the log (skipping records at
-// or below the fold horizon), and truncate away a torn or corrupt tail.
+// or below the fold horizon), and truncate away a torn tail. Interior
+// damage — a complete record that fails its checksum or whose header is
+// impossible — returns ErrCorrupt.
 func (b *Backend) PowerOn() error {
 	if b.closed {
 		return pagestore.ErrClosed
@@ -238,21 +232,26 @@ func (b *Backend) PowerOn() error {
 	}
 	off := int64(0)
 	maxSeq := foldSeq
-	for int64(len(raw))-off >= walHdrLen+4 {
+	// A torn write leaves a strict prefix of one record (appendRec), so
+	// a short tail is torn; anything wrong inside a complete header or
+	// record is damage.
+	for int64(len(raw))-off >= walHdrLen {
 		hdr := raw[off : off+walHdrLen]
 		seq := binary.BigEndian.Uint64(hdr[:8])
 		op := hdr[8]
 		id := pagestore.PageID(binary.BigEndian.Uint64(hdr[9:17]))
 		version := binary.BigEndian.Uint64(hdr[17:25])
 		n := int64(binary.BigEndian.Uint32(hdr[25:29]))
-		if (op != opPut && op != opDel) || n > int64(b.pageSize) ||
-			int64(len(raw))-off < walHdrLen+n+4 {
-			break // torn or corrupt tail
+		if (op != opPut && op != opDel) || n > int64(b.pageSize) {
+			return fmt.Errorf("%w: %s: bad record header at offset %d", ErrCorrupt, walName, off)
+		}
+		if int64(len(raw))-off < walHdrLen+n+4 {
+			break // torn tail
 		}
 		body := raw[off+walHdrLen : off+walHdrLen+n]
 		want := binary.BigEndian.Uint32(raw[off+walHdrLen+n : off+walHdrLen+n+4])
 		if crc32.ChecksumIEEE(raw[off:off+walHdrLen+n]) != want {
-			break // torn or corrupt tail
+			return fmt.Errorf("%w: %s: record checksum mismatch at offset %d", ErrCorrupt, walName, off)
 		}
 		if seq > foldSeq {
 			if op == opPut {

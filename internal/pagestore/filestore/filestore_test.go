@@ -11,9 +11,9 @@ import (
 	"repro/internal/pagestore"
 )
 
-func openT(t *testing.T, dir string, pageSize int, cfg Config) *pagestore.Store {
+func openT(t *testing.T, dir string, pageSize int, fold int64) *pagestore.Store {
 	t.Helper()
-	s, err := OpenConfig(dir, pageSize, cfg)
+	s, err := open(dir, pageSize, fold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func backend(t *testing.T, s *pagestore.Store) *Backend {
 
 func TestRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, 64, Config{})
+	s := openT(t, dir, 64, foldBytes)
 	if err := s.Write(7, []byte("hello disk"), 42); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 
 	// A fresh process: everything acknowledged must come back from the files.
-	s2 := openT(t, dir, 64, Config{})
+	s2 := openT(t, dir, 64, foldBytes)
 	got, ver, err := s2.Read(7)
 	if err != nil || !bytes.Equal(got, []byte("hello disk")) || ver != 42 {
 		t.Fatalf("after reopen: %q v%d %v", got, ver, err)
@@ -58,7 +58,7 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 }
 
 func TestClosedStoreFails(t *testing.T) {
-	s := openT(t, t.TempDir(), 64, Config{})
+	s := openT(t, t.TempDir(), 64, foldBytes)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFoldAndReplayHorizon(t *testing.T) {
 	// log replay from regressing folded pages, across both Reset and a
 	// genuine reopen.
 	dir := t.TempDir()
-	s := openT(t, dir, 32, Config{FoldBytes: 256})
+	s := openT(t, dir, 32, 256)
 	for i := 0; i < 50; i++ {
 		id := pagestore.PageID(i % 7)
 		if err := s.Write(id, []byte{byte(i), byte(i >> 8)}, uint64(i)); err != nil {
@@ -109,7 +109,7 @@ func TestFoldAndReplayHorizon(t *testing.T) {
 	}
 	check(s)
 	s.Close()
-	s2 := openT(t, dir, 32, Config{})
+	s2 := openT(t, dir, 32, foldBytes)
 	check(s2)
 }
 
@@ -130,7 +130,7 @@ func TestCrashBetweenWriteAndSync(t *testing.T) {
 	// Cut power at the fsync of the second mutation: the first write is
 	// acknowledged and must survive; the second was never acknowledged and
 	// must be gone after power-on.
-	s := openT(t, t.TempDir(), 64, Config{})
+	s := openT(t, t.TempDir(), 64, foldBytes)
 	if !s.SetFileHook(hookAt(4, pagestore.FileCrash)) { // ops: append(1) sync(2) append(3) sync(4)
 		t.Fatal("file hook rejected")
 	}
@@ -157,7 +157,7 @@ func TestCrashBetweenWriteAndSync(t *testing.T) {
 
 func TestTornWriteDetectedAndDiscarded(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, 64, Config{})
+	s := openT(t, dir, 64, foldBytes)
 	if err := s.Write(1, []byte("keep"), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +192,37 @@ func TestTornWriteDetectedAndDiscarded(t *testing.T) {
 	}
 }
 
+func TestInteriorDamageIsCorrupt(t *testing.T) {
+	// One flipped bit inside a complete, fsynced record is not a torn
+	// tail: power-on must refuse with ErrCorrupt instead of truncating
+	// the log there and silently dropping the records behind it.
+	dir := t.TempDir()
+	s := openT(t, dir, 64, foldBytes)
+	for i, v := range []string{"first", "middle", "last"} {
+		if err := s.Write(pagestore.PageID(i), []byte(v), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, walName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := walHdrLen + len("first") + 4
+	raw[first+walHdrLen+2] ^= 0x01 // a byte of "middle"'s data
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reset(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("power-on over a damaged middle record: %v, want ErrCorrupt", err)
+	}
+	if fi, _ := os.Stat(path); fi.Size() != int64(len(raw)) {
+		t.Fatalf("wal.log = %d bytes after refusing, want all %d kept", fi.Size(), len(raw))
+	}
+}
+
 func TestLostSyncLosesOnlyUnacknowledged(t *testing.T) {
-	s := openT(t, t.TempDir(), 64, Config{})
+	s := openT(t, t.TempDir(), 64, foldBytes)
 	if err := s.Write(1, []byte("keep"), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +247,7 @@ func TestSkipSyncViolatesDurability(t *testing.T) {
 	// negative control proving the store can express (and the audits can
 	// catch) a genuine durability violation; see faultinj's
 	// TestFileSweepCatchesLyingSync for the audit side.
-	s := openT(t, t.TempDir(), 64, Config{})
+	s := openT(t, t.TempDir(), 64, foldBytes)
 	fired := false
 	s.SetFileHook(func(op pagestore.FileOp, name string, seq int64) pagestore.FileFault {
 		if op == pagestore.FileSync && !fired {
@@ -249,7 +278,7 @@ func TestCrashDuringFold(t *testing.T) {
 	for _, fault := range []pagestore.FileFault{pagestore.FileCrash, pagestore.FileTorn} {
 		for _, foldOp := range []pagestore.FileOp{pagestore.FilePageWrite, pagestore.FileTruncate} {
 			dir := t.TempDir()
-			s := openT(t, dir, 32, Config{FoldBytes: 256})
+			s := openT(t, dir, 32, 256)
 			want := map[pagestore.PageID][]byte{}
 			armed := false
 			s.SetFileHook(func(op pagestore.FileOp, name string, seq int64) pagestore.FileFault {
@@ -299,7 +328,7 @@ func TestDurabilityPropertyOnFiles(t *testing.T) {
 	// power-off + power-on.
 	f := func(values []uint8, crashOp uint8) bool {
 		dir := t.TempDir()
-		s, err := OpenConfig(dir, 16, Config{FoldBytes: 128})
+		s, err := open(dir, 16, 128)
 		if err != nil {
 			return false
 		}

@@ -15,11 +15,11 @@ ci: build vet lint test race cover logvolume fuzz-wal fuzz-server crashsweep-sho
 crashsweep:
 	$(GO) run ./cmd/crashsweep
 
-# Bounded sweep for CI: every 2nd crash point, fewer machine instants —
-# still several hundred audited points, and it runs in seconds. -jobs 4
-# exercises the parallel fan-out; the report is byte-identical to -jobs 1.
+# Bounded sweep for CI: every 2nd crash point — still several hundred
+# audited points, and it runs in seconds. -jobs 4 exercises the parallel
+# fan-out; the report is byte-identical to -jobs 1.
 crashsweep-short:
-	$(GO) run ./cmd/crashsweep -every 2 -machine-points 4 -jobs 4
+	$(GO) run ./cmd/crashsweep -every 2 -jobs 4 -quiet -report crashsweep-report.txt
 
 # File-backed sweep for CI: the same crash/recover/audit cycle on real
 # storage (internal/pagestore/filestore) — power cuts, torn writes, and
@@ -29,7 +29,7 @@ crashsweep-short:
 # every engine in a few seconds. Scratch dirs live under a temp dir
 # crashsweep creates and removes itself.
 crashsweep-file:
-	$(GO) run ./cmd/crashsweep -file -every 5 -machine-points 0 -jobs 4 \
+	$(GO) run ./cmd/crashsweep -file -every 5 -jobs 4 \
 		-report crashsweep-file-report.txt
 
 # simlint: the repo's determinism & simulator-invariant analyzer

@@ -1,0 +1,72 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestSmallSweepPasses: one engine at a coarse stride audits clean, and the
+// -report file carries the verdict.
+func TestSmallSweepPasses(t *testing.T) {
+	report := filepath.Join(t.TempDir(), "report.txt")
+	code, stdout, stderr := runCLI(t, "-engines", "difffile", "-every", "5", "-quiet", "-report", report)
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, stderr)
+	}
+	if stdout != "" {
+		t.Errorf("stdout = %q, want empty with -report", stdout)
+	}
+	b, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(string(b), "— PASS\n") {
+		t.Fatalf("report does not end with a PASS verdict:\n%s", b)
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-machine-points", "4"},       // the simulator section is gone
+		{"-journal", "wal-1stream"},    // no @k
+		{"-engines", "nope", "-quiet"}, // unknown engine
+		{"-quiet", "extra"},            // stray argument
+	} {
+		if code, _, stderr := runCLI(t, args...); code != 2 {
+			t.Errorf("%v: exit = %d, want 2\nstderr:\n%s", args, code, stderr)
+		}
+	}
+}
+
+// TestFileSweepRemovesScratch: the -file sweep's scratch root is removed
+// on a passing run and on a harness error after the sweep (here an
+// uncreatable -report path), so no exit path leaks it.
+func TestFileSweepRemovesScratch(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	base := []string{"-file", "-engines", "difffile", "-every", "50", "-quiet"}
+	if code, _, stderr := runCLI(t, base...); code != 0 {
+		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, stderr)
+	}
+	bad := filepath.Join(tmp, "missing", "report.txt")
+	if code, _, stderr := runCLI(t, append(base, "-report", bad)...); code != 2 {
+		t.Fatalf("unwritable -report: exit = %d, want 2\nstderr:\n%s", code, stderr)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("TMPDIR holds %d entries after the sweeps, want none: %v", len(left), left)
+	}
+}

@@ -56,6 +56,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dbmsim: -trace and -metrics require -profile")
 		os.Exit(2)
 	}
+	if *format != "text" && *format != "md" {
+		fmt.Fprintf(os.Stderr, "dbmsim: -format %q: want \"text\" or \"md\"\n", *format)
+		os.Exit(2)
+	}
 	if *profile != "" {
 		if err := runProfile(*profile, *recovery, *txns, *seed, *trace, *metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "dbmsim: %v\n", err)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -47,7 +46,7 @@ func TestJobsEquivalence(t *testing.T) {
 }
 
 // TestObsSnapshotJobsEquivalence pins the deepest observable: the full obs
-// metrics registry of each simulated machine, rendered to text, must be
+// metrics registry of each simulated machine, rendered to JSON, must be
 // byte-identical whether the runs were fanned out across 1 or 8 workers.
 // Each run owns its own registry, so worker count cannot leak into any
 // counter, histogram, or gauge.
@@ -63,11 +62,8 @@ func TestObsSnapshotJobsEquivalence(t *testing.T) {
 			if _, err := m.Run(); err != nil {
 				return "", err
 			}
-			var buf bytes.Buffer
-			if err := m.Metrics().Snapshot().WriteText(&buf); err != nil {
-				return "", err
-			}
-			return buf.String(), nil
+			b, err := m.Metrics().Snapshot().JSON()
+			return string(b), err
 		})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)

@@ -175,6 +175,6 @@ func TestSweepMutationCountsPinned(t *testing.T) {
 		total += ctr.Mutations()
 	}
 	if total != 590 {
-		t.Errorf("total mutations = %d, pinned 590 (646-point sweep = 590 engine + 56 machine)", total)
+		t.Errorf("total mutations = %d, pinned 590 (the 590-point crashsweep -every 1)", total)
 	}
 }

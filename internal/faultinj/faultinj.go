@@ -1,6 +1,5 @@
 // Package faultinj is the deterministic fault-injection and recovery-audit
-// harness for the functional recovery engines and the performance
-// simulator. Where internal/engine's crash tests cut power at a handful of
+// harness for the functional recovery engines. Where internal/engine's crash tests cut power at a handful of
 // hand-picked mutations, this package enumerates crash points
 // systematically:
 //
@@ -11,8 +10,7 @@
 //     page-write, truncate) instead, with a torn write at appends and page
 //     writes and a lost fsync at syncs;
 //   - every stable-storage operation (reads included) during restart
-//     recovery itself, so recovery is re-crashed mid-flight and rerun;
-//   - virtual-time instants inside internal/machine performance runs.
+//     recovery itself, so recovery is re-crashed mid-flight and rerun.
 //
 // For each crash point the harness runs crash → recover → audit. The audits
 // are the paper's own claims, machine-checked: atomicity (no partial

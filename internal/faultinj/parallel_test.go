@@ -7,9 +7,8 @@ import (
 
 // TestSweepJobsEquivalence is the differential acceptance test for the
 // parallel crash sweep: a full report — engine sweeps on memory and on
-// file-backed stores, machine sweeps with their byte-compared obs
-// snapshots, and the rendered document — must be byte-identical at jobs=1
-// (a plain sequential loop) and jobs=8. Crash points fan out across
+// file-backed stores, and the rendered document — must be byte-identical
+// at jobs=1 (a plain sequential loop) and jobs=8. Crash points fan out across
 // workers, but every point owns its own engine and stores and outcomes are
 // assembled in point order, so worker count can only change wall-clock
 // time.
@@ -27,11 +26,6 @@ func TestSweepJobsEquivalence(t *testing.T) {
 		if len(rep.Engines) != 7 || len(rep.Files) != 2 {
 			t.Fatalf("memory/file sections = %d/%d targets, want 7/2", len(rep.Engines), len(rep.Files))
 		}
-		ms, err := SweepMachines(MachineOptions{Points: 3, NumTxns: 4, Jobs: jobs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Machines = ms
 		var buf bytes.Buffer
 		if err := rep.Render(&buf); err != nil {
 			t.Fatal(err)

@@ -7,16 +7,15 @@ import (
 )
 
 // Report bundles one whole crash sweep: the engine crash-point sweeps on
-// memory and on file-backed stores plus the virtual-time machine sweeps. Rendering is fully deterministic — no
+// memory and on file-backed stores. Rendering is fully deterministic — no
 // wall-clock, no map iteration — so two sweeps with the same options emit
 // byte-identical reports.
 type Report struct {
 	Seed  int64
 	Every int64
 
-	Engines  []*TargetReport
-	Files    []*TargetReport
-	Machines []*ModelReport
+	Engines []*TargetReport
+	Files   []*TargetReport
 }
 
 // targets lists every target report, the memory section's first.
@@ -28,9 +27,6 @@ func (r *Report) TotalPoints() int {
 	for _, tr := range r.targets() {
 		n += tr.Points
 	}
-	for _, mr := range r.Machines {
-		n += mr.Points
-	}
 	return n
 }
 
@@ -39,9 +35,6 @@ func (r *Report) TotalFailures() int {
 	n := 0
 	for _, tr := range r.targets() {
 		n += len(tr.Failures)
-	}
-	for _, mr := range r.Machines {
-		n += len(mr.Failures)
 	}
 	return n
 }
@@ -94,33 +87,8 @@ func (r *Report) Render(w io.Writer) error {
 			return err
 		}
 	}
-	if len(r.Machines) > 0 {
-		if err := p("performance-simulator crash points (cut at virtual time t, audit determinism/monotonicity/resume):\n"); err != nil {
-			return err
-		}
-		if err := p("  %-12s %7s %10s %12s %9s\n",
-			"model", "points", "committed", "endMs", "failures"); err != nil {
-			return err
-		}
-		for _, mr := range r.Machines {
-			if err := p("  %-12s %7d %10d %12.3f %9d\n",
-				mr.Model, mr.Points, mr.Final, mr.EndMs, len(mr.Failures)); err != nil {
-				return err
-			}
-		}
-		if err := p("\n"); err != nil {
-			return err
-		}
-	}
 	for _, tr := range r.targets() {
 		for _, f := range tr.Failures {
-			if err := p("FAIL %s\n", f); err != nil {
-				return err
-			}
-		}
-	}
-	for _, mr := range r.Machines {
-		for _, f := range mr.Failures {
 			if err := p("FAIL %s\n", f); err != nil {
 				return err
 			}

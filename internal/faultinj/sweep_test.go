@@ -88,11 +88,6 @@ func TestReportByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := SweepMachines(MachineOptions{Points: 2, NumTxns: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Machines = ms
 		var buf bytes.Buffer
 		if err := rep.Render(&buf); err != nil {
 			t.Fatal(err)

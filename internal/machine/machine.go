@@ -80,7 +80,6 @@ type Machine struct {
 	endTime        sim.Time
 	profile        *Profile
 
-	begun          bool
 	admissionsHeld bool
 	quiesceWaiters []func()
 
@@ -233,14 +232,9 @@ func Run(cfg Config, model Model) (*Result, error) {
 	return m.Run()
 }
 
-// begin bootstraps the run (profiler, initial admissions) exactly once, so
-// Run and RunUntil can be mixed: a sweep may advance a machine in steps and
-// then let it finish.
-func (m *Machine) begin() {
-	if m.begun {
-		return
-	}
-	m.begun = true
+// Run executes the whole load and returns the collected statistics. A
+// Machine runs once.
+func (m *Machine) Run() (*Result, error) {
 	if m.cfg.ProfileEvery > 0 {
 		m.startProfiler(m.cfg.ProfileEvery)
 	}
@@ -248,43 +242,11 @@ func (m *Machine) begin() {
 		m.admitNext()
 	}
 	m.schedule()
-}
-
-// Run executes the whole load and returns the collected statistics.
-func (m *Machine) Run() (*Result, error) {
-	m.begin()
 	m.eng.Run()
 	if m.committed+m.aborted != m.cfg.NumTxns {
 		return nil, m.stallError()
 	}
 	return m.result(), nil
-}
-
-// Partial is the progress of a run stopped at a virtual-time instant — the
-// performance simulator's view of a crash point. Because the simulator is
-// deterministic, two machines built from the same Config reach an identical
-// Partial at any instant t; internal/faultinj sweeps assert exactly that.
-type Partial struct {
-	SimTime        sim.Time // virtual time when the run was stopped
-	Committed      int      // transactions committed by then
-	Aborted        int      // transactions aborted by then
-	PagesProcessed int64    // pages processed by then
-	Events         int64    // simulation events executed by then
-}
-
-// RunUntil advances the load to virtual time t (bootstrapping the run on
-// first call) and reports the progress at that instant. Calling it again
-// with a later t resumes the same run; Run finishes it.
-func (m *Machine) RunUntil(t sim.Time) Partial {
-	m.begin()
-	m.eng.RunUntil(t)
-	return Partial{
-		SimTime:        m.eng.Now(),
-		Committed:      m.committed,
-		Aborted:        m.aborted,
-		PagesProcessed: m.pagesProcessed,
-		Events:         int64(m.eng.Steps()),
-	}
 }
 
 func (m *Machine) stallError() error {

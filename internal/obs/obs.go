@@ -19,8 +19,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -210,54 +208,6 @@ func (r *Registry) Snapshot() *Snapshot {
 // JSON renders the snapshot as indented, deterministic JSON.
 func (s *Snapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// sortedKeys returns m's keys in ascending order, so renderers visit
-// metrics in a reproducible sequence.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// WriteText renders the snapshot as a deterministic plain-text report:
-// one section per metric kind, names in sorted order, fixed float
-// formatting. Two snapshots of identical registries render to identical
-// bytes, which is what lets crash sweeps diff whole machine states
-// (see internal/faultinj).
-func (s *Snapshot) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "nowMs %.6f\n", s.NowMs); err != nil {
-		return err
-	}
-	for _, k := range sortedKeys(s.Counters) {
-		if _, err := fmt.Fprintf(w, "counter %s %d\n", k, s.Counters[k]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(s.Gauges) {
-		g := s.Gauges[k]
-		if _, err := fmt.Fprintf(w, "gauge %s value=%.6f mean=%.6f max=%.6f\n",
-			k, g.Value, g.Mean, g.Max); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(s.Histograms) {
-		h := s.Histograms[k]
-		if _, err := fmt.Fprintf(w,
-			"hist %s count=%d mean=%.6f min=%.6f max=%.6f p50=%.6f p95=%.6f p99=%.6f\n",
-			k, h.Count, h.Mean, h.Min, h.Max, h.P50, h.P95, h.P99); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(s.Stats) {
-		if _, err := fmt.Fprintf(w, "stat %s %.6f\n", k, s.Stats[k]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Sink bundles the registry with the (swappable) tracer; components hold a

@@ -111,7 +111,7 @@ loc:
 logvolume:
 	$(GO) test -run 'TestLogVolume' -v ./internal/wal/
 
-# Bounded runs of the WAL's fuzz targets: the record decoder, and restart
+# Bounded runs of the WAL's fuzz targets: the log-chunk decoder, and restart
 # over arbitrary stable chunks. `go test -fuzz` takes one target per run.
 fuzz-wal:
 	$(GO) test -run xxx -fuzz 'FuzzUnmarshalRecord$$' -fuzztime 10s ./internal/wal/

@@ -25,7 +25,10 @@ func logForces(m *Manager) int64 {
 }
 
 // TestLogVolume pins what a transaction costs in stable log bytes, puts and
-// forces. Run it with -v (make logvolume) to read the bytes per transaction.
+// forces, exactly. Run it with -v (make logvolume) to read the bytes per
+// transaction. A transfer logs 13 + 7 + 1 bytes: its second update and its
+// commit follow the record before them in the chunk, so neither repeats
+// the LSN, Txn and PrevLSN.
 func TestLogVolume(t *testing.T) {
 	balance := func(v byte) []byte { return []byte{0, 0, 0, 0, 0, 0, 3, v} }
 	bigPage := func(v byte) []byte {
@@ -34,15 +37,22 @@ func TestLogVolume(t *testing.T) {
 		return p
 	}
 	const tid = 1 << 17 // as wide as a transaction number gets in a long run
+	transfer := func(t *testing.T, m *Manager, image func(byte) []byte) {
+		must(t, m.Begin(tid))
+		must(t, m.Write(tid, 0, image(1)))
+		must(t, m.Write(tid, 1, image(2)))
+		must(t, m.Commit(tid))
+	}
 	for _, c := range []struct {
-		name     string
-		image    func(v byte) []byte
-		run      func(t *testing.T, m *Manager, image func(v byte) []byte)
-		maxBytes int64 // stable log bytes
-		puts     int64 // log store writes
-		forces   int64
+		name   string
+		cfg    Config
+		image  func(v byte) []byte
+		run    func(t *testing.T, m *Manager, image func(v byte) []byte)
+		bytes  int64 // stable log bytes
+		puts   int64 // log store writes
+		forces int64
 	}{
-		{name: "read-only commit", image: balance, maxBytes: 0, puts: 0, forces: 0,
+		{name: "read-only commit", image: balance, bytes: 0, puts: 0, forces: 0,
 			run: func(t *testing.T, m *Manager, _ func(byte) []byte) {
 				must(t, m.Begin(tid))
 				for p := int64(0); p < 8; p++ {
@@ -52,7 +62,7 @@ func TestLogVolume(t *testing.T) {
 				}
 				must(t, m.Commit(tid))
 			}},
-		{name: "empty abort", image: balance, maxBytes: 0, puts: 0, forces: 0,
+		{name: "empty abort", image: balance, bytes: 0, puts: 0, forces: 0,
 			run: func(t *testing.T, m *Manager, _ func(byte) []byte) {
 				must(t, m.Begin(tid))
 				if _, err := m.Read(tid, 0); err != nil {
@@ -60,20 +70,33 @@ func TestLogVolume(t *testing.T) {
 				}
 				must(t, m.Abort(tid))
 			}},
-		{name: "identical rewrite", image: balance, maxBytes: 0, puts: 0, forces: 0,
+		{name: "identical rewrite", image: balance, bytes: 0, puts: 0, forces: 0,
 			run: func(t *testing.T, m *Manager, image func(byte) []byte) {
 				must(t, m.Begin(tid))
 				must(t, m.Write(tid, 0, image(0)))
 				must(t, m.Commit(tid))
 			}},
-		{name: "transfer, 8-byte balances", image: balance, maxBytes: 72, puts: 1, forces: 1,
+		{name: "transfer, 8-byte balances", image: balance, bytes: 21, puts: 1, forces: 1, run: transfer},
+		// On three streams the transfer's records land on two, and a
+		// stream's chunk only follows what is on that stream: the commit
+		// (page 0's stream) does not follow the update on page 1's.
+		{name: "transfer, 3 page-mod streams", cfg: Config{Streams: 3, Selection: PageMod},
+			image: balance, bytes: 35, puts: 2, forces: 2, run: transfer},
+		// Two transfers interleaved in one force: no record follows the
+		// one before it, since that one is the other transaction's. The
+		// second commit is forced alone.
+		{name: "two transfers interleaved", image: balance, bytes: 70, puts: 2, forces: 2,
 			run: func(t *testing.T, m *Manager, image func(byte) []byte) {
 				must(t, m.Begin(tid))
+				must(t, m.Begin(tid+1))
 				must(t, m.Write(tid, 0, image(1)))
+				must(t, m.Write(tid+1, 2, image(1)))
 				must(t, m.Write(tid, 1, image(2)))
+				must(t, m.Write(tid+1, 3, image(2)))
 				must(t, m.Commit(tid))
+				must(t, m.Commit(tid+1))
 			}},
-		{name: "one 8-byte change in a 4 KiB page", image: bigPage, maxBytes: 64, puts: 1, forces: 1,
+		{name: "one 8-byte change in a 4 KiB page", image: bigPage, bytes: 29, puts: 1, forces: 1,
 			run: func(t *testing.T, m *Manager, image func(byte) []byte) {
 				must(t, m.Begin(tid))
 				must(t, m.Write(tid, 0, image(9)))
@@ -81,7 +104,7 @@ func TestLogVolume(t *testing.T) {
 			}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			m, _ := newTestManager(Config{})
+			m, _ := newTestManager(c.cfg)
 			for p := int64(0); p < 8; p++ {
 				must(t, m.Load(p, c.image(0)))
 			}
@@ -91,9 +114,9 @@ func TestLogVolume(t *testing.T) {
 			c.run(t, m, c.image)
 			got, puts, forces := m.Stats()["logBytes"], logPuts(m), logForces(m)
 			t.Logf("%-36s %3d log bytes, %d log puts, %d forces (page %d B)", c.name, got, puts, forces, len(c.image(0)))
-			if got > c.maxBytes || puts != c.puts || forces != c.forces {
-				t.Errorf("logged %d bytes in %d puts and %d forces; want at most %d bytes, %d puts, %d forces",
-					got, puts, forces, c.maxBytes, c.puts, c.forces)
+			if got != c.bytes || puts != c.puts || forces != c.forces {
+				t.Errorf("logged %d bytes in %d puts and %d forces; want %d bytes, %d puts, %d forces",
+					got, puts, forces, c.bytes, c.puts, c.forces)
 			}
 		})
 	}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/pagestore"
 )
 
-// FuzzUnmarshalRecord hammers the log-record decoder with arbitrary bytes:
-// it must never panic, every successfully decoded record must re-encode to
-// the bytes it consumed (a record has one encoding), nothing it describes
-// may reach past LogChunkSize, and applying it to a page it does not fit is
-// an error, not a panic.
+// FuzzUnmarshalRecord hammers the log-chunk decoder with arbitrary bytes:
+// it must never panic, every chunk that decodes must re-encode to the same
+// bytes (a chunk has one encoding), nothing a record describes may reach
+// past LogChunkSize, and applying a record to a page it does not fit is an
+// error, not a panic.
 func FuzzUnmarshalRecord(f *testing.F) {
 	for _, r := range []Record{
 		{LSN: 7, Type: RecUpdate, Txn: 3, Page: 9, PrevLSN: 5, Off: 1, Del: 3, Old: []byte("old"), New: []byte("new")},
@@ -23,7 +23,7 @@ func FuzzUnmarshalRecord(f *testing.F) {
 		{LSN: 11, Type: RecAbort, Txn: 4},
 		{LSN: 12, Type: RecCheckpoint, PrevLSN: 11},
 	} {
-		f.Add(r.Marshal(nil))
+		f.Add(encodeChunk(r))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
@@ -34,30 +34,54 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	f.Add([]byte{byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0xff, 0x7f, 'x'})          // len(New) past the chunk
 	f.Add([]byte{byte(RecUpdate) | tagDel, 9, 2, 8, 0xff, 0xff, 0xff, 0xff, 0x0f})   // Del past the chunk
 	f.Add([]byte{byte(RecUpdate) | tagComp | tagOff | tagDel, 9, 2, 8, 1, 0x7f, 50}) // offset+len past a small page
+	bal := func(v byte) []byte { return []byte{v} }
+	f.Add(encodeChunk( // a transfer: the second update and the commit follow
+		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, Old: bal(1), New: bal(2)},
+		Record{LSN: 21, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, Old: bal(3), New: bal(2)},
+		Record{LSN: 22, Type: RecCommit, Txn: 5, PrevLSN: 21}))
+	f.Add(encodeChunk( // two transactions interleaved: nothing follows
+		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, Old: bal(1), New: bal(2)},
+		Record{LSN: 21, Type: RecUpdate, Txn: 6, Page: 3, Off: 7, Del: 1, Old: bal(1), New: bal(2)},
+		Record{LSN: 22, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, Old: bal(3), New: bal(2)},
+		Record{LSN: 23, Type: RecUpdate, Txn: 6, Page: 4, PrevLSN: 21, Off: 7, Del: 1, Old: bal(3), New: bal(2)},
+		Record{LSN: 24, Type: RecCommit, Txn: 5, PrevLSN: 22}))
+	f.Add(encodeChunk( // an abort with CLRs, newest update first
+		Record{LSN: 30, Type: RecUpdate, Txn: 7, Page: 1, Del: 2, Old: []byte("ab"), New: []byte("xyz")},
+		Record{LSN: 31, Type: RecUpdate, Txn: 7, Page: 2, PrevLSN: 30, Off: 1, New: []byte("q")},
+		Record{LSN: 32, Type: RecUpdate, Txn: 7, Page: 2, PrevLSN: 31, CompLSN: 31, Off: 1, Del: 1},
+		Record{LSN: 33, Type: RecUpdate, Txn: 7, Page: 1, PrevLSN: 32, CompLSN: 30, Del: 3, New: []byte("ab")},
+		Record{LSN: 34, Type: RecAbort, Txn: 7, PrevLSN: 33}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, n, err := UnmarshalRecord(data)
-		if err != nil {
-			return
+		var c chunkCodec
+		var recs []Record
+		for rest := data; len(rest) > 0; {
+			r, n, err := c.decode(rest)
+			if err != nil {
+				return
+			}
+			if n <= 0 || n > len(rest) {
+				t.Fatalf("consumed %d of %d", n, len(rest))
+			}
+			if r.Off+r.Del > LogChunkSize || r.Off+len(r.New) > LogChunkSize || len(r.Old)+len(r.New) > n {
+				t.Fatalf("record reaches past the chunk or its own bytes: %+v", r)
+			}
+			recs, rest = append(recs, r), rest[n:]
 		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d", n, len(data))
+		if again := encodeChunk(recs...); !bytes.Equal(again, data) {
+			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", data, again)
 		}
-		if again := r.Marshal(nil); !bytes.Equal(again, data[:n]) {
-			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", data[:n], again)
-		}
-		if r.Off+r.Del > LogChunkSize || r.Off+len(r.New) > LogChunkSize || len(r.Old)+len(r.New) > n {
-			t.Fatalf("record reaches past the chunk or its own bytes: %+v", r)
-		}
-		if r.Type != RecUpdate {
-			return
-		}
-		page := bytes.Repeat([]byte{'p'}, 64)
-		out, err := splice(page, r.Off, r.Del, r.New)
-		if (err == nil) != (r.Off+r.Del <= 64) {
-			t.Fatalf("splice of (%d,-%d,+%d) into 64 bytes: %v", r.Off, r.Del, len(r.New), err)
-		}
-		if err == nil && len(out) != 64-r.Del+len(r.New) {
-			t.Fatalf("splice left %d bytes, want %d", len(out), 64-r.Del+len(r.New))
+		for _, r := range recs {
+			if r.Type != RecUpdate {
+				continue
+			}
+			page := bytes.Repeat([]byte{'p'}, 64)
+			out, err := splice(page, r.Off, r.Del, r.New)
+			if (err == nil) != (r.Off+r.Del <= 64) {
+				t.Fatalf("splice of (%d,-%d,+%d) into 64 bytes: %v", r.Off, r.Del, len(r.New), err)
+			}
+			if err == nil && len(out) != 64-r.Del+len(r.New) {
+				t.Fatalf("splice left %d bytes, want %d", len(out), 64-r.Del+len(r.New))
+			}
 		}
 	})
 }
@@ -75,17 +99,24 @@ func fuzzManager(streams int) *Manager {
 }
 
 // stableStreams returns each stream's stable records as one chunk: what a
-// log of the same records written by fewer forces would hold.
+// log of the same records written by fewer forces would hold. The records
+// are coded afresh, since a chunk codes each against the one before it.
 func stableStreams(t testing.TB, m *Manager) [3][]byte {
 	var out [3][]byte
 	for i, s := range m.streams {
+		var recs []Record
 		for seq := s.firstChunk; seq < s.nextChunk; seq++ {
 			data, _, err := m.LogStore().Read(chunkID(i, seq))
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = append(out[i], data...)
+			chunk, err := decodeChunk(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, chunk...)
 		}
+		out[i] = encodeChunk(recs...)
 	}
 	return out
 }
@@ -136,8 +167,8 @@ func FuzzRecover(f *testing.F) {
 	// A checkpoint beyond a gap: the trim removes it, so its horizon must
 	// not hide the update below it from the first restart either.
 	f.Add(uint8(1),
-		(&Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 24, Del: 6, Old: []byte("000000"), New: []byte("000")}).Marshal(nil),
-		(&Record{LSN: 48, Type: RecCheckpoint, PrevLSN: 16}).Marshal(nil), []byte{})
+		encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 24, Del: 6, Old: []byte("000000"), New: []byte("000")}),
+		encodeChunk(Record{LSN: 48, Type: RecCheckpoint, PrevLSN: 16}), []byte{})
 	f.Add(uint8(2), []byte{byte(RecCommit), 5, 1}, []byte{byte(RecCheckpoint) | tagPrev, 6, 0, 2}, []byte{0xff})
 	f.Fuzz(func(t *testing.T, n uint8, c0, c1, c2 []byte) {
 		streams := 1 + int(n%3)

@@ -84,7 +84,6 @@ type Manager struct {
 	streams []*stream
 	sel     *selector
 	nextLSN uint64
-	scratch []byte // one record's encoding, between Marshal and the stream
 
 	pool map[pagestore.PageID]*bufPage
 	lru  bufPage // ring anchor: lru.next is the eviction victim
@@ -329,8 +328,7 @@ func (m *Manager) appendRecOn(rec Record) (uint64, int) {
 	rec.LSN = m.nextLSN
 	m.nextLSN++
 	i := m.sel.pick(rec.Txn, rec.Page)
-	m.scratch = rec.Marshal(m.scratch[:0])
-	m.streams[i].append(rec.LSN, m.scratch)
+	m.streams[i].append(&rec)
 	return rec.LSN, i
 }
 

@@ -73,9 +73,12 @@ func (r *Record) IsCLR() bool { return r.CompLSN != 0 }
 
 // The tag byte holds the record type in its low three bits; each remaining
 // bit says that an optional field is present. Absent fields are zero, and a
-// present field is never zero, so every record has exactly one encoding.
+// present field is never zero. Types 5–7 are an update, commit or abort
+// that follows the record before it in its chunk (see chunkCodec): the tag
+// then stands for LSN, Txn and PrevLSN too, so no flag bit is spent on it.
 const (
 	tagTypeMask = 0x07
+	tagFollows  = 4      // added to RecUpdate, RecCommit or RecAbort: the record follows
 	tagPrev     = 1 << 3 // PrevLSN, as the distance LSN-PrevLSN
 	tagComp     = 1 << 4 // CompLSN, as the distance LSN-CompLSN
 	tagOff      = 1 << 5 // Off
@@ -87,19 +90,55 @@ const (
 // bytes: the tag, five 10-byte varints and three 3-byte ones, rounded up.
 const maxRecHeader = 64
 
-// Marshal appends the binary encoding of r to buf and returns the result:
+// chunkCodec codes the records of one log chunk — what one force's
+// Store.Write puts — in order, each against the record before it. A record
+// follows the one before it when it is an update, commit or abort, its LSN
+// is one above that record's, its Txn is the same, and its PrevLSN names
+// that record: a transaction's records appended back to back, as a
+// transfer's are. A following record writes none of those three fields.
+// Nothing follows a checkpoint, and a chunk's first record never follows,
+// so each chunk decodes on its own. The zero value starts a chunk.
 //
-//	tag · uvarint LSN · uvarint Txn · [uvarint LSN-PrevLSN] ·
+// The encoder uses the short form whenever the rule holds and the decoder
+// accepts it nowhere else, so a chunk has exactly one encoding.
+type chunkCodec struct {
+	lsn, txn uint64 // the record the next one may follow; lsn 0: none
+}
+
+// follows reports whether r follows the record before it.
+func (c *chunkCodec) follows(r *Record) bool {
+	return c.lsn != 0 && r.Type != RecCheckpoint && r.LSN == c.lsn+1 &&
+		r.Txn == c.txn && r.PrevLSN == c.lsn
+}
+
+// step moves the codec past r.
+func (c *chunkCodec) step(r *Record) {
+	if r.Type == RecCheckpoint {
+		*c = chunkCodec{}
+		return
+	}
+	c.lsn, c.txn = r.LSN, r.Txn
+}
+
+// encode appends the encoding of r, the chunk's next record, to buf and
+// returns the result:
+//
+//	tag · [uvarint LSN · uvarint Txn · [uvarint LSN-PrevLSN]] ·
 //	update only: varint Page · [uvarint LSN-CompLSN] · [uvarint Off] ·
 //	             [uvarint Del] · [uvarint len(New)] · [Old] · New
 //
-// Bracketed fields are present only when non-zero. PrevLSN and CompLSN,
-// when set, must be below LSN (they always are: both name earlier records).
-func (r *Record) Marshal(buf []byte) []byte {
+// The outer brackets are absent when r follows; the others hold fields
+// present only when non-zero. PrevLSN and CompLSN, when set, must be below
+// LSN (they always are: both name earlier records).
+func (c *chunkCodec) encode(buf []byte, r *Record) []byte {
 	tag := byte(r.Type)
-	if r.PrevLSN != 0 {
+	follows := c.follows(r)
+	if follows {
+		tag += tagFollows
+	} else if r.PrevLSN != 0 {
 		tag |= tagPrev
 	}
+	c.step(r)
 	if r.Type == RecUpdate {
 		if r.CompLSN != 0 {
 			tag |= tagComp
@@ -115,10 +154,12 @@ func (r *Record) Marshal(buf []byte) []byte {
 		}
 	}
 	buf = append(buf, tag)
-	buf = binary.AppendUvarint(buf, r.LSN)
-	buf = binary.AppendUvarint(buf, r.Txn)
-	if tag&tagPrev != 0 {
-		buf = binary.AppendUvarint(buf, r.LSN-r.PrevLSN)
+	if !follows {
+		buf = binary.AppendUvarint(buf, r.LSN)
+		buf = binary.AppendUvarint(buf, r.Txn)
+		if tag&tagPrev != 0 {
+			buf = binary.AppendUvarint(buf, r.LSN-r.PrevLSN)
+		}
 	}
 	if r.Type != RecUpdate {
 		return buf
@@ -226,33 +267,55 @@ func (d *decoder) extent(field string) int {
 	return int(v)
 }
 
-// UnmarshalRecord decodes one record from the front of buf, returning the
-// record and the number of bytes consumed. The record's Old and New alias
-// buf. Anything a Marshal call could not have produced — an unknown type,
-// a flag the type does not allow, an overlong varint, a range past
-// LogChunkSize — is an error, never a panic.
-func UnmarshalRecord(buf []byte) (Record, int, error) {
+// decode decodes the chunk's next record from the front of buf, returning
+// the record and the number of bytes consumed. The record's Old and New
+// alias buf. Anything encode could not have produced — an unknown type, a
+// flag the type does not allow, an overlong varint, a range past
+// LogChunkSize, a following record where none may follow, a whole one
+// where it must — is an error, never a panic.
+func (c *chunkCodec) decode(buf []byte) (Record, int, error) {
 	if len(buf) == 0 {
 		return Record{}, 0, fmt.Errorf("wal: empty record")
 	}
 	tag := buf[0]
-	r := Record{Type: RecType(tag & tagTypeMask)}
+	typ := tag & tagTypeMask
+	follows := typ > tagFollows
+	if follows {
+		typ -= tagFollows
+	}
+	r := Record{Type: RecType(typ)}
 	if r.Type < RecUpdate || r.Type > RecCheckpoint {
-		return Record{}, 0, fmt.Errorf("wal: corrupt record type %d", tag&tagTypeMask)
+		return Record{}, 0, fmt.Errorf("wal: corrupt record type %d", typ)
 	}
 	if r.Type != RecUpdate && tag&^(tagTypeMask|tagPrev) != 0 {
 		return Record{}, 0, fmt.Errorf("wal: %v record with update flags %#x", r.Type, tag)
 	}
 	d := &decoder{buf: buf, n: 1}
-	r.LSN = d.uvarint("LSN")
-	r.Txn = d.uvarint("Txn")
-	if tag&tagPrev != 0 {
-		r.PrevLSN = d.back("PrevLSN", r.LSN)
+	if follows {
+		switch {
+		case c.lsn == 0:
+			return Record{}, 0, fmt.Errorf("wal: following %v record with no record before it to follow", r.Type)
+		case c.lsn+1 == 0:
+			return Record{}, 0, fmt.Errorf("wal: following %v record overflows the LSN", r.Type)
+		case tag&tagPrev != 0:
+			return Record{}, 0, fmt.Errorf("wal: following %v record with a PrevLSN", r.Type)
+		}
+		r.LSN, r.Txn, r.PrevLSN = c.lsn+1, c.txn, c.lsn
+	} else {
+		r.LSN = d.uvarint("LSN")
+		r.Txn = d.uvarint("Txn")
+		if tag&tagPrev != 0 {
+			r.PrevLSN = d.back("PrevLSN", r.LSN)
+		}
+		if d.err == nil && c.follows(&r) {
+			return Record{}, 0, fmt.Errorf("wal: %v record at LSN %d coded whole, but it follows the record before it", r.Type, r.LSN)
+		}
 	}
 	if r.Type != RecUpdate {
 		if d.err != nil {
 			return Record{}, 0, d.err
 		}
+		c.step(&r)
 		return r, d.n, nil
 	}
 	r.Page = d.varint("Page")
@@ -289,6 +352,7 @@ func UnmarshalRecord(buf []byte) (Record, int, error) {
 	if nNew > 0 {
 		r.New = buf[d.n+nOld : total : total]
 	}
+	c.step(&r)
 	return r, total, nil
 }
 

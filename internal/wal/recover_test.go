@@ -56,7 +56,8 @@ func transferLog(tb testing.TB, cfg Config, txns, pages int) *Manager {
 
 // BenchmarkManagerRecover times restart alone over the crash-restart log:
 // 30,000 committed transfers over 1,024 pages, built and crashed outside
-// the timer. ns/txn, B/txn and allocs/txn are per logged transaction.
+// the timer. ns/txn, B/txn and allocs/txn are per logged transaction, and
+// so is logB/txn, the stable log bytes restart reads.
 func BenchmarkManagerRecover(b *testing.B) {
 	const txns, pages = 30000, 1024
 	for _, c := range []struct {
@@ -67,11 +68,12 @@ func BenchmarkManagerRecover(b *testing.B) {
 		{"3streams-pagemod", Config{Streams: 3, Selection: PageMod}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			var bytes, allocs float64
+			var bytes, allocs, logBytes float64
 			var before, after runtime.MemStats
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				m := transferLog(b, c.cfg, txns, pages)
+				logBytes += float64(m.Stats()["logBytes"])
 				runtime.ReadMemStats(&before)
 				b.StartTimer()
 				if err := m.Recover(); err != nil {
@@ -86,6 +88,7 @@ func BenchmarkManagerRecover(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/txn")
 			b.ReportMetric(bytes/per, "B/txn")
 			b.ReportMetric(allocs/per, "allocs/txn")
+			b.ReportMetric(logBytes/per, "logB/txn")
 		})
 	}
 }
@@ -113,15 +116,12 @@ func TestRecoverAllocationBudget(t *testing.T) {
 // and the chunk, rather than end the log at a gap that is not there (one
 // stream) or quietly reorder the records (several).
 func TestOutOfOrderStreamIsCorrupt(t *testing.T) {
-	var chunk []byte
-	for _, r := range []Record{
-		{LSN: 1, Type: RecUpdate, Txn: 1, Page: 1, Del: 1, Old: page("a"), New: page("A")},
-		{LSN: 2, Type: RecCommit, Txn: 1, PrevLSN: 1},
-		{LSN: 4, Type: RecCommit, Txn: 2, PrevLSN: 3},
-		{LSN: 3, Type: RecUpdate, Txn: 2, Page: 2, Del: 1, Old: page("b"), New: page("B")},
-	} {
-		chunk = r.Marshal(chunk)
-	}
+	chunk := encodeChunk(
+		Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 1, Del: 1, Old: page("a"), New: page("A")},
+		Record{LSN: 2, Type: RecCommit, Txn: 1, PrevLSN: 1},
+		Record{LSN: 4, Type: RecCommit, Txn: 2, PrevLSN: 3},
+		Record{LSN: 3, Type: RecUpdate, Txn: 2, Page: 2, Del: 1, Old: page("b"), New: page("B")},
+	)
 	for _, streams := range []int{1, 3} {
 		t.Run(fmt.Sprintf("%d_streams", streams), func(t *testing.T) {
 			m, _ := newTestManager(Config{Streams: streams, Selection: Cyclic})

@@ -52,8 +52,9 @@ const LogChunkSize = 1 << 16
 const logChunkSize = LogChunkSize
 
 // stream is one parallel log stream persisting to its own region of the log
-// store. Records are encoded as they are appended, so the volatile tail is
-// the bytes the next force will write, already cut into chunks.
+// store. Records are encoded as they are appended, each against the open
+// chunk, so the volatile tail is the bytes the next force will write,
+// already cut into chunks.
 type stream struct {
 	idx        int
 	store      *pagestore.Store
@@ -62,6 +63,7 @@ type stream struct {
 	chunkMax   []uint64   // max LSN per stable chunk (parallel to firstChunk..)
 	tail       []volChunk // appended but not yet forced, oldest first
 	spare      []byte     // the last forced chunk's buffer, for the next tail
+	scratch    []byte     // one record's encoding, until it is known to fit
 	forces     int64
 	records    int64
 	bytes      int64 // encoded bytes that reached the log store
@@ -73,6 +75,7 @@ type stream struct {
 // lowest and highest LSN.
 type volChunk struct {
 	buf        []byte
+	codec      chunkCodec // past the last record in buf
 	first, max uint64
 }
 
@@ -95,19 +98,24 @@ func chunkID(streamIdx int, seq int64) pagestore.PageID {
 	return pagestore.PageID(int64(streamIdx)<<40 | seq)
 }
 
-// append buffers one encoded record in the stream's volatile tail, whole
-// records only: a record that would overflow the open chunk starts the next.
-func (s *stream) append(lsn uint64, enc []byte) {
-	n := len(s.tail)
-	if n == 0 || len(s.tail[n-1].buf)+len(enc) > logChunkSize {
-		s.tail = append(s.tail, volChunk{buf: s.spare[:0], first: lsn})
-		s.spare = nil
-		n++
-	}
-	c := &s.tail[n-1]
-	c.buf = append(c.buf, enc...)
-	c.max = lsn
+// append encodes r onto the stream's volatile tail, whole records only: a
+// record that would overflow the open chunk starts the next.
+func (s *stream) append(r *Record) {
 	s.records++
+	if n := len(s.tail); n > 0 {
+		c := &s.tail[n-1]
+		codec := c.codec
+		s.scratch = codec.encode(s.scratch[:0], r)
+		if len(c.buf)+len(s.scratch) <= logChunkSize {
+			c.buf = append(c.buf, s.scratch...)
+			c.codec, c.max = codec, r.LSN
+			return
+		}
+	}
+	c := volChunk{first: r.LSN, max: r.LSN}
+	c.buf = c.codec.encode(s.spare[:0], r)
+	s.spare = nil
+	s.tail = append(s.tail, c)
 }
 
 // force persists the whole volatile tail, one store write per chunk, so a
@@ -299,9 +307,14 @@ func (l *restartLog) end() (next uint64, gap bool, err error) {
 func (s *stream) readStable(log *restartLog) error {
 	s.crash()
 	s.firstChunk = 0
-	if meta, _, err := s.store.Read(metaID(s.idx)); err == nil && len(meta) >= 8 {
+	switch meta, _, err := s.store.Read(metaID(s.idx)); {
+	case err == nil && len(meta) != 8:
+		// The truncation point is lost: reading from chunk 0 would skip
+		// every chunk since a checkpoint deleted it.
+		return fmt.Errorf("wal: stream %d meta page holds %d bytes, not an 8-byte truncation point", s.idx, len(meta))
+	case err == nil:
 		s.firstChunk = int64(getUint64(meta))
-	} else if err != nil && !errors.Is(err, pagestore.ErrNotFound) {
+	case !errors.Is(err, pagestore.ErrNotFound):
 		return err
 	}
 	s.chunkMax = nil
@@ -318,8 +331,9 @@ func (s *stream) readStable(log *restartLog) error {
 			return err
 		}
 		max := uint64(0)
+		var codec chunkCodec
 		for len(data) > 0 {
-			r, n, err := UnmarshalRecord(data)
+			r, n, err := codec.decode(data)
 			if err != nil {
 				return fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk, err)
 			}
@@ -338,7 +352,9 @@ func (s *stream) readStable(log *restartLog) error {
 // trim removes every stable record with LSN >= limit — a suffix of the
 // stream, since its LSNs ascend — and reports how many it removed. Whole
 // chunks are deleted newest first, so a crash mid-trim never leaves a gap
-// in the chunk sequence; the chunk straddling limit is rewritten last.
+// in the chunk sequence; the chunk straddling limit is rewritten last, cut
+// to its records below limit (a chunk's records are coded against earlier
+// ones only, so they stand as a chunk of their own).
 func (s *stream) trim(limit uint64) (int64, error) {
 	var removed int64
 	for s.nextChunk > s.firstChunk && s.chunkMax[len(s.chunkMax)-1] >= limit {
@@ -348,8 +364,9 @@ func (s *stream) trim(limit uint64) (int64, error) {
 			return removed, err
 		}
 		keep, max := 0, uint64(0)
+		var codec chunkCodec
 		for rest := data; len(rest) > 0; {
-			r, n, err := UnmarshalRecord(rest)
+			r, n, err := codec.decode(rest)
 			if err != nil {
 				return removed, fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk-1, err)
 			}

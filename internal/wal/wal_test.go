@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,18 +18,46 @@ func newTestManager(cfg Config) (*Manager, *pagestore.Store) {
 
 func page(s string) []byte { return []byte(s) }
 
+// encodeChunk encodes recs as one log chunk.
+func encodeChunk(recs ...Record) []byte {
+	var c chunkCodec
+	var buf []byte
+	for i := range recs {
+		buf = c.encode(buf, &recs[i])
+	}
+	return buf
+}
+
+// decodeChunk decodes every record of one log chunk.
+func decodeChunk(buf []byte) ([]Record, error) {
+	var c chunkCodec
+	var recs []Record
+	for len(buf) > 0 {
+		r, n, err := c.decode(buf)
+		if err != nil {
+			return nil, err
+		}
+		recs, buf = append(recs, r), buf[n:]
+	}
+	return recs, nil
+}
+
 func TestRecordMarshalRoundTrip(t *testing.T) {
-	for _, in := range []Record{
+	recs := []Record{
 		{LSN: 42, Type: RecUpdate, Txn: 7, Page: 99, PrevLSN: 40, Off: 5, Del: 3, Old: []byte("old"), New: []byte("newer")},
 		{LSN: 43, Type: RecUpdate, Txn: 7, Page: -1, PrevLSN: 42, CompLSN: 12, Off: 5, Del: 5, New: []byte("old")},
-		{LSN: 1, Type: RecUpdate, Txn: 1, New: []byte("first")},
 		{LSN: 44, Type: RecCommit, Txn: 7, PrevLSN: 43},
 		{LSN: 45, Type: RecAbort, Txn: 8, PrevLSN: 2},
-		{LSN: 46, Type: RecCheckpoint, PrevLSN: 45},
+		{LSN: 46, Type: RecAbort, Txn: 8, PrevLSN: 45},
+		{LSN: 47, Type: RecCheckpoint, PrevLSN: 46},
+		{LSN: 48, Type: RecCommit, PrevLSN: 47},
+		{LSN: 1, Type: RecUpdate, Txn: 1, New: []byte("first")},
 		{LSN: 1, Type: RecCheckpoint},
-	} {
-		buf := in.Marshal(nil)
-		out, n, err := UnmarshalRecord(append(buf, 0xAA)) // trailing bytes are the next record's
+	}
+	for _, in := range recs {
+		buf := encodeChunk(in)
+		var c chunkCodec
+		out, n, err := c.decode(append(buf, 0xAA)) // trailing bytes are the next record's
 		if err != nil {
 			t.Fatalf("%+v: %v", in, err)
 		}
@@ -43,14 +72,29 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 		}
 		// Old and New alias the input: decoding allocates nothing, however
 		// large the lengths an input claims.
-		if a := testing.AllocsPerRun(100, func() { _, _, _ = UnmarshalRecord(buf) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { c = chunkCodec{}; _, _, _ = c.decode(buf) }); a != 0 {
 			t.Fatalf("%+v: decoding allocates %v times", in, a)
 		}
+	}
+	// As one chunk, LSNs 43, 44 and 46 follow the record before them; 48
+	// does not, because nothing follows a checkpoint.
+	chunk := encodeChunk(recs...)
+	out, err := decodeChunk(chunk)
+	if err != nil || !reflect.DeepEqual(out, recs) {
+		t.Fatalf("chunk round trip: %v\n in  %+v\n out %+v", err, recs, out)
+	}
+	var c chunkCodec
+	for i, rest := 0, chunk; i < len(recs); i++ {
+		if got, want := rest[0]&tagTypeMask > tagFollows, i == 1 || i == 2 || i == 4; got != want {
+			t.Errorf("LSN %d: follows = %v, want %v", recs[i].LSN, got, want)
+		}
+		_, n, _ := c.decode(rest)
+		rest = rest[n:]
 	}
 }
 
 func TestRecordMarshalProperty(t *testing.T) {
-	f := func(lsn, txn, prev, comp uint64, pg int64, off uint16, old, ins []byte) bool {
+	f := func(lsn, txn, prev, comp uint64, pg int64, off uint16, old, ins []byte, chain bool) bool {
 		lsn |= 1 << 20 // leave room below for PrevLSN and CompLSN
 		in := Record{LSN: lsn, Type: RecUpdate, Txn: txn, Page: pg, PrevLSN: prev % lsn,
 			Off: int(off % 4096), Del: len(old), Old: old, New: ins}
@@ -63,8 +107,17 @@ func TestRecordMarshalProperty(t *testing.T) {
 		if len(in.New) == 0 {
 			in.New = nil
 		}
-		out, n, err := UnmarshalRecord(in.Marshal(nil))
-		return err == nil && n == len(in.Marshal(nil)) && reflect.DeepEqual(in, out)
+		// The commit after it follows it, or (the other transaction's)
+		// does not.
+		commit := Record{LSN: lsn + 1, Type: RecCommit, Txn: txn, PrevLSN: lsn}
+		if !chain {
+			commit.Txn++
+		}
+		recs := []Record{in, commit}
+		chunk := encodeChunk(recs...)
+		out, err := decodeChunk(chunk)
+		follows := chunk[len(chunk)-1] == byte(RecCommit)+tagFollows
+		return err == nil && reflect.DeepEqual(recs, out) && follows == chain
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -73,10 +126,10 @@ func TestRecordMarshalProperty(t *testing.T) {
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	r := Record{LSN: 9, Type: RecUpdate, Txn: 2, Page: 4, PrevLSN: 8, Off: 1, Del: 2, Old: []byte("ab"), New: []byte("xyz")}
-	good := r.Marshal(nil)
+	good := encodeChunk(r)
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	then := func(next ...byte) []byte { return append(append([]byte(nil), good...), next...) }
 	for name, buf := range map[string][]byte{
-		"empty":          {},
 		"header only":    good[:3],
 		"truncated body": good[:len(good)-1],
 		"type 0":         mutate(func(b []byte) []byte { b[0] &^= tagTypeMask; return b }),
@@ -93,10 +146,23 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		"Del past the chunk":        {byte(RecUpdate) | tagComp | tagDel, 9, 2, 8, 1, 0x81, 0x80, 0x04},
 		"Off+Del past the chunk":    {byte(RecUpdate) | tagComp | tagOff | tagDel, 9, 2, 8, 1, 0x81, 0x80, 0x02, 0x80, 0x80, 0x02},
 		"New longer than the input": {byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0x7f, 'x'},
+		// A record that follows carries no LSN, Txn or PrevLSN of its own,
+		// so it must have a record before it to take them from, and a
+		// record that could follow must.
+		"following at a chunk's start":  {byte(RecCommit) + tagFollows},
+		"following a checkpoint":        append(encodeChunk(Record{LSN: 5, Type: RecCheckpoint, PrevLSN: 4}), byte(RecCommit)+tagFollows),
+		"following with a PrevLSN":      then(byte(RecCommit)+tagFollows|tagPrev, 1),
+		"whole where it should follow":  then(byte(RecCommit)|tagPrev, 10, 2, 1),
+		"following past the last LSN":   append(encodeChunk(Record{LSN: 1<<64 - 1, Type: RecAbort, Txn: 2}), byte(RecAbort)+tagFollows),
+		"following update, range wrong": then(byte(RecUpdate)+tagFollows|tagOff, 8, 0x81, 0x80, 0x04),
 	} {
-		if _, _, err := UnmarshalRecord(buf); err == nil {
-			t.Errorf("%s: accepted %x", name, buf)
+		if recs, err := decodeChunk(buf); err == nil {
+			t.Errorf("%s: accepted %x as %+v", name, buf, recs)
 		}
+	}
+	var c chunkCodec
+	if r, _, err := c.decode(nil); err == nil {
+		t.Errorf("decoded %+v from no bytes", r)
 	}
 }
 
@@ -435,6 +501,40 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	got, _ := m.ReadCommitted(1)
 	if string(got) != "v5" {
 		t.Fatalf("post-checkpoint state lost: %q", got)
+	}
+}
+
+// TestDamagedMetaPageFailsRestart: a stream's meta page holds its 8-byte
+// truncation point. Once a checkpoint has deleted chunk 0, a meta page of
+// any other length must fail restart, naming the stream; reading it as "no
+// truncation point" would find no chunk 0 and lose every commit since.
+func TestDamagedMetaPageFailsRestart(t *testing.T) {
+	for _, n := range []int{3, 16} {
+		t.Run(fmt.Sprintf("%d_bytes", n), func(t *testing.T) {
+			m, _ := newTestManager(Config{})
+			must(t, m.Load(1, page("v0")))
+			for tid := uint64(1); tid <= 2; tid++ {
+				must(t, m.Begin(tid))
+				must(t, m.Write(tid, 1, page(fmt.Sprintf("v%d", tid))))
+				must(t, m.Commit(tid))
+				if tid == 1 {
+					must(t, m.Checkpoint())
+				}
+			}
+			if m.Stats()["truncatedChunks"] == 0 {
+				t.Fatal("checkpoint truncated nothing")
+			}
+			m.Crash()
+			must(t, m.LogStore().Write(metaID(0), bytes.Repeat([]byte{1}, n), 0))
+			err := m.Recover()
+			if err == nil {
+				got, _ := m.ReadCommitted(1)
+				t.Fatalf("Recover accepted a %d-byte meta page; page 1 = %q", n, got)
+			}
+			if !strings.Contains(err.Error(), "stream 0") {
+				t.Fatalf("error does not name the stream: %v", err)
+			}
+		})
 	}
 }
 

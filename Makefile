@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz loc ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal fuzz-server logvolume
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal fuzz-server logvolume lockbench
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples
+ci: build vet lint test race cover logvolume lockbench fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -110,6 +110,11 @@ loc:
 # and on 4 KiB pages: the table test's log lines are the report.
 logvolume:
 	$(GO) test -run 'TestLogVolume' -v ./internal/wal/
+
+# What the lock path costs: ns/op and allocs/op of one uncontended transfer
+# (S, S, X, X, release) and of one 4096-page live-audit transaction.
+lockbench:
+	$(GO) test -run xxx -bench BenchmarkLockTransfer -benchmem ./internal/lockmgr/
 
 # Bounded runs of the WAL's fuzz targets: the log-chunk decoder, and restart
 # over arbitrary stable chunks. `go test -fuzz` takes one target per run.

@@ -3,6 +3,15 @@
 // queuing, and waits-for-graph deadlock detection. It plays the role the
 // back-end controller's scheduler plays in the paper's database machine.
 //
+// Bookkeeping: each locked page has a lock state (its exclusive holder, its
+// shared holders in a small slice, its FIFO queue), and each transaction has
+// one record of the pages it was granted, in grant order, and of the one
+// request it is parked on, if any. Releasing a transaction therefore costs
+// O(locks it holds), never O(locked pages): it visits its own pages and the
+// page it is parked on, and no other. Freed page states and transaction
+// records are recycled, so locking without contention allocates nothing once
+// the manager is warm.
+//
 // Deadlock-victim rule: when a lock request would close a cycle in the
 // waits-for graph, the victim is the youngest transaction on that cycle —
 // the one with the highest TxnID, which (TxnIDs being allocated in Begin
@@ -18,6 +27,7 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -66,30 +76,94 @@ type waiter struct {
 	err error
 }
 
+// lockState is one page's lock: at most one exclusive holder, or any number
+// of shared holders, never both. A transaction is in at most one of the two.
+// Holder sets are small (a few concurrent readers), so a slice beats a map.
 type lockState struct {
-	sHolders map[TxnID]bool
+	sHolders []TxnID
 	xHolder  TxnID
 	queue    []*waiter
 }
+
+// mode reports the mode txn holds the page in, if any.
+func (ls *lockState) mode(txn TxnID) (Mode, bool) {
+	if ls.xHolder == txn {
+		return Exclusive, true
+	}
+	if slices.Contains(ls.sHolders, txn) {
+		return Shared, true
+	}
+	return Shared, false
+}
+
+// drop removes txn from the page's holders, if it is one.
+func (ls *lockState) drop(txn TxnID) {
+	if ls.xHolder == txn {
+		ls.xHolder = 0
+	}
+	if i := slices.Index(ls.sHolders, txn); i >= 0 {
+		ls.sHolders = slices.Delete(ls.sHolders, i, i+1)
+	}
+}
+
+// unqueue removes w from the page's queue and wakes its Lock call with err.
+func (ls *lockState) unqueue(w *waiter, err error) {
+	i := slices.Index(ls.queue, w)
+	ls.queue = slices.Delete(ls.queue, i, i+1)
+	w.err = err
+	close(w.ready)
+}
+
+// txnLocks is one transaction's record: the pages it was granted, in grant
+// order, and the request it is parked on, if any. A transaction has at most
+// one Lock call in flight, so it is parked on at most one page.
+type txnLocks struct {
+	pages    []PageID
+	wait     *waiter // nil unless parked in waitPage's queue
+	waitPage PageID
+}
+
+// freeList recycles the manager's records; it never holds more than the
+// lock table's peak size.
+type freeList[T any] []*T
+
+func (f *freeList[T]) get() *T {
+	n := len(*f)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*f)[n-1]
+	*f = (*f)[:n-1]
+	return x
+}
+
+func (f *freeList[T]) put(x *T) { *f = append(*f, x) }
 
 // Manager is the lock manager. Create with New; safe for concurrent use.
 type Manager struct {
 	mu    sync.Mutex
 	locks map[PageID]*lockState
-	held  map[TxnID]map[PageID]Mode
+	txns  map[TxnID]*txnLocks
 	// waitsOn[t] is the set of transactions t currently waits for.
 	waitsOn map[TxnID]map[TxnID]bool
+
+	freeLocks freeList[lockState]
+	freeTxns  freeList[txnLocks]
 
 	waits     int64
 	deadlocks int64
 	victims   []TxnID // deadlock victims in detection order
+
+	// onGrant, when set (by tests, before any Lock), sees every parked
+	// request as it is granted, under mu, in grant order.
+	onGrant func(TxnID, PageID)
 }
 
 // New returns an empty lock manager.
 func New() *Manager {
 	return &Manager{
 		locks:   make(map[PageID]*lockState),
-		held:    make(map[TxnID]map[PageID]Mode),
+		txns:    make(map[TxnID]*txnLocks),
 		waitsOn: make(map[TxnID]map[TxnID]bool),
 	}
 }
@@ -99,7 +173,8 @@ func New() *Manager {
 // transaction on that cycle (highest TxnID) is chosen as the victim and its
 // Lock call returns ErrDeadlock — that may be this call, or a call already
 // parked in a queue. The victim's caller must abort it (release its locks)
-// to unblock the others.
+// to unblock the others. A transaction must not have two Lock calls in
+// flight at once.
 func (m *Manager) Lock(txn TxnID, p PageID, mode Mode) error {
 	if txn == 0 {
 		return fmt.Errorf("lockmgr: TxnID 0 is reserved")
@@ -108,23 +183,22 @@ func (m *Manager) Lock(txn TxnID, p PageID, mode Mode) error {
 	ls := m.lockState(p)
 
 	// Re-entrant and upgrade cases.
-	if cur, ok := m.held[txn][p]; ok {
+	if cur, ok := ls.mode(txn); ok {
 		if cur == Exclusive || mode == Shared {
 			m.mu.Unlock()
 			return nil
 		}
 		// Upgrade S -> X: compatible once txn is the only holder.
-		if ls.xHolder == 0 && len(ls.sHolders) == 1 && ls.sHolders[txn] {
+		if len(ls.sHolders) == 1 {
 			ls.xHolder = txn
-			delete(ls.sHolders, txn)
-			m.held[txn][p] = Exclusive
+			ls.sHolders = ls.sHolders[:0]
 			m.mu.Unlock()
 			return nil
 		}
 	}
 
 	for {
-		if m.compatible(ls, txn, mode) && len(ls.queue) == 0 {
+		if ls.compatible(txn, mode) && len(ls.queue) == 0 {
 			m.grant(ls, txn, p, mode)
 			m.mu.Unlock()
 			return nil
@@ -144,6 +218,8 @@ func (m *Manager) Lock(txn TxnID, p PageID, mode Mode) error {
 			}
 			w := &waiter{txn: txn, mode: mode, ready: make(chan struct{})}
 			ls.queue = append(ls.queue, w)
+			rec := m.txnRecord(txn)
+			rec.wait, rec.waitPage = w, p
 			m.waits++
 			m.mu.Unlock()
 
@@ -163,47 +239,28 @@ func (m *Manager) Lock(txn TxnID, p PageID, mode Mode) error {
 		}
 		// The victim is parked in some queue. Hand it ErrDeadlock and retry:
 		// removing its wait edges breaks this cycle, though its held locks
-		// still block us until its caller aborts it.
+		// still block us until its caller aborts it. evict removes only a
+		// queue entry, and p has holders (a queue never outlives them), so
+		// ls stays in the table.
 		m.evict(victim)
 	}
 }
 
-// evict hands ErrDeadlock to a parked victim: its queue entries are removed
-// (waking any waiters they blocked), its outgoing wait edges disappear, and
+// evict hands ErrDeadlock to a parked victim: its queue entry is removed
+// (waking any waiters it blocked), its outgoing wait edges disappear, and
 // its blocked Lock call returns the error. Its held locks stay put until the
-// caller-side abort runs ReleaseAll. Callers hold m.mu.
+// caller-side abort runs ReleaseAll. A transaction with wait edges is
+// parked, so the victim is, and evict touches only the page it is parked on.
+// Callers hold m.mu.
 func (m *Manager) evict(victim TxnID) {
 	delete(m.waitsOn, victim)
-	for _, p := range m.lockedPages() {
-		ls := m.locks[p]
-		changed := false
-		rest := ls.queue[:0]
-		for _, w := range ls.queue {
-			if w.txn == victim {
-				changed = true
-				w.err = ErrDeadlock
-				close(w.ready)
-				continue
-			}
-			rest = append(rest, w)
-		}
-		ls.queue = rest
-		if changed {
-			m.wake(ls, p)
-			m.cleanup(p, ls)
-		}
-	}
-}
-
-// lockedPages returns the pages with lock state in ascending order, so
-// queue scrubs wake waiters in a reproducible sequence.
-func (m *Manager) lockedPages() []PageID {
-	out := make([]PageID, 0, len(m.locks))
-	for p := range m.locks {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	rec := m.txns[victim]
+	p := rec.waitPage
+	ls := m.locks[p]
+	ls.unqueue(rec.wait, ErrDeadlock)
+	rec.wait = nil
+	m.wake(ls, p)
+	m.cleanup(p, ls)
 }
 
 // blockers returns every transaction that currently prevents txn from being
@@ -213,7 +270,7 @@ func (m *Manager) blockers(ls *lockState, txn TxnID) map[TxnID]bool {
 	if ls.xHolder != 0 && ls.xHolder != txn {
 		out[ls.xHolder] = true
 	}
-	for t := range ls.sHolders {
+	for _, t := range ls.sHolders {
 		if t != txn {
 			out[t] = true
 		}
@@ -290,24 +347,32 @@ func sortedIDs(set map[TxnID]bool) []TxnID {
 	return out
 }
 
+// lockState returns p's lock state, adding a recycled one if p has none.
 func (m *Manager) lockState(p PageID) *lockState {
 	ls := m.locks[p]
 	if ls == nil {
-		ls = &lockState{sHolders: make(map[TxnID]bool)}
+		ls = m.freeLocks.get()
 		m.locks[p] = ls
 	}
 	return ls
 }
 
-func (m *Manager) compatible(ls *lockState, txn TxnID, mode Mode) bool {
+// txnRecord returns txn's record, adding a recycled one if txn has none.
+func (m *Manager) txnRecord(txn TxnID) *txnLocks {
+	rec := m.txns[txn]
+	if rec == nil {
+		rec = m.freeTxns.get()
+		m.txns[txn] = rec
+	}
+	return rec
+}
+
+func (ls *lockState) compatible(txn TxnID, mode Mode) bool {
 	if ls.xHolder != 0 && ls.xHolder != txn {
 		return false
 	}
 	if mode == Exclusive {
-		if ls.xHolder != 0 && ls.xHolder != txn {
-			return false
-		}
-		for t := range ls.sHolders {
+		for _, t := range ls.sHolders {
 			if t != txn {
 				return false
 			}
@@ -317,72 +382,51 @@ func (m *Manager) compatible(ls *lockState, txn TxnID, mode Mode) bool {
 }
 
 func (m *Manager) grant(ls *lockState, txn TxnID, p PageID, mode Mode) {
+	_, held := ls.mode(txn)
+	if !held {
+		rec := m.txnRecord(txn)
+		rec.pages = append(rec.pages, p)
+	}
 	if mode == Exclusive {
+		ls.drop(txn)
 		ls.xHolder = txn
-		delete(ls.sHolders, txn)
-	} else if ls.xHolder != txn {
-		ls.sHolders[txn] = true
-	}
-	hm := m.held[txn]
-	if hm == nil {
-		hm = make(map[PageID]Mode)
-		m.held[txn] = hm
-	}
-	// Record the strongest mode held.
-	if cur, ok := hm[p]; !ok || (cur == Shared && mode == Exclusive) {
-		hm[p] = mode
+	} else if !held {
+		ls.sHolders = append(ls.sHolders, txn)
 	}
 }
 
-// ReleaseAll releases every lock txn holds and removes it from all queues,
-// then grants any newly-eligible waiters. Transactions call it at commit or
-// abort.
+// ReleaseAll releases every lock txn holds and withdraws the request it is
+// parked on, if any, then grants any newly-eligible waiters. Transactions
+// call it at commit or abort. It visits only txn's own pages, in page order
+// so wake-ups replay identically run to run: O(locks held), never O(locked
+// pages).
 func (m *Manager) ReleaseAll(txn TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.waitsOn, txn)
-	held := make([]PageID, 0, len(m.held[txn]))
-	for p := range m.held[txn] {
-		held = append(held, p)
-	}
-	sort.Slice(held, func(i, j int) bool { return held[i] < held[j] })
-	for _, p := range held {
-		ls := m.locks[p]
-		if ls == nil {
-			continue
+	if rec := m.txns[txn]; rec != nil {
+		delete(m.txns, txn)
+		// A parked request (its caller raced Lock against its own
+		// commit/abort) was never granted, so its Lock call must not return
+		// nil: hand it ErrReleased before waking it, exactly as evict hands
+		// ErrDeadlock to victims. Its page joins the walk at its place in
+		// page order; it is already there if txn holds it.
+		pages := rec.pages
+		if rec.wait != nil && !slices.Contains(pages, rec.waitPage) {
+			pages = append(pages, rec.waitPage)
 		}
-		if ls.xHolder == txn {
-			ls.xHolder = 0
-		}
-		delete(ls.sHolders, txn)
-		m.wake(ls, p)
-		m.cleanup(p, ls)
-	}
-	delete(m.held, txn)
-	// txn may also sit in queues of pages it does not hold (it should not,
-	// because Lock blocks, but a deadlock victim might have raced). Scrub,
-	// in page order so wake-ups replay identically run to run. The scrubbed
-	// waiter was never granted, so its parked Lock call must not return
-	// nil: hand it ErrReleased before waking it, exactly as evict hands
-	// ErrDeadlock to victims.
-	for _, p := range m.lockedPages() {
-		ls := m.locks[p]
-		changed := false
-		rest := ls.queue[:0]
-		for _, w := range ls.queue {
-			if w.txn == txn {
-				changed = true
-				w.err = ErrReleased
-				close(w.ready)
-				continue
+		slices.Sort(pages)
+		for _, p := range pages {
+			ls := m.locks[p]
+			ls.drop(txn)
+			if rec.wait != nil && p == rec.waitPage {
+				ls.unqueue(rec.wait, ErrReleased)
 			}
-			rest = append(rest, w)
-		}
-		ls.queue = rest
-		if changed {
 			m.wake(ls, p)
 			m.cleanup(p, ls)
 		}
+		*rec = txnLocks{pages: pages[:0]}
+		m.freeTxns.put(rec)
 	}
 	// Remove txn from everyone's waits-for sets.
 	for _, edges := range m.waitsOn {
@@ -394,11 +438,15 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 func (m *Manager) wake(ls *lockState, p PageID) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
-		if !m.compatible(ls, w.txn, w.mode) {
+		if !ls.compatible(w.txn, w.mode) {
 			return
 		}
-		ls.queue = ls.queue[1:]
+		ls.queue = slices.Delete(ls.queue, 0, 1)
 		m.grant(ls, w.txn, p, w.mode)
+		m.txns[w.txn].wait = nil
+		if m.onGrant != nil {
+			m.onGrant(w.txn, p)
+		}
 		// The waiter no longer waits on anyone for this page.
 		delete(m.waitsOn, w.txn)
 		close(w.ready)
@@ -408,9 +456,12 @@ func (m *Manager) wake(ls *lockState, p PageID) {
 	}
 }
 
+// cleanup drops p's lock state once nobody holds or awaits p, keeping it for
+// reuse.
 func (m *Manager) cleanup(p PageID, ls *lockState) {
 	if ls.xHolder == 0 && len(ls.sHolders) == 0 && len(ls.queue) == 0 {
 		delete(m.locks, p)
+		m.freeLocks.put(ls)
 	}
 }
 
@@ -418,11 +469,12 @@ func (m *Manager) cleanup(p PageID, ls *lockState) {
 func (m *Manager) Holds(txn TxnID, p PageID, mode Mode) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur, ok := m.held[txn][p]
-	if !ok {
+	ls := m.locks[p]
+	if ls == nil {
 		return false
 	}
-	return mode == Shared || cur == Exclusive
+	cur, ok := ls.mode(txn)
+	return ok && (mode == Shared || cur == Exclusive)
 }
 
 // Stats reports the number of waits and deadlocks observed.

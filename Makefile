@@ -8,7 +8,7 @@ GO ?= go
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume lockbench fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples
+ci: build vet lint test race cover logvolume lockbench fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples loc
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).

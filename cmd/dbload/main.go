@@ -237,7 +237,7 @@ func driveEngine(name, addr string, opt options, clock live.Clock, prog *live.Pr
 	}
 	// Row name: the canonical architecture name in self-host mode; what the
 	// server reports (Stats.Engine is the kernel's descriptive name, e.g.
-	// "wal(1 streams,cyclic)") when driving an external address.
+	// "wal(1 streams,page-mod)") when driving an external address.
 	rowName := name
 	if name == "external" {
 		rowName = stats.Engine

@@ -7,8 +7,9 @@
 // four log-processor selection algorithms.
 //
 // Then the functional engine: real transactions against the WAL engine with
-// 1..4 parallel log streams, showing that recovery merges the distributed
-// streams correctly no matter how the records were scattered.
+// 1..4 parallel log streams under its default page-mod selection, showing
+// that recovery merges the distributed streams correctly no matter how the
+// records were scattered.
 package main
 
 import (
@@ -69,7 +70,8 @@ func simulated() {
 func functional() {
 	fmt.Println("\n== functional: WAL engine with parallel log streams ==")
 	for _, streams := range []int{1, 2, 4} {
-		eng := engine.NewWAL(wal.Config{Streams: streams, Selection: wal.Cyclic})
+		cfg := wal.Config{Streams: streams}
+		eng := engine.NewWAL(cfg)
 		for p := int64(0); p < 32; p++ {
 			if err := eng.Load(p, []byte("initial")); err != nil {
 				log.Fatal(err)
@@ -92,8 +94,8 @@ func functional() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %d stream(s): 200 commits scattered, recovered; last page = %q\n",
-			streams, got)
+		fmt.Printf("  %d stream(s), %v: 200 commits scattered, recovered; last page = %q\n",
+			streams, cfg.Selection, got)
 	}
 	fmt.Println("recovery never merges the streams into one physical log — only by LSN at restart,")
 	fmt.Println("exactly as the paper's parallel logging architecture prescribes.")

@@ -54,13 +54,13 @@ func PredictBare(cfg machine.Config) Prediction {
 	pages := reads + writes
 
 	geom := disk.Geometry{
-		PagesPerTrack: cfg.PagesPerTrack,
-		TracksPerCyl:  cfg.TracksPerCyl,
+		PagesPerTrack: machine.PagesPerTrack,
+		TracksPerCyl:  machine.TracksPerCyl,
 		Cylinders:     1,
 	}
-	ppc := cfg.PagesPerTrack * cfg.TracksPerCyl
+	ppc := geom.PagesPerCyl()
 	extent := cfg.Workload.DBPages / ppc / cfg.DataDisks
-	dt := Compute(cfg.DiskParams, geom, extent)
+	dt := Compute(disk.Default3350Params(), geom, extent)
 
 	var diskBusy float64 // ms per transaction across the disk pool
 	switch {
@@ -75,8 +75,8 @@ func PredictBare(cfg machine.Config) Prediction {
 	}
 	diskDemand := diskBusy / pages / float64(cfg.DataDisks)
 
-	cpuBusy := reads*cfg.CPUPerPage.ToMs() +
-		writes*(cfg.CPUPerPage.ToMs()+cfg.CPUPerUpdate.ToMs())
+	cpuBusy := reads*machine.CPUPerPage.ToMs() +
+		writes*(machine.CPUPerPage+machine.CPUPerUpdate).ToMs()
 	qpDemand := cpuBusy / pages / float64(cfg.QueryProcessors)
 
 	p := Prediction{DiskDemandMs: diskDemand, QPDemandMs: qpDemand}
@@ -98,7 +98,8 @@ func PredictLogUtilization(cfg machine.Config, fragmentBytes, pageBytes int) flo
 	fragsPerPage := float64(pageBytes / fragmentBytes)
 	writeFrac := cfg.Workload.WriteFrac / (1 + cfg.Workload.WriteFrac) // updates per processed page
 	logWritesPerPage := writeFrac / fragsPerPage
-	logWriteMs := (3*cfg.DiskParams.Rotation/4 + cfg.DiskParams.PageTransfer).ToMs()
+	params := disk.Default3350Params()
+	logWriteMs := (3*params.Rotation/4 + params.PageTransfer).ToMs()
 	return logWritesPerPage * logWriteMs / bare.ExecPerPage
 }
 
@@ -115,7 +116,7 @@ func PredictBasicDiffExec(cfg machine.Config, diffFrac float64, tuplesPerPage in
 
 	dTuples := diffFrac * weighted * float64(tuplesPerPage)
 	setDiffMs := float64(tuplesPerPage) * dTuples * compareCPU.ToMs()
-	scanMs := cfg.CPUPerPage.ToMs()
+	scanMs := machine.CPUPerPage.ToMs()
 	// Per processed page (B, A and D pages; D pages only scan).
 	perPage := (setDiffMs*(1+diffFrac) + scanMs*(1+2*diffFrac)) / (1 + 2*diffFrac)
 	return perPage / float64(cfg.QueryProcessors)

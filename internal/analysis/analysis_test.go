@@ -97,7 +97,7 @@ func TestBasicDiffPrediction(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.NumTxns = 12
 	dcfg := difffile.DefaultConfig()
-	pred := PredictBasicDiffExec(cfg, dcfg.DiffFrac, dcfg.TuplesPage, dcfg.CompareCPU)
+	pred := PredictBasicDiffExec(cfg, dcfg.DiffFrac, difffile.TuplesPage, difffile.CompareCPU)
 	res, err := machine.Run(cfg, difffile.New(difffile.Config{Strategy: difffile.Basic}))
 	if err != nil {
 		t.Fatal(err)

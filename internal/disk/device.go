@@ -58,8 +58,6 @@ type Device interface {
 	Geom() Geometry
 	// QueueLen reports queued requests not yet in service.
 	QueueLen() int
-	// InFlight reports whether an access is in progress.
-	InFlight() bool
 	// Utilization reports the time-weighted busy fraction.
 	Utilization() float64
 	// Accesses reports the number of physical accesses performed.
@@ -111,7 +109,6 @@ func newBase(eng *sim.Engine, name string, geom Geometry, params Params) base {
 func (b *base) Name() string         { return b.name }
 func (b *base) Geom() Geometry       { return b.geom }
 func (b *base) QueueLen() int        { return len(b.queue) }
-func (b *base) InFlight() bool       { return b.busy }
 func (b *base) Utilization() float64 { return b.busyTW.Mean() }
 func (b *base) Accesses() int64      { return b.accesses }
 func (b *base) PagesMoved() int64    { return b.pagesMoved }

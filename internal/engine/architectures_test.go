@@ -16,7 +16,7 @@ import (
 // role order with their page sizes.
 func TestBuild(t *testing.T) {
 	kernelNames := map[string]string{
-		"wal-1stream":  "wal(1 streams,cyclic)",
+		"wal-1stream":  "wal(1 streams,page-mod)",
 		"wal-3streams": "wal(3 streams,page-mod)",
 		"shadow":       "shadow(page-table)",
 		"ow-noundo":    "shadow(overwrite-no-undo)",

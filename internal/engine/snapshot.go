@@ -236,18 +236,33 @@ func readArchive(r io.Reader) (byte, [][]byte, error) {
 	if kind != archiveFull && kind != archiveIncr {
 		return 0, nil, fmt.Errorf("unknown archive kind %q", kind)
 	}
+	// The store count and blob lengths are read from the archive, so the
+	// blobs grow with the bytes actually read, never sized by a header.
 	n := int(binary.BigEndian.Uint32(hdr[9:13]))
-	blobs := make([][]byte, n)
-	for i := range blobs {
+	var blobs [][]byte
+	for i := 0; i < n; i++ {
 		var ln [4]byte
 		if _, err := io.ReadFull(r, ln[:]); err != nil {
 			return 0, nil, fmt.Errorf("short blob %d length: %w", i, err)
 		}
-		blob := make([]byte, binary.BigEndian.Uint32(ln[:]))
-		if _, err := io.ReadFull(r, blob); err != nil {
+		want := int64(binary.BigEndian.Uint32(ln[:]))
+		blob, err := io.ReadAll(io.LimitReader(r, want))
+		if err == nil && int64(len(blob)) < want {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return 0, nil, fmt.Errorf("short blob %d: %w", i, err)
 		}
-		blobs[i] = blob
+		// A full archive of incremental blobs would patch a store it
+		// claims to replace.
+		full, err := pagestore.SnapshotFull(blob)
+		if err != nil {
+			return 0, nil, fmt.Errorf("blob %d: %w", i, err)
+		}
+		if full != (kind == archiveFull) {
+			return 0, nil, fmt.Errorf("blob %d is not of its archive's kind %q", i, kind)
+		}
+		blobs = append(blobs, blob)
 	}
 	return kind, blobs, nil
 }

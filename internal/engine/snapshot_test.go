@@ -2,8 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -154,6 +157,85 @@ func TestRestoreRejectsBadChains(t *testing.T) {
 	got, err := e.ReadCommitted(1)
 	if err != nil || dec(got) != 7 {
 		t.Fatalf("after restore: %v %v", got, err)
+	}
+}
+
+// TestRestoreRejectsKindMismatch: every blob of an archive must be of the
+// archive's kind. A full archive relabelled from an incremental one would
+// otherwise patch a fresh engine instead of replacing its state, and an
+// incremental archive holding full blobs would replace a chain's state.
+func TestRestoreRejectsKindMismatch(t *testing.T) {
+	const pages = 4
+	build := crashCases()[2].build // shadow
+	e, _ := build(t)
+	for p := int64(0); p < pages; p++ {
+		if err := e.Load(p, enc(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapWorkload(t, e, pages, 10, 1)
+	var full bytes.Buffer
+	base, err := e.Snapshot(&full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapWorkload(t, e, pages, 10, 2)
+	var incr bytes.Buffer
+	if _, err := e.SnapshotSince(&incr, base); err != nil {
+		t.Fatal(err)
+	}
+	relabel := func(archive []byte, kind byte) []byte {
+		out := append([]byte{}, archive...)
+		out[len(archiveMagic)] = kind
+		return out
+	}
+	chains := map[string][][]byte{
+		"incremental blobs in a full archive":  {relabel(incr.Bytes(), archiveFull)},
+		"full blobs in an incremental archive": {full.Bytes(), relabel(full.Bytes(), archiveIncr)},
+	}
+	for name, chain := range chains {
+		readers := func() []io.Reader {
+			var rs []io.Reader
+			for _, a := range chain {
+				rs = append(rs, bytes.NewReader(a))
+			}
+			return rs
+		}
+		if _, err := ArchiveManifests(readers()...); err == nil {
+			t.Errorf("%s: ArchiveManifests accepted the chain", name)
+		}
+		fresh, _ := build(t)
+		if err := fresh.Restore(readers()...); err == nil {
+			t.Errorf("%s: Restore accepted the chain", name)
+		}
+	}
+}
+
+// TestReadArchiveBoundsAllocation: an archive's store count and blob
+// lengths are untrusted. A short archive that claims 2^26 stores, or a
+// blob of 2^30 bytes, must fail without allocating what it claims.
+func TestReadArchiveBoundsAllocation(t *testing.T) {
+	header := func(stores uint32) []byte {
+		b := append([]byte{}, archiveMagic[:]...)
+		b = append(b, archiveFull)
+		return binary.BigEndian.AppendUint32(b, stores)
+	}
+	cases := map[string][]byte{
+		"2^26 stores":      header(1 << 26),
+		"2^30-byte blob":   binary.BigEndian.AppendUint32(header(1), 1<<30),
+		"2^32-1-byte blob": binary.BigEndian.AppendUint32(header(2), 1<<32-1),
+	}
+	for name, archive := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ArchiveManifests(bytes.NewReader(archive))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted a %d-byte archive", name, len(archive))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("%s: allocated %d B for a %d-byte archive", name, n, len(archive))
+		}
 	}
 }
 

@@ -94,7 +94,7 @@ func SystemRecovery(opt Options) (*Table, error) {
 		// its pages back sequentially while the data disks absorb the
 		// redo/undo writes round-robin.
 		eng := sim.New()
-		geom := disk.Geometry{PagesPerTrack: 4, TracksPerCyl: 12, Cylinders: 200}
+		geom := disk.Geometry{PagesPerTrack: machine.PagesPerTrack, TracksPerCyl: machine.TracksPerCyl, Cylinders: 200}
 		params := disk.Default3350Params()
 		dataDisks := []*disk.Conventional{
 			disk.NewConventional(eng, "data0", geom, params),

@@ -12,9 +12,17 @@ package machine
 import (
 	"fmt"
 
-	"repro/internal/disk"
 	"repro/internal/sim"
 	"repro/internal/workload"
+)
+
+// The paper's device calibration: VAX 11/750-class query processors and
+// IBM 3350 data disks (disk.Default3350Params) of 4 KB pages.
+const (
+	CPUPerPage    = 45 * sim.Millisecond // process one data page
+	CPUPerUpdate  = 15 * sim.Millisecond // additional time to build an updated page
+	PagesPerTrack = 4                    // 4 KB pages per track
+	TracksPerCyl  = 12                   // tracks (heads) per cylinder
 )
 
 // Config describes one simulated database machine and its workload.
@@ -30,20 +38,6 @@ type Config struct {
 	NumTxns  int // transactions in the load
 	MPL      int // multiprogramming level (concurrently active transactions)
 	Seed     int64
-
-	// CPU model (VAX 11/750 class query processors).
-	CPUPerPage   sim.Time // process one data page
-	CPUPerUpdate sim.Time // additional time to build an updated page
-
-	// Device model.
-	DiskParams    disk.Params
-	PagesPerTrack int
-	TracksPerCyl  int
-
-	// PrefetchWindow caps the cache frames a single transaction may hold
-	// (in-flight reads + unprocessed + unwritten updates). 0 means
-	// CacheFrames / MPL.
-	PrefetchWindow int
 
 	// ProfileEvery, when positive, samples a utilization timeline at the
 	// given virtual-time interval; the result carries it as Profile.
@@ -69,11 +63,6 @@ func DefaultConfig() Config {
 		NumTxns:         40,
 		MPL:             3,
 		Seed:            1985,
-		CPUPerPage:      sim.Ms(45),
-		CPUPerUpdate:    sim.Ms(15),
-		DiskParams:      disk.Default3350Params(),
-		PagesPerTrack:   4,
-		TracksPerCyl:    12,
 	}
 }
 
@@ -90,20 +79,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: MPL must be positive")
 	case c.NumTxns <= 0:
 		return fmt.Errorf("machine: no transactions to run")
-	case c.CPUPerPage < 0 || c.CPUPerUpdate < 0:
-		return fmt.Errorf("machine: negative CPU cost")
-	case c.PagesPerTrack <= 0 || c.TracksPerCyl <= 0:
-		return fmt.Errorf("machine: bad disk geometry")
 	case c.AbortFrac < 0 || c.AbortFrac > 1:
 		return fmt.Errorf("machine: abort fraction %v out of range", c.AbortFrac)
 	}
 	return c.Workload.Validate()
 }
 
+// prefetchWindow caps the cache frames a single transaction may hold
+// (in-flight reads + unprocessed + unwritten updates): its share of the
+// cache, CacheFrames / MPL.
 func (c Config) prefetchWindow() int {
-	if c.PrefetchWindow > 0 {
-		return c.PrefetchWindow
-	}
 	w := c.CacheFrames / c.MPL
 	if w < 1 {
 		w = 1

@@ -110,8 +110,7 @@ func New(cfg Config, model Model) (*Machine, error) {
 	if sr, ok := model.(SpaceRequirer); ok {
 		extra = sr.ExtraPhysPages(cfg)
 	}
-	pagesPerCyl := cfg.PagesPerTrack * cfg.TracksPerCyl
-	place := newPlacement(cfg.DataDisks, pagesPerCyl, cfg.Workload.DBPages, extra)
+	place := newPlacement(cfg.DataDisks, PagesPerTrack*TracksPerCyl, cfg.Workload.DBPages, extra)
 
 	eng := sim.New()
 	m := &Machine{
@@ -126,13 +125,14 @@ func New(cfg Config, model Model) (*Machine, error) {
 		window: cfg.prefetchWindow(),
 		sink:   obs.NewSink(eng),
 	}
-	geom := place.geometry(cfg.PagesPerTrack, cfg.TracksPerCyl)
+	geom := place.geometry()
+	params := disk.Default3350Params()
 	for i := 0; i < cfg.DataDisks; i++ {
 		name := fmt.Sprintf("data%d", i)
 		if cfg.ParallelDisks {
-			m.disks = append(m.disks, disk.NewParallel(eng, name, geom, cfg.DiskParams))
+			m.disks = append(m.disks, disk.NewParallel(eng, name, geom, params))
 		} else {
-			m.disks = append(m.disks, disk.NewConventional(eng, name, geom, cfg.DiskParams))
+			m.disks = append(m.disks, disk.NewConventional(eng, name, geom, params))
 		}
 		m.disks[i].Instrument(m.sink)
 	}
@@ -291,11 +291,11 @@ func (m *Machine) DBPhys(p workload.PageID) int {
 // parameters. Auxiliary disks are owned by the model.
 func (m *Machine) NewAuxDisk(name string, cylinders int) disk.Device {
 	geom := disk.Geometry{
-		PagesPerTrack: m.cfg.PagesPerTrack,
-		TracksPerCyl:  m.cfg.TracksPerCyl,
+		PagesPerTrack: PagesPerTrack,
+		TracksPerCyl:  TracksPerCyl,
 		Cylinders:     cylinders,
 	}
-	d := disk.NewConventional(m.eng, name, geom, m.cfg.DiskParams)
+	d := disk.NewConventional(m.eng, name, geom, disk.Default3350Params())
 	d.Instrument(m.sink)
 	return d
 }

@@ -238,10 +238,10 @@ func TestStandardPlanShape(t *testing.T) {
 	if len(plan) != 3 {
 		t.Fatalf("plan length %d", len(plan))
 	}
-	if plan[1].CPU != cfg.CPUPerPage+cfg.CPUPerUpdate {
+	if plan[1].CPU != CPUPerPage+CPUPerUpdate {
 		t.Fatalf("update CPU = %v", plan[1].CPU)
 	}
-	if plan[0].CPU != cfg.CPUPerPage {
+	if plan[0].CPU != CPUPerPage {
 		t.Fatalf("read CPU = %v", plan[0].CPU)
 	}
 	if !plan[1].Update || plan[0].Update || plan[2].Update {
@@ -298,7 +298,7 @@ func TestCompletionIncludesWriteback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// read (~seek+lat+xfer) + cpu 60ms + write: must exceed CPU alone.
-	if res.MeanCompletionMs < cfg.CPUPerPage.ToMs() {
+	if res.MeanCompletionMs < CPUPerPage.ToMs() {
 		t.Fatalf("completion %.2fms too small", res.MeanCompletionMs)
 	}
 	if res.PagesProcessed != 2 {
@@ -308,7 +308,7 @@ func TestCompletionIncludesWriteback(t *testing.T) {
 
 func TestWindowLimitsFrames(t *testing.T) {
 	cfg := smallConfig()
-	cfg.PrefetchWindow = 2
+	cfg.CacheFrames = 2 * cfg.MPL // a window of 2 frames per transaction
 	res, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -118,9 +118,9 @@ func (m *Machine) StandardPlan(t *ActiveTxn) []PlannedRead {
 	for i, p := range t.T.Reads {
 		phys := m.DBPhys(p)
 		update := t.T.Writes[p]
-		cpu := m.cfg.CPUPerPage
+		cpu := CPUPerPage
 		if update {
-			cpu += m.cfg.CPUPerUpdate
+			cpu += CPUPerUpdate
 		}
 		plan[i] = PlannedRead{
 			Page:      p,

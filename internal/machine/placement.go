@@ -78,10 +78,10 @@ func (p Placement) ExtraRegionStart() int {
 }
 
 // geometry builds the per-disk geometry for this placement.
-func (p Placement) geometry(pagesPerTrack, tracksPerCyl int) disk.Geometry {
+func (p Placement) geometry() disk.Geometry {
 	return disk.Geometry{
-		PagesPerTrack: pagesPerTrack,
-		TracksPerCyl:  tracksPerCyl,
+		PagesPerTrack: PagesPerTrack,
+		TracksPerCyl:  TracksPerCyl,
 		Cylinders:     p.CylindersPerDisk(),
 	}
 }

@@ -21,7 +21,7 @@ func TestJournalNilSafe(t *testing.T) {
 
 func TestJournalOrderAndJSONL(t *testing.T) {
 	j := NewJournal()
-	j.Emit(JournalRecord{Event: "scan", Engine: "wal(1 streams,cyclic)", N: 12})
+	j.Emit(JournalRecord{Event: "scan", Engine: "wal(1 streams,page-mod)", N: 12})
 	j.Emit(JournalRecord{Event: "winner", Txn: 3})
 	j.Emit(JournalRecord{Event: "redo", Txn: 3, Page: JournalPage(5), LSN: 9, Note: "clr"})
 	if j.Len() != 3 {
@@ -36,7 +36,7 @@ func TestJournalOrderAndJSONL(t *testing.T) {
 	if err := j.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"seq":0,"event":"scan","engine":"wal(1 streams,cyclic)","n":12}
+	want := `{"seq":0,"event":"scan","engine":"wal(1 streams,page-mod)","n":12}
 {"seq":1,"event":"winner","txn":3}
 {"seq":2,"event":"redo","txn":3,"page":5,"lsn":9,"note":"clr"}
 `

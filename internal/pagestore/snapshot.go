@@ -29,6 +29,7 @@ package pagestore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -156,7 +157,18 @@ func (s *Store) WriteSnapshot(w io.Writer, base Manifest) (Manifest, error) {
 	return manifest, nil
 }
 
-// snapDecoder streams one snapshot blob.
+// readN reads exactly n bytes from r. It allocates as the bytes arrive, not
+// up front, so a corrupt length allocates no more than the input holds.
+func readN(r io.Reader, n int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, n))
+	if err == nil && int64(len(b)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+// snapDecoder streams one snapshot blob. Its counts come from the blob, so
+// nothing is sized by them before the records they count have been read.
 type snapDecoder struct {
 	r        *bufio.Reader
 	kind     byte
@@ -185,6 +197,16 @@ func openSnapshot(r io.Reader) (*snapDecoder, error) {
 	}, nil
 }
 
+// SnapshotFull reports whether blob is a full snapshot rather than an
+// incremental one, checking only its header.
+func SnapshotFull(blob []byte) (bool, error) {
+	d, err := openSnapshot(bytes.NewReader(blob))
+	if err != nil {
+		return false, err
+	}
+	return d.kind == snapFull, nil
+}
+
 // readPut decodes the next page record, verifying its crc.
 func (d *snapDecoder) readPut() (PageID, uint64, []byte, error) {
 	var fixed [20]byte
@@ -196,8 +218,8 @@ func (d *snapDecoder) readPut() (PageID, uint64, []byte, error) {
 		return 0, 0, nil, fmt.Errorf("%w: record length %d exceeds page size %d",
 			ErrSnapshotCorrupt, n, d.pageSize)
 	}
-	rest := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(d.r, rest); err != nil {
+	rest, err := readN(d.r, int64(n)+4)
+	if err != nil {
 		return 0, 0, nil, fmt.Errorf("%w: short page data: %v", ErrSnapshotCorrupt, err)
 	}
 	data := rest[:n]
@@ -219,8 +241,8 @@ func (d *snapDecoder) readDels() ([]PageID, error) {
 		return nil, fmt.Errorf("%w: short del count: %v", ErrSnapshotCorrupt, err)
 	}
 	n := int(binary.BigEndian.Uint32(cnt[:]))
-	raw := make([]byte, 8*n)
-	if _, err := io.ReadFull(d.r, raw); err != nil {
+	raw, err := readN(d.r, 8*int64(n))
+	if err != nil {
 		return nil, fmt.Errorf("%w: short del section: %v", ErrSnapshotCorrupt, err)
 	}
 	var crc [4]byte
@@ -265,15 +287,13 @@ func (s *Store) ApplySnapshot(r io.Reader) error {
 		version uint64
 		data    []byte
 	}
-	puts := make([]put, 0, d.nputs)
+	var puts []put
 	for i := 0; i < d.nputs; i++ {
 		id, version, data, err := d.readPut()
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		puts = append(puts, put{id: id, version: version, data: buf})
+		puts = append(puts, put{id: id, version: version, data: data})
 	}
 	dels, err := d.readDels()
 	if err != nil {
@@ -322,7 +342,7 @@ func SnapshotManifest(r io.Reader, base Manifest) (Manifest, error) {
 	}
 	var out Manifest
 	if d.kind == snapFull {
-		out = make(Manifest, d.nputs)
+		out = make(Manifest)
 	} else {
 		out = base.Clone()
 	}

@@ -39,28 +39,29 @@ func (s Strategy) String() string {
 	return "optimal"
 }
 
+// The paper's calibration of the differential-file architecture. hitFrac is
+// calibrated so the VAX-class query processors saturate where the paper's do.
+const (
+	hitFrac    = 0.35                 // pages yielding >=1 result tuple under Optimal
+	TuplesPage = 50                   // tuples per 4 KB page
+	CompareCPU = 21 * sim.Microsecond // one tuple-pair comparison: ~13 VAX-11/750 instructions
+)
+
 // Config parameterizes the differential-file architecture. Zero fields take
 // defaults.
 type Config struct {
 	Strategy   Strategy
-	DiffFrac   float64  // |A|/|B| = |D|/|B| (paper: 0.10, 0.15, 0.20)
-	OutputFrac float64  // fraction of an output page created per update (0.10..0.50)
-	HitFrac    float64  // pages yielding >=1 result tuple under Optimal
-	TuplesPage int      // tuples per 4 KB page
-	CompareCPU sim.Time // one tuple-pair comparison on a query processor
+	DiffFrac   float64 // |A|/|B| = |D|/|B| (paper: 0.10, 0.15, 0.20)
+	OutputFrac float64 // fraction of an output page created per update (0.10..0.50)
 }
 
-// DefaultConfig matches the paper's standard setting: 10 % differential
-// files, 10 % output pages, optimal-strategy hit fraction calibrated so the
-// VAX-class query processors saturate where the paper's do.
+// DefaultConfig matches the paper's standard setting: the optimal strategy,
+// 10 % differential files and 10 % output pages.
 func DefaultConfig() Config {
 	return Config{
 		Strategy:   Optimal,
 		DiffFrac:   0.10,
 		OutputFrac: 0.10,
-		HitFrac:    0.35,
-		TuplesPage: 50,
-		CompareCPU: 21, // µs; ~13 VAX-11/750 instructions
 	}
 }
 
@@ -71,15 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OutputFrac == 0 {
 		c.OutputFrac = d.OutputFrac
-	}
-	if c.HitFrac == 0 {
-		c.HitFrac = d.HitFrac
-	}
-	if c.TuplesPage == 0 {
-		c.TuplesPage = d.TuplesPage
-	}
-	if c.CompareCPU == 0 {
-		c.CompareCPU = d.CompareCPU
 	}
 	return c
 }
@@ -138,18 +130,17 @@ func (d *Model) Attach(m *machine.Machine) {
 // Plan implements machine.Model: read the transaction's D pages, then every
 // B page, then its A pages; no page is updated in place.
 func (d *Model) Plan(t *machine.ActiveTxn) []machine.PlannedRead {
-	cfg := d.M.Cfg()
 	n := len(t.T.Reads)
 	nDiff := int(float64(n)*d.cfg.DiffFrac + 0.999999)
 	if nDiff < 1 {
 		nDiff = 1
 	}
 	// CPU cost of one set-difference: page tuples x transaction's D tuples.
-	dTuples := nDiff * d.cfg.TuplesPage
-	setDiff := sim.Time(d.cfg.TuplesPage*dTuples) * d.cfg.CompareCPU
+	dTuples := nDiff * TuplesPage
+	setDiff := sim.Time(TuplesPage*dTuples) * CompareCPU
 	// Larger differential files contain more matching tuples, so more pages
 	// yield at least one result tuple and require the set-difference.
-	hit := d.cfg.HitFrac * math.Sqrt(d.cfg.DiffFrac/0.10)
+	hit := hitFrac * math.Sqrt(d.cfg.DiffFrac/0.10)
 	if hit > 1 {
 		hit = 1
 	}
@@ -161,13 +152,13 @@ func (d *Model) Plan(t *machine.ActiveTxn) []machine.PlannedRead {
 		plan = append(plan, machine.PlannedRead{
 			Page:      -1,
 			PhysPages: []int{phys},
-			CPU:       cfg.CPUPerPage,
+			CPU:       machine.CPUPerPage,
 		})
 	}
 	scanCPU := func(update bool) sim.Time {
-		cpu := cfg.CPUPerPage
+		cpu := machine.CPUPerPage
 		if update {
-			cpu += cfg.CPUPerUpdate
+			cpu += machine.CPUPerUpdate
 		}
 		switch d.cfg.Strategy {
 		case Basic:

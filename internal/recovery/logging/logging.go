@@ -78,19 +78,23 @@ const (
 	ViaCache
 )
 
+// The paper's log-processor calibration.
+const (
+	logPageBytes     = 4096                  // log page size
+	fragCPU          = 1 * sim.Millisecond   // QP time to build a logical fragment
+	physCPU          = 2 * sim.Millisecond   // QP time to build before/after images
+	routeCPU         = 500 * sim.Microsecond // extra QP time when routing via the cache
+	logDiskCylinders = 80                    // log disk size
+)
+
 // Config parameterizes the logging architecture.
 type Config struct {
-	LogProcessors    int
-	Mode             Mode
-	Selection        Selection
-	Routing          Routing
-	NetBandwidthMBs  float64  // dedicated interconnect bandwidth (default 1.0)
-	FragmentBytes    int      // logical fragment size (default 400)
-	PageBytes        int      // log page size (default 4096)
-	FragCPU          sim.Time // QP time to build a logical fragment (default 1 ms)
-	PhysCPU          sim.Time // QP time to build before/after images (default 2 ms)
-	RouteCPU         sim.Time // extra QP time when routing via the cache
-	LogDiskCylinders int      // log disk size (default 80 cylinders)
+	LogProcessors   int
+	Mode            Mode
+	Selection       Selection
+	Routing         Routing
+	NetBandwidthMBs float64 // dedicated interconnect bandwidth (default 1.0)
+	FragmentBytes   int     // logical fragment size (default 400)
 
 	// CheckpointEvery, when positive, takes a system checkpoint at that
 	// virtual-time interval. With QuiescingCheckpoint the machine stops
@@ -105,17 +109,12 @@ type Config struct {
 // 1 MB/s interconnect — the Table 1 configuration.
 func DefaultConfig() Config {
 	return Config{
-		LogProcessors:    1,
-		Mode:             Logical,
-		Selection:        Cyclic,
-		Routing:          DedicatedNet,
-		NetBandwidthMBs:  1.0,
-		FragmentBytes:    400,
-		PageBytes:        4096,
-		FragCPU:          sim.Ms(1),
-		PhysCPU:          sim.Ms(2),
-		RouteCPU:         sim.Ms(0.5),
-		LogDiskCylinders: 80,
+		LogProcessors:   1,
+		Mode:            Logical,
+		Selection:       Cyclic,
+		Routing:         DedicatedNet,
+		NetBandwidthMBs: 1.0,
+		FragmentBytes:   400,
 	}
 }
 
@@ -129,21 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FragmentBytes == 0 {
 		c.FragmentBytes = d.FragmentBytes
-	}
-	if c.PageBytes == 0 {
-		c.PageBytes = d.PageBytes
-	}
-	if c.FragCPU == 0 {
-		c.FragCPU = d.FragCPU
-	}
-	if c.PhysCPU == 0 {
-		c.PhysCPU = d.PhysCPU
-	}
-	if c.RouteCPU == 0 {
-		c.RouteCPU = d.RouteCPU
-	}
-	if c.LogDiskCylinders == 0 {
-		c.LogDiskCylinders = d.LogDiskCylinders
 	}
 	return c
 }
@@ -211,7 +195,7 @@ func (l *Model) Attach(m *machine.Machine) {
 	l.rng = m.RNG().Fork()
 	l.cyclicIdx = make([]int, m.Cfg().QueryProcessors)
 	for i := 0; i < l.cfg.LogProcessors; i++ {
-		d := m.NewAuxDisk(fmt.Sprintf("log%d", i), l.cfg.LogDiskCylinders)
+		d := m.NewAuxDisk(fmt.Sprintf("log%d", i), logDiskCylinders)
 		l.lps = append(l.lps, &logProcessor{
 			idx:      i,
 			disk:     d,
@@ -298,12 +282,12 @@ func (l *Model) takeCheckpoint(done func()) {
 // cost of constructing log records.
 func (l *Model) Plan(t *machine.ActiveTxn) []machine.PlannedRead {
 	plan := l.M.StandardPlan(t)
-	extra := l.cfg.FragCPU
+	extra := fragCPU
 	if l.cfg.Mode == Physical {
-		extra = l.cfg.PhysCPU
+		extra = physCPU
 	}
 	if l.cfg.Routing == ViaCache {
-		extra += l.cfg.RouteCPU
+		extra += routeCPU
 	}
 	for i := range plan {
 		if plan[i].Update {
@@ -346,7 +330,7 @@ func (l *Model) UpdateReady(t *machine.ActiveTxn, pr *machine.PlannedRead, relea
 	l.updates[t] = append(l.updates[t], pr.WriteTo)
 	bytes := l.cfg.FragmentBytes
 	if l.cfg.Mode == Physical {
-		bytes = 2 * l.cfg.PageBytes
+		bytes = 2 * logPageBytes
 	}
 	deliver := func() {
 		if l.cfg.Mode == Physical {
@@ -373,7 +357,7 @@ func (l *Model) deliverLogical(lp *logProcessor, t *machine.ActiveTxn, release f
 		lp.current = &logPage{}
 	}
 	lp.current.frags = append(lp.current.frags, &fragment{t: t, release: release})
-	fragsPerPage := l.cfg.PageBytes / l.cfg.FragmentBytes
+	fragsPerPage := logPageBytes / l.cfg.FragmentBytes
 	if len(lp.current.frags) >= fragsPerPage {
 		l.fullSeals++
 		l.seal(lp)
@@ -482,7 +466,7 @@ func (l *Model) OnAbort(t *machine.ActiveTxn, done func()) {
 		// packed fragments under logical logging.
 		nLogPages := len(homes)
 		if l.cfg.Mode == Logical {
-			perPage := l.cfg.PageBytes / l.cfg.FragmentBytes
+			perPage := logPageBytes / l.cfg.FragmentBytes
 			nLogPages = (len(homes) + perPage - 1) / perPage
 		}
 		l.undoReads += int64(nLogPages)

@@ -61,8 +61,8 @@ func (o *OverwriteModel) Name() string {
 // ExtraPhysPages implements machine.SpaceRequirer: the scratch ring plus one
 // cylinder for the commit-list metadata.
 func (o *OverwriteModel) ExtraPhysPages(cfg machine.Config) int {
-	ppc := cfg.PagesPerTrack * cfg.TracksPerCyl
-	return (o.cfg.ScratchCylsPerDisk*cfg.DataDisks + cfg.DataDisks) * ppc
+	ppc := machine.PagesPerTrack * machine.TracksPerCyl
+	return (scratchCylsPerDisk*cfg.DataDisks + cfg.DataDisks) * ppc
 }
 
 // Attach implements machine.Model.
@@ -72,7 +72,7 @@ func (o *OverwriteModel) Attach(m *machine.Machine) {
 	start := place.ExtraRegionStart()
 	o.metaPg = start // first extra cylinder holds the commit list
 	scratchStart := start + place.PagesPerCyl()*place.NDisks()
-	o.scratch = machine.NewRingAllocator(place, scratchStart, o.cfg.ScratchCylsPerDisk)
+	o.scratch = machine.NewRingAllocator(place, scratchStart, scratchCylsPerDisk)
 }
 
 // Plan implements machine.Model. Under no-undo the planned write of each

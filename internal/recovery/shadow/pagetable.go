@@ -135,7 +135,7 @@ func (s *PageTableModel) Attach(m *machine.Machine) {
 		s.procs = append(s.procs, &ptProcessor{
 			idx:  i,
 			cpu:  sim.NewResource(m.Eng(), fmt.Sprintf("ptproc%d", i), 1),
-			disk: m.NewAuxDisk(fmt.Sprintf("ptdisk%d", i), s.cfg.PTDiskCylinders),
+			disk: m.NewAuxDisk(fmt.Sprintf("ptdisk%d", i), ptDiskCylinders),
 		})
 		m.ObserveResource(s.procs[i].cpu)
 	}
@@ -152,7 +152,7 @@ func (s *PageTableModel) Attach(m *machine.Machine) {
 }
 
 func (s *PageTableModel) ptPageOf(p workload.PageID) int {
-	return int(p) / s.cfg.EntriesPerPTPage
+	return int(p) / entriesPerPTPage
 }
 
 func (s *PageTableModel) procOf(ptp int) *ptProcessor {
@@ -215,7 +215,7 @@ func (s *PageTableModel) runChain(t *machine.ActiveTxn) {
 // lookup resolves one page-table entry, then calls proceed.
 func (s *PageTableModel) lookup(ptp int, proceed func()) {
 	proc := s.procOf(ptp)
-	proc.cpu.Request(s.cfg.PTLookupCPU, func() {
+	proc.cpu.Request(ptLookupCPU, func() {
 		if s.buf.contains(ptp) {
 			s.buf.hits++
 			s.buf.touch(ptp)
@@ -314,7 +314,7 @@ func (s *PageTableModel) BeforeCommit(t *machine.ActiveTxn, done func()) {
 	for _, ptp := range ptps {
 		ptp := ptp
 		proc := s.procOf(ptp)
-		proc.cpu.Request(s.cfg.PTLookupCPU, func() {
+		proc.cpu.Request(ptLookupCPU, func() {
 			if s.buf.contains(ptp) {
 				s.buf.markClean(ptp)
 				s.writePTPage(proc, ptp, finish)

@@ -48,23 +48,23 @@ func (v Variant) String() string {
 	return "shadow(?)"
 }
 
+// The paper's calibration of the shadow architectures.
+const (
+	entriesPerPTPage   = 1000                  // >1000 for 4 KB pages in the paper
+	ptLookupCPU        = 300 * sim.Microsecond // page-table processor time per lookup
+	ptDiskCylinders    = 40                    // page-table disk size
+	versionCPU         = 1 * sim.Millisecond   // version-selection time per read
+	scratchCylsPerDisk = 20                    // overwriting: scratch ring cylinders per data disk
+)
+
 // Config parameterizes the shadow architectures. Zero fields take defaults.
 type Config struct {
 	Variant Variant
 
 	// ThruPageTable parameters.
-	PageTableProcessors int      // 1 or 2 in the paper
-	BufferPages         int      // page-table buffer (10/25/50 in Table 6)
-	EntriesPerPTPage    int      // >1000 for 4 KB pages in the paper
-	Scrambled           bool     // logically adjacent pages scattered
-	PTLookupCPU         sim.Time // page-table processor time per lookup
-	PTDiskCylinders     int      // page-table disk size
-
-	// VersionSelection parameters.
-	VersionCPU sim.Time // version-selection time per read
-
-	// Overwriting parameters.
-	ScratchCylsPerDisk int // scratch ring cylinders per data disk
+	PageTableProcessors int  // 1 or 2 in the paper
+	BufferPages         int  // page-table buffer (10/25/50 in Table 6)
+	Scrambled           bool // logically adjacent pages scattered
 }
 
 // DefaultConfig is the Table 4 baseline: one page-table processor with a
@@ -74,11 +74,6 @@ func DefaultConfig() Config {
 		Variant:             ThruPageTable,
 		PageTableProcessors: 1,
 		BufferPages:         10,
-		EntriesPerPTPage:    1000,
-		PTLookupCPU:         sim.Ms(0.3),
-		PTDiskCylinders:     40,
-		VersionCPU:          sim.Ms(1),
-		ScratchCylsPerDisk:  20,
 	}
 }
 
@@ -89,21 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BufferPages == 0 {
 		c.BufferPages = d.BufferPages
-	}
-	if c.EntriesPerPTPage == 0 {
-		c.EntriesPerPTPage = d.EntriesPerPTPage
-	}
-	if c.PTLookupCPU == 0 {
-		c.PTLookupCPU = d.PTLookupCPU
-	}
-	if c.PTDiskCylinders == 0 {
-		c.PTDiskCylinders = d.PTDiskCylinders
-	}
-	if c.VersionCPU == 0 {
-		c.VersionCPU = d.VersionCPU
-	}
-	if c.ScratchCylsPerDisk == 0 {
-		c.ScratchCylsPerDisk = d.ScratchCylsPerDisk
 	}
 	return c
 }

@@ -39,13 +39,12 @@ func (v *VersionModel) DBPhys(p workload.PageID) int { return 2 * int(p) }
 // same pair, so one write).
 func (v *VersionModel) Plan(t *machine.ActiveTxn) []machine.PlannedRead {
 	plan := make([]machine.PlannedRead, len(t.T.Reads))
-	cfg := v.M.Cfg()
 	for i, p := range t.T.Reads {
 		base := 2 * int(p)
 		update := t.T.Writes[p]
-		cpu := cfg.CPUPerPage + v.cfg.VersionCPU
+		cpu := machine.CPUPerPage + versionCPU
 		if update {
-			cpu += cfg.CPUPerUpdate
+			cpu += machine.CPUPerUpdate
 		}
 		plan[i] = machine.PlannedRead{
 			Page:      p,

@@ -57,9 +57,6 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// EventHook observes event execution; see Engine.SetEventHook.
-type EventHook func(at Time)
-
 // Engine is a discrete-event simulation executive. The zero value is not
 // usable; create one with New.
 type Engine struct {
@@ -67,7 +64,6 @@ type Engine struct {
 	events eventHeap
 	seq    uint64
 	steps  uint64
-	hook   EventHook
 }
 
 // New returns a fresh Engine with the clock at zero.
@@ -81,12 +77,6 @@ func (e *Engine) Now() Time { return e.now }
 // Steps reports the number of events executed so far; useful for runaway
 // detection in tests.
 func (e *Engine) Steps() uint64 { return e.steps }
-
-// SetEventHook installs a hook called once per executed event, after the
-// clock has advanced to the event's time but before its callback runs.
-// Tracing and sampling layers use it; nil removes the hook. The engine
-// pays only a nil check when no hook is set.
-func (e *Engine) SetEventHook(h EventHook) { e.hook = h }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a model bug.
@@ -131,8 +121,5 @@ func (e *Engine) step() {
 	}
 	e.now = ev.at
 	e.steps++
-	if e.hook != nil {
-		e.hook(ev.at)
-	}
 	ev.fn()
 }

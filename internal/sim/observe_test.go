@@ -2,34 +2,6 @@ package sim
 
 import "testing"
 
-func TestEventHookFiresPerEvent(t *testing.T) {
-	eng := New()
-	var hookTimes []Time
-	eng.SetEventHook(func(at Time) { hookTimes = append(hookTimes, at) })
-	var runTimes []Time
-	note := func() { runTimes = append(runTimes, eng.Now()) }
-	eng.At(10, note)
-	eng.At(5, note)
-	eng.At(5, note)
-	eng.Run()
-	want := []Time{5, 5, 10}
-	if len(hookTimes) != len(want) {
-		t.Fatalf("hook fired %d times, want %d", len(hookTimes), len(want))
-	}
-	for i := range want {
-		if hookTimes[i] != want[i] || runTimes[i] != want[i] {
-			t.Fatalf("hook/run times = %v/%v, want %v", hookTimes, runTimes, want)
-		}
-	}
-	// Removing the hook stops further callbacks.
-	eng.SetEventHook(nil)
-	eng.At(20, note)
-	eng.Run()
-	if len(hookTimes) != len(want) {
-		t.Fatal("hook fired after removal")
-	}
-}
-
 type recordedReq struct {
 	server                   int
 	enqueued, started, ended Time

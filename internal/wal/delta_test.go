@@ -236,7 +236,7 @@ func TestLoserIsUndoneOnce(t *testing.T) {
 // selection policy; a second transaction, open on another page, puts
 // records on a stream the first does not use.
 func TestGapEndsTheLog(t *testing.T) {
-	for _, sel := range []Selection{Cyclic, Random, PageMod, TxnMod} {
+	for _, sel := range []Selection{PageMod, TxnMod} {
 		t.Run(sel.String(), func(t *testing.T) {
 			trims := int64(0)
 			for cut := int64(0); ; cut++ {
@@ -485,9 +485,7 @@ func TestDeltaCrashProperty(t *testing.T) {
 	const pages, steps = 5, 120
 	for _, cfg := range []Config{
 		{Streams: 1, PoolPages: 3},
-		{Streams: 3, Selection: Cyclic, PoolPages: 3},
 		{Streams: 3, Selection: PageMod, PoolPages: 3},
-		{Streams: 3, Selection: Random, PoolPages: 3},
 		{Streams: 3, Selection: TxnMod, PoolPages: 3},
 	} {
 		cfg := cfg

@@ -89,7 +89,7 @@ func FuzzUnmarshalRecord(f *testing.F) {
 // fuzzManager is a fresh manager over the pages every FuzzRecover run
 // starts from.
 func fuzzManager(streams int) *Manager {
-	m, _ := newTestManager(Config{Streams: streams, Selection: Cyclic, PoolPages: 3})
+	m, _ := newTestManager(Config{Streams: streams, PoolPages: 3})
 	for p := int64(0); p < 4; p++ {
 		if err := m.Load(p, []byte(fmt.Sprintf("page-%d", p))); err != nil {
 			panic(err)

@@ -13,7 +13,7 @@ type Config struct {
 	// Streams is the number of parallel log streams (the paper's log
 	// processors). Default 1.
 	Streams int
-	// Selection assigns records to streams.
+	// Selection assigns records to streams. Default PageMod.
 	Selection Selection
 	// LogStore, when non-nil, holds the log instead of a fresh in-memory
 	// store. It must have page size LogChunkSize. This is the seam that
@@ -22,8 +22,6 @@ type Config struct {
 	LogStore *pagestore.Store
 	// PoolPages is the buffer pool capacity in pages. Default 64.
 	PoolPages int
-	// Seed feeds the Random selection policy.
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -32,9 +30,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolPages == 0 {
 		c.PoolPages = 64
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -82,7 +77,6 @@ type Manager struct {
 	data    *pagestore.Store
 	logs    *pagestore.Store
 	streams []*stream
-	sel     *selector
 	nextLSN uint64
 
 	pool map[pagestore.PageID]*bufPage
@@ -119,7 +113,6 @@ func NewManager(dataStore *pagestore.Store, cfg Config) *Manager {
 		cfg:     cfg,
 		data:    dataStore,
 		logs:    logs,
-		sel:     newSelector(cfg.Selection, cfg.Streams, cfg.Seed),
 		nextLSN: 1,
 		att:     make(map[uint64]*txnState),
 	}
@@ -322,12 +315,11 @@ func (m *Manager) appendRec(rec Record) uint64 {
 }
 
 // appendRecOn is appendRec, additionally reporting which stream the record
-// landed on — selection policies like Cyclic are stateful, so the choice
-// cannot be re-derived after the fact.
+// landed on.
 func (m *Manager) appendRecOn(rec Record) (uint64, int) {
 	rec.LSN = m.nextLSN
 	m.nextLSN++
-	i := m.sel.pick(rec.Txn, rec.Page)
+	i := m.cfg.Selection.pick(m.cfg.Streams, rec.Txn, rec.Page)
 	m.streams[i].append(&rec)
 	return rec.LSN, i
 }

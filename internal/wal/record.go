@@ -1,7 +1,7 @@
 // Package wal is a functional write-ahead-logging recovery engine with the
 // paper's parallel-logging structure: log records are distributed over N
-// parallel log streams (with the paper's four stream-selection algorithms),
-// each stream persists independently to stable storage, and restart recovery
+// parallel log streams (by page number or by transaction number), each
+// stream persists independently to stable storage, and restart recovery
 // merges the streams by LSN — no physical single log ever exists, exactly as
 // in the paper's architecture.
 //

@@ -124,7 +124,7 @@ func TestOutOfOrderStreamIsCorrupt(t *testing.T) {
 	)
 	for _, streams := range []int{1, 3} {
 		t.Run(fmt.Sprintf("%d_streams", streams), func(t *testing.T) {
-			m, _ := newTestManager(Config{Streams: streams, Selection: Cyclic})
+			m, _ := newTestManager(Config{Streams: streams})
 			must(t, m.Load(1, page("a")))
 			must(t, m.Load(2, page("b")))
 			must(t, m.LogStore().Write(chunkID(0, 0), chunk, 0))
@@ -147,7 +147,7 @@ func TestOutOfOrderStreamIsCorrupt(t *testing.T) {
 // operations, so their crash points depend on exactly this sequence.
 // Regenerate with go test ./internal/wal -run RecoverStoreOpSequence -update.
 func TestRecoverStoreOpSequence(t *testing.T) {
-	m, data := newTestManager(Config{Streams: 3, Selection: Cyclic, PoolPages: 3})
+	m, data := newTestManager(Config{Streams: 3, PoolPages: 3})
 	journal := obs.NewJournal()
 	m.SetJournal(journal)
 	for p := int64(1); p <= 5; p++ {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/pagestore"
 )
@@ -12,17 +11,14 @@ import (
 func putUint64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
 func getUint64(b []byte) uint64    { return binary.BigEndian.Uint64(b) }
 
-// Selection is a log-stream selection algorithm, mirroring the paper's
-// log-processor selection algorithms of Table 3.
+// Selection is a log-stream selection algorithm: the page-number and
+// transaction-number ones of the paper's four in Table 3. The simulator
+// (internal/recovery/logging) models all four.
 type Selection int
 
 const (
-	// Cyclic rotates through the streams per writer.
-	Cyclic Selection = iota
-	// Random selects a uniform random stream.
-	Random
 	// PageMod selects stream = page number mod streams.
-	PageMod
+	PageMod Selection = iota
 	// TxnMod selects stream = transaction number mod streams.
 	TxnMod
 )
@@ -30,10 +26,6 @@ const (
 // String implements fmt.Stringer.
 func (s Selection) String() string {
 	switch s {
-	case Cyclic:
-		return "cyclic"
-	case Random:
-		return "random"
 	case PageMod:
 		return "page-mod"
 	case TxnMod:
@@ -393,36 +385,13 @@ func (s *stream) trim(limit uint64) (int64, error) {
 	return removed, nil
 }
 
-// selector assigns records to streams.
-type selector struct {
-	policy Selection
-	n      int
-	cursor uint64
-	rng    *rand.Rand
-}
-
-func newSelector(policy Selection, n int, seed int64) *selector {
-	return &selector{policy: policy, n: n, rng: rand.New(rand.NewSource(seed))}
-}
-
-// pick chooses a stream for a record of txn touching page.
-func (sel *selector) pick(txn uint64, page int64) int {
-	if sel.n == 1 {
-		return 0
+// pick chooses which of n streams takes a record of txn touching page.
+func (s Selection) pick(n int, txn uint64, page int64) int {
+	if s == TxnMod {
+		return int(txn % uint64(n))
 	}
-	switch sel.policy {
-	case Cyclic:
-		sel.cursor++
-		return int(sel.cursor % uint64(sel.n))
-	case Random:
-		return sel.rng.Intn(sel.n)
-	case PageMod:
-		if page < 0 {
-			page = -page
-		}
-		return int(page % int64(sel.n))
-	case TxnMod:
-		return int(txn % uint64(sel.n))
+	if page < 0 {
+		page = -page
 	}
-	return 0
+	return int(page % int64(n))
 }

@@ -373,7 +373,7 @@ func TestAbortThenCommitSamePageSurvivesCrash(t *testing.T) {
 }
 
 func TestParallelStreamsDistributeAndRecover(t *testing.T) {
-	for _, sel := range []Selection{Cyclic, Random, PageMod, TxnMod} {
+	for _, sel := range []Selection{PageMod, TxnMod} {
 		sel := sel
 		t.Run(sel.String(), func(t *testing.T) {
 			m, _ := newTestManager(Config{Streams: 4, Selection: sel})

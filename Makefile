@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz loc ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal fuzz-server logvolume lockbench
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal fuzz-server logvolume lockbench txnbench
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume lockbench fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples loc
+ci: build vet lint test race cover logvolume lockbench txnbench fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples loc
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -115,6 +115,12 @@ logvolume:
 # (S, S, X, X, release) and of one 4096-page live-audit transaction.
 lockbench:
 	$(GO) test -run xxx -bench BenchmarkLockTransfer -benchmem ./internal/lockmgr/
+
+# What the rest of a transfer costs: ns/op and allocs/op of one warmed
+# transfer (Begin, Read, Read, Write, Write, Commit) through engine, wal and
+# pagestore on memory stores, 1,024 pages behind a 64-page pool.
+txnbench:
+	$(GO) test -run xxx -bench BenchmarkEngineTransfer -benchmem ./internal/engine/
 
 # Bounded runs of the WAL's fuzz targets: the log-chunk decoder, and restart
 # over arbitrary stable chunks. `go test -fuzz` takes one target per run.

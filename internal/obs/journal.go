@@ -31,7 +31,7 @@ type JournalRecord struct {
 	Txn    uint64 `json:"txn,omitempty"`
 	// Page is a pointer so that page 0 — a legitimate page id — still
 	// serializes, while events without a page omit the field entirely.
-	// Build it with JournalPage.
+	// Kernels set it through EmitPage.
 	Page *int64 `json:"page,omitempty"`
 	LSN  uint64 `json:"lsn,omitempty"`
 	// N carries the event's magnitude (records scanned, chunks truncated,
@@ -51,9 +51,6 @@ type Journal struct {
 // NewJournal returns an empty journal.
 func NewJournal() *Journal { return &Journal{} }
 
-// JournalPage wraps a page id for JournalRecord.Page.
-func JournalPage(p int64) *int64 { return &p }
-
 // Emit appends one record, assigning its sequence number. Emitting to a nil
 // journal is a no-op — the nil-safety that lets pure kernels carry a sink
 // without configuration.
@@ -63,6 +60,25 @@ func (j *Journal) Emit(r JournalRecord) {
 	}
 	r.Seq = int64(len(j.recs))
 	j.recs = append(j.recs, r)
+}
+
+// EmitPage is Emit for an event about page: it sets the record's Page. The
+// page id reaches the heap only when a journal is attached, so kernels emit
+// on their hot paths for free when nobody listens.
+func (j *Journal) EmitPage(page int64, r JournalRecord) {
+	if j != nil {
+		j.emitPage(page, r)
+	}
+}
+
+// emitPage is EmitPage's attached half. It is kept out of line so that the
+// page's move to the heap stays here, and never runs at a call site with
+// no journal.
+//
+//go:noinline
+func (j *Journal) emitPage(page int64, r JournalRecord) {
+	r.Page = &page
+	j.Emit(r)
 }
 
 // Len reports the number of records emitted (0 for a nil journal).

@@ -19,11 +19,30 @@ func TestJournalNilSafe(t *testing.T) {
 	}
 }
 
+// TestNilJournalEmitPageAllocatesNothing: kernels emit a page event on every
+// steal and every load, so with no journal attached that must cost nothing,
+// page 0 included; attached, page 0 still renders.
+func TestNilJournalEmitPageAllocatesNothing(t *testing.T) {
+	var j *Journal
+	if n := testing.AllocsPerRun(100, func() { j.EmitPage(0, JournalRecord{Event: "steal", LSN: 7}) }); n != 0 {
+		t.Fatalf("EmitPage on a nil journal allocates %.0f times", n)
+	}
+	j = NewJournal()
+	j.EmitPage(0, JournalRecord{Event: "steal", LSN: 7})
+	var buf bytes.Buffer
+	if err := j.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"seq":0,"event":"steal","page":0,"lsn":7}` + "\n"; buf.String() != want {
+		t.Fatalf("got %q, want %q", buf.String(), want)
+	}
+}
+
 func TestJournalOrderAndJSONL(t *testing.T) {
 	j := NewJournal()
 	j.Emit(JournalRecord{Event: "scan", Engine: "wal(1 streams,page-mod)", N: 12})
 	j.Emit(JournalRecord{Event: "winner", Txn: 3})
-	j.Emit(JournalRecord{Event: "redo", Txn: 3, Page: JournalPage(5), LSN: 9, Note: "clr"})
+	j.EmitPage(5, JournalRecord{Event: "redo", Txn: 3, LSN: 9, Note: "clr"})
 	if j.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", j.Len())
 	}

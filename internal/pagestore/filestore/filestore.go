@@ -1,7 +1,7 @@
 // Package filestore implements the pagestore.Backend contract over real
 // files: a page file (data.db) plus an append-only on-disk write-ahead log
 // (wal.log) with explicit fsync discipline. It converts the repo's
-// recovery audits from claims about a map into claims about bytes on disk,
+// recovery audits from claims about memory into claims about bytes on disk,
 // while keeping the exact crash semantics the audits rely on:
 //
 //   - A mutation is acknowledged (Put/Del returns nil) only after its log
@@ -44,6 +44,7 @@
 package filestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -370,7 +371,7 @@ func (b *Backend) appendRec(op byte, id pagestore.PageID, data []byte, version u
 	}
 	b.nextSeq++
 	if op == opPut {
-		b.pages[id] = pageRec{data: data, version: version}
+		b.pages[id] = pageRec{data: bytes.Clone(data), version: version}
 	} else {
 		delete(b.pages, id)
 	}

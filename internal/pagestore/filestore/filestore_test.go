@@ -364,3 +364,50 @@ func TestDurabilityPropertyOnFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBufferOwnership: a store keeps no caller's buffer and hands out none
+// of its own, on either medium. Mutating the buffer a Write took must not
+// change the stored page; a slice a Read returned must not change when a
+// later same-length Write overwrites the page in place; ReadInto reads into
+// the caller's array when it has room.
+func TestBufferOwnership(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    *pagestore.Store
+	}{
+		{"memory", pagestore.New(16)},
+		{"file", openT(t, t.TempDir(), 16, 1<<20)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			buf := []byte("abcdefgh")
+			if err := c.s.Write(7, buf, 1); err != nil {
+				t.Fatal(err)
+			}
+			buf[0] = 'X'
+			first, _, err := c.s.Read(7)
+			if err != nil || string(first) != "abcdefgh" {
+				t.Fatalf("after mutating the written buffer, Read = %q, %v", first, err)
+			}
+			if err := c.s.Write(7, []byte("12345678"), 2); err != nil {
+				t.Fatal(err)
+			}
+			if string(first) != "abcdefgh" {
+				t.Fatalf("a later Write changed an earlier Read's bytes to %q", first)
+			}
+			dst := make([]byte, 0, 16)
+			got, v, err := c.s.ReadInto(dst, 7)
+			if err != nil || string(got) != "12345678" || v != 2 {
+				t.Fatalf("ReadInto = %q, %d, %v", got, v, err)
+			}
+			if &got[0] != &dst[:1][0] {
+				t.Fatal("ReadInto did not read into the caller's array")
+			}
+			if err := c.s.Write(7, []byte("ABCDEFGH"), 3); err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != "12345678" {
+				t.Fatalf("a later Write changed ReadInto's bytes to %q", got)
+			}
+		})
+	}
+}

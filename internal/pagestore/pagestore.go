@@ -17,10 +17,15 @@
 // Store separates the contract from the medium: the crash state, fault
 // hooks, and statistics live in Store, while the bytes live behind the
 // Backend interface. New builds the in-memory backend (the simulated disk
-// the experiments run on); internal/pagestore/filestore implements the
-// same contract over a real page file and an on-disk write-ahead log with
-// explicit fsync discipline, so the same recovery audits run against bytes
-// on disk.
+// the experiments run on, a two-level page table); internal/pagestore/
+// filestore implements the same contract over a real page file and an
+// on-disk write-ahead log with explicit fsync discipline, so the same
+// recovery audits run against bytes on disk.
+//
+// Buffers: a Store keeps no caller's buffer and hands out none of its own.
+// Write's data is copied by the backend before Write returns; Read returns
+// a fresh copy, and ReadInto copies into a buffer the caller supplies, so
+// a caller that recycles page buffers reads without allocating.
 //
 // Fault injection: SetFaultHook installs a predicate consulted before
 // every read, write, delete, and existence probe; returning true cuts
@@ -91,16 +96,19 @@ type FaultHook func(op Op, id PageID, seq int64) bool
 // (ErrCrashed gating, fault hooks, stats) and calls the backend
 // only while live; backends own the medium.
 //
-// Buffer ownership: Put receives a buffer the backend may retain; Get may
-// return an internal buffer (the Store copies before handing it to
-// callers).
+// Buffer ownership: Put must not keep the caller's buffer — the backend
+// copies data into storage of its own (the in-memory backend into the
+// page's existing buffer when it is large enough), so callers may reuse
+// their buffers as soon as Put returns. Get may return an internal buffer,
+// valid until the next Put or Del of that page; the Store copies it before
+// handing it to callers.
 //
 // PowerOff models losing power: whatever the medium would lose, it loses
-// now (the in-memory backend loses nothing — its "platter" is the map; the
-// file backend drops unsynced bytes and keeps at most a torn prefix of an
-// in-flight record). PowerOn models restart: the backend rebuilds its
-// state from the medium and reports corruption it cannot recover from.
-// Both must be idempotent.
+// now (the in-memory backend loses nothing — its page table is the
+// platter; the file backend drops unsynced bytes and keeps at most a torn
+// prefix of an in-flight record). PowerOn models restart: the backend
+// rebuilds its state from the medium and reports corruption it cannot
+// recover from. Both must be idempotent.
 type Backend interface {
 	Get(id PageID) (data []byte, version uint64, ok bool)
 	Put(id PageID, data []byte, version uint64) error
@@ -113,10 +121,34 @@ type Backend interface {
 	Close() error
 }
 
-// memBackend is the volatile simulated disk: a map whose contents survive
-// power-off by construction (the map is the platter).
+// memBlockBits sets the in-memory page table's block: ids that agree above
+// their low memBlockBits bits share a block of 1<<memBlockBits slots.
+const memBlockBits = 8
+
+// memBackend is the volatile simulated disk, whose contents survive
+// power-off by construction (the page table is the platter). It is a
+// two-level page table: a map from id>>memBlockBits to a block of slots,
+// indexed by the id's low bits. The kernels place their pages in a few
+// dense runs — data pages from 0 up, the shadow and differential engines'
+// structures down from negative bases, a WAL stream's log chunks from
+// stream<<40 up — so a run of pages shares a block, and the block of the
+// last access is cached: a steady workload touches the map once per block
+// change, not once per operation.
 type memBackend struct {
-	pages map[PageID]memPage
+	blocks  map[int64]*memBlock
+	lastKey int64
+	last    *memBlock // the block at lastKey, nil when none is cached
+	// spare is the last block to empty, kept for the next new one: the
+	// overwrite engines write and delete an intent slot every commit.
+	spare *memBlock
+	n     int
+}
+
+// memBlock is one block of the page table. A slot holds a page when its
+// data is non-nil (an empty page is a non-nil empty slice).
+type memBlock struct {
+	pages [1 << memBlockBits]memPage
+	n     int
 }
 
 type memPage struct {
@@ -124,35 +156,91 @@ type memPage struct {
 	version uint64
 }
 
-func newMemBackend() *memBackend { return &memBackend{pages: make(map[PageID]memPage)} }
+func newMemBackend() *memBackend { return &memBackend{blocks: make(map[int64]*memBlock)} }
+
+// slot returns page id's slot, or nil when its block does not exist and
+// create is false.
+func (m *memBackend) slot(id PageID, create bool) (*memBlock, *memPage) {
+	key := int64(id) >> memBlockBits
+	b := m.last
+	if b == nil || key != m.lastKey {
+		b = m.blocks[key]
+		if b == nil {
+			if !create {
+				return nil, nil
+			}
+			b, m.spare = m.spare, nil
+			if b == nil {
+				b = new(memBlock)
+			}
+			m.blocks[key] = b
+		}
+		m.last, m.lastKey = b, key
+	}
+	return b, &b.pages[id&(1<<memBlockBits-1)]
+}
 
 func (m *memBackend) Get(id PageID) ([]byte, uint64, bool) {
-	p, ok := m.pages[id]
-	if !ok {
+	_, p := m.slot(id, false)
+	if p == nil || p.data == nil {
 		return nil, 0, false
 	}
 	return p.data, p.version, true
 }
 
 func (m *memBackend) Put(id PageID, data []byte, version uint64) error {
-	m.pages[id] = memPage{data: data, version: version}
+	b, p := m.slot(id, true)
+	if p.data == nil {
+		b.n++
+		m.n++
+	}
+	if p.data == nil || cap(p.data) < len(data) {
+		p.data = make([]byte, len(data))
+	}
+	p.data = p.data[:len(data)]
+	copy(p.data, data)
+	p.version = version
 	return nil
 }
 
 func (m *memBackend) Del(id PageID) error {
-	delete(m.pages, id)
+	b, p := m.slot(id, false)
+	if p == nil || p.data == nil {
+		return nil
+	}
+	*p = memPage{}
+	b.n--
+	m.n--
+	if b.n == 0 {
+		key := int64(id) >> memBlockBits
+		delete(m.blocks, key)
+		m.last, m.spare = nil, b
+	}
 	return nil
 }
 
-func (m *memBackend) Has(id PageID) bool { _, ok := m.pages[id]; return ok }
-func (m *memBackend) Len() int           { return len(m.pages) }
+func (m *memBackend) Has(id PageID) bool {
+	_, p := m.slot(id, false)
+	return p != nil && p.data != nil
+}
+
+func (m *memBackend) Len() int { return m.n }
 
 func (m *memBackend) Keys() []PageID {
-	out := make([]PageID, 0, len(m.pages))
-	for id := range m.pages {
-		out = append(out, id)
+	keys := make([]int64, 0, len(m.blocks))
+	for k := range m.blocks {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out := make([]PageID, 0, m.n)
+	for _, k := range keys {
+		b := m.blocks[k]
+		for i := range b.pages {
+			if b.pages[i].data != nil {
+				out = append(out, PageID(k<<memBlockBits|int64(i)))
+			}
+		}
+	}
 	return out
 }
 
@@ -243,9 +331,7 @@ func (s *Store) Write(id PageID, data []byte, version uint64) error {
 		return fmt.Errorf("pagestore: page %d: %d bytes exceeds page size %d",
 			id, len(data), s.pageSize)
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	if err := s.be.Put(id, buf, version); err != nil {
+	if err := s.be.Put(id, data, version); err != nil {
 		return s.backendErr(err)
 	}
 	s.writes++
@@ -253,7 +339,13 @@ func (s *Store) Write(id PageID, data []byte, version uint64) error {
 }
 
 // Read returns a copy of page id and its version word.
-func (s *Store) Read(id PageID) ([]byte, uint64, error) {
+func (s *Store) Read(id PageID) ([]byte, uint64, error) { return s.ReadInto(nil, id) }
+
+// ReadInto is Read into dst's array when it has room for the page, and into
+// a new buffer when it has not (or dst is nil). It returns the page's bytes
+// and its version word; a caller that recycles page buffers reads without
+// allocating.
+func (s *Store) ReadInto(dst []byte, id PageID) ([]byte, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -270,9 +362,12 @@ func (s *Store) Read(id PageID) ([]byte, uint64, error) {
 		return nil, 0, ErrNotFound
 	}
 	s.reads++
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	return buf, version, nil
+	if dst == nil || cap(dst) < len(data) {
+		dst = make([]byte, len(data))
+	}
+	dst = dst[:len(data)]
+	copy(dst, data)
+	return dst, version, nil
 }
 
 // Exists reports whether page id is currently stored. It is a
@@ -426,7 +521,5 @@ func (s *Store) Pages() int {
 func (s *Store) Keys() []PageID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.be.Keys()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.be.Keys()
 }

@@ -3,6 +3,7 @@ package pagestore
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -394,5 +395,67 @@ func TestWriteFiresHookBeforeSizeCheck(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("hook fired %d times, want 1", fired)
+	}
+}
+
+// TestPageTableMatchesMap drives the in-memory page table and a plain map
+// through the same seeded mix of operations, over ids from every region
+// the kernels use: data pages from 0, the shadow and differential engines'
+// structures below negative bases, the WAL's meta pages at 1<<39 and its
+// log chunks at stream<<40|seq. Each region's ids straddle block
+// boundaries, and phases of deletes empty whole blocks. After every
+// operation the two must agree on the page it touched and on the whole
+// contents, with Keys ascending.
+func TestPageTableMatchesMap(t *testing.T) {
+	bases := []int64{0, 300, -1000000, -2000000, -3000000, -4000000, 1 << 39, 1<<40 | 1<<39, 1 << 40, 2<<40 | 200}
+	rng := rand.New(rand.NewSource(1))
+	tab := newMemBackend()
+	ref := map[PageID]memPage{}
+	for op := 0; op < 20000; op++ {
+		id := PageID(bases[rng.Intn(len(bases))] + int64(rng.Intn(64)) - 32)
+		puts := 6 // of ten ops; every other phase of 2,000 ops mostly deletes
+		if op/2000%2 == 1 {
+			puts = 1
+		}
+		switch k := rng.Intn(10); {
+		case k < puts:
+			data := make([]byte, rng.Intn(12))
+			rng.Read(data)
+			v := rng.Uint64()
+			if err := tab.Put(id, data, v); err != nil {
+				t.Fatal(err)
+			}
+			ref[id] = memPage{data: data, version: v}
+		case k < 8:
+			if err := tab.Del(id); err != nil {
+				t.Fatal(err)
+			}
+			delete(ref, id)
+		case k < 9:
+			_, want := ref[id]
+			if got := tab.Has(id); got != want {
+				t.Fatalf("op %d: Has(%d) = %v, want %v", op, id, got, want)
+			}
+		}
+		data, v, ok := tab.Get(id)
+		want, wantOK := ref[id]
+		if ok != wantOK || !bytes.Equal(data, want.data) || v != want.version {
+			t.Fatalf("op %d: Get(%d) = %x, %d, %v; want %x, %d, %v", op, id, data, v, ok, want.data, want.version, wantOK)
+		}
+		if tab.Len() != len(ref) {
+			t.Fatalf("op %d: Len = %d, want %d", op, tab.Len(), len(ref))
+		}
+		keys := tab.Keys()
+		if len(keys) != len(ref) {
+			t.Fatalf("op %d: %d keys, want %d", op, len(keys), len(ref))
+		}
+		for i, id := range keys {
+			if i > 0 && keys[i-1] >= id {
+				t.Fatalf("op %d: Keys not ascending: %d before %d", op, keys[i-1], id)
+			}
+			if _, ok := ref[id]; !ok {
+				t.Fatalf("op %d: Keys lists %d, which the map lacks", op, id)
+			}
+		}
 	}
 }

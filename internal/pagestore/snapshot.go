@@ -95,7 +95,6 @@ func (s *Store) WriteSnapshot(w io.Writer, base Manifest) (Manifest, error) {
 	}
 
 	ids := s.be.Keys()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	manifest := make(Manifest, len(ids))
 	var puts []PageID
@@ -307,9 +306,7 @@ func (s *Store) ApplySnapshot(r io.Reader) error {
 		for _, p := range puts {
 			keep[p.id] = true
 		}
-		ids := s.be.Keys()
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		for _, id := range s.be.Keys() {
 			if !keep[id] {
 				if err := s.be.Del(id); err != nil {
 					return s.backendErr(err)

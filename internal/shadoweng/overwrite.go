@@ -150,7 +150,7 @@ func (e *OverwriteEngine) Load(p int64, data []byte) error {
 	if err := e.store.Write(pagestore.PageID(p), data, 0); err != nil {
 		return err
 	}
-	e.journal.Emit(obs.JournalRecord{Event: "load", Page: obs.JournalPage(p)})
+	e.journal.EmitPage(p, obs.JournalRecord{Event: "load"})
 	return nil
 }
 

@@ -141,7 +141,7 @@ func (e *Engine) Write(tid uint64, p int64, data []byte) error {
 	if err := e.store.Write(pagestore.PageID(blk), data, 0); err != nil {
 		return err
 	}
-	e.journal.Emit(obs.JournalRecord{Event: "shadow", Txn: tid, Page: obs.JournalPage(p), N: blk})
+	e.journal.EmitPage(p, obs.JournalRecord{Event: "shadow", Txn: tid, N: blk})
 	return nil
 }
 

@@ -94,7 +94,7 @@ func (e *VersionEngine) Load(p int64, data []byte) error {
 	if err := e.store.Write(vsBlock(p, 0), data, 0); err != nil {
 		return err
 	}
-	e.journal.Emit(obs.JournalRecord{Event: "load", Page: obs.JournalPage(p)})
+	e.journal.EmitPage(p, obs.JournalRecord{Event: "load"})
 	return nil
 }
 
@@ -160,7 +160,7 @@ func (e *VersionEngine) Write(tid uint64, p int64, data []byte) error {
 	if err := e.store.Write(vsBlock(p, side), data, t.ts); err != nil {
 		return err
 	}
-	e.journal.Emit(obs.JournalRecord{Event: "shadow", Txn: tid, Page: obs.JournalPage(p), N: int64(side)})
+	e.journal.EmitPage(p, obs.JournalRecord{Event: "shadow", Txn: tid, N: int64(side)})
 	return nil
 }
 

@@ -56,11 +56,14 @@ type undoRec struct {
 
 // txnState tracks an active transaction. firstLSN and lastLSN stay zero
 // until its first update: a transaction that changed nothing has no
-// records, pins no log, and ends without touching the log.
+// records, pins no log, and ends without touching the log. Records are
+// recycled (see Begin and endTxn), so their slices keep their arrays
+// from one transaction to the next.
 type txnState struct {
 	firstLSN uint64
 	lastLSN  uint64
 	updates  []undoRec // not yet compensated, oldest first
+	arena    []byte    // the updates' old bytes, back to back
 }
 
 // Manager is the WAL recovery engine: steal/no-force buffer management over
@@ -79,10 +82,12 @@ type Manager struct {
 	streams []*stream
 	nextLSN uint64
 
-	pool map[pagestore.PageID]*bufPage
-	lru  bufPage // ring anchor: lru.next is the eviction victim
+	pool  map[pagestore.PageID]*bufPage
+	lru   bufPage // ring anchor: lru.next is the eviction victim
+	spare []byte  // the last victim's page buffer, for the next fetch
 
-	att map[uint64]*txnState
+	att      map[uint64]*txnState
+	freeTxns []*txnState // ended transactions' records, cleared for reuse
 
 	steals     int64
 	redone     int64
@@ -149,7 +154,7 @@ func (m *Manager) Load(p int64, data []byte) error {
 	if err := m.data.Write(pagestore.PageID(p), data, 0); err != nil {
 		return err
 	}
-	m.journal.Emit(obs.JournalRecord{Event: "load", Page: obs.JournalPage(p)})
+	m.journal.EmitPage(p, obs.JournalRecord{Event: "load"})
 	return nil
 }
 
@@ -159,8 +164,23 @@ func (m *Manager) Begin(tid uint64) error {
 	if _, ok := m.att[tid]; ok {
 		return fmt.Errorf("wal: transaction %d already active", tid)
 	}
-	m.att[tid] = &txnState{}
+	var ts *txnState
+	if n := len(m.freeTxns); n > 0 {
+		ts = m.freeTxns[n-1]
+		m.freeTxns = m.freeTxns[:n-1]
+	} else {
+		ts = &txnState{}
+	}
+	m.att[tid] = ts
 	return nil
+}
+
+// endTxn retires tid's record: it leaves the active table, is cleared, and
+// waits on the free list for a later Begin.
+func (m *Manager) endTxn(tid uint64, ts *txnState) {
+	delete(m.att, tid)
+	*ts = txnState{updates: ts.updates[:0], arena: ts.arena[:0]}
+	m.freeTxns = append(m.freeTxns, ts)
 }
 
 // Read returns the current contents of page p as seen by tid (its own
@@ -193,7 +213,9 @@ func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 	if del == 0 && len(ins) == 0 {
 		return nil
 	}
-	old := append([]byte(nil), bp.data[off:off+del]...)
+	n := len(ts.arena)
+	ts.arena = append(ts.arena, bp.data[off:off+del]...)
+	old := ts.arena[n:len(ts.arena):len(ts.arena)]
 	lsn := m.appendRec(Record{
 		Type:    RecUpdate,
 		Txn:     tid,
@@ -225,7 +247,7 @@ func (m *Manager) Commit(tid uint64) error {
 		return fmt.Errorf("wal: transaction %d not active", tid)
 	}
 	if ts.lastLSN == 0 {
-		delete(m.att, tid)
+		m.endTxn(tid, ts)
 		m.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid})
 		return nil
 	}
@@ -247,7 +269,7 @@ func (m *Manager) Commit(tid uint64) error {
 	if err := m.streams[ci].force(); err != nil {
 		return fmt.Errorf("wal: commit %d in doubt: %w", tid, err)
 	}
-	delete(m.att, tid)
+	m.endTxn(tid, ts)
 	m.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid, LSN: lsn})
 	return nil
 }
@@ -271,7 +293,7 @@ func (m *Manager) Abort(tid uint64) error {
 	if ts.lastLSN != 0 {
 		m.appendRec(Record{Type: RecAbort, Txn: tid, PrevLSN: ts.lastLSN})
 	}
-	delete(m.att, tid)
+	m.endTxn(tid, ts)
 	m.journal.Emit(obs.JournalRecord{Event: "abort", Txn: tid, N: int64(n)})
 	return nil
 }
@@ -355,23 +377,31 @@ func (m *Manager) resetPool() {
 }
 
 // getPage returns the pooled page, fetching (and possibly evicting) as
-// needed. Pages never stored read as empty.
+// needed. Pages never stored read as empty. A full pool recycles: the page
+// is read into the spare buffer before the victim is stolen, so the store
+// sees the read first; then the victim's frame takes the new page and its
+// old buffer becomes the spare.
 func (m *Manager) getPage(p pagestore.PageID) (*bufPage, error) {
 	if bp, ok := m.pool[p]; ok {
 		bp.unlink()
 		m.pushNewest(bp)
 		return bp, nil
 	}
-	data, version, err := m.data.Read(p)
+	data, version, err := m.data.ReadInto(m.spare, p)
 	if err == pagestore.ErrNotFound {
-		data, version = nil, 0
+		data, version = m.spare[:0], 0
 	} else if err != nil {
 		return nil, err
 	}
-	if err := m.evictIfFull(); err != nil {
+	bp, err := m.evictIfFull()
+	if err != nil {
 		return nil, err
 	}
-	bp := &bufPage{id: p, data: data, lsn: version}
+	if bp == nil {
+		bp = &bufPage{}
+	}
+	m.spare = bp.data // the victim's buffer; nil for a new frame
+	*bp = bufPage{id: p, data: data, lsn: version}
 	m.pool[p] = bp
 	m.pushNewest(bp)
 	return bp, nil
@@ -386,31 +416,32 @@ func (m *Manager) pushNewest(bp *bufPage) {
 	bp.prev.next, m.lru.prev = bp, bp
 }
 
-// evictIfFull applies LRU replacement. A dirty victim triggers the
-// write-ahead rule: the log must be durable up to the page's LSN before the
-// page is stolen to disk. The victim is the least recently used page, whose
-// records a commit has usually forced long ago, so most steals cost the page
-// write alone.
-func (m *Manager) evictIfFull() error {
-	for len(m.pool) >= m.cfg.PoolPages {
-		bp := m.lru.next
-		if bp.dirty {
-			if err := m.forceThrough(bp.lsn); err != nil {
-				return err
-			}
-			if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
-				return err
-			}
-			m.steals++
-			// A steal is the WAL engine's only stable page write outside
-			// checkpoints, so it is journaled: the forensic trail must show
-			// which uncommitted pages reached disk and under which LSN.
-			m.journal.Emit(obs.JournalRecord{Event: "steal", Page: obs.JournalPage(int64(bp.id)), LSN: bp.lsn})
-		}
-		bp.unlink()
-		delete(m.pool, bp.id)
+// evictIfFull applies LRU replacement and returns the evicted frame, nil
+// when the pool had room. A dirty victim triggers the write-ahead rule: the
+// log must be durable up to the page's LSN before the page is stolen to
+// disk. The victim is the least recently used page, whose records a commit
+// has usually forced long ago, so most steals cost the page write alone.
+func (m *Manager) evictIfFull() (*bufPage, error) {
+	if len(m.pool) < m.cfg.PoolPages {
+		return nil, nil
 	}
-	return nil
+	bp := m.lru.next
+	if bp.dirty {
+		if err := m.forceThrough(bp.lsn); err != nil {
+			return nil, err
+		}
+		if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
+			return nil, err
+		}
+		m.steals++
+		// A steal is the WAL engine's only stable page write outside
+		// checkpoints, so it is journaled: the forensic trail must show
+		// which uncommitted pages reached disk and under which LSN.
+		m.journal.EmitPage(int64(bp.id), obs.JournalRecord{Event: "steal", LSN: bp.lsn})
+	}
+	bp.unlink()
+	delete(m.pool, bp.id)
+	return bp, nil
 }
 
 // Checkpoint takes a fuzzy checkpoint: the log is forced, every dirty page
@@ -579,7 +610,7 @@ func (m *Manager) Recover() error {
 			return err
 		}
 		m.undone++
-		m.journal.Emit(obs.JournalRecord{Event: "undo", Txn: tid, Page: obs.JournalPage(int64(u.page)), LSN: u.lsn})
+		m.journal.EmitPage(int64(u.page), obs.JournalRecord{Event: "undo", Txn: tid, LSN: u.lsn})
 		if len(ts.updates) == 0 {
 			m.appendRec(Record{Type: RecAbort, Txn: tid, PrevLSN: ts.lastLSN})
 		}
@@ -653,15 +684,17 @@ func (m *Manager) livePrefix(log *restartLog) error {
 }
 
 // redoOne repeats one update against the stable page unless the page
-// already holds it.
+// already holds it. The page is read into the pool's spare buffer, which
+// no frame uses.
 func (m *Manager) redoOne(r *restartRec) error {
 	id := pagestore.PageID(r.page)
-	data, version, err := m.data.Read(id)
+	data, version, err := m.data.ReadInto(m.spare, id)
 	if err == pagestore.ErrNotFound {
-		data, version = nil, 0
+		data, version = m.spare[:0], 0
 	} else if err != nil {
 		return err
 	}
+	m.spare = data
 	if version >= r.lsn {
 		return nil // already applied
 	}
@@ -673,7 +706,7 @@ func (m *Manager) redoOne(r *restartRec) error {
 	if r.isCLR() {
 		note = "clr"
 	}
-	m.journal.Emit(obs.JournalRecord{Event: "redo", Txn: r.txn, Page: obs.JournalPage(r.page), LSN: r.lsn, Note: note})
+	m.journal.EmitPage(r.page, obs.JournalRecord{Event: "redo", Txn: r.txn, LSN: r.lsn, Note: note})
 	return m.data.Write(id, data, r.lsn)
 }
 

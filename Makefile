@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz loc ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke fuzz-wal fuzz-server logvolume lockbench txnbench
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-smoke fuzz-wal fuzz-server logvolume lockbench txnbench
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume lockbench txnbench fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples loc
+ci: build vet lint test race cover logvolume lockbench txnbench fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -80,6 +80,11 @@ cover:
 # Compare two result sets with `go run ./bench -compare A.json B.json`.
 bench:
 	$(GO) run ./bench
+
+# The same five workloads at one second each, audited as in a full run;
+# the result set goes to artifacts/bench.json.
+bench-smoke:
+	$(GO) run ./bench -seconds 1 -out artifacts/bench.json
 
 # Short end-to-end smoke of the networked front end: dbload self-hosts an
 # in-process dbserver per architecture, drives concurrent debit/credit

@@ -7,7 +7,7 @@
 //
 // Patterns are module-relative package patterns ("./internal/...",
 // "./cmd/simlint"); with no patterns it checks ./internal/... and
-// ./cmd/... . Every run applies all eight rules, and every finding fails
+// ./cmd/... . Every run applies all seven rules, and every finding fails
 // it: there is no rule subset and no waiver comment. Exit status: 0
 // clean, 1 findings, 2 usage or load error. With -json the findings are
 // written as a machine-readable report on stdout (the exit-status

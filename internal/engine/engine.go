@@ -41,6 +41,20 @@ var ErrDeadlock = errors.New("engine: transaction aborted as deadlock victim")
 // ErrDone is returned when using a transaction after commit or abort.
 var ErrDone = errors.New("engine: transaction already finished")
 
+// errPageRange is returned for a page id outside [0, 1<<62). The kernels
+// place their own pages beside the data pages: negative ids for intent
+// slots and difference-file chunks, page 2p+side for version p. A
+// transaction naming an id outside the range would address those, or
+// overflow.
+var errPageRange = errors.New("engine: page id out of range [0, 1<<62)")
+
+func checkPage(p int64) error {
+	if p < 0 || p >= 1<<62 {
+		return fmt.Errorf("%w: %d", errPageRange, p)
+	}
+	return nil
+}
+
 // Engine runs transactions with page-level 2PL over a RecoveryManager.
 type Engine struct {
 	rm      *Guard
@@ -87,10 +101,14 @@ func (e *Engine) Begin() (*Txn, error) {
 func (t *Txn) ID() uint64 { return t.id }
 
 // Read returns page p under a shared lock. On deadlock the transaction is
-// aborted and ErrDeadlock returned.
+// aborted and ErrDeadlock returned. A page id outside [0, 1<<62) is an
+// error, and the transaction stays open.
 func (t *Txn) Read(p int64) ([]byte, error) {
 	if t.done {
 		return nil, ErrDone
+	}
+	if err := checkPage(p); err != nil {
+		return nil, err
 	}
 	if err := t.lock(p, lockmgr.Shared); err != nil {
 		return nil, err
@@ -99,10 +117,14 @@ func (t *Txn) Read(p int64) ([]byte, error) {
 }
 
 // Write replaces page p under an exclusive lock. On deadlock the
-// transaction is aborted and ErrDeadlock returned.
+// transaction is aborted and ErrDeadlock returned. A page id outside
+// [0, 1<<62) is an error, and the transaction stays open.
 func (t *Txn) Write(p int64, data []byte) error {
 	if t.done {
 		return ErrDone
+	}
+	if err := checkPage(p); err != nil {
+		return err
 	}
 	if err := t.lock(p, lockmgr.Exclusive); err != nil {
 		return err
@@ -124,6 +146,12 @@ type PageWrite struct {
 func (t *Txn) WriteAll(ws []PageWrite) error {
 	if t.done {
 		return ErrDone
+	}
+	for _, w := range ws {
+		if err := checkPage(w.Page); err != nil {
+			_ = t.Abort()
+			return err
+		}
 	}
 	for _, w := range ws {
 		if err := t.lock(w.Page, lockmgr.Exclusive); err != nil {

@@ -136,8 +136,7 @@ func TestSweepEnumeratesExistsAndDeleteBoundaries(t *testing.T) {
 
 // TestSweepMutationCountsPinned pins the default workload's per-target
 // mutation counts. These ARE the sweep's crash-point counts at -every 1:
-// 590 engine points, which with the 56 performance-simulator points make
-// the full 646-point sweep. A drift here means the stable-storage
+// the full sweep's 590 points. A drift here means the stable-storage
 // contract changed shape (an operation appeared, vanished, or switched
 // class) — that must be a conscious decision, not an accident.
 func TestSweepMutationCountsPinned(t *testing.T) {

@@ -1,16 +1,15 @@
 package lint
 
-// callgraph.go is the interprocedural layer behind rules D006, D007,
-// and D008 and the type-based effect classification used by D003. It
-// indexes every function declared in the loaded packages — the analyzed
+// callgraph.go is the interprocedural layer behind rules D007 and D008
+// and the type-based effect classification used by D003. It indexes
+// every function declared in the loaded packages — the analyzed
 // packages plus every module-local dependency the loader pulled in —
-// and connects them with static call edges and function-value reference
-// edges. On top of the graph it solves four fixpoints:
+// and connects them with static call edges. On top of the graph it
+// solves three fixpoints:
 //
-//   - nearest-sink chains (wall clock, global math/rand, env) for D006,
-//     kept as explicit paths so diagnostics can print the full chain;
-//   - nearest stable-mutation chains (pagestore.Store.Write/Delete) and
-//     journal reachability (obs.Journal.Emit) for D008;
+//   - nearest stable-mutation chains (pagestore.Store.Write/Delete),
+//     kept as explicit paths so diagnostics can print the full chain,
+//     and journal reachability (obs.Journal.Emit) for D008;
 //   - emission/mutation effect summaries (writes to an escaping
 //     io.Writer, mutates receiver-reachable or package-level state) for
 //     the type-based D003;
@@ -32,17 +31,8 @@ import (
 	"strings"
 )
 
-type edgeKind uint8
-
-const (
-	edgeCall edgeKind = iota
-	edgeRef           // function name used as a value (callback, stored func)
-)
-
-// edge is one static call (or function-value reference) from one
-// module function to another.
+// edge is one static call from one module function to another.
 type edge struct {
-	kind   edgeKind
 	pos    token.Pos
 	callee *funcNode
 	// recvRooted marks a method call whose receiver expression is rooted
@@ -51,25 +41,15 @@ type edge struct {
 	recvRooted bool
 }
 
-// sinkHit is a direct use of a nondeterminism sink inside one body.
-type sinkHit struct {
-	kind  edgeKind
-	pos   token.Pos
-	name  string // "time.Now", "rand.Intn", "os.Getenv"
-	class string // "wall-clock", "global-rand", "env"
-}
-
-// chain is one step of a shortest path from a function to a sink (or to
-// a stable mutation): the site inside this function where the path
-// starts, and the next function along it (nil when the path ends at the
-// leaf named directly).
+// chain is one step of a shortest path from a function to a stable
+// mutation: the site inside this function where the path starts, and
+// the next function along it (nil when the path ends at the mutator
+// named directly).
 type chain struct {
 	dist   int
 	pos    token.Pos
-	kind   edgeKind
 	callee *funcNode
-	leaf   string // sink / mutator display name when callee == nil
-	class  string
+	leaf   string // mutator display name when callee == nil
 }
 
 // funcNode is one declared function or method in the loaded program.
@@ -77,14 +57,11 @@ type funcNode struct {
 	obj  *types.Func
 	decl *ast.FuncDecl
 	pkg  *Package
-	file *ast.File
-	rel  string // effective module-relative path (after //simlint:path)
 
 	recvObj   types.Object
 	paramObjs map[types.Object]bool
 
 	calls []edge
-	sinks []sinkHit
 
 	// direct (single-body) facts
 	mutatesStable bool
@@ -96,7 +73,6 @@ type funcNode struct {
 	mutatesGlobal bool
 
 	// fixpoint-derived facts
-	sinkChain        *chain
 	stableChain      *chain
 	reachJournal     bool
 	effEmit          bool
@@ -165,10 +141,6 @@ func buildGraph(ld *loader) *graph {
 	for _, dir := range dirs {
 		pkg := ld.byDir[dir]
 		for _, file := range pkg.Files {
-			rel := pkg.RelPath
-			if d := parseDirectives(pkg.Fset, file); d.pathOverride != "" {
-				rel = d.pathOverride
-			}
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -178,8 +150,7 @@ func buildGraph(ld *loader) *graph {
 				if !ok {
 					continue
 				}
-				n := &funcNode{obj: obj, decl: fd, pkg: pkg, file: file, rel: rel,
-					paramObjs: map[types.Object]bool{}}
+				n := &funcNode{obj: obj, decl: fd, pkg: pkg, paramObjs: map[types.Object]bool{}}
 				if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 					n.recvObj = pkg.Info.Defs[fd.Recv.List[0].Names[0]]
 				}
@@ -203,7 +174,6 @@ func buildGraph(ld *loader) *graph {
 	}
 
 	// Pass 3: fixpoints.
-	g.solveSinkChains()
 	g.solveStableChains()
 	g.solveBools()
 	solveAliasSummaries(g)
@@ -257,33 +227,6 @@ func (g *graph) implementsWriter(t types.Type) bool {
 var pureWriterMethods = map[string]bool{
 	"Len": true, "Cap": true, "String": true, "Bytes": true, "Size": true,
 	"Available": true, "Buffered": true, "Err": true, "Name": true,
-}
-
-// classifySink reports whether f is one of the nondeterminism sinks the
-// determinism rules forbid (only ever matches standard-library paths).
-func classifySink(f *types.Func) (class string, ok bool) {
-	pkg := f.Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	if sig, isSig := f.Type().(*types.Signature); !isSig || sig.Recv() != nil {
-		return "", false
-	}
-	switch pkg.Path() {
-	case "time":
-		if wallClockFuncs[f.Name()] {
-			return "wall-clock", true
-		}
-	case "math/rand", "math/rand/v2":
-		if !randConstructors[f.Name()] {
-			return "global-rand", true
-		}
-	case "os":
-		if envFuncs[f.Name()] {
-			return "env", true
-		}
-	}
-	return "", false
 }
 
 // methodIdent identifies a method by (package base name, receiver type
@@ -356,9 +299,8 @@ func unparen(e ast.Expr) ast.Expr {
 
 // bodyScan carries the per-body state of the edge/fact pass.
 type bodyScan struct {
-	g      *graph
-	n      *funcNode
-	called map[*ast.Ident]bool
+	g *graph
+	n *funcNode
 	// rooted holds the receiver object plus every local variable assigned
 	// from a receiver-rooted expression, so mutations *through* such
 	// locals (bp := m.pool[p]; bp.data = ...) still count as receiver
@@ -367,7 +309,7 @@ type bodyScan struct {
 }
 
 func (g *graph) scanBody(n *funcNode) {
-	s := &bodyScan{g: g, n: n, called: map[*ast.Ident]bool{}, rooted: map[types.Object]bool{}}
+	s := &bodyScan{g: g, n: n, rooted: map[types.Object]bool{}}
 	if n.recvObj != nil {
 		s.rooted[n.recvObj] = true
 	}
@@ -411,20 +353,6 @@ func (g *graph) scanBody(n *funcNode) {
 		}
 		return true
 	})
-	// Function-value references: any use of a function identifier that
-	// was not consumed as a call target.
-	ast.Inspect(n.decl.Body, func(x ast.Node) bool {
-		id, ok := x.(*ast.Ident)
-		if !ok || s.called[id] {
-			return true
-		}
-		obj, ok := n.pkg.Info.Uses[id].(*types.Func)
-		if !ok {
-			return true
-		}
-		s.addEdge(obj, id.Pos(), edgeRef, nil)
-		return true
-	})
 }
 
 func (s *bodyScan) objectOf(id *ast.Ident) types.Object {
@@ -437,17 +365,15 @@ func (s *bodyScan) objectOf(id *ast.Ident) types.Object {
 func (s *bodyScan) scanCall(call *ast.CallExpr) {
 	switch f := unparen(call.Fun).(type) {
 	case *ast.Ident:
-		s.called[f] = true
 		switch obj := s.n.pkg.Info.Uses[f].(type) {
 		case *types.Func:
-			s.addEdge(obj, call.Pos(), edgeCall, nil)
+			s.addEdge(obj, call.Pos(), nil)
 		case *types.Builtin:
 			if f.Name == "delete" && len(call.Args) > 0 {
 				s.noteMutation(call.Args[0])
 			}
 		}
 	case *ast.SelectorExpr:
-		s.called[f.Sel] = true
 		obj, ok := s.n.pkg.Info.Uses[f.Sel].(*types.Func)
 		if !ok {
 			return
@@ -456,17 +382,13 @@ func (s *bodyScan) scanCall(call *ast.CallExpr) {
 		if sig, isSig := obj.Type().(*types.Signature); isSig && sig.Recv() != nil {
 			recvExpr = f.X
 		}
-		s.addEdge(obj, call.Pos(), edgeCall, recvExpr)
-		s.noteEmission(obj, f, call)
+		s.addEdge(obj, call.Pos(), recvExpr)
+		s.noteEmission(obj, recvExpr, call)
 	}
 }
 
-func (s *bodyScan) addEdge(obj *types.Func, pos token.Pos, kind edgeKind, recvExpr ast.Expr) {
+func (s *bodyScan) addEdge(obj *types.Func, pos token.Pos, recvExpr ast.Expr) {
 	n := s.n
-	if class, ok := classifySink(obj); ok {
-		n.sinks = append(n.sinks, sinkHit{kind: kind, pos: pos,
-			name: path.Base(obj.Pkg().Path()) + "." + obj.Name(), class: class})
-	}
 	if isStoreMutator(obj) && !n.mutatesStable {
 		n.mutatesStable = true
 		n.stablePos = pos
@@ -482,7 +404,7 @@ func (s *bodyScan) addEdge(obj *types.Func, pos token.Pos, kind edgeKind, recvEx
 				rooted = s.rooted[s.objectOf(root)]
 			}
 		}
-		n.calls = append(n.calls, edge{kind: kind, pos: pos, callee: callee, recvRooted: rooted})
+		n.calls = append(n.calls, edge{pos: pos, callee: callee, recvRooted: rooted})
 	}
 }
 
@@ -490,41 +412,49 @@ func (s *bodyScan) addEdge(obj *types.Func, pos token.Pos, kind edgeKind, recvEx
 // io.Writer (or through fmt/log) whose target outlives this function.
 // Writes into function-local buffers are not emissions — a helper that
 // formats into a fresh bytes.Buffer and returns a string is pure.
-func (s *bodyScan) noteEmission(obj *types.Func, sel *ast.SelectorExpr, call *ast.CallExpr) {
-	if s.n.emitsOutput {
-		return
-	}
-	sig, isSig := obj.Type().(*types.Signature)
-	if !isSig {
-		return
-	}
-	if sig.Recv() == nil {
-		if obj.Pkg() == nil {
-			return
-		}
-		switch obj.Pkg().Path() {
-		case "fmt":
-			name := obj.Name()
-			switch {
-			case name == "Print" || name == "Println" || name == "Printf":
-				s.n.emitsOutput = true
-			case strings.HasPrefix(name, "Fprint") && len(call.Args) > 0 && s.escapingTarget(call.Args[0]):
-				s.n.emitsOutput = true
-			}
-		case "log":
-			s.n.emitsOutput = true
-		}
-		return
-	}
-	// Method calls: module methods contribute through their own computed
-	// effects; only bodyless (std / interface) writer methods are base
-	// facts here.
-	if s.g.nodes[obj] != nil || pureWriterMethods[obj.Name()] {
-		return
-	}
-	if tv, ok := s.n.pkg.Info.Types[sel.X]; ok && s.g.implementsWriter(tv.Type) && s.escapingTarget(sel.X) {
+func (s *bodyScan) noteEmission(obj *types.Func, recv ast.Expr, call *ast.CallExpr) {
+	if output, emits, to := s.g.outputCall(s.n.pkg.Info, obj, recv, call); output && emits &&
+		(to == nil || s.escapingTarget(to)) {
 		s.n.emitsOutput = true
 	}
+}
+
+// outputCall classifies a call to a function without a body in the
+// loaded program (the standard library, an interface method) by whether
+// it writes output; D003's effect summaries and its map-range check both
+// ask it. output is false for anything but fmt, log and io.Writer
+// methods other than pure accessors. For an output call, emits is false
+// for fmt's formatting-only functions (Sprint*, Errorf, Append*), and to
+// is the expression written into — the Fprint* writer or the io.Writer
+// receiver — or nil for the process's own streams (fmt.Print*, log).
+func (g *graph) outputCall(info *types.Info, obj *types.Func, recv ast.Expr, call *ast.CallExpr) (output, emits bool, to ast.Expr) {
+	if g.nodes[obj] != nil {
+		return false, false, nil
+	}
+	if recv != nil {
+		if pureWriterMethods[obj.Name()] {
+			return false, false, nil
+		}
+		tv, ok := info.Types[recv]
+		return ok && g.implementsWriter(tv.Type), true, recv
+	}
+	if obj.Pkg() == nil {
+		return false, false, nil
+	}
+	switch obj.Pkg().Path() {
+	case "fmt":
+		name := obj.Name()
+		switch {
+		case name == "Print" || name == "Println" || name == "Printf":
+			return true, true, nil
+		case strings.HasPrefix(name, "Fprint") && len(call.Args) > 0:
+			return true, true, call.Args[0]
+		}
+		return true, false, nil
+	case "log":
+		return true, true, nil
+	}
+	return false, false, nil
 }
 
 // escapingTarget reports whether e is rooted in something a caller can
@@ -597,77 +527,47 @@ func equalChain(a, b *chain) bool {
 	return *a == *b
 }
 
-// solveSinkChains computes, for every function, the shortest chain to a
-// nondeterminism sink. Function-value references count: handing
-// time.Now to a callback slot taints the handler exactly like calling
-// it.
-func (g *graph) solveSinkChains() {
-	seed := map[*funcNode]*chain{}
-	for _, n := range g.order {
-		for _, h := range n.sinks {
-			c := &chain{dist: 1, pos: h.pos, kind: h.kind, leaf: h.name, class: h.class}
-			if betterChain(c, seed[n]) {
-				seed[n] = c
-			}
-		}
-	}
-	g.solve(seed, true, func(n *funcNode) *chain { return n.sinkChain },
-		func(n *funcNode, c *chain) { n.sinkChain = c })
-}
-
-// solveStableChains computes the shortest chain to a stable-storage
-// mutation (call edges only).
+// solveStableChains computes, for every function, the shortest chain of
+// calls to a stable-storage mutation.
 func (g *graph) solveStableChains() {
-	seed := map[*funcNode]*chain{}
-	for _, n := range g.order {
-		if n.mutatesStable {
-			seed[n] = &chain{dist: 1, pos: n.stablePos, kind: edgeCall, leaf: n.stableCallee}
-		}
-	}
-	g.solve(seed, false, func(n *funcNode) *chain { return n.stableChain },
-		func(n *funcNode, c *chain) { n.stableChain = c })
-}
-
-func (g *graph) solve(seed map[*funcNode]*chain, useRefs bool,
-	get func(*funcNode) *chain, set func(*funcNode, *chain)) {
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.order {
-			best := seed[n]
+			var best *chain
+			if n.mutatesStable {
+				best = &chain{dist: 1, pos: n.stablePos, leaf: n.stableCallee}
+			}
 			for i := range n.calls {
 				e := &n.calls[i]
-				if e.kind == edgeRef && !useRefs {
-					continue
-				}
-				cc := get(e.callee)
+				cc := e.callee.stableChain
 				if cc == nil {
 					continue
 				}
-				cand := &chain{dist: cc.dist + 1, pos: e.pos, kind: e.kind, callee: e.callee, class: cc.class}
+				cand := &chain{dist: cc.dist + 1, pos: e.pos, callee: e.callee}
 				if betterChain(cand, best) {
 					best = cand
 				}
 			}
-			if !equalChain(best, get(n)) {
-				set(n, best)
+			if !equalChain(best, n.stableChain) {
+				n.stableChain = best
 				changed = true
 			}
 		}
 	}
 }
 
-// chainString renders a solved chain as "a.B -> c.D -> time.Now"
-// starting from n.
-func chainString(n *funcNode, get func(*funcNode) *chain) string {
+// chainString renders n's stable-mutation chain as
+// "a.B -> c.D -> pagestore.Store.Write".
+func chainString(n *funcNode) string {
 	parts := []string{n.displayName()}
-	c := get(n)
+	c := n.stableChain
 	for steps := 0; c != nil && steps < 64; steps++ {
 		if c.callee == nil {
 			parts = append(parts, c.leaf)
 			break
 		}
 		parts = append(parts, c.callee.displayName())
-		c = get(c.callee)
+		c = c.callee.stableChain
 	}
 	return strings.Join(parts, " -> ")
 }
@@ -686,9 +586,6 @@ func (g *graph) solveBools() {
 		for _, n := range g.order {
 			for i := range n.calls {
 				e := &n.calls[i]
-				if e.kind != edgeCall {
-					continue
-				}
 				if e.callee.reachJournal && !n.reachJournal {
 					n.reachJournal = true
 					changed = true

@@ -6,7 +6,7 @@
 // snapshots and traces. simlint makes that invariant machine-checked
 // instead of conventional. It loads every package under internal/ and
 // cmd/ with only the standard library (go/parser + go/types; no
-// golang.org/x/tools) and reports violations of five rules:
+// golang.org/x/tools) and reports violations of five per-file rules:
 //
 //	D001  no wall-clock time (time.Now, time.Since, time.Sleep, timers)
 //	      in simulation packages — virtual clock only. The runtime
@@ -27,23 +27,25 @@
 //	      internal/wal) — the kernel is single-threaded by design;
 //	      concurrency lives in the wrapper layer (internal/engine.Guard).
 //	      Kernel packages also must not import the wrapper layer itself:
-//	      importing internal/engine, internal/lockmgr, internal/runpool,
-//	      or internal/obs/live from kernel scope is a violation even if
-//	      no symbol is used, so runtime instrumentation can never leak
-//	      below the Guard boundary.
+//	      an import from kernel scope whose module-local import closure
+//	      holds internal/engine, internal/lockmgr, internal/runpool, or
+//	      internal/obs/live is a violation even if no symbol is used, so
+//	      runtime instrumentation can never leak below the Guard
+//	      boundary. So is one whose closure holds a module package
+//	      outside D001/D002/D005 scope.
 //	D005  no os.Getenv / os.Stdout side channels in internal/
 //	      libraries — configuration comes through machine.Config and
 //	      output through injected io.Writers.
 //
-// On top of the per-file rules, a program-wide call graph (callgraph.go)
-// backs three interprocedural rules:
+// D001, D002 and D005 fire where a sink is named, called or not:
+// `clock = time.Now` is a finding like `time.Now()`. With D004's
+// import ban that covers every chain from kernel code to a sink: the
+// chain either names the sink inside their scope or leaves it through
+// an import D004 rejects.
 //
-//	D006  transitive determinism taint — a kernel-scope function that
-//	      reaches a wall-clock/global-rand/env sink through any call
-//	      chain (wrapper helpers, other packages, function values) is
-//	      flagged with the full chain printed in the diagnostic. Direct
-//	      sink calls stay D001/D002/D005's job; D006 catches the
-//	      laundered ones.
+// On top of the per-file rules, a program-wide call graph (callgraph.go)
+// backs two interprocedural rules:
+//
 //	D007  kernel-state escape — exported kernel methods on the
 //	      functional engines (internal/wal, internal/shadoweng,
 //	      internal/diffeng) must not return, or store from parameters,
@@ -94,7 +96,7 @@ type RuleInfo struct {
 	Exclude []string
 }
 
-// kernelScope, shared by D004 and D006, pins the single-threaded
+// kernelScope, D004's scope, pins the single-threaded
 // simulator kernel: the event engine, the machine model, and every pure
 // recovery kernel built on them — including the functional engines
 // (internal/wal, internal/shadoweng, internal/diffeng), which must stay
@@ -162,11 +164,6 @@ var Rules = []RuleInfo{
 		Scope: []string{"internal/..."},
 	},
 	{
-		ID:    "D006",
-		Short: "no transitive reachability of wall-clock/rand/env sinks from kernel code (call-graph taint)",
-		Scope: kernelScope,
-	},
-	{
 		ID:    "D007",
 		Short: "exported kernel methods must not leak aliases of kernel state across the Guard boundary",
 		Scope: engineScope,
@@ -204,7 +201,7 @@ func Run(root string, patterns []string) ([]Diagnostic, error) {
 	g := buildGraph(ld)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, checkPackage(pkg, g)...)
+		diags = append(diags, checkPackage(pkg, ld, g)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -227,6 +224,15 @@ func scopeMatch(pat, rel string) bool {
 		return rel == base || strings.HasPrefix(rel, base+"/")
 	}
 	return rel == pat
+}
+
+// effectiveRel is the module-relative path rule scopes see for a file
+// with directives d: its //simlint:path override, or its package's own.
+func effectiveRel(pkg *Package, d *directives) string {
+	if d.pathOverride != "" {
+		return d.pathOverride
+	}
+	return pkg.RelPath
 }
 
 func inScope(r RuleInfo, rel string) bool {

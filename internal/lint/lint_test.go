@@ -35,13 +35,14 @@ func fixtureDirs(t *testing.T) (root string, dirs []string) {
 
 // TestRuleFixtures runs the analyzer over the whole fixture corpus in a
 // single pass (sharing one type-checking loader) and compares each
-// directory's findings against its expect.txt golden file. Re-generate
-// goldens with: go test ./internal/lint -run RuleFixtures -update
+// directory's findings, its helper packages' included, against its
+// expect.txt golden file. Re-generate goldens with:
+// go test ./internal/lint -run RuleFixtures -update
 func TestRuleFixtures(t *testing.T) {
 	root, dirs := fixtureDirs(t)
 	patterns := make([]string, len(dirs))
 	for i, d := range dirs {
-		patterns[i] = "./" + d
+		patterns[i] = "./" + d + "/..."
 	}
 	diags, err := Run(root, patterns)
 	if err != nil {

@@ -184,6 +184,16 @@ func (l *loader) relOf(importPath string) (string, bool) {
 	return strings.CutPrefix(importPath, l.modPath+"/")
 }
 
+// modulePkg returns the loaded module package with the given import
+// path, or nil for a standard-library path.
+func (l *loader) modulePkg(importPath string) *Package {
+	rel, ok := l.relOf(importPath)
+	if !ok {
+		return nil
+	}
+	return l.byDir[filepath.Join(l.root, filepath.FromSlash(rel))]
+}
+
 // load parses and type-checks the package in dir (memoized).
 func (l *loader) load(dir string) (*Package, error) {
 	dir = filepath.Clean(dir)

@@ -6,21 +6,23 @@ import (
 	"go/token"
 	"go/types"
 	"path"
+	"slices"
 	"strings"
 )
 
-// wallClockFuncs are the time functions D001 forbids: everything that
-// reads the host clock or blocks on it. Pure value manipulation
-// (time.Duration arithmetic, time.Unix) is allowed.
+// wallClockFuncs are the time functions D001 forbids, called or taken
+// as a value: everything that reads the host clock or blocks on it. Pure
+// value manipulation (time.Duration arithmetic, time.Unix) is allowed.
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "AfterFunc": true, "Tick": true,
 	"NewTicker": true, "NewTimer": true,
 }
 
-// randConstructors are the math/rand (and /v2) identifiers D002 allows:
+// randConstructors are the math/rand (and /v2) functions D002 allows:
 // anything that builds an explicitly seeded local generator. Every other
-// package-level call draws from the global stream.
+// package-level function draws from the global stream; type names
+// (rand.Rand, rand.Zipf) are not references to the stream at all.
 var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true,
@@ -45,11 +47,12 @@ var osStreams = map[string]bool{"Stdout": true, "Stderr": true, "Stdin": true}
 var syncPackages = map[string]bool{"sync": true, "sync/atomic": true}
 
 // wrapperImportSuffixes are the runtime/wrapper-layer packages D004 bans
-// as imports in kernel scope, matched as module-relative path suffixes so
-// the check works for any module name (including the fixture corpus). The
-// kernel may depend on the deterministic observation layer (internal/obs,
-// whose Journal is a pure ordered log), but never on the concurrency
-// wrapper or the wall-clock metrics layer above it.
+// from the import closure of kernel scope, matched as module-relative
+// path suffixes so the check works for any module name (including the
+// fixture corpus). The kernel may depend on the deterministic
+// observation layer (internal/obs, whose Journal is a pure ordered log),
+// but never on the concurrency wrapper or the wall-clock metrics layer
+// above it.
 var wrapperImportSuffixes = []string{
 	"internal/engine",
 	"internal/lockmgr",
@@ -65,6 +68,65 @@ func wrapperImport(importPath string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// sinkRules are the rules that catch a sink where it is named. D004's
+// import ban keeps kernel code from reaching a package they do not
+// cover.
+var sinkRules = []string{"D001", "D002", "D005"}
+
+// coveredBySinkRules reports whether every file of pkg is in scope of
+// every sink rule.
+func coveredBySinkRules(pkg *Package) bool {
+	for _, file := range pkg.Files {
+		rel := effectiveRel(pkg, parseDirectives(pkg.Fset, file))
+		for _, r := range Rules {
+			if slices.Contains(sinkRules, r.ID) && !inScope(r, rel) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// bannedImportChain searches the module-local import closure of
+// importPath breadth-first for a package kernel code must not reach: a
+// wrapper/runtime-layer package, or one the sink rules do not cover. It
+// returns the shortest import chain to the first one found and what that
+// package is, or a nil chain when the closure is clean.
+func (l *loader) bannedImportChain(importPath string) (chain []string, what string) {
+	type step struct {
+		pkg  *Package
+		prev int
+	}
+	first := l.modulePkg(importPath)
+	if first == nil {
+		return nil, ""
+	}
+	queue := []step{{first, -1}}
+	seen := map[*Package]bool{first: true}
+	for i := 0; i < len(queue); i++ {
+		pkg := queue[i].pkg
+		if suf, banned := wrapperImport(pkg.Types.Path()); banned {
+			what = "wrapper/runtime layer " + suf
+		} else if !coveredBySinkRules(pkg) {
+			what = "a package outside " + strings.Join(sinkRules, "/") + " scope"
+		}
+		if what != "" {
+			for j := i; j >= 0; j = queue[j].prev {
+				chain = append(chain, queue[j].pkg.Types.Path())
+			}
+			slices.Reverse(chain)
+			return chain, what
+		}
+		for _, imp := range pkg.Types.Imports() {
+			if dep := l.modulePkg(imp.Path()); dep != nil && !seen[dep] {
+				seen[dep] = true
+				queue = append(queue, step{dep, i})
+			}
+		}
+	}
+	return nil, ""
 }
 
 // sensitivePrefixes / sensitiveExact classify callee names whose effects
@@ -105,7 +167,8 @@ func sensitiveCallName(name string) bool {
 type checker struct {
 	pkg     *Package
 	file    *ast.File
-	g       *graph            // program-wide call graph (D003 effects, D006–D008)
+	ld      *loader           // every loaded package (D004's import closure)
+	g       *graph            // program-wide call graph (D003 effects, D007, D008)
 	imports map[string]string // fallback identifier -> import path map
 	active  map[string]bool   // rule ID -> in scope for this file
 	diags   []Diagnostic
@@ -114,17 +177,15 @@ type checker struct {
 // checkPackage runs every rule over every file of pkg — the syntactic
 // walk first, then the call-graph rules — and appends the file's
 // malformed-directive errors.
-func checkPackage(pkg *Package, g *graph) []Diagnostic {
+func checkPackage(pkg *Package, ld *loader, g *graph) []Diagnostic {
 	var out []Diagnostic
 	for _, file := range pkg.Files {
 		dirs := parseDirectives(pkg.Fset, file)
-		rel := pkg.RelPath
-		if dirs.pathOverride != "" {
-			rel = dirs.pathOverride
-		}
+		rel := effectiveRel(pkg, dirs)
 		c := &checker{
 			pkg:     pkg,
 			file:    file,
+			ld:      ld,
 			g:       g,
 			imports: importTable(file),
 			active:  map[string]bool{},
@@ -147,9 +208,6 @@ func checkPackage(pkg *Package, g *graph) []Diagnostic {
 // checkGraphRules runs the interprocedural rules for one declared
 // function of the file.
 func (c *checker) checkGraphRules(fd *ast.FuncDecl) {
-	if c.g == nil {
-		return
-	}
 	obj, ok := c.pkg.Info.Defs[fd.Name].(*types.Func)
 	if !ok {
 		return
@@ -158,7 +216,6 @@ func (c *checker) checkGraphRules(fd *ast.FuncDecl) {
 	if n == nil {
 		return
 	}
-	c.checkTaint(n)
 	if exportedKernelMethod(n) {
 		c.checkEscape(n)
 		c.checkJournal(n)
@@ -184,28 +241,6 @@ func exportedKernelMethod(n *funcNode) bool {
 	return named != nil && named.Obj().Exported()
 }
 
-// checkTaint implements D006: kernel code must not reach a
-// nondeterminism sink through any call chain. Direct sink *calls* are
-// already D001/D002/D005 findings; D006 reports chains of length ≥ 2
-// and direct function-value references (handing time.Now to a callback
-// slot), printing the full chain.
-func (c *checker) checkTaint(n *funcNode) {
-	if !c.active["D006"] || n.sinkChain == nil {
-		return
-	}
-	ch := n.sinkChain
-	if ch.dist == 1 && ch.kind == edgeCall {
-		return
-	}
-	what := "reaches"
-	if ch.callee == nil && ch.kind == edgeRef {
-		what = "captures"
-	}
-	c.report(ch.pos, "D006", fmt.Sprintf(
-		"%s %s %s sink through call chain %s: kernel code must stay deterministic (inject the value from above the Guard boundary)",
-		n.displayName(), what, ch.class, chainString(n, func(f *funcNode) *chain { return f.sinkChain })))
-}
-
 // checkEscape implements D007 over one exported kernel method.
 func (c *checker) checkEscape(n *funcNode) {
 	if !c.active["D007"] {
@@ -225,7 +260,7 @@ func (c *checker) checkJournal(n *funcNode) {
 	}
 	c.report(n.decl.Name.Pos(), "D008", fmt.Sprintf(
 		"%s mutates stable storage (%s) but never reaches the recovery journal: emit an obs.Journal event on every stable-mutation path",
-		n.displayName(), chainString(n, func(f *funcNode) *chain { return f.stableChain })))
+		n.displayName(), chainString(n)))
 }
 
 func importTable(file *ast.File) map[string]string {
@@ -267,9 +302,9 @@ func (c *checker) walk() {
 func (c *checker) visit(n ast.Node, stack []ast.Node) {
 	switch n := n.(type) {
 	case *ast.CallExpr:
-		c.checkCall(n)
+		c.checkClose(n)
 	case *ast.SelectorExpr:
-		c.checkStreamRef(n)
+		c.checkSinkRef(n, stack)
 		c.checkSyncRef(n)
 	case *ast.GoStmt:
 		c.kernelViolation(n.Pos(), "goroutine launch (go statement)")
@@ -332,35 +367,44 @@ func (c *checker) isBuiltin(id *ast.Ident, name string) bool {
 	return isBuiltin
 }
 
-func (c *checker) checkCall(call *ast.CallExpr) {
-	if pkgPath, name, ok := c.pkgQualified(call.Fun); ok {
-		switch {
-		case c.active["D001"] && pkgPath == "time" && wallClockFuncs[name]:
-			c.report(call.Pos(), "D001", fmt.Sprintf(
-				"call to time.%s reads the wall clock: simulation code must use the virtual clock (sim.Engine)", name))
-		case c.active["D002"] && (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !randConstructors[name]:
-			c.report(call.Pos(), "D002", fmt.Sprintf(
-				"call to rand.%s draws from the global math/rand stream: all randomness must flow through the seeded sim.RNG", name))
-		case c.active["D005"] && pkgPath == "os" && envFuncs[name]:
-			c.report(call.Pos(), "D005", fmt.Sprintf(
-				"call to os.%s is a configuration side channel: internal packages must take configuration through machine.Config", name))
-		}
+// checkSinkRef implements D001, D002 and D005 at every package-qualified
+// reference to a sink, whether it is called or taken as a value: storing
+// time.Now in a clock field hands the wall clock to every later caller
+// exactly like calling it, so the reference itself is the finding.
+func (c *checker) checkSinkRef(sel *ast.SelectorExpr, stack []ast.Node) {
+	pkgPath, name, ok := c.pkgQualified(sel)
+	if !ok {
 		return
 	}
+	if _, isType := c.pkg.Info.Uses[sel.Sel].(*types.TypeName); isType {
+		return
+	}
+	use := "reference to"
+	if call, isCall := stack[len(stack)-2].(*ast.CallExpr); isCall && call.Fun == sel {
+		use = "call to"
+	}
+	switch {
+	case c.active["D001"] && pkgPath == "time" && wallClockFuncs[name]:
+		c.report(sel.Pos(), "D001", fmt.Sprintf(
+			"%s time.%s reads the wall clock: simulation code must use the virtual clock (sim.Engine)", use, name))
+	case c.active["D002"] && (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !randConstructors[name]:
+		c.report(sel.Pos(), "D002", fmt.Sprintf(
+			"%s rand.%s draws from the global math/rand stream: all randomness must flow through the seeded sim.RNG", use, name))
+	case c.active["D005"] && pkgPath == "os" && envFuncs[name]:
+		c.report(sel.Pos(), "D005", fmt.Sprintf(
+			"%s os.%s is a configuration side channel: internal packages must take configuration through machine.Config", use, name))
+	case c.active["D005"] && pkgPath == "os" && osStreams[name]:
+		c.report(sel.Pos(), "D005", fmt.Sprintf(
+			"reference to os.%s is an output side channel: internal packages must write through an injected io.Writer", name))
+	}
+}
+
+// checkClose is the channel-close half of D004's channel ban.
+func (c *checker) checkClose(call *ast.CallExpr) {
 	if c.active["D004"] {
 		if id, isIdent := call.Fun.(*ast.Ident); isIdent && c.isBuiltin(id, "close") {
 			c.kernelViolation(call.Pos(), "channel close")
 		}
-	}
-}
-
-func (c *checker) checkStreamRef(sel *ast.SelectorExpr) {
-	if !c.active["D005"] || !osStreams[sel.Sel.Name] {
-		return
-	}
-	if pkgPath, name, ok := c.pkgQualified(sel); ok && pkgPath == "os" {
-		c.report(sel.Pos(), "D005", fmt.Sprintf(
-			"reference to os.%s is an output side channel: internal packages must write through an injected io.Writer", name))
 	}
 }
 
@@ -378,18 +422,26 @@ func (c *checker) checkSyncRef(sel *ast.SelectorExpr) {
 }
 
 // checkKernelImports implements the import half of D004: a kernel-scope
-// file must not import the wrapper/runtime layer at all — not even with a
-// blank import — so instrumentation hooks can only be injected from above
-// the Guard boundary, never compiled into the kernel.
+// file must not import the wrapper/runtime layer at all — not with a
+// blank import, and not through any chain of module-local imports — so
+// instrumentation hooks can only be injected from above the Guard
+// boundary, never compiled into the kernel. Nor may its imports reach a
+// module package the direct sink rules (D001, D002, D005) do not cover:
+// a kernel calling into one could read the wall clock, the global rand
+// stream or the environment past them. A direct import of such a
+// package is named alone; a longer chain is spelled out.
 func (c *checker) checkKernelImports() {
 	if !c.active["D004"] {
 		return
 	}
 	for _, imp := range c.file.Imports {
 		p := strings.Trim(imp.Path.Value, `"`)
-		if suf, banned := wrapperImport(p); banned {
+		switch chain, what := c.ld.bannedImportChain(p); {
+		case len(chain) == 1:
+			c.kernelViolation(imp.Pos(), fmt.Sprintf("import of %q (%s)", p, what))
+		case chain != nil:
 			c.kernelViolation(imp.Pos(), fmt.Sprintf(
-				"import of %q (wrapper/runtime layer %s)", p, suf))
+				"import of %q (reaches %s: %s)", p, what, strings.Join(chain, " -> ")))
 		}
 	}
 }
@@ -523,45 +575,26 @@ func (c *checker) callEffect(call *ast.CallExpr, rng *ast.RangeStmt) (string, bo
 		}
 		return "", false
 	}
-	if c.g != nil {
-		if n := c.g.nodes[obj]; n != nil {
-			switch {
-			case n.effEmit:
-				return "call to " + exprString(call.Fun) + ", which emits output", true
-			case n.effMutGlobal:
-				return "call to " + exprString(call.Fun) + ", which mutates package-level state", true
-			case n.effMutRecv && (recvExpr == nil || !loopLocal(recvExpr)):
-				return "call to " + exprString(call.Fun) + ", which mutates state that outlives the loop", true
-			}
-			return "", false // typed verdict: the callee's effects commute
+	if n := c.g.nodes[obj]; n != nil {
+		switch {
+		case n.effEmit:
+			return "call to " + exprString(call.Fun) + ", which emits output", true
+		case n.effMutGlobal:
+			return "call to " + exprString(call.Fun) + ", which mutates package-level state", true
+		case n.effMutRecv && (recvExpr == nil || !loopLocal(recvExpr)):
+			return "call to " + exprString(call.Fun) + ", which mutates state that outlives the loop", true
 		}
+		return "", false // typed verdict: the callee's effects commute
 	}
 	// Bodyless callee (standard library or interface method).
-	if recvExpr == nil && obj.Pkg() != nil {
-		switch obj.Pkg().Path() {
-		case "fmt":
-			name := obj.Name()
-			if name == "Print" || name == "Println" || name == "Printf" {
-				return "call to " + exprString(call.Fun), true
-			}
-			if strings.HasPrefix(name, "Fprint") {
-				if len(call.Args) > 0 && !loopLocal(call.Args[0]) {
-					return "call to " + exprString(call.Fun), true
-				}
-				return "", false
-			}
-			return "", false // Sprint* and friends are pure
-		case "log":
-			return "call to " + exprString(call.Fun), true
-		}
-	}
-	if recvExpr != nil && c.g != nil && !pureWriterMethods[obj.Name()] {
-		if tv, ok := c.pkg.Info.Types[recvExpr]; ok && c.g.implementsWriter(tv.Type) {
-			if !loopLocal(recvExpr) {
-				return "write to io.Writer " + exprString(recvExpr), true
-			}
+	if output, emits, to := c.g.outputCall(c.pkg.Info, obj, recvExpr, call); output {
+		switch {
+		case !emits || (to != nil && loopLocal(to)):
 			return "", false
+		case recvExpr != nil:
+			return "write to io.Writer " + exprString(recvExpr), true
 		}
+		return "call to " + exprString(call.Fun), true
 	}
 	if sensitiveCallName(obj.Name()) {
 		return "call to " + exprString(call.Fun), true

@@ -3,8 +3,8 @@
 // It owns the os.File handles, fsync barriers, and crash-truncation
 // bookkeeping that make the pagestore durable, and it is serialized by the
 // owning pagestore.Store — kernel code never touches a file directly, it
-// reaches the disk only through *pagestore.Store. The D004/D006 kernel
-// scopes must not grow to cover it. If filestore is ever pulled into the
+// reaches the disk only through *pagestore.Store. The D004 kernel scope
+// must not grow to cover it. If filestore is ever pulled into the
 // kernel allowlist, this fixture fails.
 //
 //simlint:path internal/pagestore/filestore
@@ -20,9 +20,8 @@ type backend struct {
 }
 
 // appendRec writes one record and fsyncs — the append → fsync →
-// acknowledge ordering the durability contract hangs on. Real file I/O is
-// legal here; it would be banned (via the D006 sink taint) if this
-// package were inside the kernel scope.
+// acknowledge ordering the durability contract hangs on. Real file I/O
+// belongs here, below the Store and never in a kernel.
 func (b *backend) appendRec(rec []byte) error {
 	if _, err := b.wal.Write(rec); err != nil {
 		return err

@@ -1,5 +1,7 @@
 // Package obs is a stand-in for the deterministic observation layer;
 // the base name is what makes the D007 exemption apply.
+//
+//simlint:path internal/obs
 package obs
 
 // Record is one journal entry.

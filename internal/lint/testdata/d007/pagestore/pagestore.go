@@ -1,5 +1,7 @@
 // Package pagestore is a stand-in for the thread-safe stable-storage
 // substrate; the base name is what makes the D007 exemption apply.
+//
+//simlint:path internal/pagestore
 package pagestore
 
 // Store is safe for concurrent use by contract.

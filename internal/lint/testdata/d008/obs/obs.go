@@ -1,6 +1,8 @@
 // Package obs is a stand-in for the observation layer; the base name
 // plus the Journal.Emit method identity is what the D008 journal-sink
 // detector keys on.
+//
+//simlint:path internal/obs
 package obs
 
 // Record is one journal entry.

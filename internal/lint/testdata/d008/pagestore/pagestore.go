@@ -1,6 +1,8 @@
 // Package pagestore is a stand-in for the stable-storage substrate; the
 // base name plus the Store.Write / Store.Delete method identities are
 // what the D008 stable-mutation detector keys on.
+//
+//simlint:path internal/pagestore
 package pagestore
 
 // Store is the stable-storage stand-in.

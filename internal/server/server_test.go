@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -288,6 +289,74 @@ func TestCommitWriteSetIsAllOrNothing(t *testing.T) {
 	}
 	if img, err := c2Read(c, 0); err != nil || DecodeBalance(img) != 100 {
 		t.Fatalf("read after the refused commit: %d (err %v), want 100", DecodeBalance(img), err)
+	}
+}
+
+// TestPageIDOutOfRangeRefused: a page id outside [0, 1<<62) from the wire
+// is refused with StatusError before it reaches a lock or a kernel, where
+// it would index a stream by a negative number (wal-3streams) or address
+// the kernel's own intent slots (ow-noredo). The server survives, and a
+// transfer on the same session commits.
+func TestPageIDOutOfRangeRefused(t *testing.T) {
+	for _, tc := range []struct {
+		arch string
+		page int64
+	}{
+		{"wal-3streams", math.MinInt64},
+		{"ow-noredo", -1},
+		{"verselect", 1 << 62},
+	} {
+		t.Run(tc.arch, func(t *testing.T) {
+			srv, addr := startServer(t, tc.arch, 2, 100)
+			c := dialT(t, addr)
+			refused := func(what string, err error) {
+				t.Helper()
+				if err == nil || errors.Is(err, ErrDeadlock) || errors.Is(err, ErrBusy) {
+					t.Fatalf("%s of page %d: %v, want a status error", what, tc.page, err)
+				}
+			}
+			txn, err := c.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Write(txn, 0, EncodeBalance(5)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Write(txn, tc.page, EncodeBalance(5)); err != nil {
+				t.Fatal(err)
+			}
+			refused("commit", c.Commit(txn))
+			if img, err := srv.Engine().ReadCommitted(0); err != nil || DecodeBalance(img) != 100 {
+				t.Fatalf("after the refused commit page 0 holds %d (err %v), want 100", DecodeBalance(img), err)
+			}
+
+			// A refused read leaves its transaction open.
+			txn, err = c.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.Read(txn, tc.page)
+			refused("read", err)
+			for p := int64(0); p < 2; p++ {
+				if _, err := c.Read(txn, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Write(txn, 0, EncodeBalance(90)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Write(txn, 1, EncodeBalance(110)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Commit(txn); err != nil {
+				t.Fatalf("transfer after the refused page: %v", err)
+			}
+			for p, want := range []int64{90, 110} {
+				if img, err := srv.Engine().ReadCommitted(int64(p)); err != nil || DecodeBalance(img) != want {
+					t.Fatalf("page %d holds %d (err %v), want %d", p, DecodeBalance(img), err, want)
+				}
+			}
+		})
 	}
 }
 

@@ -170,6 +170,8 @@ func FuzzRecover(f *testing.F) {
 		encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 24, Del: 6, Old: []byte("000000"), New: []byte("000")}),
 		encodeChunk(Record{LSN: 48, Type: RecCheckpoint, PrevLSN: 16}), []byte{})
 	f.Add(uint8(2), []byte{byte(RecCommit), 5, 1}, []byte{byte(RecCheckpoint) | tagPrev, 6, 0, 2}, []byte{0xff})
+	// A loser on a negative page, undone on three streams.
+	f.Add(uint8(2), encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: -1, New: []byte("x")}), []byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, n uint8, c0, c1, c2 []byte) {
 		streams := 1 + int(n%3)
 		m := fuzzManager(streams)

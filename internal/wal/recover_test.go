@@ -3,6 +3,7 @@ package wal
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -141,6 +142,27 @@ func TestOutOfOrderStreamIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestNegativePageLoserRecovers: restart reads page ids straight from the
+// log, where engine's range check never ran. A loser's update on a
+// negative page must still be undone on several streams, whose CLR picks
+// a stream by that page, rather than index a stream below zero.
+func TestNegativePageLoserRecovers(t *testing.T) {
+	for _, pg := range []int64{-1, -9, math.MinInt64} {
+		t.Run(fmt.Sprint(pg), func(t *testing.T) {
+			m, _ := newTestManager(Config{Streams: 3})
+			must(t, m.LogStore().Write(chunkID(0, 0), encodeChunk(
+				Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: pg, New: page("x")}), 0))
+			m.Crash()
+			must(t, m.Recover())
+			if got, err := m.ReadCommitted(pg); err != nil || len(got) != 0 {
+				t.Fatalf("page %d after undo = %q, %v; want empty", pg, got, err)
+			}
+			m.Crash()
+			must(t, m.Recover())
+		})
+	}
+}
+
 // TestRecoverStoreOpSequence pins every stable-storage operation restart
 // issues, in order, on a script with a loser, a CLR, a checkpoint and a gap
 // between three streams. The crash sweeps re-crash restart at its first
@@ -220,5 +242,116 @@ func TestRecoverStoreOpSequence(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("restart's store operations changed:\n got:\n%s\n want:\n%s", got, want)
+	}
+}
+
+// TestPageRedoUnderRecrash: restart redoes many records on one page, in
+// order. The pool holds every page, so nothing is stolen and the data
+// store keeps the loaded images: restart must repeat all of page 0's
+// history — a winner's updates, a rolled-back transaction's updates and
+// their CLRs, a second winner's updates over the restored image, and a
+// loser's update — before it undoes the loser. Restart is re-crashed at
+// every one of its store operations, reads included, and the restart
+// after it must still give the committed pages. A redo that applied one
+// page's records in any other order would splice deltas onto the wrong
+// base.
+func TestPageRedoUnderRecrash(t *testing.T) {
+	const pages = 4
+	script := func(t *testing.T, cfg Config) (*Manager, *pagestore.Store, *obs.Journal, map[int64]string) {
+		m, data := newTestManager(cfg)
+		journal := obs.NewJournal()
+		m.SetJournal(journal)
+		model := map[int64]string{}
+		for p := int64(0); p < pages; p++ {
+			model[p] = fmt.Sprintf("page-%d-initial", p)
+			must(t, m.Load(p, page(model[p])))
+		}
+		must(t, m.Begin(1)) // a winner: grow, then overwrite in place
+		must(t, m.Write(1, 0, page("page-0-initial-grown")))
+		must(t, m.Write(1, 0, page("PAGE-0-initial-grown")))
+		must(t, m.Write(1, 1, page("page-1-one")))
+		must(t, m.Commit(1))
+		model[0], model[1] = "PAGE-0-initial-grown", "page-1-one"
+		must(t, m.Begin(2)) // rolled back at run time: three CLRs on page 0
+		must(t, m.Write(2, 0, page("x")))
+		must(t, m.Write(2, 0, page("x-two-longer")))
+		must(t, m.Write(2, 2, page("page-2-two")))
+		must(t, m.Write(2, 0, page("PAGE-0")))
+		must(t, m.Abort(2))
+		must(t, m.Begin(3)) // a winner over the restored image
+		must(t, m.Write(3, 0, page("PAGE-0-initial")))
+		must(t, m.Write(3, 0, page("page-0-three")))
+		must(t, m.Write(3, 3, page("page-3-three")))
+		must(t, m.Commit(3))
+		model[0], model[3] = "page-0-three", "page-3-three"
+		must(t, m.Begin(4)) // a loser, on page 0 as well
+		must(t, m.Write(4, 0, page("page-0-four")))
+		must(t, m.Write(4, 2, page("page-2-four")))
+		must(t, m.Begin(5)) // its commit forces the loser's records
+		must(t, m.Write(5, 1, page("page-1-five")))
+		must(t, m.Commit(5))
+		model[1] = "page-1-five"
+		m.Crash()
+		return m, data, journal, model
+	}
+	audit := func(m *Manager, model map[int64]string) error {
+		for p := int64(0); p < pages; p++ {
+			got, err := m.ReadCommitted(p)
+			if err != nil {
+				return err
+			}
+			if string(got) != model[p] {
+				return fmt.Errorf("page %d = %q, want %q", p, got, model[p])
+			}
+		}
+		return nil
+	}
+	for _, cfg := range []Config{{Streams: 1, PoolPages: pages}, {Streams: 3, PoolPages: 2 * pages}} {
+		t.Run(fmt.Sprintf("%d-streams", cfg.Streams), func(t *testing.T) {
+			// Restart without a fault redoes the whole of page 0's history.
+			m, _, journal, model := script(t, cfg)
+			must(t, m.Recover())
+			if err := audit(m, model); err != nil {
+				t.Fatal(err)
+			}
+			redo := map[string]int{}
+			for _, r := range journal.Records() {
+				if r.Event == "redo" && r.Page != nil && *r.Page == 0 {
+					redo[r.Note]++
+				}
+			}
+			if redo[""] < 6 || redo["clr"] < 3 {
+				t.Fatalf("page 0 redid %d updates and %d CLRs, want ≥ 6 and ≥ 3", redo[""], redo["clr"])
+			}
+
+			points := 0
+			for k := int64(1); ; k++ {
+				m, data, _, model := script(t, cfg)
+				hook := pagestore.CrashAtOp(k)
+				data.SetFaultHook(hook)
+				m.LogStore().SetFaultHook(hook)
+				err := m.Recover()
+				data.SetFaultHook(nil)
+				m.LogStore().SetFaultHook(nil)
+				if err == nil {
+					if err := audit(m, model); err != nil {
+						t.Fatalf("restart without a cut: %v", err)
+					}
+					break // k is past restart's last operation
+				}
+				points++
+				m.Crash()
+				if err := m.Recover(); err != nil {
+					t.Fatalf("restart cut at operation %d, then restarted: %v", k, err)
+				}
+				if err := audit(m, model); err != nil {
+					t.Fatalf("restart cut at operation %d, then restarted: %v", k, err)
+				}
+			}
+			if points < 20 {
+				t.Fatalf("restart issued only %d store operations", points)
+			}
+			t.Logf("restart re-crashed at each of its %d store operations", points)
+		})
 	}
 }

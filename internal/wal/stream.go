@@ -386,12 +386,11 @@ func (s *stream) trim(limit uint64) (int64, error) {
 }
 
 // pick chooses which of n streams takes a record of txn touching page.
+// Restart logs CLRs for page ids read from the log, which need not be
+// non-negative, so the page is taken as unsigned.
 func (s Selection) pick(n int, txn uint64, page int64) int {
 	if s == TxnMod {
 		return int(txn % uint64(n))
 	}
-	if page < 0 {
-		page = -page
-	}
-	return int(page % int64(n))
+	return int(uint64(page) % uint64(n))
 }

@@ -121,11 +121,37 @@ func stableStreams(t testing.TB, m *Manager) [3][]byte {
 	return out
 }
 
+// addLog adds to f's corpus the log run writes on a fresh manager over
+// streams streams: each stream's stable records as one chunk and, when
+// withMeta is set, each stream's meta page, or 16 zero bytes, which read
+// the same as none.
+func addLog(f *testing.F, streams int, run func(m *Manager) error, withMeta bool) {
+	m := fuzzManager(streams)
+	if err := run(m); err != nil {
+		f.Fatal(err)
+	}
+	c := stableStreams(f, m)
+	var meta []byte
+	for i := 0; withMeta && i < streams; i++ {
+		page, _, err := m.LogStore().Read(metaID(i))
+		if errors.Is(err, pagestore.ErrNotFound) {
+			page = make([]byte, metaSize)
+		} else if err != nil {
+			f.Fatal(err)
+		}
+		meta = append(meta, page...)
+	}
+	f.Add(uint8(streams-1), c[0], c[1], c[2], meta)
+}
+
 // FuzzRecover writes arbitrary bytes as the only stable chunk of one to
 // three streams and restarts: Recover must return an error or succeed,
 // never panic, and when it succeeds a second crash and restart must succeed
-// too and leave every page as the first left it. The seeds are real logs: a
-// transfer, an abort with CLRs, a checkpoint, and a gap between streams.
+// too and leave every page as the first left it. meta holds an optional
+// 16-byte meta page per stream, stream 0's first; a stream's chunk goes
+// where its meta page says the stream starts, when that is a chunk number.
+// The seeds are real logs: a transfer, an abort with CLRs, a checkpoint, a
+// gap between streams, and three streams a checkpoint truncated.
 func FuzzRecover(f *testing.F) {
 	for _, seed := range []struct {
 		streams int
@@ -156,30 +182,45 @@ func FuzzRecover(f *testing.F) {
 			return m.LogStore().Reset()
 		}},
 	} {
-		m := fuzzManager(seed.streams)
-		if err := seed.run(m); err != nil {
-			f.Fatal(err)
-		}
-		c := stableStreams(f, m)
-		f.Add(uint8(seed.streams-1), c[0], c[1], c[2])
+		addLog(f, seed.streams, seed.run, false)
 	}
-	f.Add(uint8(0), []byte{}, []byte{}, []byte{})
+	f.Add(uint8(0), []byte{}, []byte{}, []byte{}, []byte{})
 	// A checkpoint beyond a gap: the trim removes it, so its horizon must
 	// not hide the update below it from the first restart either.
 	f.Add(uint8(1),
 		encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 24, Del: 6, Old: []byte("000000"), New: []byte("000")}),
-		encodeChunk(Record{LSN: 48, Type: RecCheckpoint, PrevLSN: 16}), []byte{})
-	f.Add(uint8(2), []byte{byte(RecCommit), 5, 1}, []byte{byte(RecCheckpoint) | tagPrev, 6, 0, 2}, []byte{0xff})
+		encodeChunk(Record{LSN: 48, Type: RecCheckpoint, PrevLSN: 16}), []byte{}, []byte{})
+	f.Add(uint8(2), []byte{byte(RecCommit), 5, 1}, []byte{byte(RecCheckpoint) | tagPrev, 6, 0, 2}, []byte{0xff}, []byte{})
 	// A loser on a negative page, undone on three streams.
-	f.Add(uint8(2), encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: -1, New: []byte("x")}), []byte{}, []byte{})
-	f.Fuzz(func(t *testing.T, n uint8, c0, c1, c2 []byte) {
+	f.Add(uint8(2), encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: -1, New: []byte("x")}), []byte{}, []byte{}, []byte{})
+	// Three streams a checkpoint truncated, with a loser open across it.
+	addLog(f, 3, func(m *Manager) error {
+		err := errors.Join(m.Begin(1), m.Write(1, 0, []byte("one")), m.Write(1, 1, []byte("one")), m.Commit(1),
+			m.Begin(2), m.Write(2, 2, []byte("two")), m.Begin(3), m.Write(3, 1, []byte("three")), m.Commit(3),
+			m.Checkpoint(), m.Begin(4), m.Write(4, 0, []byte("four")), m.Commit(4))
+		if err == nil && m.Stats()["truncatedChunks"] == 0 {
+			err = errors.New("the checkpoint truncated nothing")
+		}
+		return err
+	}, true)
+	f.Fuzz(func(t *testing.T, n uint8, c0, c1, c2, meta []byte) {
 		streams := 1 + int(n%3)
 		m := fuzzManager(streams)
 		for i, c := range [][]byte{c0, c1, c2}[:streams] {
 			if len(c) > LogChunkSize {
 				c = c[:LogChunkSize]
 			}
-			if err := m.LogStore().Write(chunkID(i, 0), c, 0); err != nil {
+			seq := int64(0)
+			if len(meta) >= metaSize*(i+1) {
+				page := meta[metaSize*i : metaSize*(i+1)]
+				if err := m.LogStore().Write(metaID(i), page, 0); err != nil {
+					t.Fatal(err)
+				}
+				if first := getUint64(page); first < maxChunks {
+					seq = int64(first)
+				}
+			}
+			if err := m.LogStore().Write(chunkID(i, seq), c, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

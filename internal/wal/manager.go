@@ -56,14 +56,23 @@ type undoRec struct {
 
 // txnState tracks an active transaction. firstLSN and lastLSN stay zero
 // until its first update: a transaction that changed nothing has no
-// records, pins no log, and ends without touching the log. Records are
-// recycled (see Begin and endTxn), so their slices keep their arrays
-// from one transaction to the next.
+// records, pins no log, and ends without touching the log. Restart's
+// transaction table uses the same records, firstLSN then being the LSN of
+// the transaction's first live record. Records are recycled (see openTxn
+// and endTxn), so their slices keep their arrays from one transaction to
+// the next.
 type txnState struct {
 	firstLSN uint64
 	lastLSN  uint64
 	updates  []undoRec // not yet compensated, oldest first
 	arena    []byte    // the updates' old bytes, back to back
+}
+
+// keep copies old into the arena and returns the copy.
+func (ts *txnState) keep(old []byte) []byte {
+	n := len(ts.arena)
+	ts.arena = append(ts.arena, old...)
+	return ts.arena[n:len(ts.arena):len(ts.arena)]
 }
 
 // Manager is the WAL recovery engine: steal/no-force buffer management over
@@ -164,6 +173,12 @@ func (m *Manager) Begin(tid uint64) error {
 	if _, ok := m.att[tid]; ok {
 		return fmt.Errorf("wal: transaction %d already active", tid)
 	}
+	m.openTxn(tid)
+	return nil
+}
+
+// openTxn enters tid in the active table under a recycled record.
+func (m *Manager) openTxn(tid uint64) *txnState {
 	var ts *txnState
 	if n := len(m.freeTxns); n > 0 {
 		ts = m.freeTxns[n-1]
@@ -172,7 +187,7 @@ func (m *Manager) Begin(tid uint64) error {
 		ts = &txnState{}
 	}
 	m.att[tid] = ts
-	return nil
+	return ts
 }
 
 // endTxn retires tid's record: it leaves the active table, is cleared, and
@@ -213,9 +228,7 @@ func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 	if del == 0 && len(ins) == 0 {
 		return nil
 	}
-	n := len(ts.arena)
-	ts.arena = append(ts.arena, bp.data[off:off+del]...)
-	old := ts.arena[n:len(ts.arena):len(ts.arena)]
+	old := ts.keep(bp.data[off : off+del])
 	lsn := m.appendRec(Record{
 		Type:    RecUpdate,
 		Txn:     tid,
@@ -449,8 +462,9 @@ func (m *Manager) evictIfFull() (*bufPage, error) {
 // stable chunks no future recovery can need — everything below the oldest
 // active transaction's first record (or below the checkpoint itself when
 // no transaction has written anything). The checkpoint record carries that
-// horizon, so restart ignores dead records that survive in a chunk shared
-// with live ones. Transactions keep running throughout.
+// horizon, and so does the meta page of each stream that truncates, so
+// restart ignores dead records that survive in a chunk shared with live
+// ones. Transactions keep running throughout.
 func (m *Manager) Checkpoint() error {
 	if err := m.forceAll(); err != nil {
 		return err
@@ -517,6 +531,21 @@ func (m *Manager) Crash() {
 // the buffer pool with logged compensation records, exactly as Abort would
 // have — so a later restart, or a media recovery replaying this log, finds
 // them already compensated and never undoes them twice.
+//
+// The log is read in one pass, each record decoded once and acted on at
+// once. Records at or below the highest dead horizon on a stream's meta
+// page are skipped: truncation deleted chunks below it, so the LSNs there
+// are not dense, and a dead record can outlive the commit or CLR that
+// settled it.
+//
+// Above the horizon LSNs are dense, so a missing one is a record that was
+// still volatile in its stream when the power failed, and everything after
+// it was appended later still. None of that can belong to a committed
+// transaction — a commit forces every stream, its own last — and a delta
+// must never be replayed over a page that missed an earlier one, so the log
+// ends at the first gap. What lies beyond is still read, so that a stream
+// whose LSNs do not ascend is reported, and then trimmed from the streams;
+// its LSNs are handed out again.
 func (m *Manager) Recover() error {
 	if err := m.data.Reset(); err != nil {
 		return err
@@ -525,169 +554,149 @@ func (m *Manager) Recover() error {
 		return err
 	}
 	m.recoveries++
+	m.scanned = 0
+	clear(m.att)
 
-	log := &restartLog{}
-	for _, s := range m.streams {
-		if err := s.readStable(log); err != nil {
+	readers := make([]*reader, len(m.streams))
+	dead := uint64(0)
+	for i, s := range m.streams {
+		r, horizon, err := s.open()
+		if err != nil {
 			return err
 		}
+		readers[i], dead = r, max(dead, horizon)
 	}
-	m.scanned = int64(log.n)
-	m.journal.Emit(obs.JournalRecord{Event: "scan", Engine: m.Name(), N: m.scanned})
-
-	if err := m.livePrefix(log); err != nil {
-		return err
-	}
-
-	// Analysis: which transactions committed, and which loser updates were
-	// already compensated by a durable CLR?
-	committed := make(map[uint64]bool, log.commits)
-	compensated := make(map[uint64]bool, log.clrs) // update LSNs with a durable CLR
-	c := log.merge()
-	for r := c.next(); r != nil; r = c.next() {
-		switch {
-		case r.typ == RecCommit:
-			committed[r.txn] = true
-		case r.isCLR():
-			compensated[r.comp] = true
-		}
-	}
-
-	// Classify in first-appearance (LSN) order — never by iterating the
-	// committed map, whose order is nondeterministic — and collect what the
-	// losers' rollback needs: per loser its uncompensated updates, and
-	// across losers the order they were made in.
-	txns := make(map[uint64]*txnState, len(committed)) // every transaction in the log; nil for a winner
-	var undo []uint64                                  // the loser behind each uncompensated update, in LSN order
-	c = log.merge()
-	for r := c.next(); r != nil; r = c.next() {
-		if r.txn == 0 {
-			continue // checkpoint record
-		}
-		ts, seen := txns[r.txn]
-		if !seen {
-			ev := "winner"
-			if !committed[r.txn] {
-				ev, ts = "loser", &txnState{}
+	next := dead + 1 // the LSN the live log holds next
+	gap := false     // the live log has ended; the rest is read, not used
+	for {
+		var r *reader
+		for _, h := range readers {
+			if h.ok && (r == nil || h.head.LSN < r.head.LSN) {
+				r = h
 			}
-			txns[r.txn] = ts
-			m.journal.Emit(obs.JournalRecord{Event: ev, Txn: r.txn})
 		}
-		if ts == nil {
-			continue
+		if r == nil {
+			break
 		}
-		ts.lastLSN = r.lsn
-		if r.typ == RecUpdate && !r.isCLR() && !compensated[r.lsn] {
-			ts.updates = append(ts.updates, undoRec{
-				lsn: r.lsn, page: pagestore.PageID(r.page), off: int(r.off), ins: len(r.ins()), old: r.old(),
-			})
-			undo = append(undo, r.txn)
+		m.scanned++
+		switch lsn := r.head.LSN; {
+		case lsn <= dead || gap:
+		case lsn < next:
+			return fmt.Errorf("wal: LSN %d is in the log twice", lsn)
+		case lsn > next:
+			gap = true
+		default:
+			next++
+			if err := m.repeat(&r.head); err != nil {
+				return err
+			}
 		}
-	}
-
-	// Redo: repeat history — every durable update and CLR, winners and
-	// losers alike, in LSN order.
-	c = log.merge()
-	for r := c.next(); r != nil; r = c.next() {
-		if r.typ != RecUpdate {
-			continue
-		}
-		if err := m.redoOne(r); err != nil {
+		if err := r.next(); err != nil {
 			return err
 		}
+	}
+	m.nextLSN = next
+
+	// The transactions still open are the losers.
+	losers := make([]uint64, 0, len(m.att))
+	for tid := range m.att {
+		losers = append(losers, tid)
+	}
+	sort.Slice(losers, func(i, j int) bool { return m.att[losers[i]].firstLSN < m.att[losers[j]].firstLSN })
+	for _, tid := range losers {
+		m.journal.Emit(obs.JournalRecord{Event: "loser", Txn: tid})
+	}
+	m.journal.Emit(obs.JournalRecord{Event: "scan", Engine: m.Name(), N: m.scanned})
+	if gap {
+		var trimmed int64
+		for _, s := range m.streams {
+			n, err := s.trim(next)
+			trimmed += n
+			if err != nil {
+				return err
+			}
+		}
+		m.journal.Emit(obs.JournalRecord{Event: "trim", Engine: m.Name(), LSN: next, N: trimmed})
 	}
 
 	// Undo: the losers' uncompensated updates, newest first across all of
 	// them. Compensated updates were rolled back by their own CLRs during
 	// redo; undoing them again would clobber later committed work.
+	type pending struct{ lsn, tid uint64 }
+	var undo []pending
+	for _, tid := range losers {
+		for _, u := range m.att[tid].updates {
+			undo = append(undo, pending{u.lsn, tid})
+		}
+	}
+	sort.Slice(undo, func(i, j int) bool { return undo[i].lsn > undo[j].lsn })
 	m.resetPool()
-	m.att = make(map[uint64]*txnState)
-	for i := len(undo) - 1; i >= 0; i-- {
-		tid := undo[i]
-		ts := txns[tid]
-		u := ts.updates[len(ts.updates)-1]
-		if err := m.compensate(tid, ts); err != nil {
+	for _, p := range undo {
+		ts := m.att[p.tid]
+		pg := ts.updates[len(ts.updates)-1].page
+		if err := m.compensate(p.tid, ts); err != nil {
 			return err
 		}
 		m.undone++
-		m.journal.EmitPage(int64(u.page), obs.JournalRecord{Event: "undo", Txn: tid, LSN: u.lsn})
+		m.journal.EmitPage(int64(pg), obs.JournalRecord{Event: "undo", Txn: p.tid, LSN: p.lsn})
 		if len(ts.updates) == 0 {
-			m.appendRec(Record{Type: RecAbort, Txn: tid, PrevLSN: ts.lastLSN})
+			m.appendRec(Record{Type: RecAbort, Txn: p.tid, PrevLSN: ts.lastLSN})
 		}
+	}
+	for _, tid := range losers {
+		m.endTxn(tid, m.att[tid])
 	}
 	return nil
 }
 
-// livePrefix cuts the merged log down to what restart may use, and sets
-// nextLSN behind it.
-//
-// Records at or below the newest checkpoint's dead horizon are dropped:
-// truncation deletes whole chunks, so a dead record can outlive the commit
-// or CLR that settled it, and must not be mistaken for a loser's.
-//
-// Above the horizon LSNs are dense, so a missing one is a record that was
-// still volatile in its stream when the power failed, and everything after
-// it was appended later still. None of that can belong to a committed
-// transaction — a commit forces every stream, its own last — and a delta
-// must never be replayed over a page that missed an earlier one, so the log
-// ends at the first gap. What lies beyond is trimmed from the streams, and
-// the LSNs are handed out again.
-//
-// A checkpoint beyond the gap is trimmed with the rest, so its horizon must
-// not count either: the log is cut again at the highest horizon of a
-// checkpoint that survives, until the cut stands. A log the manager wrote
-// never holds such a checkpoint — every record below a checkpoint is forced
-// before it is appended — so there the first cut stands.
-//
-// Each stream's LSNs ascend, so its live records are one run of it, and
-// livePrefix narrows log to those runs.
-func (m *Manager) livePrefix(log *restartLog) error {
-	next, gap, err := log.end()
-	for err == nil {
-		dead := uint64(0)
-		for _, c := range log.ckpts {
-			if c.lsn < next && c.horizon > dead {
-				dead = c.horizon
-			}
-		}
-		if dead == log.dead {
-			break
-		}
-		log.dead = dead
-		next, gap, err = log.end()
-	}
-	if err != nil {
-		return err
-	}
-	for i := range log.lo {
-		for log.lo[i] < log.hi[i] && log.at(log.lo[i]).lsn <= log.dead {
-			log.lo[i]++
-		}
-		for log.hi[i] > log.lo[i] && log.at(log.hi[i]-1).lsn >= next {
-			log.hi[i]--
-		}
-	}
-	m.nextLSN = next
-	if !gap {
-		return nil
-	}
-	var trimmed int64
-	for _, s := range m.streams {
-		n, err := s.trim(next)
-		trimmed += n
-		if err != nil {
+// repeat acts on one live record at restart. An update is redone; the
+// transaction table then follows the record's transaction, which a commit
+// or abort record ends. An open transaction keeps what rolling back its
+// updates takes, less what its CLRs already rolled back, with the old bytes
+// copied out of the chunk.
+func (m *Manager) repeat(r *Record) error {
+	if r.Type == RecUpdate {
+		if err := m.redoOne(r); err != nil {
 			return err
 		}
 	}
-	m.journal.Emit(obs.JournalRecord{Event: "trim", Engine: m.Name(), LSN: next, N: trimmed})
+	if r.Txn == 0 {
+		return nil // a checkpoint
+	}
+	ts := m.att[r.Txn]
+	if ts == nil {
+		ts = m.openTxn(r.Txn)
+		ts.firstLSN = r.LSN
+	}
+	ts.lastLSN = r.LSN
+	switch {
+	case r.Type == RecCommit || r.Type == RecAbort:
+		ev := "winner"
+		if r.Type == RecAbort {
+			ev = "loser"
+		}
+		m.endTxn(r.Txn, ts)
+		m.journal.Emit(obs.JournalRecord{Event: ev, Txn: r.Txn})
+	case r.IsCLR():
+		for i := len(ts.updates) - 1; i >= 0; i-- {
+			if ts.updates[i].lsn == r.CompLSN {
+				ts.updates = append(ts.updates[:i], ts.updates[i+1:]...)
+				break
+			}
+		}
+	case r.Type == RecUpdate:
+		ts.updates = append(ts.updates, undoRec{
+			lsn: r.LSN, page: pagestore.PageID(r.Page), off: r.Off, ins: len(r.New), old: ts.keep(r.Old),
+		})
+	}
 	return nil
 }
 
 // redoOne repeats one update against the stable page unless the page
 // already holds it. The page is read into the pool's spare buffer, which
 // no frame uses.
-func (m *Manager) redoOne(r *restartRec) error {
-	id := pagestore.PageID(r.page)
+func (m *Manager) redoOne(r *Record) error {
+	id := pagestore.PageID(r.Page)
 	data, version, err := m.data.ReadInto(m.spare, id)
 	if err == pagestore.ErrNotFound {
 		data, version = m.spare[:0], 0
@@ -695,19 +704,19 @@ func (m *Manager) redoOne(r *restartRec) error {
 		return err
 	}
 	m.spare = data
-	if version >= r.lsn {
+	if version >= r.LSN {
 		return nil // already applied
 	}
-	if data, err = splice(data, int(r.off), int(r.del), r.ins()); err != nil {
-		return fmt.Errorf("wal: redo of LSN %d on page %d: %w", r.lsn, r.page, err)
+	if data, err = splice(data, r.Off, r.Del, r.New); err != nil {
+		return fmt.Errorf("wal: redo of LSN %d on page %d: %w", r.LSN, r.Page, err)
 	}
 	m.redone++
 	note := ""
-	if r.isCLR() {
+	if r.IsCLR() {
 		note = "clr"
 	}
-	m.journal.EmitPage(r.page, obs.JournalRecord{Event: "redo", Txn: r.txn, LSN: r.lsn, Note: note})
-	return m.data.Write(id, data, r.lsn)
+	m.journal.EmitPage(r.Page, obs.JournalRecord{Event: "redo", Txn: r.Txn, LSN: r.LSN, Note: note})
+	return m.data.Write(id, data, r.LSN)
 }
 
 // ReadCommitted reads page p's current contents; meaningful once no

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -95,20 +96,178 @@ func BenchmarkManagerRecover(b *testing.B) {
 }
 
 // TestRecoverAllocationBudget pins what restart allocates per logged
-// transaction on the crash-restart log: each record is decoded once into a
-// compact form that aliases its chunk, so restart allocates about ten times
-// the log it reads.
+// transaction on the crash-restart log: it decodes each record straight
+// out of one chunk buffer per stream and keeps state only for transactions
+// still open, so neither its bytes nor its allocations grow with the log.
 func TestRecoverAllocationBudget(t *testing.T) {
-	const txns, pages, budget = 30000, 1024, 600
+	const txns, pages, budget, allocBudget = 30000, 1024, 100, 0.01
 	m := transferLog(t, Config{}, txns, pages)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	must(t, m.Recover())
 	runtime.ReadMemStats(&after)
 	per := float64(after.TotalAlloc-before.TotalAlloc) / txns
-	t.Logf("Recover allocated %.0f B per logged transaction (%d records scanned)", per, m.Stats()["scanned"])
-	if per > budget {
-		t.Fatalf("Recover allocated %.0f B per logged transaction, budget %d", per, budget)
+	allocs := float64(after.Mallocs-before.Mallocs) / txns
+	t.Logf("Recover allocated %.1f B and %.4f allocations per logged transaction (%d records scanned)", per, allocs, m.Stats()["scanned"])
+	if per > budget || allocs > allocBudget {
+		t.Fatalf("Recover allocated %.1f B and %.4f allocations per logged transaction, budget %d B and %.2f", per, allocs, budget, allocBudget)
+	}
+}
+
+// TestRecoverReadsEachChunkOnce: restart reads each live chunk of each
+// stream once, besides one meta page read and one probe past the last
+// chunk per stream. A checkpoint has truncated all three streams first, so
+// each has a meta page and starts past chunk 0.
+func TestRecoverReadsEachChunkOnce(t *testing.T) {
+	m, _ := newTestManager(Config{Streams: 3})
+	transfer := func(tid uint64, from, to int64) {
+		must(t, m.Begin(tid))
+		must(t, m.Write(tid, from, page(fmt.Sprintf("debit-%d", tid))))
+		must(t, m.Write(tid, to, page(fmt.Sprintf("credit-%d", tid))))
+		must(t, m.Commit(tid))
+	}
+	for tid := uint64(1); tid <= 12; tid++ {
+		transfer(tid, int64(tid%9), int64((tid+4)%9))
+	}
+	must(t, m.Checkpoint())
+	for tid := uint64(13); tid <= 20; tid++ {
+		transfer(tid, int64(tid%9), int64((tid+4)%9))
+	}
+	m.Crash()
+	live := int64(0)
+	for _, s := range m.streams {
+		if s.truncated == 0 {
+			t.Fatalf("the checkpoint truncated nothing on stream %d", s.idx)
+		}
+		live += s.nextChunk - s.firstChunk
+	}
+	before, _ := m.LogStore().Stats()
+	must(t, m.Recover())
+	after, _ := m.LogStore().Stats()
+	if got, want := after-before, live+2*int64(len(m.streams)); got != want {
+		t.Fatalf("restart made %d log-store reads, want %d: %d live chunks, and a meta page and a probe per stream", got, want, live)
+	}
+}
+
+// TestChunkHoleIsCorrupt: forces write a stream's chunks in ascending order,
+// and trim and truncate delete them only from the ends, so a missing chunk
+// with a later one behind it is damage. Restart must fail, naming the
+// stream and the chunk, rather than end the stream at the hole and lose
+// the commits beyond it.
+func TestChunkHoleIsCorrupt(t *testing.T) {
+	m, _ := newTestManager(Config{})
+	must(t, m.Load(1, page("v0")))
+	for tid := uint64(1); tid <= 3; tid++ {
+		must(t, m.Begin(tid))
+		must(t, m.Write(tid, 1, page(fmt.Sprintf("v%d", tid))))
+		must(t, m.Commit(tid))
+	}
+	if n := m.streams[0].nextChunk; n != 3 {
+		t.Fatalf("three commits left %d chunks, want 3", n)
+	}
+	m.Crash()
+	must(t, m.LogStore().Delete(chunkID(0, 1)))
+	err := m.Recover()
+	if err == nil {
+		got, _ := m.ReadCommitted(1)
+		t.Fatalf("Recover ended the stream at the missing chunk 1; page 1 = %q", got)
+	}
+	if !strings.Contains(err.Error(), "stream 0 chunk 1") {
+		t.Fatalf("error does not name the stream and chunk: %v", err)
+	}
+}
+
+// TestTruncationCutAcrossStreams: a checkpoint on three streams writes each
+// stream's meta page and then deletes the chunks below it, stream after
+// stream. The power is cut at each of those mutations in turn. Restart must
+// then give every page a restart after the whole checkpoint gives, and a
+// second restart must change nothing. A transaction open across the
+// checkpoint keeps the horizon inside chunks that survive, and is a loser.
+func TestTruncationCutAcrossStreams(t *testing.T) {
+	const pages = 9
+	script := func() *Manager {
+		m, _ := newTestManager(Config{Streams: 3, PoolPages: 3})
+		for p := int64(0); p < pages; p++ {
+			must(t, m.Load(p, page(fmt.Sprintf("page-%d", p))))
+		}
+		for tid := uint64(1); tid <= 6; tid++ {
+			must(t, m.Begin(tid))
+			must(t, m.Write(tid, int64(tid%pages), page(fmt.Sprintf("one-%d", tid))))
+			if tid == 4 {
+				must(t, m.Begin(100)) // open across the checkpoint
+				must(t, m.Write(100, 7, page("loser")))
+			}
+			must(t, m.Write(tid, int64((tid+4)%pages), page(fmt.Sprintf("two-%d", tid))))
+			if tid == 5 {
+				must(t, m.Abort(tid))
+				continue
+			}
+			must(t, m.Commit(tid))
+		}
+		return m
+	}
+	pagesAfter := func(m *Manager) []string {
+		var out []string
+		for p := int64(0); p < pages; p++ {
+			got, err := m.ReadCommitted(p)
+			must(t, err)
+			out = append(out, string(got))
+		}
+		return out
+	}
+
+	// The reference: the whole checkpoint, then a restart.
+	m := script()
+	var muts []string // the checkpoint's log-store mutations; "" for a chunk it forced
+	m.LogStore().SetFaultHook(func(op pagestore.Op, id pagestore.PageID, _ int64) bool {
+		switch s, seq := int64(id)>>40, int64(id)&(1<<40-1); {
+		case op == pagestore.OpRead:
+		case op == pagestore.OpDelete:
+			muts = append(muts, fmt.Sprintf("delete s%d.c%d", s, seq))
+		case seq&maxChunks != 0:
+			muts = append(muts, fmt.Sprintf("write s%d.meta", s))
+		default:
+			muts = append(muts, "")
+		}
+		return false
+	})
+	must(t, m.Checkpoint())
+	m.LogStore().SetFaultHook(nil)
+	m.Crash()
+	must(t, m.Recover())
+	want := pagesAfter(m)
+	if want[7] != "two-3" {
+		t.Fatalf("the open transaction was not undone: page 7 = %q", want[7])
+	}
+
+	cuts, metas := 0, 0
+	for k, mut := range muts {
+		if mut == "" {
+			continue // a chunk the checkpoint forced, before its truncation
+		}
+		cuts++
+		if strings.HasSuffix(mut, "meta") {
+			metas++
+		}
+		m := script()
+		m.LogStore().SetFaultHook(pagestore.CrashAtMutation(int64(k + 1)))
+		if err := m.Checkpoint(); err == nil {
+			t.Fatalf("cut at %s: the checkpoint survived", mut)
+		}
+		m.LogStore().SetFaultHook(nil)
+		m.Crash()
+		must(t, m.Recover())
+		if got := pagesAfter(m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %s: pages after restart\n got %q\nwant %q", mut, got, want)
+		}
+		m.Crash()
+		must(t, m.Recover())
+		if got := pagesAfter(m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %s: a second restart changed pages\n got %q\nwant %q", mut, got, want)
+		}
+	}
+	if metas != 3 || cuts < 6 {
+		t.Fatalf("the truncation wrote %d meta pages in %d mutations, want 3 in 6 or more: %q", metas, cuts, muts)
 	}
 }
 

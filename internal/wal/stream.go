@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/pagestore"
 )
@@ -80,9 +81,17 @@ func (s *stream) head() uint64 {
 	return s.tail[0].first
 }
 
+// metaSize is a stream meta page's length: the number of the stream's first
+// live chunk, then the dead horizon of the checkpoint that truncated it.
+const metaSize = 16
+
+// maxChunks bounds a stream's chunk numbers: the bit above them marks the
+// stream's meta page.
+const maxChunks = 1 << 39
+
 // metaID is the stream's metadata page recording the truncation point.
 func metaID(streamIdx int) pagestore.PageID {
-	return pagestore.PageID(int64(streamIdx)<<40 | 1<<39)
+	return pagestore.PageID(int64(streamIdx)<<40 | maxChunks)
 }
 
 // chunkID maps (stream, seq) to a log-store page id.
@@ -134,8 +143,11 @@ func (s *stream) force() error {
 
 // truncate deletes leading stable chunks whose every record has LSN below
 // point (such records can never be needed again: their pages are flushed
-// and their transactions finished). The truncation point is persisted so a
-// post-crash scan knows where the log starts.
+// and their transactions finished). The meta page records the first chunk
+// kept, so a post-crash scan knows where the log starts, and the dead
+// horizon point-1, so it knows which records a deleted chunk may have
+// orphaned: a dead update that outlived the commit or CLR that settled it
+// must not be mistaken for a loser's.
 func (s *stream) truncate(point uint64) error {
 	first := s.firstChunk
 	for first < s.nextChunk && s.chunkMax[first-s.firstChunk] < point {
@@ -144,8 +156,9 @@ func (s *stream) truncate(point uint64) error {
 	if first == s.firstChunk {
 		return nil
 	}
-	var buf [8]byte
+	var buf [metaSize]byte
 	putUint64(buf[:], uint64(first))
+	putUint64(buf[8:], point-1)
 	if err := s.store.Write(metaID(s.idx), buf[:], 0); err != nil {
 		return err
 	}
@@ -165,180 +178,84 @@ func (s *stream) crash() {
 	s.tail = nil
 }
 
-// restartRec is what restart reads of one stable record, decoded once: 72
-// bytes where a Record takes 120. The Old and New bytes stay where they
-// were read, as one slice of the chunk.
-type restartRec struct {
-	lsn   uint64
-	txn   uint64
-	comp  uint64 // an update's CompLSN; a checkpoint's dead horizon
-	page  int64
-	off   int32
-	del   int32
-	typ   RecType
-	delta []byte // Old‖New; a CLR has no Old
+// reader reads one stream's stable records at restart, in order, one chunk
+// at a time into one buffer, and rebuilds the stream's cursors (its chunk
+// numbers and each chunk's highest LSN) for further appends as it goes.
+// The head record aliases the buffer until the next call to next.
+type reader struct {
+	s     *stream
+	buf   []byte // the chunk read last
+	rest  []byte // its records not yet decoded
+	codec chunkCodec
+	head  Record // the stream's next record, while ok
+	ok    bool
 }
 
-func (r *restartRec) isCLR() bool { return r.typ == RecUpdate && r.comp != 0 }
-
-func (r *restartRec) old() []byte {
-	if r.isCLR() {
-		return nil
-	}
-	return r.delta[:r.del]
-}
-
-func (r *restartRec) ins() []byte { return r.delta[len(r.old()):] }
-
-// restartBlock is the number of records in one block of a restartLog.
-const restartBlock = 1024
-
-// restartLog holds every stream's stable records for restart, stream after
-// stream, each in the order it was written. Records live in fixed-size
-// blocks, so a long log is never copied to make room for more of it.
-type restartLog struct {
-	blocks [][]restartRec
-	n      int
-	lo, hi []int // stream i's records are [lo[i], hi[i]); after livePrefix, its live ones
-	ckpts  []restartCkpt
-	dead   uint64 // the highest dead horizon of a checkpoint; after livePrefix, of a live one
-	// Record counts by kind, to size restart's tables.
-	commits, clrs int
-}
-
-// restartCkpt is a checkpoint record's LSN and its dead horizon.
-type restartCkpt struct{ lsn, horizon uint64 }
-
-func (l *restartLog) at(i int) *restartRec {
-	return &l.blocks[i/restartBlock][i%restartBlock]
-}
-
-// add appends r, whose Old and New are the last bytes of enc.
-func (l *restartLog) add(r *Record, enc []byte) {
-	if l.n%restartBlock == 0 {
-		l.blocks = append(l.blocks, make([]restartRec, restartBlock))
-	}
-	comp := r.CompLSN
-	switch {
-	case r.Type == RecCommit:
-		l.commits++
-	case r.IsCLR():
-		l.clrs++
-	case r.Type == RecCheckpoint:
-		comp = r.PrevLSN
-		l.ckpts = append(l.ckpts, restartCkpt{r.LSN, comp})
-		if comp > l.dead {
-			l.dead = comp
-		}
-	}
-	n := len(enc)
-	*l.at(l.n) = restartRec{
-		lsn: r.LSN, txn: r.Txn, comp: comp, page: r.Page,
-		off: int32(r.Off), del: int32(r.Del), typ: r.Type,
-		delta: enc[n-len(r.Old)-len(r.New) : n : n],
-	}
-	l.n++
-}
-
-// merge returns a cursor over the streams' records in LSN order.
-func (l *restartLog) merge() *cursor {
-	return &cursor{log: l, heads: append([]int(nil), l.lo...)}
-}
-
-// cursor walks a restartLog in LSN order. Each stream's LSNs ascend, so
-// this is a k-way merge: the next record is the least of the streams'
-// heads. One stream is read straight through.
-type cursor struct {
-	log   *restartLog
-	heads []int // per stream, the index of its next record
-}
-
-// next returns the record with the least LSN not yet returned, nil after
-// the last.
-func (c *cursor) next() *restartRec {
-	var best *restartRec
-	bi := 0
-	for i, h := range c.heads {
-		if h < c.log.hi[i] {
-			if r := c.log.at(h); best == nil || r.lsn < best.lsn {
-				best, bi = r, i
-			}
-		}
-	}
-	if best != nil {
-		c.heads[bi]++
-	}
-	return best
-}
-
-// end walks the log in LSN order from above the dead horizon and returns
-// the LSN after the last one before the first gap, and whether there is a
-// gap (records beyond it).
-func (l *restartLog) end() (next uint64, gap bool, err error) {
-	next = l.dead + 1
-	c := l.merge()
-	for r := c.next(); r != nil; r = c.next() {
-		if r.lsn <= l.dead {
-			continue
-		}
-		if r.lsn < next {
-			return 0, false, fmt.Errorf("wal: LSN %d is in the log twice", r.lsn)
-		}
-		if r.lsn > next {
-			return next, true, nil
-		}
-		next++
-	}
-	return next, false, nil
-}
-
-// readStable decodes every record that reached stable storage onto the end
-// of log, in append order, rebuilding the stream cursors (including the
-// truncation point) for further appends. A stream's LSNs ascend; a record
-// whose LSN does not is corruption. The records alias the chunks read.
-func (s *stream) readStable(log *restartLog) error {
+// open reads the stream's meta page, sets the stream to start at its first
+// live chunk and returns a reader over it, at its first record, with the
+// dead horizon the meta page records.
+func (s *stream) open() (*reader, uint64, error) {
 	s.crash()
-	s.firstChunk = 0
+	s.firstChunk, s.chunkMax = 0, s.chunkMax[:0]
+	horizon := uint64(0)
 	switch meta, _, err := s.store.Read(metaID(s.idx)); {
-	case err == nil && len(meta) != 8:
+	case err == nil && len(meta) != metaSize:
 		// The truncation point is lost: reading from chunk 0 would skip
 		// every chunk since a checkpoint deleted it.
-		return fmt.Errorf("wal: stream %d meta page holds %d bytes, not an 8-byte truncation point", s.idx, len(meta))
+		return nil, 0, fmt.Errorf("wal: stream %d meta page holds %d bytes, not a 16-byte truncation point and horizon", s.idx, len(meta))
 	case err == nil:
-		s.firstChunk = int64(getUint64(meta))
+		// An LSN must lie above the horizon.
+		first, h := getUint64(meta), getUint64(meta[8:])
+		if first >= maxChunks || h == math.MaxUint64 {
+			return nil, 0, fmt.Errorf("wal: stream %d meta page names chunk %d and horizon %d, past their ranges", s.idx, first, h)
+		}
+		s.firstChunk, horizon = int64(first), h
 	case !errors.Is(err, pagestore.ErrNotFound):
-		return err
+		return nil, 0, err
 	}
-	s.chunkMax = nil
 	s.nextChunk = s.firstChunk
-	log.lo = append(log.lo, log.n)
-	last := uint64(0)
-	for {
-		data, _, err := s.store.Read(chunkID(s.idx, s.nextChunk))
+	r := &reader{s: s, buf: make([]byte, 0, logChunkSize)}
+	return r, horizon, r.next()
+}
+
+// next moves the head to the stream's next record, or clears ok after the
+// last. A stream's LSNs ascend from 1; a record whose LSN does not is
+// corruption. A missing chunk ends the stream, unless the chunk after it
+// exists: forces write chunks in ascending order, trim deletes them newest
+// first, and truncate deletes only below the first live chunk, so such a
+// hole is damage, not the end of the log.
+func (r *reader) next() error {
+	s := r.s
+	for len(r.rest) == 0 {
+		data, _, err := s.store.ReadInto(r.buf, chunkID(s.idx, s.nextChunk))
 		if errors.Is(err, pagestore.ErrNotFound) {
-			log.hi = append(log.hi, log.n)
+			r.ok = false
+			switch hole, err := s.store.Exists(chunkID(s.idx, s.nextChunk+1)); {
+			case err != nil:
+				return err
+			case hole:
+				return fmt.Errorf("wal: stream %d chunk %d is missing, but chunk %d follows it", s.idx, s.nextChunk, s.nextChunk+1)
+			}
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		max := uint64(0)
-		var codec chunkCodec
-		for len(data) > 0 {
-			r, n, err := codec.decode(data)
-			if err != nil {
-				return fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk, err)
-			}
-			if r.LSN <= last {
-				return fmt.Errorf("wal: stream %d chunk %d: LSN %d is not above %d, but a stream's LSNs ascend from 1", s.idx, s.nextChunk, r.LSN, last)
-			}
-			last, max = r.LSN, r.LSN
-			log.add(&r, data[:n])
-			data = data[n:]
-		}
-		s.chunkMax = append(s.chunkMax, max)
+		r.buf, r.rest, r.codec = data, data, chunkCodec{}
+		s.chunkMax = append(s.chunkMax, 0)
 		s.nextChunk++
 	}
+	rec, n, err := r.codec.decode(r.rest)
+	if err != nil {
+		return fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk-1, err)
+	}
+	if last := r.head.LSN; rec.LSN <= last {
+		return fmt.Errorf("wal: stream %d chunk %d: LSN %d is not above %d, but a stream's LSNs ascend from 1", s.idx, s.nextChunk-1, rec.LSN, last)
+	}
+	r.rest = r.rest[n:]
+	s.chunkMax[len(s.chunkMax)-1] = rec.LSN
+	r.head, r.ok = rec, true
+	return nil
 }
 
 // trim removes every stable record with LSN >= limit — a suffix of the

@@ -505,11 +505,13 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 }
 
 // TestDamagedMetaPageFailsRestart: a stream's meta page holds its 8-byte
-// truncation point. Once a checkpoint has deleted chunk 0, a meta page of
-// any other length must fail restart, naming the stream; reading it as "no
-// truncation point" would find no chunk 0 and lose every commit since.
+// truncation point and 8-byte dead horizon. Once a checkpoint has deleted
+// chunk 0, a meta page of any other length must fail restart, naming the
+// stream; reading it as "no truncation point" would find no chunk 0 and
+// lose every commit since. So must a 16-byte page whose truncation point
+// lies past the stream's chunk numbers (every byte 1 here).
 func TestDamagedMetaPageFailsRestart(t *testing.T) {
-	for _, n := range []int{3, 16} {
+	for _, n := range []int{3, 8, 16, 24} {
 		t.Run(fmt.Sprintf("%d_bytes", n), func(t *testing.T) {
 			m, _ := newTestManager(Config{})
 			must(t, m.Load(1, page("v0")))

@@ -40,6 +40,7 @@ type bufPage struct {
 	id         pagestore.PageID
 	data       []byte
 	lsn        uint64
+	txn        uint64 // the transaction that wrote the record at lsn
 	dirty      bool
 	prev, next *bufPage
 }
@@ -99,6 +100,7 @@ type Manager struct {
 	freeTxns []*txnState // ended transactions' records, cleared for reuse
 
 	steals     int64
+	uncommit   int64 // dirty pages written while holding an active transaction's update
 	redone     int64
 	undone     int64
 	scanned    int64 // log records merged by the last Recover
@@ -245,7 +247,7 @@ func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 	ts.lastLSN = lsn
 	ts.updates = append(ts.updates, undoRec{lsn: lsn, page: pagestore.PageID(p), off: off, ins: len(ins), old: old})
 	bp.data = append(bp.data[:0], data...)
-	bp.lsn = lsn
+	bp.lsn, bp.txn = lsn, tid
 	bp.dirty = true
 	return nil
 }
@@ -338,7 +340,7 @@ func (m *Manager) compensate(tid uint64, ts *txnState) error {
 	ts.lastLSN = lsn
 	ts.updates = ts.updates[:len(ts.updates)-1]
 	bp.data = data
-	bp.lsn = lsn
+	bp.lsn, bp.txn = lsn, tid
 	bp.dirty = true
 	return nil
 }
@@ -440,6 +442,7 @@ func (m *Manager) evictIfFull() (*bufPage, error) {
 	}
 	bp := m.lru.next
 	if bp.dirty {
+		m.countUncommitted(bp)
 		if err := m.forceThrough(bp.lsn); err != nil {
 			return nil, err
 		}
@@ -455,6 +458,23 @@ func (m *Manager) evictIfFull() (*bufPage, error) {
 	bp.unlink()
 	delete(m.pool, bp.id)
 	return bp, nil
+}
+
+// countUncommitted counts a write of dirty page bp that carries an update
+// of a still active transaction to disk. Page-level strict two-phase
+// locking lets no one else write a page between an update and its
+// transaction's end, so only the page's last writer can hold one.
+func (m *Manager) countUncommitted(bp *bufPage) {
+	ts := m.att[bp.txn]
+	if ts == nil {
+		return
+	}
+	for _, u := range ts.updates {
+		if u.page == bp.id {
+			m.uncommit++
+			return
+		}
+	}
 }
 
 // Checkpoint takes a fuzzy checkpoint: the log is forced, every dirty page
@@ -480,6 +500,7 @@ func (m *Manager) Checkpoint() error {
 		if !bp.dirty {
 			continue
 		}
+		m.countUncommitted(bp)
 		if err := m.data.Write(p, bp.data, bp.lsn); err != nil {
 			return err
 		}
@@ -729,15 +750,18 @@ func (m *Manager) ReadCommitted(p int64) ([]byte, error) {
 	return append([]byte(nil), bp.data...), nil
 }
 
-// Stats reports counters: steals (dirty evictions), redo and undo actions,
-// and per-stream record, force and byte counts.
+// Stats reports counters: steals (dirty evictions), dirty pages written
+// while an active transaction had an uncompensated update on them (by a
+// steal or a checkpoint's flush), redo and undo actions, and per-stream
+// record, force and byte counts.
 func (m *Manager) Stats() map[string]int64 {
 	out := map[string]int64{
-		"steals":     m.steals,
-		"redone":     m.redone,
-		"undone":     m.undone,
-		"scanned":    m.scanned,
-		"recoveries": m.recoveries,
+		"steals":            m.steals,
+		"stealsUncommitted": m.uncommit,
+		"redone":            m.redone,
+		"undone":            m.undone,
+		"scanned":           m.scanned,
+		"recoveries":        m.recoveries,
 	}
 	for _, s := range m.streams {
 		out[fmt.Sprintf("stream%d.records", s.idx)] = s.records

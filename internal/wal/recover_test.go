@@ -514,3 +514,29 @@ func TestPageRedoUnderRecrash(t *testing.T) {
 		})
 	}
 }
+
+// TestStealsUncommitted counts the dirty pages that reach disk while an
+// active transaction has an uncompensated update on them. The
+// crash-restart log never writes one: its pool either holds every page or
+// evicts the least recently used, which a commit has long since settled.
+// Even a two-page pool evicts only the page before a transfer's first;
+// a one-page pool steals that first page before the transfer commits
+// (unless both ends are that page).
+func TestStealsUncommitted(t *testing.T) {
+	for _, c := range []struct {
+		pages, pool int
+		want        string
+	}{
+		{8, 0, "0"},
+		{1024, 0, "0"},
+		{1024, 2, "0"},
+		{1024, 1, "> 0"},
+	} {
+		m := transferLog(t, Config{PoolPages: c.pool}, 30000, c.pages)
+		got := m.Stats()["stealsUncommitted"]
+		t.Logf("%4d pages, pool %2d: %d of %d steals uncommitted", c.pages, c.pool, got, m.Stats()["steals"])
+		if (c.want == "0") != (got == 0) {
+			t.Errorf("%d pages, pool %d: stealsUncommitted = %d, want %s", c.pages, c.pool, got, c.want)
+		}
+	}
+}

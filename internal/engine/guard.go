@@ -152,9 +152,9 @@ func (g *Guard) ReadCommitted(p int64) ([]byte, error) {
 }
 
 // Checkpoint runs the kernel's checkpoint maintenance operation under the
-// guard lock, so it is safe to call while transactions run (the fuzzy
-// checkpoint of the WAL kernel). Returns ErrUnsupported for kernels
-// without one.
+// guard lock, so it is safe to call while transactions run (the WAL
+// kernel's non-quiescing checkpoint, which flushes every dirty page).
+// Returns ErrUnsupported for kernels without one.
 func (g *Guard) Checkpoint() error {
 	tok := g.lock(live.GuardCheckpoint)
 	defer g.unlock(&tok)

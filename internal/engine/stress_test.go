@@ -2,7 +2,7 @@
 // kernels are single-threaded by contract; everything concurrent must go
 // through engine.Engine and its Guard. These tests hammer every
 // architecture with parallel transactions while maintenance operations
-// (fuzzy checkpoints, differential merges) and stats readers run against
+// (checkpoints, differential merges) and stats readers run against
 // the same Guard, then audit the surviving state. They are most meaningful
 // under the race detector (make ci runs `go test -race ./...`).
 package engine_test

@@ -26,9 +26,11 @@ func logForces(m *Manager) int64 {
 
 // TestLogVolume pins what a transaction costs in stable log bytes, puts and
 // forces, exactly. Run it with -v (make logvolume) to read the bytes per
-// transaction. A transfer logs 13 + 7 + 1 bytes: its second update and its
+// transaction. A transfer logs 11 + 5 + 1 bytes: its second update and its
 // commit follow the record before them in the chunk, so neither repeats
-// the LSN, Txn and PrevLSN.
+// the LSN, Txn and PrevLSN, and an update logs its new bytes only (tag,
+// LSN, Txn, page, offset, length, the byte), unless its page is stolen
+// before it commits.
 func TestLogVolume(t *testing.T) {
 	balance := func(v byte) []byte { return []byte{0, 0, 0, 0, 0, 0, 3, v} }
 	bigPage := func(v byte) []byte {
@@ -76,16 +78,22 @@ func TestLogVolume(t *testing.T) {
 				must(t, m.Write(tid, 0, image(0)))
 				must(t, m.Commit(tid))
 			}},
-		{name: "transfer, 8-byte balances", image: balance, bytes: 21, puts: 1, forces: 1, run: transfer},
+		{name: "transfer, 8-byte balances", image: balance, bytes: 17, puts: 1, forces: 1, run: transfer},
+		// A one-page pool steals the first page to fetch the second: the
+		// steal logs the first update's old byte in a 10-byte undo record
+		// (tag, LSN, Txn, the distance to the update, length, the byte)
+		// and forces it with the update, 21 bytes; the second update
+		// starts the next chunk whole, with its PrevLSN, 12 + 1 bytes.
+		{name: "transfer, first page stolen", cfg: Config{PoolPages: 1}, image: balance, bytes: 34, puts: 2, forces: 2, run: transfer},
 		// On three streams the transfer's records land on two, and a
 		// stream's chunk only follows what is on that stream: the commit
 		// (page 0's stream) does not follow the update on page 1's.
 		{name: "transfer, 3 page-mod streams", cfg: Config{Streams: 3, Selection: PageMod},
-			image: balance, bytes: 35, puts: 2, forces: 2, run: transfer},
+			image: balance, bytes: 31, puts: 2, forces: 2, run: transfer},
 		// Two transfers interleaved in one force: no record follows the
 		// one before it, since that one is the other transaction's. The
 		// second commit is forced alone.
-		{name: "two transfers interleaved", image: balance, bytes: 70, puts: 2, forces: 2,
+		{name: "two transfers interleaved", image: balance, bytes: 62, puts: 2, forces: 2,
 			run: func(t *testing.T, m *Manager, image func(byte) []byte) {
 				must(t, m.Begin(tid))
 				must(t, m.Begin(tid+1))
@@ -96,10 +104,18 @@ func TestLogVolume(t *testing.T) {
 				must(t, m.Commit(tid))
 				must(t, m.Commit(tid+1))
 			}},
-		{name: "one 8-byte change in a 4 KiB page", image: bigPage, bytes: 29, puts: 1, forces: 1,
+		{name: "one 8-byte change in a 4 KiB page", image: bigPage, bytes: 20, puts: 1, forces: 1,
 			run: func(t *testing.T, m *Manager, image func(byte) []byte) {
 				must(t, m.Begin(tid))
 				must(t, m.Write(tid, 0, image(9)))
+				must(t, m.Commit(tid))
+			}},
+		// Every byte changes: the record is the new image and a 10-byte
+		// header (a two-byte length, no offset, no Del), not both images.
+		{name: "a whole 4 KiB page rewritten", image: bigPage, bytes: 4096 + 10 + 1, puts: 1, forces: 1,
+			run: func(t *testing.T, m *Manager, image func(byte) []byte) {
+				must(t, m.Begin(tid))
+				must(t, m.Write(tid, 0, bytes.Repeat([]byte{0xa5}, 4096)))
 				must(t, m.Commit(tid))
 			}},
 	} {
@@ -119,6 +135,30 @@ func TestLogVolume(t *testing.T) {
 					got, puts, forces, c.bytes, c.puts, c.forces)
 			}
 		})
+	}
+}
+
+// TestLogVolumeOfTransferLog pins the stable log bytes per transaction of
+// the crash-restart log: 30,000 transfers, as in the benchmark's
+// crash-restart workload, so LSNs and transaction numbers are as wide as
+// there, over 8 pages, which the pool holds, and over 1,024, which it does
+// not. Run it with -v (make logvolume) to read the bytes per transaction;
+// it fails above the budget, which is the count rounded up to 0.1 B.
+func TestLogVolumeOfTransferLog(t *testing.T) {
+	const txns = 30000
+	for _, c := range []struct {
+		pages  int
+		budget float64
+	}{
+		{8, 16.3},
+		{1024, 18.2},
+	} {
+		m := transferLog(t, Config{}, txns, c.pages)
+		per := float64(m.Stats()["logBytes"]) / txns
+		t.Logf("transferLog, %4d pages: %.3f log B/txn (budget %.1f)", c.pages, per, c.budget)
+		if per > c.budget {
+			t.Errorf("transferLog over %d pages logs %.3f B per transaction, budget %.1f", c.pages, per, c.budget)
+		}
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 // error, not a panic.
 func FuzzUnmarshalRecord(f *testing.F) {
 	for _, r := range []Record{
-		{LSN: 7, Type: RecUpdate, Txn: 3, Page: 9, PrevLSN: 5, Off: 1, Del: 3, Old: []byte("old"), New: []byte("new")},
+		{LSN: 7, Type: RecUpdate, Txn: 3, Page: 9, PrevLSN: 5, Off: 1, Del: 3, New: []byte("new")},
+		{LSN: 8, Type: RecUndo, Txn: 3, CompLSN: 7, Old: []byte("old")},
+		{LSN: 8, Type: RecUpdate, Txn: 3, Page: 9, PrevLSN: 7, Off: 2, Del: 5, New: []byte("ab")},
 		{LSN: 9, Type: RecUpdate, Txn: 3, Page: -9, PrevLSN: 7, CompLSN: 7, Off: 1, Del: 3, New: []byte("old")},
 		{LSN: 1 << 40, Type: RecUpdate, Txn: 1 << 33, Page: 1 << 20, New: bytes.Repeat([]byte{7}, 300)},
 		{LSN: 10, Type: RecCommit, Txn: 3, PrevLSN: 9},
@@ -28,25 +30,32 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Add([]byte{byte(RecCommit), 0x89, 0x00, 2})                                    // overlong LSN
-	f.Add([]byte{byte(RecCommit) | tagPrev, 9, 2, 0x80, 0x00})                       // overlong distance
-	f.Add(append([]byte{byte(RecCommit)}, bytes.Repeat([]byte{0x80}, 12)...))        // varint that never ends
-	f.Add([]byte{byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0xff, 0x7f, 'x'})          // len(New) past the chunk
-	f.Add([]byte{byte(RecUpdate) | tagDel, 9, 2, 8, 0xff, 0xff, 0xff, 0xff, 0x0f})   // Del past the chunk
-	f.Add([]byte{byte(RecUpdate) | tagComp | tagOff | tagDel, 9, 2, 8, 1, 0x7f, 50}) // offset+len past a small page
+	f.Add([]byte{byte(RecCommit), 0x89, 0x00, 2})                                       // overlong LSN
+	f.Add([]byte{byte(RecCommit) | tagPrev, 9, 2, 0x80, 0x00})                          // overlong distance
+	f.Add(append([]byte{byte(RecCommit)}, bytes.Repeat([]byte{0x80}, 12)...))           // varint that never ends
+	f.Add([]byte{byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0xff, 0x7f, 'x'})             // len(New) past the chunk
+	f.Add([]byte{byte(RecUpdate) | tagShrink, 9, 2, 8, 0xff, 0xff, 0xff, 0xff, 0x0f})   // Del past the chunk
+	f.Add([]byte{byte(RecUpdate) | tagComp | tagOff | tagShrink, 9, 2, 8, 1, 0x7f, 50}) // offset+len past a small page
+	f.Add([]byte{byte(RecUpdate) | tagShrink | tagNew, 9, 2, 8, 0, 1, 'x'})             // Del equal to len(New), present
+	f.Add([]byte{tagUndo | tagNew, 9, 2, 1, 1, 'a'})                                    // an undo record with a flag
 	bal := func(v byte) []byte { return []byte{v} }
 	f.Add(encodeChunk( // a transfer: the second update and the commit follow
-		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, Old: bal(1), New: bal(2)},
-		Record{LSN: 21, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, Old: bal(3), New: bal(2)},
+		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 21, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, New: bal(2)},
 		Record{LSN: 22, Type: RecCommit, Txn: 5, PrevLSN: 21}))
+	f.Add(encodeChunk( // a transfer whose first page is stolen before it commits
+		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 21, Type: RecUndo, Txn: 5, CompLSN: 20, Old: bal(1)},
+		Record{LSN: 22, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 23, Type: RecCommit, Txn: 5, PrevLSN: 22}))
 	f.Add(encodeChunk( // two transactions interleaved: nothing follows
-		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, Old: bal(1), New: bal(2)},
-		Record{LSN: 21, Type: RecUpdate, Txn: 6, Page: 3, Off: 7, Del: 1, Old: bal(1), New: bal(2)},
-		Record{LSN: 22, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, Old: bal(3), New: bal(2)},
-		Record{LSN: 23, Type: RecUpdate, Txn: 6, Page: 4, PrevLSN: 21, Off: 7, Del: 1, Old: bal(3), New: bal(2)},
+		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 21, Type: RecUpdate, Txn: 6, Page: 3, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 22, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 23, Type: RecUpdate, Txn: 6, Page: 4, PrevLSN: 21, Off: 7, Del: 1, New: bal(2)},
 		Record{LSN: 24, Type: RecCommit, Txn: 5, PrevLSN: 22}))
 	f.Add(encodeChunk( // an abort with CLRs, newest update first
-		Record{LSN: 30, Type: RecUpdate, Txn: 7, Page: 1, Del: 2, Old: []byte("ab"), New: []byte("xyz")},
+		Record{LSN: 30, Type: RecUpdate, Txn: 7, Page: 1, Del: 2, New: []byte("xyz")},
 		Record{LSN: 31, Type: RecUpdate, Txn: 7, Page: 2, PrevLSN: 30, Off: 1, New: []byte("q")},
 		Record{LSN: 32, Type: RecUpdate, Txn: 7, Page: 2, PrevLSN: 31, CompLSN: 31, Off: 1, Del: 1},
 		Record{LSN: 33, Type: RecUpdate, Txn: 7, Page: 1, PrevLSN: 32, CompLSN: 30, Del: 3, New: []byte("ab")},
@@ -151,7 +160,8 @@ func addLog(f *testing.F, streams int, run func(m *Manager) error, withMeta bool
 // 16-byte meta page per stream, stream 0's first; a stream's chunk goes
 // where its meta page says the stream starts, when that is a chunk number.
 // The seeds are real logs: a transfer, an abort with CLRs, a checkpoint, a
-// gap between streams, and three streams a checkpoint truncated.
+// gap between streams, three streams a checkpoint truncated, and losers
+// whose pages were stolen after their undo records.
 func FuzzRecover(f *testing.F) {
 	for _, seed := range []struct {
 		streams int
@@ -188,11 +198,30 @@ func FuzzRecover(f *testing.F) {
 	// A checkpoint beyond a gap: the trim removes it, so its horizon must
 	// not hide the update below it from the first restart either.
 	f.Add(uint8(1),
-		encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 24, Del: 6, Old: []byte("000000"), New: []byte("000")}),
+		encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 24, Del: 6, New: []byte("000")}),
 		encodeChunk(Record{LSN: 48, Type: RecCheckpoint, PrevLSN: 16}), []byte{}, []byte{})
 	f.Add(uint8(2), []byte{byte(RecCommit), 5, 1}, []byte{byte(RecCheckpoint) | tagPrev, 6, 0, 2}, []byte{0xff}, []byte{})
 	// A loser on a negative page, undone on three streams.
 	f.Add(uint8(2), encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: -1, New: []byte("x")}), []byte{}, []byte{}, []byte{})
+	// A loser whose update reached disk: its undo record rolls it back; a
+	// second undo record names an update no transaction has open.
+	f.Add(uint8(0), encodeChunk(
+		Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 2, Off: 5, Del: 1, New: []byte("X")},
+		Record{LSN: 2, Type: RecUndo, Txn: 1, CompLSN: 1, Old: []byte("2")},
+		Record{LSN: 3, Type: RecUndo, Txn: 4, CompLSN: 1, Old: []byte("2")}), []byte{}, []byte{}, []byte{})
+	// A loser whose pages were stolen before the crash, each after its
+	// undo records, on one stream and on three.
+	for _, streams := range []int{1, 3} {
+		addLog(f, streams, func(m *Manager) error {
+			err := errors.Join(m.Begin(1), m.Write(1, 0, []byte("p0")), m.Write(1, 1, []byte("page-1-grown")),
+				m.Write(1, 2, []byte("two")), m.Write(1, 3, []byte("3")), m.Write(1, 0, []byte("p0-again")),
+				m.Begin(3), m.Write(3, 5, []byte("five")), m.Commit(3))
+			if err == nil && m.Stats()["stealsUncommitted"] == 0 {
+				err = errors.New("no page was stolen uncommitted")
+			}
+			return err
+		}, false)
+	}
 	// Three streams a checkpoint truncated, with a loser open across it.
 	addLog(f, 3, func(m *Manager) error {
 		err := errors.Join(m.Begin(1), m.Write(1, 0, []byte("one")), m.Write(1, 1, []byte("one")), m.Commit(1),

@@ -46,13 +46,18 @@ type bufPage struct {
 }
 
 // undoRec is what rolling one update back takes: put old back where the
-// update left ins bytes.
+// update left ins bytes. The update removed del bytes, which old holds once
+// they are known: at run time always, at restart once the page the update
+// was redone on or its undo record has shown them. Until then old is nil,
+// which only an update that removed nothing may leave it.
 type undoRec struct {
 	lsn  uint64
 	page pagestore.PageID
 	off  int
 	ins  int
+	del  int
 	old  []byte
+	undo uint64 // the undo record that logs old; 0: none (none is needed when del is 0)
 }
 
 // txnState tracks an active transaction. firstLSN and lastLSN stay zero
@@ -93,8 +98,9 @@ type Manager struct {
 	nextLSN uint64
 
 	pool  map[pagestore.PageID]*bufPage
-	lru   bufPage // ring anchor: lru.next is the eviction victim
-	spare []byte  // the last victim's page buffer, for the next fetch
+	lru   bufPage    // ring anchor: lru.next is the eviction victim
+	spare []byte     // the last victim's page buffer, for the next fetch
+	held  []*bufPage // restart: the pages redone for open transactions (see redo)
 
 	att      map[uint64]*txnState
 	freeTxns []*txnState // ended transactions' records, cleared for reuse
@@ -122,7 +128,7 @@ func NewManager(dataStore *pagestore.Store, cfg Config) *Manager {
 	} else if logs.PageSize() != logChunkSize {
 		panic("wal: Config.LogStore page size must be wal.LogChunkSize")
 	}
-	if 2*dataStore.PageSize()+maxRecHeader > logChunkSize {
+	if dataStore.PageSize()+maxRecHeader > logChunkSize {
 		panic("wal: data pages too large for a record to fit one log chunk")
 	}
 	m := &Manager{
@@ -212,8 +218,10 @@ func (m *Manager) Read(tid uint64, p int64) ([]byte, error) {
 
 // Write replaces page p with data on behalf of tid, logging the byte range
 // that changes first (the write-ahead protocol: the record is buffered now
-// and forced before the page can reach stable storage). A write that
-// changes nothing logs nothing.
+// and forced before the page can reach stable storage). The record holds
+// the new bytes only; the old ones are kept for Abort, and logged only if
+// the page is written before tid ends (see flush). A write that changes
+// nothing logs nothing.
 func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 	ts := m.att[tid]
 	if ts == nil {
@@ -238,14 +246,13 @@ func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 		PrevLSN: ts.lastLSN,
 		Off:     off,
 		Del:     del,
-		Old:     old,
 		New:     ins,
 	})
 	if ts.firstLSN == 0 {
 		ts.firstLSN = lsn
 	}
 	ts.lastLSN = lsn
-	ts.updates = append(ts.updates, undoRec{lsn: lsn, page: pagestore.PageID(p), off: off, ins: len(ins), old: old})
+	ts.updates = append(ts.updates, undoRec{lsn: lsn, page: pagestore.PageID(p), off: off, ins: len(ins), del: del, old: old})
 	bp.data = append(bp.data[:0], data...)
 	bp.lsn, bp.txn = lsn, tid
 	bp.dirty = true
@@ -432,21 +439,16 @@ func (m *Manager) pushNewest(bp *bufPage) {
 }
 
 // evictIfFull applies LRU replacement and returns the evicted frame, nil
-// when the pool had room. A dirty victim triggers the write-ahead rule: the
-// log must be durable up to the page's LSN before the page is stolen to
-// disk. The victim is the least recently used page, whose records a commit
-// has usually forced long ago, so most steals cost the page write alone.
+// when the pool had room. A dirty victim is stolen to disk by flush. The
+// victim is the least recently used page, whose records a commit has
+// usually forced long ago, so most steals cost the page write alone.
 func (m *Manager) evictIfFull() (*bufPage, error) {
 	if len(m.pool) < m.cfg.PoolPages {
 		return nil, nil
 	}
 	bp := m.lru.next
 	if bp.dirty {
-		m.countUncommitted(bp)
-		if err := m.forceThrough(bp.lsn); err != nil {
-			return nil, err
-		}
-		if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
+		if err := m.flush(bp); err != nil {
 			return nil, err
 		}
 		m.steals++
@@ -460,31 +462,55 @@ func (m *Manager) evictIfFull() (*bufPage, error) {
 	return bp, nil
 }
 
-// countUncommitted counts a write of dirty page bp that carries an update
-// of a still active transaction to disk. Page-level strict two-phase
-// locking lets no one else write a page between an update and its
-// transaction's end, so only the page's last writer can hold one.
-func (m *Manager) countUncommitted(bp *bufPage) {
-	ts := m.att[bp.txn]
-	if ts == nil {
-		return
-	}
-	for _, u := range ts.updates {
-		if u.page == bp.id {
+// flush writes dirty page bp to disk under the write-ahead rule, which
+// covers both images of an update. The log must be durable through bp's
+// LSN, so that every update on bp can be redone. And an update of a
+// transaction still active must have its old bytes in the log, since a
+// crash would leave it to be undone from the log alone: each such update
+// not yet covered gets an undo record, and the log must be durable through
+// those too. Page-level strict two-phase locking lets no one else write a
+// page between an update and its transaction's end, so only bp's last
+// writer can hold such an update.
+func (m *Manager) flush(bp *bufPage) error {
+	through := bp.lsn
+	if ts := m.att[bp.txn]; ts != nil {
+		held := false
+		for i := range ts.updates {
+			u := &ts.updates[i]
+			if u.page != bp.id {
+				continue
+			}
+			held = true
+			if u.undo == 0 && u.del > 0 {
+				u.undo = m.appendRec(Record{Type: RecUndo, Txn: bp.txn, Page: int64(u.page), CompLSN: u.lsn, Old: u.old})
+			}
+			through = max(through, u.undo)
+		}
+		if held {
 			m.uncommit++
-			return
 		}
 	}
+	if err := m.forceThrough(through); err != nil {
+		return err
+	}
+	if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
+		return err
+	}
+	bp.dirty = false
+	return nil
 }
 
-// Checkpoint takes a fuzzy checkpoint: the log is forced, every dirty page
-// is flushed, a checkpoint record is logged, and each stream truncates the
-// stable chunks no future recovery can need — everything below the oldest
-// active transaction's first record (or below the checkpoint itself when
-// no transaction has written anything). The checkpoint record carries that
-// horizon, and so does the meta page of each stream that truncates, so
-// restart ignores dead records that survive in a chunk shared with live
-// ones. Transactions keep running throughout.
+// Checkpoint takes a non-quiescing checkpoint that flushes every dirty page
+// (not a fuzzy one, which would flush none): the log is forced, every dirty
+// page is flushed, a checkpoint record is logged, and each stream
+// truncates the stable chunks no future recovery can need — everything
+// below the oldest active transaction's first record (or below the
+// checkpoint itself when no transaction has written anything). The
+// checkpoint record carries that horizon, and so does the meta page of
+// each stream that truncates, so restart ignores dead records that survive
+// in a chunk shared with live ones. Active transactions stay open across
+// it; a flushed page holding one's update logs its old bytes first (see
+// flush).
 func (m *Manager) Checkpoint() error {
 	if err := m.forceAll(); err != nil {
 		return err
@@ -500,11 +526,9 @@ func (m *Manager) Checkpoint() error {
 		if !bp.dirty {
 			continue
 		}
-		m.countUncommitted(bp)
-		if err := m.data.Write(p, bp.data, bp.lsn); err != nil {
+		if err := m.flush(bp); err != nil {
 			return err
 		}
-		bp.dirty = false
 		flushed++
 	}
 	point := m.nextLSN // the checkpoint record's own LSN
@@ -567,6 +591,15 @@ func (m *Manager) Crash() {
 // ends at the first gap. What lies beyond is still read, so that a stream
 // whose LSNs do not ascend is reported, and then trimmed from the streams;
 // its LSNs are handed out again.
+//
+// Update records carry no old bytes, so restart never writes a page that
+// holds an update of a transaction still open in the pass (see redo): a
+// crash would leave that update on disk with nothing in the log to undo it
+// from. The losers' pages redone in memory are rolled back there, with the
+// old bytes their redo removed; an update the stable page already held is
+// rolled back with the old bytes of its undo record, which the run-time
+// write-ahead rule logged before the page reached disk. Such an update
+// without one is corruption.
 func (m *Manager) Recover() error {
 	if err := m.data.Reset(); err != nil {
 		return err
@@ -577,6 +610,8 @@ func (m *Manager) Recover() error {
 	m.recoveries++
 	m.scanned = 0
 	clear(m.att)
+	m.resetPool()
+	m.held = m.held[:0]
 
 	readers := make([]*reader, len(m.streams))
 	dead := uint64(0)
@@ -617,6 +652,14 @@ func (m *Manager) Recover() error {
 		}
 	}
 	m.nextLSN = next
+	// The pages still held are the losers': undo starts from them, and
+	// the held list keeps only the frames it has released.
+	for _, bp := range m.held {
+		m.pool[bp.id] = bp
+		m.pushNewest(bp)
+	}
+	clear(m.held)
+	m.held = m.held[:0]
 
 	// The transactions still open are the losers.
 	losers := make([]uint64, 0, len(m.att))
@@ -625,6 +668,12 @@ func (m *Manager) Recover() error {
 	}
 	sort.Slice(losers, func(i, j int) bool { return m.att[losers[i]].firstLSN < m.att[losers[j]].firstLSN })
 	for _, tid := range losers {
+		for _, u := range m.att[tid].updates {
+			if u.old == nil && u.del > 0 {
+				return fmt.Errorf("wal: stream %d: no undo record for txn %d's update at LSN %d, which page %d holds on disk",
+					m.cfg.Selection.pick(m.cfg.Streams, tid, int64(u.page)), tid, u.lsn, u.page)
+			}
+		}
 		m.journal.Emit(obs.JournalRecord{Event: "loser", Txn: tid})
 	}
 	m.journal.Emit(obs.JournalRecord{Event: "scan", Engine: m.Name(), N: m.scanned})
@@ -641,8 +690,9 @@ func (m *Manager) Recover() error {
 	}
 
 	// Undo: the losers' uncompensated updates, newest first across all of
-	// them. Compensated updates were rolled back by their own CLRs during
-	// redo; undoing them again would clobber later committed work.
+	// them, through the pool, which holds the losers' redone pages.
+	// Compensated updates were rolled back by their own CLRs during redo;
+	// undoing them again would clobber later committed work.
 	type pending struct{ lsn, tid uint64 }
 	var undo []pending
 	for _, tid := range losers {
@@ -651,7 +701,6 @@ func (m *Manager) Recover() error {
 		}
 	}
 	sort.Slice(undo, func(i, j int) bool { return undo[i].lsn > undo[j].lsn })
-	m.resetPool()
 	for _, p := range undo {
 		ts := m.att[p.tid]
 		pg := ts.updates[len(ts.updates)-1].page
@@ -670,74 +719,166 @@ func (m *Manager) Recover() error {
 	return nil
 }
 
-// repeat acts on one live record at restart. An update is redone; the
-// transaction table then follows the record's transaction, which a commit
-// or abort record ends. An open transaction keeps what rolling back its
-// updates takes, less what its CLRs already rolled back, with the old bytes
-// copied out of the chunk.
+// repeat acts on one live record at restart. The transaction table follows
+// the record's transaction, which a commit or abort record ends, writing
+// the pages held for it. An update or CLR is redone. An open transaction
+// keeps what rolling its updates back takes, less what its CLRs already
+// rolled back; an undo record supplies the old bytes of an update the
+// stable page already held. The old bytes are copied out of the chunk or
+// page.
 func (m *Manager) repeat(r *Record) error {
-	if r.Type == RecUpdate {
-		if err := m.redoOne(r); err != nil {
-			return err
-		}
-	}
-	if r.Txn == 0 {
-		return nil // a checkpoint
+	if r.Type == RecCheckpoint {
+		return nil
 	}
 	ts := m.att[r.Txn]
 	if ts == nil {
+		if r.Type == RecUndo {
+			return nil // it covers no update still open
+		}
 		ts = m.openTxn(r.Txn)
 		ts.firstLSN = r.LSN
 	}
-	ts.lastLSN = r.LSN
-	switch {
-	case r.Type == RecCommit || r.Type == RecAbort:
+	switch r.Type {
+	case RecCommit, RecAbort:
+		if err := m.release(r.Txn); err != nil {
+			return err
+		}
 		ev := "winner"
 		if r.Type == RecAbort {
 			ev = "loser"
 		}
 		m.endTxn(r.Txn, ts)
 		m.journal.Emit(obs.JournalRecord{Event: ev, Txn: r.Txn})
-	case r.IsCLR():
+	case RecUndo:
+		for i := len(ts.updates) - 1; i >= 0; i-- {
+			u := &ts.updates[i]
+			if u.lsn != r.CompLSN {
+				continue
+			}
+			if len(r.Old) != u.del {
+				return fmt.Errorf("wal: undo record at LSN %d holds %d bytes, but the update at LSN %d removed %d", r.LSN, len(r.Old), u.lsn, u.del)
+			}
+			if u.old == nil {
+				u.old = ts.keep(r.Old)
+			}
+			u.undo = r.LSN
+			break
+		}
+	case RecUpdate:
+		ts.lastLSN = r.LSN
+		old, err := m.redo(r, ts)
+		if err != nil {
+			return err
+		}
+		if !r.IsCLR() {
+			ts.updates = append(ts.updates, undoRec{lsn: r.LSN, page: pagestore.PageID(r.Page),
+				off: r.Off, ins: len(r.New), del: r.Del, old: old})
+			break
+		}
 		for i := len(ts.updates) - 1; i >= 0; i-- {
 			if ts.updates[i].lsn == r.CompLSN {
 				ts.updates = append(ts.updates[:i], ts.updates[i+1:]...)
 				break
 			}
 		}
-	case r.Type == RecUpdate:
-		ts.updates = append(ts.updates, undoRec{
-			lsn: r.LSN, page: pagestore.PageID(r.Page), off: r.Off, ins: len(r.New), old: ts.keep(r.Old),
-		})
 	}
 	return nil
 }
 
-// redoOne repeats one update against the stable page unless the page
-// already holds it. The page is read into the pool's spare buffer, which
-// no frame uses.
-func (m *Manager) redoOne(r *Record) error {
+// redo repeats update or CLR r of ts at restart, unless the stable page
+// already holds it, and returns the bytes an update removed (nil if it did
+// not redo it). A page restart redoes is held, unwritten, in a frame on
+// Manager.held until its transaction ends (see release). Strict two-phase
+// locking lets no other transaction change the page meanwhile; a log in
+// which one does is corrupt. A page not held is read into the pool's spare
+// buffer, which no frame uses. The held pages are pages the pool held when
+// the power failed, dirtied by open transactions' records, so they are
+// few: a list is searched faster than a map is kept.
+func (m *Manager) redo(r *Record, ts *txnState) (old []byte, err error) {
 	id := pagestore.PageID(r.Page)
-	data, version, err := m.data.ReadInto(m.spare, id)
-	if err == pagestore.ErrNotFound {
-		data, version = m.spare[:0], 0
-	} else if err != nil {
-		return err
+	var bp *bufPage
+	for _, h := range m.held {
+		if h.id == id {
+			bp = h
+			break
+		}
 	}
-	m.spare = data
-	if version >= r.LSN {
-		return nil // already applied
+	data := []byte(nil)
+	if bp != nil {
+		if bp.txn != r.Txn {
+			return nil, fmt.Errorf("wal: LSN %d: txn %d changes page %d while txn %d, still open, holds it", r.LSN, r.Txn, r.Page, bp.txn)
+		}
+		data = bp.data
+	} else {
+		var version uint64
+		data, version, err = m.data.ReadInto(m.spare, id)
+		if err == pagestore.ErrNotFound {
+			data, version = m.spare[:0], 0
+		} else if err != nil {
+			return nil, err
+		}
+		m.spare = data
+		if version >= r.LSN {
+			return nil, nil
+		}
+	}
+	if r.Off+r.Del > len(data) {
+		return nil, fmt.Errorf("wal: redo of LSN %d on page %d: delta at %d (-%d +%d) reaches past the page's %d bytes", r.LSN, r.Page, r.Off, r.Del, len(r.New), len(data))
+	}
+	if !r.IsCLR() {
+		old = ts.keep(data[r.Off : r.Off+r.Del])
 	}
 	if data, err = splice(data, r.Off, r.Del, r.New); err != nil {
-		return fmt.Errorf("wal: redo of LSN %d on page %d: %w", r.LSN, r.Page, err)
+		return nil, err
 	}
+	if bp == nil {
+		bp = m.takeFrame()
+		m.spare = bp.data
+		*bp = bufPage{id: id, txn: r.Txn, dirty: true}
+	}
+	bp.data, bp.lsn = data, r.LSN
 	m.redone++
 	note := ""
 	if r.IsCLR() {
 		note = "clr"
 	}
 	m.journal.EmitPage(r.Page, obs.JournalRecord{Event: "redo", Txn: r.Txn, LSN: r.LSN, Note: note})
-	return m.data.Write(id, data, r.LSN)
+	return old, nil
+}
+
+// takeFrame appends a frame to the held list: one a release left past its
+// end, or a new one.
+func (m *Manager) takeFrame() *bufPage {
+	n := len(m.held)
+	if n < cap(m.held) {
+		m.held = m.held[:n+1]
+		if bp := m.held[n]; bp != nil {
+			return bp
+		}
+	} else {
+		m.held = append(m.held, nil)
+	}
+	m.held[n] = &bufPage{}
+	return m.held[n]
+}
+
+// release writes the pages restart holds for tid, which has ended, in the
+// order it redid them. Their frames move past the held list's end, where
+// takeFrame finds them, and the pages still held keep their order.
+func (m *Manager) release(tid uint64) error {
+	kept := 0
+	for i, bp := range m.held {
+		if bp.txn != tid {
+			m.held[i], m.held[kept] = m.held[kept], bp
+			kept++
+			continue
+		}
+		if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
+			return err
+		}
+	}
+	m.held = m.held[:kept]
+	return nil
 }
 
 // ReadCommitted reads page p's current contents; meaningful once no

@@ -7,9 +7,12 @@
 //
 // The engine implements steal/no-force buffer management over a
 // pagestore.Store: uncommitted pages may reach disk (undo needed), committed
-// pages need not (redo needed). Log records describe what changed on a page
-// — the differing byte range, not the page — and restart repeats history
-// from them, then rolls the losers back with logged compensation records.
+// pages need not (redo needed). An update record carries only its
+// after-image — the differing byte range, not the page — and restart
+// repeats history from it. The before-image stays in memory; it enters the
+// log, as an undo record, only when a page holding the update is about to
+// reach disk before its transaction ends. Restart rolls the losers back
+// with logged compensation records built from those images.
 package wal
 
 import (
@@ -28,6 +31,7 @@ const (
 	RecCommit
 	RecAbort
 	RecCheckpoint
+	RecUndo
 )
 
 // String implements fmt.Stringer.
@@ -41,53 +45,60 @@ func (t RecType) String() string {
 		return "ABORT"
 	case RecCheckpoint:
 		return "CHECKPOINT"
+	case RecUndo:
+		return "UNDO"
 	}
 	return fmt.Sprintf("RecType(%d)", uint8(t))
 }
 
 // Record is one log record. An update record is a byte-range delta: at
-// offset Off the page loses Del bytes (Old, kept so the change can be
-// undone) and gains New; everything outside the range is untouched, so the
-// page's new length is implied. A page with nothing in common with its
-// predecessor degenerates to Off 0 and both full images — there is one
-// code path. A compensation record (CLR), written while rolling an update
-// back, sets CompLSN to that update's LSN and carries no Old bytes:
-// recovery redoes CLRs but never undoes them. PrevLSN chains a
-// transaction's records; on a checkpoint record it is the dead horizon —
-// every record at or below it is dead to recovery.
+// offset Off the page loses Del bytes and gains New; everything outside the
+// range is untouched, so the page's new length is implied. A page with
+// nothing in common with its predecessor degenerates to Off 0 and the full
+// image — there is one code path. The bytes the update removed are not in
+// it: an undo record carries them (Old), naming the update by CompLSN, and
+// only when the page may reach disk before the update's transaction ends.
+// A compensation record (CLR), written while rolling an update back, is an
+// update record that sets CompLSN to that update's LSN: recovery redoes
+// CLRs but never undoes them. PrevLSN chains a transaction's updates, CLRs,
+// commit and abort; on a checkpoint record it is the dead horizon — every
+// record at or below it is dead to recovery.
 type Record struct {
 	LSN     uint64
 	Type    RecType
 	Txn     uint64
-	Page    int64
+	Page    int64 // update: the page; undo: not logged (it picks the stream)
 	PrevLSN uint64
-	CompLSN uint64 // nonzero: this record compensates update CompLSN
+	CompLSN uint64 // CLR: the update it compensates; undo: the update whose Old it holds
 	Off     int    // update: where the change starts
-	Del     int    // update: bytes removed at Off (len(Old) unless a CLR)
-	Old     []byte // update: the removed bytes; nil on a CLR
+	Del     int    // update: bytes removed at Off
+	Old     []byte // undo: the bytes update CompLSN removed
 	New     []byte // update: the bytes inserted at Off
 }
 
 // IsCLR reports whether the record is a compensation record.
-func (r *Record) IsCLR() bool { return r.CompLSN != 0 }
+func (r *Record) IsCLR() bool { return r.Type == RecUpdate && r.CompLSN != 0 }
 
 // The tag byte holds the record type in its low three bits; each remaining
 // bit says that an optional field is present. Absent fields are zero, and a
 // present field is never zero. Types 5–7 are an update, commit or abort
 // that follows the record before it in its chunk (see chunkCodec): the tag
 // then stands for LSN, Txn and PrevLSN too, so no flag bit is spent on it.
+// Type 0 is an undo record, which has no optional fields.
 const (
 	tagTypeMask = 0x07
+	tagUndo     = 0      // the type of an undo record: RecUndo's own number is a following update's
 	tagFollows  = 4      // added to RecUpdate, RecCommit or RecAbort: the record follows
 	tagPrev     = 1 << 3 // PrevLSN, as the distance LSN-PrevLSN
 	tagComp     = 1 << 4 // CompLSN, as the distance LSN-CompLSN
 	tagOff      = 1 << 5 // Off
-	tagDel      = 1 << 6 // Del (followed, unless a CLR, by that many Old bytes)
+	tagShrink   = 1 << 6 // Del-len(New), zig-zag: how far the page shrinks
 	tagNew      = 1 << 7 // len(New), followed by the New bytes
 )
 
-// maxRecHeader bounds everything in an encoded record but the Old and New
-// bytes: the tag, five 10-byte varints and three 3-byte ones, rounded up.
+// maxRecHeader bounds everything in an encoded record but its one image
+// (New, or an undo record's Old): the tag, five 10-byte varints and three
+// 3-byte ones, rounded up.
 const maxRecHeader = 64
 
 // chunkCodec codes the records of one log chunk — what one force's
@@ -96,8 +107,9 @@ const maxRecHeader = 64
 // is one above that record's, its Txn is the same, and its PrevLSN names
 // that record: a transaction's records appended back to back, as a
 // transfer's are. A following record writes none of those three fields.
-// Nothing follows a checkpoint, and a chunk's first record never follows,
-// so each chunk decodes on its own. The zero value starts a chunk.
+// Nothing follows a checkpoint or an undo record, and a chunk's first
+// record never follows, so each chunk decodes on its own. The zero value
+// starts a chunk.
 //
 // The encoder uses the short form whenever the rule holds and the decoder
 // accepts it nowhere else, so a chunk has exactly one encoding.
@@ -107,13 +119,13 @@ type chunkCodec struct {
 
 // follows reports whether r follows the record before it.
 func (c *chunkCodec) follows(r *Record) bool {
-	return c.lsn != 0 && r.Type != RecCheckpoint && r.LSN == c.lsn+1 &&
+	return c.lsn != 0 && r.Type <= RecAbort && r.LSN == c.lsn+1 &&
 		r.Txn == c.txn && r.PrevLSN == c.lsn
 }
 
 // step moves the codec past r.
 func (c *chunkCodec) step(r *Record) {
-	if r.Type == RecCheckpoint {
+	if r.Type > RecAbort {
 		*c = chunkCodec{}
 		return
 	}
@@ -125,20 +137,27 @@ func (c *chunkCodec) step(r *Record) {
 //
 //	tag · [uvarint LSN · uvarint Txn · [uvarint LSN-PrevLSN]] ·
 //	update only: varint Page · [uvarint LSN-CompLSN] · [uvarint Off] ·
-//	             [uvarint Del] · [uvarint len(New)] · [Old] · New
+//	             [varint Del-len(New)] · [uvarint len(New)] · New
+//	undo only:   uvarint LSN-CompLSN · uvarint len(Old) · Old
 //
 // The outer brackets are absent when r follows; the others hold fields
-// present only when non-zero. PrevLSN and CompLSN, when set, must be below
-// LSN (they always are: both name earlier records).
+// present only when non-zero. An undo record's fields are all present: it
+// names an earlier update, and one that removed nothing needs none.
+// PrevLSN and CompLSN, when set, must be below LSN (they always are: both
+// name earlier records), and an undo record has no PrevLSN.
 func (c *chunkCodec) encode(buf []byte, r *Record) []byte {
 	tag := byte(r.Type)
 	follows := c.follows(r)
-	if follows {
+	switch {
+	case r.Type == RecUndo:
+		tag = tagUndo
+	case follows:
 		tag += tagFollows
-	} else if r.PrevLSN != 0 {
+	case r.PrevLSN != 0:
 		tag |= tagPrev
 	}
 	c.step(r)
+	shrink := r.Del - len(r.New)
 	if r.Type == RecUpdate {
 		if r.CompLSN != 0 {
 			tag |= tagComp
@@ -146,8 +165,8 @@ func (c *chunkCodec) encode(buf []byte, r *Record) []byte {
 		if r.Off != 0 {
 			tag |= tagOff
 		}
-		if r.Del != 0 {
-			tag |= tagDel
+		if shrink != 0 {
+			tag |= tagShrink
 		}
 		if len(r.New) != 0 {
 			tag |= tagNew
@@ -161,7 +180,13 @@ func (c *chunkCodec) encode(buf []byte, r *Record) []byte {
 			buf = binary.AppendUvarint(buf, r.LSN-r.PrevLSN)
 		}
 	}
-	if r.Type != RecUpdate {
+	switch r.Type {
+	case RecUndo:
+		buf = binary.AppendUvarint(buf, r.LSN-r.CompLSN)
+		buf = binary.AppendUvarint(buf, uint64(len(r.Old)))
+		return append(buf, r.Old...)
+	case RecUpdate:
+	default:
 		return buf
 	}
 	buf = binary.AppendVarint(buf, r.Page)
@@ -171,14 +196,11 @@ func (c *chunkCodec) encode(buf []byte, r *Record) []byte {
 	if tag&tagOff != 0 {
 		buf = binary.AppendUvarint(buf, uint64(r.Off))
 	}
-	if tag&tagDel != 0 {
-		buf = binary.AppendUvarint(buf, uint64(r.Del))
+	if tag&tagShrink != 0 {
+		buf = binary.AppendVarint(buf, int64(shrink))
 	}
 	if tag&tagNew != 0 {
 		buf = binary.AppendUvarint(buf, uint64(len(r.New)))
-	}
-	if !r.IsCLR() {
-		buf = append(buf, r.Old...)
 	}
 	return append(buf, r.New...)
 }
@@ -267,12 +289,43 @@ func (d *decoder) extent(field string) int {
 	return int(v)
 }
 
+// shrink reads the present, signed difference Del-len(New), bounded as an
+// extent is.
+func (d *decoder) shrink() int {
+	v := d.varint("Del-len(New)")
+	switch {
+	case d.err != nil:
+	case v == 0:
+		d.fail("Del-len(New) flagged present but zero")
+	case v > logChunkSize || v < -logChunkSize:
+		d.fail("Del-len(New) %d exceeds the log chunk size", v)
+	default:
+		return int(v)
+	}
+	return 0
+}
+
+// image reads n bytes of a record's image, which alias the buffer.
+func (d *decoder) image(n int) []byte {
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	end := d.n + n
+	if end > len(d.buf) {
+		d.fail("truncated record body (%d < %d)", len(d.buf), end)
+		return nil
+	}
+	b := d.buf[d.n:end:end]
+	d.n = end
+	return b
+}
+
 // decode decodes the chunk's next record from the front of buf, returning
 // the record and the number of bytes consumed. The record's Old and New
-// alias buf. Anything encode could not have produced — an unknown type, a
-// flag the type does not allow, an overlong varint, a range past
-// LogChunkSize, a following record where none may follow, a whole one
-// where it must — is an error, never a panic.
+// alias buf. Anything encode could not have produced — a flag the type
+// does not allow, an overlong varint, a range past LogChunkSize, a following
+// record where none may follow, a whole one where it must — is an error,
+// never a panic.
 func (c *chunkCodec) decode(buf []byte) (Record, int, error) {
 	if len(buf) == 0 {
 		return Record{}, 0, fmt.Errorf("wal: empty record")
@@ -280,14 +333,17 @@ func (c *chunkCodec) decode(buf []byte) (Record, int, error) {
 	tag := buf[0]
 	typ := tag & tagTypeMask
 	follows := typ > tagFollows
-	if follows {
+	switch {
+	case typ == tagUndo:
+		typ = byte(RecUndo)
+	case follows:
 		typ -= tagFollows
 	}
 	r := Record{Type: RecType(typ)}
-	if r.Type < RecUpdate || r.Type > RecCheckpoint {
-		return Record{}, 0, fmt.Errorf("wal: corrupt record type %d", typ)
-	}
-	if r.Type != RecUpdate && tag&^(tagTypeMask|tagPrev) != 0 {
+	switch {
+	case r.Type == RecUndo && tag != tagUndo:
+		return Record{}, 0, fmt.Errorf("wal: UNDO record with flags %#x", tag)
+	case r.Type != RecUpdate && tag&^(tagTypeMask|tagPrev) != 0:
 		return Record{}, 0, fmt.Errorf("wal: %v record with update flags %#x", r.Type, tag)
 	}
 	d := &decoder{buf: buf, n: 1}
@@ -311,49 +367,36 @@ func (c *chunkCodec) decode(buf []byte) (Record, int, error) {
 			return Record{}, 0, fmt.Errorf("wal: %v record at LSN %d coded whole, but it follows the record before it", r.Type, r.LSN)
 		}
 	}
-	if r.Type != RecUpdate {
-		if d.err != nil {
-			return Record{}, 0, d.err
-		}
-		c.step(&r)
-		return r, d.n, nil
-	}
-	r.Page = d.varint("Page")
-	if tag&tagComp != 0 {
+	switch r.Type {
+	case RecUndo:
 		r.CompLSN = d.back("CompLSN", r.LSN)
-	}
-	if tag&tagOff != 0 {
-		r.Off = d.extent("Off")
-	}
-	if tag&tagDel != 0 {
-		r.Del = d.extent("Del")
-	}
-	nNew := 0
-	if tag&tagNew != 0 {
-		nNew = d.extent("len(New)")
+		r.Old = d.image(d.extent("len(Old)"))
+	case RecUpdate:
+		r.Page = d.varint("Page")
+		if tag&tagComp != 0 {
+			r.CompLSN = d.back("CompLSN", r.LSN)
+		}
+		if tag&tagOff != 0 {
+			r.Off = d.extent("Off")
+		}
+		shrink, nNew := 0, 0
+		if tag&tagShrink != 0 {
+			shrink = d.shrink()
+		}
+		if tag&tagNew != 0 {
+			nNew = d.extent("len(New)")
+		}
+		r.Del = nNew + shrink
+		if d.err == nil && (r.Del < 0 || r.Off+r.Del > logChunkSize || r.Off+nNew > logChunkSize) {
+			return Record{}, 0, fmt.Errorf("wal: range at %d (-%d +%d) reaches past the log chunk size", r.Off, r.Del, nNew)
+		}
+		r.New = d.image(nNew)
 	}
 	if d.err != nil {
 		return Record{}, 0, d.err
 	}
-	if r.Off+r.Del > logChunkSize || r.Off+nNew > logChunkSize {
-		return Record{}, 0, fmt.Errorf("wal: range at %d (-%d +%d) reaches past the log chunk size", r.Off, r.Del, nNew)
-	}
-	nOld := r.Del
-	if r.IsCLR() {
-		nOld = 0
-	}
-	total := d.n + nOld + nNew
-	if total > len(buf) {
-		return Record{}, 0, fmt.Errorf("wal: truncated record body (%d < %d)", len(buf), total)
-	}
-	if nOld > 0 {
-		r.Old = buf[d.n : d.n+nOld : d.n+nOld]
-	}
-	if nNew > 0 {
-		r.New = buf[d.n+nOld : total : total]
-	}
 	c.step(&r)
-	return r, total, nil
+	return r, d.n, nil
 }
 
 // diff finds the minimal byte range in which before and after differ: the

@@ -177,6 +177,71 @@ func TestChunkHoleIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestMissingUndoRecordIsCorrupt: an update of a loser whose page reached
+// disk can be rolled back only from its undo record. With that record cut
+// out of the log, restart must fail, naming the stream, the transaction and
+// the update, rather than leave the loser's bytes on the page; with it,
+// restart rolls the update back.
+func TestMissingUndoRecordIsCorrupt(t *testing.T) {
+	for _, streams := range []int{1, 3} {
+		for _, cut := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d_streams_cut_%v", streams, cut), func(t *testing.T) {
+				m, data := newTestManager(Config{Streams: streams, PoolPages: 1})
+				must(t, m.Load(1, page("page-1")))
+				must(t, m.Load(2, page("page-2")))
+				must(t, m.Begin(7))
+				must(t, m.Write(7, 1, page("loser")))
+				if _, err := m.Read(7, 2); err != nil { // steals page 1
+					t.Fatal(err)
+				}
+				m.Crash()
+				if got, lsn, _ := data.Read(1); string(got) != "loser" || lsn != 1 {
+					t.Fatalf("page 1 on disk = %q at LSN %d, want the loser's update at LSN 1", got, lsn)
+				}
+				undos := 0
+				for i, s := range m.streams {
+					for seq := s.firstChunk; seq < s.nextChunk; seq++ {
+						chunk, _, err := m.LogStore().Read(chunkID(i, seq))
+						must(t, err)
+						recs, err := decodeChunk(chunk)
+						must(t, err)
+						kept := recs[:0]
+						for _, r := range recs {
+							if r.Type == RecUndo {
+								undos++
+								if cut {
+									continue
+								}
+							}
+							kept = append(kept, r)
+						}
+						must(t, m.LogStore().Write(chunkID(i, seq), encodeChunk(kept...), 0))
+					}
+				}
+				if undos != 1 {
+					t.Fatalf("the steal logged %d undo records, want 1", undos)
+				}
+				err := m.Recover()
+				if !cut {
+					must(t, err)
+					if got, _ := m.ReadCommitted(1); string(got) != "page-1" {
+						t.Fatalf("the loser's update was not rolled back: page 1 = %q", got)
+					}
+					return
+				}
+				if err == nil {
+					got, _ := m.ReadCommitted(1)
+					t.Fatalf("Recover succeeded without the undo record; page 1 = %q", got)
+				}
+				want := fmt.Sprintf("stream %d: no undo record for txn 7's update at LSN 1", 1%streams)
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not say %q", err, want)
+				}
+			})
+		}
+	}
+}
+
 // TestTruncationCutAcrossStreams: a checkpoint on three streams writes each
 // stream's meta page and then deletes the chunks below it, stream after
 // stream. The power is cut at each of those mutations in turn. Restart must
@@ -277,10 +342,10 @@ func TestTruncationCutAcrossStreams(t *testing.T) {
 // stream) or quietly reorder the records (several).
 func TestOutOfOrderStreamIsCorrupt(t *testing.T) {
 	chunk := encodeChunk(
-		Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 1, Del: 1, Old: page("a"), New: page("A")},
+		Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 1, Del: 1, New: page("A")},
 		Record{LSN: 2, Type: RecCommit, Txn: 1, PrevLSN: 1},
 		Record{LSN: 4, Type: RecCommit, Txn: 2, PrevLSN: 3},
-		Record{LSN: 3, Type: RecUpdate, Txn: 2, Page: 2, Del: 1, Old: page("b"), New: page("B")},
+		Record{LSN: 3, Type: RecUpdate, Txn: 2, Page: 2, Del: 1, New: page("B")},
 	)
 	for _, streams := range []int{1, 3} {
 		t.Run(fmt.Sprintf("%d_streams", streams), func(t *testing.T) {
@@ -465,10 +530,26 @@ func TestPageRedoUnderRecrash(t *testing.T) {
 		}
 		return nil
 	}
-	for _, cfg := range []Config{{Streams: 1, PoolPages: pages}, {Streams: 3, PoolPages: 2 * pages}} {
-		t.Run(fmt.Sprintf("%d-streams", cfg.Streams), func(t *testing.T) {
-			// Restart without a fault redoes the whole of page 0's history.
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"1-streams", Config{Streams: 1, PoolPages: pages}},
+		{"3-streams", Config{Streams: 3, PoolPages: 2 * pages}},
+		// A two-page pool steals the loser's page 0 before the crash, after
+		// its undo record, while its page 2 stays in the pool: restart
+		// holds page 2 for the loser from its redo to its rollback, and
+		// rolls page 0 back from the undo record.
+		{"1-streams-held", Config{Streams: 1, PoolPages: 2}},
+	} {
+		cfg := c.cfg
+		t.Run(c.name, func(t *testing.T) {
+			// Restart without a fault redoes the whole of page 0's history,
+			// when the pool held every page.
 			m, _, journal, model := script(t, cfg)
+			if cfg.PoolPages < pages && m.Stats()["stealsUncommitted"] == 0 {
+				t.Fatal("the small pool stole no page before its transaction ended")
+			}
 			must(t, m.Recover())
 			if err := audit(m, model); err != nil {
 				t.Fatal(err)
@@ -479,7 +560,7 @@ func TestPageRedoUnderRecrash(t *testing.T) {
 					redo[r.Note]++
 				}
 			}
-			if redo[""] < 6 || redo["clr"] < 3 {
+			if cfg.PoolPages >= pages && (redo[""] < 6 || redo["clr"] < 3) {
 				t.Fatalf("page 0 redid %d updates and %d CLRs, want ≥ 6 and ≥ 3", redo[""], redo["clr"])
 			}
 

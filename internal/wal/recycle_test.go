@@ -36,18 +36,20 @@ func TestRecyclingIsInvisible(t *testing.T) {
 	// Every write but the last two is stolen by the next one's fetch; each
 	// stolen page reads back from the store exactly as written, under the
 	// LSN of its update.
+	var lsn [pages]uint64
 	for p := 0; p < pages; p++ {
 		must(t, m.Write(1, int64(p), val(p, "t1")))
+		lsn[p] = m.nextLSN - 1
 	}
 	must(t, m.Commit(1))
 	if got := m.Stats()["steals"]; got != pages-2 {
 		t.Fatalf("steals = %d, want %d", got, pages-2)
 	}
 	for p := 0; p < pages-2; p++ {
-		data, lsn, err := store.Read(pagestore.PageID(p))
+		data, version, err := store.Read(pagestore.PageID(p))
 		must(t, err)
-		if string(data) != string(val(p, "t1")) || lsn != uint64(p+1) {
-			t.Fatalf("stolen page %d reads back %q at LSN %d, want %q at LSN %d", p, data, lsn, val(p, "t1"), p+1)
+		if string(data) != string(val(p, "t1")) || version != lsn[p] {
+			t.Fatalf("stolen page %d reads back %q at LSN %d, want %q at LSN %d", p, data, version, val(p, "t1"), lsn[p])
 		}
 	}
 

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -44,7 +45,7 @@ func decodeChunk(buf []byte) ([]Record, error) {
 
 func TestRecordMarshalRoundTrip(t *testing.T) {
 	recs := []Record{
-		{LSN: 42, Type: RecUpdate, Txn: 7, Page: 99, PrevLSN: 40, Off: 5, Del: 3, Old: []byte("old"), New: []byte("newer")},
+		{LSN: 42, Type: RecUpdate, Txn: 7, Page: 99, PrevLSN: 40, Off: 5, Del: 3, New: []byte("newer")},
 		{LSN: 43, Type: RecUpdate, Txn: 7, Page: -1, PrevLSN: 42, CompLSN: 12, Off: 5, Del: 5, New: []byte("old")},
 		{LSN: 44, Type: RecCommit, Txn: 7, PrevLSN: 43},
 		{LSN: 45, Type: RecAbort, Txn: 8, PrevLSN: 2},
@@ -53,6 +54,9 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 		{LSN: 48, Type: RecCommit, PrevLSN: 47},
 		{LSN: 1, Type: RecUpdate, Txn: 1, New: []byte("first")},
 		{LSN: 1, Type: RecCheckpoint},
+		{LSN: 49, Type: RecUpdate, Txn: 9, Page: 3, Off: 2, Del: 3, New: []byte("abc")},
+		{LSN: 50, Type: RecUndo, Txn: 9, CompLSN: 49, Old: []byte("was")},
+		{LSN: 51, Type: RecCommit, Txn: 9, PrevLSN: 49},
 	}
 	for _, in := range recs {
 		buf := encodeChunk(in)
@@ -67,7 +71,7 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, out)
 		}
-		if out.IsCLR() != (in.CompLSN != 0) {
+		if out.IsCLR() != (in.Type == RecUpdate && in.CompLSN != 0) {
 			t.Fatalf("%+v: IsCLR = %v", in, out.IsCLR())
 		}
 		// Old and New alias the input: decoding allocates nothing, however
@@ -77,7 +81,8 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	// As one chunk, LSNs 43, 44 and 46 follow the record before them; 48
-	// does not, because nothing follows a checkpoint.
+	// does not, because nothing follows a checkpoint, and 51 does not,
+	// because nothing follows an undo record.
 	chunk := encodeChunk(recs...)
 	out, err := decodeChunk(chunk)
 	if err != nil || !reflect.DeepEqual(out, recs) {
@@ -97,18 +102,18 @@ func TestRecordMarshalProperty(t *testing.T) {
 	f := func(lsn, txn, prev, comp uint64, pg int64, off uint16, old, ins []byte, chain bool) bool {
 		lsn |= 1 << 20 // leave room below for PrevLSN and CompLSN
 		in := Record{LSN: lsn, Type: RecUpdate, Txn: txn, Page: pg, PrevLSN: prev % lsn,
-			Off: int(off % 4096), Del: len(old), Old: old, New: ins}
-		if comp%2 == 0 { // a CLR names the update it compensates and carries no Old
-			in.CompLSN, in.Old = 1+comp%(lsn-1), nil
-		}
-		if len(in.Old) == 0 {
-			in.Old = nil
+			Off: int(off % 4096), Del: len(old), New: ins}
+		switch {
+		case comp%3 == 0: // a CLR names the update it compensates
+			in.CompLSN = 1 + comp%(lsn-1)
+		case comp%3 == 1 && len(old) > 0: // an undo record names the update whose old bytes it holds
+			in = Record{LSN: lsn, Type: RecUndo, Txn: txn, CompLSN: 1 + comp%(lsn-1), Old: old}
 		}
 		if len(in.New) == 0 {
 			in.New = nil
 		}
-		// The commit after it follows it, or (the other transaction's)
-		// does not.
+		// The commit after an update follows it, or (the other
+		// transaction's) does not; nothing follows an undo record.
 		commit := Record{LSN: lsn + 1, Type: RecCommit, Txn: txn, PrevLSN: lsn}
 		if !chain {
 			commit.Txn++
@@ -117,7 +122,7 @@ func TestRecordMarshalProperty(t *testing.T) {
 		chunk := encodeChunk(recs...)
 		out, err := decodeChunk(chunk)
 		follows := chunk[len(chunk)-1] == byte(RecCommit)+tagFollows
-		return err == nil && reflect.DeepEqual(recs, out) && follows == chain
+		return err == nil && reflect.DeepEqual(recs, out) && follows == (chain && in.Type == RecUpdate)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -125,15 +130,15 @@ func TestRecordMarshalProperty(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	r := Record{LSN: 9, Type: RecUpdate, Txn: 2, Page: 4, PrevLSN: 8, Off: 1, Del: 2, Old: []byte("ab"), New: []byte("xyz")}
+	r := Record{LSN: 9, Type: RecUpdate, Txn: 2, Page: 4, PrevLSN: 8, Off: 1, Del: 2, New: []byte("xyz")}
 	good := encodeChunk(r)
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
 	then := func(next ...byte) []byte { return append(append([]byte(nil), good...), next...) }
 	for name, buf := range map[string][]byte{
-		"header only":    good[:3],
-		"truncated body": good[:len(good)-1],
-		"type 0":         mutate(func(b []byte) []byte { b[0] &^= tagTypeMask; return b }),
-		"type 7":         mutate(func(b []byte) []byte { b[0] |= tagTypeMask; return b }),
+		"header only":            good[:3],
+		"truncated body":         good[:len(good)-1],
+		"undo with update flags": mutate(func(b []byte) []byte { b[0] &^= tagTypeMask; return b }),
+		"type 7":                 mutate(func(b []byte) []byte { b[0] |= tagTypeMask; return b }),
 		"commit with a delta flag": mutate(func(b []byte) []byte {
 			b[0] = b[0]&^tagTypeMask | byte(RecCommit)
 			return b
@@ -143,9 +148,20 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		"PrevLSN flagged but zero":  {byte(RecCommit) | tagPrev, 9, 2, 0},
 		"PrevLSN at or below zero":  {byte(RecCommit) | tagPrev, 9, 2, 9},
 		"Off past the chunk":        {byte(RecUpdate) | tagOff, 9, 2, 8, 0x81, 0x80, 0x04},
-		"Del past the chunk":        {byte(RecUpdate) | tagComp | tagDel, 9, 2, 8, 1, 0x81, 0x80, 0x04},
-		"Off+Del past the chunk":    {byte(RecUpdate) | tagComp | tagOff | tagDel, 9, 2, 8, 1, 0x81, 0x80, 0x02, 0x80, 0x80, 0x02},
+		"Del past the chunk":        binary.AppendVarint([]byte{byte(RecUpdate) | tagComp | tagShrink, 9, 2, 8, 1}, LogChunkSize+1),
+		"Off+Del past the chunk":    binary.AppendVarint([]byte{byte(RecUpdate) | tagComp | tagOff | tagShrink, 9, 2, 8, 1, 0x80, 0x80, 0x02}, LogChunkSize/2+1),
 		"New longer than the input": {byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0x7f, 'x'},
+		// Del is coded as Del-len(New), present only when not zero, and
+		// the difference may not make Del negative.
+		"Del equal to len(New), present": {byte(RecUpdate) | tagShrink | tagNew, 9, 2, 8, 0, 1, 'x'},
+		"Del below zero":                 {byte(RecUpdate) | tagShrink | tagNew, 9, 2, 8, 3, 1, 'x'},
+		// An undo record's fields are all present and it has no flags.
+		"undo with a PrevLSN":       {tagUndo | tagPrev, 9, 2, 1, 1, 1, 'a'},
+		"undo with a New flag":      {tagUndo | tagNew, 9, 2, 1, 1, 'a'},
+		"undo with no old bytes":    {tagUndo, 9, 2, 1, 0},
+		"undo naming LSN 0":         {tagUndo, 9, 2, 9, 1, 'a'},
+		"undo shorter than its Old": {tagUndo, 9, 2, 1, 2, 'a'},
+		"following an undo record":  append(encodeChunk(Record{LSN: 9, Type: RecUndo, Txn: 2, CompLSN: 8, Old: []byte("a")}), byte(RecCommit)+tagFollows),
 		// A record that follows carries no LSN, Txn or PrevLSN of its own,
 		// so it must have a record before it to take them from, and a
 		// record that could follow must.
@@ -571,15 +587,18 @@ func TestFuzzyCheckpointKeepsActiveTxnRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Transaction 1 keeps running and never commits; the checkpoint flushed
-	// its dirty page (steal), so recovery must undo it — which requires its
-	// records to have survived truncation.
+	// its dirty page (steal) after an undo record, so recovery must undo it
+	// — which requires its records to have survived truncation.
+	if n := m.Stats()["stealsUncommitted"]; n != 1 {
+		t.Fatalf("the checkpoint wrote %d pages holding an open update, want 1", n)
+	}
 	m.Crash()
 	if err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.ReadCommitted(1)
 	if string(got) != "v0" {
-		t.Fatalf("active transaction not undone after fuzzy checkpoint: %q", got)
+		t.Fatalf("active transaction not undone after a checkpoint: %q", got)
 	}
 	got, _ = m.ReadCommitted(2)
 	if string(got) != "w14" {

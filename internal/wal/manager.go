@@ -834,7 +834,7 @@ func (m *Manager) redo(r *Record, ts *txnState) (old []byte, err error) {
 	if bp == nil {
 		bp = m.takeFrame()
 		m.spare = bp.data
-		*bp = bufPage{id: id, txn: r.Txn, dirty: true}
+		bp.id, bp.txn, bp.dirty = id, r.Txn, true
 	}
 	bp.data, bp.lsn = data, r.LSN
 	m.redone++
@@ -862,22 +862,23 @@ func (m *Manager) takeFrame() *bufPage {
 	return m.held[n]
 }
 
-// release writes the pages restart holds for tid, which has ended, in the
-// order it redid them. Their frames move past the held list's end, where
-// takeFrame finds them, and the pages still held keep their order.
+// release writes the pages restart holds for tid, which has ended. Each
+// frame swaps places with the held list's last and the list shrinks past
+// it, where takeFrame finds it again.
 func (m *Manager) release(tid uint64) error {
-	kept := 0
-	for i, bp := range m.held {
+	for i := 0; i < len(m.held); {
+		bp := m.held[i]
 		if bp.txn != tid {
-			m.held[i], m.held[kept] = m.held[kept], bp
-			kept++
+			i++
 			continue
 		}
 		if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
 			return err
 		}
+		last := len(m.held) - 1
+		m.held[i], m.held[last] = m.held[last], bp
+		m.held = m.held[:last]
 	}
-	m.held = m.held[:kept]
 	return nil
 }
 

@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz loc ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-smoke fuzz-wal fuzz-server logvolume lockbench txnbench recoverbench
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-smoke fuzz-wal fuzz-server fuzz-filestore logvolume lockbench txnbench recoverbench
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume lockbench txnbench recoverbench fuzz-wal fuzz-server crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
+ci: build vet lint test race cover logvolume lockbench txnbench recoverbench fuzz-wal fuzz-server fuzz-filestore crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -127,9 +127,11 @@ lockbench:
 txnbench:
 	$(GO) test -run xxx -bench BenchmarkEngineTransfer -benchmem ./internal/engine/
 
-# What WAL restart costs: ns, bytes and allocations per logged transaction
-# of one restart over 30,000 committed transfers on 1,024 pages, on one
-# stream and on three page-mod streams.
+# What WAL restart costs: ns, bytes, allocations and data-page reads and
+# writes per logged transaction of one restart over 30,000 committed
+# transfers: on 1,024 pages, on one stream and on three page-mod streams;
+# on 8 pages (the hot-upgrade shape); and on 8 pages with four transactions
+# interleaving.
 recoverbench:
 	$(GO) test -run xxx -bench BenchmarkManagerRecover -benchmem ./internal/wal/
 
@@ -143,9 +145,14 @@ fuzz-wal:
 fuzz-server:
 	$(GO) test -run xxx -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/server/
 
+# Bounded run of the file store's power-on over arbitrary wal.log and
+# data.db bytes.
+fuzz-filestore:
+	$(GO) test -run xxx -fuzz FuzzFilestorePowerOn -fuzztime 10s ./internal/pagestore/filestore/
+
 # Short runs of the native fuzz targets.
-fuzz: fuzz-wal fuzz-server
+fuzz: fuzz-wal fuzz-server fuzz-filestore
 
 clean:
-	rm -rf internal/*/testdata/fuzz
+	rm -rf internal/*/testdata/fuzz internal/*/*/testdata/fuzz
 	rm -f cover.out

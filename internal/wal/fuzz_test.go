@@ -64,7 +64,8 @@ func FuzzUnmarshalRecord(f *testing.F) {
 		var c chunkCodec
 		var recs []Record
 		for rest := data; len(rest) > 0; {
-			r, n, err := c.decode(rest)
+			var r Record
+			n, err := c.decode(rest, &r)
 			if err != nil {
 				return
 			}
@@ -160,8 +161,9 @@ func addLog(f *testing.F, streams int, run func(m *Manager) error, withMeta bool
 // 16-byte meta page per stream, stream 0's first; a stream's chunk goes
 // where its meta page says the stream starts, when that is a chunk number.
 // The seeds are real logs: a transfer, an abort with CLRs, a checkpoint, a
-// gap between streams, three streams a checkpoint truncated, and losers
-// whose pages were stolen after their undo records.
+// gap between streams, three streams a checkpoint truncated, losers whose
+// pages were stolen after their undo records, and a transaction id that
+// recurs after a restart.
 func FuzzRecover(f *testing.F) {
 	for _, seed := range []struct {
 		streams int
@@ -232,6 +234,16 @@ func FuzzRecover(f *testing.F) {
 		}
 		return err
 	}, true)
+	// T1 commits before a restart; after it a new T1 stays open while T2
+	// changes the first T1's page and commits.
+	addLog(f, 1, func(m *Manager) error {
+		if err := errors.Join(m.Begin(1), m.Write(1, 0, []byte("one")), m.Commit(1)); err != nil {
+			return err
+		}
+		m.Crash()
+		return errors.Join(m.Recover(), m.Begin(1), m.Write(1, 1, []byte("page-1-again")),
+			m.Begin(2), m.Write(2, 0, []byte("two")), m.Commit(2))
+	}, false)
 	f.Fuzz(func(t *testing.T, n uint8, c0, c1, c2, meta []byte) {
 		streams := 1 + int(n%3)
 		m := fuzzManager(streams)

@@ -98,9 +98,8 @@ type Manager struct {
 	nextLSN uint64
 
 	pool  map[pagestore.PageID]*bufPage
-	lru   bufPage    // ring anchor: lru.next is the eviction victim
-	spare []byte     // the last victim's page buffer, for the next fetch
-	held  []*bufPage // restart: the pages redone for open transactions (see redo)
+	lru   bufPage // ring anchor: lru.next is the eviction victim
+	spare []byte  // the last victim's page buffer, for the next fetch
 
 	att      map[uint64]*txnState
 	freeTxns []*txnState // ended transactions' records, cleared for reuse
@@ -399,30 +398,49 @@ func (m *Manager) resetPool() {
 }
 
 // getPage returns the pooled page, fetching (and possibly evicting) as
-// needed. Pages never stored read as empty. A full pool recycles: the page
-// is read into the spare buffer before the victim is stolen, so the store
-// sees the read first; then the victim's frame takes the new page and its
-// old buffer becomes the spare.
+// needed. A full pool recycles its least recently used frame (see admit).
 func (m *Manager) getPage(p pagestore.PageID) (*bufPage, error) {
 	if bp, ok := m.pool[p]; ok {
 		bp.unlink()
 		m.pushNewest(bp)
 		return bp, nil
 	}
-	data, version, err := m.data.ReadInto(m.spare, p)
-	if err == pagestore.ErrNotFound {
-		data, version = m.spare[:0], 0
-	} else if err != nil {
-		return nil, err
-	}
-	bp, err := m.evictIfFull()
+	data, version, err := m.fetch(p)
 	if err != nil {
 		return nil, err
 	}
+	var victim *bufPage
+	if len(m.pool) >= m.cfg.PoolPages {
+		victim = m.lru.next
+	}
+	return m.admit(p, data, version, victim)
+}
+
+// fetch reads page p into the spare buffer, which keeps the result. Pages
+// never stored read as empty, at version 0.
+func (m *Manager) fetch(p pagestore.PageID) ([]byte, uint64, error) {
+	data, version, err := m.data.ReadInto(m.spare, p)
+	if err == pagestore.ErrNotFound {
+		data, version, err = m.spare[:0], 0, nil
+	} else if err != nil {
+		return nil, 0, err
+	}
+	m.spare = data
+	return data, version, nil
+}
+
+// admit pools page p, fetched into the spare buffer at version, in victim's
+// frame, or in a new frame when victim is nil. The page is read before the
+// victim is stolen, so the store sees the read first; then the victim's old
+// buffer becomes the spare.
+func (m *Manager) admit(p pagestore.PageID, data []byte, version uint64, victim *bufPage) (*bufPage, error) {
+	bp := victim
 	if bp == nil {
 		bp = &bufPage{}
+	} else if err := m.evict(bp); err != nil {
+		return nil, err
 	}
-	m.spare = bp.data // the victim's buffer; nil for a new frame
+	m.spare = bp.data // nil for a new frame
 	*bp = bufPage{id: p, data: data, lsn: version}
 	m.pool[p] = bp
 	m.pushNewest(bp)
@@ -438,18 +456,14 @@ func (m *Manager) pushNewest(bp *bufPage) {
 	bp.prev.next, m.lru.prev = bp, bp
 }
 
-// evictIfFull applies LRU replacement and returns the evicted frame, nil
-// when the pool had room. A dirty victim is stolen to disk by flush. The
-// victim is the least recently used page, whose records a commit has
-// usually forced long ago, so most steals cost the page write alone.
-func (m *Manager) evictIfFull() (*bufPage, error) {
-	if len(m.pool) < m.cfg.PoolPages {
-		return nil, nil
-	}
-	bp := m.lru.next
+// evict takes bp out of the pool. A dirty page is stolen to disk by flush
+// first. Replacement is LRU: the victim is the least recently used page,
+// whose records a commit has usually forced long ago, so most steals cost
+// the page write alone.
+func (m *Manager) evict(bp *bufPage) error {
 	if bp.dirty {
 		if err := m.flush(bp); err != nil {
-			return nil, err
+			return err
 		}
 		m.steals++
 		// A steal is the WAL engine's only stable page write outside
@@ -459,7 +473,7 @@ func (m *Manager) evictIfFull() (*bufPage, error) {
 	}
 	bp.unlink()
 	delete(m.pool, bp.id)
-	return bp, nil
+	return nil
 }
 
 // flush writes dirty page bp to disk under the write-ahead rule, which
@@ -592,14 +606,19 @@ func (m *Manager) Crash() {
 // whose LSNs do not ascend is reported, and then trimmed from the streams;
 // its LSNs are handed out again.
 //
-// Update records carry no old bytes, so restart never writes a page that
-// holds an update of a transaction still open in the pass (see redo): a
-// crash would leave that update on disk with nothing in the log to undo it
-// from. The losers' pages redone in memory are rolled back there, with the
-// old bytes their redo removed; an update the stable page already held is
-// rolled back with the old bytes of its undo record, which the run-time
-// write-ahead rule logged before the page reached disk. Such an update
-// without one is corruption.
+// Redo runs through the buffer pool, as in ARIES, and writes nothing at a
+// commit or abort record: a redone page stays pooled and reaches disk later,
+// by a steal or a checkpoint, so restart reads a page once and writes it at
+// most once per stay in the pool. Update records carry no old bytes, so
+// the pass never steals a page that holds an update of a transaction still
+// open in it (see pinned): a crash would leave that update on disk with
+// nothing in the log to undo it from. The losers' pages redone in memory
+// are rolled back there, with the old bytes their redo removed; an update
+// the stable page already held is rolled back with the old bytes of its
+// undo record, which the run-time write-ahead rule logged before the page
+// reached disk. Such an update without one is corruption. The pool may
+// grow past PoolPages while every frame is pinned; it is cut back to size
+// once undo ends.
 func (m *Manager) Recover() error {
 	if err := m.data.Reset(); err != nil {
 		return err
@@ -611,7 +630,6 @@ func (m *Manager) Recover() error {
 	m.scanned = 0
 	clear(m.att)
 	m.resetPool()
-	m.held = m.held[:0]
 
 	readers := make([]*reader, len(m.streams))
 	dead := uint64(0)
@@ -652,14 +670,6 @@ func (m *Manager) Recover() error {
 		}
 	}
 	m.nextLSN = next
-	// The pages still held are the losers': undo starts from them, and
-	// the held list keeps only the frames it has released.
-	for _, bp := range m.held {
-		m.pool[bp.id] = bp
-		m.pushNewest(bp)
-	}
-	clear(m.held)
-	m.held = m.held[:0]
 
 	// The transactions still open are the losers.
 	losers := make([]uint64, 0, len(m.att))
@@ -690,7 +700,7 @@ func (m *Manager) Recover() error {
 	}
 
 	// Undo: the losers' uncompensated updates, newest first across all of
-	// them, through the pool, which holds the losers' redone pages.
+	// them, through the pool, which holds the pages redone for them.
 	// Compensated updates were rolled back by their own CLRs during redo;
 	// undoing them again would clobber later committed work.
 	type pending struct{ lsn, tid uint64 }
@@ -716,16 +726,21 @@ func (m *Manager) Recover() error {
 	for _, tid := range losers {
 		m.endTxn(tid, m.att[tid])
 	}
+	for len(m.pool) > m.cfg.PoolPages {
+		if err := m.evict(m.lru.next); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // repeat acts on one live record at restart. The transaction table follows
-// the record's transaction, which a commit or abort record ends, writing
-// the pages held for it. An update or CLR is redone. An open transaction
-// keeps what rolling its updates back takes, less what its CLRs already
-// rolled back; an undo record supplies the old bytes of an update the
-// stable page already held. The old bytes are copied out of the chunk or
-// page.
+// the record's transaction, which a commit or abort record ends: that
+// unpins the pages it redid and writes nothing. An update or CLR is
+// redone. An open transaction keeps what rolling its updates back takes,
+// less what its CLRs already rolled back; an undo record supplies the old
+// bytes of an update the stable page already held. The old bytes are
+// copied out of the chunk or page.
 func (m *Manager) repeat(r *Record) error {
 	if r.Type == RecCheckpoint {
 		return nil
@@ -740,9 +755,6 @@ func (m *Manager) repeat(r *Record) error {
 	}
 	switch r.Type {
 	case RecCommit, RecAbort:
-		if err := m.release(r.Txn); err != nil {
-			return err
-		}
 		ev := "winner"
 		if r.Type == RecAbort {
 			ev = "loser"
@@ -787,56 +799,42 @@ func (m *Manager) repeat(r *Record) error {
 
 // redo repeats update or CLR r of ts at restart, unless the stable page
 // already holds it, and returns the bytes an update removed (nil if it did
-// not redo it). A page restart redoes is held, unwritten, in a frame on
-// Manager.held until its transaction ends (see release). Strict two-phase
-// locking lets no other transaction change the page meanwhile; a log in
-// which one does is corrupt. A page not held is read into the pool's spare
-// buffer, which no frame uses. The held pages are pages the pool held when
-// the power failed, dirtied by open transactions' records, so they are
-// few: a list is searched faster than a map is kept.
+// not redo it). It looks in the pool first. A page not pooled is read into
+// the spare buffer, and pooled only if the log is ahead of it, in the frame
+// redoVictim picks. Strict two-phase locking lets no other transaction
+// change a pinned page; a log in which one does is corrupt.
 func (m *Manager) redo(r *Record, ts *txnState) (old []byte, err error) {
 	id := pagestore.PageID(r.Page)
-	var bp *bufPage
-	for _, h := range m.held {
-		if h.id == id {
-			bp = h
-			break
-		}
-	}
-	data := []byte(nil)
-	if bp != nil {
-		if bp.txn != r.Txn {
-			return nil, fmt.Errorf("wal: LSN %d: txn %d changes page %d while txn %d, still open, holds it", r.LSN, r.Txn, r.Page, bp.txn)
-		}
-		data = bp.data
-	} else {
-		var version uint64
-		data, version, err = m.data.ReadInto(m.spare, id)
-		if err == pagestore.ErrNotFound {
-			data, version = m.spare[:0], 0
-		} else if err != nil {
+	bp := m.pool[id]
+	switch {
+	case bp == nil:
+		data, version, err := m.fetch(id)
+		if err != nil {
 			return nil, err
 		}
-		m.spare = data
 		if version >= r.LSN {
 			return nil, nil
 		}
+		if bp, err = m.admit(id, data, version, m.redoVictim()); err != nil {
+			return nil, err
+		}
+	case bp.txn != r.Txn && m.pinned(bp):
+		return nil, fmt.Errorf("wal: LSN %d: txn %d changes page %d while txn %d, still open, holds it", r.LSN, r.Txn, r.Page, bp.txn)
+	default:
+		bp.unlink()
+		m.pushNewest(bp)
 	}
-	if r.Off+r.Del > len(data) {
-		return nil, fmt.Errorf("wal: redo of LSN %d on page %d: delta at %d (-%d +%d) reaches past the page's %d bytes", r.LSN, r.Page, r.Off, r.Del, len(r.New), len(data))
+	if r.Off+r.Del > len(bp.data) {
+		return nil, fmt.Errorf("wal: redo of LSN %d on page %d: delta at %d (-%d +%d) reaches past the page's %d bytes", r.LSN, r.Page, r.Off, r.Del, len(r.New), len(bp.data))
 	}
 	if !r.IsCLR() {
-		old = ts.keep(data[r.Off : r.Off+r.Del])
+		old = ts.keep(bp.data[r.Off : r.Off+r.Del])
 	}
-	if data, err = splice(data, r.Off, r.Del, r.New); err != nil {
+	data, err := splice(bp.data, r.Off, r.Del, r.New)
+	if err != nil {
 		return nil, err
 	}
-	if bp == nil {
-		bp = m.takeFrame()
-		m.spare = bp.data
-		bp.id, bp.txn, bp.dirty = id, r.Txn, true
-	}
-	bp.data, bp.lsn = data, r.LSN
+	bp.data, bp.lsn, bp.txn, bp.dirty = data, r.LSN, r.Txn, true
 	m.redone++
 	note := ""
 	if r.IsCLR() {
@@ -846,40 +844,29 @@ func (m *Manager) redo(r *Record, ts *txnState) (old []byte, err error) {
 	return old, nil
 }
 
-// takeFrame appends a frame to the held list: one a release left past its
-// end, or a new one.
-func (m *Manager) takeFrame() *bufPage {
-	n := len(m.held)
-	if n < cap(m.held) {
-		m.held = m.held[:n+1]
-		if bp := m.held[n]; bp != nil {
+// redoVictim picks the frame restart's pass recycles for a page it redoes:
+// none while the pool has room, else the least recently used frame not
+// pinned, and none again, so that the pool grows, when every frame is.
+func (m *Manager) redoVictim() *bufPage {
+	if len(m.pool) < m.cfg.PoolPages {
+		return nil
+	}
+	for bp := m.lru.next; bp != &m.lru; bp = bp.next {
+		if !m.pinned(bp) {
 			return bp
 		}
-	} else {
-		m.held = append(m.held, nil)
-	}
-	m.held[n] = &bufPage{}
-	return m.held[n]
-}
-
-// release writes the pages restart holds for tid, which has ended. Each
-// frame swaps places with the held list's last and the list shrinks past
-// it, where takeFrame finds it again.
-func (m *Manager) release(tid uint64) error {
-	for i := 0; i < len(m.held); {
-		bp := m.held[i]
-		if bp.txn != tid {
-			i++
-			continue
-		}
-		if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
-			return err
-		}
-		last := len(m.held) - 1
-		m.held[i], m.held[last] = m.held[last], bp
-		m.held = m.held[:last]
 	}
 	return nil
+}
+
+// pinned reports whether restart must keep pooled page bp off the disk: the
+// transaction that last redid it is still open in the pass. Transaction ids
+// recur from one process to the next, so what must still be open is the
+// incarnation that redid the page, the one whose first record is at or
+// below the page's LSN.
+func (m *Manager) pinned(bp *bufPage) bool {
+	ts := m.att[bp.txn]
+	return ts != nil && ts.firstLSN <= bp.lsn
 }
 
 // ReadCommitted reads page p's current contents; meaningful once no

@@ -320,15 +320,15 @@ func (d *decoder) image(n int) []byte {
 	return b
 }
 
-// decode decodes the chunk's next record from the front of buf, returning
-// the record and the number of bytes consumed. The record's Old and New
-// alias buf. Anything encode could not have produced — a flag the type
-// does not allow, an overlong varint, a range past LogChunkSize, a following
-// record where none may follow, a whole one where it must — is an error,
-// never a panic.
-func (c *chunkCodec) decode(buf []byte) (Record, int, error) {
+// decode decodes the chunk's next record from the front of buf into r,
+// returning the number of bytes consumed. The record's Old and New alias
+// buf. Anything encode could not have produced — a flag the type does not
+// allow, an overlong varint, a range past LogChunkSize, a following record
+// where none may follow, a whole one where it must — is an error, never a
+// panic; r is then undefined.
+func (c *chunkCodec) decode(buf []byte, r *Record) (int, error) {
 	if len(buf) == 0 {
-		return Record{}, 0, fmt.Errorf("wal: empty record")
+		return 0, fmt.Errorf("wal: empty record")
 	}
 	tag := buf[0]
 	typ := tag & tagTypeMask
@@ -339,22 +339,22 @@ func (c *chunkCodec) decode(buf []byte) (Record, int, error) {
 	case follows:
 		typ -= tagFollows
 	}
-	r := Record{Type: RecType(typ)}
+	*r = Record{Type: RecType(typ)}
 	switch {
 	case r.Type == RecUndo && tag != tagUndo:
-		return Record{}, 0, fmt.Errorf("wal: UNDO record with flags %#x", tag)
+		return 0, fmt.Errorf("wal: UNDO record with flags %#x", tag)
 	case r.Type != RecUpdate && tag&^(tagTypeMask|tagPrev) != 0:
-		return Record{}, 0, fmt.Errorf("wal: %v record with update flags %#x", r.Type, tag)
+		return 0, fmt.Errorf("wal: %v record with update flags %#x", r.Type, tag)
 	}
 	d := &decoder{buf: buf, n: 1}
 	if follows {
 		switch {
 		case c.lsn == 0:
-			return Record{}, 0, fmt.Errorf("wal: following %v record with no record before it to follow", r.Type)
+			return 0, fmt.Errorf("wal: following %v record with no record before it to follow", r.Type)
 		case c.lsn+1 == 0:
-			return Record{}, 0, fmt.Errorf("wal: following %v record overflows the LSN", r.Type)
+			return 0, fmt.Errorf("wal: following %v record overflows the LSN", r.Type)
 		case tag&tagPrev != 0:
-			return Record{}, 0, fmt.Errorf("wal: following %v record with a PrevLSN", r.Type)
+			return 0, fmt.Errorf("wal: following %v record with a PrevLSN", r.Type)
 		}
 		r.LSN, r.Txn, r.PrevLSN = c.lsn+1, c.txn, c.lsn
 	} else {
@@ -363,8 +363,8 @@ func (c *chunkCodec) decode(buf []byte) (Record, int, error) {
 		if tag&tagPrev != 0 {
 			r.PrevLSN = d.back("PrevLSN", r.LSN)
 		}
-		if d.err == nil && c.follows(&r) {
-			return Record{}, 0, fmt.Errorf("wal: %v record at LSN %d coded whole, but it follows the record before it", r.Type, r.LSN)
+		if d.err == nil && c.follows(r) {
+			return 0, fmt.Errorf("wal: %v record at LSN %d coded whole, but it follows the record before it", r.Type, r.LSN)
 		}
 	}
 	switch r.Type {
@@ -388,15 +388,15 @@ func (c *chunkCodec) decode(buf []byte) (Record, int, error) {
 		}
 		r.Del = nNew + shrink
 		if d.err == nil && (r.Del < 0 || r.Off+r.Del > logChunkSize || r.Off+nNew > logChunkSize) {
-			return Record{}, 0, fmt.Errorf("wal: range at %d (-%d +%d) reaches past the log chunk size", r.Off, r.Del, nNew)
+			return 0, fmt.Errorf("wal: range at %d (-%d +%d) reaches past the log chunk size", r.Off, r.Del, nNew)
 		}
 		r.New = d.image(nNew)
 	}
 	if d.err != nil {
-		return Record{}, 0, d.err
+		return 0, d.err
 	}
-	c.step(&r)
-	return r, d.n, nil
+	c.step(r)
+	return d.n, nil
 }
 
 // diff finds the minimal byte range in which before and after differ: the

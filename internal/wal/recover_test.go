@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,10 +20,12 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // transferLog runs txns committed transfers between two 8-byte balances over
-// pages pages, with cfg's pool and no checkpoint, and then cuts the power:
-// the crash-restart workload of the repository's benchmark, without the
-// server.
-func transferLog(tb testing.TB, cfg Config, txns, pages int) *Manager {
+// pages pages, with cfg's pool and no checkpoint, and then cuts the power.
+// width transactions run at once, their records interleaved: all begin,
+// each debits, each credits, each commits. They touch disjoint pages, as
+// strict two-phase locking would have them. Width 1 is the crash-restart
+// workload of the repository's benchmark, without the server.
+func transferLog(tb testing.TB, cfg Config, txns, pages, width int) *Manager {
 	tb.Helper()
 	m, _ := newTestManager(cfg)
 	bal := make([]byte, 8)
@@ -32,50 +35,70 @@ func transferLog(tb testing.TB, cfg Config, txns, pages int) *Manager {
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < txns; i++ {
-		tid := uint64(i + 1)
-		from, to := int64(rng.Intn(pages)), int64(rng.Intn(pages))
-		if err := m.Begin(tid); err != nil {
-			tb.Fatal(err)
-		}
-		for _, p := range []int64{from, to} {
-			v, err := m.Read(tid, p)
-			if err != nil {
-				tb.Fatal(err)
+	ends := make([][2]int64, width)
+	for i := 0; i < txns; i += width {
+		round := ends[:min(width, txns-i)]
+		for k := range round {
+			for again := true; again; {
+				round[k] = [2]int64{int64(rng.Intn(pages)), int64(rng.Intn(pages))}
+				again = slices.ContainsFunc(round[:k], func(e [2]int64) bool {
+					return slices.Contains(e[:], round[k][0]) || slices.Contains(e[:], round[k][1])
+				})
 			}
-			v[7]++
-			if err := m.Write(tid, p, v); err != nil {
+			if err := m.Begin(uint64(i + k + 1)); err != nil {
 				tb.Fatal(err)
 			}
 		}
-		if err := m.Commit(tid); err != nil {
-			tb.Fatal(err)
+		for end := 0; end < 2; end++ {
+			for k, e := range round {
+				tid, p := uint64(i+k+1), e[end]
+				v, err := m.Read(tid, p)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				v[7]++
+				if err := m.Write(tid, p, v); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+		for k := range round {
+			if err := m.Commit(uint64(i + k + 1)); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	}
 	m.Crash()
 	return m
 }
 
-// BenchmarkManagerRecover times restart alone over the crash-restart log:
-// 30,000 committed transfers over 1,024 pages, built and crashed outside
-// the timer. ns/txn, B/txn and allocs/txn are per logged transaction, and
-// so is logB/txn, the stable log bytes restart reads.
+// BenchmarkManagerRecover times restart alone over logs of 30,000 committed
+// transfers, built and crashed outside the timer: the crash-restart log on
+// 1,024 pages, on one stream and on three; the hot-upgrade shape, the same
+// transfers on 8 pages; and four transactions at a time interleaving on 8
+// pages. ns/txn, B/txn and allocs/txn are per logged transaction, and so
+// are logB/txn, the stable log bytes restart reads, and dataReads/txn and
+// dataWrites/txn, its data-page I/O.
 func BenchmarkManagerRecover(b *testing.B) {
-	const txns, pages = 30000, 1024
+	const txns = 30000
 	for _, c := range []struct {
-		name string
-		cfg  Config
+		name         string
+		cfg          Config
+		pages, width int
 	}{
-		{"1stream", Config{}},
-		{"3streams-pagemod", Config{Streams: 3, Selection: PageMod}},
+		{"1stream", Config{}, 1024, 1},
+		{"3streams-pagemod", Config{Streams: 3, Selection: PageMod}, 1024, 1},
+		{"1stream-8pages", Config{}, 8, 1},
+		{"interleaved-8pages", Config{}, 8, 4},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			var bytes, allocs, logBytes float64
+			var bytes, allocs, logBytes, reads, writes float64
 			var before, after runtime.MemStats
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				m := transferLog(b, c.cfg, txns, pages)
+				m := transferLog(b, c.cfg, txns, c.pages, c.width)
 				logBytes += float64(m.Stats()["logBytes"])
+				r0, w0 := m.data.Stats()
 				runtime.ReadMemStats(&before)
 				b.StartTimer()
 				if err := m.Recover(); err != nil {
@@ -83,14 +106,19 @@ func BenchmarkManagerRecover(b *testing.B) {
 				}
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
+				r1, w1 := m.data.Stats()
 				bytes += float64(after.TotalAlloc - before.TotalAlloc)
 				allocs += float64(after.Mallocs - before.Mallocs)
+				reads += float64(r1 - r0)
+				writes += float64(w1 - w0)
 			}
 			per := float64(b.N) * txns
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/txn")
 			b.ReportMetric(bytes/per, "B/txn")
 			b.ReportMetric(allocs/per, "allocs/txn")
 			b.ReportMetric(logBytes/per, "logB/txn")
+			b.ReportMetric(reads/per, "dataReads/txn")
+			b.ReportMetric(writes/per, "dataWrites/txn")
 		})
 	}
 }
@@ -101,7 +129,7 @@ func BenchmarkManagerRecover(b *testing.B) {
 // still open, so neither its bytes nor its allocations grow with the log.
 func TestRecoverAllocationBudget(t *testing.T) {
 	const txns, pages, budget, allocBudget = 30000, 1024, 100, 0.01
-	m := transferLog(t, Config{}, txns, pages)
+	m := transferLog(t, Config{}, txns, pages, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	must(t, m.Recover())
@@ -146,6 +174,75 @@ func TestRecoverReadsEachChunkOnce(t *testing.T) {
 	after, _ := m.LogStore().Stats()
 	if got, want := after-before, live+2*int64(len(m.streams)); got != want {
 		t.Fatalf("restart made %d log-store reads, want %d: %d live chunks, and a meta page and a probe per stream", got, want, live)
+	}
+}
+
+// TestRestartDataIOByPage: restart's data-page I/O follows pages, not log
+// records. On transferLog's 8 pages the pool holds every page, so restart
+// reads each page once and writes none: the redone pages stay in the pool
+// until a steal or a checkpoint. On 1,024 pages behind a 64-page pool
+// restart still reads a page per update it checks, but writes a page only
+// to make room, so no more often than it redoes distinct pages.
+func TestRestartDataIOByPage(t *testing.T) {
+	const txns = 30000
+	for _, c := range []struct {
+		pages int
+		check func(reads, writes, redone int64) bool
+		want  string
+	}{
+		{8, func(r, w, _ int64) bool { return r <= 8 && w == 0 }, "≤ 8 reads and no write"},
+		{1024, func(r, w, redone int64) bool { return w <= redone && r <= 2*txns }, "writes ≤ distinct pages redone, reads ≤ 2 per txn"},
+	} {
+		m := transferLog(t, Config{}, txns, c.pages, 1)
+		journal := obs.NewJournal()
+		m.SetJournal(journal)
+		r0, w0 := m.data.Stats()
+		must(t, m.Recover())
+		r1, w1 := m.data.Stats()
+		redone := map[int64]bool{}
+		for _, r := range journal.Records() {
+			if r.Event == "redo" {
+				redone[*r.Page] = true
+			}
+		}
+		reads, writes := r1-r0, w1-w0
+		t.Logf("%4d pages: restart read %d and wrote %d data pages, redid %d records on %d pages", c.pages, reads, writes, m.Stats()["redone"], len(redone))
+		if !c.check(reads, writes, int64(len(redone))) {
+			t.Errorf("%d pages: restart read %d and wrote %d data pages, redoing %d distinct pages; want %s", c.pages, reads, writes, len(redone), c.want)
+		}
+	}
+}
+
+// TestRecoverRecurringTxnIDs: transaction ids start again at 1 in each
+// process, so one log can hold an id twice, once ended and once open. The
+// first T1 commits a change to page 0 before a crash. After restart a new
+// T1 changes page 1 and stays open, while T2 changes page 0 and commits.
+// Restart must see that page 0's T1 has ended, so T2 may change it, and
+// undo only the open T1.
+func TestRecoverRecurringTxnIDs(t *testing.T) {
+	m, _ := newTestManager(Config{})
+	must(t, m.Load(0, page("page-0")))
+	must(t, m.Load(1, page("page-1")))
+	must(t, m.Begin(1))
+	must(t, m.Write(1, 0, page("page-0-first-T1")))
+	must(t, m.Commit(1))
+	m.Crash()
+	must(t, m.Recover())
+	must(t, m.Begin(1)) // the next process's ids start at 1 again
+	must(t, m.Write(1, 1, page("page-1-second-T1")))
+	must(t, m.Begin(2))
+	must(t, m.Write(2, 0, page("page-0-T2")))
+	must(t, m.Commit(2)) // forces the second T1's record too
+	for round := 1; round <= 2; round++ {
+		m.Crash()
+		if err := m.Recover(); err != nil {
+			t.Fatalf("restart %d: %v", round, err)
+		}
+		for p, want := range []string{"page-0-T2", "page-1"} {
+			if got, err := m.ReadCommitted(int64(p)); err != nil || string(got) != want {
+				t.Fatalf("restart %d: page %d = %q, %v; want %q", round, p, got, err, want)
+			}
+		}
 	}
 }
 
@@ -473,18 +570,16 @@ func TestRecoverStoreOpSequence(t *testing.T) {
 // order. The pool holds every page, so nothing is stolen and the data
 // store keeps the loaded images: restart must repeat all of page 0's
 // history — a winner's updates, a rolled-back transaction's updates and
-// their CLRs, a second winner's updates over the restored image, and a
-// loser's update — before it undoes the loser. Restart is re-crashed at
-// every one of its store operations, reads included, and the restart
-// after it must still give the committed pages. A redo that applied one
-// page's records in any other order would splice deltas onto the wrong
-// base.
+// their CLRs, a second winner's updates over the restored image, a run of
+// short winners, and a loser's update — before it undoes the loser.
+// Restart is re-crashed at every one of its store operations, reads
+// included, and the restart after it must still give the committed pages.
+// A redo that applied one page's records in any other order would splice
+// deltas onto the wrong base.
 func TestPageRedoUnderRecrash(t *testing.T) {
 	const pages = 4
-	script := func(t *testing.T, cfg Config) (*Manager, *pagestore.Store, *obs.Journal, map[int64]string) {
+	script := func(t *testing.T, cfg Config, restartPool int) (*Manager, *pagestore.Store, *obs.Journal, map[int64]string) {
 		m, data := newTestManager(cfg)
-		journal := obs.NewJournal()
-		m.SetJournal(journal)
 		model := map[int64]string{}
 		for p := int64(0); p < pages; p++ {
 			model[p] = fmt.Sprintf("page-%d-initial", p)
@@ -508,6 +603,13 @@ func TestPageRedoUnderRecrash(t *testing.T) {
 		must(t, m.Write(3, 3, page("page-3-three")))
 		must(t, m.Commit(3))
 		model[0], model[3] = "page-0-three", "page-3-three"
+		for tid := uint64(10); tid < 22; tid++ { // short winners, a force each
+			p := int64(tid % pages)
+			model[p] = fmt.Sprintf("page-%d-%d", p, tid)
+			must(t, m.Begin(tid))
+			must(t, m.Write(tid, p, page(model[p])))
+			must(t, m.Commit(tid))
+		}
 		must(t, m.Begin(4)) // a loser, on page 0 as well
 		must(t, m.Write(4, 0, page("page-0-four")))
 		must(t, m.Write(4, 2, page("page-2-four")))
@@ -516,6 +618,11 @@ func TestPageRedoUnderRecrash(t *testing.T) {
 		must(t, m.Commit(5))
 		model[1] = "page-1-five"
 		m.Crash()
+		if restartPool != 0 { // the next process runs with a smaller pool
+			m = NewManager(data, Config{Streams: cfg.Streams, LogStore: m.LogStore(), PoolPages: restartPool})
+		}
+		journal := obs.NewJournal()
+		m.SetJournal(journal)
 		return m, data, journal, model
 	}
 	audit := func(m *Manager, model map[int64]string) error {
@@ -531,26 +638,33 @@ func TestPageRedoUnderRecrash(t *testing.T) {
 		return nil
 	}
 	for _, c := range []struct {
-		name string
-		cfg  Config
+		name        string
+		cfg         Config
+		restartPool int // the pool restart runs with, when not cfg's
 	}{
-		{"1-streams", Config{Streams: 1, PoolPages: pages}},
-		{"3-streams", Config{Streams: 3, PoolPages: 2 * pages}},
+		{"1-streams", Config{Streams: 1, PoolPages: pages}, 0},
+		{"3-streams", Config{Streams: 3, PoolPages: 2 * pages}, 0},
 		// A two-page pool steals the loser's page 0 before the crash, after
 		// its undo record, while its page 2 stays in the pool: restart
-		// holds page 2 for the loser from its redo to its rollback, and
+		// pins page 2 for the loser from its redo to its rollback, and
 		// rolls page 0 back from the undo record.
-		{"1-streams-held", Config{Streams: 1, PoolPages: 2}},
+		{"1-streams-held", Config{Streams: 1, PoolPages: 2}, 0},
+		// Restart redoes all four pages in a two-page pool: it steals the
+		// pages the winners redid, and those writes are crash points too.
+		{"1-streams-restart-pool-2", Config{Streams: 1, PoolPages: pages}, 2},
 	} {
 		cfg := c.cfg
 		t.Run(c.name, func(t *testing.T) {
 			// Restart without a fault redoes the whole of page 0's history,
 			// when the pool held every page.
-			m, _, journal, model := script(t, cfg)
+			m, _, journal, model := script(t, cfg, c.restartPool)
 			if cfg.PoolPages < pages && m.Stats()["stealsUncommitted"] == 0 {
 				t.Fatal("the small pool stole no page before its transaction ended")
 			}
 			must(t, m.Recover())
+			if c.restartPool != 0 && m.Stats()["steals"] == 0 {
+				t.Fatal("restart's small pool stole no page")
+			}
 			if err := audit(m, model); err != nil {
 				t.Fatal(err)
 			}
@@ -566,7 +680,7 @@ func TestPageRedoUnderRecrash(t *testing.T) {
 
 			points := 0
 			for k := int64(1); ; k++ {
-				m, data, _, model := script(t, cfg)
+				m, data, _, model := script(t, cfg, c.restartPool)
 				hook := pagestore.CrashAtOp(k)
 				data.SetFaultHook(hook)
 				m.LogStore().SetFaultHook(hook)
@@ -613,7 +727,7 @@ func TestStealsUncommitted(t *testing.T) {
 		{1024, 2, "0"},
 		{1024, 1, "> 0"},
 	} {
-		m := transferLog(t, Config{PoolPages: c.pool}, 30000, c.pages)
+		m := transferLog(t, Config{PoolPages: c.pool}, 30000, c.pages, 1)
 		got := m.Stats()["stealsUncommitted"]
 		t.Logf("%4d pages, pool %2d: %d of %d steals uncommitted", c.pages, c.pool, got, m.Stats()["steals"])
 		if (c.want == "0") != (got == 0) {

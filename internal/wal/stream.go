@@ -245,16 +245,17 @@ func (r *reader) next() error {
 		s.chunkMax = append(s.chunkMax, 0)
 		s.nextChunk++
 	}
-	rec, n, err := r.codec.decode(r.rest)
+	last := r.head.LSN
+	n, err := r.codec.decode(r.rest, &r.head)
 	if err != nil {
 		return fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk-1, err)
 	}
-	if last := r.head.LSN; rec.LSN <= last {
-		return fmt.Errorf("wal: stream %d chunk %d: LSN %d is not above %d, but a stream's LSNs ascend from 1", s.idx, s.nextChunk-1, rec.LSN, last)
+	if r.head.LSN <= last {
+		return fmt.Errorf("wal: stream %d chunk %d: LSN %d is not above %d, but a stream's LSNs ascend from 1", s.idx, s.nextChunk-1, r.head.LSN, last)
 	}
 	r.rest = r.rest[n:]
-	s.chunkMax[len(s.chunkMax)-1] = rec.LSN
-	r.head, r.ok = rec, true
+	s.chunkMax[len(s.chunkMax)-1] = r.head.LSN
+	r.ok = true
 	return nil
 }
 
@@ -274,8 +275,9 @@ func (s *stream) trim(limit uint64) (int64, error) {
 		}
 		keep, max := 0, uint64(0)
 		var codec chunkCodec
+		var r Record
 		for rest := data; len(rest) > 0; {
-			r, n, err := codec.decode(rest)
+			n, err := codec.decode(rest, &r)
 			if err != nil {
 				return removed, fmt.Errorf("wal: stream %d chunk %d: %w", s.idx, s.nextChunk-1, err)
 			}

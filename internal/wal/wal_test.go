@@ -34,7 +34,8 @@ func decodeChunk(buf []byte) ([]Record, error) {
 	var c chunkCodec
 	var recs []Record
 	for len(buf) > 0 {
-		r, n, err := c.decode(buf)
+		var r Record
+		n, err := c.decode(buf, &r)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +62,8 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 	for _, in := range recs {
 		buf := encodeChunk(in)
 		var c chunkCodec
-		out, n, err := c.decode(append(buf, 0xAA)) // trailing bytes are the next record's
+		var out Record
+		n, err := c.decode(append(buf, 0xAA), &out) // trailing bytes are the next record's
 		if err != nil {
 			t.Fatalf("%+v: %v", in, err)
 		}
@@ -76,7 +78,7 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 		}
 		// Old and New alias the input: decoding allocates nothing, however
 		// large the lengths an input claims.
-		if a := testing.AllocsPerRun(100, func() { c = chunkCodec{}; _, _, _ = c.decode(buf) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { c = chunkCodec{}; _, _ = c.decode(buf, &out) }); a != 0 {
 			t.Fatalf("%+v: decoding allocates %v times", in, a)
 		}
 	}
@@ -89,11 +91,12 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("chunk round trip: %v\n in  %+v\n out %+v", err, recs, out)
 	}
 	var c chunkCodec
+	var r Record
 	for i, rest := 0, chunk; i < len(recs); i++ {
 		if got, want := rest[0]&tagTypeMask > tagFollows, i == 1 || i == 2 || i == 4; got != want {
 			t.Errorf("LSN %d: follows = %v, want %v", recs[i].LSN, got, want)
 		}
-		_, n, _ := c.decode(rest)
+		n, _ := c.decode(rest, &r)
 		rest = rest[n:]
 	}
 }
@@ -177,8 +180,9 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		}
 	}
 	var c chunkCodec
-	if r, _, err := c.decode(nil); err == nil {
-		t.Errorf("decoded %+v from no bytes", r)
+	var none Record
+	if _, err := c.decode(nil, &none); err == nil {
+		t.Errorf("decoded %+v from no bytes", none)
 	}
 }
 

@@ -127,13 +127,16 @@ lockbench:
 txnbench:
 	$(GO) test -run xxx -bench BenchmarkEngineTransfer -benchmem ./internal/engine/
 
-# What WAL restart costs: ns, bytes, allocations and data-page reads and
-# writes per logged transaction of one restart over 30,000 committed
-# transfers: on 1,024 pages, on one stream and on three page-mod streams;
-# on 8 pages (the hot-upgrade shape); and on 8 pages with four transactions
-# interleaving.
+# What restart costs. WAL restart: ns, bytes, allocations and data-page
+# reads and writes per logged transaction of one restart over 30,000
+# committed transfers: on 1,024 pages, on one stream and on three page-mod
+# streams; on 8 pages (the hot-upgrade shape); and on 8 pages with four
+# transactions interleaving. File store power-on: ns, bytes and allocations
+# per record of data.db and wal.log, on the data and log stores of the
+# durable-commit shape.
 recoverbench:
 	$(GO) test -run xxx -bench BenchmarkManagerRecover -benchmem ./internal/wal/
+	$(GO) test -run xxx -bench BenchmarkPowerOn -benchmem ./internal/pagestore/filestore/
 
 # Bounded runs of the WAL's fuzz targets: the log-chunk decoder, and restart
 # over arbitrary stable chunks. `go test -fuzz` takes one target per run.

@@ -45,51 +45,50 @@ func encodeDataFile(pages map[pagestore.PageID]pageRec, foldSeq uint64, pageSize
 	return out
 }
 
-// loadDataFile reads the page file; a missing file is an empty store. Any
-// damage here is unrecoverable corruption (the atomic-replace discipline
-// means a crash can never tear this file), reported as ErrCorrupt.
-func loadDataFile(path string, pageSize int) (map[pagestore.PageID]pageRec, uint64, error) {
-	pages := make(map[pagestore.PageID]pageRec)
+// loadDataFile reads the page file into pages; a missing file is an empty
+// store. Each page aliases the one buffer the file is read into. Any damage
+// here is unrecoverable corruption (the atomic-replace discipline means a
+// crash can never tear this file), reported as ErrCorrupt.
+func loadDataFile(path string, pageSize int, pages map[pagestore.PageID]pageRec) (uint64, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return pages, 0, nil
+		return 0, nil
 	}
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if len(raw) < dataHdrLen || [8]byte(raw[:8]) != dataMagic {
-		return nil, 0, fmt.Errorf("%w: %s: bad header", ErrCorrupt, dataName)
+		return 0, fmt.Errorf("%w: %s: bad header", ErrCorrupt, dataName)
 	}
 	foldSeq := binary.BigEndian.Uint64(raw[8:16])
 	if got := int(binary.BigEndian.Uint32(raw[16:20])); got != pageSize {
-		return nil, 0, fmt.Errorf("%w: %s: page size %d, store expects %d",
+		return 0, fmt.Errorf("%w: %s: page size %d, store expects %d",
 			ErrCorrupt, dataName, got, pageSize)
 	}
 	count := int(binary.BigEndian.Uint32(raw[20:24]))
 	off := dataHdrLen
 	for i := 0; i < count; i++ {
 		if len(raw)-off < 24 {
-			return nil, 0, fmt.Errorf("%w: %s: short page record %d", ErrCorrupt, dataName, i)
+			return 0, fmt.Errorf("%w: %s: short page record %d", ErrCorrupt, dataName, i)
 		}
 		id := pagestore.PageID(binary.BigEndian.Uint64(raw[off : off+8]))
 		version := binary.BigEndian.Uint64(raw[off+8 : off+16])
 		n := int(binary.BigEndian.Uint32(raw[off+16 : off+20]))
 		if n > pageSize || len(raw)-off < 20+n+4 {
-			return nil, 0, fmt.Errorf("%w: %s: short page %d data", ErrCorrupt, dataName, id)
+			return 0, fmt.Errorf("%w: %s: short page %d data", ErrCorrupt, dataName, id)
 		}
-		want := binary.BigEndian.Uint32(raw[off+20+n : off+24+n])
-		if crc32.ChecksumIEEE(raw[off:off+20+n]) != want {
-			return nil, 0, fmt.Errorf("%w: %s: page %d checksum mismatch", ErrCorrupt, dataName, id)
+		end := off + 20 + n
+		want := binary.BigEndian.Uint32(raw[end : end+4])
+		if crc32.ChecksumIEEE(raw[off:end]) != want {
+			return 0, fmt.Errorf("%w: %s: page %d checksum mismatch", ErrCorrupt, dataName, id)
 		}
-		buf := make([]byte, n)
-		copy(buf, raw[off+20:off+20+n])
-		pages[id] = pageRec{data: buf, version: version}
-		off += 24 + n
+		pages[id] = pageRec{data: raw[off+20 : end : end], version: version}
+		off = end + 4
 	}
 	if off != len(raw) {
-		return nil, 0, fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, dataName, len(raw)-off)
+		return 0, fmt.Errorf("%w: %s: %d trailing bytes", ErrCorrupt, dataName, len(raw)-off)
 	}
-	return pages, foldSeq, nil
+	return foldSeq, nil
 }
 
 // writeFileSync writes data to path and fsyncs it before returning.

@@ -18,7 +18,10 @@
 //     the fsynced records behind it. Replay skips records already folded
 //     into the page file (each record carries a monotone sequence number;
 //     data.db records the fold horizon), so a crash between fold and log
-//     truncation cannot replay stale images over newer ones.
+//     truncation cannot replay stale images over newer ones. Power-on
+//     reads each file once, whole, into one buffer, and the mirror's
+//     pages alias those buffers: it keeps at most one wal.log (the fold
+//     threshold plus one record) and one data.db image.
 //
 // When the log grows past foldBytes, the store folds: it writes the
 // full page image to data.db.tmp, fsyncs, renames over data.db (atomic on
@@ -136,6 +139,7 @@ func open(dir string, pageSize int, fold int64) (*pagestore.Store, error) {
 		pageSize:  pageSize,
 		fold:      fold,
 		wal:       wal,
+		pages:     make(map[pagestore.PageID]pageRec),
 		tornStart: -1,
 	}
 	if err := b.PowerOn(); err != nil {
@@ -215,19 +219,25 @@ func (b *Backend) PowerOff() {
 // or below the fold horizon), and truncate away a torn tail. Interior
 // damage — a complete record that fails its checksum or whose header is
 // impossible — returns ErrCorrupt.
+//
+// Each file is read once, whole, into one buffer, and the mirror's pages
+// alias it: the map is cleared and refilled, not rebuilt, and no page is
+// copied. Put replaces a mirror entry with a clone, so no aliased byte is
+// ever written; a buffer lives as long as one of its pages does.
 func (b *Backend) PowerOn() error {
 	if b.closed {
 		return pagestore.ErrClosed
 	}
 	os.Remove(filepath.Join(b.dir, tmpName))
 
-	pages, foldSeq, err := loadDataFile(filepath.Join(b.dir, dataName), b.pageSize)
+	clear(b.pages)
+	foldSeq, err := loadDataFile(filepath.Join(b.dir, dataName), b.pageSize, b.pages)
 	if err != nil {
 		return err
 	}
-	b.pages, b.foldSeq = pages, foldSeq
+	b.foldSeq = foldSeq
 
-	raw, err := io.ReadAll(io.NewSectionReader(b.wal, 0, 1<<62))
+	raw, err := readWhole(b.wal)
 	if err != nil {
 		return fmt.Errorf("filestore: reading %s: %w", walName, err)
 	}
@@ -249,16 +259,15 @@ func (b *Backend) PowerOn() error {
 		if int64(len(raw))-off < walHdrLen+n+4 {
 			break // torn tail
 		}
-		body := raw[off+walHdrLen : off+walHdrLen+n]
-		want := binary.BigEndian.Uint32(raw[off+walHdrLen+n : off+walHdrLen+n+4])
-		if crc32.ChecksumIEEE(raw[off:off+walHdrLen+n]) != want {
+		end := off + walHdrLen + n
+		body := raw[off+walHdrLen : end : end]
+		want := binary.BigEndian.Uint32(raw[end : end+4])
+		if crc32.ChecksumIEEE(raw[off:end]) != want {
 			return fmt.Errorf("%w: %s: record checksum mismatch at offset %d", ErrCorrupt, walName, off)
 		}
 		if seq > foldSeq {
 			if op == opPut {
-				buf := make([]byte, n)
-				copy(buf, body)
-				b.pages[id] = pageRec{data: buf, version: version}
+				b.pages[id] = pageRec{data: body, version: version}
 			} else {
 				delete(b.pages, id)
 			}
@@ -266,7 +275,7 @@ func (b *Backend) PowerOn() error {
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		off += walHdrLen + n + 4
+		off = end + 4
 	}
 	if off < int64(len(raw)) {
 		b.tornDetected++
@@ -421,6 +430,20 @@ func (b *Backend) foldNow() error {
 	b.walSize, b.walSynced = 0, 0
 	b.folds++
 	return nil
+}
+
+// readWhole reads all of f with one ReadAt into a buffer sized by Stat.
+func readWhole(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	raw := make([]byte, fi.Size())
+	n, err := f.ReadAt(raw, 0)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return raw[:n], nil
 }
 
 func encodeWalRec(seq uint64, op byte, id pagestore.PageID, version uint64, data []byte) []byte {

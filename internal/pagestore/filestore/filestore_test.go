@@ -2,16 +2,19 @@ package filestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/pagestore"
 )
 
-func openT(t *testing.T, dir string, pageSize int, fold int64) *pagestore.Store {
+func openT(t testing.TB, dir string, pageSize int, fold int64) *pagestore.Store {
 	t.Helper()
 	s, err := open(dir, pageSize, fold)
 	if err != nil {
@@ -21,7 +24,7 @@ func openT(t *testing.T, dir string, pageSize int, fold int64) *pagestore.Store 
 	return s
 }
 
-func backend(t *testing.T, s *pagestore.Store) *Backend {
+func backend(t testing.TB, s *pagestore.Store) *Backend {
 	t.Helper()
 	b, ok := s.Backend().(*Backend)
 	if !ok {
@@ -408,6 +411,162 @@ func TestBufferOwnership(t *testing.T) {
 			if string(got) != "12345678" {
 				t.Fatalf("a later Write changed ReadInto's bytes to %q", got)
 			}
+		})
+	}
+	t.Run("file, after power-on", bufferOwnershipAfterPowerOn)
+}
+
+// bufferOwnershipAfterPowerOn is TestBufferOwnership's "file, after
+// power-on" case. Power-on's pages alias the buffers the files were read
+// into. A page Read after a Reset must keep its bytes while other pages are
+// written, a fold rewrites data.db and truncates wal.log, and the store
+// powers on again; and every page must come back byte-identical after that
+// last power-on.
+func bufferOwnershipAfterPowerOn(t *testing.T) {
+	s := openT(t, t.TempDir(), 16, 128)
+	want := map[pagestore.PageID]string{}
+	write := func(id pagestore.PageID, v string) {
+		t.Helper()
+		if err := s.Write(id, []byte(v), uint64(len(want))); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = v
+	}
+	for id := pagestore.PageID(0); id < 4; id++ {
+		write(id, fmt.Sprintf("page-%d-first", id))
+	}
+	if backend(t, s).Folds() == 0 {
+		t.Fatal("the setup folded nothing into data.db")
+	}
+	folds := backend(t, s).Folds()
+	write(0, "page-0-in-log") // pages 0 and 3 in wal.log, 0-2 in data.db
+	must(t, s.Reset())
+
+	type read struct {
+		got  []byte
+		want string
+	}
+	var reads []read
+	for id := pagestore.PageID(0); id < 4; id++ {
+		got, _, err := s.Read(id)
+		if err != nil || string(got) != want[id] {
+			t.Fatalf("after power-on page %d = %q, %v; want %q", id, got, err, want[id])
+		}
+		reads = append(reads, read{got, want[id]})
+	}
+	for i := 0; backend(t, s).Folds() == folds; i++ {
+		write(pagestore.PageID(4+i%3), fmt.Sprintf("other-%d", i))
+	}
+	write(1, "page-1-rewritten")
+	must(t, s.Reset())
+	for id, r := range reads {
+		if string(r.got) != r.want {
+			t.Fatalf("writes, a fold and a power-on changed an earlier Read of page %d from %q to %q", id, r.want, r.got)
+		}
+	}
+	for id, v := range want {
+		got, _, err := s.Read(id)
+		if err != nil || string(got) != v {
+			t.Fatalf("after the second power-on page %d = %q, %v; want %q", id, got, err, v)
+		}
+	}
+}
+
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// powerOnShape is a store's files as restart finds them: folded pages in
+// data.db and the records appended since in wal.log.
+type powerOnShape struct {
+	name     string
+	pageSize int
+	size     int // bytes per page image
+	folded   int // pages in data.db, ids 0 up
+	logged   int // records in wal.log
+	id       func(i int) pagestore.PageID
+}
+
+// powerOnShapes are the two stores of the benchmark's durable-commit
+// workload. Its data store holds 1,024 8-byte balances on 4 KiB pages and
+// logs each stolen page again; its log store holds one chunk per force,
+// each a commit's records, under ids that only grow.
+func powerOnShapes(folded, logged int) []powerOnShape {
+	return []powerOnShape{
+		{"data", 4096, 8, min(folded, 1024), logged, func(i int) pagestore.PageID { return pagestore.PageID(i * 7919 % 1024) }},
+		{"log", 1 << 16, 40, folded, logged, func(i int) pagestore.PageID { return pagestore.PageID(folded + i) }},
+	}
+}
+
+// writeShape lays sh's files down in dir directly, in the formats a fold
+// and an append write.
+func writeShape(t testing.TB, dir string, sh powerOnShape) {
+	t.Helper()
+	img := func(i int) []byte {
+		b := make([]byte, sh.size)
+		binary.BigEndian.PutUint64(b, uint64(i))
+		return b
+	}
+	pages := make(map[pagestore.PageID]pageRec, sh.folded)
+	for i := 0; i < sh.folded; i++ {
+		pages[pagestore.PageID(i)] = pageRec{data: img(i), version: 1}
+	}
+	var log []byte
+	for i := 0; i < sh.logged; i++ {
+		log = append(log, encodeWalRec(uint64(sh.folded+1+i), opPut, sh.id(i), uint64(i+2), img(i))...)
+	}
+	must(t, os.WriteFile(filepath.Join(dir, dataName), encodeDataFile(pages, uint64(sh.folded), sh.pageSize), 0o644))
+	must(t, os.WriteFile(filepath.Join(dir, walName), log, 0o644))
+}
+
+// TestPowerOnAllocationBudget: power-on reads each file with one read into
+// one buffer and refills the mirror it cleared, aliasing the pages, so a
+// store powered on in place (Store.Reset, as restart does) allocates as
+// much over ~10,000 records as over ~1,000. The count is deterministic: the
+// data store's 1,024 pages never fill a map table past its load limit.
+func TestPowerOnAllocationBudget(t *testing.T) {
+	const budget = 16
+	allocs := func(folded, logged int) float64 {
+		sh := powerOnShapes(folded, logged)[0]
+		dir := t.TempDir()
+		writeShape(t, dir, sh)
+		s := openT(t, dir, sh.pageSize, foldBytes)
+		return testing.AllocsPerRun(5, func() { must(t, s.Reset()) })
+	}
+	small, large := allocs(100, 900), allocs(1024, 9000)
+	t.Logf("power-on allocated %.0f times over 1,000 records and %.0f over 10,024", small, large)
+	if large != small || large > budget {
+		t.Fatalf("power-on allocated %.0f times over 1,000 records and %.0f over 10,024; want the same, at most %d", small, large, budget)
+	}
+}
+
+// BenchmarkPowerOn times power-on in place (Store.Reset) over the two stores
+// of the durable-commit workload, 10,000 pages folded into data.db (1,024
+// on the data store) and 10,000 records in wal.log, and reports ns, B and
+// allocations per record, data.db pages and wal.log records alike.
+func BenchmarkPowerOn(b *testing.B) {
+	for _, sh := range powerOnShapes(10000, 10000) {
+		b.Run(sh.name, func(b *testing.B) {
+			dir := b.TempDir()
+			writeShape(b, dir, sh)
+			s := openT(b, dir, sh.pageSize, foldBytes)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Reset(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			per := float64(b.N) * float64(sh.folded+sh.logged)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/record")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/record")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/record")
 		})
 	}
 }

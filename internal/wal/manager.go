@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -98,8 +99,17 @@ type Manager struct {
 	nextLSN uint64
 
 	pool  map[pagestore.PageID]*bufPage
-	lru   bufPage // ring anchor: lru.next is the eviction victim
-	spare []byte  // the last victim's page buffer, for the next fetch
+	lru   bufPage    // ring anchor: lru.next is the eviction victim
+	spare []byte     // the last victim's page buffer, for the next fetch
+	free  []*bufPage // frames a crash or restart emptied, buffers kept
+
+	// versions is restart's version table, indexed by page number: a
+	// nonzero entry is a version the page's stable copy reached in the
+	// current pass, kept when a read found a record already applied, so
+	// that the page's later records are checked without another read. Data
+	// pages are numbered densely from 0, so the table has one word per
+	// stored page; a page numbered outside it is read for each record.
+	versions []uint64
 
 	att      map[uint64]*txnState
 	freeTxns []*txnState // ended transactions' records, cleared for reuse
@@ -135,9 +145,10 @@ func NewManager(dataStore *pagestore.Store, cfg Config) *Manager {
 		data:    dataStore,
 		logs:    logs,
 		nextLSN: 1,
+		pool:    make(map[pagestore.PageID]*bufPage),
 		att:     make(map[uint64]*txnState),
 	}
-	m.resetPool()
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	for i := 0; i < cfg.Streams; i++ {
 		m.streams = append(m.streams, &stream{idx: i, store: m.logs})
 	}
@@ -392,8 +403,13 @@ func (m *Manager) forceThrough(lsn uint64) error {
 	return nil
 }
 
+// resetPool empties the pool. Its frames, buffers and all, go on the free
+// list, which admit draws from before it allocates a frame.
 func (m *Manager) resetPool() {
-	m.pool = make(map[pagestore.PageID]*bufPage)
+	for bp := m.lru.next; bp != &m.lru; bp = bp.next {
+		m.free = append(m.free, bp)
+	}
+	clear(m.pool)
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 }
 
@@ -430,15 +446,19 @@ func (m *Manager) fetch(p pagestore.PageID) ([]byte, uint64, error) {
 }
 
 // admit pools page p, fetched into the spare buffer at version, in victim's
-// frame, or in a new frame when victim is nil. The page is read before the
-// victim is stolen, so the store sees the read first; then the victim's old
-// buffer becomes the spare.
+// frame, or when victim is nil in a free frame or else a new one. The page
+// is read before the victim is stolen, so the store sees the read first;
+// then the frame's old buffer becomes the spare.
 func (m *Manager) admit(p pagestore.PageID, data []byte, version uint64, victim *bufPage) (*bufPage, error) {
 	bp := victim
-	if bp == nil {
+	if bp != nil {
+		if err := m.evict(bp); err != nil {
+			return nil, err
+		}
+	} else if n := len(m.free); n > 0 {
+		bp, m.free = m.free[n-1], m.free[:n-1]
+	} else {
 		bp = &bufPage{}
-	} else if err := m.evict(bp); err != nil {
-		return nil, err
 	}
 	m.spare = bp.data // nil for a new frame
 	*bp = bufPage{id: p, data: data, lsn: version}
@@ -578,7 +598,7 @@ func (m *Manager) truncatedChunks() int64 {
 // unforced log tails vanish. Stable storage is untouched.
 func (m *Manager) Crash() {
 	m.resetPool()
-	m.att = make(map[uint64]*txnState)
+	clear(m.att)
 	for _, s := range m.streams {
 		s.crash()
 	}
@@ -608,8 +628,13 @@ func (m *Manager) Crash() {
 //
 // Redo runs through the buffer pool, as in ARIES, and writes nothing at a
 // commit or abort record: a redone page stays pooled and reaches disk later,
-// by a steal or a checkpoint, so restart reads a page once and writes it at
-// most once per stay in the pool. Update records carry no old bytes, so
+// by a steal or a checkpoint. A page the pass reads but does not pool, because
+// its stable version already covers the record, has that version kept in a
+// table of one word per stored page, so the page's later records are checked
+// without reading it again. Restart thus reads a page when the log first
+// names it and again only to pool it, and writes it at most once per stay in
+// the pool. Restart's memory is the open transactions, one chunk per stream,
+// the pool, and that version table. Update records carry no old bytes, so
 // the pass never steals a page that holds an update of a transaction still
 // open in it (see pinned): a crash would leave that update on disk with
 // nothing in the log to undo it from. The losers' pages redone in memory
@@ -630,6 +655,9 @@ func (m *Manager) Recover() error {
 	m.scanned = 0
 	clear(m.att)
 	m.resetPool()
+	n := m.data.Pages()
+	m.versions = slices.Grow(m.versions[:0], n)[:n]
+	clear(m.versions)
 
 	readers := make([]*reader, len(m.streams))
 	dead := uint64(0)
@@ -799,20 +827,32 @@ func (m *Manager) repeat(r *Record) error {
 
 // redo repeats update or CLR r of ts at restart, unless the stable page
 // already holds it, and returns the bytes an update removed (nil if it did
-// not redo it). It looks in the pool first. A page not pooled is read into
-// the spare buffer, and pooled only if the log is ahead of it, in the frame
-// redoVictim picks. Strict two-phase locking lets no other transaction
-// change a pinned page; a log in which one does is corrupt.
+// not redo it). It looks in the pool first, then in versions. A page whose
+// version there does not cover r is read into the spare buffer; if the
+// version read covers r it goes into versions, else the page is pooled, in
+// the frame redoVictim picks. Only pooled pages are written, at their LSN,
+// so a page's stable version only rises during the pass: an entry never
+// overstates it. Strict two-phase locking lets no other transaction change a
+// pinned page; a log in which one does is corrupt.
 func (m *Manager) redo(r *Record, ts *txnState) (old []byte, err error) {
 	id := pagestore.PageID(r.Page)
 	bp := m.pool[id]
 	switch {
 	case bp == nil:
+		var known *uint64 // id's entry in versions, nil when it has none
+		if id >= 0 && int64(id) < int64(len(m.versions)) {
+			if known = &m.versions[id]; *known >= r.LSN {
+				return nil, nil
+			}
+		}
 		data, version, err := m.fetch(id)
 		if err != nil {
 			return nil, err
 		}
 		if version >= r.LSN {
+			if known != nil {
+				*known = version
+			}
 			return nil, nil
 		}
 		if bp, err = m.admit(id, data, version, m.redoVictim()); err != nil {

@@ -178,27 +178,26 @@ func TestRecoverReadsEachChunkOnce(t *testing.T) {
 }
 
 // TestRestartDataIOByPage: restart's data-page I/O follows pages, not log
-// records. On transferLog's 8 pages the pool holds every page, so restart
-// reads each page once and writes none: the redone pages stay in the pool
-// until a steal or a checkpoint. On 1,024 pages behind a 64-page pool
-// restart still reads a page per update it checks, but writes a page only
-// to make room, so no more often than it redoes distinct pages.
+// records. Restart reads a page when the log first names it, and again only
+// to pool it: when a later record is ahead of the version it found, or
+// after a steal of its own took the page out of the pool. It writes a page
+// only to make room, and the redone pages otherwise stay in the pool until
+// a steal or a checkpoint. On transferLog's 8 pages the pool holds every
+// page, so restart reads each page once and writes none. On 1,024 pages
+// behind a 64-page pool, where the log names every page but the stable
+// version covers all but 66 records, it reads each page once and each of
+// the 64 pages it redoes once more, and the redone pages fit the pool.
 func TestRestartDataIOByPage(t *testing.T) {
 	const txns = 30000
-	for _, c := range []struct {
-		pages int
-		check func(reads, writes, redone int64) bool
-		want  string
-	}{
-		{8, func(r, w, _ int64) bool { return r <= 8 && w == 0 }, "≤ 8 reads and no write"},
-		{1024, func(r, w, redone int64) bool { return w <= redone && r <= 2*txns }, "writes ≤ distinct pages redone, reads ≤ 2 per txn"},
-	} {
-		m := transferLog(t, Config{}, txns, c.pages, 1)
+	for _, pages := range []int64{8, 1024} {
+		m := transferLog(t, Config{}, txns, int(pages), 1)
 		journal := obs.NewJournal()
 		m.SetJournal(journal)
 		r0, w0 := m.data.Stats()
+		steals := m.Stats()["steals"]
 		must(t, m.Recover())
 		r1, w1 := m.data.Stats()
+		steals = m.Stats()["steals"] - steals
 		redone := map[int64]bool{}
 		for _, r := range journal.Records() {
 			if r.Event == "redo" {
@@ -206,9 +205,13 @@ func TestRestartDataIOByPage(t *testing.T) {
 			}
 		}
 		reads, writes := r1-r0, w1-w0
-		t.Logf("%4d pages: restart read %d and wrote %d data pages, redid %d records on %d pages", c.pages, reads, writes, m.Stats()["redone"], len(redone))
-		if !c.check(reads, writes, int64(len(redone))) {
-			t.Errorf("%d pages: restart read %d and wrote %d data pages, redoing %d distinct pages; want %s", c.pages, reads, writes, len(redone), c.want)
+		t.Logf("%4d pages: restart read %d and wrote %d data pages, redid %d records on %d pages, stole %d", pages, reads, writes, m.Stats()["redone"], len(redone), steals)
+		bound := pages + int64(len(redone)) + steals
+		if pages <= int64(m.cfg.PoolPages) {
+			bound = pages
+		}
+		if reads > bound || writes != 0 {
+			t.Errorf("%d pages: restart read %d and wrote %d data pages; want ≤ %d reads (pages, plus pages redone, plus steals) and no write", pages, reads, writes, bound)
 		}
 	}
 }

@@ -14,6 +14,11 @@
 // -every-th file operation instead (power cut, torn write, lost fsync). The
 // report is deterministic: the same flags produce byte-identical output.
 //
+// With -journal engine@k it instead replays the one crash point k of one
+// engine with a recovery journal attached: the journal's JSONL goes to
+// stdout (or -journal-out), then one verdict line to stderr, e.g.
+// "wal-1stream@3: committed=0 CONSISTENT (in-doubt commit rolled back)".
+//
 // Exit status: 0 when every audit passes, 1 on audit failures, 2 on usage
 // or harness errors.
 package main
@@ -75,14 +80,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *journalAt != "" {
-		failures, err := journalPoint(*journalAt, *seed, *journalOut, stdout)
+		rep, err := journalPoint(*journalAt, *seed, *journalOut, stdout)
 		if err != nil {
 			return fail(err)
 		}
-		for _, f := range failures {
+		fmt.Fprintln(stderr, verdict(*journalAt, rep))
+		for _, f := range rep.Failures {
 			fmt.Fprintln(stderr, "crashsweep: audit failure:", f)
 		}
-		if len(failures) > 0 {
+		if len(rep.Failures) > 0 {
 			return 1
 		}
 		return 0
@@ -155,9 +161,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // journalPoint handles -journal engine@k: replay exactly one crash point
 // with a structured recovery journal attached, emit the JSONL record of
-// what recovery decided there, and return the point's audit failures.
+// what recovery decided there, and return the point's audited report.
 // Deterministic: same engine, seed and k give byte-identical output.
-func journalPoint(spec string, seed int64, outPath string, stdout io.Writer) ([]string, error) {
+func journalPoint(spec string, seed int64, outPath string, stdout io.Writer) (*faultinj.TargetReport, error) {
 	name, kStr, ok := strings.Cut(spec, "@")
 	if !ok {
 		return nil, fmt.Errorf("-journal wants engine@k, got %q", spec)
@@ -169,6 +175,9 @@ func journalPoint(spec string, seed int64, outPath string, stdout io.Writer) ([]
 	targets, err := faultinj.TargetsByName(name)
 	if err != nil {
 		return nil, err
+	}
+	if len(targets) != 1 {
+		return nil, fmt.Errorf("-journal replays exactly one engine, got %q", name)
 	}
 	j, rep, err := faultinj.JournalPoint(targets[0], faultinj.Options{Seed: seed}, k)
 	if err != nil {
@@ -186,5 +195,22 @@ func journalPoint(spec string, seed int64, outPath string, stdout io.Writer) ([]
 	if err := j.WriteJSONL(out); err != nil {
 		return nil, err
 	}
-	return rep.Failures, nil
+	return rep, nil
+}
+
+// verdict renders a replayed point's report as one line: the point, its
+// commits, the audit verdict, and how recovery resolved an in-doubt
+// commit, e.g. "wal-1stream@3: committed=2 CONSISTENT".
+func verdict(spec string, rep *faultinj.TargetReport) string {
+	status := "CONSISTENT"
+	if n := len(rep.Failures); n > 0 {
+		status = fmt.Sprintf("INCONSISTENT (%d audit failures)", n)
+	}
+	switch {
+	case rep.DoubtApplied > 0:
+		status += " (in-doubt commit applied)"
+	case rep.DoubtReverted > 0:
+		status += " (in-doubt commit rolled back)"
+	}
+	return fmt.Sprintf("%s: committed=%d %s", spec, rep.Commits, status)
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/faultinj"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -37,13 +39,32 @@ func TestSmallSweepPasses(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-machine-points", "4"},       // the simulator section is gone
-		{"-journal", "wal-1stream"},    // no @k
+		{"-machine-points", "4"},    // the simulator section is gone
+		{"-journal", "wal-1stream"}, // no @k
+		{"-journal", "all@3"},       // more than one engine
+		{"-journal", "shadow,difffile@3"},
 		{"-engines", "nope", "-quiet"}, // unknown engine
 		{"-quiet", "extra"},            // stray argument
 	} {
 		if code, _, stderr := runCLI(t, args...); code != 2 {
 			t.Errorf("%v: exit = %d, want 2\nstderr:\n%s", args, code, stderr)
+		}
+	}
+}
+
+// TestCrashAfterZeroCommitsNothing: power fails at the very first stable
+// mutation, on the log store as much as the data store, so no architecture
+// can acknowledge a commit or surface an in-doubt one as applied, and the
+// replayed point still audits clean.
+func TestCrashAfterZeroCommitsNothing(t *testing.T) {
+	for _, tg := range faultinj.Targets() {
+		spec := tg.Name + "@1"
+		code, _, stderr := runCLI(t, "-journal", spec)
+		if code != 0 {
+			t.Errorf("%s: exit = %d, want 0\nstderr:\n%s", spec, code, stderr)
+		}
+		if !strings.HasPrefix(stderr, spec+": committed=0 CONSISTENT") || strings.Contains(stderr, "applied") {
+			t.Errorf("%s: stderr = %q, want a committed=0 CONSISTENT verdict", spec, stderr)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Comparison: the paper's bottom line (Table 12) regenerated on a custom
 // machine, after a head-to-head run of every simulated recovery
-// architecture. The functional counterpart — the same crash drill under
-// all seven real engines — is `go run ./cmd/recover -engine all`.
+// architecture. The functional counterpart — every crash point of all
+// seven real engines, recovered and audited — is `go run ./cmd/crashsweep`.
 package main
 
 import (

@@ -129,11 +129,6 @@ func (e *Engine) Name() string { return "difffile" }
 // journal. Subsequent Recover and Merge calls emit their decisions to it.
 func (e *Engine) SetJournal(j *obs.Journal) { e.journal = j }
 
-// Stores lists the engine's stable stores for snapshot/backup through the
-// engine.Guard. The store is the thread-safe substrate, exempt from the
-// kernel-state escape rule by contract.
-func (e *Engine) Stores() []*pagestore.Store { return []*pagestore.Store{e.store} }
-
 // Load writes page p into the read-only base file B.
 func (e *Engine) Load(p int64, data []byte) error {
 	if err := e.store.Write(pagestore.PageID(p), data, 0); err != nil {

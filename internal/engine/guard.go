@@ -57,11 +57,6 @@ type Guard struct {
 	// extending the guarded section; a nil profile makes every token
 	// operation a no-op.
 	mx atomic.Pointer[live.GuardMetrics]
-
-	// journal is the guard's own copy of the attached recovery journal
-	// (guarded by mu): backup-plane operations (Snapshot, Restore) are
-	// guard-side, not kernel-side, so the guard emits their events itself.
-	journal *obs.Journal
 }
 
 // lock enters the guarded section for op: the contention token starts the
@@ -206,7 +201,6 @@ func (g *Guard) Metrics() *live.GuardMetrics { return g.mx.Load() }
 func (g *Guard) SetJournal(j *obs.Journal) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.journal = j
 	jk, ok := g.rm.(Journaled)
 	if !ok {
 		return ErrUnsupported

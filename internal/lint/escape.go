@@ -72,17 +72,8 @@ func aliasingTypeDepth(t types.Type, seen map[types.Type]bool) bool {
 }
 
 // boundaryExempt reports the two types that may legally cross the Guard
-// boundary by reference (see the package comment). A slice or array of an
-// exempt type is exempt too: kernels with several stable stores hand the
-// whole set to the wrapper's snapshot plane (Stores() []*pagestore.Store),
-// and the elements are the same thread-safe substrate as a single one.
+// boundary by reference (see the package comment).
 func boundaryExempt(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		t = u.Elem()
-	case *types.Array:
-		t = u.Elem()
-	}
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}

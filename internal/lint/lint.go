@@ -124,11 +124,7 @@ var kernelScope = []string{
 }
 
 // engineScope, shared by D007 and D008, is the functional engines behind
-// engine.Guard. On the D007 side the pagestore seam appears as
-// Snapshotter.Stores(): a kernel handing []*pagestore.Store to the
-// wrapper's snapshot plane is exempt exactly like a single
-// *pagestore.Store — the elements are the thread-safe substrate — while a
-// slice of anything else still escapes (testdata/d007 pins both sides).
+// engine.Guard.
 var engineScope = []string{"internal/wal", "internal/shadoweng", "internal/diffeng"}
 
 // Rules is the rule table, in ID order.

@@ -66,15 +66,15 @@ func (p *Pool) Stats() map[string]int64 {
 	}
 }
 
-// Stores hands the snapshot plane every stable store at once: a slice of
-// the thread-safe substrate is as exempt as a single *pagestore.Store
-// (the filestore-backed stores ride the same seam).
+// Stores hands out a slice holding a stable store: only a single
+// *pagestore.Store is exempt, so the fresh slice still carries the pointer
+// into kernel state across the boundary and is flagged.
 func (p *Pool) Stores() []*pagestore.Store {
 	return []*pagestore.Store{p.logs}
 }
 
-// Frames is the negative control for the slice unwrap: a slice of
-// NON-exempt slices into kernel state must still be flagged.
+// Frames builds a slice of NON-exempt slices into kernel state: it is
+// flagged like Stores.
 func (p *Pool) Frames() [][]byte {
 	out := [][]byte{}
 	for _, id := range p.order {

@@ -140,11 +140,6 @@ func (e *OverwriteEngine) Name() string {
 // journal. Subsequent Recover calls emit their decisions to it.
 func (e *OverwriteEngine) SetJournal(j *obs.Journal) { e.journal = j }
 
-// Stores lists the engine's stable stores for snapshot/backup through the
-// engine.Guard. The store is the thread-safe substrate, exempt from the
-// kernel-state escape rule by contract.
-func (e *OverwriteEngine) Stores() []*pagestore.Store { return []*pagestore.Store{e.store} }
-
 // Load populates page p before transactions run.
 func (e *OverwriteEngine) Load(p int64, data []byte) error {
 	if err := e.store.Write(pagestore.PageID(p), data, 0); err != nil {

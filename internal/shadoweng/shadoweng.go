@@ -82,11 +82,6 @@ func (e *Engine) Name() string { return "shadow(page-table)" }
 // journal. Subsequent Recover calls emit their decisions to it.
 func (e *Engine) SetJournal(j *obs.Journal) { e.journal = j }
 
-// Stores lists the engine's stable stores for snapshot/backup through the
-// engine.Guard. The store is the thread-safe substrate, exempt from the
-// kernel-state escape rule by contract.
-func (e *Engine) Stores() []*pagestore.Store { return []*pagestore.Store{e.store} }
-
 // Load populates logical page p before transactions run.
 func (e *Engine) Load(p int64, data []byte) error {
 	blk := e.allocBlock()

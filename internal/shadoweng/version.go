@@ -71,11 +71,6 @@ func (e *VersionEngine) Name() string { return "shadow(version-selection)" }
 // journal. Subsequent Recover calls emit their decisions to it.
 func (e *VersionEngine) SetJournal(j *obs.Journal) { e.journal = j }
 
-// Stores lists the engine's stable stores for snapshot/backup through the
-// engine.Guard. The store is the thread-safe substrate, exempt from the
-// kernel-state escape rule by contract.
-func (e *VersionEngine) Stores() []*pagestore.Store { return []*pagestore.Store{e.store} }
-
 func (e *VersionEngine) writeTS(ts uint64) error {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], ts)

@@ -163,13 +163,6 @@ func (m *Manager) Name() string {
 // LogStore exposes the log's stable storage for fault injection in tests.
 func (m *Manager) LogStore() *pagestore.Store { return m.logs }
 
-// Stores lists the manager's stable stores (data first, then the log) for
-// snapshot/backup through the engine.Guard. The stores are the thread-safe
-// substrate, exempt from the kernel-state escape rule by contract.
-func (m *Manager) Stores() []*pagestore.Store {
-	return []*pagestore.Store{m.data, m.logs}
-}
-
 // SetJournal attaches (or with nil detaches) the structured recovery
 // journal. Subsequent Recover and Checkpoint calls emit their decisions to
 // it.

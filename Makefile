@@ -117,7 +117,8 @@ logvolume:
 	$(GO) test -run 'TestLogVolume' -v ./internal/wal/
 
 # What the lock path costs: ns/op and allocs/op of one uncontended transfer
-# (S, S, X, X, release) and of one 4096-page live-audit transaction.
+# (S, S, X, X, release), of one 4096-page live-audit transaction, and of one
+# S-to-X upgrade deadlock (one park, one detection, one victim).
 lockbench:
 	$(GO) test -run xxx -bench BenchmarkLockTransfer -benchmem ./internal/lockmgr/
 

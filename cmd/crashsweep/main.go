@@ -18,6 +18,8 @@
 // engine with a recovery journal attached: the journal's JSONL goes to
 // stdout (or -journal-out), then one verdict line to stderr, e.g.
 // "wal-1stream@3: committed=0 CONSISTENT (in-doubt commit rolled back)".
+// The point is always one of the memory sweep's, so -file, -engines, -every
+// and -report are refused beside -journal.
 //
 // Exit status: 0 when every audit passes, 1 on audit failures, 2 on usage
 // or harness errors.
@@ -80,6 +82,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *journalAt != "" {
+		// A journal replays one point of the memory sweep: a flag that
+		// picks the sweep's targets, points or report file would be ignored.
+		var sweepOnly []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "file", "engines", "every", "report":
+				sweepOnly = append(sweepOnly, "-"+f.Name)
+			}
+		})
+		if len(sweepOnly) > 0 {
+			return fail(fmt.Errorf("%s cannot be used with -journal: a journal replays the one memory-store crash point engine@k names",
+				strings.Join(sweepOnly, ", ")))
+		}
 		rep, err := journalPoint(*journalAt, *seed, *journalOut, stdout)
 		if err != nil {
 			return fail(err)

@@ -45,6 +45,11 @@ func TestUsageErrors(t *testing.T) {
 		{"-journal", "shadow,difffile@3"},
 		{"-engines", "nope", "-quiet"}, // unknown engine
 		{"-quiet", "extra"},            // stray argument
+		// -journal replays one memory-store point; sweep flags are refused.
+		{"-file", "-journal", "wal-1stream@3"},
+		{"-engines", "shadow", "-journal", "wal-1stream@3"},
+		{"-every", "2", "-journal", "wal-1stream@3"},
+		{"-report", "r.txt", "-journal", "wal-1stream@3"},
 	} {
 		if code, _, stderr := runCLI(t, args...); code != 2 {
 			t.Errorf("%v: exit = %d, want 2\nstderr:\n%s", args, code, stderr)

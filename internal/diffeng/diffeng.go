@@ -104,8 +104,8 @@ type Engine struct {
 	view map[int64]version // committed differential view (A minus D)
 	att  map[uint64][]entry
 
-	adds, dels, commits, aborts, merges int64
-	replayed                            int64 // entries scanned by the last Recover
+	adds, dels, merges int64
+	replayed           int64 // entries scanned by the last Recover
 
 	// journal, when attached, records recovery and merge decisions in
 	// order. A nil journal is a no-op sink; it belongs to the observer and
@@ -221,7 +221,6 @@ func (e *Engine) Commit(tid uint64) error {
 	}
 	e.applyCommitted(pend)
 	delete(e.att, tid)
-	e.commits++
 	e.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid, N: int64(len(pend))})
 	return nil
 }
@@ -245,7 +244,6 @@ func (e *Engine) Abort(tid uint64) error {
 		return fmt.Errorf("diffeng: transaction %d not active", tid)
 	}
 	delete(e.att, tid)
-	e.aborts++
 	return nil
 }
 
@@ -418,8 +416,6 @@ func (e *Engine) Stats() map[string]int64 {
 	return map[string]int64{
 		"adds":     e.adds,
 		"dels":     e.dels,
-		"commits":  e.commits,
-		"aborts":   e.aborts,
 		"merges":   e.merges,
 		"replayed": e.replayed,
 	}

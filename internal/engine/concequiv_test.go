@@ -260,11 +260,7 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("load: %v", err)
 				}
-				ctr := &faultinj.Counter{}
-				hook := ctr.Hook()
-				for _, s := range stores {
-					s.SetFaultHook(hook)
-				}
+				before := mutations(stores)
 				audits := runConcWorkload(e, initial)
 				for w, a := range audits {
 					if a.stopped {
@@ -277,7 +273,7 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 				}
 				// Every crash point but the last must land inside the run,
 				// and the last must still fall in its second half.
-				if muts := ctr.Mutations(); muts < 3*span/4 || muts > 2*span {
+				if muts := mutations(stores) - before; muts < 3*span/4 || muts > 2*span {
 					t.Fatalf("clean run made %d stable mutations; pinned span %d is stale", muts, span)
 				}
 				auditConcRecovered(t, e, initial, audits)

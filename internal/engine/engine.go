@@ -232,8 +232,11 @@ func (e *Engine) Update(fn func(*Txn) error) error {
 	}
 }
 
-// Crash simulates power loss. Any concurrently running transactions will
-// see errors; locks are forgotten like the rest of volatile state.
+// Crash simulates power loss: open transactions and their locks are
+// forgotten like the rest of volatile state. It swaps the lock manager
+// without synchronisation, so it may be called only while no other call
+// into the engine is running (a quiesced engine, as for Guard.Unwrap): a
+// Lock call parked on the old manager would never return.
 func (e *Engine) Crash() {
 	e.rm.Crash()
 	e.locks = lockmgr.New()

@@ -161,6 +161,17 @@ func runKernelScript(rm engine.RecoveryManager, model map[int64][]byte, seed int
 	return out
 }
 
+// mutations sums the stable mutations (writes and deletes) the stores have
+// made so far: the ordinals pagestore.CrashAtMutation counts.
+func mutations(stores []*pagestore.Store) int64 {
+	var n int64
+	for _, s := range stores {
+		_, w := s.Stats()
+		n += w
+	}
+	return n
+}
+
 // kernelStats mirrors Guard.Stats for the bare kernel side.
 func kernelStats(rm engine.RecoveryManager) map[string]int64 {
 	if ss, ok := rm.(engine.StatsSource); ok {
@@ -388,15 +399,11 @@ func TestSequentialCrashEquivalenceGroupCommit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("probe load: %v", err)
 			}
-			ctr := &faultinj.Counter{}
-			hook := ctr.Hook()
-			for _, s := range stores {
-				s.SetFaultHook(hook)
-			}
+			before := mutations(stores)
 			if out := runGroupPlan(&engineDriver{probe, map[uint64]*engine.Txn{}}, model, plan); out.Crashed {
 				t.Fatal("probe run crashed without injection")
 			}
-			muts := ctr.Mutations()
+			muts := mutations(stores) - before
 
 			points := []int64{1}
 			for k := stride; k < muts; k += stride {
@@ -478,23 +485,20 @@ func TestKernelWrapperEquivalenceUnderCrashes(t *testing.T) {
 	}
 	for _, tg := range equivTargets() {
 		t.Run(tg.name, func(t *testing.T) {
-			// Probe: count stable mutations of a crash-free kernel run. Hooks
-			// go in after the initial load, as in faultinj.SweepTarget, so
-			// mutation ordinals count workload traffic only.
+			// Probe: count stable mutations of a crash-free kernel run. The
+			// count starts after the initial load, as in
+			// faultinj.SweepTarget, so mutation ordinals count workload
+			// traffic only.
 			rm, stores := tg.kernel(t)
 			model, err := loadKernelPages(rm, equivPages)
 			if err != nil {
 				t.Fatalf("probe load: %v", err)
 			}
-			ctr := &faultinj.Counter{}
-			hook := ctr.Hook()
-			for _, s := range stores {
-				s.SetFaultHook(hook)
-			}
+			before := mutations(stores)
 			if out := runKernelScript(rm, model, equivSeed, equivPages, equivTxns); out.Crashed {
 				t.Fatalf("probe run crashed without injection")
 			}
-			muts := ctr.Mutations()
+			muts := mutations(stores) - before
 			if muts == 0 {
 				t.Fatalf("probe run made no stable mutations")
 			}

@@ -160,18 +160,15 @@ func TestSweepMutationCountsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctr := &Counter{}
-		hook := ctr.Hook()
-		for _, s := range stores {
-			s.SetFaultHook(hook)
-		}
+		before := mutations(stores)
 		if out := RunScript(e, model, opt.Seed, sweepPages, sweepTxns); out.Crashed {
 			t.Fatalf("%s: probe crashed", tg.Name)
 		}
-		if got := ctr.Mutations(); got != want[tg.Name] {
+		got := mutations(stores) - before
+		if got != want[tg.Name] {
 			t.Errorf("%s: %d mutations, pinned %d", tg.Name, got, want[tg.Name])
 		}
-		total += ctr.Mutations()
+		total += got
 	}
 	if total != 590 {
 		t.Errorf("total mutations = %d, pinned 590 (the 590-point crashsweep -every 1)", total)

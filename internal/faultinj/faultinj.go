@@ -26,25 +26,15 @@ package faultinj
 
 import "repro/internal/pagestore"
 
-// A Counter observes stable-storage traffic without ever cutting power;
-// sweeps install it for the probe run that discovers how many crash points
-// a workload has. One Counter may be shared by several stores (the WAL
-// engine's data and log stores), in which case it counts their combined,
-// deterministic mutation sequence — the one pagestore.CrashAtMutation
-// counts.
-type Counter struct {
-	muts int64
-}
-
-// Hook returns the counting fault hook; it never fires.
-func (c *Counter) Hook() pagestore.FaultHook {
-	return func(op pagestore.Op, _ pagestore.PageID, _ int64) bool {
-		if op != pagestore.OpRead {
-			c.muts++
-		}
-		return false
+// mutations sums the stable mutations (writes and deletes) the stores have
+// made so far; a probe run's count is the difference across the run. Over
+// the WAL engine's data and log stores together it counts their combined
+// sequence, the one pagestore.CrashAtMutation counts.
+func mutations(stores []*pagestore.Store) int64 {
+	var n int64
+	for _, s := range stores {
+		_, w := s.Stats()
+		n += w
 	}
+	return n
 }
-
-// Mutations reports the mutations observed (writes and deletes).
-func (c *Counter) Mutations() int64 { return c.muts }

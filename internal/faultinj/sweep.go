@@ -172,19 +172,13 @@ func SweepTarget(tg Target, opt Options) (*TargetReport, error) {
 		mu.Unlock()
 		return pagestore.FileOK
 	})
-	ctr := &Counter{}
-	if !rep.files {
-		hook := ctr.Hook()
-		for _, s := range stores {
-			s.SetFaultHook(hook)
-		}
-	}
+	before := mutations(stores)
 	probe := RunScript(e, model, opt.Seed, sweepPages, sweepTxns)
 	if probe.Crashed {
 		return nil, fmt.Errorf("faultinj: %s: probe run crashed without injection", tg.Name)
 	}
 
-	rep.Ops = ctr.Mutations()
+	rep.Ops = mutations(stores) - before
 	if rep.files {
 		rep.Ops = int64(len(ops))
 	}

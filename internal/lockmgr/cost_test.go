@@ -1,6 +1,8 @@
 package lockmgr
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -91,7 +93,8 @@ func TestLargeTransactionLocksInLinearTime(t *testing.T) {
 
 // BenchmarkLockTransfer reports what the lock path costs per transaction:
 // ns/op and allocs/op of one uncontended transfer, and of one live-audit
-// transaction, which also reports ns per lock.
+// transaction, which also reports ns per lock; and per deadlock, of the
+// upgrade deadlock that hot transfers run into.
 func BenchmarkLockTransfer(b *testing.B) {
 	for _, s := range lockShapes {
 		b.Run(s.name, func(b *testing.B) {
@@ -104,5 +107,48 @@ func BenchmarkLockTransfer(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.locks), "ns/lock")
 		})
+	}
+	b.Run("upgrade-deadlock", benchUpgradeDeadlock)
+}
+
+// benchUpgradeDeadlock runs one S-to-X upgrade deadlock per iteration: two
+// transactions share-lock one page and both ask to upgrade. The older one's
+// request parks (a helper goroutine makes it), and the benchmark waits for
+// that wait to show in Stats before the younger one asks, so every iteration
+// is one park, one detection and one victim — the younger requester, whose
+// release grants the older one its upgrade.
+func benchUpgradeDeadlock(b *testing.B) {
+	m := New()
+	park := make(chan TxnID)
+	granted := make(chan error, 1)
+	go func() {
+		for txn := range park {
+			granted <- m.Lock(txn, 0, Exclusive)
+		}
+	}()
+	defer close(park)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		older, younger := TxnID(2*i+1), TxnID(2*i+2)
+		if m.Lock(older, 0, Shared) != nil || m.Lock(younger, 0, Shared) != nil {
+			b.Fatal("share locks refused")
+		}
+		park <- older
+		for w, _ := m.Stats(); w <= int64(i); w, _ = m.Stats() {
+			runtime.Gosched()
+		}
+		if err := m.Lock(younger, 0, Exclusive); !errors.Is(err, ErrDeadlock) {
+			b.Fatalf("younger upgrade returned %v, want ErrDeadlock", err)
+		}
+		m.ReleaseAll(younger)
+		if err := <-granted; err != nil {
+			b.Fatalf("older upgrade returned %v", err)
+		}
+		m.ReleaseAll(older)
+	}
+	b.StopTimer()
+	if w, d := m.Stats(); w != int64(b.N) || d != int64(b.N) {
+		b.Fatalf("%d waits and %d deadlocks in %d iterations, want one of each per iteration", w, d, b.N)
 	}
 }

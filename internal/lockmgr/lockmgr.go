@@ -12,23 +12,27 @@
 // records are recycled, so locking without contention allocates nothing once
 // the manager is warm.
 //
+// The waits-for graph is not stored: it is read off the queues. A parked
+// transaction waits for the other holders of its page and for the requests
+// queued ahead of its own; a transaction that is not parked waits for no
+// one.
+//
 // Deadlock-victim rule: when a lock request would close a cycle in the
 // waits-for graph, the victim is the youngest transaction on that cycle —
-// the one with the highest TxnID, which (TxnIDs being allocated in Begin
+// the one with the largest TxnID, which (TxnIDs being allocated in Begin
 // order) has done the least work. The rule is a pure function of the cycle's
-// membership, computed by depth-first search over sorted adjacency lists, so
-// which transaction aborts never depends on map iteration order or on which
-// request happened to detect the cycle: same wait graph, same victim, every
-// run. The chosen victim's Lock call returns ErrDeadlock — whether it is the
-// requester that closed the cycle or a transaction already parked in a
-// queue — and the caller must abort it (ReleaseAll) to unblock the rest.
+// membership, so which transaction aborts never depends on map iteration
+// order or on which request happened to detect the cycle: same wait graph,
+// same victim, every run. The chosen victim's Lock call returns ErrDeadlock
+// — whether it is the requester that closed the cycle or a transaction
+// already parked in a queue — and the caller must abort it (ReleaseAll) to
+// unblock the rest.
 package lockmgr
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -144,15 +148,12 @@ type Manager struct {
 	mu    sync.Mutex
 	locks map[PageID]*lockState
 	txns  map[TxnID]*txnLocks
-	// waitsOn[t] is the set of transactions t currently waits for.
-	waitsOn map[TxnID]map[TxnID]bool
 
 	freeLocks freeList[lockState]
 	freeTxns  freeList[txnLocks]
 
 	waits     int64
 	deadlocks int64
-	victims   []TxnID // deadlock victims in detection order
 
 	// onGrant, when set (by tests, before any Lock), sees every parked
 	// request as it is granted, under mu, in grant order.
@@ -162,15 +163,14 @@ type Manager struct {
 // New returns an empty lock manager.
 func New() *Manager {
 	return &Manager{
-		locks:   make(map[PageID]*lockState),
-		txns:    make(map[TxnID]*txnLocks),
-		waitsOn: make(map[TxnID]map[TxnID]bool),
+		locks: make(map[PageID]*lockState),
+		txns:  make(map[TxnID]*txnLocks),
 	}
 }
 
 // Lock acquires page p in mode for txn, blocking until granted. When
 // waiting would close a cycle in the waits-for graph, the youngest
-// transaction on that cycle (highest TxnID) is chosen as the victim and its
+// transaction on that cycle (largest TxnID) is chosen as the victim and its
 // Lock call returns ErrDeadlock — that may be this call, or a call already
 // parked in a queue. The victim's caller must abort it (release its locks)
 // to unblock the others. A transaction must not have two Lock calls in
@@ -204,18 +204,11 @@ func (m *Manager) Lock(txn TxnID, p PageID, mode Mode) error {
 			return nil
 		}
 
-		// Must wait: adding the edges txn -> blockers may close a cycle.
-		blockers := m.blockers(ls, txn)
-		cycle := m.cycle(txn, blockers)
-		if len(cycle) == 0 {
-			edges := m.waitsOn[txn]
-			if edges == nil {
-				edges = make(map[TxnID]bool)
-				m.waitsOn[txn] = edges
-			}
-			for b := range blockers {
-				edges[b] = true
-			}
+		// Must wait: the edges txn -> blockers may close a cycle. The edges
+		// of a few transactions fit buf, which stays on the stack.
+		var buf [8]TxnID
+		victim := m.victim(txn, ls.blockers(buf[:0], txn, nil))
+		if victim == 0 {
 			w := &waiter{txn: txn, mode: mode, ready: make(chan struct{})}
 			ls.queue = append(ls.queue, w)
 			rec := m.txnRecord(txn)
@@ -227,33 +220,27 @@ func (m *Manager) Lock(txn TxnID, p PageID, mode Mode) error {
 			return w.err
 		}
 
-		// Deadlock. The victim is the youngest (highest TxnID) transaction
-		// on the cycle — a rule that depends only on the cycle's membership,
-		// never on which request detected it.
-		victim := cycle[len(cycle)-1] // cycle is sorted ascending
 		m.deadlocks++
-		m.victims = append(m.victims, victim)
 		if victim == txn {
 			m.mu.Unlock()
 			return ErrDeadlock
 		}
 		// The victim is parked in some queue. Hand it ErrDeadlock and retry:
-		// removing its wait edges breaks this cycle, though its held locks
-		// still block us until its caller aborts it. evict removes only a
-		// queue entry, and p has holders (a queue never outlives them), so
-		// ls stays in the table.
+		// leaving its queue takes away its wait edges and breaks this cycle,
+		// though its held locks still block us until its caller aborts it.
+		// evict removes only a queue entry, and p has holders (a queue never
+		// outlives them), so ls stays in the table.
 		m.evict(victim)
 	}
 }
 
 // evict hands ErrDeadlock to a parked victim: its queue entry is removed
-// (waking any waiters it blocked), its outgoing wait edges disappear, and
-// its blocked Lock call returns the error. Its held locks stay put until the
-// caller-side abort runs ReleaseAll. A transaction with wait edges is
-// parked, so the victim is, and evict touches only the page it is parked on.
-// Callers hold m.mu.
+// (waking any waiters it blocked), so it waits for no one, and its blocked
+// Lock call returns the error. Its held locks stay put until the
+// caller-side abort runs ReleaseAll. A transaction on a cycle waits for
+// someone, so the victim is parked, and evict touches only the page it is
+// parked on. Callers hold m.mu.
 func (m *Manager) evict(victim TxnID) {
-	delete(m.waitsOn, victim)
 	rec := m.txns[victim]
 	p := rec.waitPage
 	ls := m.locks[p]
@@ -263,88 +250,74 @@ func (m *Manager) evict(victim TxnID) {
 	m.cleanup(p, ls)
 }
 
-// blockers returns every transaction that currently prevents txn from being
-// granted on ls: the incompatible holders plus all queued waiters ahead.
-func (m *Manager) blockers(ls *lockState, txn TxnID) map[TxnID]bool {
-	out := make(map[TxnID]bool)
+// blockers appends to dst the transactions that keep txn's request w from
+// being granted on ls: every holder but txn, and every request queued ahead
+// of w — the whole queue for a request not yet queued (w nil). A
+// transaction has one Lock call in flight, so none of those is txn's own.
+func (ls *lockState) blockers(dst []TxnID, txn TxnID, w *waiter) []TxnID {
 	if ls.xHolder != 0 && ls.xHolder != txn {
-		out[ls.xHolder] = true
+		dst = append(dst, ls.xHolder)
 	}
 	for _, t := range ls.sHolders {
 		if t != txn {
-			out[t] = true
+			dst = append(dst, t)
 		}
 	}
-	for _, w := range ls.queue {
-		if w.txn != txn {
-			out[w.txn] = true
+	for _, q := range ls.queue {
+		if q == w {
+			break
 		}
+		dst = append(dst, q.txn)
 	}
-	return out
+	return dst
 }
 
-// cycle reports the transactions on the waits-for cycle(s) that adding the
-// edges txn -> blockers would close, in ascending TxnID order (txn itself
-// included); it returns nil when no cycle would form. Adjacency is traversed
-// in sorted order, so the result — and therefore the victim choice — is
-// independent of map iteration order.
-func (m *Manager) cycle(txn TxnID, blockers map[TxnID]bool) []TxnID {
-	// reaches memoizes whether txn is reachable from a node along existing
-	// edges. The existing graph is acyclic (cycles are refused at creation),
-	// so the provisional "no" entry only guards against repeated work.
-	memo := map[TxnID]int{} // 0 unknown, 1 reaches txn, 2 does not
-	var reaches func(t TxnID) bool
-	reaches = func(t TxnID) bool {
-		if t == txn {
-			return true
+// waitsFor appends to dst the transactions t waits for: the blockers of the
+// request it is parked on, or none when it is not parked.
+func (m *Manager) waitsFor(dst []TxnID, t TxnID) []TxnID {
+	rec := m.txns[t]
+	if rec == nil || rec.wait == nil {
+		return dst
+	}
+	return m.locks[rec.waitPage].blockers(dst, t, rec.wait)
+}
+
+// victim returns the youngest (largest TxnID) transaction on the waits-for
+// cycles that adding the edges txn -> blockers would close, txn itself
+// included, or 0 when no cycle would form. A transaction is on such a cycle
+// when a blocker reaches it and it reaches txn. The graph without txn's new
+// edges is acyclic (each cycle was broken as it formed), so one memoized
+// search from the blockers decides every transaction it meets, and the
+// result depends only on the graph, never on the order of the search.
+func (m *Manager) victim(txn TxnID, blockers []TxnID) TxnID {
+	reaches := map[TxnID]bool{txn: true}
+	var youngest TxnID
+	var visit func(t TxnID) bool
+	visit = func(t TxnID) bool {
+		r, seen := reaches[t]
+		if seen {
+			return r
 		}
-		switch memo[t] {
-		case 1:
-			return true
-		case 2:
-			return false
-		}
-		memo[t] = 2
-		for _, next := range sortedIDs(m.waitsOn[t]) {
-			if reaches(next) {
-				memo[t] = 1
-				return true
+		reaches[t] = false
+		var buf [8]TxnID
+		for _, next := range m.waitsFor(buf[:0], t) {
+			if visit(next) {
+				r = true
 			}
 		}
-		return false
-	}
-	// A node is on a new cycle exactly when it lies on a path from some
-	// blocker back to txn: reachable from a blocker through nodes that all
-	// reach txn, and reaching txn itself.
-	onCycle := map[TxnID]bool{}
-	var mark func(t TxnID)
-	mark = func(t TxnID) {
-		if t == txn || onCycle[t] || !reaches(t) {
-			return
+		reaches[t] = r
+		if r {
+			youngest = max(youngest, t)
 		}
-		onCycle[t] = true
-		for _, next := range sortedIDs(m.waitsOn[t]) {
-			mark(next)
-		}
+		return r
 	}
-	for _, b := range sortedIDs(blockers) {
-		mark(b)
+	for _, b := range blockers {
+		visit(b)
 	}
-	if len(onCycle) == 0 {
-		return nil
+	if youngest == 0 {
+		return 0
 	}
-	onCycle[txn] = true
-	return sortedIDs(onCycle)
-}
-
-// sortedIDs returns the set's members in ascending order.
-func sortedIDs(set map[TxnID]bool) []TxnID {
-	out := make([]TxnID, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return max(youngest, txn)
 }
 
 // lockState returns p's lock state, adding a recycled one if p has none.
@@ -403,7 +376,6 @@ func (m *Manager) grant(ls *lockState, txn TxnID, p PageID, mode Mode) {
 func (m *Manager) ReleaseAll(txn TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.waitsOn, txn)
 	if rec := m.txns[txn]; rec != nil {
 		delete(m.txns, txn)
 		// A parked request (its caller raced Lock against its own
@@ -428,10 +400,6 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		*rec = txnLocks{pages: pages[:0]}
 		m.freeTxns.put(rec)
 	}
-	// Remove txn from everyone's waits-for sets.
-	for _, edges := range m.waitsOn {
-		delete(edges, txn)
-	}
 }
 
 // wake grants queued waiters FIFO while compatible.
@@ -447,8 +415,6 @@ func (m *Manager) wake(ls *lockState, p PageID) {
 		if m.onGrant != nil {
 			m.onGrant(w.txn, p)
 		}
-		// The waiter no longer waits on anyone for this page.
-		delete(m.waitsOn, w.txn)
 		close(w.ready)
 		if w.mode == Exclusive {
 			return
@@ -482,13 +448,4 @@ func (m *Manager) Stats() (waits, deadlocks int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.waits, m.deadlocks
-}
-
-// Victims returns the deadlock victims chosen so far, in detection order.
-// With the youngest-on-cycle rule the trace is a pure function of the wait
-// graphs that formed, so same-seed runs produce identical traces.
-func (m *Manager) Victims() []TxnID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]TxnID(nil), m.victims...)
 }

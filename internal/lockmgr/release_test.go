@@ -94,9 +94,10 @@ func TestReleaseAllScrubWakesBlockedWaiters(t *testing.T) {
 
 // TestStressLeavesNothingBehind: after a seeded concurrent stress with
 // deadlocks, in which every victim is released and retried under a fresh
-// TxnID, the lock table, the transaction records and the waits-for graph
-// are all empty. Recycled page states and records must never carry a holder
-// or a queue entry out of the transaction that owned it.
+// TxnID, the lock table and the transaction records are empty, and so the
+// waits-for graph read off them is too. Recycled page states and records
+// must never carry a holder or a queue entry out of the transaction that
+// owned it.
 func TestStressLeavesNothingBehind(t *testing.T) {
 	const workers, txnsPer, pages = 8, 150, 6
 	m := New()
@@ -134,9 +135,9 @@ func TestStressLeavesNothingBehind(t *testing.T) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.locks) != 0 || len(m.txns) != 0 || len(m.waitsOn) != 0 {
-		t.Fatalf("after release: %d page states, %d txn records, %d waits-for entries; want none",
-			len(m.locks), len(m.txns), len(m.waitsOn))
+	if len(m.locks) != 0 || len(m.txns) != 0 {
+		t.Fatalf("after release: %d page states, %d txn records; want none",
+			len(m.locks), len(m.txns))
 	}
 }
 

@@ -66,14 +66,62 @@ func TestWaitingVictimEvicted(t *testing.T) {
 	if !m.Holds(1, 20, Exclusive) {
 		t.Fatal("survivor does not hold the contested lock")
 	}
-	if got := m.Victims(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("victims = %v, want [2]", got)
+	if _, d := m.Stats(); d != 1 {
+		t.Fatalf("deadlocks = %d, want 1", d)
+	}
+}
+
+// TestEvictedVictimBlocksUntilAborted covers the window between a victim's
+// eviction and its abort. T1 holds p1, T2 holds p2 and parks on p1; T1's
+// request for p2 evicts T2 and parks behind T2's lock. A request for p1
+// that arrives before T2 aborts waits for T1, which waits for T2, which
+// waits for no one: it parks and is no victim. T2's abort grants T1 p2,
+// and T1's release grants the newcomer p1.
+func TestEvictedVictimBlocksUntilAborted(t *testing.T) {
+	m := New()
+	mustLock(t, m, 1, 1, Exclusive)
+	mustLock(t, m, 2, 2, Exclusive)
+	t2 := goLock(m, 2, 1, Exclusive)
+	waitForWaits(t, m, 1)
+	t1 := goLock(m, 1, 2, Exclusive)
+	if err := <-t2; !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("T2 err = %v, want ErrDeadlock", err)
+	}
+	waitForWaits(t, m, 2)
+
+	t3 := goLock(m, 3, 1, Exclusive)
+	waitForWaits(t, m, 3)
+	if _, d := m.Stats(); d != 1 {
+		t.Fatalf("deadlocks = %d after T3 parked, want 1", d)
+	}
+
+	m.ReleaseAll(2) // T2's caller aborts it
+	if err := <-t1; err != nil {
+		t.Fatalf("T1 err = %v", err)
+	}
+	if !m.Holds(1, 2, Exclusive) {
+		t.Fatal("T1 was not granted p2 when T2 aborted")
+	}
+	select {
+	case err := <-t3:
+		t.Fatalf("T3 returned %v while T1 still holds p1", err)
+	default:
+	}
+	m.ReleaseAll(1)
+	if err := <-t3; err != nil {
+		t.Fatalf("T3 err = %v", err)
+	}
+	if !m.Holds(3, 1, Exclusive) {
+		t.Fatal("T3 was not granted p1 when T1 committed")
 	}
 }
 
 // runThreeCycle builds the same three-transaction cycle every time —
 // T3 holds p3 and waits for p1, T2 holds p2 and waits for p3, then T1
-// (holding p1) requests p2 — and returns the victim trace.
+// (holding p1) requests p2 — and returns the victim trace: the
+// transactions whose Lock call returned ErrDeadlock. Each transaction is
+// released as soon as its Lock call returns, so the survivors are granted
+// one by one whichever transaction the cycle elected.
 func runThreeCycle(t *testing.T) []TxnID {
 	t.Helper()
 	m := New()
@@ -82,45 +130,37 @@ func runThreeCycle(t *testing.T) []TxnID {
 			t.Fatal(err)
 		}
 	}
-	errs := make(chan error, 2)
-	go func() { errs <- m.Lock(3, 1, Exclusive) }()
+	type result struct {
+		txn TxnID
+		err error
+	}
+	results := make(chan result, 3)
+	lock := func(txn TxnID, p PageID) {
+		go func() { results <- result{txn, m.Lock(txn, p, Exclusive)} }()
+	}
+	lock(3, 1)
 	waitForWaits(t, m, 1)
-	go func() { errs <- m.Lock(2, 3, Exclusive) }()
+	lock(2, 3)
 	waitForWaits(t, m, 2)
 
 	// T1 closes the cycle {1,2,3}; the youngest (T3) must be the victim even
 	// though it is parked two edges away from the detecting request.
-	grant := make(chan error, 1)
-	go func() { grant <- m.Lock(1, 2, Exclusive) }()
-	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("victim err = %v, want ErrDeadlock", err)
+	lock(1, 2)
+	var victims []TxnID
+	for range 3 {
+		select {
+		case r := <-results:
+			if errors.Is(r.err, ErrDeadlock) {
+				victims = append(victims, r.txn)
+			} else if r.err != nil {
+				t.Fatalf("T%d err = %v", r.txn, r.err)
+			}
+			m.ReleaseAll(r.txn)
+		case <-time.After(5 * time.Second):
+			t.Fatal("a Lock call never returned")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no victim evicted")
 	}
-	m.ReleaseAll(3)
-	// With T3 gone, T2 gets p3, and once T2 is released T1 gets p2.
-	select {
-	case err := <-errs:
-		if err != nil {
-			t.Fatalf("T2 err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("T2 never granted")
-	}
-	m.ReleaseAll(2)
-	select {
-	case err := <-grant:
-		if err != nil {
-			t.Fatalf("T1 err = %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("T1 never granted")
-	}
-	m.ReleaseAll(1)
-	return m.Victims()
+	return victims
 }
 
 // TestVictimTraceDeterministic is the regression test for ROADMAP open item

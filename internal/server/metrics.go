@@ -30,9 +30,10 @@ var metricOpNames = [numMetricOps]string{
 }
 
 // Metrics is the server's runtime instrumentation: per-op service-time
-// histograms, an in-flight session gauge, and request/deadlock/protocol
-// error counters. All methods are lock-free and safe for concurrent use; a
-// nil *Metrics is a valid no-op sink.
+// histograms, an in-flight session gauge, and deadlock/busy/protocol error
+// counters. The request count is the histograms' total count. All methods
+// are lock-free and safe for concurrent use; a nil *Metrics is a valid no-op
+// sink.
 //
 // Metrics implements live.Collector; register it on a live.Registry to
 // expose server.<op>.ms summaries, the server.sessions gauge, and the
@@ -40,7 +41,6 @@ var metricOpNames = [numMetricOps]string{
 type Metrics struct {
 	clock     live.Clock
 	sessions  live.Gauge
-	requests  live.Counter
 	deadlocks live.Counter
 	busies    live.Counter
 	protoErrs live.Counter
@@ -85,12 +85,17 @@ func (m *Metrics) MaxSessions() int64 {
 	return m.sessions.Max()
 }
 
-// Requests reports the total request count.
+// Requests reports the total request count: every request served is
+// observed by one per-op service-time histogram.
 func (m *Metrics) Requests() int64 {
 	if m == nil {
 		return 0
 	}
-	return m.requests.Value()
+	var n int64
+	for op := range m.serviceMs {
+		n += m.serviceMs[op].Count()
+	}
+	return n
 }
 
 // observe records one served request of op kind taking ms milliseconds.
@@ -98,7 +103,6 @@ func (m *Metrics) observe(op metricOp, ms float64) {
 	if m == nil || op < 0 || op >= numMetricOps {
 		return
 	}
-	m.requests.Inc()
 	m.serviceMs[op].Observe(ms)
 }
 
@@ -136,7 +140,7 @@ func (m *Metrics) ServiceHist(op byte) *live.Histogram {
 // idle server does not flood /metrics with empty summaries.
 func (m *Metrics) Collect(s *live.Snapshot) {
 	s.PutGauge("server.sessions", live.GaugeSnap{Value: m.sessions.Value(), Max: m.sessions.Max()})
-	s.PutCounter("server.requests", m.requests.Value())
+	s.PutCounter("server.requests", m.Requests())
 	s.PutCounter("server.deadlocks", m.deadlocks.Value())
 	s.PutCounter("server.busy", m.busies.Value())
 	s.PutCounter("server.proto_errors", m.protoErrs.Value())

@@ -375,7 +375,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // a transfer (Begin, two Reads, two Writes, Commit) costs three, and a
 // query of eight Reads costs nine.
 func TestRoundTripsPerTransaction(t *testing.T) {
-	_, addr := startServer(t, "wal-1stream", 16, 100)
+	srv, addr := startServer(t, "wal-1stream", 16, 100)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -407,6 +407,14 @@ func TestRoundTripsPerTransaction(t *testing.T) {
 	}
 	if got := cc.writes.Load(); got != 9 {
 		t.Fatalf("an 8-read query took %d flushes, want 9", got)
+	}
+
+	// The transfer made 4 requests (Begin, Read, Read, Commit) and the query
+	// 10; /metrics reports the count the service-time histograms hold.
+	snap := live.NewSnapshot()
+	srv.Metrics().Collect(snap)
+	if got := snap.Counters["server.requests"]; got != 14 || srv.Metrics().Requests() != 14 {
+		t.Fatalf("server.requests = %d, Requests() = %d, want 14", got, srv.Metrics().Requests())
 	}
 }
 

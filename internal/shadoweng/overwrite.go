@@ -105,8 +105,6 @@ type OverwriteEngine struct {
 	// originals' scratch blocks and assigned intent slot.
 	att map[uint64]*owTxn
 
-	commits  int64
-	aborts   int64
 	redone   int64
 	restored int64
 
@@ -283,7 +281,6 @@ func (e *OverwriteEngine) Commit(tid uint64) error {
 			}
 		}
 		delete(e.att, tid)
-		e.commits++
 		e.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid})
 		return nil
 	}
@@ -314,7 +311,6 @@ func (e *OverwriteEngine) Commit(tid uint64) error {
 		return err
 	}
 	delete(e.att, tid)
-	e.commits++
 	e.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid})
 	return nil
 }
@@ -344,7 +340,6 @@ func (e *OverwriteEngine) Abort(tid uint64) error {
 		}
 	}
 	delete(e.att, tid)
-	e.aborts++
 	e.journal.Emit(obs.JournalRecord{Event: "abort", Txn: tid, N: int64(len(t.order))})
 	return nil
 }
@@ -416,8 +411,6 @@ func (e *OverwriteEngine) ReadCommitted(p int64) ([]byte, error) {
 // Stats reports counters.
 func (e *OverwriteEngine) Stats() map[string]int64 {
 	return map[string]int64{
-		"commits":  e.commits,
-		"aborts":   e.aborts,
 		"redone":   e.redone,
 		"restored": e.restored,
 	}

@@ -52,9 +52,6 @@ type Engine struct {
 
 	att map[uint64]map[int64]int64 // tid -> logical -> new block
 
-	commits int64
-	aborts  int64
-
 	// journal, when attached, records recovery decisions in order. A nil
 	// journal is a no-op sink; it belongs to the observer and survives
 	// Crash.
@@ -171,7 +168,6 @@ func (e *Engine) Commit(tid uint64) error {
 		e.freeList = append(e.freeList, blk)
 	}
 	delete(e.att, tid)
-	e.commits++
 	return nil
 }
 
@@ -185,7 +181,6 @@ func (e *Engine) Abort(tid uint64) error {
 		e.freeList = append(e.freeList, blk)
 	}
 	delete(e.att, tid)
-	e.aborts++
 	return nil
 }
 
@@ -334,12 +329,10 @@ func (e *Engine) ReadCommitted(p int64) ([]byte, error) {
 	return e.readCommitted(p)
 }
 
-// Stats reports commit/abort counters and table size.
+// Stats reports the page table's size and its free blocks.
 func (e *Engine) Stats() map[string]int64 {
 	return map[string]int64{
-		"commits": e.commits,
-		"aborts":  e.aborts,
-		"pages":   int64(len(e.current)),
-		"free":    int64(len(e.freeList)),
+		"pages": int64(len(e.current)),
+		"free":  int64(len(e.freeList)),
 	}
 }

@@ -29,8 +29,6 @@ type VersionEngine struct {
 
 	att map[uint64]*vsTxn
 
-	commits, aborts int64
-
 	// journal, when attached, records recovery decisions in order (nil is
 	// a no-op sink; survives Crash).
 	journal *obs.Journal
@@ -219,7 +217,6 @@ func (e *VersionEngine) Commit(tid uint64) error {
 		return fmt.Errorf("shadoweng: commit %d in doubt: %w", tid, err)
 	}
 	delete(e.att, tid)
-	e.commits++
 	e.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid, LSN: target})
 	return nil
 }
@@ -253,7 +250,6 @@ func (e *VersionEngine) Abort(tid uint64) error {
 		}
 	}
 	delete(e.att, tid)
-	e.aborts++
 	e.journal.Emit(obs.JournalRecord{Event: "abort", Txn: tid, N: int64(len(t.order))})
 	return nil
 }
@@ -307,9 +303,4 @@ func (e *VersionEngine) Recover() error {
 // ReadCommitted resolves the committed version of page p.
 func (e *VersionEngine) ReadCommitted(p int64) ([]byte, error) {
 	return e.selectVersion(p, 0)
-}
-
-// Stats reports counters.
-func (e *VersionEngine) Stats() map[string]int64 {
-	return map[string]int64{"commits": e.commits, "aborts": e.aborts}
 }

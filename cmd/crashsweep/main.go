@@ -18,8 +18,8 @@
 // engine with a recovery journal attached: the journal's JSONL goes to
 // stdout (or -journal-out), then one verdict line to stderr, e.g.
 // "wal-1stream@3: committed=0 CONSISTENT (in-doubt commit rolled back)".
-// The point is always one of the memory sweep's, so -file, -engines, -every
-// and -report are refused beside -journal.
+// The point is always one of the memory sweep's, so the sweep's flags
+// (-file, -file-dir, -engines, -every, -jobs, -report, -live) are refused.
 //
 // Exit status: 0 when every audit passes, 1 on audit failures, 2 on usage
 // or harness errors.
@@ -82,12 +82,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *journalAt != "" {
-		// A journal replays one point of the memory sweep: a flag that
-		// picks the sweep's targets, points or report file would be ignored.
+		// A journal replays one point of the memory sweep in this process:
+		// a flag that shapes a sweep or serves its progress would be ignored.
 		var sweepOnly []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "file", "engines", "every", "report":
+			case "file", "file-dir", "engines", "every", "jobs", "report", "live":
 				sweepOnly = append(sweepOnly, "-"+f.Name)
 			}
 		})

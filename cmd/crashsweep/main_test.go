@@ -50,6 +50,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-engines", "shadow", "-journal", "wal-1stream@3"},
 		{"-every", "2", "-journal", "wal-1stream@3"},
 		{"-report", "r.txt", "-journal", "wal-1stream@3"},
+		{"-file-dir", "d", "-journal", "wal-1stream@3"},
+		{"-jobs", "2", "-journal", "wal-1stream@3"},
+		{"-live", "127.0.0.1:0", "-journal", "wal-1stream@3"},
 	} {
 		if code, _, stderr := runCLI(t, args...); code != 2 {
 			t.Errorf("%v: exit = %d, want 2\nstderr:\n%s", args, code, stderr)

@@ -1,0 +1,194 @@
+package engine
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/pagestore"
+	"repro/internal/pagestore/filestore"
+)
+
+// fileCounts is what a durable run costs its stable stores: fsyncs, and the
+// bytes that reach the files — log records as appended (33 bytes of
+// framing each, plus the payload) and each fold's page file.
+type fileCounts struct{ syncs, bytes int64 }
+
+// fileCounter counts one file store's fsyncs and file bytes through its
+// FileHook. While deferring it answers fsyncs with FileSkipSync, as a
+// preload does, and counts nothing.
+type fileCounter struct {
+	dir       string
+	deferring bool
+	logged    int64 // wal.log's size at the last append
+	fileCounts
+}
+
+func (c *fileCounter) hook(op pagestore.FileOp, _ string, _ int64) pagestore.FileFault {
+	size := func(name string) int64 {
+		fi, err := os.Stat(filepath.Join(c.dir, name))
+		if err != nil {
+			return 0
+		}
+		return fi.Size()
+	}
+	switch op {
+	case pagestore.FileSync: // the record it syncs is in wal.log already
+		n := size("wal.log")
+		if !c.deferring {
+			c.syncs++
+			c.bytes += n - c.logged
+		}
+		c.logged = n
+		if c.deferring {
+			return pagestore.FileSkipSync
+		}
+	case pagestore.FileTruncate: // data.db is the fold just renamed in
+		if !c.deferring {
+			c.bytes += size("data.db")
+		}
+		c.logged = 0
+	}
+	return pagestore.FileOK
+}
+
+// durableRun builds arch through Build on file stores under dir with a
+// 64-page WAL pool, loads pages 8-byte balances with deferred fsyncs (one
+// real fsync then makes the preload durable), and runs txns
+// seeded transfers in one session: Begin, Read, Read, Write, Write, Commit
+// between two distinct random pages. It returns the engine, its stores and
+// what the transfers cost the files.
+func durableRun(t *testing.T, arch, dir string, pages, txns int) (*Engine, []*pagestore.Store, fileCounts) {
+	t.Helper()
+	var counters []*fileCounter
+	e, stores, err := Build(arch, 64, func(role string, pageSize int) (*pagestore.Store, error) {
+		s, err := filestore.Open(filepath.Join(dir, role), pageSize)
+		if err != nil {
+			return nil, err
+		}
+		c := &fileCounter{dir: filepath.Join(dir, role), deferring: true}
+		s.SetFileHook(c.hook)
+		counters = append(counters, c)
+		return s, nil
+	})
+	t.Cleanup(func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bal := make([]byte, 8)
+	binary.BigEndian.PutUint64(bal, 1000)
+	for p := int64(0); p < int64(pages); p++ {
+		if err := e.Load(p, bal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range counters {
+		c.deferring = false
+	}
+	// Page 0 once more, with a real fsync, makes the whole preload durable.
+	if err := e.Load(0, bal); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range counters {
+		c.fileCounts = fileCounts{}
+	}
+	rng := rand.New(rand.NewSource(1985))
+	from, to := make([]byte, 8), make([]byte, 8)
+	for i := 0; i < txns; i++ {
+		a := int64(rng.Intn(pages))
+		b := (a + 1 + int64(rng.Intn(pages-1))) % int64(pages)
+		tx, err := e.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := tx.Read(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := tx.Read(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint64(from, binary.BigEndian.Uint64(x)-1)
+		binary.BigEndian.PutUint64(to, binary.BigEndian.Uint64(y)+1)
+		if err := tx.Write(a, from); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write(b, to); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sum fileCounts
+	for _, c := range counters {
+		sum.syncs += c.syncs
+		sum.bytes += c.bytes
+	}
+	return e, stores, sum
+}
+
+// TestSyncsPerCommit pins what a durable commit costs each architecture:
+// fsyncs and file bytes per transfer on file-backed stores, in the
+// durable-commit workload's shape (1,024 pages, a 64-page WAL pool) with
+// one session. Every Put and Delete of a file store is one append and one
+// fsync, so the syncs are the kernel's stable writes; DESIGN §10 says where
+// each architecture's come from. The counts are exact and repeat from run
+// to run, which each architecture checks by running twice. Lowering one
+// (one fsync per commit, each architecture at its floor) re-pins it here.
+func TestSyncsPerCommit(t *testing.T) {
+	const pages, txns = 1024, 300
+	want := map[string]fileCounts{ // per 300 transfers
+		"wal-1stream":  {789, 34824},    // 2.63 syncs, 116.1 B per commit
+		"wal-3streams": {1123, 47675},   // 3.74, 158.9
+		"shadow":       {2400, 5275104}, // 8, 17,583.7
+		"ow-noundo":    {1800, 83400},   // 6, 278
+		"ow-noredo":    {2100, 102900},  // 7, 343
+		"verselect":    {1500, 61500},   // 5, 205
+		"difffile":     {300, 46200},    // 1, 154
+	}
+	for _, arch := range Architectures() {
+		t.Run(arch, func(t *testing.T) {
+			e, _, first := durableRun(t, arch, t.TempDir(), pages, txns)
+			_, _, second := durableRun(t, arch, t.TempDir(), pages, txns)
+			t.Logf("%-12s %.2f syncs and %.1f file B per commit", arch,
+				float64(first.syncs)/txns, float64(first.bytes)/txns)
+			if first != second {
+				t.Fatalf("two runs counted %+v and %+v; the counts must repeat", first, second)
+			}
+			if first != want[arch] {
+				t.Errorf("%d transfers cost %d syncs and %d file bytes, pinned %d and %d",
+					txns, first.syncs, first.bytes, want[arch].syncs, want[arch].bytes)
+			}
+
+			// A whole 4 KiB page. difffile refuses it: an A-file entry, a
+			// 21-byte header plus the image, must fit one 4,096-byte chunk.
+			// ROADMAP item 24a lifts that limit; then this pin goes.
+			tx, err := e.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tx.Write(0, make([]byte, 4096))
+			if arch == "difffile" {
+				if err == nil || !strings.Contains(err.Error(), "exceeds the differential chunk size") {
+					t.Fatalf("a 4 KiB page on difffile: %v, want the chunk-size refusal", err)
+				}
+				return
+			}
+			if err == nil {
+				err = tx.Commit()
+			}
+			if err != nil {
+				t.Fatalf("a 4 KiB page: %v", err)
+			}
+		})
+	}
+}

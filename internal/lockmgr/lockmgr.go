@@ -152,8 +152,7 @@ type Manager struct {
 	freeLocks freeList[lockState]
 	freeTxns  freeList[txnLocks]
 
-	waits     int64
-	deadlocks int64
+	waits int64
 
 	// onGrant, when set (by tests, before any Lock), sees every parked
 	// request as it is granted, under mu, in grant order.
@@ -220,7 +219,6 @@ func (m *Manager) Lock(txn TxnID, p PageID, mode Mode) error {
 			return w.err
 		}
 
-		m.deadlocks++
 		if victim == txn {
 			m.mu.Unlock()
 			return ErrDeadlock
@@ -443,9 +441,9 @@ func (m *Manager) Holds(txn TxnID, p PageID, mode Mode) bool {
 	return ok && (mode == Shared || cur == Exclusive)
 }
 
-// Stats reports the number of waits and deadlocks observed.
-func (m *Manager) Stats() (waits, deadlocks int64) {
+// Waits reports the number of lock requests that have parked.
+func (m *Manager) Waits() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.waits, m.deadlocks
+	return m.waits
 }

@@ -13,7 +13,7 @@ func waitForWaits(t *testing.T, m *Manager, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if w, _ := m.Stats(); w >= n {
+		if m.Waits() >= n {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -45,11 +45,13 @@ func TestWaitingVictimEvicted(t *testing.T) {
 	granted := make(chan error, 1)
 	go func() { granted <- m.Lock(1, 20, Exclusive) }()
 
+	deadlocks := 0
 	select {
 	case err := <-victimErr:
 		if !errors.Is(err, ErrDeadlock) {
 			t.Fatalf("victim err = %v, want ErrDeadlock", err)
 		}
+		deadlocks++
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked victim never received ErrDeadlock")
 	}
@@ -57,6 +59,9 @@ func TestWaitingVictimEvicted(t *testing.T) {
 
 	select {
 	case err := <-granted:
+		if errors.Is(err, ErrDeadlock) {
+			deadlocks++
+		}
 		if err != nil {
 			t.Fatalf("survivor err = %v", err)
 		}
@@ -66,8 +71,8 @@ func TestWaitingVictimEvicted(t *testing.T) {
 	if !m.Holds(1, 20, Exclusive) {
 		t.Fatal("survivor does not hold the contested lock")
 	}
-	if _, d := m.Stats(); d != 1 {
-		t.Fatalf("deadlocks = %d, want 1", d)
+	if deadlocks != 1 {
+		t.Fatalf("deadlocks = %d, want 1", deadlocks)
 	}
 }
 
@@ -89,10 +94,13 @@ func TestEvictedVictimBlocksUntilAborted(t *testing.T) {
 	}
 	waitForWaits(t, m, 2)
 
+	// T3 parks, and is no victim: its Lock call is still out.
 	t3 := goLock(m, 3, 1, Exclusive)
 	waitForWaits(t, m, 3)
-	if _, d := m.Stats(); d != 1 {
-		t.Fatalf("deadlocks = %d after T3 parked, want 1", d)
+	select {
+	case err := <-t3:
+		t.Fatalf("T3 returned %v on parking, want it parked", err)
+	default:
 	}
 
 	m.ReleaseAll(2) // T2's caller aborts it

@@ -17,7 +17,8 @@
 // Store separates the contract from the medium: the crash state, fault
 // hooks, and statistics live in Store, while the bytes live behind the
 // Backend interface. New builds the in-memory backend (the simulated disk
-// the experiments run on, a two-level page table); internal/pagestore/
+// the experiments run on, over Table, the two-level page table the WAL's
+// buffer pool and transaction table use too); internal/pagestore/
 // filestore implements the same contract over a real page file and an
 // on-disk write-ahead log with explicit fsync discipline, so the same
 // recovery audits run against bytes on disk.
@@ -40,7 +41,6 @@ package pagestore
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -121,79 +121,27 @@ type Backend interface {
 	Close() error
 }
 
-// memBlockBits sets the in-memory page table's block: ids that agree above
-// their low memBlockBits bits share a block of 1<<memBlockBits slots.
-const memBlockBits = 8
-
 // memBackend is the volatile simulated disk, whose contents survive
-// power-off by construction (the page table is the platter). It is a
-// two-level page table: a map from id>>memBlockBits to a block of slots,
-// indexed by the id's low bits. The kernels place their pages in a few
-// dense runs — data pages from 0 up, the shadow and differential engines'
-// structures down from negative bases, a WAL stream's log chunks from
-// stream<<40 up — so a run of pages shares a block, and the block of the
-// last access is cached: a steady workload touches the map once per block
-// change, not once per operation.
-type memBackend struct {
-	blocks  map[int64]*memBlock
-	lastKey int64
-	last    *memBlock // the block at lastKey, nil when none is cached
-	// spare is the last block to empty, kept for the next new one: the
-	// overwrite engines write and delete an intent slot every commit.
-	spare *memBlock
-	n     int
-}
+// power-off by construction: its page table is the platter. The kernels
+// place their pages in a few dense runs — data pages from 0 up, the shadow
+// and differential engines' structures down from negative bases, a WAL
+// stream's log chunks from stream<<40 up — so a steady workload touches
+// the Table's map once per block change, not once per operation.
+type memBackend struct{ pages Table[PageID, memPage] }
 
-// memBlock is one block of the page table. A slot holds a page when its
-// data is non-nil (an empty page is a non-nil empty slice).
-type memBlock struct {
-	pages [1 << memBlockBits]memPage
-	n     int
-}
-
+// memPage is a stored page; its data is never nil, so a zero slot is none.
 type memPage struct {
 	data    []byte
 	version uint64
 }
 
-func newMemBackend() *memBackend { return &memBackend{blocks: make(map[int64]*memBlock)} }
-
-// slot returns page id's slot, or nil when its block does not exist and
-// create is false.
-func (m *memBackend) slot(id PageID, create bool) (*memBlock, *memPage) {
-	key := int64(id) >> memBlockBits
-	b := m.last
-	if b == nil || key != m.lastKey {
-		b = m.blocks[key]
-		if b == nil {
-			if !create {
-				return nil, nil
-			}
-			b, m.spare = m.spare, nil
-			if b == nil {
-				b = new(memBlock)
-			}
-			m.blocks[key] = b
-		}
-		m.last, m.lastKey = b, key
-	}
-	return b, &b.pages[id&(1<<memBlockBits-1)]
-}
-
 func (m *memBackend) Get(id PageID) ([]byte, uint64, bool) {
-	_, p := m.slot(id, false)
-	if p == nil || p.data == nil {
-		return nil, 0, false
-	}
-	return p.data, p.version, true
+	p := m.pages.Get(id)
+	return p.data, p.version, p.data != nil
 }
 
 func (m *memBackend) Put(id PageID, data []byte, version uint64) error {
-	b, p := m.slot(id, true)
-	if p.data == nil {
-		b.n++
-		m.n++
-	}
+	p := m.pages.Put(id)
 	if p.data == nil || cap(p.data) < len(data) {
 		p.data = make([]byte, len(data))
 	}
@@ -203,50 +151,13 @@ func (m *memBackend) Put(id PageID, data []byte, version uint64) error {
 	return nil
 }
 
-func (m *memBackend) Del(id PageID) error {
-	b, p := m.slot(id, false)
-	if p == nil || p.data == nil {
-		return nil
-	}
-	*p = memPage{}
-	b.n--
-	m.n--
-	if b.n == 0 {
-		key := int64(id) >> memBlockBits
-		delete(m.blocks, key)
-		m.last, m.spare = nil, b
-	}
-	return nil
-}
-
-func (m *memBackend) Has(id PageID) bool {
-	_, p := m.slot(id, false)
-	return p != nil && p.data != nil
-}
-
-func (m *memBackend) Len() int { return m.n }
-
-func (m *memBackend) Keys() []PageID {
-	keys := make([]int64, 0, len(m.blocks))
-	for k := range m.blocks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]PageID, 0, m.n)
-	for _, k := range keys {
-		b := m.blocks[k]
-		for i := range b.pages {
-			if b.pages[i].data != nil {
-				out = append(out, PageID(k<<memBlockBits|int64(i)))
-			}
-		}
-	}
-	return out
-}
-
-func (m *memBackend) PowerOff()      {}
-func (m *memBackend) PowerOn() error { return nil }
-func (m *memBackend) Close() error   { return nil }
+func (m *memBackend) Del(id PageID) error { m.pages.Delete(id); return nil }
+func (m *memBackend) Has(id PageID) bool  { return m.pages.Get(id).data != nil }
+func (m *memBackend) Len() int            { return m.pages.Len() }
+func (m *memBackend) Keys() []PageID      { return m.pages.Keys() }
+func (m *memBackend) PowerOff()           {}
+func (m *memBackend) PowerOn() error      { return nil }
+func (m *memBackend) Close() error        { return nil }
 
 // Store is a simulated disk with a crash-consistency contract. The zero
 // value is not usable; create one with New (in-memory) or NewOn (any
@@ -266,7 +177,7 @@ type Store struct {
 }
 
 // New returns an in-memory Store for pages of exactly pageSize bytes.
-func New(pageSize int) *Store { return NewOn(pageSize, newMemBackend()) }
+func New(pageSize int) *Store { return NewOn(pageSize, &memBackend{}) }
 
 // NewOn returns a Store for pages of exactly pageSize bytes over backend
 // be. The store takes ownership of the backend.
@@ -292,13 +203,6 @@ func (s *Store) Backend() Backend {
 // PageSize reports the page size in bytes.
 func (s *Store) PageSize() int { return s.pageSize }
 
-// crash cuts power: the store enters the crashed state and the backend
-// applies its medium's loss semantics. Callers hold s.mu.
-func (s *Store) crash() {
-	s.crashed = true
-	s.be.PowerOff()
-}
-
 // backendErr translates a backend failure. A backend that reports
 // ErrCrashed has had power cut by an injected file fault and has already
 // applied its own loss semantics; the store just records the outage.
@@ -318,14 +222,8 @@ func (s *Store) backendErr(err error) error {
 func (s *Store) Write(id PageID, data []byte, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.crashed {
-		return ErrCrashed
-	}
-	if s.fire(OpWrite, id) {
-		return ErrCrashed
+	if err := s.gate(OpWrite, id); err != nil {
+		return err
 	}
 	if len(data) > s.pageSize {
 		return fmt.Errorf("pagestore: page %d: %d bytes exceeds page size %d",
@@ -348,14 +246,8 @@ func (s *Store) Read(id PageID) ([]byte, uint64, error) { return s.ReadInto(nil,
 func (s *Store) ReadInto(dst []byte, id PageID) ([]byte, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, ErrClosed
-	}
-	if s.crashed {
-		return nil, 0, ErrCrashed
-	}
-	if s.fire(OpRead, id) {
-		return nil, 0, ErrCrashed
+	if err := s.gate(OpRead, id); err != nil {
+		return nil, 0, err
 	}
 	data, version, ok := s.be.Get(id)
 	if !ok {
@@ -378,14 +270,8 @@ func (s *Store) ReadInto(dst []byte, id PageID) ([]byte, uint64, error) {
 func (s *Store) Exists(id PageID) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	if s.crashed {
-		return false, ErrCrashed
-	}
-	if s.fire(OpRead, id) {
-		return false, ErrCrashed
+	if err := s.gate(OpRead, id); err != nil {
+		return false, err
 	}
 	s.reads++
 	return s.be.Has(id), nil
@@ -399,14 +285,8 @@ func (s *Store) Exists(id PageID) (bool, error) {
 func (s *Store) Delete(id PageID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.crashed {
-		return ErrCrashed
-	}
-	if s.fire(OpDelete, id) {
-		return ErrCrashed
+	if err := s.gate(OpDelete, id); err != nil {
+		return err
 	}
 	if err := s.be.Del(id); err != nil {
 		return s.backendErr(err)
@@ -415,16 +295,26 @@ func (s *Store) Delete(id PageID) error {
 	return nil
 }
 
-// fire advances the operation sequence and consults the fault hook; it
-// reports true (and cuts power) when the hook fires here. Callers hold
-// s.mu.
-func (s *Store) fire(op Op, id PageID) bool {
+// gate runs the contract's checks on operation op on page id, in order:
+// a closed store fails with ErrClosed and a crashed one with ErrCrashed;
+// then the operation advances the operation sequence and is presented to
+// the fault hook. When the hook fires it cuts power there: the store
+// enters the crashed state and the backend applies its medium's loss
+// semantics. Callers hold s.mu.
+func (s *Store) gate(op Op, id PageID) error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.crashed {
+		return ErrCrashed
+	}
 	s.opSeq++
 	if s.hook != nil && s.hook(op, id, s.opSeq) {
-		s.crash()
-		return true
+		s.crashed = true
+		s.be.PowerOff()
+		return ErrCrashed
 	}
-	return false
+	return nil
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault hook. The hook

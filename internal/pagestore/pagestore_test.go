@@ -409,7 +409,7 @@ func TestWriteFiresHookBeforeSizeCheck(t *testing.T) {
 func TestPageTableMatchesMap(t *testing.T) {
 	bases := []int64{0, 300, -1000000, -2000000, -3000000, -4000000, 1 << 39, 1<<40 | 1<<39, 1 << 40, 2<<40 | 200}
 	rng := rand.New(rand.NewSource(1))
-	tab := newMemBackend()
+	tab := &memBackend{}
 	ref := map[PageID]memPage{}
 	for op := 0; op < 20000; op++ {
 		id := PageID(bases[rng.Intn(len(bases))] + int64(rng.Intn(64)) - 32)

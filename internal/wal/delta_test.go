@@ -153,7 +153,7 @@ func TestLogVolumeOfTransferLog(t *testing.T) {
 		{8, 16.3},
 		{1024, 18.2},
 	} {
-		m := transferLog(t, Config{}, txns, c.pages, 1)
+		m := transferLog(t, Config{}, txns, c.pages, 1, false)
 		per := float64(m.Stats()["logBytes"]) / txns
 		t.Logf("transferLog, %4d pages: %.3f log B/txn (budget %.1f)", c.pages, per, c.budget)
 		if per > c.budget {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/pagestore"
@@ -162,8 +163,8 @@ func addLog(f *testing.F, streams int, run func(m *Manager) error, withMeta bool
 // where its meta page says the stream starts, when that is a chunk number.
 // The seeds are real logs: a transfer, an abort with CLRs, a checkpoint, a
 // gap between streams, three streams a checkpoint truncated, losers whose
-// pages were stolen after their undo records, and a transaction id that
-// recurs after a restart.
+// pages were stolen after their undo records, a transaction id that
+// recurs after a restart, and sparse page and transaction ids.
 func FuzzRecover(f *testing.F) {
 	for _, seed := range []struct {
 		streams int
@@ -243,6 +244,19 @@ func FuzzRecover(f *testing.F) {
 		m.Crash()
 		return errors.Join(m.Recover(), m.Begin(1), m.Write(1, 1, []byte("page-1-again")),
 			m.Begin(2), m.Write(2, 0, []byte("two")), m.Commit(2))
+	}, false)
+	// Sparse ids on three streams: pages on either side of a directory
+	// block boundary near 1<<61, transaction ids on either side of one (255
+	// and 256), and a loser with the largest id there is, whose page is
+	// stolen before the crash.
+	addLog(f, 3, func(m *Manager) error {
+		const p, loser = 1 << 61, math.MaxUint64
+		err := errors.Join(m.Begin(255), m.Write(255, p+255, []byte("edge")), m.Begin(256), m.Write(256, p+256, []byte("next-block")),
+			m.Begin(loser), m.Write(loser, p-1, []byte("loser")), m.Write(255, 0, []byte("page-0-edge")), m.Commit(255), m.Commit(256))
+		if err == nil && m.Stats()["stealsUncommitted"] == 0 {
+			err = errors.New("no page was stolen uncommitted")
+		}
+		return err
 	}, false)
 	f.Fuzz(func(t *testing.T, n uint8, c0, c1, c2, meta []byte) {
 		streams := 1 + int(n%3)

@@ -2,7 +2,7 @@ package wal
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 
 	"repro/internal/obs"
@@ -44,6 +44,14 @@ type bufPage struct {
 	txn        uint64 // the transaction that wrote the record at lsn
 	dirty      bool
 	prev, next *bufPage
+}
+
+// poolSlot is a page's entry in the pool's directory: its frame while it is
+// pooled, and during restart its stable version once a read found it covers
+// a record (see redo).
+type poolSlot struct {
+	frame   *bufPage
+	version uint64
 }
 
 // undoRec is what rolling one update back takes: put old back where the
@@ -90,7 +98,9 @@ func (ts *txnState) keep(old []byte) []byte {
 // through the thread-safe wrapper in internal/engine, whose page-level
 // strict two-phase locking the delta records rely on: a record's byte range
 // is exact only against the page its writer saw, so no other transaction
-// may change a page between an update and its transaction's end.
+// may change a page between an update and its transaction's end. Its
+// buffer pool's directory and its transaction table are pagestore.Tables,
+// so a page or transaction id anywhere in range costs what a dense one does.
 type Manager struct {
 	cfg     Config
 	data    *pagestore.Store
@@ -98,21 +108,14 @@ type Manager struct {
 	streams []*stream
 	nextLSN uint64
 
-	pool  map[pagestore.PageID]*bufPage
-	lru   bufPage    // ring anchor: lru.next is the eviction victim
-	spare []byte     // the last victim's page buffer, for the next fetch
-	free  []*bufPage // frames a crash or restart emptied, buffers kept
+	pool   pagestore.Table[pagestore.PageID, poolSlot] // the pool's directory
+	frames int                                         // pooled pages
+	lru    bufPage                                     // ring anchor: lru.next is the eviction victim
+	spare  []byte                                      // the last victim's page buffer, for the next fetch
+	free   []*bufPage                                  // frames a crash or restart emptied, buffers kept
 
-	// versions is restart's version table, indexed by page number: a
-	// nonzero entry is a version the page's stable copy reached in the
-	// current pass, kept when a read found a record already applied, so
-	// that the page's later records are checked without another read. Data
-	// pages are numbered densely from 0, so the table has one word per
-	// stored page; a page numbered outside it is read for each record.
-	versions []uint64
-
-	att      map[uint64]*txnState
-	freeTxns []*txnState // ended transactions' records, cleared for reuse
+	att      pagestore.Table[uint64, *txnState] // active transactions by id
+	freeTxns []*txnState                        // ended transactions' records, cleared for reuse
 
 	steals     int64
 	uncommit   int64 // dirty pages written while holding an active transaction's update
@@ -145,8 +148,6 @@ func NewManager(dataStore *pagestore.Store, cfg Config) *Manager {
 		data:    dataStore,
 		logs:    logs,
 		nextLSN: 1,
-		pool:    make(map[pagestore.PageID]*bufPage),
-		att:     make(map[uint64]*txnState),
 	}
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	for i := 0; i < cfg.Streams; i++ {
@@ -181,7 +182,7 @@ func (m *Manager) Load(p int64, data []byte) error {
 // Begin starts transaction tid. Nothing is logged: the transaction enters
 // the log with its first update.
 func (m *Manager) Begin(tid uint64) error {
-	if _, ok := m.att[tid]; ok {
+	if m.att.Get(tid) != nil {
 		return fmt.Errorf("wal: transaction %d already active", tid)
 	}
 	m.openTxn(tid)
@@ -197,14 +198,14 @@ func (m *Manager) openTxn(tid uint64) *txnState {
 	} else {
 		ts = &txnState{}
 	}
-	m.att[tid] = ts
+	*m.att.Put(tid) = ts
 	return ts
 }
 
 // endTxn retires tid's record: it leaves the active table, is cleared, and
 // waits on the free list for a later Begin.
 func (m *Manager) endTxn(tid uint64, ts *txnState) {
-	delete(m.att, tid)
+	m.att.Delete(tid)
 	*ts = txnState{updates: ts.updates[:0], arena: ts.arena[:0]}
 	m.freeTxns = append(m.freeTxns, ts)
 }
@@ -226,7 +227,7 @@ func (m *Manager) Read(tid uint64, p int64) ([]byte, error) {
 // the page is written before tid ends (see flush). A write that changes
 // nothing logs nothing.
 func (m *Manager) Write(tid uint64, p int64, data []byte) error {
-	ts := m.att[tid]
+	ts := m.att.Get(tid)
 	if ts == nil {
 		return fmt.Errorf("wal: transaction %d not active", tid)
 	}
@@ -267,7 +268,7 @@ func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 // recovery decides the outcome. A transaction that changed nothing has
 // nothing to make durable: no record, no force.
 func (m *Manager) Commit(tid uint64) error {
-	ts := m.att[tid]
+	ts := m.att.Get(tid)
 	if ts == nil {
 		return fmt.Errorf("wal: transaction %d not active", tid)
 	}
@@ -305,7 +306,7 @@ func (m *Manager) Commit(tid uint64) error {
 // transaction committed changes to the same pages. A transaction that
 // changed nothing leaves the log alone.
 func (m *Manager) Abort(tid uint64) error {
-	ts := m.att[tid]
+	ts := m.att.Get(tid)
 	if ts == nil {
 		return fmt.Errorf("wal: transaction %d not active", tid)
 	}
@@ -371,15 +372,6 @@ func (m *Manager) appendRecOn(rec Record) (uint64, int) {
 	return rec.LSN, i
 }
 
-func (m *Manager) forceAll() error {
-	for _, s := range m.streams {
-		if err := s.force(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // forceThrough makes the log durable up to lsn: every stream whose oldest
 // volatile record is at or below lsn is forced. A stream's LSNs ascend, so
 // a stream whose volatile head lies above lsn holds nothing the
@@ -402,14 +394,15 @@ func (m *Manager) resetPool() {
 	for bp := m.lru.next; bp != &m.lru; bp = bp.next {
 		m.free = append(m.free, bp)
 	}
-	clear(m.pool)
+	m.pool = pagestore.Table[pagestore.PageID, poolSlot]{}
+	m.frames = 0
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 }
 
 // getPage returns the pooled page, fetching (and possibly evicting) as
 // needed. A full pool recycles its least recently used frame (see admit).
 func (m *Manager) getPage(p pagestore.PageID) (*bufPage, error) {
-	if bp, ok := m.pool[p]; ok {
+	if bp := m.pool.Get(p).frame; bp != nil {
 		bp.unlink()
 		m.pushNewest(bp)
 		return bp, nil
@@ -419,7 +412,7 @@ func (m *Manager) getPage(p pagestore.PageID) (*bufPage, error) {
 		return nil, err
 	}
 	var victim *bufPage
-	if len(m.pool) >= m.cfg.PoolPages {
+	if m.frames >= m.cfg.PoolPages {
 		victim = m.lru.next
 	}
 	return m.admit(p, data, version, victim)
@@ -455,7 +448,8 @@ func (m *Manager) admit(p pagestore.PageID, data []byte, version uint64, victim 
 	}
 	m.spare = bp.data // nil for a new frame
 	*bp = bufPage{id: p, data: data, lsn: version}
-	m.pool[p] = bp
+	m.pool.Put(p).frame = bp
+	m.frames++
 	m.pushNewest(bp)
 	return bp, nil
 }
@@ -485,7 +479,8 @@ func (m *Manager) evict(bp *bufPage) error {
 		m.journal.EmitPage(int64(bp.id), obs.JournalRecord{Event: "steal", LSN: bp.lsn})
 	}
 	bp.unlink()
-	delete(m.pool, bp.id)
+	m.pool.Delete(bp.id)
+	m.frames--
 	return nil
 }
 
@@ -500,7 +495,7 @@ func (m *Manager) evict(bp *bufPage) error {
 // writer can hold such an update.
 func (m *Manager) flush(bp *bufPage) error {
 	through := bp.lsn
-	if ts := m.att[bp.txn]; ts != nil {
+	if ts := m.att.Get(bp.txn); ts != nil {
 		held := false
 		for i := range ts.updates {
 			u := &ts.updates[i]
@@ -539,17 +534,12 @@ func (m *Manager) flush(bp *bufPage) error {
 // it; a flushed page holding one's update logs its old bytes first (see
 // flush).
 func (m *Manager) Checkpoint() error {
-	if err := m.forceAll(); err != nil {
+	if err := m.forceThrough(math.MaxUint64); err != nil {
 		return err
 	}
-	pooled := make([]pagestore.PageID, 0, len(m.pool))
-	for p := range m.pool {
-		pooled = append(pooled, p)
-	}
-	sort.Slice(pooled, func(i, j int) bool { return pooled[i] < pooled[j] })
 	var flushed int64
-	for _, p := range pooled {
-		bp := m.pool[p]
+	for _, p := range m.pool.Keys() {
+		bp := m.pool.Get(p).frame
 		if !bp.dirty {
 			continue
 		}
@@ -559,13 +549,13 @@ func (m *Manager) Checkpoint() error {
 		flushed++
 	}
 	point := m.nextLSN // the checkpoint record's own LSN
-	for _, ts := range m.att {
-		if ts.firstLSN != 0 && ts.firstLSN < point {
+	for _, tid := range m.att.Keys() {
+		if ts := m.att.Get(tid); ts.firstLSN != 0 && ts.firstLSN < point {
 			point = ts.firstLSN
 		}
 	}
 	cpLSN := m.appendRec(Record{Type: RecCheckpoint, PrevLSN: point - 1})
-	if err := m.forceAll(); err != nil {
+	if err := m.forceThrough(math.MaxUint64); err != nil {
 		return err
 	}
 	m.journal.Emit(obs.JournalRecord{Event: "checkpoint", Engine: m.Name(), LSN: cpLSN, N: flushed})
@@ -591,7 +581,7 @@ func (m *Manager) truncatedChunks() int64 {
 // unforced log tails vanish. Stable storage is untouched.
 func (m *Manager) Crash() {
 	m.resetPool()
-	clear(m.att)
+	m.att = pagestore.Table[uint64, *txnState]{}
 	for _, s := range m.streams {
 		s.crash()
 	}
@@ -620,23 +610,24 @@ func (m *Manager) Crash() {
 // its LSNs are handed out again.
 //
 // Redo runs through the buffer pool, as in ARIES, and writes nothing at a
-// commit or abort record: a redone page stays pooled and reaches disk later,
-// by a steal or a checkpoint. A page the pass reads but does not pool, because
-// its stable version already covers the record, has that version kept in a
-// table of one word per stored page, so the page's later records are checked
-// without reading it again. Restart thus reads a page when the log first
-// names it and again only to pool it, and writes it at most once per stay in
-// the pool. Restart's memory is the open transactions, one chunk per stream,
-// the pool, and that version table. Update records carry no old bytes, so
-// the pass never steals a page that holds an update of a transaction still
-// open in it (see pinned): a crash would leave that update on disk with
-// nothing in the log to undo it from. The losers' pages redone in memory
-// are rolled back there, with the old bytes their redo removed; an update
-// the stable page already held is rolled back with the old bytes of its
-// undo record, which the run-time write-ahead rule logged before the page
-// reached disk. Such an update without one is corruption. The pool may
-// grow past PoolPages while every frame is pinned; it is cut back to size
-// once undo ends.
+// commit or abort record: a redone page stays pooled and reaches disk later, by
+// a steal or a checkpoint. A page the pass reads but does not pool, because its
+// stable version already covers the record, has that version kept in its slot
+// of the pool's directory, so the page's later records are checked without
+// reading it again. Restart thus reads a page when the log first names it and
+// again only to pool it, and writes it at most once per stay in the pool.
+// Restart's memory is the open transactions, one chunk per stream, the pool,
+// and a version slot for each stored page the log names; the slots that hold no
+// frame are dropped before Recover returns, so only the pool outlives it.
+// Update records carry no old bytes, so the pass never steals a page that holds
+// an update of a transaction still open in it (see pinned): a crash would leave
+// that update on disk with nothing in the log to undo it from. The losers'
+// pages redone in memory are rolled back there, with the old bytes their redo
+// removed; an update the stable page already held is rolled back with the old
+// bytes of its undo record, which the run-time write-ahead rule logged before
+// the page reached disk. Such an update without one is corruption. The pool may
+// grow past PoolPages while every frame is pinned; it is cut back to size once
+// undo ends.
 func (m *Manager) Recover() error {
 	if err := m.data.Reset(); err != nil {
 		return err
@@ -646,11 +637,8 @@ func (m *Manager) Recover() error {
 	}
 	m.recoveries++
 	m.scanned = 0
-	clear(m.att)
+	m.att = pagestore.Table[uint64, *txnState]{}
 	m.resetPool()
-	n := m.data.Pages()
-	m.versions = slices.Grow(m.versions[:0], n)[:n]
-	clear(m.versions)
 
 	readers := make([]*reader, len(m.streams))
 	dead := uint64(0)
@@ -693,13 +681,10 @@ func (m *Manager) Recover() error {
 	m.nextLSN = next
 
 	// The transactions still open are the losers.
-	losers := make([]uint64, 0, len(m.att))
-	for tid := range m.att {
-		losers = append(losers, tid)
-	}
-	sort.Slice(losers, func(i, j int) bool { return m.att[losers[i]].firstLSN < m.att[losers[j]].firstLSN })
+	losers := m.att.Keys()
+	sort.Slice(losers, func(i, j int) bool { return m.att.Get(losers[i]).firstLSN < m.att.Get(losers[j]).firstLSN })
 	for _, tid := range losers {
-		for _, u := range m.att[tid].updates {
+		for _, u := range m.att.Get(tid).updates {
 			if u.old == nil && u.del > 0 {
 				return fmt.Errorf("wal: stream %d: no undo record for txn %d's update at LSN %d, which page %d holds on disk",
 					m.cfg.Selection.pick(m.cfg.Streams, tid, int64(u.page)), tid, u.lsn, u.page)
@@ -727,13 +712,13 @@ func (m *Manager) Recover() error {
 	type pending struct{ lsn, tid uint64 }
 	var undo []pending
 	for _, tid := range losers {
-		for _, u := range m.att[tid].updates {
+		for _, u := range m.att.Get(tid).updates {
 			undo = append(undo, pending{u.lsn, tid})
 		}
 	}
 	sort.Slice(undo, func(i, j int) bool { return undo[i].lsn > undo[j].lsn })
 	for _, p := range undo {
-		ts := m.att[p.tid]
+		ts := m.att.Get(p.tid)
 		pg := ts.updates[len(ts.updates)-1].page
 		if err := m.compensate(p.tid, ts); err != nil {
 			return err
@@ -745,11 +730,16 @@ func (m *Manager) Recover() error {
 		}
 	}
 	for _, tid := range losers {
-		m.endTxn(tid, m.att[tid])
+		m.endTxn(tid, m.att.Get(tid))
 	}
-	for len(m.pool) > m.cfg.PoolPages {
+	for m.frames > m.cfg.PoolPages {
 		if err := m.evict(m.lru.next); err != nil {
 			return err
+		}
+	}
+	for _, p := range m.pool.Keys() { // only the pool outlives restart
+		if m.pool.Get(p).frame == nil {
+			m.pool.Delete(p)
 		}
 	}
 	return nil
@@ -766,7 +756,7 @@ func (m *Manager) repeat(r *Record) error {
 	if r.Type == RecCheckpoint {
 		return nil
 	}
-	ts := m.att[r.Txn]
+	ts := m.att.Get(r.Txn)
 	if ts == nil {
 		if r.Type == RecUndo {
 			return nil // it covers no update still open
@@ -820,32 +810,30 @@ func (m *Manager) repeat(r *Record) error {
 
 // redo repeats update or CLR r of ts at restart, unless the stable page
 // already holds it, and returns the bytes an update removed (nil if it did
-// not redo it). It looks in the pool first, then in versions. A page whose
-// version there does not cover r is read into the spare buffer; if the
-// version read covers r it goes into versions, else the page is pooled, in
-// the frame redoVictim picks. Only pooled pages are written, at their LSN,
-// so a page's stable version only rises during the pass: an entry never
-// overstates it. Strict two-phase locking lets no other transaction change a
-// pinned page; a log in which one does is corrupt.
+// not redo it). It looks up the page's slot in the pool's directory. A
+// pooled page is redone in its frame. A page whose slot holds no version
+// that covers r is read into the spare buffer; if the version read covers r
+// it goes into the slot, else the page is pooled, in the frame redoVictim
+// picks. Only pooled pages are written, at their LSN, so a page's stable
+// version only rises during the pass: a slot never overstates it. A page
+// once pooled has no later record at or below that version, so evict drops
+// the slot whole. Strict two-phase locking lets no other transaction change
+// a pinned page; a log in which one does is corrupt.
 func (m *Manager) redo(r *Record, ts *txnState) (old []byte, err error) {
 	id := pagestore.PageID(r.Page)
-	bp := m.pool[id]
+	s := m.pool.Get(id)
+	bp := s.frame
 	switch {
 	case bp == nil:
-		var known *uint64 // id's entry in versions, nil when it has none
-		if id >= 0 && int64(id) < int64(len(m.versions)) {
-			if known = &m.versions[id]; *known >= r.LSN {
-				return nil, nil
-			}
+		if s.version >= r.LSN {
+			return nil, nil
 		}
 		data, version, err := m.fetch(id)
 		if err != nil {
 			return nil, err
 		}
 		if version >= r.LSN {
-			if known != nil {
-				*known = version
-			}
+			m.pool.Put(id).version = version
 			return nil, nil
 		}
 		if bp, err = m.admit(id, data, version, m.redoVictim()); err != nil {
@@ -881,7 +869,7 @@ func (m *Manager) redo(r *Record, ts *txnState) (old []byte, err error) {
 // none while the pool has room, else the least recently used frame not
 // pinned, and none again, so that the pool grows, when every frame is.
 func (m *Manager) redoVictim() *bufPage {
-	if len(m.pool) < m.cfg.PoolPages {
+	if m.frames < m.cfg.PoolPages {
 		return nil
 	}
 	for bp := m.lru.next; bp != &m.lru; bp = bp.next {
@@ -898,19 +886,13 @@ func (m *Manager) redoVictim() *bufPage {
 // incarnation that redid the page, the one whose first record is at or
 // below the page's LSN.
 func (m *Manager) pinned(bp *bufPage) bool {
-	ts := m.att[bp.txn]
+	ts := m.att.Get(bp.txn)
 	return ts != nil && ts.firstLSN <= bp.lsn
 }
 
 // ReadCommitted reads page p's current contents; meaningful once no
 // transaction is active (for example right after Recover).
-func (m *Manager) ReadCommitted(p int64) ([]byte, error) {
-	bp, err := m.getPage(pagestore.PageID(p))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), bp.data...), nil
-}
+func (m *Manager) ReadCommitted(p int64) ([]byte, error) { return m.Read(0, p) }
 
 // Stats reports counters: steals (dirty evictions), dirty pages written
 // while an active transaction had an uncompensated update on them (by a

@@ -24,13 +24,18 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 // width transactions run at once, their records interleaved: all begin,
 // each debits, each credits, each commits. They touch disjoint pages, as
 // strict two-phase locking would have them. Width 1 is the crash-restart
-// workload of the repository's benchmark, without the server.
-func transferLog(tb testing.TB, cfg Config, txns, pages, width int) *Manager {
+// workload of the repository's benchmark, without the server. With sparse
+// set, page p is sparsePage(p) instead.
+func transferLog(tb testing.TB, cfg Config, txns, pages, width int, sparse bool) *Manager {
 	tb.Helper()
 	m, _ := newTestManager(cfg)
+	id := func(p int64) int64 { return p }
+	if sparse {
+		id = sparsePage
+	}
 	bal := make([]byte, 8)
 	for p := int64(0); p < int64(pages); p++ {
-		if err := m.Load(p, bal); err != nil {
+		if err := m.Load(id(p), bal); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -51,7 +56,7 @@ func transferLog(tb testing.TB, cfg Config, txns, pages, width int) *Manager {
 		}
 		for end := 0; end < 2; end++ {
 			for k, e := range round {
-				tid, p := uint64(i+k+1), e[end]
+				tid, p := uint64(i+k+1), id(e[end])
 				v, err := m.Read(tid, p)
 				if err != nil {
 					tb.Fatal(err)
@@ -72,11 +77,16 @@ func transferLog(tb testing.TB, cfg Config, txns, pages, width int) *Manager {
 	return m
 }
 
+// sparsePage spreads page p one per block of the pool's directory, near
+// 1<<61: far from 0, and within the ids engine.checkPage allows.
+func sparsePage(p int64) int64 { return 1<<61 + p<<8 }
+
 // BenchmarkManagerRecover times restart alone over logs of 30,000 committed
 // transfers, built and crashed outside the timer: the crash-restart log on
 // 1,024 pages, on one stream and on three; the hot-upgrade shape, the same
-// transfers on 8 pages; and four transactions at a time interleaving on 8
-// pages. ns/txn, B/txn and allocs/txn are per logged transaction, and so
+// transfers on 8 pages; four transactions at a time interleaving on 8
+// pages; and the one-stream log on 1,024 pages spread one per directory
+// block near 1<<61 (sparsePage), which must cost what the dense one does. ns/txn, B/txn and allocs/txn are per logged transaction, and so
 // are logB/txn, the stable log bytes restart reads, and dataReads/txn and
 // dataWrites/txn, its data-page I/O.
 func BenchmarkManagerRecover(b *testing.B) {
@@ -85,18 +95,20 @@ func BenchmarkManagerRecover(b *testing.B) {
 		name         string
 		cfg          Config
 		pages, width int
+		sparse       bool
 	}{
-		{"1stream", Config{}, 1024, 1},
-		{"3streams-pagemod", Config{Streams: 3, Selection: PageMod}, 1024, 1},
-		{"1stream-8pages", Config{}, 8, 1},
-		{"interleaved-8pages", Config{}, 8, 4},
+		{"1stream", Config{}, 1024, 1, false},
+		{"3streams-pagemod", Config{Streams: 3, Selection: PageMod}, 1024, 1, false},
+		{"1stream-8pages", Config{}, 8, 1, false},
+		{"interleaved-8pages", Config{}, 8, 4, false},
+		{"sparse", Config{}, 1024, 1, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var bytes, allocs, logBytes, reads, writes float64
 			var before, after runtime.MemStats
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				m := transferLog(b, c.cfg, txns, c.pages, c.width)
+				m := transferLog(b, c.cfg, txns, c.pages, c.width, c.sparse)
 				logBytes += float64(m.Stats()["logBytes"])
 				r0, w0 := m.data.Stats()
 				runtime.ReadMemStats(&before)
@@ -129,7 +141,7 @@ func BenchmarkManagerRecover(b *testing.B) {
 // still open, so neither its bytes nor its allocations grow with the log.
 func TestRecoverAllocationBudget(t *testing.T) {
 	const txns, pages, budget, allocBudget = 30000, 1024, 100, 0.01
-	m := transferLog(t, Config{}, txns, pages, 1)
+	m := transferLog(t, Config{}, txns, pages, 1, false)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	must(t, m.Recover())
@@ -190,7 +202,7 @@ func TestRecoverReadsEachChunkOnce(t *testing.T) {
 func TestRestartDataIOByPage(t *testing.T) {
 	const txns = 30000
 	for _, pages := range []int64{8, 1024} {
-		m := transferLog(t, Config{}, txns, int(pages), 1)
+		m := transferLog(t, Config{}, txns, int(pages), 1, false)
 		journal := obs.NewJournal()
 		m.SetJournal(journal)
 		r0, w0 := m.data.Stats()
@@ -213,6 +225,74 @@ func TestRestartDataIOByPage(t *testing.T) {
 		if reads > bound || writes != 0 {
 			t.Errorf("%d pages: restart read %d and wrote %d data pages; want ≤ %d reads (pages, plus pages redone, plus steals) and no write", pages, reads, writes, bound)
 		}
+	}
+}
+
+// TestSparseIDsRestartLikeDense: a page id or a transaction id anywhere in
+// range costs restart what a dense one does. The same seeded transfers run
+// twice, on 64 pages behind a 16-page pool: once on pages 0 to 63, once on
+// the same pages spread one per block near 1<<61 (sparsePage). Each run
+// crashes and restarts, runs a second incarnation and crashes and restarts
+// again. Transaction ids cross a block boundary of the transaction table
+// (256), and the first incarnation leaves a loser with the largest id there
+// is, which the second restart meets in the log again. The final pages, the
+// Stats (less logBytes: a record holds its page id as a varint) and each
+// restart's data reads must match.
+func TestSparseIDsRestartLikeDense(t *testing.T) {
+	const pages, txns, loser = 64, 600, math.MaxUint64
+	type result struct {
+		pages [][]byte
+		stats map[string]int64
+		reads []int64
+	}
+	run := func(id func(int64) int64) (res result) {
+		m, _ := newTestManager(Config{PoolPages: 16})
+		for p := int64(0); p < pages; p++ {
+			must(t, m.Load(id(p), make([]byte, 8)))
+		}
+		rng := rand.New(rand.NewSource(7))
+		transfers := func() {
+			for tid := uint64(200); tid < 200+txns; tid++ {
+				must(t, m.Begin(tid))
+				for k := 0; k < 2; k++ {
+					p := id(1 + int64(rng.Intn(pages-1))) // the loser holds page 0
+					v, err := m.Read(tid, p)
+					must(t, err)
+					v[7]++
+					must(t, m.Write(tid, p, v))
+				}
+				must(t, m.Commit(tid))
+			}
+		}
+		restart := func() {
+			m.Crash()
+			r0, _ := m.data.Stats()
+			must(t, m.Recover())
+			r1, _ := m.data.Stats()
+			res.reads = append(res.reads, r1-r0)
+		}
+		must(t, m.Begin(loser))
+		must(t, m.Write(loser, id(0), []byte("loser!!!")))
+		transfers() // their commits force the loser's update
+		restart()
+		transfers()
+		restart()
+		for p := int64(0); p < pages; p++ {
+			v, err := m.ReadCommitted(id(p))
+			must(t, err)
+			res.pages = append(res.pages, v)
+		}
+		res.stats = m.Stats()
+		delete(res.stats, "logBytes")
+		return res
+	}
+	dense, sparse := run(func(p int64) int64 { return p }), run(sparsePage)
+	t.Logf("restarts read %v data pages on dense ids and %v on sparse ones", dense.reads, sparse.reads)
+	if !reflect.DeepEqual(dense, sparse) {
+		t.Fatalf("sparse ids: reads %v, stats %v\ndense ids: reads %v, stats %v", sparse.reads, sparse.stats, dense.reads, dense.stats)
+	}
+	if dense.stats["undone"] == 0 {
+		t.Fatal("restart undid nothing: the loser's update never reached the log")
 	}
 }
 
@@ -730,7 +810,7 @@ func TestStealsUncommitted(t *testing.T) {
 		{1024, 2, "0"},
 		{1024, 1, "> 0"},
 	} {
-		m := transferLog(t, Config{PoolPages: c.pool}, 30000, c.pages, 1)
+		m := transferLog(t, Config{PoolPages: c.pool}, 30000, c.pages, 1, false)
 		got := m.Stats()["stealsUncommitted"]
 		t.Logf("%4d pages, pool %2d: %d of %d steals uncommitted", c.pages, c.pool, got, m.Stats()["steals"])
 		if (c.want == "0") != (got == 0) {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
 
 	"repro/internal/pagestore"
 )
@@ -21,25 +20,20 @@ const dataHdrLen = 24
 
 // encodeDataFile serializes the full page image, pages in ascending id
 // order so the bytes are deterministic for a given state.
-func encodeDataFile(pages map[pagestore.PageID]pageRec, foldSeq uint64, pageSize int) []byte {
-	ids := make([]pagestore.PageID, 0, len(pages))
-	for id := range pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
+func encodeDataFile(pages *pagestore.Table[pagestore.PageID, pagestore.Page], foldSeq uint64, pageSize int) []byte {
+	ids := pages.Keys()
 	out := make([]byte, 0, dataHdrLen)
 	out = append(out, dataMagic[:]...)
 	out = binary.BigEndian.AppendUint64(out, foldSeq)
 	out = binary.BigEndian.AppendUint32(out, uint32(pageSize))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(ids)))
 	for _, id := range ids {
-		p := pages[id]
+		p := pages.Get(id)
 		start := len(out)
 		out = binary.BigEndian.AppendUint64(out, uint64(id))
-		out = binary.BigEndian.AppendUint64(out, p.version)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(p.data)))
-		out = append(out, p.data...)
+		out = binary.BigEndian.AppendUint64(out, p.Version)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(p.Data)))
+		out = append(out, p.Data...)
 		out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:]))
 	}
 	return out
@@ -49,7 +43,7 @@ func encodeDataFile(pages map[pagestore.PageID]pageRec, foldSeq uint64, pageSize
 // store. Each page aliases the one buffer the file is read into. Any damage
 // here is unrecoverable corruption (the atomic-replace discipline means a
 // crash can never tear this file), reported as ErrCorrupt.
-func loadDataFile(path string, pageSize int, pages map[pagestore.PageID]pageRec) (uint64, error) {
+func loadDataFile(path string, pageSize int, pages *pagestore.Table[pagestore.PageID, pagestore.Page]) (uint64, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return 0, nil
@@ -82,7 +76,7 @@ func loadDataFile(path string, pageSize int, pages map[pagestore.PageID]pageRec)
 		if crc32.ChecksumIEEE(raw[off:end]) != want {
 			return 0, fmt.Errorf("%w: %s: page %d checksum mismatch", ErrCorrupt, dataName, id)
 		}
-		pages[id] = pageRec{data: raw[off+20 : end : end], version: version}
+		*pages.Put(id) = pagestore.Page{Data: raw[off+20 : end : end], Version: version}
 		off = end + 4
 	}
 	if off != len(raw) {

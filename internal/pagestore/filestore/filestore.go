@@ -23,6 +23,12 @@
 //     pages alias those buffers: it keeps at most one wal.log (the fold
 //     threshold plus one record) and one data.db image.
 //
+// The mirror is a pagestore.Mem, the memory store itself, embedded: Get,
+// Has, Len and Keys are its, and an acknowledged Put copies into the
+// page's own buffer as the memory store does. A page that aliases a file
+// buffer has cap == len, so that in-place copy writes only the page's own
+// bytes, which no other page and no earlier Read hold.
+//
 // When the log grows past foldBytes, the store folds: it writes the
 // full page image to data.db.tmp, fsyncs, renames over data.db (atomic on
 // POSIX), fsyncs the directory, and only then truncates the log. The fold
@@ -47,7 +53,6 @@
 package filestore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,7 +60,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/pagestore"
 )
@@ -82,24 +86,20 @@ var dataMagic = [8]byte{'P', 'A', 'G', 'E', 'D', 'B', '1', '\n'}
 // recovered from, not errors.
 var ErrCorrupt = errors.New("filestore: corrupt")
 
-type pageRec struct {
-	data    []byte
-	version uint64
-}
-
 // Backend is the file-backed pagestore.Backend. Obtain one through Open,
 // which wraps it in a pagestore.Store.
 type Backend struct {
+	// Mem mirrors the durable-or-acknowledged state for reads; power-on
+	// rebuilds it from the files, so after every crash it reflects exactly
+	// the bytes that survived.
+	pagestore.Mem
+
 	dir      string
 	pageSize int
 	fold     int64
 
 	wal *os.File
 
-	// pages mirrors the durable-or-acknowledged state for reads; power-on
-	// rebuilds it from the files, so after every crash it reflects exactly
-	// the bytes that survived.
-	pages   map[pagestore.PageID]pageRec
 	nextSeq uint64
 	foldSeq uint64
 
@@ -139,7 +139,6 @@ func open(dir string, pageSize int, fold int64) (*pagestore.Store, error) {
 		pageSize:  pageSize,
 		fold:      fold,
 		wal:       wal,
-		pages:     make(map[pagestore.PageID]pageRec),
 		tornStart: -1,
 	}
 	if err := b.PowerOn(); err != nil {
@@ -221,17 +220,18 @@ func (b *Backend) PowerOff() {
 // impossible — returns ErrCorrupt.
 //
 // Each file is read once, whole, into one buffer, and the mirror's pages
-// alias it: the map is cleared and refilled, not rebuilt, and no page is
-// copied. Put replaces a mirror entry with a clone, so no aliased byte is
-// ever written; a buffer lives as long as one of its pages does.
+// alias it: the table is cleared and refilled, not rebuilt, and no page is
+// copied. Each page's slice ends where its bytes do (cap == len), so a
+// later in-place Put writes only that page's bytes; a buffer lives as long
+// as one of its pages does.
 func (b *Backend) PowerOn() error {
 	if b.closed {
 		return pagestore.ErrClosed
 	}
 	os.Remove(filepath.Join(b.dir, tmpName))
 
-	clear(b.pages)
-	foldSeq, err := loadDataFile(filepath.Join(b.dir, dataName), b.pageSize, b.pages)
+	b.Pages.Clear()
+	foldSeq, err := loadDataFile(filepath.Join(b.dir, dataName), b.pageSize, &b.Pages)
 	if err != nil {
 		return err
 	}
@@ -267,9 +267,9 @@ func (b *Backend) PowerOn() error {
 		}
 		if seq > foldSeq {
 			if op == opPut {
-				b.pages[id] = pageRec{data: body, version: version}
+				*b.Pages.Put(id) = pagestore.Page{Data: body, Version: version}
 			} else {
-				delete(b.pages, id)
+				b.Pages.Delete(id)
 			}
 		}
 		if seq > maxSeq {
@@ -303,26 +303,6 @@ func (b *Backend) Close() error {
 		return err
 	}
 	return b.wal.Close()
-}
-
-func (b *Backend) Get(id pagestore.PageID) ([]byte, uint64, bool) {
-	p, ok := b.pages[id]
-	if !ok {
-		return nil, 0, false
-	}
-	return p.data, p.version, true
-}
-
-func (b *Backend) Has(id pagestore.PageID) bool { _, ok := b.pages[id]; return ok }
-func (b *Backend) Len() int                     { return len(b.pages) }
-
-func (b *Backend) Keys() []pagestore.PageID {
-	out := make([]pagestore.PageID, 0, len(b.pages))
-	for id := range b.pages {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (b *Backend) Put(id pagestore.PageID, data []byte, version uint64) error {
@@ -380,11 +360,9 @@ func (b *Backend) appendRec(op byte, id pagestore.PageID, data []byte, version u
 	}
 	b.nextSeq++
 	if op == opPut {
-		b.pages[id] = pageRec{data: bytes.Clone(data), version: version}
-	} else {
-		delete(b.pages, id)
+		return b.Mem.Put(id, data, version)
 	}
-	return nil
+	return b.Mem.Del(id)
 }
 
 // foldNow checkpoints the mirror into data.db (write temp, fsync, rename,
@@ -393,7 +371,7 @@ func (b *Backend) appendRec(op byte, id pagestore.PageID, data []byte, version u
 // window skips exactly the records the fold absorbed.
 func (b *Backend) foldNow() error {
 	lastSeq := b.nextSeq - 1
-	img := encodeDataFile(b.pages, lastSeq, b.pageSize)
+	img := encodeDataFile(&b.Pages, lastSeq, b.pageSize)
 	tmpPath := filepath.Join(b.dir, tmpName)
 	switch b.fire(pagestore.FilePageWrite, tmpName) {
 	case pagestore.FileCrash:

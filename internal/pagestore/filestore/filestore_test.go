@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -418,10 +419,13 @@ func TestBufferOwnership(t *testing.T) {
 
 // bufferOwnershipAfterPowerOn is TestBufferOwnership's "file, after
 // power-on" case. Power-on's pages alias the buffers the files were read
-// into. A page Read after a Reset must keep its bytes while other pages are
-// written, a fold rewrites data.db and truncates wal.log, and the store
-// powers on again; and every page must come back byte-identical after that
-// last power-on.
+// into, each slice ending where its page's bytes do. A same-length Write
+// then copies into the page in place, so it must leave the other pages and
+// every earlier Read as they were, and a power-on with no fold between must
+// bring every page back. A page Read after a Reset must keep its bytes
+// while other pages are written, a fold rewrites data.db and truncates
+// wal.log, and the store powers on again; and every page must come back
+// byte-identical after that last power-on.
 func bufferOwnershipAfterPowerOn(t *testing.T) {
 	s := openT(t, t.TempDir(), 16, 128)
 	want := map[pagestore.PageID]string{}
@@ -454,22 +458,44 @@ func bufferOwnershipAfterPowerOn(t *testing.T) {
 		}
 		reads = append(reads, read{got, want[id]})
 	}
+	check := func(when string) {
+		t.Helper()
+		for id, r := range reads {
+			if string(r.got) != r.want {
+				t.Fatalf("%s changed an earlier Read of page %d from %q to %q", when, id, r.want, r.got)
+			}
+		}
+		for id, v := range want {
+			if got, _, err := s.Read(id); err != nil || string(got) != v {
+				t.Fatalf("%s: page %d = %q, %v; want %q", when, id, got, err, v)
+			}
+		}
+	}
+
+	// In-place overwrites of aliased pages, then a power-on with no fold.
+	b := backend(t, s)
+	b.fold = 1 << 20
+	for id := pagestore.PageID(0); id < 4; id++ {
+		before, _, _ := b.Get(id)
+		write(id, strings.ToUpper(want[id]))
+		if after, _, _ := b.Get(id); &after[0] != &before[0] {
+			t.Fatalf("a same-length Write of page %d did not copy into its buffer", id)
+		}
+		check(fmt.Sprintf("an in-place Write of page %d", id))
+	}
+	must(t, s.Reset())
+	if b.Folds() != folds {
+		t.Fatal("the in-place overwrites folded")
+	}
+	check("a power-on after in-place writes")
+	b.fold = 128
+
 	for i := 0; backend(t, s).Folds() == folds; i++ {
 		write(pagestore.PageID(4+i%3), fmt.Sprintf("other-%d", i))
 	}
 	write(1, "page-1-rewritten")
 	must(t, s.Reset())
-	for id, r := range reads {
-		if string(r.got) != r.want {
-			t.Fatalf("writes, a fold and a power-on changed an earlier Read of page %d from %q to %q", id, r.want, r.got)
-		}
-	}
-	for id, v := range want {
-		got, _, err := s.Read(id)
-		if err != nil || string(got) != v {
-			t.Fatalf("after the second power-on page %d = %q, %v; want %q", id, got, err, v)
-		}
-	}
+	check("writes, a fold and a power-on")
 }
 
 func must(t testing.TB, err error) {
@@ -510,23 +536,24 @@ func writeShape(t testing.TB, dir string, sh powerOnShape) {
 		binary.BigEndian.PutUint64(b, uint64(i))
 		return b
 	}
-	pages := make(map[pagestore.PageID]pageRec, sh.folded)
+	var pages pagestore.Mem
 	for i := 0; i < sh.folded; i++ {
-		pages[pagestore.PageID(i)] = pageRec{data: img(i), version: 1}
+		must(t, pages.Put(pagestore.PageID(i), img(i), 1))
 	}
 	var log []byte
 	for i := 0; i < sh.logged; i++ {
 		log = append(log, encodeWalRec(uint64(sh.folded+1+i), opPut, sh.id(i), uint64(i+2), img(i))...)
 	}
-	must(t, os.WriteFile(filepath.Join(dir, dataName), encodeDataFile(pages, uint64(sh.folded), sh.pageSize), 0o644))
+	must(t, os.WriteFile(filepath.Join(dir, dataName), encodeDataFile(&pages.Pages, uint64(sh.folded), sh.pageSize), 0o644))
 	must(t, os.WriteFile(filepath.Join(dir, walName), log, 0o644))
 }
 
 // TestPowerOnAllocationBudget: power-on reads each file with one read into
 // one buffer and refills the mirror it cleared, aliasing the pages, so a
 // store powered on in place (Store.Reset, as restart does) allocates as
-// much over ~10,000 records as over ~1,000. The count is deterministic: the
-// data store's 1,024 pages never fill a map table past its load limit.
+// much over ~10,000 records as over ~1,000. The count is deterministic:
+// clearing the mirror keeps its table's blocks, so the refill allocates
+// none.
 func TestPowerOnAllocationBudget(t *testing.T) {
 	const budget = 16
 	allocs := func(folded, logged int) float64 {

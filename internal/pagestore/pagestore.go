@@ -16,12 +16,14 @@
 //
 // Store separates the contract from the medium: the crash state, fault
 // hooks, and statistics live in Store, while the bytes live behind the
-// Backend interface. New builds the in-memory backend (the simulated disk
-// the experiments run on, over Table, the two-level page table the WAL's
-// buffer pool and transaction table use too); internal/pagestore/
-// filestore implements the same contract over a real page file and an
-// on-disk write-ahead log with explicit fsync discipline, so the same
-// recovery audits run against bytes on disk.
+// Backend interface. New builds on Mem, the in-memory backend (the
+// simulated disk the experiments run on, over Table, the two-level page
+// table the WAL's buffer pool and transaction table use too);
+// internal/pagestore/filestore implements the same contract over a real
+// page file and an on-disk write-ahead log with explicit fsync discipline,
+// so the same recovery audits run against bytes on disk. The file store
+// embeds a Mem as the mirror of its files, so one page table holds every
+// store's pages.
 //
 // Buffers: a Store keeps no caller's buffer and hands out none of its own.
 // Write's data is copied by the backend before Write returns; Read returns
@@ -97,8 +99,8 @@ type FaultHook func(op Op, id PageID, seq int64) bool
 // only while live; backends own the medium.
 //
 // Buffer ownership: Put must not keep the caller's buffer — the backend
-// copies data into storage of its own (the in-memory backend into the
-// page's existing buffer when it is large enough), so callers may reuse
+// copies data into storage of its own (Mem into the page's existing buffer
+// when it is large enough), so callers may reuse
 // their buffers as soon as Put returns. Get may return an internal buffer,
 // valid until the next Put or Del of that page; the Store copies it before
 // handing it to callers.
@@ -121,43 +123,45 @@ type Backend interface {
 	Close() error
 }
 
-// memBackend is the volatile simulated disk, whose contents survive
-// power-off by construction: its page table is the platter. The kernels
-// place their pages in a few dense runs — data pages from 0 up, the shadow
-// and differential engines' structures down from negative bases, a WAL
-// stream's log chunks from stream<<40 up — so a steady workload touches
-// the Table's map once per block change, not once per operation.
-type memBackend struct{ pages Table[PageID, memPage] }
+// Mem is the volatile simulated disk New builds, whose contents survive
+// power-off by construction: its page table is the platter. The file store
+// embeds one as the mirror of its files. The kernels place their pages in a
+// few dense runs — data pages from 0 up, the shadow and differential
+// engines' structures down from negative bases, a WAL stream's log chunks
+// from stream<<40 up — so a steady workload touches the Table's map once
+// per block change, not once per operation.
+type Mem struct{ Pages Table[PageID, Page] }
 
-// memPage is a stored page; its data is never nil, so a zero slot is none.
-type memPage struct {
-	data    []byte
-	version uint64
+// Page is a stored page; its Data is never nil, so a zero slot is none.
+type Page struct {
+	Data    []byte
+	Version uint64
 }
 
-func (m *memBackend) Get(id PageID) ([]byte, uint64, bool) {
-	p := m.pages.Get(id)
-	return p.data, p.version, p.data != nil
+func (m *Mem) Get(id PageID) ([]byte, uint64, bool) {
+	p := m.Pages.Get(id)
+	return p.Data, p.Version, p.Data != nil
 }
 
-func (m *memBackend) Put(id PageID, data []byte, version uint64) error {
-	p := m.pages.Put(id)
-	if p.data == nil || cap(p.data) < len(data) {
-		p.data = make([]byte, len(data))
+// Put copies data into the page's own buffer when it is large enough.
+func (m *Mem) Put(id PageID, data []byte, version uint64) error {
+	p := m.Pages.Put(id)
+	if p.Data == nil || cap(p.Data) < len(data) {
+		p.Data = make([]byte, len(data))
 	}
-	p.data = p.data[:len(data)]
-	copy(p.data, data)
-	p.version = version
+	p.Data = p.Data[:len(data)]
+	copy(p.Data, data)
+	p.Version = version
 	return nil
 }
 
-func (m *memBackend) Del(id PageID) error { m.pages.Delete(id); return nil }
-func (m *memBackend) Has(id PageID) bool  { return m.pages.Get(id).data != nil }
-func (m *memBackend) Len() int            { return m.pages.Len() }
-func (m *memBackend) Keys() []PageID      { return m.pages.Keys() }
-func (m *memBackend) PowerOff()           {}
-func (m *memBackend) PowerOn() error      { return nil }
-func (m *memBackend) Close() error        { return nil }
+func (m *Mem) Del(id PageID) error { m.Pages.Delete(id); return nil }
+func (m *Mem) Has(id PageID) bool  { return m.Pages.Get(id).Data != nil }
+func (m *Mem) Len() int            { return m.Pages.Len() }
+func (m *Mem) Keys() []PageID      { return m.Pages.Keys() }
+func (m *Mem) PowerOff()           {}
+func (m *Mem) PowerOn() error      { return nil }
+func (m *Mem) Close() error        { return nil }
 
 // Store is a simulated disk with a crash-consistency contract. The zero
 // value is not usable; create one with New (in-memory) or NewOn (any
@@ -177,7 +181,7 @@ type Store struct {
 }
 
 // New returns an in-memory Store for pages of exactly pageSize bytes.
-func New(pageSize int) *Store { return NewOn(pageSize, &memBackend{}) }
+func New(pageSize int) *Store { return NewOn(pageSize, &Mem{}) }
 
 // NewOn returns a Store for pages of exactly pageSize bytes over backend
 // be. The store takes ownership of the backend.

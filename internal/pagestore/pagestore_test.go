@@ -409,8 +409,8 @@ func TestWriteFiresHookBeforeSizeCheck(t *testing.T) {
 func TestPageTableMatchesMap(t *testing.T) {
 	bases := []int64{0, 300, -1000000, -2000000, -3000000, -4000000, 1 << 39, 1<<40 | 1<<39, 1 << 40, 2<<40 | 200}
 	rng := rand.New(rand.NewSource(1))
-	tab := &memBackend{}
-	ref := map[PageID]memPage{}
+	tab := &Mem{}
+	ref := map[PageID]Page{}
 	for op := 0; op < 20000; op++ {
 		id := PageID(bases[rng.Intn(len(bases))] + int64(rng.Intn(64)) - 32)
 		puts := 6 // of ten ops; every other phase of 2,000 ops mostly deletes
@@ -425,7 +425,7 @@ func TestPageTableMatchesMap(t *testing.T) {
 			if err := tab.Put(id, data, v); err != nil {
 				t.Fatal(err)
 			}
-			ref[id] = memPage{data: data, version: v}
+			ref[id] = Page{Data: data, Version: v}
 		case k < 8:
 			if err := tab.Del(id); err != nil {
 				t.Fatal(err)
@@ -439,8 +439,8 @@ func TestPageTableMatchesMap(t *testing.T) {
 		}
 		data, v, ok := tab.Get(id)
 		want, wantOK := ref[id]
-		if ok != wantOK || !bytes.Equal(data, want.data) || v != want.version {
-			t.Fatalf("op %d: Get(%d) = %x, %d, %v; want %x, %d, %v", op, id, data, v, ok, want.data, want.version, wantOK)
+		if ok != wantOK || !bytes.Equal(data, want.Data) || v != want.Version {
+			t.Fatalf("op %d: Get(%d) = %x, %d, %v; want %x, %d, %v", op, id, data, v, ok, want.Data, want.Version, wantOK)
 		}
 		if tab.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, want %d", op, tab.Len(), len(ref))

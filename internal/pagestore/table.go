@@ -10,8 +10,8 @@ import "slices"
 // one does. A block that empties is freed at the first access to another
 // (so one slot filled and emptied over and over touches no map), and the
 // last block freed serves the next new one. A zero slot must mean no entry.
-// Keys are ascending. The zero Table is empty, and assigning it empties a
-// Table. A Table is not safe for concurrent use.
+// Keys are ascending. The zero Table is empty; Clear empties a Table and
+// keeps its blocks. A Table is not safe for concurrent use.
 type Table[K ~int64 | ~uint64, V any] struct {
 	blocks map[K]*tableBlock[V]
 	cache  [tableCache]struct {
@@ -101,6 +101,15 @@ func (t *Table[K, V]) Delete(id K) {
 	if b.n == 0 {
 		t.idle, t.idleKey = b, id>>tableBits
 	}
+}
+
+// Clear removes every entry but keeps the blocks, as clear keeps a map's
+// buckets, so refilling the same ids allocates nothing.
+func (t *Table[K, V]) Clear() {
+	for _, b := range t.blocks {
+		*b = tableBlock[V]{}
+	}
+	t.idle, t.n = nil, 0
 }
 
 // Len reports the number of entries.

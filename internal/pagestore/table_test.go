@@ -49,3 +49,41 @@ func TestTableUnsignedEdges(t *testing.T) {
 		t.Fatalf("filling and emptying one slot allocates %.0f times", allocs)
 	}
 }
+
+// TestTableClear: Clear empties a table but keeps its blocks, so a refill of
+// the same ids allocates nothing, and a refill with other ids lists just
+// those, in ascending order.
+func TestTableClear(t *testing.T) {
+	ids := []int64{-300, -1, 0, 7, 255, 256, 1 << 40}
+	var tab Table[int64, int64]
+	fill := func(ids []int64) {
+		for _, id := range ids {
+			*tab.Put(id) = id | 1
+		}
+	}
+	fill(ids)
+	tab.Clear()
+	if tab.Len() != 0 || len(tab.Keys()) != 0 {
+		t.Fatalf("after Clear: Len = %d, Keys = %v", tab.Len(), tab.Keys())
+	}
+	for _, id := range ids {
+		if v := tab.Get(id); v != 0 {
+			t.Fatalf("after Clear, Get(%d) = %d", id, v)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tab.Clear()
+		fill(ids)
+	})
+	if allocs != 0 {
+		t.Fatalf("clearing and refilling the same ids allocates %.0f times", allocs)
+	}
+	other := []int64{1<<40 + 3, -2, 512, 3}
+	tab.Clear()
+	fill(other)
+	want := slices.Clone(other)
+	slices.Sort(want)
+	if got := tab.Keys(); !slices.Equal(got, want) || tab.Len() != len(want) {
+		t.Fatalf("after a refill with other ids: Keys = %v, Len = %d; want %v", got, tab.Len(), want)
+	}
+}

@@ -152,7 +152,7 @@ func TestSyncsPerCommit(t *testing.T) {
 		"shadow":       {2400, 5275104}, // 8, 17,583.7
 		"ow-noundo":    {1800, 83400},   // 6, 278
 		"ow-noredo":    {2100, 102900},  // 7, 343
-		"verselect":    {1500, 61500},   // 5, 205
+		"verselect":    {900, 36900},    // 3, 123
 		"difffile":     {300, 46200},    // 1, 154
 	}
 	for _, arch := range Architectures() {

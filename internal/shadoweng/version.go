@@ -25,7 +25,6 @@ type VersionEngine struct {
 	// committedTS is the highest committed timestamp; versions stamped
 	// above it belong to uncommitted transactions and are ignored by reads.
 	committedTS uint64
-	nextTS      uint64
 
 	att map[uint64]*vsTxn
 
@@ -52,9 +51,8 @@ func vsBlock(p int64, side int) pagestore.PageID {
 // dedicated to this engine (it owns the whole block space).
 func NewVersion(store *pagestore.Store) (*VersionEngine, error) {
 	e := &VersionEngine{
-		store:  store,
-		nextTS: 1,
-		att:    make(map[uint64]*vsTxn),
+		store: store,
+		att:   make(map[uint64]*vsTxn),
 	}
 	if err := e.writeTS(0); err != nil {
 		return nil, err
@@ -96,9 +94,19 @@ func (e *VersionEngine) Begin(tid uint64) error {
 	if _, ok := e.att[tid]; ok {
 		return fmt.Errorf("shadoweng: transaction %d already active", tid)
 	}
-	e.nextTS++
-	e.att[tid] = &vsTxn{ts: e.nextTS, touched: make(map[int64]int)}
+	e.att[tid] = &vsTxn{ts: e.freshStamp(), touched: make(map[int64]int)}
 	return nil
+}
+
+// freshStamp returns one above the highest stamp in use: the committed
+// horizon, or an active transaction's stamp. A lone transaction so writes
+// with the stamp its commit publishes, and no stamp is ever held twice.
+func (e *VersionEngine) freshStamp() uint64 {
+	ts := e.committedTS
+	for _, t := range e.att {
+		ts = max(ts, t.ts)
+	}
+	return ts + 1
 }
 
 // selectVersion fetches both blocks of p and picks the newest whose stamp is
@@ -203,8 +211,7 @@ func (e *VersionEngine) Commit(tid uint64) error {
 		}
 	}
 	if holder != nil {
-		e.nextTS++
-		if err := e.restamp(holder, e.nextTS); err != nil {
+		if err := e.restamp(holder, e.freshStamp()); err != nil {
 			return err
 		}
 	}
@@ -275,7 +282,6 @@ func (e *VersionEngine) Recover() error {
 		return fmt.Errorf("shadoweng: timestamp page corrupt (%d vs %d)", stored, ts)
 	}
 	e.committedTS = stored
-	e.nextTS = stored + 1
 	e.journal.Emit(obs.JournalRecord{Event: "root", Engine: e.Name(), LSN: stored})
 	e.att = make(map[uint64]*vsTxn)
 	// Scrub tentative stamps left by transactions lost in the crash: they

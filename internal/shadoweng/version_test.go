@@ -116,8 +116,8 @@ func TestVersionOutOfOrderCommitHidesActiveStamp(t *testing.T) {
 	if err := e.Write(1, 1, []byte("loser")); err != nil {
 		t.Fatal(err)
 	}
-	// Two later transactions commit while txn 1 stays open; the second
-	// publishes the stamp txn 1 began with.
+	// Two later transactions commit while txn 1 stays open; the first
+	// publishes the stamp txn 1 began with, so txn 1 moves to a fresh one.
 	for tid := uint64(2); tid <= 3; tid++ {
 		if err := e.Begin(tid); err != nil {
 			t.Fatal(err)
@@ -142,6 +142,139 @@ func TestVersionOutOfOrderCommitHidesActiveStamp(t *testing.T) {
 	for p, want := range map[int64]string{1: "v0", 2: "won", 3: "won"} {
 		if got, _ := e.ReadCommitted(p); string(got) != want {
 			t.Errorf("after recovery page %d = %q, want %q", p, got, want)
+		}
+	}
+}
+
+// TestVersionLoneCommitWritesNoRestamp: a transaction that commits with no
+// other open writes with the stamp its commit publishes, after an abort
+// too, so its commit writes the timestamp page and nothing else.
+func TestVersionLoneCommitWritesNoRestamp(t *testing.T) {
+	e, store := newVersion(t)
+	for p := int64(1); p <= 2; p++ {
+		if err := e.Load(p, []byte("v0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, commit := range []bool{true, false, true} {
+		tid := uint64(i + 1)
+		_, before := store.Stats()
+		if err := e.Begin(tid); err != nil {
+			t.Fatal(err)
+		}
+		for p := int64(1); p <= 2; p++ {
+			if err := e.Write(tid, p, []byte(fmt.Sprintf("t%d", tid))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !commit {
+			if err := e.Abort(tid); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := e.Commit(tid); err != nil {
+			t.Fatal(err)
+		}
+		if _, after := store.Stats(); after-before != 3 {
+			t.Errorf("transaction %d wrote %d times, want 3: its two blocks and the timestamp page", tid, after-before)
+		}
+	}
+}
+
+// TestVersionOvertakingCommitCrashAtomicity runs the out-of-order scenario
+// of TestVersionOutOfOrderCommitHidesActiveStamp with power cut at every
+// mutation of each overtaking commit: the open holder's restamp, the
+// committer's own restamp and the timestamp page. After recovery each
+// commit is all or nothing, an acknowledged one survives, the open
+// transaction's write never shows, and a new transaction commits.
+func TestVersionOvertakingCommitCrashAtomicity(t *testing.T) {
+	// Crash points per commit: txn 2's moves txn 1 off stamp 1, restamps
+	// its own two blocks and writes the timestamp page; txn 3's has no
+	// holder to move.
+	points := map[uint64]int64{2: 4, 3: 3}
+	for _, crashed := range []uint64{2, 3} {
+		k := int64(1)
+		for ; ; k++ {
+			store := pagestore.New(4096)
+			e, err := NewVersion(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := int64(1); p <= 5; p++ {
+				if err := e.Load(p, []byte("v0")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Begin(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Write(1, 1, []byte("loser")); err != nil {
+				t.Fatal(err)
+			}
+			var commitErr error
+			for tid := uint64(2); tid <= crashed; tid++ {
+				if err := e.Begin(tid); err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []int64{int64(tid), int64(tid) + 2} {
+					if err := e.Write(tid, p, []byte("won")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tid == crashed {
+					store.SetFaultHook(pagestore.CrashAtMutation(k))
+				}
+				commitErr = e.Commit(tid)
+			}
+			fired := store.Crashed()
+			store.SetFaultHook(nil)
+			e.Crash()
+			if err := e.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			read := func(p int64) string {
+				t.Helper()
+				got, err := e.ReadCommitted(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(got)
+			}
+			at := fmt.Sprintf("commit of txn %d, crash at mutation %d", crashed, k)
+			if got := read(1); got != "v0" {
+				t.Fatalf("%s: the open transaction's write shows as %q", at, got)
+			}
+			for tid := uint64(2); tid < crashed; tid++ {
+				if got := read(int64(tid)); got != "won" {
+					t.Fatalf("%s: txn %d's earlier commit lost: %q", at, tid, got)
+				}
+			}
+			a, b := read(int64(crashed)), read(int64(crashed)+2)
+			if a != b || (a != "v0" && a != "won") {
+				t.Fatalf("%s: torn commit: pages %q and %q", at, a, b)
+			}
+			if commitErr == nil && a != "won" {
+				t.Fatalf("%s: acknowledged commit lost", at)
+			}
+			if err := e.Begin(9); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Write(9, 1, []byte("post")); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Commit(9); err != nil {
+				t.Fatal(err)
+			}
+			if got := read(1); got != "post" {
+				t.Fatalf("%s: a commit after recovery reads %q", at, got)
+			}
+			if !fired {
+				break
+			}
+		}
+		if k-1 != points[crashed] {
+			t.Errorf("commit of txn %d had %d crash points, want %d", crashed, k-1, points[crashed])
 		}
 	}
 }

@@ -86,12 +86,6 @@ const diffBase int64 = -4000000
 
 func chunkPage(seq int64) pagestore.PageID { return pagestore.PageID(diffBase - seq) }
 
-// version is a page's committed state in the differential view.
-type version struct {
-	deleted bool
-	data    []byte
-}
-
 // Engine is the differential-file engine: a pure kernel, not safe for
 // concurrent use on its own. Isolation and locking are the caller's job
 // (see internal/engine.Guard).
@@ -101,7 +95,7 @@ type Engine struct {
 	nextChunk int64
 	volatile  []entry // appended, not yet forced
 
-	view map[int64]version // committed differential view (A minus D)
+	view map[int64][]byte // committed differential view (A minus D)
 	att  map[uint64][]entry
 
 	adds, dels, merges int64
@@ -117,7 +111,7 @@ type Engine struct {
 func New(store *pagestore.Store) *Engine {
 	return &Engine{
 		store: store,
-		view:  make(map[int64]version),
+		view:  make(map[int64][]byte),
 		att:   make(map[uint64][]entry),
 	}
 }
@@ -150,17 +144,11 @@ func (e *Engine) Begin(tid uint64) error {
 // Read resolves page p through (B ∪ A) − D as seen by tid, including its
 // own uncommitted differentials.
 func (e *Engine) Read(tid uint64, p int64) ([]byte, error) {
-	// The transaction's own pending entries shadow everything.
+	// The transaction's own pending additions shadow everything.
 	if pend, ok := e.att[tid]; ok {
 		for i := len(pend) - 1; i >= 0; i-- {
-			if pend[i].page != p {
-				continue
-			}
-			switch pend[i].typ {
-			case entryAdd:
+			if pend[i].page == p && pend[i].typ == entryAdd {
 				return append([]byte(nil), pend[i].data...), nil
-			case entryDel:
-				return nil, nil
 			}
 		}
 	}
@@ -169,10 +157,7 @@ func (e *Engine) Read(tid uint64, p int64) ([]byte, error) {
 
 func (e *Engine) resolveCommitted(p int64) ([]byte, error) {
 	if v, ok := e.view[p]; ok {
-		if v.deleted {
-			return nil, nil
-		}
-		return append([]byte(nil), v.data...), nil
+		return append([]byte(nil), v...), nil
 	}
 	data, _, err := e.store.Read(pagestore.PageID(p))
 	if errors.Is(err, pagestore.ErrNotFound) {
@@ -194,16 +179,6 @@ func (e *Engine) Write(tid uint64, p int64, data []byte) error {
 			p, len(data), e.store.PageSize()-21)
 	}
 	e.att[tid] = append(pend, entry{typ: entryDel, txn: tid, page: p}, add)
-	return nil
-}
-
-// Delete removes page p from the view for tid (a pure D-file append).
-func (e *Engine) Delete(tid uint64, p int64) error {
-	pend, ok := e.att[tid]
-	if !ok {
-		return fmt.Errorf("diffeng: transaction %d not active", tid)
-	}
-	e.att[tid] = append(pend, entry{typ: entryDel, txn: tid, page: p})
 	return nil
 }
 
@@ -229,11 +204,10 @@ func (e *Engine) applyCommitted(entries []entry) {
 	for _, en := range entries {
 		switch en.typ {
 		case entryAdd:
-			e.view[en.page] = version{data: en.data}
+			e.view[en.page] = en.data
 			e.adds++
 		case entryDel:
-			e.view[en.page] = version{deleted: true}
-			e.dels++
+			e.dels++ // the obituary of the version the next entry replaces
 		}
 	}
 }
@@ -316,7 +290,7 @@ func (e *Engine) Recover() error {
 			e.journal.Emit(obs.JournalRecord{Event: ev, Txn: en.txn})
 		}
 	}
-	e.view = make(map[int64]version)
+	e.view = make(map[int64][]byte)
 	e.adds, e.dels = 0, 0
 	var applied int64
 	for _, en := range entries {
@@ -369,14 +343,7 @@ func (e *Engine) Merge() error {
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	for _, p := range pages {
-		v := e.view[p]
-		if v.deleted {
-			if err := e.store.Delete(pagestore.PageID(p)); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := e.store.Write(pagestore.PageID(p), v.data, 0); err != nil {
+		if err := e.store.Write(pagestore.PageID(p), e.view[p], 0); err != nil {
 			return err
 		}
 	}
@@ -395,7 +362,7 @@ func (e *Engine) Merge() error {
 	e.nextChunk = 0
 	e.journal.Emit(obs.JournalRecord{Event: "merge", Engine: e.Name(), N: int64(len(pages))})
 	e.journal.Emit(obs.JournalRecord{Event: "truncate", Engine: e.Name(), N: truncated})
-	e.view = make(map[int64]version)
+	e.view = make(map[int64][]byte)
 	e.merges++
 	return nil
 }
@@ -403,12 +370,6 @@ func (e *Engine) Merge() error {
 // ReadCommitted resolves the committed value of page p.
 func (e *Engine) ReadCommitted(p int64) ([]byte, error) {
 	return e.resolveCommitted(p)
-}
-
-// DiffSize reports the number of live differential entries (the paper's
-// |A|+|D| relative to |B| drives Table 11).
-func (e *Engine) DiffSize() int {
-	return len(e.view)
 }
 
 // Stats reports counters.

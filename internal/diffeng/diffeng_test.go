@@ -57,29 +57,6 @@ func (e *Engine) storeRead(p int64) ([]byte, uint64, error) {
 	return e.store.Read(pagestore.PageID(p))
 }
 
-func TestDeleteThroughDFile(t *testing.T) {
-	e, _ := newEngine()
-	if err := e.Load(1, []byte("base")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Begin(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if own, _ := e.Read(1, 1); own != nil {
-		t.Fatalf("own read after delete: %q", own)
-	}
-	if err := e.Commit(1); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := e.ReadCommitted(1)
-	if got != nil {
-		t.Fatalf("deleted page still visible: %q", got)
-	}
-}
-
 func TestAbortLeavesNoTrace(t *testing.T) {
 	e, store := newEngine()
 	if err := e.Load(1, []byte("base")); err != nil {
@@ -182,7 +159,7 @@ func TestInDoubtCommitAtomic(t *testing.T) {
 }
 
 func TestMergeCompacts(t *testing.T) {
-	e, store := newEngine()
+	e, _ := newEngine()
 	for p := int64(0); p < 4; p++ {
 		if err := e.Load(p, []byte("base")); err != nil {
 			t.Fatal(err)
@@ -191,39 +168,31 @@ func TestMergeCompacts(t *testing.T) {
 	if err := e.Begin(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Write(1, 0, []byte("updated")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Delete(1, 1); err != nil {
-		t.Fatal(err)
+	for _, p := range []int64{0, 1} {
+		if err := e.Write(1, p, []byte(fmt.Sprintf("updated-%d", p))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := e.Commit(1); err != nil {
 		t.Fatal(err)
 	}
-	if e.DiffSize() == 0 {
-		t.Fatal("no differentials before merge")
-	}
 	if err := e.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	if e.DiffSize() != 0 {
-		t.Fatal("differentials remain after merge")
-	}
-	// The view survives merge + crash + recovery (now from the base).
+	// The view survives merge + crash + recovery, now from the base alone:
+	// the differential files are empty, so recovery replays nothing.
 	e.Crash()
 	if err := e.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.ReadCommitted(0); string(got) != "updated" {
-		t.Fatalf("merged update lost: %q", got)
+	if n := e.Stats()["replayed"]; n != 0 {
+		t.Fatalf("recovery after a merge replayed %d entries, want 0", n)
 	}
-	if got, _ := e.ReadCommitted(1); got != nil {
-		t.Fatalf("merged delete lost: %q", got)
+	for p, want := range []string{"updated-0", "updated-1", "base", "base"} {
+		if got, err := e.ReadCommitted(int64(p)); err != nil || string(got) != want {
+			t.Fatalf("after merge and recovery page %d = %q, %v; want %q", p, got, err, want)
+		}
 	}
-	if got, _ := e.ReadCommitted(2); string(got) != "base" {
-		t.Fatalf("untouched base page: %q", got)
-	}
-	_ = store
 }
 
 func TestMergeRequiresQuiescence(t *testing.T) {
@@ -278,12 +247,7 @@ func TestViewEquivalenceProperty(t *testing.T) {
 			}
 			p := int64(op) % pages
 			v := fmt.Sprintf("t%d-%d", tid, i)
-			del := op%7 == 0
-			if del {
-				if e.Delete(tid, p) != nil {
-					return false
-				}
-			} else if e.Write(tid, p, []byte(v)) != nil {
+			if e.Write(tid, p, []byte(v)) != nil {
 				return false
 			}
 			switch op % 5 {
@@ -295,11 +259,7 @@ func TestViewEquivalenceProperty(t *testing.T) {
 				if e.Commit(tid) != nil {
 					return false
 				}
-				if del {
-					delete(model, p)
-				} else {
-					model[p] = v
-				}
+				model[p] = v
 			}
 			if op%11 == 0 {
 				e.Crash()
@@ -318,11 +278,7 @@ func TestViewEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			want, exists := model[p]
-			if exists != (got != nil) {
-				return false
-			}
-			if exists && string(got) != want {
+			if string(got) != model[p] {
 				return false
 			}
 		}

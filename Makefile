@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz loc ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-smoke fuzz-wal fuzz-server fuzz-filestore logvolume lockbench txnbench recoverbench
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-smoke fuzz-wal fuzz-server fuzz-filestore logvolume lockbench txnbench recoverbench durablebench
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume lockbench txnbench recoverbench fuzz-wal fuzz-server fuzz-filestore crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
+ci: build vet lint test race cover logvolume lockbench txnbench recoverbench durablebench fuzz-wal fuzz-server fuzz-filestore crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -25,7 +25,7 @@ crashsweep-short:
 # storage (internal/pagestore/filestore) — power cuts, torn writes, and
 # lost fsyncs injected at every 5th file operation of all seven
 # architectures. The full file sweep is `crashsweep -file -every 1`
-# (2950 points); this bounded one still covers every fault kind on
+# (2770 points); this bounded one still covers every fault kind on
 # every engine in a few seconds. Scratch dirs live under a temp dir
 # crashsweep creates and removes itself.
 crashsweep-file:
@@ -138,6 +138,12 @@ txnbench:
 recoverbench:
 	$(GO) test -run xxx -bench BenchmarkManagerRecover -benchmem ./internal/wal/
 	$(GO) test -run xxx -bench BenchmarkPowerOn -benchmem ./internal/pagestore/filestore/
+
+# What a durable commit costs: fsyncs and file bytes per transfer of every
+# architecture on file stores (TestSyncsPerCommit's -v lines are the
+# report). The counts are pinned exactly; nothing here gates on time.
+durablebench:
+	$(GO) test -run TestSyncsPerCommit -v ./internal/engine/
 
 # Bounded runs of the WAL's fuzz targets: the log-chunk decoder, and restart
 # over arbitrary stable chunks. `go test -fuzz` takes one target per run.

@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: all build vet lint test race cover bench gobench tables examples fuzz loc ci clean
-.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-smoke fuzz-wal fuzz-server fuzz-filestore logvolume lockbench txnbench recoverbench durablebench
+.PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-smoke fuzz-wal fuzz-server fuzz-filestore fuzz-diffeng logvolume lockbench txnbench recoverbench durablebench
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume lockbench txnbench recoverbench durablebench fuzz-wal fuzz-server fuzz-filestore crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
+ci: build vet lint test race cover logvolume lockbench txnbench recoverbench durablebench fuzz-wal fuzz-server fuzz-filestore fuzz-diffeng crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -160,8 +160,13 @@ fuzz-server:
 fuzz-filestore:
 	$(GO) test -run xxx -fuzz FuzzFilestorePowerOn -fuzztime 10s ./internal/pagestore/filestore/
 
+# Bounded run of the differential file's restart over arbitrary stable
+# chunks.
+fuzz-diffeng:
+	$(GO) test -run xxx -fuzz FuzzDiffRecover -fuzztime 10s ./internal/diffeng/
+
 # Short runs of the native fuzz targets.
-fuzz: fuzz-wal fuzz-server fuzz-filestore
+fuzz: fuzz-wal fuzz-server fuzz-filestore fuzz-diffeng
 
 clean:
 	rm -rf internal/*/testdata/fuzz internal/*/*/testdata/fuzz

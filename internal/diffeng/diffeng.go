@@ -1,13 +1,15 @@
 // Package diffeng implements a functional differential-file recovery engine
 // (the paper's Section 3.3, after Severance & Lohman): the database is a
 // view R = (B ∪ A) − D of a read-only base file B, an additions file A and a
-// deletions file D. Transactions never touch B: an update appends the old
-// version's obituary to D and the new version to A; commit appends a commit
-// marker and forces the differential files. Recovery replays the stable A/D
-// tail, honouring only marked transactions — B itself is always consistent.
+// deletions file D. Here a tuple is a page, and page p's A entry supersedes
+// every earlier version of p, so D would only repeat what A says: the kernel
+// writes no D file. Transactions never touch B: an update appends the new
+// version to A; commit appends a commit marker and forces the differential
+// file. Recovery replays the stable A tail, honouring only marked
+// transactions — B itself is always consistent.
 //
-// Merge folds the committed differentials into a new base and truncates
-// A and D, the maintenance operation the paper sizes in Table 11.
+// Merge folds the committed differentials into a new base and truncates A,
+// the maintenance operation the paper sizes in Table 11.
 //
 // The Engine is a pure, single-threaded recovery kernel: it contains no
 // locks, goroutines, or channels (simlint rule D004 enforces this), so its
@@ -27,10 +29,10 @@ import (
 
 type entryType uint8
 
+// Entry types. Type 2 was a D-file obituary; it is never written.
 const (
-	entryAdd entryType = iota + 1 // A-file record: new page version
-	entryDel                      // D-file record: previous version dead
-	entryCommit
+	entryAdd    entryType = 1 // A-file record: a page's new version
+	entryCommit entryType = 3
 )
 
 // entry is one differential-file record.
@@ -63,7 +65,7 @@ func unmarshalEntry(buf []byte) (entry, int, error) {
 	}
 	var e entry
 	e.typ = entryType(buf[0])
-	if e.typ < entryAdd || e.typ > entryCommit {
+	if e.typ != entryAdd && e.typ != entryCommit {
 		return entry{}, 0, fmt.Errorf("diffeng: corrupt entry type %d", buf[0])
 	}
 	e.txn = binary.BigEndian.Uint64(buf[1:])
@@ -95,11 +97,11 @@ type Engine struct {
 	nextChunk int64
 	volatile  []entry // appended, not yet forced
 
-	view map[int64][]byte // committed differential view (A minus D)
+	view map[int64][]byte // committed differential view
 	att  map[uint64][]entry
 
-	adds, dels, merges int64
-	replayed           int64 // entries scanned by the last Recover
+	adds, merges int64
+	replayed     int64 // entries scanned by the last Recover
 
 	// journal, when attached, records recovery and merge decisions in
 	// order. A nil journal is a no-op sink; it belongs to the observer and
@@ -141,13 +143,13 @@ func (e *Engine) Begin(tid uint64) error {
 	return nil
 }
 
-// Read resolves page p through (B ∪ A) − D as seen by tid, including its
-// own uncommitted differentials.
+// Read resolves page p through B ∪ A as seen by tid, including its own
+// uncommitted differentials.
 func (e *Engine) Read(tid uint64, p int64) ([]byte, error) {
 	// The transaction's own pending additions shadow everything.
 	if pend, ok := e.att[tid]; ok {
 		for i := len(pend) - 1; i >= 0; i-- {
-			if pend[i].page == p && pend[i].typ == entryAdd {
+			if pend[i].page == p {
 				return append([]byte(nil), pend[i].data...), nil
 			}
 		}
@@ -166,8 +168,8 @@ func (e *Engine) resolveCommitted(p int64) ([]byte, error) {
 	return data, err
 }
 
-// Write replaces page p for tid: the old version's obituary goes to D and
-// the new version to A (buffered until commit).
+// Write replaces page p for tid: the new version goes to A (buffered until
+// commit).
 func (e *Engine) Write(tid uint64, p int64, data []byte) error {
 	pend, ok := e.att[tid]
 	if !ok {
@@ -178,7 +180,7 @@ func (e *Engine) Write(tid uint64, p int64, data []byte) error {
 		return fmt.Errorf("diffeng: value for page %d (%d bytes) exceeds the differential chunk size %d",
 			p, len(data), e.store.PageSize()-21)
 	}
-	e.att[tid] = append(pend, entry{typ: entryDel, txn: tid, page: p}, add)
+	e.att[tid] = append(pend, add)
 	return nil
 }
 
@@ -202,17 +204,14 @@ func (e *Engine) Commit(tid uint64) error {
 
 func (e *Engine) applyCommitted(entries []entry) {
 	for _, en := range entries {
-		switch en.typ {
-		case entryAdd:
+		if en.typ == entryAdd {
 			e.view[en.page] = en.data
 			e.adds++
-		case entryDel:
-			e.dels++ // the obituary of the version the next entry replaces
 		}
 	}
 }
 
-// Abort drops tid's buffered differentials; nothing ever reached A or D.
+// Abort drops tid's buffered differentials; nothing ever reached A.
 func (e *Engine) Abort(tid uint64) error {
 	if _, ok := e.att[tid]; !ok {
 		return fmt.Errorf("diffeng: transaction %d not active", tid)
@@ -291,7 +290,7 @@ func (e *Engine) Recover() error {
 		}
 	}
 	e.view = make(map[int64][]byte)
-	e.adds, e.dels = 0, 0
+	e.adds = 0
 	var applied int64
 	for _, en := range entries {
 		if committed[en.txn] {
@@ -331,7 +330,7 @@ func (e *Engine) readStable() ([]entry, int64, error) {
 }
 
 // Merge folds the committed differential view into the base file and
-// truncates A and D. It requires a quiescent engine (no active
+// truncates A. It requires a quiescent engine (no active
 // transactions).
 func (e *Engine) Merge() error {
 	if len(e.att) > 0 {
@@ -376,7 +375,6 @@ func (e *Engine) ReadCommitted(p int64) ([]byte, error) {
 func (e *Engine) Stats() map[string]int64 {
 	return map[string]int64{
 		"adds":     e.adds,
-		"dels":     e.dels,
 		"merges":   e.merges,
 		"replayed": e.replayed,
 	}

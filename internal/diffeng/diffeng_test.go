@@ -206,10 +206,10 @@ func TestMergeRequiresQuiescence(t *testing.T) {
 }
 
 func TestEntryMarshalProperty(t *testing.T) {
-	f := func(txn uint64, pg int64, data []byte, del bool) bool {
+	f := func(txn uint64, pg int64, data []byte, commit bool) bool {
 		in := entry{typ: entryAdd, txn: txn, page: pg, data: data}
-		if del {
-			in = entry{typ: entryDel, txn: txn, page: pg}
+		if commit {
+			in = entry{typ: entryCommit, txn: txn}
 		}
 		out, n, err := unmarshalEntry(in.marshal(nil))
 		if err != nil || n != in.size() {
@@ -222,6 +222,17 @@ func TestEntryMarshalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntryTypesRefused: an entry is an A entry (1) or a commit (3). Type 2,
+// a D-file obituary, is never written, so a chunk holding one is corrupt.
+func TestEntryTypesRefused(t *testing.T) {
+	for _, typ := range []entryType{0, 2, 4, 0xff} {
+		buf := entry{typ: typ, txn: 1, page: 1}.marshal(nil)
+		if en, _, err := unmarshalEntry(buf); err == nil {
+			t.Errorf("type %d: decoded %+v", typ, en)
+		}
 	}
 }
 

@@ -5,82 +5,41 @@ import (
 	"testing"
 
 	"repro/internal/pagestore"
-	"repro/internal/shadoweng"
 	"repro/internal/sim"
-	"repro/internal/wal"
 )
 
-// crashCase builds an engine plus the store whose fault hook injects the
-// crash.
-type crashCase struct {
-	name  string
-	build func(t *testing.T) (*Engine, *pagestore.Store)
-}
-
-func crashCases() []crashCase {
-	return []crashCase{
-		{"wal-1stream", func(t *testing.T) (*Engine, *pagestore.Store) {
-			store := pagestore.New(4096)
-			e, m := NewWALOn(store, wal.Config{PoolPages: 4})
-			_ = m
-			return e, store
-		}},
-		{"wal-3streams", func(t *testing.T) (*Engine, *pagestore.Store) {
-			store := pagestore.New(4096)
-			e, m := NewWALOn(store, wal.Config{Streams: 3, Selection: wal.PageMod, PoolPages: 4})
-			_ = m
-			return e, store
-		}},
-		{"shadow", func(t *testing.T) (*Engine, *pagestore.Store) {
-			store := pagestore.New(4096)
-			e, err := NewShadowOn(store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e, store
-		}},
-		{"ow-noundo", func(t *testing.T) (*Engine, *pagestore.Store) {
-			store := pagestore.New(4096)
-			return NewOverwriteOn(store, shadoweng.NoUndo), store
-		}},
-		{"ow-noredo", func(t *testing.T) (*Engine, *pagestore.Store) {
-			store := pagestore.New(4096)
-			return NewOverwriteOn(store, shadoweng.NoRedo), store
-		}},
-		{"verselect", func(t *testing.T) (*Engine, *pagestore.Store) {
-			store := pagestore.New(4096)
-			e, err := NewVersionSelectOn(store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e, store
-		}},
-		{"difffile", func(t *testing.T) (*Engine, *pagestore.Store) {
-			store := pagestore.New(4096)
-			return NewDiffOn(store), store
-		}},
+// memBuild builds arch through Build over fresh memory stores and returns
+// every store it made.
+func memBuild(t *testing.T, arch string, walPool int) (*Engine, []*pagestore.Store) {
+	t.Helper()
+	e, stores, err := Build(arch, walPool, func(_ string, pageSize int) (*pagestore.Store, error) {
+		return pagestore.New(pageSize), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return e, stores
 }
 
 // TestCrashScheduleSweep drives every engine through a randomized
 // transaction history, cutting power at every possible stable-write
-// boundary, and verifies that recovery always restores a state consistent
-// with the committed (plus possibly one atomic in-doubt) history.
+// boundary of every store it writes, data and log alike, and verifies that
+// recovery always restores a state consistent with the committed (plus
+// possibly one atomic in-doubt) history.
 func TestCrashScheduleSweep(t *testing.T) {
 	const pages = 6
-	for _, cc := range crashCases() {
-		cc := cc
-		t.Run(cc.name, func(t *testing.T) {
+	for _, arch := range Architectures() {
+		t.Run(arch, func(t *testing.T) {
 			for budget := int64(1); budget <= 40; budget++ {
-				runCrashSchedule(t, cc, budget, pages)
+				runCrashSchedule(t, arch, budget, pages)
 			}
 		})
 	}
 }
 
-func runCrashSchedule(t *testing.T, cc crashCase, budget int64, pages int) {
+func runCrashSchedule(t *testing.T, arch string, budget int64, pages int) {
 	t.Helper()
-	e, store := cc.build(t)
+	e, stores := memBuild(t, arch, 4)
 	model := map[int64]string{}
 	for p := int64(0); p < int64(pages); p++ {
 		v := fmt.Sprintf("init%d", p)
@@ -90,7 +49,10 @@ func runCrashSchedule(t *testing.T, cc crashCase, budget int64, pages int) {
 		model[p] = v
 	}
 	rng := sim.NewRNG(budget * 7919)
-	store.SetFaultHook(pagestore.CrashAtMutation(budget + 1))
+	hook := pagestore.CrashAtMutation(budget + 1)
+	for _, s := range stores {
+		s.SetFaultHook(hook)
+	}
 
 	// Run transactions until the store crashes (or a fixed cap).
 	var doubt map[int64]string
@@ -131,7 +93,9 @@ func runCrashSchedule(t *testing.T, cc crashCase, budget int64, pages int) {
 	}
 
 	e.Crash()
-	store.SetFaultHook(nil)
+	for _, s := range stores {
+		s.SetFaultHook(nil)
+	}
 	if err := e.Recover(); err != nil {
 		t.Fatalf("budget %d: recover: %v", budget, err)
 	}
@@ -175,10 +139,9 @@ func runCrashSchedule(t *testing.T, cc crashCase, budget int64, pages int) {
 // TestDoubleCrash exercises crash -> recover -> more work -> crash ->
 // recover for every engine.
 func TestDoubleCrash(t *testing.T) {
-	for _, cc := range crashCases() {
-		cc := cc
-		t.Run(cc.name, func(t *testing.T) {
-			e, _ := cc.build(t)
+	for _, arch := range Architectures() {
+		t.Run(arch, func(t *testing.T) {
+			e, _ := memBuild(t, arch, 4)
 			if err := e.Load(1, []byte("v0")); err != nil {
 				t.Fatal(err)
 			}

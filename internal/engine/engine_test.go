@@ -7,30 +7,18 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/pagestore"
-	"repro/internal/shadoweng"
 	"repro/internal/wal"
 )
 
-// allEngines builds one engine per recovery architecture.
+// allEngines builds one engine per recovery architecture through Build,
+// and under "wal" a two-stream WAL, which no architecture runs.
 func allEngines(t *testing.T) map[string]*Engine {
 	t.Helper()
-	shadow, err := NewShadowOn(pagestore.New(4096))
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]*Engine{"wal": NewWAL(wal.Config{Streams: 2, Selection: wal.PageMod})}
+	for _, arch := range Architectures() {
+		out[arch], _ = memBuild(t, arch, 0)
 	}
-	vs, err := NewVersionSelectOn(pagestore.New(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Engine{
-		"wal":       NewWAL(wal.Config{Streams: 2, Selection: wal.PageMod}),
-		"shadow":    shadow,
-		"ow-noundo": NewOverwriteOn(pagestore.New(4096), shadoweng.NoUndo),
-		"ow-noredo": NewOverwriteOn(pagestore.New(4096), shadoweng.NoRedo),
-		"verselect": vs,
-		"difffile":  NewDiffOn(pagestore.New(4096)),
-	}
+	return out
 }
 
 func enc(v int64) []byte {

@@ -19,13 +19,10 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/diffeng"
 	"repro/internal/engine"
 	"repro/internal/faultinj"
 	"repro/internal/pagestore"
-	"repro/internal/shadoweng"
 	"repro/internal/sim"
-	"repro/internal/wal"
 )
 
 const (
@@ -34,69 +31,35 @@ const (
 	equivTxns  = 25
 )
 
-// equivTarget builds one recovery architecture twice: the bare kernel and
-// the wrapped engine, each over its own stores (every stable store is
-// returned so fault hooks cover the WAL engine's separate log store).
-type equivTarget struct {
-	name    string
-	kernel  func(t *testing.T) (engine.RecoveryManager, []*pagestore.Store)
-	wrapped func(t *testing.T) (*engine.Engine, []*pagestore.Store)
-}
+// equivTarget builds one recovery architecture through engine.Build, over
+// fresh memory stores; every stable store is returned so fault hooks cover
+// the WAL engines' separate log store.
+type equivTarget struct{ name string }
 
 func equivTargets() []equivTarget {
-	walKernel := func(cfg wal.Config) func(*testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-		return func(*testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-			store := pagestore.New(4096)
-			m := wal.NewManager(store, cfg)
-			return m, []*pagestore.Store{store, m.LogStore()}
-		}
-	}
-	one := func(mk func(*pagestore.Store) (engine.RecoveryManager, error)) func(*testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-		return func(t *testing.T) (engine.RecoveryManager, []*pagestore.Store) {
-			store := pagestore.New(4096)
-			rm, err := mk(store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rm, []*pagestore.Store{store}
-		}
-	}
-	kernels := map[string]func(*testing.T) (engine.RecoveryManager, []*pagestore.Store){
-		"wal-1stream":  walKernel(wal.Config{PoolPages: 4}),
-		"wal-3streams": walKernel(wal.Config{Streams: 3, Selection: wal.PageMod, PoolPages: 4}),
-		"shadow": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
-			return shadoweng.New(s)
-		}),
-		"ow-noundo": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
-			return shadoweng.NewOverwrite(s, shadoweng.NoUndo), nil
-		}),
-		"ow-noredo": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
-			return shadoweng.NewOverwrite(s, shadoweng.NoRedo), nil
-		}),
-		"verselect": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
-			return shadoweng.NewVersion(s)
-		}),
-		"difffile": one(func(s *pagestore.Store) (engine.RecoveryManager, error) {
-			return diffeng.New(s), nil
-		}),
-	}
 	var out []equivTarget
 	for _, name := range engine.Architectures() {
-		out = append(out, equivTarget{
-			name:   name,
-			kernel: kernels[name],
-			wrapped: func(t *testing.T) (*engine.Engine, []*pagestore.Store) {
-				e, stores, err := engine.Build(name, 4, func(_ string, pageSize int) (*pagestore.Store, error) {
-					return pagestore.New(pageSize), nil
-				})
-				if err != nil {
-					t.Fatalf("Build(%s): %v", name, err)
-				}
-				return e, stores
-			},
-		})
+		out = append(out, equivTarget{name})
 	}
 	return out
+}
+
+// wrapped builds the thread-safe engine.
+func (tg equivTarget) wrapped(t *testing.T) (*engine.Engine, []*pagestore.Store) {
+	e, stores, err := engine.Build(tg.name, 4, func(_ string, pageSize int) (*pagestore.Store, error) {
+		return pagestore.New(pageSize), nil
+	})
+	if err != nil {
+		t.Fatalf("Build(%s): %v", tg.name, err)
+	}
+	return e, stores
+}
+
+// kernel builds the bare kernel: a fresh engine's, taken from its Guard,
+// the engine itself never used.
+func (tg equivTarget) kernel(t *testing.T) (engine.RecoveryManager, []*pagestore.Store) {
+	e, stores := tg.wrapped(t)
+	return e.Guard().Unwrap(), stores
 }
 
 // loadKernelPages is faultinj.LoadPages for a bare kernel: identical

@@ -148,12 +148,12 @@ func TestSyncsPerCommit(t *testing.T) {
 	const pages, txns = 1024, 300
 	want := map[string]fileCounts{ // per 300 transfers
 		"wal-1stream":  {789, 34824},    // 2.63 syncs, 116.1 B per commit
-		"wal-3streams": {1123, 47675},   // 3.74, 158.9
-		"shadow":       {2400, 5275104}, // 8, 17,583.7
+		"wal-3streams": {1123, 47265},   // 3.74, 157.6
+		"shadow":       {2400, 5272672}, // 8, 17,575.6
 		"ow-noundo":    {1800, 83400},   // 6, 278
 		"ow-noredo":    {2100, 102900},  // 7, 343
 		"verselect":    {900, 36900},    // 3, 123
-		"difffile":     {300, 46200},    // 1, 154
+		"difffile":     {300, 33600},    // 1, 112
 	}
 	for _, arch := range Architectures() {
 		t.Run(arch, func(t *testing.T) {

@@ -51,6 +51,59 @@ func TestSweepFilesWALTarget(t *testing.T) {
 	}
 }
 
+// TestFileSweepOpsPinned pins the file sweep's size: each architecture's
+// file operations in the crash-free probe of the default workload, and its
+// crash points at -every 1 — a power cut at every operation, plus a torn
+// write at every append and fold page-write and a lost fsync at every
+// fsync. With the memory sweep's 554 (TestSweepMutationCountsPinned) they
+// make crashsweep -file -every 1's 2,770 points. A drift means the file
+// store's write pattern changed shape, which must be a conscious decision.
+func TestFileSweepOpsPinned(t *testing.T) {
+	type size struct{ ops, points int64 }
+	want := map[string]size{
+		"wal-1stream":  {74, 148},
+		"wal-3streams": {126, 252},
+		"shadow":       {174, 348},
+		"ow-noundo":    {224, 448},
+		"ow-noredo":    {324, 648},
+		"verselect":    {146, 292},
+		"difffile":     {40, 80},
+	}
+	opt := Options{Seed: 1985}.withDefaults()
+	var total int64
+	for _, tg := range FileTargets(t.TempDir()) {
+		e, stores, err := tg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := LoadPages(e, sweepPages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got size
+		armFileHook(stores, func(op pagestore.FileOp, _ string, _ int64) pagestore.FileFault {
+			got.ops++
+			got.points++
+			if op == pagestore.FileAppend || op == pagestore.FilePageWrite || op == pagestore.FileSync {
+				got.points++
+			}
+			return pagestore.FileOK
+		})
+		crashed := RunScript(e, model, opt.Seed, sweepPages, sweepTxns).Crashed
+		tg.clean(stores)
+		if crashed {
+			t.Fatalf("%s: probe crashed", tg.Name)
+		}
+		if got != want[tg.Name] {
+			t.Errorf("%s: %d file ops and %d points, pinned %d and %d", tg.Name, got.ops, got.points, want[tg.Name].ops, want[tg.Name].points)
+		}
+		total += got.points
+	}
+	if total != 2216 {
+		t.Errorf("file points = %d, pinned 2216 (2,770 in crashsweep -file -every 1, less the memory sweep's 554)", total)
+	}
+}
+
 // TestFileTargetsCleanRemovesDirs: a finished sweep leaves nothing behind
 // in the scratch root.
 func TestFileTargetsCleanRemovesDirs(t *testing.T) {

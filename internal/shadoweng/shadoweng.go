@@ -196,7 +196,8 @@ func (e *Engine) allocBlock() int64 {
 }
 
 // writePageTable serializes the current mapping into the inactive copy and
-// flips the root. The root write is the atomic commit point.
+// flips the root. The root write is the atomic commit point. The root holds
+// the copy and its chunk count; its generation is the root page's version.
 func (e *Engine) writePageTable() error {
 	next := 1 - e.curCopy
 	blob := marshalTable(e.current, e.nextBlock)
@@ -212,11 +213,10 @@ func (e *Engine) writePageTable() error {
 		}
 		nChunks++
 	}
-	root := make([]byte, 24)
+	root := make([]byte, 16)
 	binary.BigEndian.PutUint64(root[0:], uint64(next))
 	binary.BigEndian.PutUint64(root[8:], uint64(nChunks))
 	e.gen++
-	binary.BigEndian.PutUint64(root[16:], e.gen)
 	if err := e.store.Write(rootPage, root, e.gen); err != nil {
 		e.gen--
 		return err

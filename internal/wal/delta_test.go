@@ -28,7 +28,7 @@ func logForces(m *Manager) int64 {
 // forces, exactly. Run it with -v (make logvolume) to read the bytes per
 // transaction. A transfer logs 11 + 5 + 1 bytes: its second update and its
 // commit follow the record before them in the chunk, so neither repeats
-// the LSN, Txn and PrevLSN, and an update logs its new bytes only (tag,
+// the LSN and Txn, and an update logs its new bytes only (tag,
 // LSN, Txn, page, offset, length, the byte), unless its page is stolen
 // before it commits.
 func TestLogVolume(t *testing.T) {
@@ -83,17 +83,18 @@ func TestLogVolume(t *testing.T) {
 		// steal logs the first update's old byte in a 10-byte undo record
 		// (tag, LSN, Txn, the distance to the update, length, the byte)
 		// and forces it with the update, 21 bytes; the second update
-		// starts the next chunk whole, with its PrevLSN, 12 + 1 bytes.
-		{name: "transfer, first page stolen", cfg: Config{PoolPages: 1}, image: balance, bytes: 34, puts: 2, forces: 2, run: transfer},
+		// starts the next chunk whole, and the commit follows it, 11 + 1
+		// bytes.
+		{name: "transfer, first page stolen", cfg: Config{PoolPages: 1}, image: balance, bytes: 33, puts: 2, forces: 2, run: transfer},
 		// On three streams the transfer's records land on two, and a
 		// stream's chunk only follows what is on that stream: the commit
 		// (page 0's stream) does not follow the update on page 1's.
 		{name: "transfer, 3 page-mod streams", cfg: Config{Streams: 3, Selection: PageMod},
-			image: balance, bytes: 31, puts: 2, forces: 2, run: transfer},
+			image: balance, bytes: 29, puts: 2, forces: 2, run: transfer},
 		// Two transfers interleaved in one force: no record follows the
 		// one before it, since that one is the other transaction's. The
 		// second commit is forced alone.
-		{name: "two transfers interleaved", image: balance, bytes: 62, puts: 2, forces: 2,
+		{name: "two transfers interleaved", image: balance, bytes: 58, puts: 2, forces: 2,
 			run: func(t *testing.T, m *Manager, image func(byte) []byte) {
 				must(t, m.Begin(tid))
 				must(t, m.Begin(tid+1))

@@ -17,14 +17,13 @@ import (
 // error, not a panic.
 func FuzzUnmarshalRecord(f *testing.F) {
 	for _, r := range []Record{
-		{LSN: 7, Type: RecUpdate, Txn: 3, Page: 9, PrevLSN: 5, Off: 1, Del: 3, New: []byte("new")},
+		{LSN: 7, Type: RecUpdate, Txn: 3, Page: 9, Off: 1, Del: 3, New: []byte("new")},
 		{LSN: 8, Type: RecUndo, Txn: 3, CompLSN: 7, Old: []byte("old")},
-		{LSN: 8, Type: RecUpdate, Txn: 3, Page: 9, PrevLSN: 7, Off: 2, Del: 5, New: []byte("ab")},
-		{LSN: 9, Type: RecUpdate, Txn: 3, Page: -9, PrevLSN: 7, CompLSN: 7, Off: 1, Del: 3, New: []byte("old")},
+		{LSN: 8, Type: RecUpdate, Txn: 3, Page: 9, Off: 2, Del: 5, New: []byte("ab")},
+		{LSN: 9, Type: RecUpdate, Txn: 3, Page: -9, CompLSN: 7, Off: 1, Del: 3, New: []byte("old")},
 		{LSN: 1 << 40, Type: RecUpdate, Txn: 1 << 33, Page: 1 << 20, New: bytes.Repeat([]byte{7}, 300)},
-		{LSN: 10, Type: RecCommit, Txn: 3, PrevLSN: 9},
+		{LSN: 10, Type: RecCommit, Txn: 3},
 		{LSN: 11, Type: RecAbort, Txn: 4},
-		{LSN: 12, Type: RecCheckpoint, PrevLSN: 11},
 	} {
 		f.Add(encodeChunk(r))
 	}
@@ -32,35 +31,37 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add([]byte{byte(RecCommit), 0x89, 0x00, 2})                                       // overlong LSN
-	f.Add([]byte{byte(RecCommit) | tagPrev, 9, 2, 0x80, 0x00})                          // overlong distance
+	f.Add([]byte{byte(RecUpdate) | tagComp, 9, 2, 8, 0x80, 0x00})                       // overlong distance
+	f.Add([]byte{byte(RecCommit) | tagUnused, 9, 2})                                    // the unused flag
+	f.Add([]byte{0, 9, 2})                                                              // type 0
 	f.Add(append([]byte{byte(RecCommit)}, bytes.Repeat([]byte{0x80}, 12)...))           // varint that never ends
 	f.Add([]byte{byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0xff, 0x7f, 'x'})             // len(New) past the chunk
 	f.Add([]byte{byte(RecUpdate) | tagShrink, 9, 2, 8, 0xff, 0xff, 0xff, 0xff, 0x0f})   // Del past the chunk
 	f.Add([]byte{byte(RecUpdate) | tagComp | tagOff | tagShrink, 9, 2, 8, 1, 0x7f, 50}) // offset+len past a small page
 	f.Add([]byte{byte(RecUpdate) | tagShrink | tagNew, 9, 2, 8, 0, 1, 'x'})             // Del equal to len(New), present
-	f.Add([]byte{tagUndo | tagNew, 9, 2, 1, 1, 'a'})                                    // an undo record with a flag
+	f.Add([]byte{byte(RecUndo) | tagNew, 9, 2, 1, 1, 'a'})                              // an undo record with a flag
 	bal := func(v byte) []byte { return []byte{v} }
 	f.Add(encodeChunk( // a transfer: the second update and the commit follow
 		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, New: bal(2)},
-		Record{LSN: 21, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, New: bal(2)},
-		Record{LSN: 22, Type: RecCommit, Txn: 5, PrevLSN: 21}))
+		Record{LSN: 21, Type: RecUpdate, Txn: 5, Page: 2, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 22, Type: RecCommit, Txn: 5}))
 	f.Add(encodeChunk( // a transfer whose first page is stolen before it commits
 		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, New: bal(2)},
 		Record{LSN: 21, Type: RecUndo, Txn: 5, CompLSN: 20, Old: bal(1)},
-		Record{LSN: 22, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, New: bal(2)},
-		Record{LSN: 23, Type: RecCommit, Txn: 5, PrevLSN: 22}))
+		Record{LSN: 22, Type: RecUpdate, Txn: 5, Page: 2, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 23, Type: RecCommit, Txn: 5}))
 	f.Add(encodeChunk( // two transactions interleaved: nothing follows
 		Record{LSN: 20, Type: RecUpdate, Txn: 5, Page: 1, Off: 7, Del: 1, New: bal(2)},
 		Record{LSN: 21, Type: RecUpdate, Txn: 6, Page: 3, Off: 7, Del: 1, New: bal(2)},
-		Record{LSN: 22, Type: RecUpdate, Txn: 5, Page: 2, PrevLSN: 20, Off: 7, Del: 1, New: bal(2)},
-		Record{LSN: 23, Type: RecUpdate, Txn: 6, Page: 4, PrevLSN: 21, Off: 7, Del: 1, New: bal(2)},
-		Record{LSN: 24, Type: RecCommit, Txn: 5, PrevLSN: 22}))
+		Record{LSN: 22, Type: RecUpdate, Txn: 5, Page: 2, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 23, Type: RecUpdate, Txn: 6, Page: 4, Off: 7, Del: 1, New: bal(2)},
+		Record{LSN: 24, Type: RecCommit, Txn: 5}))
 	f.Add(encodeChunk( // an abort with CLRs, newest update first
 		Record{LSN: 30, Type: RecUpdate, Txn: 7, Page: 1, Del: 2, New: []byte("xyz")},
-		Record{LSN: 31, Type: RecUpdate, Txn: 7, Page: 2, PrevLSN: 30, Off: 1, New: []byte("q")},
-		Record{LSN: 32, Type: RecUpdate, Txn: 7, Page: 2, PrevLSN: 31, CompLSN: 31, Off: 1, Del: 1},
-		Record{LSN: 33, Type: RecUpdate, Txn: 7, Page: 1, PrevLSN: 32, CompLSN: 30, Del: 3, New: []byte("ab")},
-		Record{LSN: 34, Type: RecAbort, Txn: 7, PrevLSN: 33}))
+		Record{LSN: 31, Type: RecUpdate, Txn: 7, Page: 2, Off: 1, New: []byte("q")},
+		Record{LSN: 32, Type: RecUpdate, Txn: 7, Page: 2, CompLSN: 31, Off: 1, Del: 1},
+		Record{LSN: 33, Type: RecUpdate, Txn: 7, Page: 1, CompLSN: 30, Del: 3, New: []byte("ab")},
+		Record{LSN: 34, Type: RecAbort, Txn: 7}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c chunkCodec
 		var recs []Record
@@ -198,12 +199,12 @@ func FuzzRecover(f *testing.F) {
 		addLog(f, seed.streams, seed.run, false)
 	}
 	f.Add(uint8(0), []byte{}, []byte{}, []byte{}, []byte{})
-	// A checkpoint beyond a gap: the trim removes it, so its horizon must
-	// not hide the update below it from the first restart either.
+	// A commit beyond a gap: the trim removes it, so it must not settle
+	// the update below it at the first restart either.
 	f.Add(uint8(1),
 		encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 24, Del: 6, New: []byte("000")}),
-		encodeChunk(Record{LSN: 48, Type: RecCheckpoint, PrevLSN: 16}), []byte{}, []byte{})
-	f.Add(uint8(2), []byte{byte(RecCommit), 5, 1}, []byte{byte(RecCheckpoint) | tagPrev, 6, 0, 2}, []byte{0xff}, []byte{})
+		encodeChunk(Record{LSN: 48, Type: RecCommit, Txn: 1}), []byte{}, []byte{})
+	f.Add(uint8(2), []byte{byte(RecCommit), 5, 1}, []byte{byte(RecCommit) | tagUnused, 6, 2}, []byte{0, 7, 2}, []byte{})
 	// A loser on a negative page, undone on three streams.
 	f.Add(uint8(2), encodeChunk(Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: -1, New: []byte("x")}), []byte{}, []byte{}, []byte{})
 	// A loser whose update reached disk: its undo record rolls it back; a

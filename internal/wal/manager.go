@@ -69,8 +69,8 @@ type undoRec struct {
 	undo uint64 // the undo record that logs old; 0: none (none is needed when del is 0)
 }
 
-// txnState tracks an active transaction. firstLSN and lastLSN stay zero
-// until its first update: a transaction that changed nothing has no
+// txnState tracks an active transaction. firstLSN stays zero until its
+// first update: a transaction that changed nothing has no
 // records, pins no log, and ends without touching the log. Restart's
 // transaction table uses the same records, firstLSN then being the LSN of
 // the transaction's first live record. Records are recycled (see openTxn
@@ -78,7 +78,6 @@ type undoRec struct {
 // the next.
 type txnState struct {
 	firstLSN uint64
-	lastLSN  uint64
 	updates  []undoRec // not yet compensated, oldest first
 	arena    []byte    // the updates' old bytes, back to back
 }
@@ -243,19 +242,10 @@ func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 		return nil
 	}
 	old := ts.keep(bp.data[off : off+del])
-	lsn := m.appendRec(Record{
-		Type:    RecUpdate,
-		Txn:     tid,
-		Page:    p,
-		PrevLSN: ts.lastLSN,
-		Off:     off,
-		Del:     del,
-		New:     ins,
-	})
+	lsn := m.appendRec(Record{Type: RecUpdate, Txn: tid, Page: p, Off: off, Del: del, New: ins})
 	if ts.firstLSN == 0 {
 		ts.firstLSN = lsn
 	}
-	ts.lastLSN = lsn
 	ts.updates = append(ts.updates, undoRec{lsn: lsn, page: pagestore.PageID(p), off: off, ins: len(ins), del: del, old: old})
 	bp.data = append(bp.data[:0], data...)
 	bp.lsn, bp.txn = lsn, tid
@@ -272,7 +262,7 @@ func (m *Manager) Commit(tid uint64) error {
 	if ts == nil {
 		return fmt.Errorf("wal: transaction %d not active", tid)
 	}
-	if ts.lastLSN == 0 {
+	if ts.firstLSN == 0 {
 		m.endTxn(tid, ts)
 		m.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid})
 		return nil
@@ -283,7 +273,7 @@ func (m *Manager) Commit(tid uint64) error {
 	// live — reaches disk before the commit record can. A crash anywhere in
 	// this sequence then leaves either no commit record (the transaction is
 	// undone whole) or a complete transaction: atomic, never torn.
-	lsn, ci := m.appendRecOn(Record{Type: RecCommit, Txn: tid, PrevLSN: ts.lastLSN})
+	lsn, ci := m.appendRecOn(Record{Type: RecCommit, Txn: tid})
 	for i, s := range m.streams {
 		if i == ci {
 			continue
@@ -316,8 +306,8 @@ func (m *Manager) Abort(tid uint64) error {
 			return err
 		}
 	}
-	if ts.lastLSN != 0 {
-		m.appendRec(Record{Type: RecAbort, Txn: tid, PrevLSN: ts.lastLSN})
+	if ts.firstLSN != 0 {
+		m.appendRec(Record{Type: RecAbort, Txn: tid})
 	}
 	m.endTxn(tid, ts)
 	m.journal.Emit(obs.JournalRecord{Event: "abort", Txn: tid, N: int64(n)})
@@ -338,17 +328,7 @@ func (m *Manager) compensate(tid uint64, ts *txnState) error {
 	if err != nil {
 		return err
 	}
-	lsn := m.appendRec(Record{
-		Type:    RecUpdate,
-		Txn:     tid,
-		Page:    int64(u.page),
-		PrevLSN: ts.lastLSN,
-		CompLSN: u.lsn,
-		Off:     u.off,
-		Del:     u.ins,
-		New:     u.old,
-	})
-	ts.lastLSN = lsn
+	lsn := m.appendRec(Record{Type: RecUpdate, Txn: tid, Page: int64(u.page), CompLSN: u.lsn, Off: u.off, Del: u.ins, New: u.old})
 	ts.updates = ts.updates[:len(ts.updates)-1]
 	bp.data = data
 	bp.lsn, bp.txn = lsn, tid
@@ -524,15 +504,16 @@ func (m *Manager) flush(bp *bufPage) error {
 
 // Checkpoint takes a non-quiescing checkpoint that flushes every dirty page
 // (not a fuzzy one, which would flush none): the log is forced, every dirty
-// page is flushed, a checkpoint record is logged, and each stream
-// truncates the stable chunks no future recovery can need — everything
-// below the oldest active transaction's first record (or below the
-// checkpoint itself when no transaction has written anything). The
-// checkpoint record carries that horizon, and so does the meta page of
-// each stream that truncates, so restart ignores dead records that survive
-// in a chunk shared with live ones. Active transactions stay open across
-// it; a flushed page holding one's update logs its old bytes first (see
-// flush).
+// page is flushed, and each stream truncates the stable chunks no future
+// recovery can need — everything below the oldest active transaction's
+// first record (or below the next LSN when no transaction has written
+// anything). The meta page of each stream that truncates records that
+// horizon, so restart ignores dead records that survive in a chunk shared
+// with live ones. Nothing is logged for the checkpoint itself. Active
+// transactions stay open across it; a flushed page holding one's update
+// logs its old bytes first (see flush), and each flush forces the log
+// through them, so when truncation writes a meta page every record below
+// the next LSN is durable.
 func (m *Manager) Checkpoint() error {
 	if err := m.forceThrough(math.MaxUint64); err != nil {
 		return err
@@ -548,17 +529,13 @@ func (m *Manager) Checkpoint() error {
 		}
 		flushed++
 	}
-	point := m.nextLSN // the checkpoint record's own LSN
+	point := m.nextLSN
 	for _, tid := range m.att.Keys() {
 		if ts := m.att.Get(tid); ts.firstLSN != 0 && ts.firstLSN < point {
 			point = ts.firstLSN
 		}
 	}
-	cpLSN := m.appendRec(Record{Type: RecCheckpoint, PrevLSN: point - 1})
-	if err := m.forceThrough(math.MaxUint64); err != nil {
-		return err
-	}
-	m.journal.Emit(obs.JournalRecord{Event: "checkpoint", Engine: m.Name(), LSN: cpLSN, N: flushed})
+	m.journal.Emit(obs.JournalRecord{Event: "checkpoint", Engine: m.Name(), N: flushed})
 	before := m.truncatedChunks()
 	for _, s := range m.streams {
 		if err := s.truncate(point); err != nil {
@@ -726,7 +703,7 @@ func (m *Manager) Recover() error {
 		m.undone++
 		m.journal.EmitPage(int64(pg), obs.JournalRecord{Event: "undo", Txn: p.tid, LSN: p.lsn})
 		if len(ts.updates) == 0 {
-			m.appendRec(Record{Type: RecAbort, Txn: p.tid, PrevLSN: ts.lastLSN})
+			m.appendRec(Record{Type: RecAbort, Txn: p.tid})
 		}
 	}
 	for _, tid := range losers {
@@ -753,9 +730,6 @@ func (m *Manager) Recover() error {
 // bytes of an update the stable page already held. The old bytes are
 // copied out of the chunk or page.
 func (m *Manager) repeat(r *Record) error {
-	if r.Type == RecCheckpoint {
-		return nil
-	}
 	ts := m.att.Get(r.Txn)
 	if ts == nil {
 		if r.Type == RecUndo {
@@ -788,7 +762,6 @@ func (m *Manager) repeat(r *Record) error {
 			break
 		}
 	case RecUpdate:
-		ts.lastLSN = r.LSN
 		old, err := m.redo(r, ts)
 		if err != nil {
 			return err

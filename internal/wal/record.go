@@ -30,7 +30,6 @@ const (
 	RecUpdate RecType = iota + 1
 	RecCommit
 	RecAbort
-	RecCheckpoint
 	RecUndo
 )
 
@@ -43,8 +42,6 @@ func (t RecType) String() string {
 		return "COMMIT"
 	case RecAbort:
 		return "ABORT"
-	case RecCheckpoint:
-		return "CHECKPOINT"
 	case RecUndo:
 		return "UNDO"
 	}
@@ -60,15 +57,14 @@ func (t RecType) String() string {
 // only when the page may reach disk before the update's transaction ends.
 // A compensation record (CLR), written while rolling an update back, is an
 // update record that sets CompLSN to that update's LSN: recovery redoes
-// CLRs but never undoes them. PrevLSN chains a transaction's updates, CLRs,
-// commit and abort; on a checkpoint record it is the dead horizon — every
-// record at or below it is dead to recovery.
+// CLRs but never undoes them. A record names its transaction and nothing
+// else of it: restart keeps each open transaction's updates as it reads
+// them in LSN order, so it never walks a chain back.
 type Record struct {
 	LSN     uint64
 	Type    RecType
 	Txn     uint64
-	Page    int64 // update: the page; undo: not logged (it picks the stream)
-	PrevLSN uint64
+	Page    int64  // update: the page; undo: not logged (it picks the stream)
 	CompLSN uint64 // CLR: the update it compensates; undo: the update whose Old it holds
 	Off     int    // update: where the change starts
 	Del     int    // update: bytes removed at Off
@@ -79,17 +75,17 @@ type Record struct {
 // IsCLR reports whether the record is a compensation record.
 func (r *Record) IsCLR() bool { return r.Type == RecUpdate && r.CompLSN != 0 }
 
-// The tag byte holds the record type in its low three bits; each remaining
-// bit says that an optional field is present. Absent fields are zero, and a
-// present field is never zero. Types 5–7 are an update, commit or abort
-// that follows the record before it in its chunk (see chunkCodec): the tag
-// then stands for LSN, Txn and PrevLSN too, so no flag bit is spent on it.
-// Type 0 is an undo record, which has no optional fields.
+// The tag byte holds the record type in its low three bits; each of the top
+// four bits says that an optional update field is present. Absent fields are
+// zero, and a present field is never zero. Types 5–7 are an update, commit
+// or abort that follows the record before it in its chunk (see chunkCodec):
+// the tag then stands for LSN and Txn too, so no flag bit is spent on it.
+// Type 4 is an undo record, which has no optional fields. Type 0 and bit 3
+// are never written.
 const (
 	tagTypeMask = 0x07
-	tagUndo     = 0      // the type of an undo record: RecUndo's own number is a following update's
 	tagFollows  = 4      // added to RecUpdate, RecCommit or RecAbort: the record follows
-	tagPrev     = 1 << 3 // PrevLSN, as the distance LSN-PrevLSN
+	tagUnused   = 1 << 3 // never set
 	tagComp     = 1 << 4 // CompLSN, as the distance LSN-CompLSN
 	tagOff      = 1 << 5 // Off
 	tagShrink   = 1 << 6 // Del-len(New), zig-zag: how far the page shrinks
@@ -97,19 +93,18 @@ const (
 )
 
 // maxRecHeader bounds everything in an encoded record but its one image
-// (New, or an undo record's Old): the tag, five 10-byte varints and three
+// (New, or an undo record's Old): the tag, four 10-byte varints and three
 // 3-byte ones, rounded up.
 const maxRecHeader = 64
 
 // chunkCodec codes the records of one log chunk — what one force's
 // Store.Write puts — in order, each against the record before it. A record
 // follows the one before it when it is an update, commit or abort, its LSN
-// is one above that record's, its Txn is the same, and its PrevLSN names
-// that record: a transaction's records appended back to back, as a
-// transfer's are. A following record writes none of those three fields.
-// Nothing follows a checkpoint or an undo record, and a chunk's first
-// record never follows, so each chunk decodes on its own. The zero value
-// starts a chunk.
+// is one above that record's and its Txn is the same: a transaction's
+// records appended back to back, as a transfer's are. A following record
+// writes neither of those two fields. Nothing follows an undo record, and a
+// chunk's first record never follows, so each chunk decodes on its own. The
+// zero value starts a chunk.
 //
 // The encoder uses the short form whenever the rule holds and the decoder
 // accepts it nowhere else, so a chunk has exactly one encoding.
@@ -119,8 +114,7 @@ type chunkCodec struct {
 
 // follows reports whether r follows the record before it.
 func (c *chunkCodec) follows(r *Record) bool {
-	return c.lsn != 0 && r.Type <= RecAbort && r.LSN == c.lsn+1 &&
-		r.Txn == c.txn && r.PrevLSN == c.lsn
+	return c.lsn != 0 && r.Type <= RecAbort && r.LSN == c.lsn+1 && r.Txn == c.txn
 }
 
 // step moves the codec past r.
@@ -135,26 +129,21 @@ func (c *chunkCodec) step(r *Record) {
 // encode appends the encoding of r, the chunk's next record, to buf and
 // returns the result:
 //
-//	tag · [uvarint LSN · uvarint Txn · [uvarint LSN-PrevLSN]] ·
+//	tag · [uvarint LSN · uvarint Txn] ·
 //	update only: varint Page · [uvarint LSN-CompLSN] · [uvarint Off] ·
 //	             [varint Del-len(New)] · [uvarint len(New)] · New
 //	undo only:   uvarint LSN-CompLSN · uvarint len(Old) · Old
 //
-// The outer brackets are absent when r follows; the others hold fields
+// The first brackets are absent when r follows; the others hold fields
 // present only when non-zero. An undo record's fields are all present: it
 // names an earlier update, and one that removed nothing needs none.
-// PrevLSN and CompLSN, when set, must be below LSN (they always are: both
-// name earlier records), and an undo record has no PrevLSN.
+// CompLSN, when set, must be below LSN (it always is: it names an earlier
+// record).
 func (c *chunkCodec) encode(buf []byte, r *Record) []byte {
 	tag := byte(r.Type)
 	follows := c.follows(r)
-	switch {
-	case r.Type == RecUndo:
-		tag = tagUndo
-	case follows:
+	if follows {
 		tag += tagFollows
-	case r.PrevLSN != 0:
-		tag |= tagPrev
 	}
 	c.step(r)
 	shrink := r.Del - len(r.New)
@@ -176,9 +165,6 @@ func (c *chunkCodec) encode(buf []byte, r *Record) []byte {
 	if !follows {
 		buf = binary.AppendUvarint(buf, r.LSN)
 		buf = binary.AppendUvarint(buf, r.Txn)
-		if tag&tagPrev != 0 {
-			buf = binary.AppendUvarint(buf, r.LSN-r.PrevLSN)
-		}
 	}
 	switch r.Type {
 	case RecUndo:
@@ -333,17 +319,16 @@ func (c *chunkCodec) decode(buf []byte, r *Record) (int, error) {
 	tag := buf[0]
 	typ := tag & tagTypeMask
 	follows := typ > tagFollows
-	switch {
-	case typ == tagUndo:
-		typ = byte(RecUndo)
-	case follows:
+	if follows {
 		typ -= tagFollows
 	}
 	*r = Record{Type: RecType(typ)}
 	switch {
-	case r.Type == RecUndo && tag != tagUndo:
-		return 0, fmt.Errorf("wal: UNDO record with flags %#x", tag)
-	case r.Type != RecUpdate && tag&^(tagTypeMask|tagPrev) != 0:
+	case typ == 0:
+		return 0, fmt.Errorf("wal: record of type 0")
+	case tag&tagUnused != 0:
+		return 0, fmt.Errorf("wal: %v record with unused flag %#x", r.Type, tagUnused)
+	case r.Type != RecUpdate && tag&^tagTypeMask != 0:
 		return 0, fmt.Errorf("wal: %v record with update flags %#x", r.Type, tag)
 	}
 	d := &decoder{buf: buf, n: 1}
@@ -353,16 +338,11 @@ func (c *chunkCodec) decode(buf []byte, r *Record) (int, error) {
 			return 0, fmt.Errorf("wal: following %v record with no record before it to follow", r.Type)
 		case c.lsn+1 == 0:
 			return 0, fmt.Errorf("wal: following %v record overflows the LSN", r.Type)
-		case tag&tagPrev != 0:
-			return 0, fmt.Errorf("wal: following %v record with a PrevLSN", r.Type)
 		}
-		r.LSN, r.Txn, r.PrevLSN = c.lsn+1, c.txn, c.lsn
+		r.LSN, r.Txn = c.lsn+1, c.txn
 	} else {
 		r.LSN = d.uvarint("LSN")
 		r.Txn = d.uvarint("Txn")
-		if tag&tagPrev != 0 {
-			r.PrevLSN = d.back("PrevLSN", r.LSN)
-		}
 		if d.err == nil && c.follows(r) {
 			return 0, fmt.Errorf("wal: %v record at LSN %d coded whole, but it follows the record before it", r.Type, r.LSN)
 		}

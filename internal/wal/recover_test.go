@@ -523,8 +523,8 @@ func TestTruncationCutAcrossStreams(t *testing.T) {
 func TestOutOfOrderStreamIsCorrupt(t *testing.T) {
 	chunk := encodeChunk(
 		Record{LSN: 1, Type: RecUpdate, Txn: 1, Page: 1, Del: 1, New: page("A")},
-		Record{LSN: 2, Type: RecCommit, Txn: 1, PrevLSN: 1},
-		Record{LSN: 4, Type: RecCommit, Txn: 2, PrevLSN: 3},
+		Record{LSN: 2, Type: RecCommit, Txn: 1},
+		Record{LSN: 4, Type: RecCommit, Txn: 2},
 		Record{LSN: 3, Type: RecUpdate, Txn: 2, Page: 2, Del: 1, New: page("B")},
 	)
 	for _, streams := range []int{1, 3} {

@@ -46,18 +46,16 @@ func decodeChunk(buf []byte) ([]Record, error) {
 
 func TestRecordMarshalRoundTrip(t *testing.T) {
 	recs := []Record{
-		{LSN: 42, Type: RecUpdate, Txn: 7, Page: 99, PrevLSN: 40, Off: 5, Del: 3, New: []byte("newer")},
-		{LSN: 43, Type: RecUpdate, Txn: 7, Page: -1, PrevLSN: 42, CompLSN: 12, Off: 5, Del: 5, New: []byte("old")},
-		{LSN: 44, Type: RecCommit, Txn: 7, PrevLSN: 43},
-		{LSN: 45, Type: RecAbort, Txn: 8, PrevLSN: 2},
-		{LSN: 46, Type: RecAbort, Txn: 8, PrevLSN: 45},
-		{LSN: 47, Type: RecCheckpoint, PrevLSN: 46},
-		{LSN: 48, Type: RecCommit, PrevLSN: 47},
+		{LSN: 42, Type: RecUpdate, Txn: 7, Page: 99, Off: 5, Del: 3, New: []byte("newer")},
+		{LSN: 43, Type: RecUpdate, Txn: 7, Page: -1, CompLSN: 12, Off: 5, Del: 5, New: []byte("old")},
+		{LSN: 44, Type: RecCommit, Txn: 7},
+		{LSN: 45, Type: RecAbort, Txn: 8},
+		{LSN: 46, Type: RecAbort, Txn: 8},
+		{LSN: 48, Type: RecCommit, Txn: 8},
 		{LSN: 1, Type: RecUpdate, Txn: 1, New: []byte("first")},
-		{LSN: 1, Type: RecCheckpoint},
 		{LSN: 49, Type: RecUpdate, Txn: 9, Page: 3, Off: 2, Del: 3, New: []byte("abc")},
 		{LSN: 50, Type: RecUndo, Txn: 9, CompLSN: 49, Old: []byte("was")},
-		{LSN: 51, Type: RecCommit, Txn: 9, PrevLSN: 49},
+		{LSN: 51, Type: RecCommit, Txn: 9},
 	}
 	for _, in := range recs {
 		buf := encodeChunk(in)
@@ -83,8 +81,8 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	// As one chunk, LSNs 43, 44 and 46 follow the record before them; 48
-	// does not, because nothing follows a checkpoint, and 51 does not,
-	// because nothing follows an undo record.
+	// does not, because it is not the next LSN, and 51 does not, because
+	// nothing follows an undo record.
 	chunk := encodeChunk(recs...)
 	out, err := decodeChunk(chunk)
 	if err != nil || !reflect.DeepEqual(out, recs) {
@@ -102,10 +100,9 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 }
 
 func TestRecordMarshalProperty(t *testing.T) {
-	f := func(lsn, txn, prev, comp uint64, pg int64, off uint16, old, ins []byte, chain bool) bool {
-		lsn |= 1 << 20 // leave room below for PrevLSN and CompLSN
-		in := Record{LSN: lsn, Type: RecUpdate, Txn: txn, Page: pg, PrevLSN: prev % lsn,
-			Off: int(off % 4096), Del: len(old), New: ins}
+	f := func(lsn, txn, comp uint64, pg int64, off uint16, old, ins []byte, chain bool) bool {
+		lsn |= 1 << 20 // leave room below for CompLSN
+		in := Record{LSN: lsn, Type: RecUpdate, Txn: txn, Page: pg, Off: int(off % 4096), Del: len(old), New: ins}
 		switch {
 		case comp%3 == 0: // a CLR names the update it compensates
 			in.CompLSN = 1 + comp%(lsn-1)
@@ -117,14 +114,16 @@ func TestRecordMarshalProperty(t *testing.T) {
 		}
 		// The commit after an update follows it, or (the other
 		// transaction's) does not; nothing follows an undo record.
-		commit := Record{LSN: lsn + 1, Type: RecCommit, Txn: txn, PrevLSN: lsn}
+		commit := Record{LSN: lsn + 1, Type: RecCommit, Txn: txn}
 		if !chain {
 			commit.Txn++
 		}
 		recs := []Record{in, commit}
 		chunk := encodeChunk(recs...)
 		out, err := decodeChunk(chunk)
-		follows := chunk[len(chunk)-1] == byte(RecCommit)+tagFollows
+		// A following commit is its tag alone; a whole one adds its LSN and
+		// Txn.
+		follows := len(chunk)-len(encodeChunk(in)) == 1
 		return err == nil && reflect.DeepEqual(recs, out) && follows == (chain && in.Type == RecUpdate)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -133,47 +132,50 @@ func TestRecordMarshalProperty(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	r := Record{LSN: 9, Type: RecUpdate, Txn: 2, Page: 4, PrevLSN: 8, Off: 1, Del: 2, New: []byte("xyz")}
+	r := Record{LSN: 9, Type: RecUpdate, Txn: 2, Page: 4, Off: 1, Del: 2, New: []byte("xyz")}
 	good := encodeChunk(r)
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
 	then := func(next ...byte) []byte { return append(append([]byte(nil), good...), next...) }
 	for name, buf := range map[string][]byte{
-		"header only":            good[:3],
-		"truncated body":         good[:len(good)-1],
-		"undo with update flags": mutate(func(b []byte) []byte { b[0] &^= tagTypeMask; return b }),
-		"type 7":                 mutate(func(b []byte) []byte { b[0] |= tagTypeMask; return b }),
+		"header only":                 good[:3],
+		"truncated body":              good[:len(good)-1],
+		"undo with update flags":      mutate(func(b []byte) []byte { b[0] = b[0]&^tagTypeMask | byte(RecUndo); return b }),
+		"type 0 with update flags":    mutate(func(b []byte) []byte { b[0] &^= tagTypeMask; return b }),
+		"type 0":                      {0, 9, 2},
+		"type 7":                      mutate(func(b []byte) []byte { b[0] |= tagTypeMask; return b }),
+		"update with the unused flag": mutate(func(b []byte) []byte { b[0] |= tagUnused; return b }),
 		"commit with a delta flag": mutate(func(b []byte) []byte {
 			b[0] = b[0]&^tagTypeMask | byte(RecCommit)
 			return b
 		}),
-		"overlong LSN":              {byte(RecCommit), 0x89, 0x00, 2},
-		"LSN overflows":             append([]byte{byte(RecCommit)}, bytes.Repeat([]byte{0xff}, 11)...),
-		"PrevLSN flagged but zero":  {byte(RecCommit) | tagPrev, 9, 2, 0},
-		"PrevLSN at or below zero":  {byte(RecCommit) | tagPrev, 9, 2, 9},
-		"Off past the chunk":        {byte(RecUpdate) | tagOff, 9, 2, 8, 0x81, 0x80, 0x04},
-		"Del past the chunk":        binary.AppendVarint([]byte{byte(RecUpdate) | tagComp | tagShrink, 9, 2, 8, 1}, LogChunkSize+1),
-		"Off+Del past the chunk":    binary.AppendVarint([]byte{byte(RecUpdate) | tagComp | tagOff | tagShrink, 9, 2, 8, 1, 0x80, 0x80, 0x02}, LogChunkSize/2+1),
-		"New longer than the input": {byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0x7f, 'x'},
+		"overlong LSN":                {byte(RecCommit), 0x89, 0x00, 2},
+		"LSN overflows":               append([]byte{byte(RecCommit)}, bytes.Repeat([]byte{0xff}, 11)...),
+		"commit with the unused flag": {byte(RecCommit) | tagUnused, 9, 2},
+		"CompLSN flagged but zero":    {byte(RecUpdate) | tagComp, 9, 2, 8, 0},
+		"CompLSN at or below zero":    {byte(RecUpdate) | tagComp, 9, 2, 8, 9},
+		"Off past the chunk":          {byte(RecUpdate) | tagOff, 9, 2, 8, 0x81, 0x80, 0x04},
+		"Del past the chunk":          binary.AppendVarint([]byte{byte(RecUpdate) | tagComp | tagShrink, 9, 2, 8, 1}, LogChunkSize+1),
+		"Off+Del past the chunk":      binary.AppendVarint([]byte{byte(RecUpdate) | tagComp | tagOff | tagShrink, 9, 2, 8, 1, 0x80, 0x80, 0x02}, LogChunkSize/2+1),
+		"New longer than the input":   {byte(RecUpdate) | tagNew, 9, 2, 8, 0xff, 0x7f, 'x'},
 		// Del is coded as Del-len(New), present only when not zero, and
 		// the difference may not make Del negative.
 		"Del equal to len(New), present": {byte(RecUpdate) | tagShrink | tagNew, 9, 2, 8, 0, 1, 'x'},
 		"Del below zero":                 {byte(RecUpdate) | tagShrink | tagNew, 9, 2, 8, 3, 1, 'x'},
 		// An undo record's fields are all present and it has no flags.
-		"undo with a PrevLSN":       {tagUndo | tagPrev, 9, 2, 1, 1, 1, 'a'},
-		"undo with a New flag":      {tagUndo | tagNew, 9, 2, 1, 1, 'a'},
-		"undo with no old bytes":    {tagUndo, 9, 2, 1, 0},
-		"undo naming LSN 0":         {tagUndo, 9, 2, 9, 1, 'a'},
-		"undo shorter than its Old": {tagUndo, 9, 2, 1, 2, 'a'},
+		"undo with the unused flag": {byte(RecUndo) | tagUnused, 9, 2, 1, 1, 'a'},
+		"undo with a New flag":      {byte(RecUndo) | tagNew, 9, 2, 1, 1, 'a'},
+		"undo with no old bytes":    {byte(RecUndo), 9, 2, 1, 0},
+		"undo naming LSN 0":         {byte(RecUndo), 9, 2, 9, 1, 'a'},
+		"undo shorter than its Old": {byte(RecUndo), 9, 2, 1, 2, 'a'},
 		"following an undo record":  append(encodeChunk(Record{LSN: 9, Type: RecUndo, Txn: 2, CompLSN: 8, Old: []byte("a")}), byte(RecCommit)+tagFollows),
-		// A record that follows carries no LSN, Txn or PrevLSN of its own,
+		// A record that follows carries no LSN or Txn of its own,
 		// so it must have a record before it to take them from, and a
 		// record that could follow must.
-		"following at a chunk's start":  {byte(RecCommit) + tagFollows},
-		"following a checkpoint":        append(encodeChunk(Record{LSN: 5, Type: RecCheckpoint, PrevLSN: 4}), byte(RecCommit)+tagFollows),
-		"following with a PrevLSN":      then(byte(RecCommit)+tagFollows|tagPrev, 1),
-		"whole where it should follow":  then(byte(RecCommit)|tagPrev, 10, 2, 1),
-		"following past the last LSN":   append(encodeChunk(Record{LSN: 1<<64 - 1, Type: RecAbort, Txn: 2}), byte(RecAbort)+tagFollows),
-		"following update, range wrong": then(byte(RecUpdate)+tagFollows|tagOff, 8, 0x81, 0x80, 0x04),
+		"following at a chunk's start":   {byte(RecCommit) + tagFollows},
+		"following with the unused flag": then(byte(RecCommit) + tagFollows | tagUnused),
+		"whole where it should follow":   then(byte(RecCommit), 10, 2),
+		"following past the last LSN":    append(encodeChunk(Record{LSN: 1<<64 - 1, Type: RecAbort, Txn: 2}), byte(RecAbort)+tagFollows),
+		"following update, range wrong":  then(byte(RecUpdate)+tagFollows|tagOff, 8, 0x81, 0x80, 0x04),
 	} {
 		if recs, err := decodeChunk(buf); err == nil {
 			t.Errorf("%s: accepted %x as %+v", name, buf, recs)

@@ -140,10 +140,13 @@ recoverbench:
 	$(GO) test -run xxx -bench BenchmarkPowerOn -benchmem ./internal/pagestore/filestore/
 
 # What a durable commit costs: fsyncs and file bytes per transfer of every
-# architecture on file stores (TestSyncsPerCommit's -v lines are the
-# report). The counts are pinned exactly; nothing here gates on time.
+# architecture on file stores, on 8-byte and 4 KiB images, and the store
+# writes per updated page of the paper's transactions (the tests' -v lines
+# are the report). The counts are pinned exactly, and the paper's
+# transactions gate only on all committing and recovering; nothing here
+# gates on time.
 durablebench:
-	$(GO) test -run TestSyncsPerCommit -v ./internal/engine/
+	$(GO) test -run 'TestSyncsPerCommit|TestPaperTransactions' -v ./internal/engine/
 
 # Bounded runs of the WAL's fuzz targets: the log-chunk decoder, and restart
 # over arbitrary stable chunks. `go test -fuzz` takes one target per run.

@@ -3,13 +3,15 @@
 // view R = (B ∪ A) − D of a read-only base file B, an additions file A and a
 // deletions file D. Here a tuple is a page, and page p's A entry supersedes
 // every earlier version of p, so D would only repeat what A says: the kernel
-// writes no D file. Transactions never touch B: an update appends the new
-// version to A; commit appends a commit marker and forces the differential
-// file. Recovery replays the stable A tail, honouring only marked
-// transactions — B itself is always consistent.
+// writes no D file. Transactions never touch B: commit forces the
+// transaction's A entries and then a commit marker as one run, from a fresh
+// chunk of A and cut at the store's page size. So every complete run is a
+// committed transaction; recovery replays those and deletes the torn run a
+// power cut may leave after them. B itself is always consistent.
 //
 // Merge folds the committed differentials into a new base and truncates A,
-// the maintenance operation the paper sizes in Table 11.
+// the maintenance operation the paper sizes in Table 11. An empty chunk 0
+// marks a truncation in progress.
 //
 // The Engine is a pure, single-threaded recovery kernel: it contains no
 // locks, goroutines, or channels (simlint rule D004 enforces this), so its
@@ -43,7 +45,7 @@ type entry struct {
 	data []byte
 }
 
-func (e entry) size() int { return 1 + 8 + 8 + 4 + len(e.data) }
+const entryHeader = 21 // type, txn, page and image length
 
 func (e entry) marshal(buf []byte) []byte {
 	buf = append(buf, byte(e.typ))
@@ -58,10 +60,12 @@ func (e entry) marshal(buf []byte) []byte {
 	return append(buf, e.data...)
 }
 
-func unmarshalEntry(buf []byte) (entry, int, error) {
-	const header = 21
-	if len(buf) < header {
-		return entry{}, 0, fmt.Errorf("diffeng: truncated entry header")
+// unmarshalEntry decodes the entry at the front of buf and its length, or
+// length 0 and no error if buf ends inside it. An image longer than a page
+// is corruption, so a damaged length field cannot pass for a cut entry.
+func unmarshalEntry(buf []byte, pageSize int) (entry, int, error) {
+	if len(buf) < entryHeader {
+		return entry{}, 0, nil
 	}
 	var e entry
 	e.typ = entryType(buf[0])
@@ -71,19 +75,21 @@ func unmarshalEntry(buf []byte) (entry, int, error) {
 	e.txn = binary.BigEndian.Uint64(buf[1:])
 	e.page = int64(binary.BigEndian.Uint64(buf[9:]))
 	n := int(binary.BigEndian.Uint32(buf[17:]))
-	if len(buf) < header+n {
-		return entry{}, 0, fmt.Errorf("diffeng: truncated entry body")
+	if n > pageSize {
+		return entry{}, 0, fmt.Errorf("diffeng: corrupt entry: %d-byte image exceeds page size %d", n, pageSize)
+	}
+	if len(buf) < entryHeader+n {
+		return entry{}, 0, nil
 	}
 	if n > 0 {
-		e.data = append([]byte(nil), buf[header:header+n]...)
+		e.data = append([]byte(nil), buf[entryHeader:entryHeader+n]...)
 	}
-	return e, header + n, nil
+	return e, entryHeader + n, nil
 }
 
 // Reserved page-id layout: base pages are the logical ids (>= 0);
-// differential chunks live below diffBase. Chunks are packed to the store's
-// page size, so a single entry (21-byte header + value) must fit in one
-// page; Write enforces that bound.
+// differential chunk seq is page diffBase - seq. A chunk is a store page
+// of one run; only a run's last chunk may be short.
 const diffBase int64 = -4000000
 
 func chunkPage(seq int64) pagestore.PageID { return pagestore.PageID(diffBase - seq) }
@@ -94,14 +100,13 @@ func chunkPage(seq int64) pagestore.PageID { return pagestore.PageID(diffBase - 
 type Engine struct {
 	store *pagestore.Store
 
-	nextChunk int64
-	volatile  []entry // appended, not yet forced
+	nextChunk int64 // where the next run starts
 
 	view map[int64][]byte // committed differential view
 	att  map[uint64][]entry
 
 	adds, merges int64
-	replayed     int64 // entries scanned by the last Recover
+	replayed     int64 // entries of the complete runs the last Recover read
 
 	// journal, when attached, records recovery and merge decisions in
 	// order. A nil journal is a no-op sink; it belongs to the observer and
@@ -169,31 +174,31 @@ func (e *Engine) resolveCommitted(p int64) ([]byte, error) {
 }
 
 // Write replaces page p for tid: the new version goes to A (buffered until
-// commit).
+// commit). Merge writes it into B, so B's page size bounds it.
 func (e *Engine) Write(tid uint64, p int64, data []byte) error {
 	pend, ok := e.att[tid]
 	if !ok {
 		return fmt.Errorf("diffeng: transaction %d not active", tid)
 	}
-	add := entry{typ: entryAdd, txn: tid, page: p, data: append([]byte(nil), data...)}
-	if add.size() > e.store.PageSize() {
-		return fmt.Errorf("diffeng: value for page %d (%d bytes) exceeds the differential chunk size %d",
-			p, len(data), e.store.PageSize()-21)
+	if len(data) > e.store.PageSize() {
+		return fmt.Errorf("diffeng: page %d: %d bytes exceeds page size %d", p, len(data), e.store.PageSize())
 	}
-	e.att[tid] = append(pend, add)
+	e.att[tid] = append(pend, entry{typ: entryAdd, txn: tid, page: p, data: append([]byte(nil), data...)})
 	return nil
 }
 
-// Commit appends tid's differentials plus a commit marker and forces them.
-// An error leaves the commit in doubt; recovery decides by the marker.
+// Commit forces tid's differentials and a commit marker as one run. An
+// error leaves the commit in doubt until Crash and Recover settle it.
 func (e *Engine) Commit(tid uint64) error {
 	pend, ok := e.att[tid]
 	if !ok {
 		return fmt.Errorf("diffeng: transaction %d not active", tid)
 	}
-	e.volatile = append(e.volatile, pend...)
-	e.volatile = append(e.volatile, entry{typ: entryCommit, txn: tid})
-	if err := e.force(); err != nil {
+	var run []byte
+	for _, en := range pend {
+		run = en.marshal(run)
+	}
+	if err := e.force(entry{typ: entryCommit, txn: tid}.marshal(run)); err != nil {
 		return fmt.Errorf("diffeng: commit %d in doubt: %w", tid, err)
 	}
 	e.applyCommitted(pend)
@@ -220,113 +225,93 @@ func (e *Engine) Abort(tid uint64) error {
 	return nil
 }
 
-// force persists the volatile differential tail in whole-entry chunks of at
-// most one store page each.
-func (e *Engine) force() error {
-	budget := e.store.PageSize()
-	i := 0
-	for i < len(e.volatile) {
-		var buf []byte
-		j := i
-		for j < len(e.volatile) {
-			if len(buf) > 0 && len(buf)+e.volatile[j].size() > budget {
-				break
-			}
-			buf = e.volatile[j].marshal(buf)
-			j++
-		}
-		if err := e.store.Write(chunkPage(e.nextChunk), buf, 0); err != nil {
-			e.volatile = append([]entry(nil), e.volatile[i:]...)
+// force writes run from a fresh chunk on, cut at the store's page size.
+func (e *Engine) force(run []byte) error {
+	size := e.store.PageSize()
+	seq := e.nextChunk
+	for off := 0; off < len(run); off += size {
+		if err := e.store.Write(chunkPage(seq), run[off:min(off+size, len(run))], 0); err != nil {
 			return err
 		}
-		e.nextChunk++
-		i = j
+		seq++
 	}
-	e.volatile = e.volatile[:0]
+	e.nextChunk = seq
 	return nil
 }
 
-// Crash drops all volatile state (view cache, active transactions, unforced
-// differential tail).
+// Crash drops all volatile state (view cache, active transactions).
 func (e *Engine) Crash() {
 	e.view = nil
 	e.att = nil
-	e.volatile = nil
 }
 
-// Recover rebuilds the committed view by replaying the stable differential
-// files; only transactions whose commit marker survived are applied.
+// Recover rebuilds the committed view from B and the complete runs in A,
+// read in order up to the first missing chunk. It deletes the torn run's
+// chunks newest first, and the next run takes their place. After an empty
+// chunk 0 it replays nothing and deletes every chunk.
 func (e *Engine) Recover() error {
 	if err := e.store.Reset(); err != nil {
 		return err
 	}
-	entries, nextChunk, err := e.readStable()
-	if err != nil {
-		return err
-	}
-	e.nextChunk = nextChunk
-	e.replayed = int64(len(entries))
-	e.journal.Emit(obs.JournalRecord{Event: "scan", Engine: e.Name(), N: e.replayed})
-	committed := map[uint64]bool{}
-	for _, en := range entries {
-		if en.typ == entryCommit {
-			committed[en.txn] = true
-		}
-	}
-	// Journal the classification in first-appearance (replay) order — never
-	// by iterating the committed map, whose order is nondeterministic.
-	if e.journal != nil {
-		seen := map[uint64]bool{}
-		for _, en := range entries {
-			if seen[en.txn] {
-				continue
-			}
-			seen[en.txn] = true
-			ev := "loser"
-			if committed[en.txn] {
-				ev = "winner"
-			}
-			e.journal.Emit(obs.JournalRecord{Event: ev, Txn: en.txn})
-		}
-	}
 	e.view = make(map[int64][]byte)
-	e.adds = 0
-	var applied int64
-	for _, en := range entries {
-		if committed[en.txn] {
-			e.applyCommitted([]entry{en})
-			if en.typ != entryCommit {
-				applied++
-			}
-		}
-	}
-	e.journal.Emit(obs.JournalRecord{Event: "replay", Engine: e.Name(), N: applied})
 	e.att = make(map[uint64][]entry)
-	e.volatile = nil
-	return nil
-}
-
-func (e *Engine) readStable() ([]entry, int64, error) {
-	var out []entry
-	seq := int64(0)
-	for {
+	e.adds, e.replayed = 0, 0
+	var winners []uint64 // the complete runs' txns, in log order
+	var run []entry      // the run being read: its entries,
+	var rest []byte      // its bytes not decoded yet,
+	var start, seq int64 // its first chunk, and the chunk being read
+	merged := false
+	for ; ; seq++ {
 		buf, _, err := e.store.Read(chunkPage(seq))
 		if errors.Is(err, pagestore.ErrNotFound) {
-			return out, seq, nil
+			break
 		}
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		for len(buf) > 0 {
-			en, n, err := unmarshalEntry(buf)
+		if len(buf) == 0 && seq > 0 {
+			return fmt.Errorf("diffeng: chunk %d is empty", seq)
+		}
+		if merged = merged || len(buf) == 0; merged {
+			continue
+		}
+		rest = append(rest, buf...)
+		for {
+			en, n, err := unmarshalEntry(rest, e.store.PageSize())
 			if err != nil {
-				return nil, 0, err
+				return fmt.Errorf("%w in chunk %d", err, seq)
 			}
-			out = append(out, en)
-			buf = buf[n:]
+			if n == 0 {
+				break
+			}
+			run, rest = append(run, en), rest[n:]
+			if en.typ != entryCommit {
+				continue
+			}
+			if len(rest) > 0 {
+				return fmt.Errorf("diffeng: chunk %d: %d bytes follow txn %d's commit marker", seq, len(rest), en.txn)
+			}
+			e.applyCommitted(run)
+			e.replayed += int64(len(run))
+			winners = append(winners, en.txn)
+			run, start = nil, seq+1
 		}
-		seq++
 	}
+	e.journal.Emit(obs.JournalRecord{Event: "scan", Engine: e.Name(), N: e.replayed})
+	for _, tid := range winners {
+		e.journal.Emit(obs.JournalRecord{Event: "winner", Txn: tid})
+	}
+	if len(run) > 0 {
+		e.journal.Emit(obs.JournalRecord{Event: "loser", Txn: run[0].txn})
+	}
+	for seq--; seq >= start; seq-- {
+		if err := e.store.Delete(chunkPage(seq)); err != nil {
+			return err
+		}
+	}
+	e.nextChunk = start
+	e.journal.Emit(obs.JournalRecord{Event: "replay", Engine: e.Name(), N: e.adds})
+	return nil
 }
 
 // Merge folds the committed differential view into the base file and
@@ -346,12 +331,14 @@ func (e *Engine) Merge() error {
 			return err
 		}
 	}
-	// Truncate the differential files highest chunk first. The chunk file
-	// must stay a contiguous prefix at all times: a crash mid-truncation then
-	// leaves chunks 0..j, which recovery replays idempotently over the merged
-	// base. Deleting ascending would instead leave a hole at chunk 0 with
-	// stale chunks above it — a later force would fill the hole and recovery
-	// would replay the stale tail on top of newer data.
+	// B holds every run now. An empty chunk 0 tells a restart so, if a crash
+	// in the deletes leaves older runs; deleting the highest chunk first
+	// keeps the chunks a contiguous prefix, and chunk 0 goes last.
+	if e.nextChunk > 0 {
+		if err := e.store.Write(chunkPage(0), nil, 0); err != nil {
+			return err
+		}
+	}
 	truncated := e.nextChunk
 	for seq := e.nextChunk - 1; seq >= 0; seq-- {
 		if err := e.store.Delete(chunkPage(seq)); err != nil {

@@ -1,6 +1,7 @@
 package diffeng
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -195,6 +196,112 @@ func TestMergeCompacts(t *testing.T) {
 	}
 }
 
+// commitPages commits tid's writes, page by page in ascending order.
+func commitPages(t *testing.T, e *Engine, tid uint64, writes map[int64][]byte) {
+	t.Helper()
+	if err := e.Begin(tid); err != nil {
+		t.Fatal(err)
+	}
+	for p := int64(0); p < 4; p++ {
+		if v, ok := writes[p]; ok {
+			if err := e.Write(tid, p, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Commit(tid); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeCrashKeepsNewest cuts power at every mutation of a Merge over
+// three commits, the first a run of two chunks, and restarts twice: every
+// page must read its newest commit both times. A cut among the deletes
+// leaves older runs in A; the empty chunk 0 written before them keeps
+// restart from replaying those over the newer merged base.
+func TestMergeCrashKeepsNewest(t *testing.T) {
+	commits := []map[int64][]byte{
+		{0: bytes.Repeat([]byte{'a'}, 3000), 1: bytes.Repeat([]byte{'b'}, 3000)},
+		{0: []byte("two")},
+		{1: []byte("three"), 2: []byte("three")},
+	}
+	want := []string{"two", "three", "three", "base"}
+	cuts := 0
+	for cut := int64(1); ; cut++ {
+		e, store := newEngine()
+		for p := int64(0); p < 4; p++ {
+			if err := e.Load(p, []byte("base")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, w := range commits {
+			commitPages(t, e, uint64(i+1), w)
+		}
+		store.SetFaultHook(pagestore.CrashAtMutation(cut))
+		err := e.Merge()
+		store.SetFaultHook(nil)
+		if err == nil {
+			break
+		}
+		cuts++
+		for restart := 1; restart <= 2; restart++ {
+			e.Crash()
+			if err := e.Recover(); err != nil {
+				t.Fatalf("cut %d, restart %d: %v", cut, restart, err)
+			}
+			for p, v := range want {
+				if got, err := e.ReadCommitted(int64(p)); err != nil || string(got) != v {
+					t.Fatalf("cut %d, restart %d: page %d = %.8q, %v; want %q", cut, restart, p, got, err, v)
+				}
+			}
+		}
+	}
+	// Three base pages, the empty chunk 0, and four chunk deletes.
+	if cuts != 8 {
+		t.Fatalf("Merge made %d stable mutations, want 8", cuts)
+	}
+}
+
+// TestTornRunIsDeleted cuts power between the two chunks of a run and
+// restarts on a new engine, as a new process would. Its transaction ids
+// start over, so the next txn 1 commits too; the torn run's complete entry
+// must not commit with it.
+func TestTornRunIsDeleted(t *testing.T) {
+	e, store := newEngine()
+	for p := int64(0); p < 4; p++ {
+		if err := e.Load(p, []byte("base")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Begin(1); err != nil {
+		t.Fatal(err)
+	}
+	for p := int64(0); p < 2; p++ {
+		if err := e.Write(1, p, bytes.Repeat([]byte{'x'}, 3000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.SetFaultHook(pagestore.CrashAtMutation(2))
+	if err := e.Commit(1); err == nil {
+		t.Fatal("a commit cut at its second chunk succeeded")
+	}
+	store.SetFaultHook(nil)
+	e = New(store)
+	if err := e.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	commitPages(t, e, 1, map[int64][]byte{3: []byte("new")})
+	e.Crash()
+	if err := e.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for p, v := range []string{"base", "base", "base", "new"} {
+		if got, err := e.ReadCommitted(int64(p)); err != nil || string(got) != v {
+			t.Fatalf("page %d = %.8q, %v; want %q", p, got, err, v)
+		}
+	}
+}
+
 func TestMergeRequiresQuiescence(t *testing.T) {
 	e, _ := newEngine()
 	if err := e.Begin(1); err != nil {
@@ -211,8 +318,9 @@ func TestEntryMarshalProperty(t *testing.T) {
 		if commit {
 			in = entry{typ: entryCommit, txn: txn}
 		}
-		out, n, err := unmarshalEntry(in.marshal(nil))
-		if err != nil || n != in.size() {
+		buf := in.marshal(nil)
+		out, n, err := unmarshalEntry(buf, len(data))
+		if err != nil || n != len(buf) {
 			return false
 		}
 		if out.typ != in.typ || out.txn != in.txn || out.page != in.page {
@@ -230,7 +338,7 @@ func TestEntryMarshalProperty(t *testing.T) {
 func TestEntryTypesRefused(t *testing.T) {
 	for _, typ := range []entryType{0, 2, 4, 0xff} {
 		buf := entry{typ: typ, txn: 1, page: 1}.marshal(nil)
-		if en, _, err := unmarshalEntry(buf); err == nil {
+		if en, _, err := unmarshalEntry(buf, 0); err == nil {
 			t.Errorf("type %d: decoded %+v", typ, en)
 		}
 	}

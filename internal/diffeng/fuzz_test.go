@@ -35,12 +35,18 @@ func fuzzEngine() *Engine {
 }
 
 // FuzzDiffRecover writes arbitrary bytes as the differential file's first
-// three chunks, skipping empty ones, and restarts: Recover must return an
-// error or succeed, never panic, and when it succeeds a second crash and
-// restart must reach the same committed view. The seeds are real chunks: a
-// transfer, three commits one chunk each, a commit whose force was torn
-// mid-entry, a transaction whose chunk with its commit marker was lost, and
-// a chunk holding an entry of type 2, which is never written.
+// three chunks, up to the last non-empty one (an empty one before it is an
+// empty chunk), and restarts: Recover must return an error or succeed,
+// never panic, and when it succeeds it must leave no chunk at or past
+// nextChunk, and a second crash and restart must reach the same committed
+// view. The seeds are real chunks: a transfer; three commits, one chunk
+// each; the same with the third run's marker cut; the same with the second
+// run cut inside its first entry's image; a run spanning two chunks cut
+// after its first; a chunk holding an entry of type 2, which is never
+// written; the spanning run whole; and an empty chunk 0 (a merge that
+// wrote B) before a complete chunk 1. The two seeds cut mid-entry were
+// refused when an entry had to end its chunk; now they recover as torn
+// runs.
 func FuzzDiffRecover(f *testing.F) {
 	commit := func(e *Engine, tid uint64, writes map[int64]string) {
 		err := e.Begin(tid)
@@ -73,7 +79,7 @@ func FuzzDiffRecover(f *testing.F) {
 	three := stableChunks(f, e)
 	add(three...)
 	add(three[0], three[1], three[2][:len(three[2])-5])
-	add(three[0], three[1][:entry{typ: entryAdd}.size()+2]) // cut inside the first entry's image
+	add(three[0], three[1][:entryHeader+2]) // cut inside the first entry's image
 
 	big := fuzzEngine()
 	commit(big, 1, map[int64]string{0: string(bytes.Repeat([]byte{'a'}, 120)), 1: string(bytes.Repeat([]byte{'b'}, 120))})
@@ -86,22 +92,28 @@ func FuzzDiffRecover(f *testing.F) {
 	obituary := entry{typ: 2, txn: 1, page: 0}.marshal(nil)
 	add(append(obituary, transfer[0]...))
 
+	add(split...)
+	add(nil, transfer[0])
+
 	f.Fuzz(func(t *testing.T, c0, c1, c2 []byte) {
 		e := fuzzEngine()
-		for i, c := range [][]byte{c0, c1, c2} {
-			if len(c) == 0 {
-				continue
-			}
-			if len(c) > e.store.PageSize() {
-				c = c[:e.store.PageSize()]
-			}
-			if err := e.store.Write(chunkPage(int64(i)), c, 0); err != nil {
+		chunks := [][]byte{c0, c1, c2}
+		for len(chunks) > 0 && len(chunks[len(chunks)-1]) == 0 {
+			chunks = chunks[:len(chunks)-1]
+		}
+		for i, c := range chunks {
+			if err := e.store.Write(chunkPage(int64(i)), c[:min(len(c), e.store.PageSize())], 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		e.Crash()
 		if e.Recover() != nil {
 			return
+		}
+		for seq := e.nextChunk; seq < 3; seq++ {
+			if ok, err := e.store.Exists(chunkPage(seq)); err != nil || ok {
+				t.Fatalf("after restart chunk %d exists (%v), next chunk %d", seq, err, e.nextChunk)
+			}
 		}
 		view, replayed := e.view, e.replayed
 		e.Crash()

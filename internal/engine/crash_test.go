@@ -25,19 +25,24 @@ func memBuild(t *testing.T, arch string, walPool int) (*Engine, []*pagestore.Sto
 // transaction history, cutting power at every possible stable-write
 // boundary of every store it writes, data and log alike, and verifies that
 // recovery always restores a state consistent with the committed (plus
-// possibly one atomic in-doubt) history.
+// possibly one atomic in-doubt) history. The budget rises until a history
+// runs to its end with no cut, so every write of the last one is a point.
 func TestCrashScheduleSweep(t *testing.T) {
-	const pages = 6
+	const pages, maxBudget = 6, 1000
 	for _, arch := range Architectures() {
 		t.Run(arch, func(t *testing.T) {
-			for budget := int64(1); budget <= 40; budget++ {
-				runCrashSchedule(t, arch, budget, pages)
+			for budget := int64(1); runCrashSchedule(t, arch, budget, pages); budget++ {
+				if budget == maxBudget {
+					t.Fatalf("power was still cut at budget %d", budget)
+				}
 			}
 		})
 	}
 }
 
-func runCrashSchedule(t *testing.T, arch string, budget int64, pages int) {
+// runCrashSchedule runs one history with power cut at its budget-th stable
+// write, recovers and audits; it reports whether the cut happened.
+func runCrashSchedule(t *testing.T, arch string, budget int64, pages int) bool {
 	t.Helper()
 	e, stores := memBuild(t, arch, 4)
 	model := map[int64]string{}
@@ -93,7 +98,9 @@ func runCrashSchedule(t *testing.T, arch string, budget int64, pages int) {
 	}
 
 	e.Crash()
+	fired := false
 	for _, s := range stores {
+		fired = fired || s.Crashed()
 		s.SetFaultHook(nil)
 	}
 	if err := e.Recover(); err != nil {
@@ -134,6 +141,7 @@ func runCrashSchedule(t *testing.T, arch string, budget int64, pages int) {
 	if err != nil || string(got) != "post" {
 		t.Fatalf("budget %d: post-recovery state: %q %v", budget, got, err)
 	}
+	return fired
 }
 
 // TestDoubleCrash exercises crash -> recover -> more work -> crash ->

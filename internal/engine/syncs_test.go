@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/pagestore"
@@ -56,12 +55,12 @@ func (c *fileCounter) hook(op pagestore.FileOp, _ string, _ int64) pagestore.Fil
 }
 
 // durableRun builds arch through Build on file stores under dir with a
-// 64-page WAL pool, loads pages 8-byte balances with deferred fsyncs (one
-// real fsync then makes the preload durable), and runs txns
-// seeded transfers in one session: Begin, Read, Read, Write, Write, Commit
-// between two distinct random pages. It returns the engine, its stores and
+// 64-page WAL pool, loads pages size-byte images that open with an 8-byte
+// balance, with deferred fsyncs (one real fsync then makes the preload
+// durable), and runs txns seeded transfers in one session: Begin, Read,
+// Read, Write, Write, Commit between two distinct random pages. It returns
 // what the transfers cost the files.
-func durableRun(t *testing.T, arch, dir string, pages, txns int) (*Engine, []*pagestore.Store, fileCounts) {
+func durableRun(t *testing.T, arch, dir string, pages, txns, size int) fileCounts {
 	t.Helper()
 	var counters []*fileCounter
 	e, stores, err := Build(arch, 64, func(role string, pageSize int) (*pagestore.Store, error) {
@@ -82,7 +81,7 @@ func durableRun(t *testing.T, arch, dir string, pages, txns int) (*Engine, []*pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	bal := make([]byte, 8)
+	bal := make([]byte, size)
 	binary.BigEndian.PutUint64(bal, 1000)
 	for p := int64(0); p < int64(pages); p++ {
 		if err := e.Load(p, bal); err != nil {
@@ -100,7 +99,7 @@ func durableRun(t *testing.T, arch, dir string, pages, txns int) (*Engine, []*pa
 		c.fileCounts = fileCounts{}
 	}
 	rng := rand.New(rand.NewSource(1985))
-	from, to := make([]byte, 8), make([]byte, 8)
+	from, to := make([]byte, size), make([]byte, size)
 	for i := 0; i < txns; i++ {
 		a := int64(rng.Intn(pages))
 		b := (a + 1 + int64(rng.Intn(pages-1))) % int64(pages)
@@ -133,61 +132,54 @@ func durableRun(t *testing.T, arch, dir string, pages, txns int) (*Engine, []*pa
 		sum.syncs += c.syncs
 		sum.bytes += c.bytes
 	}
-	return e, stores, sum
+	return sum
 }
 
 // TestSyncsPerCommit pins what a durable commit costs each architecture:
 // fsyncs and file bytes per transfer on file-backed stores, in the
 // durable-commit workload's shape (1,024 pages, a 64-page WAL pool) with
-// one session. Every Put and Delete of a file store is one append and one
-// fsync, so the syncs are the kernel's stable writes; DESIGN §10 says where
-// each architecture's come from. The counts are exact and repeat from run
-// to run, which each architecture checks by running twice. Lowering one
-// (one fsync per commit, each architecture at its floor) re-pins it here.
+// one session, on 8-byte images and on whole 4 KiB pages. Every Put and
+// Delete of a file store is one append and one fsync, so the syncs are the
+// kernel's stable writes; DESIGN §10 says where each architecture's come
+// from. The counts are exact and repeat from run to run, which each
+// architecture checks by running each size twice. Lowering one (one fsync
+// per commit, each architecture at its floor) re-pins it here.
 func TestSyncsPerCommit(t *testing.T) {
 	const pages, txns = 1024, 300
-	want := map[string]fileCounts{ // per 300 transfers
-		"wal-1stream":  {789, 34824},    // 2.63 syncs, 116.1 B per commit
-		"wal-3streams": {1123, 47265},   // 3.74, 157.6
-		"shadow":       {2400, 5272672}, // 8, 17,575.6
-		"ow-noundo":    {1800, 83400},   // 6, 278
-		"ow-noredo":    {2100, 102900},  // 7, 343
-		"verselect":    {900, 36900},    // 3, 123
-		"difffile":     {300, 33600},    // 1, 112
+	want := map[int]map[string]fileCounts{ // per 300 transfers
+		8: {
+			"wal-1stream":  {789, 34824},    // 2.63 syncs, 116.1 B per commit
+			"wal-3streams": {1123, 47265},   // 3.74, 157.6
+			"shadow":       {2400, 5272672}, // 8, 17,575.6
+			"ow-noundo":    {1800, 83400},   // 6, 278
+			"ow-noredo":    {2100, 102900},  // 7, 343
+			"verselect":    {900, 36900},    // 3, 123
+			"difffile":     {300, 33600},    // 1, 112
+		},
+		4096: { // the bytes include folds, each a data.db of over 4 MiB
+			"wal-1stream":  {789, 6252760},   // 2.63 syncs, 20,842.5 B per commit
+			"wal-3streams": {1123, 6265201},  // 3.74, 20,884.0
+			"shadow":       {2400, 37312008}, // 8, 124,373.4
+			"ow-noundo":    {1800, 27010640}, // 6, 90,035.5
+			"ow-noredo":    {2100, 27009620}, // 7, 90,032.1
+			"verselect":    {900, 13391332},  // 3, 44,637.8
+			"difffile":     {900, 14016584},  // 3, 46,721.9: a run of 8,255 B is 3 chunks
+		},
 	}
 	for _, arch := range Architectures() {
 		t.Run(arch, func(t *testing.T) {
-			e, _, first := durableRun(t, arch, t.TempDir(), pages, txns)
-			_, _, second := durableRun(t, arch, t.TempDir(), pages, txns)
-			t.Logf("%-12s %.2f syncs and %.1f file B per commit", arch,
-				float64(first.syncs)/txns, float64(first.bytes)/txns)
-			if first != second {
-				t.Fatalf("two runs counted %+v and %+v; the counts must repeat", first, second)
-			}
-			if first != want[arch] {
-				t.Errorf("%d transfers cost %d syncs and %d file bytes, pinned %d and %d",
-					txns, first.syncs, first.bytes, want[arch].syncs, want[arch].bytes)
-			}
-
-			// A whole 4 KiB page. difffile refuses it: an A-file entry, a
-			// 21-byte header plus the image, must fit one 4,096-byte chunk.
-			// ROADMAP item 24a lifts that limit; then this pin goes.
-			tx, err := e.Begin()
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = tx.Write(0, make([]byte, 4096))
-			if arch == "difffile" {
-				if err == nil || !strings.Contains(err.Error(), "exceeds the differential chunk size") {
-					t.Fatalf("a 4 KiB page on difffile: %v, want the chunk-size refusal", err)
+			for _, size := range []int{8, 4096} {
+				first := durableRun(t, arch, t.TempDir(), pages, txns, size)
+				second := durableRun(t, arch, t.TempDir(), pages, txns, size)
+				t.Logf("%-12s %4d B images: %.2f syncs and %.1f file B per commit", arch, size,
+					float64(first.syncs)/txns, float64(first.bytes)/txns)
+				if first != second {
+					t.Fatalf("%d B images: two runs counted %+v and %+v; the counts must repeat", size, first, second)
 				}
-				return
-			}
-			if err == nil {
-				err = tx.Commit()
-			}
-			if err != nil {
-				t.Fatalf("a 4 KiB page: %v", err)
+				if first != want[size][arch] {
+					t.Errorf("%d transfers of %d B images cost %d syncs and %d file bytes, pinned %d and %d",
+						txns, size, first.syncs, first.bytes, want[size][arch].syncs, want[size][arch].bytes)
+				}
 			}
 		})
 	}

@@ -142,11 +142,14 @@ recoverbench:
 # What a durable commit costs: fsyncs and file bytes per transfer of every
 # architecture on file stores, on 8-byte and 4 KiB images, and the store
 # writes per updated page of the paper's transactions (the tests' -v lines
-# are the report). The counts are pinned exactly, and the paper's
+# are the report). Then the WAL's group commit: the pinned three-commit
+# scenario with a steal and power cuts, and the log writes per commit of
+# four sessions on file stores, which depend on the interleaving and are
+# reported, not gated. The counts are pinned exactly, and the paper's
 # transactions gate only on all committing and recovering; nothing here
 # gates on time.
 durablebench:
-	$(GO) test -run 'TestSyncsPerCommit|TestPaperTransactions' -v ./internal/engine/
+	$(GO) test -run 'TestSyncsPerCommit|TestPaperTransactions|TestGroupCommit' -v ./internal/engine/
 
 # Bounded runs of the WAL's fuzz targets: the log-chunk decoder, and restart
 # over arbitrary stable chunks. `go test -fuzz` takes one target per run.

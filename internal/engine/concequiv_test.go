@@ -144,12 +144,16 @@ func runConcWorkload(e *engine.Engine, initial map[int64][]byte) []*ceAudit {
 // fires at the k-th mutation it observes across every store it is
 // installed on, and from then on fails every operation — reads included —
 // so a multi-store engine (the WAL engine's data + log pair) cannot limp
-// on with only one store down. All stable-storage traffic is serialized
-// under the guard's kernel mutex, so the closure needs no further locking.
+// on with only one store down. The WAL's log force runs outside the
+// guard's mutex, so its log writes may meet a steal's data write here at
+// once: the closure's state is taken under its own mutex.
 func powerFail(k int64) pagestore.FaultHook {
+	var mu sync.Mutex
 	var seen int64
 	var down bool
 	return func(op pagestore.Op, _ pagestore.PageID, _ int64) bool {
+		mu.Lock()
+		defer mu.Unlock()
 		if down {
 			return true
 		}

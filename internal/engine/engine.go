@@ -67,7 +67,7 @@ type Engine struct {
 // New builds an engine over the pure recovery kernel rm (which contains no
 // locking of its own), wrapping it in a Guard.
 func New(rm RecoveryManager) *Engine {
-	return &Engine{rm: &Guard{rm: rm}, locks: lockmgr.New()}
+	return &Engine{rm: newGuard(rm), locks: lockmgr.New()}
 }
 
 // Guard exposes the engine's thread-safe kernel wrapper, through which

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/wal"
 )
 
 // The recovery kernels (internal/wal, internal/shadoweng, internal/diffeng)
@@ -14,7 +15,14 @@ import (
 // primitives and goroutines inside them. Guard is their concurrency
 // envelope: it serializes every kernel call behind one mutex, so the
 // concurrent runtime sees exactly the call sequences the single-threaded
-// kernels are proven against.
+// kernels are proven against. One thing runs outside it: the log force of
+// a kernel that can share it (a GroupCommitter, the WAL). A commit appends
+// its record under the mutex; one committer, the leader, then writes a
+// copy of everything the log holds unforced with the mutex released, while
+// the commits that arrive meanwhile wait on a condition variable for the
+// next leader, whose one force covers them all. The kernel never runs
+// outside the mutex: what leaves it is the copied chunks and the log
+// store, which is safe for concurrent use.
 
 // Checkpointer is implemented by kernels with a checkpoint maintenance
 // operation (the WAL manager).
@@ -26,6 +34,19 @@ type Checkpointer interface {
 // differential-file engine).
 type Merger interface {
 	Merge() error
+}
+
+// GroupCommitter is implemented by kernels whose commits can share a log
+// force run outside the Guard's mutex (the WAL manager). AppendCommit
+// appends a commit record; Seal copies every chunk the log holds unforced
+// into a wal.Force, which the Guard writes with wal.WriteForce; Settle
+// ends the force, acknowledging the commits it covers only if every write
+// reached the store. A lone commit makes the store operations Commit
+// makes.
+type GroupCommitter interface {
+	AppendCommit(tid uint64) (done bool, err error)
+	Seal(f *wal.Force)
+	Settle(f *wal.Force)
 }
 
 // StatsSource is implemented by kernels that report internal counters.
@@ -47,16 +68,42 @@ var ErrUnsupported = fmt.Errorf("engine: operation not supported by this recover
 // Guard wraps a pure recovery kernel, making it safe for concurrent use.
 // All kernel calls — transactional operations and maintenance alike — are
 // serialized behind a single mutex; an attached live.GuardMetrics records
-// each call's wait for and hold of it.
+// each call's wait for and hold of it. A GroupCommitter's log force runs
+// outside the mutex, one at a time; maintenance waits for it.
 type Guard struct {
 	mu sync.Mutex
 	rm RecoveryManager
+	gc GroupCommitter // rm, when its commits share their log force
+
+	// Commit groups, all under mu: forced is broadcast when a force
+	// settles, forcing reports one in flight, next is the group the next
+	// commit joins, and free keeps ended groups, Force buffers and all.
+	forced  sync.Cond
+	forcing bool
+	next    *commitGroup
+	free    []*commitGroup
 
 	// mx is the optional runtime contention profile. It is attached with
 	// SetMetrics through an atomic pointer so hot paths read it without
 	// extending the guarded section; a nil profile makes every token
 	// operation a no-op.
 	mx atomic.Pointer[live.GuardMetrics]
+}
+
+// commitGroup is the commits one log force covers. Its members wait until
+// done, then read err; the last to leave returns it to the free list.
+type commitGroup struct {
+	force   wal.Force
+	err     error
+	done    bool
+	members int
+}
+
+func newGuard(rm RecoveryManager) *Guard {
+	g := &Guard{rm: rm}
+	g.gc, _ = rm.(GroupCommitter)
+	g.forced.L = &g.mu
+	return g
 }
 
 // lock enters the guarded section for op: the contention token starts the
@@ -111,11 +158,88 @@ func (g *Guard) Write(tid uint64, p int64, data []byte) error {
 	return g.rm.Write(tid, p, data)
 }
 
-// Commit makes tid durable.
+// Commit makes tid durable. A GroupCommitter's commit joins the group
+// gathering for the next log force, and returns once that force has
+// settled: nil if it wrote every chunk, an in-doubt error if not.
 func (g *Guard) Commit(tid uint64) error {
 	tok := g.lock(live.GuardCommit)
 	defer g.unlock(&tok)
-	return g.rm.Commit(tid)
+	if g.gc == nil {
+		return g.rm.Commit(tid)
+	}
+	if done, err := g.gc.AppendCommit(tid); done || err != nil {
+		return err
+	}
+	grp := g.join()
+	for !grp.done {
+		if g.forcing {
+			g.await(&tok)
+		} else {
+			g.lead(grp, &tok)
+		}
+	}
+	err := grp.err
+	g.leave(grp)
+	if err != nil {
+		return fmt.Errorf("engine: commit %d in doubt: %w", tid, err)
+	}
+	return nil
+}
+
+// join adds a member to the group gathering, starting one if none is.
+func (g *Guard) join() *commitGroup {
+	if g.next == nil {
+		if n := len(g.free); n > 0 {
+			g.next, g.free = g.free[n-1], g.free[:n-1]
+		} else {
+			g.next = &commitGroup{}
+		}
+	}
+	g.next.members++
+	return g.next
+}
+
+// leave takes a member out of its ended group; the last one out frees it.
+func (g *Guard) leave(grp *commitGroup) {
+	if grp.members--; grp.members == 0 {
+		grp.err, grp.done = nil, false
+		g.free = append(g.free, grp)
+	}
+}
+
+// lead forces grp, the group gathering, while no force is in flight: it
+// seals the log, so later commits gather in a new group, writes the sealed
+// chunks with the mutex released, settles the force and wakes every
+// waiter.
+func (g *Guard) lead(grp *commitGroup, tok *live.GuardToken) {
+	g.next, g.forcing = nil, true
+	g.gc.Seal(&grp.force)
+	tok.Pause()
+	g.mu.Unlock()
+	grp.err = wal.WriteForce(&grp.force)
+	g.mu.Lock()
+	tok.Resume()
+	g.gc.Settle(&grp.force)
+	g.forcing, grp.done = false, true
+	g.forced.Broadcast()
+}
+
+// await waits for the force in flight to settle, with the mutex released
+// meanwhile and left out of tok's hold.
+func (g *Guard) await(tok *live.GuardToken) {
+	tok.Pause()
+	g.forced.Wait()
+	tok.Resume()
+}
+
+// quiesce waits until no commit is between its record and its force's
+// settling, so maintenance never runs beside a force, and a crash never
+// takes a commit record whose committer is still waiting. Every commit
+// waiting has a force in flight to wake it, and wakes to lead the next.
+func (g *Guard) quiesce(tok *live.GuardToken) {
+	for g.forcing || g.next != nil {
+		g.await(tok)
+	}
 }
 
 // Abort rolls tid back.
@@ -129,6 +253,7 @@ func (g *Guard) Abort(tid uint64) error {
 func (g *Guard) Crash() {
 	tok := g.lock(live.GuardOther)
 	defer g.unlock(&tok)
+	g.quiesce(&tok)
 	g.rm.Crash()
 }
 
@@ -136,6 +261,7 @@ func (g *Guard) Crash() {
 func (g *Guard) Recover() error {
 	tok := g.lock(live.GuardRecover)
 	defer g.unlock(&tok)
+	g.quiesce(&tok)
 	return g.rm.Recover()
 }
 
@@ -153,6 +279,7 @@ func (g *Guard) ReadCommitted(p int64) ([]byte, error) {
 func (g *Guard) Checkpoint() error {
 	tok := g.lock(live.GuardCheckpoint)
 	defer g.unlock(&tok)
+	g.quiesce(&tok)
 	cp, ok := g.rm.(Checkpointer)
 	if !ok {
 		return ErrUnsupported
@@ -167,6 +294,7 @@ func (g *Guard) Checkpoint() error {
 func (g *Guard) Merge() error {
 	tok := g.lock(live.GuardMerge)
 	defer g.unlock(&tok)
+	g.quiesce(&tok)
 	mg, ok := g.rm.(Merger)
 	if !ok {
 		return ErrUnsupported

@@ -2,20 +2,41 @@ package engine
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/pagestore"
 	"repro/internal/wal"
 )
 
 // TestGuardMetricsAndJournal drives a WAL engine with the contention
 // profile and recovery journal attached, and checks both observe the run:
 // per-op wait/hold samples land in the right histograms, and recovery
-// decisions appear in the journal in order.
+// decisions appear in the journal in order. The profile reads a manual
+// clock that only a log write advances, by a second, so a commit's hold
+// must leave out its log force, which runs outside the mutex, and the wait
+// for another commit's force; and a commit that waited still counts once.
 func TestGuardMetricsAndJournal(t *testing.T) {
-	e := NewWAL(wal.Config{})
-	gm := live.NewGuardMetrics(live.Wall())
+	clock := live.NewManualClock(time.Unix(0, 0))
+	logs := pagestore.New(wal.LogChunkSize)
+	held, writing := make(chan struct{}), make(chan struct{}, 1)
+	hold := false // the next log write waits until held is closed
+	logs.SetFaultHook(func(op pagestore.Op, _ pagestore.PageID, _ int64) bool {
+		if op == pagestore.OpWrite {
+			if hold {
+				hold = false
+				writing <- struct{}{}
+				<-held
+			}
+			clock.Advance(time.Second)
+		}
+		return false
+	})
+	e, _ := NewWALOn(pagestore.New(4096), wal.Config{LogStore: logs})
+	gm := live.NewGuardMetrics(clock)
 	e.Guard().SetMetrics(gm)
 	if e.Guard().Metrics() != gm {
 		t.Fatal("Metrics() does not round-trip")
@@ -54,6 +75,34 @@ func TestGuardMetricsAndJournal(t *testing.T) {
 	if err := forcer.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// Two commits at once: the first's force is held until the second has
+	// appended its record and waits for the next force.
+	var pair [2]*Txn
+	for i := range pair {
+		if pair[i], err = e.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := pair[i].Write(int64(4+i), []byte("d")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold = true
+	done := make(chan error, 2)
+	go func() { done <- pair[0].Commit() }()
+	<-writing
+	go func() { done <- pair[1].Commit() }()
+	for e.Guard().Stats()["stream0.records"] < 9 { // 5 updates, 4 commit records
+		runtime.Gosched()
+	}
+	close(held)
+	for range pair {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := gm.Hold(live.GuardCommit).Sum(); got != 0 {
+		t.Errorf("commit hold = %v ms, want 0: the log force and the wait for it are outside the mutex", got)
+	}
 	e.Crash()
 	if err := e.Recover(); err != nil {
 		t.Fatal(err)
@@ -63,9 +112,9 @@ func TestGuardMetricsAndJournal(t *testing.T) {
 		op   live.GuardOp
 		want int64
 	}{
-		{live.GuardBegin, 3},
-		{live.GuardWrite, 3},
-		{live.GuardCommit, 2},
+		{live.GuardBegin, 5},
+		{live.GuardWrite, 5},
+		{live.GuardCommit, 4},
 		{live.GuardRecover, 1},
 	} {
 		if got := gm.Wait(tc.op).Count(); got != tc.want {

@@ -72,6 +72,7 @@ type GuardToken struct {
 	op    GuardOp
 	enter time.Time
 	acq   time.Time
+	held  time.Duration // the hold before the last Pause
 }
 
 // Enter records that a thread is about to contend for the guard's mutex.
@@ -95,13 +96,32 @@ func (t *GuardToken) Acquired() {
 	t.m.wait[t.op].Observe(float64(t.acq.Sub(t.enter)) / float64(time.Millisecond))
 }
 
+// Pause records that the mutex is about to be released before the
+// operation ends (a commit's log force outside it, or its wait for
+// another's). The time until Resume is not hold time.
+func (t *GuardToken) Pause() {
+	if t.m == nil {
+		return
+	}
+	t.held += t.m.clock.Now().Sub(t.acq)
+}
+
+// Resume records that the mutex is held again after Pause.
+func (t *GuardToken) Resume() {
+	if t.m == nil {
+		return
+	}
+	t.acq = t.m.clock.Now()
+}
+
 // Release records that the mutex is about to be released, observing the
-// hold time.
+// hold time: one sample per operation, the sum of its stretches under the
+// mutex.
 func (t *GuardToken) Release() {
 	if t.m == nil {
 		return
 	}
-	t.m.hold[t.op].Observe(float64(t.m.clock.Now().Sub(t.acq)) / float64(time.Millisecond))
+	t.m.hold[t.op].Observe(float64(t.held+t.m.clock.Now().Sub(t.acq)) / float64(time.Millisecond))
 }
 
 // Waiters reports the number of threads currently between Enter and

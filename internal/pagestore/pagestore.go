@@ -92,6 +92,7 @@ func (o Op) String() string {
 // counting every hooked op over the store's whole lifetime — Reset does not
 // rewind it), so a sweep can enumerate crash points exhaustively. The hook
 // runs with the store's lock held and must not call back into the store.
+// A hook installed on several stores may be called by them at once.
 type FaultHook func(op Op, id PageID, seq int64) bool
 
 // Backend stores the bytes for a Store. The Store owns the crash contract
@@ -335,13 +336,18 @@ func (s *Store) SetFaultHook(h FaultHook) {
 // CrashAtMutation returns a hook that cuts power at exactly the n-th
 // mutation (write or delete) it observes, counting across every store it
 // is installed on. It fires once; afterwards it stays quiet, so recovery
-// can proceed over the same store without re-tripping.
+// can proceed over the same store without re-tripping. Stores may call
+// it at once (a log force runs outside the engine's guard), so its count
+// is taken under a mutex.
 func CrashAtMutation(n int64) FaultHook {
+	var mu sync.Mutex
 	var seen int64
 	return func(op Op, _ PageID, _ int64) bool {
 		if op == OpRead {
 			return false
 		}
+		mu.Lock()
+		defer mu.Unlock()
 		seen++
 		return seen == n
 	}
@@ -350,10 +356,14 @@ func CrashAtMutation(n int64) FaultHook {
 // CrashAtOp returns a hook that cuts power at exactly the n-th operation of
 // any kind — reads included, because restart recovery on the shadow and
 // differential engines is read-mostly and would otherwise present no crash
-// points. Like CrashAtMutation it fires exactly once.
+// points. Like CrashAtMutation it fires exactly once and may be shared by
+// stores called at once.
 func CrashAtOp(n int64) FaultHook {
+	var mu sync.Mutex
 	var seen int64
 	return func(Op, PageID, int64) bool {
+		mu.Lock()
+		defer mu.Unlock()
 		seen++
 		return seen == n
 	}

@@ -77,9 +77,10 @@ type undoRec struct {
 // and endTxn), so their slices keep their arrays from one transaction to
 // the next.
 type txnState struct {
-	firstLSN uint64
-	updates  []undoRec // not yet compensated, oldest first
-	arena    []byte    // the updates' old bytes, back to back
+	firstLSN  uint64
+	commitLSN uint64    // its commit record, once appended; 0 before
+	updates   []undoRec // not yet compensated, oldest first
+	arena     []byte    // the updates' old bytes, back to back
 }
 
 // keep copies old into the arena and returns the copy.
@@ -115,6 +116,14 @@ type Manager struct {
 
 	att      pagestore.Table[uint64, *txnState] // active transactions by id
 	freeTxns []*txnState                        // ended transactions' records, cleared for reuse
+
+	// Group commit (see AppendCommit, Seal and Settle): the transactions
+	// whose commit records were appended since the last Seal, those the
+	// force in flight covers, the stream of the newest commit record,
+	// which a force writes last, and Commit's own force.
+	appended, sealed []uint64
+	lastCommit       int
+	force            Force
 
 	steals     int64
 	uncommit   int64 // dirty pages written while holding an active transaction's update
@@ -256,38 +265,142 @@ func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 // Commit makes tid durable: its commit record is appended and every stream
 // is forced. An error means the commit is in doubt (power failed mid-force);
 // recovery decides the outcome. A transaction that changed nothing has
-// nothing to make durable: no record, no force.
+// nothing to make durable: no record, no force. Commit is one group commit
+// of one (AppendCommit, Seal, the force's writes, Settle), all in this call.
 func (m *Manager) Commit(tid uint64) error {
+	if done, err := m.AppendCommit(tid); done || err != nil {
+		return err
+	}
+	m.Seal(&m.force)
+	err := WriteForce(&m.force)
+	m.Settle(&m.force)
+	if err != nil {
+		return fmt.Errorf("wal: commit %d in doubt: %w", tid, err)
+	}
+	return nil
+}
+
+// Force is one group commit's log force: Seal fills it with copies of the
+// chunks every stream holds unforced, numbered and in the order they must
+// reach the log store, WriteForce writes them, outside the kernel, and
+// Settle ends it. A Force is reused from one force to the next, buffers
+// and all.
+type Force struct {
+	log     *pagestore.Store
+	writes  []chunkWrite
+	written int         // how many of writes reached the log store
+	spans   []forceSpan // per stream, in writes' order
+}
+
+// chunkWrite is one sealed log chunk: its log-store page and its bytes.
+type chunkWrite struct {
+	id   pagestore.PageID
+	data []byte
+}
+
+// forceSpan is the run of a force's writes that one stream sealed: n
+// chunks, numbered from first.
+type forceSpan struct {
+	stream int
+	first  int64
+	n      int
+}
+
+// WriteForce writes f's chunks to the log store in order, stopping at the
+// first error. It touches no kernel state, so the Guard runs it outside
+// its mutex, between Seal and Settle; Settle then journals the commits it
+// made durable.
+func WriteForce(f *Force) error {
+	for ; f.written < len(f.writes); f.written++ {
+		if err := f.log.Write(f.writes[f.written].id, f.writes[f.written].data, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendCommit is a commit's first step: it appends tid's commit record,
+// which the next Seal covers. A transaction that changed nothing ends at
+// once, and done reports it. Until Settle acknowledges the commit, tid
+// stays open.
+func (m *Manager) AppendCommit(tid uint64) (done bool, err error) {
 	ts := m.att.Get(tid)
 	if ts == nil {
-		return fmt.Errorf("wal: transaction %d not active", tid)
+		return false, fmt.Errorf("wal: transaction %d not active", tid)
 	}
 	if ts.firstLSN == 0 {
 		m.endTxn(tid, ts)
 		m.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid})
-		return nil
+		return true, nil
 	}
-	// Force the commit record's stream last. The restart merge treats a
-	// durable commit record as proof the transaction's updates are durable
-	// too, which only holds if every other stream — where those updates may
-	// live — reaches disk before the commit record can. A crash anywhere in
-	// this sequence then leaves either no commit record (the transaction is
-	// undone whole) or a complete transaction: atomic, never torn.
-	lsn, ci := m.appendRecOn(Record{Type: RecCommit, Txn: tid})
-	for i, s := range m.streams {
-		if i == ci {
-			continue
+	ts.commitLSN, m.lastCommit = m.appendRecOn(Record{Type: RecCommit, Txn: tid})
+	m.appended = append(m.appended, tid)
+	return false, nil
+}
+
+// Seal starts a force of everything the log holds unforced: every stream's
+// volatile chunks are sealed and copied into f, the stream of the newest
+// commit record last. The restart merge treats a durable commit record as
+// proof the transaction's updates are durable too; the other streams,
+// where those updates may live, are written first, and the log ends at the
+// first missing LSN, so a crash anywhere in a force leaves each commit it
+// covers absent or whole, never torn. The commits appended so far are the
+// force's. Seal and Settle bracket one force: no other Seal, no Crash and
+// no Recover may come between them.
+func (m *Manager) Seal(f *Force) {
+	f.log, f.written, f.spans = m.logs, 0, f.spans[:0]
+	n := 0
+	for i := range m.streams {
+		if i != m.lastCommit {
+			n = m.seal(f, n, i)
 		}
-		if err := s.force(); err != nil {
-			return fmt.Errorf("wal: commit %d in doubt: %w", tid, err)
+	}
+	n = m.seal(f, n, m.lastCommit)
+	f.writes = f.writes[:n]
+	m.appended, m.sealed = m.sealed[:0], m.appended
+}
+
+// seal seals stream i's volatile chunks into f from write n on, and
+// reports the writes f then holds.
+func (m *Manager) seal(f *Force, n, i int) int {
+	s := m.streams[i]
+	if len(s.tail) == 0 {
+		return n
+	}
+	f.spans = append(f.spans, forceSpan{i, s.nextChunk, len(s.tail)})
+	for j := range s.tail {
+		c := &s.tail[j]
+		c.sealed = true
+		if n == cap(f.writes) {
+			f.writes = append(f.writes, chunkWrite{})
+		}
+		f.writes = f.writes[:n+1] // a reused write keeps its buffer
+		w := &f.writes[n]
+		w.id, w.data = chunkID(i, s.nextChunk+int64(j)), append(w.data[:0], c.buf...)
+		n++
+	}
+	return n
+}
+
+// Settle ends the force f: the chunks its caller wrote are durable, and the
+// rest volatile again. If every chunk was written, the commits it covers
+// are acknowledged, each ending its transaction; if not, they stay open,
+// in doubt, as a failed Commit leaves them, and recovery decides them.
+func (m *Manager) Settle(f *Force) {
+	left := f.written
+	for _, sp := range f.spans {
+		w := min(left, sp.n)
+		left -= w
+		m.streams[sp.stream].settle(sp.first, w, sp.n)
+	}
+	if f.written == len(f.writes) {
+		for _, tid := range m.sealed {
+			ts := m.att.Get(tid)
+			m.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid, LSN: ts.commitLSN})
+			m.endTxn(tid, ts)
 		}
 	}
-	if err := m.streams[ci].force(); err != nil {
-		return fmt.Errorf("wal: commit %d in doubt: %w", tid, err)
-	}
-	m.endTxn(tid, ts)
-	m.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid, LSN: lsn})
-	return nil
+	m.sealed = m.sealed[:0]
 }
 
 // Abort rolls back tid by putting its old bytes back, newest update first.
@@ -353,15 +466,16 @@ func (m *Manager) appendRecOn(rec Record) (uint64, int) {
 }
 
 // forceThrough makes the log durable up to lsn: every stream whose oldest
-// volatile record is at or below lsn is forced. A stream's LSNs ascend, so
-// a stream whose volatile head lies above lsn holds nothing the
-// write-ahead rule needs, and is left alone.
+// volatile record is at or below lsn is forced, as far as lsn needs (see
+// stream.reach). A stream's LSNs ascend, so a stream whose volatile head
+// lies above lsn holds nothing the write-ahead rule needs, and is left
+// alone.
 func (m *Manager) forceThrough(lsn uint64) error {
 	for _, s := range m.streams {
 		if head := s.head(); head == 0 || head > lsn {
 			continue
 		}
-		if err := s.force(); err != nil {
+		if err := s.force(s.reach(lsn)); err != nil {
 			return err
 		}
 	}
@@ -472,10 +586,14 @@ func (m *Manager) evict(bp *bufPage) error {
 // not yet covered gets an undo record, and the log must be durable through
 // those too. Page-level strict two-phase locking lets no one else write a
 // page between an update and its transaction's end, so only bp's last
-// writer can hold such an update.
+// writer can hold such an update. A writer that has appended its commit
+// record needs no undo: the log is forced through that record instead, so
+// the update reaches disk only once its transaction is a winner.
 func (m *Manager) flush(bp *bufPage) error {
 	through := bp.lsn
-	if ts := m.att.Get(bp.txn); ts != nil {
+	if ts := m.att.Get(bp.txn); ts != nil && ts.commitLSN != 0 {
+		through = max(through, ts.commitLSN)
+	} else if ts != nil {
 		held := false
 		for i := range ts.updates {
 			u := &ts.updates[i]
@@ -559,6 +677,7 @@ func (m *Manager) truncatedChunks() int64 {
 func (m *Manager) Crash() {
 	m.resetPool()
 	m.att = pagestore.Table[uint64, *txnState]{}
+	m.appended, m.sealed = m.appended[:0], m.sealed[:0]
 	for _, s := range m.streams {
 		s.crash()
 	}
@@ -615,6 +734,7 @@ func (m *Manager) Recover() error {
 	m.recoveries++
 	m.scanned = 0
 	m.att = pagestore.Table[uint64, *txnState]{}
+	m.appended, m.sealed = m.appended[:0], m.sealed[:0]
 	m.resetPool()
 
 	readers := make([]*reader, len(m.streams))

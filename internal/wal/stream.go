@@ -65,11 +65,14 @@ type stream struct {
 
 // volChunk is one chunk's worth of encoded volatile records. A stream's
 // LSNs ascend, so the first and last records appended hold the chunk's
-// lowest and highest LSN.
+// lowest and highest LSN. A sealed chunk belongs to the group force in
+// flight (see Manager.Seal): it takes no more records, and its bytes stay
+// as the force copied them until Settle.
 type volChunk struct {
 	buf        []byte
 	codec      chunkCodec // past the last record in buf
 	first, max uint64
+	sealed     bool
 }
 
 // head reports the LSN of the stream's oldest volatile record, 0 when it
@@ -103,7 +106,7 @@ func chunkID(streamIdx int, seq int64) pagestore.PageID {
 // record that would overflow the open chunk starts the next.
 func (s *stream) append(r *Record) {
 	s.records++
-	if n := len(s.tail); n > 0 {
+	if n := len(s.tail); n > 0 && !s.tail[n-1].sealed {
 		c := &s.tail[n-1]
 		codec := c.codec
 		s.scratch = codec.encode(s.scratch[:0], r)
@@ -119,26 +122,76 @@ func (s *stream) append(r *Record) {
 	s.tail = append(s.tail, c)
 }
 
-// force persists the whole volatile tail, one store write per chunk, so a
-// crash mid-force leaves a clean prefix of the stream.
-func (s *stream) force() error {
-	if len(s.tail) == 0 {
+// force persists the first n chunks of the volatile tail, one store write
+// per chunk, so a crash mid-force leaves a clean prefix of the stream.
+// Chunks already written stay durable; the rest stay volatile.
+func (s *stream) force(n int) error {
+	if n == 0 {
 		return nil
 	}
-	for i, c := range s.tail {
-		if err := s.store.Write(chunkID(s.idx, s.nextChunk), c.buf, 0); err != nil {
-			// Chunks already written stay durable; keep the rest volatile.
-			s.tail = s.tail[i:]
+	for i := range s.tail[:n] {
+		if err := s.store.Write(chunkID(s.idx, s.nextChunk), s.tail[i].buf, 0); err != nil {
+			s.drop(i)
 			return err
 		}
-		s.nextChunk++
-		s.chunkMax = append(s.chunkMax, c.max)
-		s.bytes += int64(len(c.buf))
+		s.durable(&s.tail[i])
 	}
-	s.spare = s.tail[0].buf // the store copied it; the next tail reuses it
-	s.tail = s.tail[:0]
+	s.drop(n)
 	s.forces++
 	return nil
+}
+
+// reach reports how many of the tail's chunks must be forced to make lsn
+// durable: the whole tail, unless the chunks a group force in flight
+// sealed hold lsn already. Those are forced again, under the same chunk
+// numbers with the same bytes, and the open chunk is left to the next
+// force.
+func (s *stream) reach(lsn uint64) int {
+	n := 0
+	for n < len(s.tail) && s.tail[n].sealed {
+		n++
+	}
+	if n > 0 && s.tail[n-1].max >= lsn {
+		return n
+	}
+	return len(s.tail)
+}
+
+// durable records that chunk c, the oldest in the tail, is in the log
+// store as the stream's next chunk.
+func (s *stream) durable(c *volChunk) {
+	s.nextChunk++
+	s.chunkMax = append(s.chunkMax, c.max)
+	s.bytes += int64(len(c.buf))
+}
+
+// drop removes the tail's first k chunks, which are in the log store. The
+// store copied them, so the first one's buffer is kept for the next tail.
+func (s *stream) drop(k int) {
+	if k == 0 {
+		return
+	}
+	s.spare = s.tail[0].buf
+	s.tail = s.tail[:copy(s.tail, s.tail[k:])]
+}
+
+// settle ends a group force that sealed n chunks, numbered from first, and
+// wrote the first written of them. A steal may have forced some of them
+// meanwhile; the others written leave the tail now. Chunks not written are
+// volatile again, as a failed force leaves them, so the next force writes
+// them under the same numbers.
+func (s *stream) settle(first int64, written, n int) {
+	k := int(first + int64(written) - s.nextChunk)
+	for i := 0; i < k; i++ {
+		s.durable(&s.tail[i])
+	}
+	s.drop(max(k, 0))
+	if k > 0 && written == n {
+		s.forces++
+	}
+	for i := range s.tail {
+		s.tail[i].sealed = false
+	}
 }
 
 // truncate deletes leading stable chunks whose every record has LSN below

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/pagestore"
 )
 
@@ -487,6 +488,64 @@ func TestInDoubtCommitIsAtomic(t *testing.T) {
 		if err == nil && news != 3 {
 			t.Fatalf("budget %d: commit acked but lost", budget)
 		}
+	}
+}
+
+// TestFailedForceFailsEveryCommit cuts the power in the middle of a group
+// force that covers two commits on three streams. Neither commit is
+// acknowledged, each stream's chunk cursor stays at its first chunk not
+// written, and the next seal takes up those chunks again, with the same
+// numbers and bytes, so no commit of the failed force can be acknowledged
+// by a later force that has nothing left to write.
+func TestFailedForceFailsEveryCommit(t *testing.T) {
+	m, _ := newTestManager(Config{Streams: 3})
+	j := obs.NewJournal()
+	m.SetJournal(j)
+	for tid := uint64(1); tid <= 2; tid++ {
+		if err := m.Begin(tid); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Write(tid, int64(tid), page("new")); err != nil { // streams 1 and 2
+			t.Fatal(err)
+		}
+		if done, err := m.AppendCommit(tid); done || err != nil { // stream 0
+			t.Fatal(done, err)
+		}
+	}
+	var f Force
+	m.Seal(&f)
+	want := []pagestore.PageID{chunkID(1, 0), chunkID(2, 0), chunkID(0, 0)}
+	var ids []pagestore.PageID
+	for _, w := range f.writes {
+		ids = append(ids, w.id)
+	}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("the force writes %v, want %v: the commit records' stream last", ids, want)
+	}
+	m.LogStore().SetFaultHook(pagestore.CrashAtMutation(2))
+	if err := WriteForce(&f); err == nil || f.written != 1 {
+		t.Fatalf("WriteForce = %v after %d chunks, want a failure after 1", err, f.written)
+	}
+	m.Settle(&f)
+	for tid := uint64(1); tid <= 2; tid++ {
+		if m.att.Get(tid) == nil {
+			t.Errorf("txn %d ended, but its commit's force failed", tid)
+		}
+	}
+	for _, r := range j.Records() {
+		if r.Event == "commit" {
+			t.Errorf("journal acknowledges txn %d, but its force failed", r.Txn)
+		}
+	}
+	for i, next := range []int64{0, 1, 0} {
+		if got := m.streams[i].nextChunk; got != next {
+			t.Errorf("stream %d's next chunk is %d, want %d", i, got, next)
+		}
+	}
+	var g Force
+	m.Seal(&g)
+	if !reflect.DeepEqual(g.writes, f.writes[1:]) {
+		t.Errorf("the next seal writes %d chunks; want the 2 the failed force did not write, as they were", len(g.writes))
 	}
 }
 

@@ -143,13 +143,16 @@ recoverbench:
 # architecture on file stores, on 8-byte and 4 KiB images, and the store
 # writes per updated page of the paper's transactions (the tests' -v lines
 # are the report). Then the WAL's group commit: the pinned three-commit
-# scenario with a steal and power cuts, and the log writes per commit of
-# four sessions on file stores, which depend on the interleaving and are
-# reported, not gated. The counts are pinned exactly, and the paper's
+# scenario with a steal and power cuts, and the log writes and the
+# data-store writes made outside the Guard's mutex per commit of four
+# sessions on file stores, which depend on the interleaving and are
+# reported, not gated. Last the steal written outside the mutex: the
+# pinned scenario of reads and a commit while it is held, with power cuts.
+# The counts are pinned exactly, and the paper's
 # transactions gate only on all committing and recovering; nothing here
 # gates on time.
 durablebench:
-	$(GO) test -run 'TestSyncsPerCommit|TestPaperTransactions|TestGroupCommit' -v ./internal/engine/
+	$(GO) test -run 'TestSyncsPerCommit|TestPaperTransactions|TestGroupCommit|TestStealWrite' -v ./internal/engine/
 
 # Bounded runs of the WAL's fuzz targets: the log-chunk decoder, and restart
 # over arbitrary stable chunks. `go test -fuzz` takes one target per run.

@@ -15,14 +15,19 @@ import (
 // primitives and goroutines inside them. Guard is their concurrency
 // envelope: it serializes every kernel call behind one mutex, so the
 // concurrent runtime sees exactly the call sequences the single-threaded
-// kernels are proven against. One thing runs outside it: the log force of
-// a kernel that can share it (a GroupCommitter, the WAL). A commit appends
-// its record under the mutex; one committer, the leader, then writes a
-// copy of everything the log holds unforced with the mutex released, while
-// the commits that arrive meanwhile wait on a condition variable for the
-// next leader, whose one force covers them all. The kernel never runs
-// outside the mutex: what leaves it is the copied chunks and the log
-// store, which is safe for concurrent use.
+// kernels are proven against. Two things run outside it. One is the log
+// force of a kernel that can share it (a GroupCommitter, the WAL). A
+// commit appends its record under the mutex; one committer, the leader,
+// then writes a copy of everything the log holds unforced with the mutex
+// released, while the commits that arrive meanwhile wait on a condition
+// variable for the next leader, whose one force covers them all. The other
+// is the page write of a steal (a StealWriter's, the WAL's): the kernel
+// does the write-ahead work under the mutex and queues a copy of the page,
+// and the call that queued it writes it with the mutex released, one
+// writer at a time; a call that must read the data store meanwhile waits
+// on the same condition variable. The kernel never runs outside the mutex:
+// what leaves it is copied chunks and pages, and the stores, which are
+// safe for concurrent use.
 
 // Checkpointer is implemented by kernels with a checkpoint maintenance
 // operation (the WAL manager).
@@ -49,6 +54,23 @@ type GroupCommitter interface {
 	Settle(f *wal.Force)
 }
 
+// StealWriter is implemented by kernels whose run-time steals can write
+// their pages outside the Guard's mutex (the WAL manager). With
+// DeferSteals(true) a steal does its write-ahead work, queues a copy of its
+// page and stops its call with wal.ErrStealQueued (a read returns its page
+// with it). SealSteals copies the queue into a wal.Steals, which the Guard
+// writes with wal.WriteSteals, and SettleSteals ends the write, keeping
+// queued a page it did not write; a stopped call is then made again, and
+// goes on. While a write is in flight, a call that must read the data
+// store returns wal.ErrStealWait, and is made again once the write
+// settles. A lone session thus makes the store operations of inline
+// steals, in their order.
+type StealWriter interface {
+	DeferSteals(on bool)
+	SealSteals(s *wal.Steals) bool
+	SettleSteals(s *wal.Steals)
+}
+
 // StatsSource is implemented by kernels that report internal counters.
 type StatsSource interface {
 	Stats() map[string]int64
@@ -68,20 +90,26 @@ var ErrUnsupported = fmt.Errorf("engine: operation not supported by this recover
 // Guard wraps a pure recovery kernel, making it safe for concurrent use.
 // All kernel calls — transactional operations and maintenance alike — are
 // serialized behind a single mutex; an attached live.GuardMetrics records
-// each call's wait for and hold of it. A GroupCommitter's log force runs
-// outside the mutex, one at a time; maintenance waits for it.
+// each call's wait for and hold of it. A GroupCommitter's log force and a
+// StealWriter's steal writes run outside the mutex, one force and one
+// steal writer at a time; maintenance waits for both.
 type Guard struct {
 	mu sync.Mutex
 	rm RecoveryManager
 	gc GroupCommitter // rm, when its commits share their log force
+	sw StealWriter    // rm, when its steals are written outside the mutex
 
-	// Commit groups, all under mu: forced is broadcast when a force
-	// settles, forcing reports one in flight, next is the group the next
-	// commit joins, and free keeps ended groups, Force buffers and all.
-	forced  sync.Cond
-	forcing bool
-	next    *commitGroup
-	free    []*commitGroup
+	// Commit groups and steal writes, all under mu: settled is broadcast
+	// when a force or a run of steal writes ends, forcing reports a force
+	// in flight, next is the group the next commit joins, free keeps ended
+	// groups, Force buffers and all, stealing reports a steal writer
+	// active, and steals is its batch.
+	settled  sync.Cond
+	forcing  bool
+	next     *commitGroup
+	free     []*commitGroup
+	stealing bool
+	steals   wal.Steals
 
 	// mx is the optional runtime contention profile. It is attached with
 	// SetMetrics through an atomic pointer so hot paths read it without
@@ -102,7 +130,10 @@ type commitGroup struct {
 func newGuard(rm RecoveryManager) *Guard {
 	g := &Guard{rm: rm}
 	g.gc, _ = rm.(GroupCommitter)
-	g.forced.L = &g.mu
+	if g.sw, _ = rm.(StealWriter); g.sw != nil {
+		g.sw.DeferSteals(true)
+	}
+	g.settled.L = &g.mu
 	return g
 }
 
@@ -122,17 +153,27 @@ func (g *Guard) unlock(tok *live.GuardToken) {
 	g.mu.Unlock()
 }
 
-// Unwrap returns the pure kernel. Callers may use it only while no other
-// goroutine touches the Guard (single-threaded drivers, quiesced engines).
-func (g *Guard) Unwrap() RecoveryManager { return g.rm }
+// Unwrap returns the pure kernel, which writes its steals inline again.
+// Callers may use it only while no other goroutine touches the Guard
+// (single-threaded drivers, quiesced engines).
+func (g *Guard) Unwrap() RecoveryManager {
+	if g.sw != nil {
+		g.sw.DeferSteals(false)
+	}
+	return g.rm
+}
 
 // Name identifies the wrapped kernel.
 func (g *Guard) Name() string { return g.rm.Name() }
 
-// Load populates page p before transactions run.
+// Load populates page p before transactions run. It waits for a steal
+// write in flight; the kernel writes the steals still queued first.
 func (g *Guard) Load(p int64, data []byte) error {
 	tok := g.lock(live.GuardOther)
 	defer g.unlock(&tok)
+	for g.stealing {
+		g.await(&tok)
+	}
 	return g.rm.Load(p, data)
 }
 
@@ -144,18 +185,76 @@ func (g *Guard) Begin(tid uint64) error {
 }
 
 // Read returns page p as seen by tid (which must be an active
-// transaction).
+// transaction). Read, Write, Abort and ReadCommitted may steal, and are
+// made again until retry has nothing more to do for them.
 func (g *Guard) Read(tid uint64, p int64) ([]byte, error) {
 	tok := g.lock(live.GuardRead)
 	defer g.unlock(&tok)
-	return g.rm.Read(tid, p)
+	data, err := g.rm.Read(tid, p)
+	for g.retry(&err, &tok, true) {
+		data, err = g.rm.Read(tid, p)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // Write replaces page p on behalf of tid.
 func (g *Guard) Write(tid uint64, p int64, data []byte) error {
 	tok := g.lock(live.GuardWrite)
 	defer g.unlock(&tok)
-	return g.rm.Write(tid, p, data)
+	err := g.rm.Write(tid, p, data)
+	for g.retry(&err, &tok, false) {
+		err = g.rm.Write(tid, p, data)
+	}
+	return err
+}
+
+// retry reports whether the kernel call that returned *err must be made
+// again, having first done what the error asks. A call that queued a steal
+// has it written, unless another call is writing steals, which then writes
+// this one too; a failed write ends the call, with its error in *err. A
+// read (done) returned its page with the steal, so once the steal is
+// written its error is cleared and it is not made again. A call that must
+// read the data store while steals are written waits until the write
+// settles. Both waits release the mutex.
+func (g *Guard) retry(err *error, tok *live.GuardToken, done bool) bool {
+	switch *err { // the kernel returns both bare
+	case wal.ErrStealQueued:
+		*err = g.writeSteals(tok)
+		return *err == nil && !done
+	case wal.ErrStealWait:
+		for g.stealing {
+			g.await(tok)
+		}
+		return true
+	}
+	return false
+}
+
+// writeSteals writes the queued steals, unless another call is writing
+// steals: one writer at a time, with the mutex released, batch after batch
+// until none is queued or a write fails, whose error it returns.
+func (g *Guard) writeSteals(tok *live.GuardToken) error {
+	if g.stealing {
+		return nil
+	}
+	var err error
+	for err == nil && g.sw.SealSteals(&g.steals) {
+		g.stealing = true
+		tok.Pause()
+		g.mu.Unlock()
+		err = wal.WriteSteals(&g.steals)
+		g.mu.Lock()
+		tok.Resume()
+		g.sw.SettleSteals(&g.steals)
+	}
+	if g.stealing {
+		g.stealing = false
+		g.settled.Broadcast()
+	}
+	return err
 }
 
 // Commit makes tid durable. A GroupCommitter's commit joins the group
@@ -221,23 +320,24 @@ func (g *Guard) lead(grp *commitGroup, tok *live.GuardToken) {
 	tok.Resume()
 	g.gc.Settle(&grp.force)
 	g.forcing, grp.done = false, true
-	g.forced.Broadcast()
+	g.settled.Broadcast()
 }
 
-// await waits for the force in flight to settle, with the mutex released
-// meanwhile and left out of tok's hold.
+// await waits for a force or a run of steal writes in flight to settle,
+// with the mutex released meanwhile and left out of tok's hold.
 func (g *Guard) await(tok *live.GuardToken) {
 	tok.Pause()
-	g.forced.Wait()
+	g.settled.Wait()
 	tok.Resume()
 }
 
 // quiesce waits until no commit is between its record and its force's
-// settling, so maintenance never runs beside a force, and a crash never
-// takes a commit record whose committer is still waiting. Every commit
-// waiting has a force in flight to wake it, and wakes to lead the next.
+// settling and no steal is being written, so maintenance never runs beside
+// either, and a crash never takes a commit record whose committer is still
+// waiting. Every commit waiting has a force in flight to wake it, and
+// wakes to lead the next.
 func (g *Guard) quiesce(tok *live.GuardToken) {
-	for g.forcing || g.next != nil {
+	for g.forcing || g.next != nil || g.stealing {
 		g.await(tok)
 	}
 }
@@ -246,7 +346,11 @@ func (g *Guard) quiesce(tok *live.GuardToken) {
 func (g *Guard) Abort(tid uint64) error {
 	tok := g.lock(live.GuardAbort)
 	defer g.unlock(&tok)
-	return g.rm.Abort(tid)
+	err := g.rm.Abort(tid)
+	for g.retry(&err, &tok, false) {
+		err = g.rm.Abort(tid)
+	}
+	return err
 }
 
 // Crash simulates power loss on the kernel.
@@ -269,13 +373,21 @@ func (g *Guard) Recover() error {
 func (g *Guard) ReadCommitted(p int64) ([]byte, error) {
 	tok := g.lock(live.GuardOther)
 	defer g.unlock(&tok)
-	return g.rm.ReadCommitted(p)
+	data, err := g.rm.ReadCommitted(p)
+	for g.retry(&err, &tok, true) {
+		data, err = g.rm.ReadCommitted(p)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // Checkpoint runs the kernel's checkpoint maintenance operation under the
 // guard lock, so it is safe to call while transactions run (the WAL
-// kernel's non-quiescing checkpoint, which flushes every dirty page).
-// Returns ErrUnsupported for kernels without one.
+// kernel's non-quiescing checkpoint, which writes the queued steals, then
+// flushes every dirty page). Returns ErrUnsupported for kernels without
+// one.
 func (g *Guard) Checkpoint() error {
 	tok := g.lock(live.GuardCheckpoint)
 	defer g.unlock(&tok)

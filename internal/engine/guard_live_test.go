@@ -19,6 +19,9 @@ import (
 // clock that only a log write advances, by a second, so a commit's hold
 // must leave out its log force, which runs outside the mutex, and the wait
 // for another commit's force; and a commit that waited still counts once.
+// Last, a data-store write advances the clock too: a read's hold must
+// leave out the steal write it makes outside the mutex, and another read's
+// wait for that write before it reads the data store.
 func TestGuardMetricsAndJournal(t *testing.T) {
 	clock := live.NewManualClock(time.Unix(0, 0))
 	logs := pagestore.New(wal.LogChunkSize)
@@ -162,6 +165,43 @@ func TestGuardMetricsAndJournal(t *testing.T) {
 	}
 	if got := gm.Wait(live.GuardRecover).Count(); got != 1 {
 		t.Errorf("metrics grew after detach: recover wait count %d", got)
+	}
+
+	// A one-page pool: T commits page 1, R1's read of page 2 steals it,
+	// and the steal's write is held while R2's read of page 3 waits for it.
+	data := pagestore.New(4096)
+	k := &stealProbe{Manager: wal.NewManager(data, wal.Config{PoolPages: 1}), waits: make(chan struct{}, 1)}
+	e = New(k)
+	gm = live.NewGuardMetrics(clock)
+	e.Guard().SetMetrics(gm)
+	if err := e.Update(func(tx *Txn) error { return tx.Write(1, []byte("t")) }); err != nil {
+		t.Fatal(err)
+	}
+	stealing, release := make(chan struct{}), make(chan struct{})
+	data.SetFaultHook(func(op pagestore.Op, _ pagestore.PageID, _ int64) bool {
+		if op == pagestore.OpWrite {
+			close(stealing)
+			<-release
+			clock.Advance(time.Second)
+		}
+		return false
+	})
+	reads := make(chan error, 2)
+	read := func(p int64) {
+		reads <- e.Update(func(tx *Txn) error { _, err := tx.Read(p); return err })
+	}
+	go read(2)
+	<-stealing
+	go read(3)
+	<-k.waits
+	close(release)
+	for range 2 {
+		if err := <-reads; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, sum := gm.Hold(live.GuardRead).Count(), gm.Hold(live.GuardRead).Sum(); n != 2 || sum != 0 {
+		t.Errorf("read hold: %d samples, %v ms; want 2 and 0: the steal write and the wait for it are outside the mutex", n, sum)
 	}
 }
 

@@ -6,22 +6,28 @@
 //
 //   - A mutation is acknowledged (Put/Del returns nil) only after its log
 //     record is on the platter — append, then fsync, then ack.
-//   - Power-off loses everything the device had not synced: the file is
-//     truncated back to the synced frontier, keeping at most a torn prefix
-//     of the record that was in flight.
+//   - Power-off loses everything the device had not synced: the unsynced
+//     bytes of the log turn to zeros, except at most a torn prefix of the
+//     record that was in flight.
+//   - The log is extended ahead of its tail, growBytes at a time, by
+//     truncating the file up (a hole, never written zeros), so an append
+//     writes inside the file's size and its fsync has no size change to
+//     journal. The log ends at the first all-zero header.
 //   - Power-on reloads the page file, then replays the log sequentially.
-//     A crash tears at most a strict prefix of the last record, so a tail
-//     shorter than a header, or shorter than its header's declared
-//     length, is torn and truncated away. A complete record that fails
-//     its crc32, or a complete header with an impossible op or length, is
-//     interior damage: power-on refuses with ErrCorrupt rather than drop
-//     the fsynced records behind it. Replay skips records already folded
+//     A whole record ends in its op byte, which is never zero, after a
+//     crc32 that covers it. A crash tears at most a strict prefix of the
+//     last record, followed by zeros: a record that does not end in a
+//     non-zero byte, with nothing but zeros after it, is torn, and is
+//     zeroed. A whole record whose crc32 or op is wrong, a whole header
+//     with an impossible length, and non-zero bytes past the end of the
+//     log are damage: power-on refuses with ErrCorrupt rather than drop
+//     the fsynced records behind them. Replay skips records already folded
 //     into the page file (each record carries a monotone sequence number;
 //     data.db records the fold horizon), so a crash between fold and log
 //     truncation cannot replay stale images over newer ones. Power-on
 //     reads each file once, whole, into one buffer, and the mirror's
 //     pages alias those buffers: it keeps at most one wal.log (the fold
-//     threshold plus one record) and one data.db image.
+//     threshold plus one record and one extension) and one data.db image.
 //
 // The mirror is a pagestore.Mem, the memory store itself, embedded: Get,
 // Has, Len and Keys are its, and an acknowledged Put copies into the
@@ -31,33 +37,40 @@
 //
 // When the log grows past foldBytes, the store folds: it writes the
 // full page image to data.db.tmp, fsyncs, renames over data.db (atomic on
-// POSIX), fsyncs the directory, and only then truncates the log. The fold
-// runs BEFORE the triggering record is appended, so a crash mid-fold can
-// only lose unacknowledged work.
+// POSIX), fsyncs the directory, and only then truncates the log to
+// nothing. The fold runs BEFORE the triggering record is appended, so a
+// crash mid-fold can only lose unacknowledged work.
 //
 // File layout (big-endian, crc32-IEEE):
 //
-//	wal.log   sequence of records:
-//	          seq u64 · op u8 (1=put 2=del) · id u64 · version u64 ·
-//	          len u32 · data · crc u32 (over all preceding record bytes)
+//	wal.log   sequence of records, then zeros to the file's end:
+//	          seq u64 · id u64 · version u64 · len u32 · data ·
+//	          crc u32 (over the record's other bytes, op included) ·
+//	          op u8 ('P'=put 'D'=del)
+//	          len's top bit is the parity of its other bits, and each op
+//	          has two bits set, so no single flipped bit makes a whole
+//	          record look torn.
 //	data.db   magic "PAGEDB1\n" · foldSeq u64 · pageSize u32 · count u32 ·
 //	          then per page (ascending id):
 //	          id u64 · version u64 · len u32 · data · crc u32
 //
 // Fault injection: the backend implements pagestore.FileInjectable. An
 // installed pagestore.FileHook is consulted before every file operation
-// (append, sync, fold page-write, log truncate) and can cut power cleanly,
-// tear the record's bytes, or lose the sync — see pagestore/filefault.go.
+// (append, sync, fold page-write, log truncate; not the log's extension,
+// which writes no byte) and can cut power cleanly, tear the record's
+// bytes, or lose the sync — see pagestore/filefault.go.
 // The backend is not safe for concurrent use by itself; the owning
 // pagestore.Store serializes all access.
 package filestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -69,21 +82,32 @@ const (
 	dataName = "data.db"
 	tmpName  = "data.db.tmp"
 
-	opPut = 1
-	opDel = 2
+	opPut = 'P'
+	opDel = 'D'
 
-	// walHdrLen is seq(8) + op(1) + id(8) + version(8) + len(4).
-	walHdrLen = 29
+	// walHdrLen is seq(8) + id(8) + version(8) + len(4).
+	walHdrLen = 28
+	// walRecLen is a record's framing: the header, then crc(4) and op(1)
+	// after the data.
+	walRecLen = walHdrLen + 5
+
+	// lenParity is len's top bit: the parity of the length below it.
+	lenParity = 1 << 31
 
 	// foldBytes is the log size that triggers a fold into the page file.
 	foldBytes = 1 << 20
+	// growBytes is the step the log file is extended by ahead of its tail.
+	growBytes = 1 << 18
 )
+
+// zeros is compared against to find the end of the log.
+var zeros [4096]byte
 
 var dataMagic = [8]byte{'P', 'A', 'G', 'E', 'D', 'B', '1', '\n'}
 
 // ErrCorrupt is wrapped by unrecoverable on-disk corruption: a damaged
-// page file, or a damaged complete record in the log. Torn log tails are
-// recovered from, not errors.
+// page file, a damaged whole record in the log, or non-zero bytes past its
+// end. Torn log tails are recovered from, not errors.
 var ErrCorrupt = errors.New("filestore: corrupt")
 
 // Backend is the file-backed pagestore.Backend. Obtain one through Open,
@@ -105,6 +129,7 @@ type Backend struct {
 
 	walSize   int64 // bytes appended (acknowledged into the OS file)
 	walSynced int64 // bytes known to be on the platter
+	walAlloc  int64 // wal.log's size: walSize, then the zeros ahead of it
 	tornStart int64 // offset of a torn in-flight record, -1 when none
 	tornLen   int64
 
@@ -154,8 +179,12 @@ func (b *Backend) Dir() string { return b.dir }
 // Folds reports how many times the log has been folded into the page file.
 func (b *Backend) Folds() int64 { return b.folds }
 
-// TornDetected reports how many power-ons truncated a torn log tail.
+// TornDetected reports how many power-ons zeroed a torn log tail.
 func (b *Backend) TornDetected() int64 { return b.tornDetected }
+
+// LogBytes reports the bytes of records wal.log holds: those appended
+// since the last fold. The file is larger, by the zeros ahead of them.
+func (b *Backend) LogBytes() int64 { return b.walSize }
 
 // SetFileHook implements pagestore.FileInjectable.
 func (b *Backend) SetFileHook(h pagestore.FileHook) { b.hook = h }
@@ -196,9 +225,10 @@ func (b *Backend) fire(op pagestore.FileOp, name string) pagestore.FileFault {
 }
 
 // PowerOff applies the medium's loss semantics: unsynced log bytes vanish
-// from the device cache, and a torn in-flight record survives only when it
-// sits exactly at the synced frontier (otherwise it was behind lost cached
-// bytes and is gone too). Idempotent.
+// from the device cache, reading as zeros again, and a torn in-flight
+// record survives only when it sits exactly at the synced frontier
+// (otherwise it was behind lost cached bytes and is gone too). The file
+// keeps its size. Idempotent.
 func (b *Backend) PowerOff() {
 	if b.closed {
 		return
@@ -207,7 +237,7 @@ func (b *Backend) PowerOff() {
 	if b.tornStart >= 0 && b.tornStart == b.walSynced {
 		persist += b.tornLen
 	}
-	b.wal.Truncate(persist)
+	b.zeroFrom(persist)
 	b.wal.Sync()
 	b.walSize, b.walSynced = persist, persist
 	b.tornStart, b.tornLen = -1, 0
@@ -243,53 +273,112 @@ func (b *Backend) PowerOn() error {
 	}
 	off := int64(0)
 	maxSeq := foldSeq
-	// A torn write leaves a strict prefix of one record (appendRec), so
-	// a short tail is torn; anything wrong inside a complete header or
-	// record is damage.
-	for int64(len(raw))-off >= walHdrLen {
-		hdr := raw[off : off+walHdrLen]
-		seq := binary.BigEndian.Uint64(hdr[:8])
-		op := hdr[8]
-		id := pagestore.PageID(binary.BigEndian.Uint64(hdr[9:17]))
-		version := binary.BigEndian.Uint64(hdr[17:25])
-		n := int64(binary.BigEndian.Uint32(hdr[25:29]))
-		if (op != opPut && op != opDel) || n > int64(b.pageSize) {
-			return fmt.Errorf("%w: %s: bad record header at offset %d", ErrCorrupt, walName, off)
+	torn := false
+	// The log ends at an all-zero header. A record that does not end in
+	// its op byte is torn (appendRec tears a strict prefix of one), and
+	// must be followed by zeros only.
+	for off < int64(len(raw)) {
+		rec := raw[off:]
+		var seq, id, version uint64
+		var lenField uint32
+		if len(rec) >= walHdrLen {
+			seq = binary.BigEndian.Uint64(rec[:8])
+			id = binary.BigEndian.Uint64(rec[8:16])
+			version = binary.BigEndian.Uint64(rec[16:24])
+			lenField = binary.BigEndian.Uint32(rec[24:28])
 		}
-		if int64(len(raw))-off < walHdrLen+n+4 {
-			break // torn tail
+		if seq|id|version|uint64(lenField) == 0 && zero(rec[:min(walHdrLen, len(rec))]) {
+			break
 		}
-		end := off + walHdrLen + n
-		body := raw[off+walHdrLen : end : end]
-		want := binary.BigEndian.Uint32(raw[end : end+4])
-		if crc32.ChecksumIEEE(raw[off:end]) != want {
+		n, ok := recLen(lenField, b.pageSize)
+		ok = ok && len(rec) >= walHdrLen
+		if !ok || int64(len(rec)) < walRecLen+n || rec[walRecLen+n-1] == 0 {
+			cut := int64(walHdrLen) // where the zeros after a tear start, at the latest
+			if ok {
+				cut = walRecLen + n
+			}
+			if !zero(rec[min(cut, int64(len(rec))):]) {
+				return fmt.Errorf("%w: %s: bad record at offset %d", ErrCorrupt, walName, off)
+			}
+			torn = true
+			break
+		}
+		end := walHdrLen + n
+		body := rec[walHdrLen:end:end]
+		op := rec[end+4]
+		if op != opPut && op != opDel {
+			return fmt.Errorf("%w: %s: bad record op at offset %d", ErrCorrupt, walName, off)
+		}
+		if recCRC(rec[:end], op) != binary.BigEndian.Uint32(rec[end:end+4]) {
 			return fmt.Errorf("%w: %s: record checksum mismatch at offset %d", ErrCorrupt, walName, off)
 		}
 		if seq > foldSeq {
 			if op == opPut {
-				*b.Pages.Put(id) = pagestore.Page{Data: body, Version: version}
+				*b.Pages.Put(pagestore.PageID(id)) = pagestore.Page{Data: body, Version: version}
 			} else {
-				b.Pages.Delete(id)
+				b.Pages.Delete(pagestore.PageID(id))
 			}
 		}
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		off = end + 4
+		off += walRecLen + n
 	}
-	if off < int64(len(raw)) {
+	b.walSize, b.walSynced, b.walAlloc = off, off, int64(len(raw))
+	if torn {
 		b.tornDetected++
-		if err := b.wal.Truncate(off); err != nil {
-			return fmt.Errorf("filestore: truncating torn tail of %s: %w", walName, err)
+		if err := b.zeroFrom(off); err != nil {
+			return fmt.Errorf("filestore: zeroing torn tail of %s: %w", walName, err)
 		}
 		if err := b.wal.Sync(); err != nil {
 			return err
 		}
+	} else if !zero(raw[off:]) {
+		return fmt.Errorf("%w: %s: non-zero bytes past the log's end at offset %d", ErrCorrupt, walName, off)
 	}
-	b.walSize, b.walSynced = off, off
 	b.nextSeq = maxSeq + 1
 	b.tornStart, b.tornLen = -1, 0
 	return nil
+}
+
+// recLen reads the data length from a header's len field v, and reports
+// whether it is a page's, its parity bit right.
+func recLen(v uint32, pageSize int) (int64, bool) {
+	n := v &^ lenParity
+	return int64(n), n <= uint32(pageSize) && v == withParity(n)
+}
+
+// withParity sets len's top bit to the parity of n.
+func withParity(n uint32) uint32 {
+	return n | uint32(bits.OnesCount32(n)&1)<<31
+}
+
+// recCRC is the crc32 of head, a record's bytes before its crc, followed
+// by its op byte: one more table step, which allocates nothing.
+func recCRC(head []byte, op byte) uint32 {
+	c := ^crc32.ChecksumIEEE(head)
+	return ^(crc32.IEEETable[byte(c)^op] ^ c>>8)
+}
+
+// zero reports whether b holds only zero bytes.
+func zero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeros))
+		if !bytes.Equal(b[:n], zeros[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// zeroFrom turns the log file's bytes from off on into zeros, keeping its
+// size: it truncates the file down and up again, which leaves a hole.
+func (b *Backend) zeroFrom(off int64) error {
+	if err := b.wal.Truncate(off); err != nil {
+		return err
+	}
+	return b.wal.Truncate(max(off, b.walAlloc))
 }
 
 // Close flushes and closes the files. Idempotent.
@@ -327,6 +416,15 @@ func (b *Backend) appendRec(op byte, id pagestore.PageID, data []byte, version u
 		}
 	}
 	rec := encodeWalRec(b.nextSeq, op, id, version, data)
+	if need := b.walSize + int64(len(rec)); need > b.walAlloc {
+		// Extend the file past the record, so that the appends up to
+		// the next extension leave its size alone.
+		alloc := (need + growBytes - 1) / growBytes * growBytes
+		if err := b.wal.Truncate(alloc); err != nil {
+			return fmt.Errorf("filestore: extending %s: %w", walName, err)
+		}
+		b.walAlloc = alloc
+	}
 	switch b.fire(pagestore.FileAppend, walName) {
 	case pagestore.FileCrash:
 		b.PowerOff()
@@ -405,7 +503,7 @@ func (b *Backend) foldNow() error {
 	if err := b.wal.Sync(); err != nil {
 		return err
 	}
-	b.walSize, b.walSynced = 0, 0
+	b.walSize, b.walSynced, b.walAlloc = 0, 0, 0
 	b.folds++
 	return nil
 }
@@ -425,13 +523,12 @@ func readWhole(f *os.File) ([]byte, error) {
 }
 
 func encodeWalRec(seq uint64, op byte, id pagestore.PageID, version uint64, data []byte) []byte {
-	rec := make([]byte, 0, walHdrLen+len(data)+4)
+	rec := make([]byte, 0, walRecLen+len(data))
 	rec = binary.BigEndian.AppendUint64(rec, seq)
-	rec = append(rec, op)
 	rec = binary.BigEndian.AppendUint64(rec, uint64(id))
 	rec = binary.BigEndian.AppendUint64(rec, version)
-	rec = binary.BigEndian.AppendUint32(rec, uint32(len(data)))
+	rec = binary.BigEndian.AppendUint32(rec, withParity(uint32(len(data))))
 	rec = append(rec, data...)
-	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	return rec
+	rec = binary.BigEndian.AppendUint32(rec, recCRC(rec, op))
+	return append(rec, op)
 }

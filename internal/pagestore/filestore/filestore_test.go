@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -161,22 +162,26 @@ func TestCrashBetweenWriteAndSync(t *testing.T) {
 
 func TestTornWriteDetectedAndDiscarded(t *testing.T) {
 	dir := t.TempDir()
+	path := filepath.Join(dir, walName)
 	s := openT(t, dir, 64, foldBytes)
 	if err := s.Write(1, []byte("keep"), 1); err != nil {
 		t.Fatal(err)
+	}
+	full := int64(walRecLen + len("keep"))
+	if got := backend(t, s).LogBytes(); got != full {
+		t.Fatalf("wal.log holds %d bytes of records, want %d", got, full)
 	}
 	s.SetFileHook(hookAt(3, pagestore.FileTorn)) // the second append
 	if err := s.Write(2, []byte("torn!"), 1); !errors.Is(err, pagestore.ErrCrashed) {
 		t.Fatalf("torn write: %v", err)
 	}
 	// The torn prefix is physically in the file.
-	fi, err := os.Stat(filepath.Join(dir, walName))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := int64(walHdrLen + len("keep") + 4)
-	if fi.Size() <= full {
-		t.Fatalf("wal.log has %d bytes; expected a torn prefix beyond %d", fi.Size(), full)
+	if zero(raw[full:]) {
+		t.Fatalf("wal.log has only zeros past %d bytes; expected a torn prefix there", full)
 	}
 	if err := s.Reset(); err != nil {
 		t.Fatal(err)
@@ -190,9 +195,16 @@ func TestTornWriteDetectedAndDiscarded(t *testing.T) {
 	if ok, _ := s.Exists(2); ok {
 		t.Fatal("torn write survived")
 	}
-	// The file was truncated back to the clean prefix.
-	if fi, _ := os.Stat(filepath.Join(dir, walName)); fi.Size() != full {
-		t.Fatalf("wal.log = %d bytes after truncation, want %d", fi.Size(), full)
+	// The clean prefix is kept, and the torn bytes are zeros now.
+	if got := backend(t, s).LogBytes(); got != full {
+		t.Fatalf("wal.log holds %d bytes of records after power-on, want %d", got, full)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after[:full], raw[:full]) || !zero(after[full:]) {
+		t.Fatalf("wal.log after power-on: the clean prefix changed, or bytes past it are not zero")
 	}
 }
 
@@ -212,7 +224,7 @@ func TestInteriorDamageIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := walHdrLen + len("first") + 4
+	first := walRecLen + len("first")
 	raw[first+walHdrLen+2] ^= 0x01 // a byte of "middle"'s data
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -222,6 +234,159 @@ func TestInteriorDamageIsCorrupt(t *testing.T) {
 	}
 	if fi, _ := os.Stat(path); fi.Size() != int64(len(raw)) {
 		t.Fatalf("wal.log = %d bytes after refusing, want all %d kept", fi.Size(), len(raw))
+	}
+}
+
+// endOfLogLog writes recs into a fresh store, one append each (a nil
+// image is a delete), and returns wal.log's records and where the last
+// two begin.
+func endOfLogLog(t *testing.T, recs []struct {
+	id   pagestore.PageID
+	data []byte
+}) (raw []byte, middle, last int) {
+	t.Helper()
+	dir := t.TempDir()
+	s := openT(t, dir, 64, foldBytes)
+	for i, r := range recs {
+		middle, last = last, int(backend(t, s).LogBytes())
+		var err error
+		if r.data == nil {
+			err = s.Delete(r.id)
+		} else {
+			err = s.Write(r.id, r.data, uint64(i+1))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := backend(t, s).LogBytes()
+	raw, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw[:n], middle, last
+}
+
+// powerOnImage writes img as wal.log, with 64 zero bytes after it, into
+// dir and powers a store on over it. It returns the store's pages, its
+// torn-tail count and wal.log's bytes after power-on, or the error.
+func powerOnImage(t *testing.T, dir string, img []byte) (pages string, torn int64, after []byte, err error) {
+	t.Helper()
+	path := filepath.Join(dir, walName)
+	must(t, os.WriteFile(path, append(bytes.Clone(img), make([]byte, 64)...), 0o644))
+	s, err := open(dir, 64, foldBytes)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	defer s.Close()
+	after, rerr := os.ReadFile(path)
+	must(t, rerr)
+	return pagesOf(t, s), backend(t, s).TornDetected(), after, nil
+}
+
+// TestEndOfLogRule pins how power-on finds the end of a log that zeros
+// follow. Every strict prefix of the last record, zeros after it, is a
+// torn tail: the records before it are kept, the prefix is zeroed, and
+// one that holds a non-zero byte is counted. Every single flipped bit of
+// the last whole record, and of the one before it, is ErrCorrupt: none
+// may pass for a torn tail, which would drop an acknowledged record. The
+// logs end in a put whose image holds zeros, and in a delete of page 0,
+// whose header is its sequence number alone.
+func TestEndOfLogRule(t *testing.T) {
+	type rec = struct {
+		id   pagestore.PageID
+		data []byte
+	}
+	for _, tc := range []struct {
+		name string
+		recs []rec
+	}{
+		{"put", []rec{{0, []byte("first")}, {1, []byte("mid\x00dle")}, {2, []byte("la\x00\x00st")}}},
+		{"delete", []rec{{0, []byte("first")}, {1, []byte("mid\x00dle")}, {0, nil}}},
+		{"lone-delete", []rec{{0, nil}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, middle, last := endOfLogLog(t, tc.recs)
+			dir := t.TempDir()
+			before, _, _, err := powerOnImage(t, dir, raw[:last])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k < len(raw)-last; k++ {
+				pages, torn, after, err := powerOnImage(t, dir, raw[:last+k])
+				if err != nil {
+					t.Fatalf("prefix of %d bytes: %v", k, err)
+				}
+				want := int64(1)
+				if zero(raw[last : last+k]) {
+					want = 0 // no different from no record at all
+				}
+				if torn != want {
+					t.Errorf("prefix of %d bytes: %d torn tails counted, want %d", k, torn, want)
+				}
+				if pages != before || !bytes.Equal(after[:last], raw[:last]) || !zero(after[last:]) {
+					t.Errorf("prefix of %d bytes: pages\n%s\nwant\n%s\nor the tail was not zeroed", k, pages, before)
+				}
+			}
+			starts := []int{last}
+			if last > 0 {
+				starts = append(starts, middle)
+			}
+			for _, start := range starts {
+				end := len(raw)
+				if start == middle && last > 0 {
+					end = last
+				}
+				for bit := start * 8; bit < end*8; bit++ {
+					img := bytes.Clone(raw)
+					img[bit/8] ^= 1 << (bit % 8)
+					if _, _, _, err := powerOnImage(t, dir, img); !errors.Is(err, ErrCorrupt) {
+						t.Errorf("bit %d of the record at offset %d flipped: %v, want ErrCorrupt", bit-start*8, start, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRecCRC checks the one-step crc of a record's op byte against the
+// checksum of the same bytes taken whole.
+func TestRecCRC(t *testing.T) {
+	head := []byte("a record's bytes before its crc")
+	for _, op := range []byte{opPut, opDel, 0, 0xff} {
+		if got, want := recCRC(head, op), crc32.ChecksumIEEE(append(bytes.Clone(head), op)); got != want {
+			t.Errorf("op %#x: %#x, want %#x", op, got, want)
+		}
+	}
+}
+
+// TestAppendsKeepLogSize: the log is extended growBytes at a time ahead
+// of its records, so a run of appends between two extensions leaves
+// wal.log's size unchanged, and the extension comes when a record would
+// not fit.
+func TestAppendsKeepLogSize(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, 4096, foldBytes)
+	size := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, walName))
+		must(t, err)
+		return fi.Size()
+	}
+	img := bytes.Repeat([]byte{7}, 4000)
+	must(t, s.Write(0, img, 1))
+	if got := size(); got != growBytes {
+		t.Fatalf("wal.log is %d bytes after the first append, want %d", got, growBytes)
+	}
+	appends := 1
+	for ; backend(t, s).LogBytes()+walRecLen+int64(len(img)) <= growBytes; appends++ {
+		must(t, s.Write(pagestore.PageID(appends), img, 1))
+		if got := size(); got != growBytes {
+			t.Fatalf("append %d changed wal.log's size to %d, want %d", appends+1, got, growBytes)
+		}
+	}
+	must(t, s.Write(0, img, 2))
+	if got := size(); got != 2*growBytes {
+		t.Fatalf("the append past %d appends left wal.log at %d bytes, want %d", appends, got, 2*growBytes)
 	}
 }
 

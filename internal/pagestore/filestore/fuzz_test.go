@@ -15,8 +15,9 @@ import (
 // directory and opens a store over it. Power-on must either succeed or
 // fail with an error wrapping ErrCorrupt, never panic. A store that opens
 // must open again, after Close, with the same pages: power-on keeps what
-// it replayed and cuts only a torn tail. The seeds are real files, with
-// and without a fold into data.db, and a torn log tail.
+// it replayed and zeroes only a torn tail. The seeds are real files, with
+// and without a fold into data.db, and a torn log tail; each log also
+// followed by zeros, as the store's extension ahead of its tail leaves it.
 func FuzzFilestorePowerOn(f *testing.F) {
 	const pageSize = 16
 	for _, fold := range []int64{foldBytes, 64} {
@@ -30,13 +31,21 @@ func FuzzFilestorePowerOn(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		if err := errors.Join(s.Delete(3), s.Close()); err != nil {
+		if err := s.Delete(3); err != nil {
+			f.Fatal(err)
+		}
+		n := s.Backend().(*Backend).LogBytes()
+		if err := s.Close(); err != nil {
 			f.Fatal(err)
 		}
 		wal, _ := os.ReadFile(filepath.Join(dir, walName))
+		wal = wal[:n] // the records, not the zeros ahead of them
 		data, _ := os.ReadFile(filepath.Join(dir, dataName))
 		f.Add(wal, data)
 		f.Add(wal[:len(wal)-3], data)
+		tail := make([]byte, 64)
+		f.Add(append(bytes.Clone(wal), tail...), data)
+		f.Add(append(bytes.Clone(wal[:len(wal)-3]), tail...), data)
 	}
 	f.Add([]byte{}, []byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, walHdrLen+8), dataMagic[:])

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -69,6 +70,14 @@ type undoRec struct {
 	undo uint64 // the undo record that logs old; 0: none (none is needed when del is 0)
 }
 
+// stolenPage is a copy of a page a steal took out of the pool: its id, its
+// bytes and its LSN, which the data store keeps as the page's version.
+type stolenPage struct {
+	id   pagestore.PageID
+	data []byte
+	lsn  uint64
+}
+
 // txnState tracks an active transaction. firstLSN stays zero until its
 // first update: a transaction that changed nothing has no
 // records, pins no log, and ends without touching the log. Restart's
@@ -80,6 +89,7 @@ type txnState struct {
 	firstLSN  uint64
 	commitLSN uint64    // its commit record, once appended; 0 before
 	updates   []undoRec // not yet compensated, oldest first
+	rolled    int       // updates Abort has compensated, across its calls
 	arena     []byte    // the updates' old bytes, back to back
 }
 
@@ -124,6 +134,17 @@ type Manager struct {
 	appended, sealed []uint64
 	lastCommit       int
 	force            Force
+
+	// Deferred steals (see DeferSteals, SealSteals and SettleSteals): the
+	// copies of stolen pages not yet in the data store, oldest first, and
+	// the buffers of those written; whether a run-time steal queues its
+	// copy, and whether a batch of them is being written; and the batch
+	// an inline write of the queue uses.
+	stolen      []stolenPage
+	stolenFree  [][]byte
+	deferSteals bool
+	stealing    bool
+	inline      Steals
 
 	steals     int64
 	uncommit   int64 // dirty pages written while holding an active transaction's update
@@ -180,6 +201,9 @@ func (m *Manager) SetJournal(j *obs.Journal) { m.journal = j }
 // Load populates page p with initial data, bypassing logging. Call before
 // running transactions.
 func (m *Manager) Load(p int64, data []byte) error {
+	if err := m.writeStolen(); err != nil {
+		return err
+	}
 	if err := m.data.Write(pagestore.PageID(p), data, 0); err != nil {
 		return err
 	}
@@ -222,10 +246,10 @@ func (m *Manager) endTxn(tid uint64, ts *txnState) {
 // uncommitted writes included).
 func (m *Manager) Read(tid uint64, p int64) ([]byte, error) {
 	bp, err := m.getPage(pagestore.PageID(p))
-	if err != nil {
+	if bp == nil {
 		return nil, err
 	}
-	return append([]byte(nil), bp.data...), nil
+	return append([]byte(nil), bp.data...), err // err: nil, or ErrStealQueued
 }
 
 // Write replaces page p with data on behalf of tid, logging the byte range
@@ -407,21 +431,23 @@ func (m *Manager) Settle(f *Force) {
 // Each restoration is itself logged as a compensation record, so recovery
 // never undoes work that was already rolled back — even if a later
 // transaction committed changes to the same pages. A transaction that
-// changed nothing leaves the log alone.
+// changed nothing leaves the log alone. An Abort that fails part way (with
+// ErrStealWait, say) is finished by calling it again.
 func (m *Manager) Abort(tid uint64) error {
 	ts := m.att.Get(tid)
 	if ts == nil {
 		return fmt.Errorf("wal: transaction %d not active", tid)
 	}
-	n := len(ts.updates)
 	for len(ts.updates) > 0 {
 		if err := m.compensate(tid, ts); err != nil {
 			return err
 		}
+		ts.rolled++
 	}
 	if ts.firstLSN != 0 {
 		m.appendRec(Record{Type: RecAbort, Txn: tid})
 	}
+	n := ts.rolled
 	m.endTxn(tid, ts)
 	m.journal.Emit(obs.JournalRecord{Event: "abort", Txn: tid, N: int64(n)})
 	return nil
@@ -509,12 +535,25 @@ func (m *Manager) getPage(p pagestore.PageID) (*bufPage, error) {
 	if m.frames >= m.cfg.PoolPages {
 		victim = m.lru.next
 	}
-	return m.admit(p, data, version, victim)
+	queued := len(m.stolen)
+	bp, err := m.admit(p, data, version, victim)
+	if err == nil && len(m.stolen) > queued {
+		err = ErrStealQueued // p is pooled: a call made again finds it
+	}
+	return bp, err
 }
 
 // fetch reads page p into the spare buffer, which keeps the result. Pages
-// never stored read as empty, at version 0.
+// never stored read as empty, at version 0. A page with a steal queued is
+// read from its newest copy, never from the data store's older version;
+// any other waits while a batch of steals is being written (ErrStealWait).
 func (m *Manager) fetch(p pagestore.PageID) ([]byte, uint64, error) {
+	if sp := m.stolenCopy(p); sp != nil {
+		m.spare = append(m.spare[:0], sp.data...)
+		return m.spare, sp.lsn, nil
+	} else if m.stealing {
+		return nil, 0, ErrStealWait
+	}
 	data, version, err := m.data.ReadInto(m.spare, p)
 	if err == pagestore.ErrNotFound {
 		data, version, err = m.spare[:0], 0, nil
@@ -558,19 +597,23 @@ func (m *Manager) pushNewest(bp *bufPage) {
 }
 
 // evict takes bp out of the pool. A dirty page is stolen to disk by flush
-// first. Replacement is LRU: the victim is the least recently used page,
-// whose records a commit has usually forced long ago, so most steals cost
-// the page write alone.
+// first, or, with steals deferred, gets its write-ahead work done and a
+// copy of it queued (see DeferSteals). Replacement is LRU: the victim is
+// the least recently used page, whose records a commit has usually forced
+// long ago, so most steals cost the page write alone.
 func (m *Manager) evict(bp *bufPage) error {
-	if bp.dirty {
+	switch {
+	case bp.dirty && m.deferSteals:
+		if err := m.writeAhead(bp); err != nil {
+			return err
+		}
+		m.queueSteal(bp)
+		bp.dirty = false
+	case bp.dirty:
 		if err := m.flush(bp); err != nil {
 			return err
 		}
-		m.steals++
-		// A steal is the WAL engine's only stable page write outside
-		// checkpoints, so it is journaled: the forensic trail must show
-		// which uncommitted pages reached disk and under which LSN.
-		m.journal.EmitPage(int64(bp.id), obs.JournalRecord{Event: "steal", LSN: bp.lsn})
+		m.landed(bp.id, bp.lsn)
 	}
 	bp.unlink()
 	m.pool.Delete(bp.id)
@@ -588,8 +631,26 @@ func (m *Manager) evict(bp *bufPage) error {
 // page between an update and its transaction's end, so only bp's last
 // writer can hold such an update. A writer that has appended its commit
 // record needs no undo: the log is forced through that record instead, so
-// the update reaches disk only once its transaction is a winner.
+// the update reaches disk only once its transaction is a winner. Queued
+// steals reach the data store first, so a page's copies land oldest first.
 func (m *Manager) flush(bp *bufPage) error {
+	if err := m.writeAhead(bp); err != nil {
+		return err
+	}
+	if err := m.writeStolen(); err != nil {
+		return err
+	}
+	if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
+		return err
+	}
+	bp.dirty = false
+	return nil
+}
+
+// writeAhead does what the write-ahead rule asks before bp may reach the
+// data store (see flush): the undo records of its writer's updates, and
+// the log forced through them and through bp's LSN.
+func (m *Manager) writeAhead(bp *bufPage) error {
 	through := bp.lsn
 	if ts := m.att.Get(bp.txn); ts != nil && ts.commitLSN != 0 {
 		through = max(through, ts.commitLSN)
@@ -610,14 +671,139 @@ func (m *Manager) flush(bp *bufPage) error {
 			m.uncommit++
 		}
 	}
-	if err := m.forceThrough(through); err != nil {
-		return err
+	return m.forceThrough(through)
+}
+
+// landed counts and journals a steal whose page reached the data store.
+// A steal is the WAL engine's only stable page write outside checkpoints,
+// so it is journaled: the forensic trail must show which uncommitted pages
+// reached disk and under which LSN.
+func (m *Manager) landed(id pagestore.PageID, lsn uint64) {
+	m.steals++
+	m.journal.EmitPage(int64(id), obs.JournalRecord{Event: "steal", LSN: lsn})
+}
+
+// ErrStealQueued and ErrStealWait stop a call that may steal (Read, Write,
+// Abort, ReadCommitted) where it must wait for a deferred steal's write
+// (see DeferSteals). The call has done nothing that calling it again
+// repeats, and the call made again goes on where it stopped. ErrStealQueued
+// says the call queued a steal: the caller writes it (SealSteals,
+// WriteSteals, SettleSteals) and calls again, so the steal reaches the data
+// store where an inline one would, before the rest of the call. Read and
+// ReadCommitted have nothing left to do but return the page, so they return
+// it with ErrStealQueued: once the steal is written, the page is the
+// result. ErrStealWait says the call must read the data store while a
+// batch of steals is being written to it: the caller waits for the batch to
+// settle, and calls again. Both are returned bare.
+var (
+	ErrStealQueued = errors.New("wal: a steal is queued for its page write")
+	ErrStealWait   = errors.New("wal: the data store is busy with a steal write")
+)
+
+// Steals is a batch of deferred steals' page writes: SealSteals fills it
+// with the copies the kernel holds queued, oldest first, WriteSteals writes
+// them to the data store, outside the kernel, and SettleSteals ends it. A
+// Steals is reused from one batch to the next.
+type Steals struct {
+	data    *pagestore.Store
+	pages   []stolenPage // copies of the queue's copies, buffers reused
+	written int          // how many of pages reached the data store
+}
+
+// WriteSteals writes s's pages to the data store in order, stopping at the
+// first error. It touches no kernel state, so the Guard runs it outside its
+// mutex, one batch at a time, between SealSteals and SettleSteals.
+func WriteSteals(s *Steals) error {
+	for ; s.written < len(s.pages); s.written++ {
+		p := &s.pages[s.written]
+		if err := s.data.Write(p.id, p.data, p.lsn); err != nil {
+			return err
+		}
 	}
-	if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
-		return err
-	}
-	bp.dirty = false
 	return nil
+}
+
+// DeferSteals sets whether a run-time steal writes its page to the data
+// store itself (off, the default) or, its write-ahead work done, queues a
+// copy of the page for a SealSteals batch and stops its call with
+// ErrStealQueued (on). Restart's steals are always written inline. A queue
+// left by a failed write is written with the next batch, or inline, oldest
+// first, before any other data-store write: a Load, a Checkpoint, an
+// inline steal. Between SealSteals and SettleSteals only Begin, Read,
+// Write, Abort, ReadCommitted and the commit calls may run; a call that
+// must read the data store returns ErrStealWait.
+func (m *Manager) DeferSteals(on bool) { m.deferSteals = on }
+
+// SealSteals starts a write of every queued steal: it copies their pages'
+// ids, bytes and LSNs into s, oldest first, and reports whether there were
+// any.
+func (m *Manager) SealSteals(s *Steals) bool {
+	if len(m.stolen) == 0 {
+		return false
+	}
+	s.data, s.written = m.data, 0
+	if n := len(m.stolen) - cap(s.pages); n > 0 {
+		s.pages = append(s.pages[:cap(s.pages)], make([]stolenPage, n)...)
+	}
+	s.pages = s.pages[:len(m.stolen)] // a reused page keeps its buffer
+	for i, sp := range m.stolen {
+		w := &s.pages[i]
+		w.id, w.data, w.lsn = sp.id, append(w.data[:0], sp.data...), sp.lsn
+	}
+	m.stealing = true
+	return true
+}
+
+// SettleSteals ends the write s: each page it wrote leaves the queue and
+// is journaled as a steal. A page it did not write stays queued, first, so
+// a read finds its copy, never the data store's older version, and the
+// next write tries it again.
+func (m *Manager) SettleSteals(s *Steals) {
+	for _, p := range m.stolen[:s.written] {
+		m.landed(p.id, p.lsn)
+		m.stolenFree = append(m.stolenFree, p.data)
+	}
+	m.stolen = m.stolen[:copy(m.stolen, m.stolen[s.written:])]
+	m.stealing = false
+}
+
+// queueSteal queues a copy of bp, in a buffer a written copy left.
+func (m *Manager) queueSteal(bp *bufPage) {
+	var buf []byte
+	if n := len(m.stolenFree); n > 0 {
+		buf, m.stolenFree = m.stolenFree[n-1], m.stolenFree[:n-1]
+	}
+	m.stolen = append(m.stolen, stolenPage{id: bp.id, data: append(buf[:0], bp.data...), lsn: bp.lsn})
+}
+
+// stolenCopy returns the newest queued copy of page p, nil when none is.
+func (m *Manager) stolenCopy(p pagestore.PageID) *stolenPage {
+	for i := len(m.stolen) - 1; i >= 0; i-- {
+		if m.stolen[i].id == p {
+			return &m.stolen[i]
+		}
+	}
+	return nil
+}
+
+// writeStolen writes the queued steals inline, oldest first.
+func (m *Manager) writeStolen() error {
+	if !m.SealSteals(&m.inline) {
+		return nil
+	}
+	err := WriteSteals(&m.inline)
+	m.SettleSteals(&m.inline)
+	return err
+}
+
+// dropStolen forgets the queued steals, which a crash takes: restart
+// redoes their pages from the log, which the write-ahead rule made
+// durable through them.
+func (m *Manager) dropStolen() {
+	for _, p := range m.stolen {
+		m.stolenFree = append(m.stolenFree, p.data)
+	}
+	m.stolen, m.stealing = m.stolen[:0], false
 }
 
 // Checkpoint takes a non-quiescing checkpoint that flushes every dirty page
@@ -633,6 +819,9 @@ func (m *Manager) flush(bp *bufPage) error {
 // through them, so when truncation writes a meta page every record below
 // the next LSN is durable.
 func (m *Manager) Checkpoint() error {
+	if err := m.writeStolen(); err != nil {
+		return err
+	}
 	if err := m.forceThrough(math.MaxUint64); err != nil {
 		return err
 	}
@@ -672,10 +861,12 @@ func (m *Manager) truncatedChunks() int64 {
 	return n
 }
 
-// Crash simulates power loss: the buffer pool, active-transaction table and
-// unforced log tails vanish. Stable storage is untouched.
+// Crash simulates power loss: the buffer pool, active-transaction table,
+// unforced log tails and steals not yet written vanish. Stable storage is
+// untouched.
 func (m *Manager) Crash() {
 	m.resetPool()
+	m.dropStolen()
 	m.att = pagestore.Table[uint64, *txnState]{}
 	m.appended, m.sealed = m.appended[:0], m.sealed[:0]
 	for _, s := range m.streams {
@@ -736,6 +927,9 @@ func (m *Manager) Recover() error {
 	m.att = pagestore.Table[uint64, *txnState]{}
 	m.appended, m.sealed = m.appended[:0], m.sealed[:0]
 	m.resetPool()
+	m.dropStolen()
+	defer m.DeferSteals(m.deferSteals) // restart's steals are written inline
+	m.deferSteals = false
 
 	readers := make([]*reader, len(m.streams))
 	dead := uint64(0)

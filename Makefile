@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench gobench tables examples fuzz loc ci clean
+.PHONY: all build vet lint test race race-writebehind cover bench gobench tables examples fuzz loc ci clean
 .PHONY: crashsweep crashsweep-short crashsweep-file serve-smoke bench-smoke fuzz-wal fuzz-server fuzz-filestore fuzz-diffeng logvolume lockbench txnbench recoverbench durablebench
 
 all: build vet lint test
 
 # What .github/workflows/ci.yml runs.
-ci: build vet lint test race cover logvolume lockbench txnbench recoverbench durablebench fuzz-wal fuzz-server fuzz-filestore fuzz-diffeng crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
+ci: build vet lint test race race-writebehind cover logvolume lockbench txnbench recoverbench durablebench fuzz-wal fuzz-server fuzz-filestore fuzz-diffeng crashsweep-short crashsweep-file serve-smoke examples loc bench-smoke
 
 # Deterministic crash-injection sweep with recovery audits
 # (see internal/faultinj and docs/FAULTS.md).
@@ -58,6 +58,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The WAL's write-behind path (group commit and steal writes outside the
+# Guard's mutex) under the race detector, ten times over: its ordering
+# faults show in one run of dozens.
+race-writebehind:
+	$(GO) test -race -count=10 -run 'TestGroupCommit|TestStealWrite|TestFailedForce|TestGuardMetrics' ./internal/engine ./internal/wal
 
 # Coverage over the recovery kernels (internal/wal, internal/shadoweng,
 # internal/diffeng) and their thread-safe wrapper (internal/engine), as

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/lockmgr"
 	"repro/internal/pagestore"
 	"repro/internal/sim"
 )
@@ -170,6 +174,67 @@ func TestDoubleCrash(t *testing.T) {
 			got, err := e.ReadCommitted(1)
 			if err != nil || string(got) != "v2" {
 				t.Fatalf("after double crash: %q %v", got, err)
+			}
+		})
+	}
+}
+
+// TestCrashReleasesParkedLocks parks sessions on a page another
+// transaction holds, then crashes the engine: every parked Lock call
+// returns lockmgr.ErrReleased, and after Recover new transactions lock and
+// commit the page.
+func TestCrashReleasesParkedLocks(t *testing.T) {
+	const parked = 8
+	for _, arch := range Architectures() {
+		t.Run(arch, func(t *testing.T) {
+			e, _ := memBuild(t, arch, 4)
+			if err := e.Load(1, []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			holder, err := e.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := holder.Write(1, []byte("held")); err != nil {
+				t.Fatal(err)
+			}
+			errs := make(chan error, parked)
+			for i := 0; i < parked; i++ {
+				tx, err := e.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					_, err := tx.Read(1)
+					errs <- err
+				}()
+			}
+			for e.locks.Waits() < parked {
+				runtime.Gosched()
+			}
+			e.Crash()
+			deadline := time.After(10 * time.Second)
+			for i := 0; i < parked; i++ {
+				select {
+				case err := <-errs:
+					if !errors.Is(err, lockmgr.ErrReleased) {
+						t.Errorf("a parked Lock call returned %v after the crash, want ErrReleased", err)
+					}
+				case <-deadline:
+					t.Fatalf("%d of %d parked Lock calls still wait 10 s after the crash", parked-i, parked)
+				}
+			}
+			if err := e.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				v := []byte(fmt.Sprintf("new%d", i))
+				if err := e.Update(func(tx *Txn) error { return tx.Write(1, v) }); err != nil {
+					t.Fatalf("commit %d after recovery: %v", i, err)
+				}
+			}
+			if got, err := e.ReadCommitted(1); err != nil || string(got) != "new2" {
+				t.Fatalf("page 1 after recovery and three commits: %q, %v", got, err)
 			}
 		})
 	}

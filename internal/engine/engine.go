@@ -233,13 +233,11 @@ func (e *Engine) Update(fn func(*Txn) error) error {
 }
 
 // Crash simulates power loss: open transactions and their locks are
-// forgotten like the rest of volatile state. It swaps the lock manager
-// without synchronisation, so it may be called only while no other call
-// into the engine is running (a quiesced engine, as for Guard.Unwrap): a
-// Lock call parked on the old manager would never return.
+// forgotten like the rest of volatile state, and a Lock call parked on a
+// page returns lockmgr.ErrReleased.
 func (e *Engine) Crash() {
 	e.rm.Crash()
-	e.locks = lockmgr.New()
+	e.locks.Reset()
 }
 
 // Recover runs restart recovery on the underlying engine.

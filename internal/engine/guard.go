@@ -15,19 +15,19 @@ import (
 // primitives and goroutines inside them. Guard is their concurrency
 // envelope: it serializes every kernel call behind one mutex, so the
 // concurrent runtime sees exactly the call sequences the single-threaded
-// kernels are proven against. Two things run outside it. One is the log
-// force of a kernel that can share it (a GroupCommitter, the WAL). A
-// commit appends its record under the mutex; one committer, the leader,
-// then writes a copy of everything the log holds unforced with the mutex
-// released, while the commits that arrive meanwhile wait on a condition
-// variable for the next leader, whose one force covers them all. The other
-// is the page write of a steal (a StealWriter's, the WAL's): the kernel
-// does the write-ahead work under the mutex and queues a copy of the page,
-// and the call that queued it writes it with the mutex released, one
-// writer at a time; a call that must read the data store meanwhile waits
-// on the same condition variable. The kernel never runs outside the mutex:
-// what leaves it is copied chunks and pages, and the stores, which are
-// safe for concurrent use.
+// kernels are proven against. A WriteBehind kernel's (the WAL's) two
+// stable writes run outside it, each as a wal.Batch written by
+// wal.WriteBatch with the mutex released. One is the log force. A commit
+// appends its record under the mutex; one committer, the leader, then
+// writes a copy of everything the log holds unforced, while the commits
+// that arrive meanwhile wait on a condition variable for the next leader,
+// whose one force covers them all. The other is the page write of a
+// steal: the kernel does the write-ahead work under the mutex and queues a
+// copy of the page, and the call that queued it writes it, one writer at a
+// time; a call that must read the data store meanwhile waits on the same
+// condition variable. The kernel never runs outside the mutex: what leaves
+// it is copied chunks and pages, and the stores, which are safe for
+// concurrent use.
 
 // Checkpointer is implemented by kernels with a checkpoint maintenance
 // operation (the WAL manager).
@@ -41,34 +41,32 @@ type Merger interface {
 	Merge() error
 }
 
-// GroupCommitter is implemented by kernels whose commits can share a log
-// force run outside the Guard's mutex (the WAL manager). AppendCommit
-// appends a commit record; Seal copies every chunk the log holds unforced
-// into a wal.Force, which the Guard writes with wal.WriteForce; Settle
-// ends the force, acknowledging the commits it covers only if every write
-// reached the store. A lone commit makes the store operations Commit
-// makes.
-type GroupCommitter interface {
+// WriteBehind is implemented by kernels whose log force and steals' page
+// writes can run outside the Guard's mutex (the WAL manager). Seal copies
+// every chunk the log holds unforced into a wal.Batch, SealSteals the
+// queued steals' pages; the Guard writes either with wal.WriteBatch and
+// ends it with Settle, which keeps what it did not write for the next.
+//
+// A commit appends its record with AppendCommit and is decided when a
+// force settles: Committed reports it done, with nil, or with the error of
+// a force that failed, which leaves it in doubt. Gathering reports commits
+// waiting for a force, or for their failure to be reported.
+//
+// With DeferSteals(true) a steal does its write-ahead work, queues a copy
+// of its page and stops its call with wal.ErrStealQueued (a read returns
+// its page with it); the call is made again once the queue is written, and
+// goes on. While steals are written, a call that must read the data store
+// returns wal.ErrStealWait, and is made again once they settle. A lone
+// session thus makes the store operations of the kernel's own Commit and
+// inline steals, in their order.
+type WriteBehind interface {
 	AppendCommit(tid uint64) (done bool, err error)
-	Seal(f *wal.Force)
-	Settle(f *wal.Force)
-}
-
-// StealWriter is implemented by kernels whose run-time steals can write
-// their pages outside the Guard's mutex (the WAL manager). With
-// DeferSteals(true) a steal does its write-ahead work, queues a copy of its
-// page and stops its call with wal.ErrStealQueued (a read returns its page
-// with it). SealSteals copies the queue into a wal.Steals, which the Guard
-// writes with wal.WriteSteals, and SettleSteals ends the write, keeping
-// queued a page it did not write; a stopped call is then made again, and
-// goes on. While a write is in flight, a call that must read the data
-// store returns wal.ErrStealWait, and is made again once the write
-// settles. A lone session thus makes the store operations of inline
-// steals, in their order.
-type StealWriter interface {
+	Committed(tid uint64) (done bool, err error)
+	Gathering() bool
+	Seal(b *wal.Batch)
 	DeferSteals(on bool)
-	SealSteals(s *wal.Steals) bool
-	SettleSteals(s *wal.Steals)
+	SealSteals(b *wal.Batch) bool
+	Settle(b *wal.Batch, err error)
 }
 
 // StatsSource is implemented by kernels that report internal counters.
@@ -90,26 +88,21 @@ var ErrUnsupported = fmt.Errorf("engine: operation not supported by this recover
 // Guard wraps a pure recovery kernel, making it safe for concurrent use.
 // All kernel calls — transactional operations and maintenance alike — are
 // serialized behind a single mutex; an attached live.GuardMetrics records
-// each call's wait for and hold of it. A GroupCommitter's log force and a
-// StealWriter's steal writes run outside the mutex, one force and one
-// steal writer at a time; maintenance waits for both.
+// each call's wait for and hold of it. A WriteBehind kernel's log force and
+// steal writes run outside the mutex, one force and one steal writer at a
+// time; maintenance waits for both.
 type Guard struct {
 	mu sync.Mutex
 	rm RecoveryManager
-	gc GroupCommitter // rm, when its commits share their log force
-	sw StealWriter    // rm, when its steals are written outside the mutex
+	wb WriteBehind // rm, when its force and steals are written outside the mutex
 
-	// Commit groups and steal writes, all under mu: settled is broadcast
-	// when a force or a run of steal writes ends, forcing reports a force
-	// in flight, next is the group the next commit joins, free keeps ended
-	// groups, Force buffers and all, stealing reports a steal writer
-	// active, and steals is its batch.
-	settled  sync.Cond
-	forcing  bool
-	next     *commitGroup
-	free     []*commitGroup
-	stealing bool
-	steals   wal.Steals
+	// Under mu: settled is broadcast when a force or a run of steal writes
+	// ends, or a commit leaves in doubt; forcing and stealing report a
+	// force and a steal writer in flight, and force and steals are their
+	// batches.
+	settled           sync.Cond
+	forcing, stealing bool
+	force, steals     wal.Batch
 
 	// mx is the optional runtime contention profile. It is attached with
 	// SetMetrics through an atomic pointer so hot paths read it without
@@ -118,20 +111,10 @@ type Guard struct {
 	mx atomic.Pointer[live.GuardMetrics]
 }
 
-// commitGroup is the commits one log force covers. Its members wait until
-// done, then read err; the last to leave returns it to the free list.
-type commitGroup struct {
-	force   wal.Force
-	err     error
-	done    bool
-	members int
-}
-
 func newGuard(rm RecoveryManager) *Guard {
 	g := &Guard{rm: rm}
-	g.gc, _ = rm.(GroupCommitter)
-	if g.sw, _ = rm.(StealWriter); g.sw != nil {
-		g.sw.DeferSteals(true)
+	if g.wb, _ = rm.(WriteBehind); g.wb != nil {
+		g.wb.DeferSteals(true)
 	}
 	g.settled.L = &g.mu
 	return g
@@ -157,8 +140,8 @@ func (g *Guard) unlock(tok *live.GuardToken) {
 // Callers may use it only while no other goroutine touches the Guard
 // (single-threaded drivers, quiesced engines).
 func (g *Guard) Unwrap() RecoveryManager {
-	if g.sw != nil {
-		g.sw.DeferSteals(false)
+	if g.wb != nil {
+		g.wb.DeferSteals(false)
 	}
 	return g.rm
 }
@@ -234,21 +217,16 @@ func (g *Guard) retry(err *error, tok *live.GuardToken, done bool) bool {
 }
 
 // writeSteals writes the queued steals, unless another call is writing
-// steals: one writer at a time, with the mutex released, batch after batch
-// until none is queued or a write fails, whose error it returns.
+// steals: one writer at a time, batch after batch until none is queued or
+// a write fails, whose error it returns.
 func (g *Guard) writeSteals(tok *live.GuardToken) error {
 	if g.stealing {
 		return nil
 	}
 	var err error
-	for err == nil && g.sw.SealSteals(&g.steals) {
+	for err == nil && g.wb.SealSteals(&g.steals) {
 		g.stealing = true
-		tok.Pause()
-		g.mu.Unlock()
-		err = wal.WriteSteals(&g.steals)
-		g.mu.Lock()
-		tok.Resume()
-		g.sw.SettleSteals(&g.steals)
+		err = g.write(&g.steals, tok)
 	}
 	if g.stealing {
 		g.stealing = false
@@ -257,69 +235,56 @@ func (g *Guard) writeSteals(tok *live.GuardToken) error {
 	return err
 }
 
-// Commit makes tid durable. A GroupCommitter's commit joins the group
-// gathering for the next log force, and returns once that force has
-// settled: nil if it wrote every chunk, an in-doubt error if not.
+// write writes the sealed batch b with the mutex released, left out of
+// tok's hold, then settles it, and returns the write's error.
+func (g *Guard) write(b *wal.Batch, tok *live.GuardToken) error {
+	tok.Pause()
+	g.mu.Unlock()
+	err := wal.WriteBatch(b)
+	g.mu.Lock()
+	tok.Resume()
+	g.wb.Settle(b, err)
+	return err
+}
+
+// Commit makes tid durable. A WriteBehind kernel's commit appends its
+// record and waits for a force to decide it: it leads one when none is in
+// flight, so its record is in it, and else waits for the one in flight to
+// settle. It returns nil once a force has made the record durable, and an
+// in-doubt error once one has failed to.
 func (g *Guard) Commit(tid uint64) error {
 	tok := g.lock(live.GuardCommit)
 	defer g.unlock(&tok)
-	if g.gc == nil {
+	if g.wb == nil {
 		return g.rm.Commit(tid)
 	}
-	if done, err := g.gc.AppendCommit(tid); done || err != nil {
+	if done, err := g.wb.AppendCommit(tid); done || err != nil {
 		return err
 	}
-	grp := g.join()
-	for !grp.done {
-		if g.forcing {
+	for {
+		done, err := g.wb.Committed(tid)
+		switch {
+		case err != nil:
+			g.settled.Broadcast() // quiesce waits until the failure is reported
+			return fmt.Errorf("engine: commit %d in doubt: %w", tid, err)
+		case done:
+			return nil
+		case g.forcing:
 			g.await(&tok)
-		} else {
-			g.lead(grp, &tok)
+		default:
+			g.lead(&tok)
 		}
 	}
-	err := grp.err
-	g.leave(grp)
-	if err != nil {
-		return fmt.Errorf("engine: commit %d in doubt: %w", tid, err)
-	}
-	return nil
 }
 
-// join adds a member to the group gathering, starting one if none is.
-func (g *Guard) join() *commitGroup {
-	if g.next == nil {
-		if n := len(g.free); n > 0 {
-			g.next, g.free = g.free[n-1], g.free[:n-1]
-		} else {
-			g.next = &commitGroup{}
-		}
-	}
-	g.next.members++
-	return g.next
-}
-
-// leave takes a member out of its ended group; the last one out frees it.
-func (g *Guard) leave(grp *commitGroup) {
-	if grp.members--; grp.members == 0 {
-		grp.err, grp.done = nil, false
-		g.free = append(g.free, grp)
-	}
-}
-
-// lead forces grp, the group gathering, while no force is in flight: it
-// seals the log, so later commits gather in a new group, writes the sealed
-// chunks with the mutex released, settles the force and wakes every
-// waiter.
-func (g *Guard) lead(grp *commitGroup, tok *live.GuardToken) {
-	g.next, g.forcing = nil, true
-	g.gc.Seal(&grp.force)
-	tok.Pause()
-	g.mu.Unlock()
-	grp.err = wal.WriteForce(&grp.force)
-	g.mu.Lock()
-	tok.Resume()
-	g.gc.Settle(&grp.force)
-	g.forcing, grp.done = false, true
+// lead forces the commits gathered while no force is in flight: it seals
+// the log, so later commits gather for the next force, writes the sealed
+// chunks, settles the force and wakes every waiter.
+func (g *Guard) lead(tok *live.GuardToken) {
+	g.forcing = true
+	g.wb.Seal(&g.force)
+	g.write(&g.force, tok)
+	g.forcing = false
 	g.settled.Broadcast()
 }
 
@@ -331,13 +296,14 @@ func (g *Guard) await(tok *live.GuardToken) {
 	tok.Resume()
 }
 
-// quiesce waits until no commit is between its record and its force's
-// settling and no steal is being written, so maintenance never runs beside
-// either, and a crash never takes a commit record whose committer is still
-// waiting. Every commit waiting has a force in flight to wake it, and
-// wakes to lead the next.
+// quiesce waits until no commit is between its record and learning its
+// force's outcome and no steal is being written, so maintenance never runs
+// beside either, and a crash never takes a commit record, or a failed
+// force's verdict, whose committer is still waiting. Every commit waiting
+// has a force in flight to wake it, and wakes to lead the next or to
+// report its failure.
 func (g *Guard) quiesce(tok *live.GuardToken) {
-	for g.forcing || g.next != nil || g.stealing {
+	for g.forcing || g.stealing || g.wb != nil && g.wb.Gathering() {
 		g.await(tok)
 	}
 }

@@ -24,9 +24,9 @@ type stealProbe struct {
 	waits   chan struct{}
 }
 
-func (k *stealProbe) SettleSteals(s *wal.Steals) {
+func (k *stealProbe) Settle(b *wal.Batch, err error) {
 	before := k.Manager.Stats()["steals"]
-	k.Manager.SettleSteals(s)
+	k.Manager.Settle(b, err)
 	k.outside += k.Manager.Stats()["steals"] - before
 }
 

@@ -65,10 +65,11 @@ func (m Mode) String() string {
 var ErrDeadlock = errors.New("lockmgr: deadlock detected; abort this transaction")
 
 // ErrReleased is returned by a Lock call that was still queued when
-// ReleaseAll ran for the same transaction: the lock was never granted, and
-// the transaction's locks are gone. Only a caller that races Lock against
-// its own commit/abort can observe it; the error exists so that race can
-// never be mistaken for a successful grant.
+// ReleaseAll ran for the same transaction, or Reset ran: the lock was never
+// granted, and the transaction's locks are gone. Only a caller that races
+// Lock against its own commit/abort, or against a crash, can observe it;
+// the error exists so that race can never be mistaken for a successful
+// grant.
 var ErrReleased = errors.New("lockmgr: transaction released while waiting; lock not granted")
 
 type waiter struct {
@@ -398,6 +399,27 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		*rec = txnLocks{pages: pages[:0]}
 		m.freeTxns.put(rec)
 	}
+}
+
+// Reset forgets every lock, as a crash does: each parked Lock call returns
+// ErrReleased, woken in page order, and the lock and transaction tables
+// are emptied.
+func (m *Manager) Reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	pages := make([]PageID, 0, len(m.locks))
+	for p := range m.locks {
+		pages = append(pages, p)
+	}
+	slices.Sort(pages)
+	for _, p := range pages {
+		for _, w := range m.locks[p].queue {
+			w.err = ErrReleased
+			close(w.ready)
+		}
+	}
+	clear(m.locks)
+	clear(m.txns)
 }
 
 // wake grants queued waiters FIFO while compatible.

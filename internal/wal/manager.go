@@ -70,14 +70,6 @@ type undoRec struct {
 	undo uint64 // the undo record that logs old; 0: none (none is needed when del is 0)
 }
 
-// stolenPage is a copy of a page a steal took out of the pool: its id, its
-// bytes and its LSN, which the data store keeps as the page's version.
-type stolenPage struct {
-	id   pagestore.PageID
-	data []byte
-	lsn  uint64
-}
-
 // txnState tracks an active transaction. firstLSN stays zero until its
 // first update: a transaction that changed nothing has no
 // records, pins no log, and ends without touching the log. Restart's
@@ -88,6 +80,8 @@ type stolenPage struct {
 type txnState struct {
 	firstLSN  uint64
 	commitLSN uint64    // its commit record, once appended; 0 before
+	doubt     error     // the error of the force that failed to make its commit record durable
+	told      bool      // Committed has reported doubt
 	updates   []undoRec // not yet compensated, oldest first
 	rolled    int       // updates Abort has compensated, across its calls
 	arena     []byte    // the updates' old bytes, back to back
@@ -127,24 +121,26 @@ type Manager struct {
 	att      pagestore.Table[uint64, *txnState] // active transactions by id
 	freeTxns []*txnState                        // ended transactions' records, cleared for reuse
 
-	// Group commit (see AppendCommit, Seal and Settle): the transactions
-	// whose commit records were appended since the last Seal, those the
-	// force in flight covers, the stream of the newest commit record,
-	// which a force writes last, and Commit's own force.
+	// Group commit (see AppendCommit, Seal, Settle and Committed): the
+	// transactions whose commit records were appended since the last Seal,
+	// those the force in flight covers, and its runs of chunks, one per
+	// stream; the stream of the newest commit record, which a force writes
+	// last; the commits of failed forces that Committed has not reported;
+	// and Commit's own force.
 	appended, sealed []uint64
+	spans            []forceSpan
 	lastCommit       int
-	force            Force
+	untold           int
+	force            Batch
 
-	// Deferred steals (see DeferSteals, SealSteals and SettleSteals): the
-	// copies of stolen pages not yet in the data store, oldest first, and
-	// the buffers of those written; whether a run-time steal queues its
-	// copy, and whether a batch of them is being written; and the batch
-	// an inline write of the queue uses.
-	stolen      []stolenPage
-	stolenFree  [][]byte
+	// Steals (see evict, DeferSteals and SealSteals): the copies of stolen
+	// pages not yet in the data store, oldest first, with the buffers of
+	// those written kept past its end; whether a run-time steal leaves its
+	// copy queued for the caller, and whether a batch of them is being
+	// written.
+	stolen      Batch
 	deferSteals bool
 	stealing    bool
-	inline      Steals
 
 	steals     int64
 	uncommit   int64 // dirty pages written while holding an active transaction's update
@@ -177,6 +173,7 @@ func NewManager(dataStore *pagestore.Store, cfg Config) *Manager {
 		data:    dataStore,
 		logs:    logs,
 		nextLSN: 1,
+		stolen:  Batch{store: dataStore},
 	}
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	for i := 0; i < cfg.Streams; i++ {
@@ -256,7 +253,7 @@ func (m *Manager) Read(tid uint64, p int64) ([]byte, error) {
 // that changes first (the write-ahead protocol: the record is buffered now
 // and forced before the page can reach stable storage). The record holds
 // the new bytes only; the old ones are kept for Abort, and logged only if
-// the page is written before tid ends (see flush). A write that changes
+// the page is written before tid ends (see writeAhead). A write that changes
 // nothing logs nothing.
 func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 	ts := m.att.Get(tid)
@@ -290,36 +287,68 @@ func (m *Manager) Write(tid uint64, p int64, data []byte) error {
 // is forced. An error means the commit is in doubt (power failed mid-force);
 // recovery decides the outcome. A transaction that changed nothing has
 // nothing to make durable: no record, no force. Commit is one group commit
-// of one (AppendCommit, Seal, the force's writes, Settle), all in this call.
+// of one (AppendCommit, Seal, WriteBatch, Settle, Committed), all in this
+// call.
 func (m *Manager) Commit(tid uint64) error {
 	if done, err := m.AppendCommit(tid); done || err != nil {
 		return err
 	}
 	m.Seal(&m.force)
-	err := WriteForce(&m.force)
-	m.Settle(&m.force)
-	if err != nil {
+	m.Settle(&m.force, WriteBatch(&m.force))
+	if _, err := m.Committed(tid); err != nil {
 		return fmt.Errorf("wal: commit %d in doubt: %w", tid, err)
 	}
 	return nil
 }
 
-// Force is one group commit's log force: Seal fills it with copies of the
-// chunks every stream holds unforced, numbered and in the order they must
-// reach the log store, WriteForce writes them, outside the kernel, and
-// Settle ends it. A Force is reused from one force to the next, buffers
+// Batch is one write-behind batch: copies of what the kernel owes a store,
+// each a page's id, bytes and version, in the order they must reach it.
+// Seal fills one with a group commit's log force, SealSteals with the
+// queued steals' pages; WriteBatch writes it, outside the kernel, and
+// Settle ends it. A Batch is reused from one batch to the next, buffers
 // and all.
-type Force struct {
-	log     *pagestore.Store
-	writes  []chunkWrite
-	written int         // how many of writes reached the log store
-	spans   []forceSpan // per stream, in writes' order
+type Batch struct {
+	store   *pagestore.Store
+	writes  []pageWrite
+	written int // how many of writes reached the store
 }
 
-// chunkWrite is one sealed log chunk: its log-store page and its bytes.
-type chunkWrite struct {
-	id   pagestore.PageID
-	data []byte
+// pageWrite is one page of a batch: a sealed log chunk, at version 0, or a
+// stolen page, at its LSN, which the data store keeps as its version.
+type pageWrite struct {
+	id      pagestore.PageID
+	data    []byte
+	version uint64
+}
+
+// reset empties b for a batch to store; its writes keep their buffers.
+func (b *Batch) reset(store *pagestore.Store) {
+	b.store, b.writes, b.written = store, b.writes[:0], 0
+}
+
+// add appends a copy of one page to b, in the buffer a write past its end
+// kept.
+func (b *Batch) add(id pagestore.PageID, data []byte, version uint64) {
+	n := len(b.writes)
+	if n == cap(b.writes) {
+		b.writes = append(b.writes, pageWrite{})
+	}
+	b.writes = b.writes[:n+1]
+	w := &b.writes[n]
+	w.id, w.data, w.version = id, append(w.data[:0], data...), version
+}
+
+// WriteBatch writes b's pages to its store in order, stopping at the first
+// error. It touches no kernel state, so the Guard runs it outside its
+// mutex, between the seal that filled b and Settle.
+func WriteBatch(b *Batch) error {
+	for ; b.written < len(b.writes); b.written++ {
+		w := &b.writes[b.written]
+		if err := b.store.Write(w.id, w.data, w.version); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // forceSpan is the run of a force's writes that one stream sealed: n
@@ -330,23 +359,10 @@ type forceSpan struct {
 	n      int
 }
 
-// WriteForce writes f's chunks to the log store in order, stopping at the
-// first error. It touches no kernel state, so the Guard runs it outside
-// its mutex, between Seal and Settle; Settle then journals the commits it
-// made durable.
-func WriteForce(f *Force) error {
-	for ; f.written < len(f.writes); f.written++ {
-		if err := f.log.Write(f.writes[f.written].id, f.writes[f.written].data, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AppendCommit is a commit's first step: it appends tid's commit record,
 // which the next Seal covers. A transaction that changed nothing ends at
-// once, and done reports it. Until Settle acknowledges the commit, tid
-// stays open.
+// once, and done reports it. Until a force settles the commit, tid stays
+// open (see Committed).
 func (m *Manager) AppendCommit(tid uint64) (done bool, err error) {
 	ts := m.att.Get(tid)
 	if ts == nil {
@@ -363,7 +379,7 @@ func (m *Manager) AppendCommit(tid uint64) (done bool, err error) {
 }
 
 // Seal starts a force of everything the log holds unforced: every stream's
-// volatile chunks are sealed and copied into f, the stream of the newest
+// volatile chunks are sealed and copied into b, the stream of the newest
 // commit record last. The restart merge treats a durable commit record as
 // proof the transaction's updates are durable too; the other streams,
 // where those updates may live, are written first, and the log ends at the
@@ -371,61 +387,86 @@ func (m *Manager) AppendCommit(tid uint64) (done bool, err error) {
 // covers absent or whole, never torn. The commits appended so far are the
 // force's. Seal and Settle bracket one force: no other Seal, no Crash and
 // no Recover may come between them.
-func (m *Manager) Seal(f *Force) {
-	f.log, f.written, f.spans = m.logs, 0, f.spans[:0]
-	n := 0
+func (m *Manager) Seal(b *Batch) {
+	b.reset(m.logs)
+	m.spans = m.spans[:0]
 	for i := range m.streams {
 		if i != m.lastCommit {
-			n = m.seal(f, n, i)
+			m.seal(b, i)
 		}
 	}
-	n = m.seal(f, n, m.lastCommit)
-	f.writes = f.writes[:n]
+	m.seal(b, m.lastCommit)
 	m.appended, m.sealed = m.sealed[:0], m.appended
 }
 
-// seal seals stream i's volatile chunks into f from write n on, and
-// reports the writes f then holds.
-func (m *Manager) seal(f *Force, n, i int) int {
+// seal seals stream i's volatile chunks into b.
+func (m *Manager) seal(b *Batch, i int) {
 	s := m.streams[i]
 	if len(s.tail) == 0 {
-		return n
+		return
 	}
-	f.spans = append(f.spans, forceSpan{i, s.nextChunk, len(s.tail)})
+	m.spans = append(m.spans, forceSpan{i, s.nextChunk, len(s.tail)})
 	for j := range s.tail {
-		c := &s.tail[j]
-		c.sealed = true
-		if n == cap(f.writes) {
-			f.writes = append(f.writes, chunkWrite{})
-		}
-		f.writes = f.writes[:n+1] // a reused write keeps its buffer
-		w := &f.writes[n]
-		w.id, w.data = chunkID(i, s.nextChunk+int64(j)), append(w.data[:0], c.buf...)
-		n++
+		s.tail[j].sealed = true
+		b.add(chunkID(i, s.nextChunk+int64(j)), s.tail[j].buf, 0)
 	}
-	return n
 }
 
-// Settle ends the force f: the chunks its caller wrote are durable, and the
-// rest volatile again. If every chunk was written, the commits it covers
-// are acknowledged, each ending its transaction; if not, they stay open,
-// in doubt, as a failed Commit leaves them, and recovery decides them.
-func (m *Manager) Settle(f *Force) {
-	left := f.written
-	for _, sp := range f.spans {
+// Settle ends batch b, which WriteBatch wrote until err. A force, b's
+// store the log's, leaves the chunks written durable and the rest volatile
+// again. If it wrote every chunk, the commits it covers are acknowledged,
+// each ending its transaction; if not, they stay open, in doubt, as
+// recovery will decide them, and Committed reports each done with err. A
+// batch of steals drops the pages it wrote from the queue, each journaled
+// as a steal, and keeps the rest queued, first, so a read finds their
+// copies, never the data store's older versions, and the next write tries
+// them again.
+func (m *Manager) Settle(b *Batch, err error) {
+	if b.store != m.logs {
+		m.settleSteals(b.written)
+		return
+	}
+	left := b.written
+	for _, sp := range m.spans {
 		w := min(left, sp.n)
 		left -= w
 		m.streams[sp.stream].settle(sp.first, w, sp.n)
 	}
-	if f.written == len(f.writes) {
-		for _, tid := range m.sealed {
-			ts := m.att.Get(tid)
-			m.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid, LSN: ts.commitLSN})
-			m.endTxn(tid, ts)
+	for _, tid := range m.sealed {
+		ts := m.att.Get(tid)
+		if err != nil {
+			ts.doubt = err
+			m.untold++
+			continue
 		}
+		m.journal.Emit(obs.JournalRecord{Event: "commit", Txn: tid, LSN: ts.commitLSN})
+		m.endTxn(tid, ts)
 	}
 	m.sealed = m.sealed[:0]
 }
+
+// Committed reports whether tid's commit, its record appended, is decided:
+// done with a nil error once a force made the record durable, which ended
+// tid, and done with that force's error once one failed to, which left tid
+// open and in doubt. Until then its record waits for a force, or is in the
+// force in flight.
+func (m *Manager) Committed(tid uint64) (done bool, err error) {
+	ts := m.att.Get(tid)
+	if ts == nil {
+		return true, nil
+	}
+	if ts.doubt != nil && !ts.told {
+		ts.told = true
+		m.untold--
+	}
+	return ts.doubt != nil, ts.doubt
+}
+
+// Gathering reports whether a commit record waits for the next Seal, or a
+// failed force's commit has yet to be reported by Committed. A crash then
+// would take the record, or the verdict, from under a committer still
+// waiting for it; the force in flight, if any, is the caller's to track.
+func (m *Manager) Gathering() bool { return len(m.appended) > 0 || m.untold > 0 }
 
 // Abort rolls back tid by putting its old bytes back, newest update first.
 // Each restoration is itself logged as a compensation record, so recovery
@@ -535,9 +576,9 @@ func (m *Manager) getPage(p pagestore.PageID) (*bufPage, error) {
 	if m.frames >= m.cfg.PoolPages {
 		victim = m.lru.next
 	}
-	queued := len(m.stolen)
+	queued := len(m.stolen.writes)
 	bp, err := m.admit(p, data, version, victim)
-	if err == nil && len(m.stolen) > queued {
+	if err == nil && len(m.stolen.writes) > queued {
 		err = ErrStealQueued // p is pooled: a call made again finds it
 	}
 	return bp, err
@@ -550,7 +591,7 @@ func (m *Manager) getPage(p pagestore.PageID) (*bufPage, error) {
 func (m *Manager) fetch(p pagestore.PageID) ([]byte, uint64, error) {
 	if sp := m.stolenCopy(p); sp != nil {
 		m.spare = append(m.spare[:0], sp.data...)
-		return m.spare, sp.lsn, nil
+		return m.spare, sp.version, nil
 	} else if m.stealing {
 		return nil, 0, ErrStealWait
 	}
@@ -596,24 +637,24 @@ func (m *Manager) pushNewest(bp *bufPage) {
 	bp.prev.next, m.lru.prev = bp, bp
 }
 
-// evict takes bp out of the pool. A dirty page is stolen to disk by flush
-// first, or, with steals deferred, gets its write-ahead work done and a
-// copy of it queued (see DeferSteals). Replacement is LRU: the victim is
-// the least recently used page, whose records a commit has usually forced
-// long ago, so most steals cost the page write alone.
+// evict takes bp out of the pool. A dirty page is stolen: its write-ahead
+// work is done, and a copy of it queued behind the steals not yet written,
+// which a kernel without deferral writes at once (see DeferSteals).
+// Replacement is LRU: the victim is the least recently used page, whose
+// records a commit has usually forced long ago, so most steals cost the
+// page write alone.
 func (m *Manager) evict(bp *bufPage) error {
-	switch {
-	case bp.dirty && m.deferSteals:
+	if bp.dirty {
 		if err := m.writeAhead(bp); err != nil {
 			return err
 		}
-		m.queueSteal(bp)
+		m.stolen.add(bp.id, bp.data, bp.lsn)
 		bp.dirty = false
-	case bp.dirty:
-		if err := m.flush(bp); err != nil {
-			return err
+		if !m.deferSteals {
+			if err := m.writeStolen(); err != nil {
+				return err
+			}
 		}
-		m.landed(bp.id, bp.lsn)
 	}
 	bp.unlink()
 	m.pool.Delete(bp.id)
@@ -621,35 +662,18 @@ func (m *Manager) evict(bp *bufPage) error {
 	return nil
 }
 
-// flush writes dirty page bp to disk under the write-ahead rule, which
-// covers both images of an update. The log must be durable through bp's
-// LSN, so that every update on bp can be redone. And an update of a
-// transaction still active must have its old bytes in the log, since a
-// crash would leave it to be undone from the log alone: each such update
-// not yet covered gets an undo record, and the log must be durable through
-// those too. Page-level strict two-phase locking lets no one else write a
-// page between an update and its transaction's end, so only bp's last
-// writer can hold such an update. A writer that has appended its commit
-// record needs no undo: the log is forced through that record instead, so
-// the update reaches disk only once its transaction is a winner. Queued
-// steals reach the data store first, so a page's copies land oldest first.
-func (m *Manager) flush(bp *bufPage) error {
-	if err := m.writeAhead(bp); err != nil {
-		return err
-	}
-	if err := m.writeStolen(); err != nil {
-		return err
-	}
-	if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
-		return err
-	}
-	bp.dirty = false
-	return nil
-}
-
-// writeAhead does what the write-ahead rule asks before bp may reach the
-// data store (see flush): the undo records of its writer's updates, and
-// the log forced through them and through bp's LSN.
+// writeAhead does what the write-ahead rule asks before dirty page bp may
+// reach the data store. The rule covers both images of an update. The log
+// must be durable through bp's LSN, so that every update on bp can be
+// redone. And an update of a transaction still active must have its old
+// bytes in the log, since a crash would leave it to be undone from the log
+// alone: each such update not yet covered gets an undo record, and the log
+// must be durable through those too. Page-level strict two-phase locking
+// lets no one else write a page between an update and its transaction's
+// end, so only bp's last writer can hold such an update. A writer that has
+// appended its commit record needs no undo: the log is forced through that
+// record instead, so the update reaches disk only once its transaction is
+// a winner.
 func (m *Manager) writeAhead(bp *bufPage) error {
 	through := bp.lsn
 	if ts := m.att.Get(bp.txn); ts != nil && ts.commitLSN != 0 {
@@ -674,22 +698,13 @@ func (m *Manager) writeAhead(bp *bufPage) error {
 	return m.forceThrough(through)
 }
 
-// landed counts and journals a steal whose page reached the data store.
-// A steal is the WAL engine's only stable page write outside checkpoints,
-// so it is journaled: the forensic trail must show which uncommitted pages
-// reached disk and under which LSN.
-func (m *Manager) landed(id pagestore.PageID, lsn uint64) {
-	m.steals++
-	m.journal.EmitPage(int64(id), obs.JournalRecord{Event: "steal", LSN: lsn})
-}
-
 // ErrStealQueued and ErrStealWait stop a call that may steal (Read, Write,
 // Abort, ReadCommitted) where it must wait for a deferred steal's write
 // (see DeferSteals). The call has done nothing that calling it again
 // repeats, and the call made again goes on where it stopped. ErrStealQueued
 // says the call queued a steal: the caller writes it (SealSteals,
-// WriteSteals, SettleSteals) and calls again, so the steal reaches the data
-// store where an inline one would, before the rest of the call. Read and
+// WriteBatch, Settle) and calls again, so the steal reaches the data store
+// where an inline one would, before the rest of the call. Read and
 // ReadCommitted have nothing left to do but return the page, so they return
 // it with ErrStealQueued: once the steal is written, the page is the
 // result. ErrStealWait says the call must read the data store while a
@@ -700,87 +715,56 @@ var (
 	ErrStealWait   = errors.New("wal: the data store is busy with a steal write")
 )
 
-// Steals is a batch of deferred steals' page writes: SealSteals fills it
-// with the copies the kernel holds queued, oldest first, WriteSteals writes
-// them to the data store, outside the kernel, and SettleSteals ends it. A
-// Steals is reused from one batch to the next.
-type Steals struct {
-	data    *pagestore.Store
-	pages   []stolenPage // copies of the queue's copies, buffers reused
-	written int          // how many of pages reached the data store
-}
-
-// WriteSteals writes s's pages to the data store in order, stopping at the
-// first error. It touches no kernel state, so the Guard runs it outside its
-// mutex, one batch at a time, between SealSteals and SettleSteals.
-func WriteSteals(s *Steals) error {
-	for ; s.written < len(s.pages); s.written++ {
-		p := &s.pages[s.written]
-		if err := s.data.Write(p.id, p.data, p.lsn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DeferSteals sets whether a run-time steal writes its page to the data
-// store itself (off, the default) or, its write-ahead work done, queues a
-// copy of the page for a SealSteals batch and stops its call with
-// ErrStealQueued (on). Restart's steals are always written inline. A queue
-// left by a failed write is written with the next batch, or inline, oldest
-// first, before any other data-store write: a Load, a Checkpoint, an
-// inline steal. Between SealSteals and SettleSteals only Begin, Read,
-// Write, Abort, ReadCommitted and the commit calls may run; a call that
-// must read the data store returns ErrStealWait.
+// DeferSteals sets whether a run-time steal's queued copy is written at
+// once, inside the call that stole (off, the default), or left queued for
+// a SealSteals batch, the call stopped with ErrStealQueued (on). Restart's
+// steals are always written at once. A queue left by a failed write is
+// written with the next batch, or inline, oldest first, before any other
+// data-store write: a Load, a Checkpoint, an inline steal. Between
+// SealSteals and Settle only Begin, Read, Write, Abort, ReadCommitted and
+// the commit calls may run; a call that must read the data store returns
+// ErrStealWait.
 func (m *Manager) DeferSteals(on bool) { m.deferSteals = on }
 
 // SealSteals starts a write of every queued steal: it copies their pages'
-// ids, bytes and LSNs into s, oldest first, and reports whether there were
+// ids, bytes and LSNs into b, oldest first, and reports whether there were
 // any.
-func (m *Manager) SealSteals(s *Steals) bool {
-	if len(m.stolen) == 0 {
+func (m *Manager) SealSteals(b *Batch) bool {
+	if len(m.stolen.writes) == 0 {
 		return false
 	}
-	s.data, s.written = m.data, 0
-	if n := len(m.stolen) - cap(s.pages); n > 0 {
-		s.pages = append(s.pages[:cap(s.pages)], make([]stolenPage, n)...)
-	}
-	s.pages = s.pages[:len(m.stolen)] // a reused page keeps its buffer
-	for i, sp := range m.stolen {
-		w := &s.pages[i]
-		w.id, w.data, w.lsn = sp.id, append(w.data[:0], sp.data...), sp.lsn
+	b.reset(m.data)
+	for _, w := range m.stolen.writes {
+		b.add(w.id, w.data, w.version)
 	}
 	m.stealing = true
 	return true
 }
 
-// SettleSteals ends the write s: each page it wrote leaves the queue and
-// is journaled as a steal. A page it did not write stays queued, first, so
-// a read finds its copy, never the data store's older version, and the
-// next write tries it again.
-func (m *Manager) SettleSteals(s *Steals) {
-	for _, p := range m.stolen[:s.written] {
-		m.landed(p.id, p.lsn)
-		m.stolenFree = append(m.stolenFree, p.data)
+// settleSteals ends a write of the queue's first n pages: each leaves the
+// queue, its buffer moving past the queue's end for a later copy, and is
+// counted and journaled as a steal. A steal is the WAL engine's only
+// stable page write outside checkpoints, so it is journaled: the forensic
+// trail must show which uncommitted pages reached disk and under which
+// LSN.
+func (m *Manager) settleSteals(n int) {
+	q := m.stolen.writes
+	for _, w := range q[:n] {
+		m.steals++
+		m.journal.EmitPage(int64(w.id), obs.JournalRecord{Event: "steal", LSN: w.version})
 	}
-	m.stolen = m.stolen[:copy(m.stolen, m.stolen[s.written:])]
+	for i := n; i < len(q); i++ {
+		q[i-n], q[i] = q[i], q[i-n]
+	}
+	m.stolen.writes = q[:len(q)-n]
 	m.stealing = false
 }
 
-// queueSteal queues a copy of bp, in a buffer a written copy left.
-func (m *Manager) queueSteal(bp *bufPage) {
-	var buf []byte
-	if n := len(m.stolenFree); n > 0 {
-		buf, m.stolenFree = m.stolenFree[n-1], m.stolenFree[:n-1]
-	}
-	m.stolen = append(m.stolen, stolenPage{id: bp.id, data: append(buf[:0], bp.data...), lsn: bp.lsn})
-}
-
 // stolenCopy returns the newest queued copy of page p, nil when none is.
-func (m *Manager) stolenCopy(p pagestore.PageID) *stolenPage {
-	for i := len(m.stolen) - 1; i >= 0; i-- {
-		if m.stolen[i].id == p {
-			return &m.stolen[i]
+func (m *Manager) stolenCopy(p pagestore.PageID) *pageWrite {
+	for i := len(m.stolen.writes) - 1; i >= 0; i-- {
+		if m.stolen.writes[i].id == p {
+			return &m.stolen.writes[i]
 		}
 	}
 	return nil
@@ -788,22 +772,13 @@ func (m *Manager) stolenCopy(p pagestore.PageID) *stolenPage {
 
 // writeStolen writes the queued steals inline, oldest first.
 func (m *Manager) writeStolen() error {
-	if !m.SealSteals(&m.inline) {
+	if len(m.stolen.writes) == 0 {
 		return nil
 	}
-	err := WriteSteals(&m.inline)
-	m.SettleSteals(&m.inline)
+	m.stolen.written = 0
+	err := WriteBatch(&m.stolen)
+	m.Settle(&m.stolen, err)
 	return err
-}
-
-// dropStolen forgets the queued steals, which a crash takes: restart
-// redoes their pages from the log, which the write-ahead rule made
-// durable through them.
-func (m *Manager) dropStolen() {
-	for _, p := range m.stolen {
-		m.stolenFree = append(m.stolenFree, p.data)
-	}
-	m.stolen, m.stealing = m.stolen[:0], false
 }
 
 // Checkpoint takes a non-quiescing checkpoint that flushes every dirty page
@@ -815,7 +790,7 @@ func (m *Manager) dropStolen() {
 // horizon, so restart ignores dead records that survive in a chunk shared
 // with live ones. Nothing is logged for the checkpoint itself. Active
 // transactions stay open across it; a flushed page holding one's update
-// logs its old bytes first (see flush), and each flush forces the log
+// logs its old bytes first (see writeAhead), and each flush forces the log
 // through them, so when truncation writes a meta page every record below
 // the next LSN is durable.
 func (m *Manager) Checkpoint() error {
@@ -831,9 +806,13 @@ func (m *Manager) Checkpoint() error {
 		if !bp.dirty {
 			continue
 		}
-		if err := m.flush(bp); err != nil {
+		if err := m.writeAhead(bp); err != nil {
 			return err
 		}
+		if err := m.data.Write(bp.id, bp.data, bp.lsn); err != nil {
+			return err
+		}
+		bp.dirty = false
 		flushed++
 	}
 	point := m.nextLSN
@@ -866,12 +845,19 @@ func (m *Manager) truncatedChunks() int64 {
 // untouched.
 func (m *Manager) Crash() {
 	m.resetPool()
-	m.dropStolen()
-	m.att = pagestore.Table[uint64, *txnState]{}
-	m.appended, m.sealed = m.appended[:0], m.sealed[:0]
+	m.forget()
 	for _, s := range m.streams {
 		s.crash()
 	}
+}
+
+// forget drops the transaction table, the commits waiting for a force and
+// the steals not yet written, which a crash takes: restart redoes their
+// pages from the log, which the write-ahead rule made durable through them.
+func (m *Manager) forget() {
+	m.att = pagestore.Table[uint64, *txnState]{}
+	m.appended, m.sealed, m.untold = m.appended[:0], m.sealed[:0], 0
+	m.stolen.writes, m.stealing = m.stolen.writes[:0], false
 }
 
 // Recover restores a consistent committed state after Crash: power is
@@ -924,10 +910,8 @@ func (m *Manager) Recover() error {
 	}
 	m.recoveries++
 	m.scanned = 0
-	m.att = pagestore.Table[uint64, *txnState]{}
-	m.appended, m.sealed = m.appended[:0], m.sealed[:0]
 	m.resetPool()
-	m.dropStolen()
+	m.forget()
 	defer m.DeferSteals(m.deferSteals) // restart's steals are written inline
 	m.deferSteals = false
 

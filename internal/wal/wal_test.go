@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -496,7 +497,11 @@ func TestInDoubtCommitIsAtomic(t *testing.T) {
 // acknowledged, each stream's chunk cursor stays at its first chunk not
 // written, and the next seal takes up those chunks again, with the same
 // numbers and bytes, so no commit of the failed force can be acknowledged
-// by a later force that has nothing left to write.
+// by a later force that has nothing left to write. It also pins what a
+// waiting committer reads: Committed reports a commit in a force in flight
+// not done, and each commit of the failed force done with the force's
+// error; Gathering holds until both are reported. A third commit, which a
+// good force covers, is done with nil.
 func TestFailedForceFailsEveryCommit(t *testing.T) {
 	m, _ := newTestManager(Config{Streams: 3})
 	j := obs.NewJournal()
@@ -512,7 +517,10 @@ func TestFailedForceFailsEveryCommit(t *testing.T) {
 			t.Fatal(done, err)
 		}
 	}
-	var f Force
+	if !m.Gathering() {
+		t.Fatal("two commit records appended, but Gathering is false")
+	}
+	var f Batch
 	m.Seal(&f)
 	want := []pagestore.PageID{chunkID(1, 0), chunkID(2, 0), chunkID(0, 0)}
 	var ids []pagestore.PageID
@@ -522,11 +530,20 @@ func TestFailedForceFailsEveryCommit(t *testing.T) {
 	if !reflect.DeepEqual(ids, want) {
 		t.Fatalf("the force writes %v, want %v: the commit records' stream last", ids, want)
 	}
-	m.LogStore().SetFaultHook(pagestore.CrashAtMutation(2))
-	if err := WriteForce(&f); err == nil || f.written != 1 {
-		t.Fatalf("WriteForce = %v after %d chunks, want a failure after 1", err, f.written)
+	for tid := uint64(1); tid <= 2; tid++ {
+		if done, err := m.Committed(tid); done || err != nil {
+			t.Errorf("txn %d, its force in flight: Committed = %v, %v; want not done", tid, done, err)
+		}
 	}
-	m.Settle(&f)
+	if m.Gathering() {
+		t.Error("Gathering is true with every commit record sealed")
+	}
+	m.LogStore().SetFaultHook(pagestore.CrashAtMutation(2))
+	err := WriteBatch(&f)
+	if err == nil || f.written != 1 {
+		t.Fatalf("WriteBatch = %v after %d chunks, want a failure after 1", err, f.written)
+	}
+	m.Settle(&f, err)
 	for tid := uint64(1); tid <= 2; tid++ {
 		if m.att.Get(tid) == nil {
 			t.Errorf("txn %d ended, but its commit's force failed", tid)
@@ -542,10 +559,46 @@ func TestFailedForceFailsEveryCommit(t *testing.T) {
 			t.Errorf("stream %d's next chunk is %d, want %d", i, got, next)
 		}
 	}
-	var g Force
+	for tid := uint64(1); tid <= 2; tid++ {
+		if !m.Gathering() {
+			t.Errorf("Gathering is false before txn %d's failed commit was reported", tid)
+		}
+		if done, err := m.Committed(tid); !done || !errors.Is(err, pagestore.ErrCrashed) {
+			t.Errorf("txn %d, its force failed: Committed = %v, %v; want done with the power cut", tid, done, err)
+		}
+	}
+	if m.Gathering() {
+		t.Error("Gathering is true with both failed commits reported")
+	}
+	var g Batch
 	m.Seal(&g)
 	if !reflect.DeepEqual(g.writes, f.writes[1:]) {
 		t.Errorf("the next seal writes %d chunks; want the 2 the failed force did not write, as they were", len(g.writes))
+	}
+
+	// The power comes back and the re-sealed chunks are written; the two
+	// commits stay in doubt. A third commit's force is written whole.
+	m.LogStore().SetFaultHook(nil)
+	if err := m.LogStore().Reset(); err != nil {
+		t.Fatal(err)
+	}
+	m.Settle(&g, WriteBatch(&g))
+	if err := m.Begin(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(3, 3, page("new")); err != nil {
+		t.Fatal(err)
+	}
+	if done, err := m.AppendCommit(3); done || err != nil {
+		t.Fatal(done, err)
+	}
+	m.Seal(&g)
+	m.Settle(&g, WriteBatch(&g))
+	if done, err := m.Committed(3); !done || err != nil {
+		t.Errorf("txn 3, its force written: Committed = %v, %v; want done with nil", done, err)
+	}
+	if done, err := m.Committed(1); !done || !errors.Is(err, pagestore.ErrCrashed) {
+		t.Errorf("txn 1 after a later force: Committed = %v, %v; want still in doubt", done, err)
 	}
 }
 

@@ -8,13 +8,8 @@
 // drift means a recovery architecture leaked or lost a committed write
 // under concurrency.
 //
-// Two load models:
-//
-//   - closed (default): -sessions workers each run -txns transactions
-//     back-to-back; latency is per-transaction service time.
-//   - open: a pacer schedules -rate arrivals/sec onto the session pool
-//     regardless of how fast the server drains them; latency is measured
-//     from the scheduled arrival instant, so queueing delay counts.
+// The load is closed: -sessions workers each run -txns transactions
+// back-to-back, and latency is per-transaction service time.
 //
 // Deadlock victims (the server's retryable status) are retried with a
 // fresh transaction and counted separately.
@@ -29,8 +24,7 @@
 // Usage:
 //
 //	go run ./cmd/dbload -engines all -sessions 1000 -txns 3
-//	    [-mode closed|open] [-rate 2000] [-pages 64] [-value 1000]
-//	    [-transfers 1] [-seed 1] [-live :8080]
+//	    [-pages 64] [-value 1000] [-seed 1] [-live :8080]
 //
 // dbload is a benchmark harness, not a simulator: wall-clock reads go
 // through internal/obs/live's Clock, the one scope where host time is
@@ -54,14 +48,11 @@ import (
 
 // options collects the knobs shared by every engine run.
 type options struct {
-	Mode      string
-	Sessions  int
-	Txns      int
-	Pages     int
-	Value     int64
-	Transfers int
-	Rate      float64
-	Seed      int64
+	Sessions int
+	Txns     int
+	Pages    int
+	Value    int64
+	Seed     int64
 }
 
 // engineResult is one architecture's row in the report.
@@ -79,45 +70,35 @@ type engineResult struct {
 func main() {
 	addr := flag.String("addr", "", "drive an external dbserver at this address")
 	engines := flag.String("engines", "", "self-host these architectures (comma list or \"all\"); mutually exclusive with -addr")
-	mode := flag.String("mode", "closed", "load model: closed or open")
 	sessions := flag.Int("sessions", 1000, "concurrent sessions (TCP connections)")
 	txns := flag.Int("txns", 3, "committed transactions per session")
 	pages := flag.Int("pages", 64, "balance pages (self-host preload; must match the server's bank)")
 	value := flag.Int64("value", 1000, "initial balance per page")
-	transfers := flag.Int("transfers", 1, "debit/credit transfers per transaction (each: 2 reads + 2 writes)")
-	rate := flag.Float64("rate", 2000, "open mode: scheduled arrivals per second")
 	seed := flag.Int64("seed", 1, "base RNG seed (worker w uses seed+w)")
 	liveAddr := flag.String("live", "", "serve /metrics and /progress on this address (empty: off)")
 	flag.Parse()
 
 	opt := options{
-		Mode:      *mode,
-		Sessions:  *sessions,
-		Txns:      *txns,
-		Pages:     *pages,
-		Value:     *value,
-		Transfers: *transfers,
-		Rate:      *rate,
-		Seed:      *seed,
+		Sessions: *sessions,
+		Txns:     *txns,
+		Pages:    *pages,
+		Value:    *value,
+		Seed:     *seed,
 	}
-	if err := run(*addr, *engines, opt, *liveAddr); err != nil {
+	if _, err := run(*addr, *engines, opt, *liveAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "dbload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, engines string, opt options, liveAddr string) error {
+// run drives the load, prints one row per engine and returns the rows; it
+// fails if any row's balance drifted.
+func run(addr, engines string, opt options, liveAddr string) ([]engineResult, error) {
 	if (addr == "") == (engines == "") {
-		return errors.New("pass exactly one of -addr or -engines")
-	}
-	if opt.Mode != "closed" && opt.Mode != "open" {
-		return fmt.Errorf("unknown -mode %q (want closed or open)", opt.Mode)
-	}
-	if opt.Mode == "open" && opt.Rate <= 0 {
-		return errors.New("-mode open needs -rate > 0")
+		return nil, errors.New("pass exactly one of -addr or -engines")
 	}
 	if opt.Pages < 2 {
-		return errors.New("-pages must be at least 2 (transfers need two distinct pages)")
+		return nil, errors.New("-pages must be at least 2 (transfers need two distinct pages)")
 	}
 
 	clock := live.Wall()
@@ -125,7 +106,7 @@ func run(addr, engines string, opt options, liveAddr string) error {
 	if liveAddr != "" {
 		obs, err := live.Serve(liveAddr, live.Default(), prog)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer obs.Close()
 		fmt.Printf("dbload: live metrics on http://%s/metrics\n", obs.Addr())
@@ -135,19 +116,19 @@ func run(addr, engines string, opt options, liveAddr string) error {
 	if addr != "" {
 		er, err := driveEngine("external", addr, opt, clock, prog)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		results = append(results, er)
 	} else {
 		names, err := engine.Select(engines)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		prog.AddTotal(int64(len(names) * opt.Sessions * opt.Txns))
 		for _, name := range names {
 			er, err := driveSelfHosted(name, opt, clock, prog)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			results = append(results, er)
 		}
@@ -165,11 +146,11 @@ func run(addr, engines string, opt options, liveAddr string) error {
 	}
 	for _, er := range results {
 		if !er.Consistent {
-			return fmt.Errorf("%s: balance sum %d after run, want %d — committed writes lost or leaked",
+			return results, fmt.Errorf("%s: balance sum %d after run, want %d — committed writes lost or leaked",
 				er.Name, er.BalanceSum, int64(opt.Pages)*opt.Value)
 		}
 	}
-	return nil
+	return results, nil
 }
 
 // driveSelfHosted starts an in-process server for the named architecture
@@ -196,15 +177,6 @@ func driveSelfHosted(name string, opt options, clock live.Clock, prog *live.Prog
 func driveEngine(name, addr string, opt options, clock live.Clock, prog *live.Progress) (engineResult, error) {
 	hist := live.Default().Histogram("dbload." + name + ".txn_ms")
 	var committed, retries, busyRetries atomic.Int64
-
-	// Open mode feeds scheduled arrival instants to the session pool
-	// through a channel; closed mode leaves jobs nil and workers self-pace.
-	var jobs chan time.Time
-	total := opt.Sessions * opt.Txns
-	if opt.Mode == "open" {
-		jobs = make(chan time.Time, total)
-	}
-
 	errc := make(chan error, opt.Sessions)
 	var wg sync.WaitGroup
 	start := clock.Now()
@@ -212,15 +184,8 @@ func driveEngine(name, addr string, opt options, clock live.Clock, prog *live.Pr
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errc <- session(addr, w, opt, clock, hist, jobs, &committed, &retries, &busyRetries, prog)
+			errc <- session(addr, w, opt, clock, hist, &committed, &retries, &busyRetries, prog)
 		}(w)
-	}
-	if jobs != nil {
-		pacer := live.NewPacer(clock, opt.Rate)
-		for i := 0; i < total; i++ {
-			jobs <- pacer.Wait()
-		}
-		close(jobs)
 	}
 	wg.Wait()
 	elapsed := float64(clock.Now().Sub(start).Microseconds()) / 1000
@@ -258,10 +223,9 @@ func driveEngine(name, addr string, opt options, clock live.Clock, prog *live.Pr
 }
 
 // session dials one connection and runs its share of the load: opt.Txns
-// committed transactions in closed mode, or however many arrivals it wins
-// from the jobs channel in open mode.
+// committed transactions, back to back.
 func session(addr string, w int, opt options, clock live.Clock, hist *live.Histogram,
-	jobs chan time.Time, committed, retries, busyRetries *atomic.Int64, prog *live.Progress) error {
+	committed, retries, busyRetries *atomic.Int64, prog *live.Progress) error {
 	rng := rand.New(rand.NewSource(opt.Seed + int64(w)))
 	c, err := dialRetry(addr)
 	if err != nil {
@@ -269,28 +233,14 @@ func session(addr string, w int, opt options, clock live.Clock, hist *live.Histo
 	}
 	defer c.Close()
 
-	runOne := func(arrival time.Time) error {
-		if err := transfer(c, rng, opt, retries, busyRetries); err != nil {
+	for i := 0; i < opt.Txns; i++ {
+		start := clock.Now()
+		if err := transfer(c, rng, opt.Pages, retries, busyRetries); err != nil {
 			return fmt.Errorf("session %d: %w", w, err)
 		}
-		hist.Observe(float64(clock.Now().Sub(arrival).Microseconds()) / 1000)
+		hist.Observe(float64(clock.Now().Sub(start).Microseconds()) / 1000)
 		committed.Add(1)
 		prog.Add(1)
-		return nil
-	}
-
-	if jobs == nil {
-		for i := 0; i < opt.Txns; i++ {
-			if err := runOne(clock.Now()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for arrival := range jobs {
-		if err := runOne(arrival); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -315,14 +265,14 @@ func dialRetry(addr string) (*server.Client, error) {
 // rejected at a kernel admission limit (busy). Busy retries back off with a
 // seeded jitter so a thousand sessions don't re-storm a full intention
 // list in lockstep.
-func transfer(c *server.Client, rng *rand.Rand, opt options, retries, busyRetries *atomic.Int64) error {
+func transfer(c *server.Client, rng *rand.Rand, pages int, retries, busyRetries *atomic.Int64) error {
 	const maxAttempts = 10000
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		txn, err := c.Begin()
 		if err != nil {
 			return err
 		}
-		err = moveFunds(c, txn, rng, opt)
+		err = moveFunds(c, txn, rng, pages)
 		if err == nil {
 			err = c.Commit(txn)
 			if err == nil {
@@ -344,34 +294,29 @@ func transfer(c *server.Client, rng *rand.Rand, opt options, retries, busyRetrie
 	return fmt.Errorf("transaction still rejected after %d attempts", maxAttempts)
 }
 
-// moveFunds performs opt.Transfers debit/credit pairs inside txn: each
-// reads two distinct pages and moves a random amount from one to the
-// other, preserving the bank's total balance.
-func moveFunds(c *server.Client, txn uint64, rng *rand.Rand, opt options) error {
-	for i := 0; i < opt.Transfers; i++ {
-		from := int64(rng.Intn(opt.Pages))
-		to := int64(rng.Intn(opt.Pages - 1))
-		if to >= from {
-			to++
-		}
-		amt := rng.Int63n(10) + 1
-
-		fromImg, err := c.Read(txn, from)
-		if err != nil {
-			return err
-		}
-		toImg, err := c.Read(txn, to)
-		if err != nil {
-			return err
-		}
-		if err := c.Write(txn, from, server.EncodeBalance(server.DecodeBalance(fromImg)-amt)); err != nil {
-			return err
-		}
-		if err := c.Write(txn, to, server.EncodeBalance(server.DecodeBalance(toImg)+amt)); err != nil {
-			return err
-		}
+// moveFunds performs one debit/credit pair inside txn: it reads two
+// distinct pages and moves a random amount from one to the other,
+// preserving the bank's total balance.
+func moveFunds(c *server.Client, txn uint64, rng *rand.Rand, pages int) error {
+	from := int64(rng.Intn(pages))
+	to := int64(rng.Intn(pages - 1))
+	if to >= from {
+		to++
 	}
-	return nil
+	amt := rng.Int63n(10) + 1
+
+	fromImg, err := c.Read(txn, from)
+	if err != nil {
+		return err
+	}
+	toImg, err := c.Read(txn, to)
+	if err != nil {
+		return err
+	}
+	if err := c.Write(txn, from, server.EncodeBalance(server.DecodeBalance(fromImg)-amt)); err != nil {
+		return err
+	}
+	return c.Write(txn, to, server.EncodeBalance(server.DecodeBalance(toImg)+amt))
 }
 
 // audit sums every balance page in one read-only transaction after the

@@ -105,9 +105,6 @@ type Engine struct {
 	view map[int64][]byte // committed differential view
 	att  map[uint64][]entry
 
-	adds, merges int64
-	replayed     int64 // entries of the complete runs the last Recover read
-
 	// journal, when attached, records recovery and merge decisions in
 	// order. A nil journal is a no-op sink; it belongs to the observer and
 	// survives Crash.
@@ -207,13 +204,16 @@ func (e *Engine) Commit(tid uint64) error {
 	return nil
 }
 
-func (e *Engine) applyCommitted(entries []entry) {
+// applyCommitted folds a committed transaction's entries into the view and
+// reports how many were adds.
+func (e *Engine) applyCommitted(entries []entry) (adds int64) {
 	for _, en := range entries {
 		if en.typ == entryAdd {
 			e.view[en.page] = en.data
-			e.adds++
+			adds++
 		}
 	}
+	return adds
 }
 
 // Abort drops tid's buffered differentials; nothing ever reached A.
@@ -255,11 +255,11 @@ func (e *Engine) Recover() error {
 	}
 	e.view = make(map[int64][]byte)
 	e.att = make(map[uint64][]entry)
-	e.adds, e.replayed = 0, 0
-	var winners []uint64 // the complete runs' txns, in log order
-	var run []entry      // the run being read: its entries,
-	var rest []byte      // its bytes not decoded yet,
-	var start, seq int64 // its first chunk, and the chunk being read
+	var scanned, adds int64 // the complete runs' entries, and their adds
+	var winners []uint64    // the complete runs' txns, in log order
+	var run []entry         // the run being read: its entries,
+	var rest []byte         // its bytes not decoded yet,
+	var start, seq int64    // its first chunk, and the chunk being read
 	merged := false
 	for ; ; seq++ {
 		buf, _, err := e.store.Read(chunkPage(seq))
@@ -291,13 +291,13 @@ func (e *Engine) Recover() error {
 			if len(rest) > 0 {
 				return fmt.Errorf("diffeng: chunk %d: %d bytes follow txn %d's commit marker", seq, len(rest), en.txn)
 			}
-			e.applyCommitted(run)
-			e.replayed += int64(len(run))
+			adds += e.applyCommitted(run)
+			scanned += int64(len(run))
 			winners = append(winners, en.txn)
 			run, start = nil, seq+1
 		}
 	}
-	e.journal.Emit(obs.JournalRecord{Event: "scan", Engine: e.Name(), N: e.replayed})
+	e.journal.Emit(obs.JournalRecord{Event: "scan", Engine: e.Name(), N: scanned})
 	for _, tid := range winners {
 		e.journal.Emit(obs.JournalRecord{Event: "winner", Txn: tid})
 	}
@@ -310,7 +310,7 @@ func (e *Engine) Recover() error {
 		}
 	}
 	e.nextChunk = start
-	e.journal.Emit(obs.JournalRecord{Event: "replay", Engine: e.Name(), N: e.adds})
+	e.journal.Emit(obs.JournalRecord{Event: "replay", Engine: e.Name(), N: adds})
 	return nil
 }
 
@@ -349,20 +349,10 @@ func (e *Engine) Merge() error {
 	e.journal.Emit(obs.JournalRecord{Event: "merge", Engine: e.Name(), N: int64(len(pages))})
 	e.journal.Emit(obs.JournalRecord{Event: "truncate", Engine: e.Name(), N: truncated})
 	e.view = make(map[int64][]byte)
-	e.merges++
 	return nil
 }
 
 // ReadCommitted resolves the committed value of page p.
 func (e *Engine) ReadCommitted(p int64) ([]byte, error) {
 	return e.resolveCommitted(p)
-}
-
-// Stats reports counters.
-func (e *Engine) Stats() map[string]int64 {
-	return map[string]int64{
-		"adds":     e.adds,
-		"merges":   e.merges,
-		"replayed": e.replayed,
-	}
 }

@@ -106,8 +106,8 @@ func FuzzDiffRecover(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		e.Crash()
-		if e.Recover() != nil {
+		replayed, err := restart(t, e)
+		if err != nil {
 			return
 		}
 		for seq := e.nextChunk; seq < 3; seq++ {
@@ -115,13 +115,13 @@ func FuzzDiffRecover(f *testing.F) {
 				t.Fatalf("after restart chunk %d exists (%v), next chunk %d", seq, err, e.nextChunk)
 			}
 		}
-		view, replayed := e.view, e.replayed
-		e.Crash()
-		if err := e.Recover(); err != nil {
+		view := e.view
+		again, err := restart(t, e)
+		if err != nil {
 			t.Fatalf("second restart: %v", err)
 		}
-		if !reflect.DeepEqual(e.view, view) || e.replayed != replayed {
-			t.Fatalf("second restart replayed %d entries to %v; the first replayed %d to %v", e.replayed, e.view, replayed, view)
+		if !reflect.DeepEqual(e.view, view) || again != replayed {
+			t.Fatalf("second restart replayed %d entries to %v; the first replayed %d to %v", again, e.view, replayed, view)
 		}
 		for p := int64(0); p < 4; p++ {
 			if _, err := e.ReadCommitted(p); err != nil {

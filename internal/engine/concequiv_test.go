@@ -298,12 +298,13 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 				points = []int64{1, span / 2, span}
 			}
 			seen := map[int64]bool{}
-			for _, k := range points {
+			for i, k := range points {
 				if k < 1 || seen[k] {
 					continue
 				}
 				seen[k] = true
 				t.Run(fmt.Sprintf("mut%d", k), func(t *testing.T) {
+					t.Logf("point %d of %d: power cut at mutation %d of the pinned span %d", i, len(points), k, span)
 					e, stores := tg.wrapped(t)
 					initial, err := faultinj.LoadPages(e, cePages)
 					if err != nil {

@@ -3,11 +3,11 @@
 // straight into the pure, single-threaded kernel and once through the
 // thread-safe engine (Guard + 2PL) — and the two runs must be
 // indistinguishable: identical script outcomes, identical recovered page
-// bytes, identical kernel counters. This holds both for clean runs and for
-// runs cut down by an injected crash at every sampled stable-storage
-// mutation, and both for the script as written (one transaction at a time)
-// and for the same transactions replayed in commit groups (several in
-// flight at once, committing back to back).
+// bytes, identical kernel counters, identical restart journals. This holds
+// both for clean runs and for runs cut down by an injected crash at every
+// sampled stable-storage mutation, and both for the script as written (one
+// transaction at a time) and for the same transactions replayed in commit
+// groups (several in flight at once, committing back to back).
 //
 // The test lives in package engine_test because faultinj imports
 // internal/engine; an in-package test would be an import cycle.
@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinj"
+	"repro/internal/obs"
 	"repro/internal/pagestore"
 	"repro/internal/sim"
 )
@@ -161,12 +162,18 @@ func compareOutcomes(t *testing.T, pure, wrapped *faultinj.Outcome) {
 }
 
 // compareRecovered crashes and recovers both layers, then asserts identical
-// committed page bytes (all of them sound payloads) and identical kernel
-// counters.
+// committed page bytes (all of them sound payloads), identical kernel
+// counters and identical journals of the restart: the same redo, undo and
+// replay decisions in the same order.
 func compareRecovered(t *testing.T, rm engine.RecoveryManager, e *engine.Engine, pages int) {
 	t.Helper()
 	rm.Crash()
 	e.Crash()
+	kj, wj := obs.NewJournal(), obs.NewJournal()
+	rm.(engine.Journaled).SetJournal(kj)
+	if err := e.Guard().SetJournal(wj); err != nil {
+		t.Fatal(err)
+	}
 	if err := rm.Recover(); err != nil {
 		t.Fatalf("kernel recover: %v", err)
 	}
@@ -192,6 +199,9 @@ func compareRecovered(t *testing.T, rm engine.RecoveryManager, e *engine.Engine,
 	ks, ws := kernelStats(rm), e.Guard().Stats()
 	if !reflect.DeepEqual(ks, ws) {
 		t.Errorf("kernel counters diverge:\n  kernel:  %v\n  wrapper: %v", ks, ws)
+	}
+	if kr, wr := kj.Records(), wj.Records(); len(kr) == 0 || !reflect.DeepEqual(kr, wr) {
+		t.Errorf("restart journals diverge or are empty:\n  kernel:  %v\n  wrapper: %v", kr, wr)
 	}
 }
 
@@ -332,6 +342,44 @@ func runGroupPlan(d groupDriver, model map[int64][]byte, plan [][]groupTxn) *fau
 	return out
 }
 
+// seqCrashMutations pins the stable mutations (after the initial load) of
+// each target's crash-free kernel run of the faultinj script, the probe of
+// TestKernelWrapperEquivalenceUnderCrashes; groupCrashMutations pins those
+// of the Guard's grouped run, the probe of
+// TestSequentialCrashEquivalenceGroupCommit. The crash points, and so the
+// subtests, follow from these counts and the stride: a kernel change that
+// adds or removes stable writes fails the pin instead of silently moving,
+// adding or dropping subtests.
+var seqCrashMutations = map[string]int64{
+	"wal-1stream":  37,
+	"wal-3streams": 63,
+	"shadow":       87,
+	"ow-noundo":    112,
+	"ow-noredo":    162,
+	"verselect":    73,
+	"difffile":     20,
+}
+
+var groupCrashMutations = map[string]int64{
+	"wal-1stream":  40,
+	"wal-3streams": 64,
+	"shadow":       87,
+	"ow-noundo":    112,
+	"ow-noredo":    162,
+	"verselect":    73,
+	"difffile":     20,
+}
+
+// crashPoints samples the mutation ordinals 1..muts every stride, with the
+// first and the last always in.
+func crashPoints(muts, stride int64) []int64 {
+	points := []int64{1}
+	for k := stride; k < muts; k += stride {
+		points = append(points, k)
+	}
+	return append(points, muts)
+}
+
 // TestSequentialCrashEquivalenceGroupCommit replays the script's
 // transactions in commit groups — several transactions in flight at once,
 // committing back to back — through the bare kernel and through the Guard,
@@ -367,15 +415,14 @@ func TestSequentialCrashEquivalenceGroupCommit(t *testing.T) {
 				t.Fatal("probe run crashed without injection")
 			}
 			muts := mutations(stores) - before
-
-			points := []int64{1}
-			for k := stride; k < muts; k += stride {
-				points = append(points, k)
+			if want := groupCrashMutations[tg.name]; muts != want {
+				t.Fatalf("probe run made %d stable mutations; pinned %d", muts, want)
 			}
-			points = append(points, muts)
 
-			for _, k := range points {
+			points := crashPoints(muts, stride)
+			for i, k := range points {
 				t.Run(fmt.Sprintf("mut%d", k), func(t *testing.T) {
+					t.Logf("point %d of %d: power cut at mutation %d of %d", i, len(points), k, muts)
 					rm, kstores := tg.kernel(t)
 					e, wstores := tg.wrapped(t)
 					kmodel, err := loadKernelPages(rm, equivPages)
@@ -462,18 +509,14 @@ func TestKernelWrapperEquivalenceUnderCrashes(t *testing.T) {
 				t.Fatalf("probe run crashed without injection")
 			}
 			muts := mutations(stores) - before
-			if muts == 0 {
-				t.Fatalf("probe run made no stable mutations")
+			if want := seqCrashMutations[tg.name]; muts != want {
+				t.Fatalf("probe run made %d stable mutations; pinned %d", muts, want)
 			}
 
-			points := []int64{1}
-			for k := stride; k < muts; k += stride {
-				points = append(points, k)
-			}
-			points = append(points, muts)
-
-			for _, k := range points {
+			points := crashPoints(muts, stride)
+			for i, k := range points {
 				t.Run(fmt.Sprintf("mut%d", k), func(t *testing.T) {
+					t.Logf("point %d of %d: power cut at mutation %d of %d", i, len(points), k, muts)
 					rm, kstores := tg.kernel(t)
 					e, wstores := tg.wrapped(t)
 					kmodel, err := loadKernelPages(rm, equivPages)

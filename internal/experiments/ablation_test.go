@@ -74,26 +74,26 @@ func TestFuncRecoveryShape(t *testing.T) {
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// The WAL engines must report real restart work (records scanned, redo);
-	// shadow restarts do none by construction.
+	// The WAL engines must report real restart I/O on both stores; shadow
+	// restart reads its root and page table and writes nothing.
 	col := func(row, c int) int64 {
 		v, _ := strconv.ParseInt(tab.Rows[row][c], 10, 64)
 		return v
 	}
+	if col(0, 4) == 0 {
+		t.Error("wal-1stream read no log pages at restart")
+	}
 	if col(0, 2) == 0 {
-		t.Error("wal-1stream scanned no log records at restart")
+		t.Error("wal-1stream read no data pages at restart")
 	}
-	if col(0, 3) == 0 {
-		t.Error("wal-1stream reported no redo work")
-	}
-	if col(2, 2) != 0 || col(2, 3) != 0 {
-		t.Error("shadow reported restart work")
+	if col(2, 2) > 2 || col(2, 3) != 0 || tab.Rows[2][4] != "-" {
+		t.Errorf("shadow restart: %v, want at most a root and a page-table read, no write, no log store", tab.Rows[2])
 	}
 	if tab.Rows[6][0] != "difffile" {
 		t.Fatalf("row 6 = %q, want difffile", tab.Rows[6][0])
 	}
 	if col(6, 2) == 0 {
-		t.Error("difffile replayed no differential entries at restart")
+		t.Error("difffile read no differential chunks at restart")
 	}
 
 	// With wall-clock gone the whole table is deterministic: a second run

@@ -46,6 +46,17 @@ func (wallClock) Now() time.Time { return time.Now() }
 // Wall returns the host wall clock.
 func Wall() Clock { return wallClock{} }
 
+// Sleep pauses the calling goroutine for d on the host clock. It lives here
+// because internal/obs/live is the one scope where blocking on wall time is
+// legal (simlint D001); commands that need real delays, such as dbload's
+// dial-retry and busy backoff, reach them through this package instead of
+// calling time.Sleep themselves.
+func Sleep(d time.Duration) {
+	if d > 0 {
+		time.Sleep(d)
+	}
+}
+
 // ManualClock is a settable clock for deterministic tests. It is safe for
 // concurrent use.
 type ManualClock struct {

@@ -105,9 +105,6 @@ type OverwriteEngine struct {
 	// originals' scratch blocks and assigned intent slot.
 	att map[uint64]*owTxn
 
-	redone   int64
-	restored int64
-
 	// journal, when attached, records recovery decisions in order (nil is
 	// a no-op sink; survives Crash).
 	journal *obs.Journal
@@ -356,6 +353,7 @@ func (e *OverwriteEngine) Recover() error {
 	if err := e.store.Reset(); err != nil {
 		return err
 	}
+	var applied int64 // pages redone or restored
 	for s := 0; s < intentSlots; s++ {
 		buf, _, err := e.store.Read(intentID(s))
 		if errors.Is(err, pagestore.ErrNotFound) {
@@ -387,17 +385,13 @@ func (e *OverwriteEngine) Recover() error {
 			if err := e.store.Write(pagestore.PageID(pr[0]), data, 0); err != nil {
 				return err
 			}
-			if e.variant == NoRedo {
-				e.restored++
-			} else {
-				e.redone++
-			}
+			applied++
 		}
 		if err := e.store.Delete(intentID(s)); err != nil {
 			return err
 		}
 	}
-	e.journal.Emit(obs.JournalRecord{Event: "scan", Engine: e.Name(), N: e.redone + e.restored})
+	e.journal.Emit(obs.JournalRecord{Event: "scan", Engine: e.Name(), N: applied})
 	e.att = make(map[uint64]*owTxn)
 	return nil
 }
@@ -406,12 +400,4 @@ func (e *OverwriteEngine) Recover() error {
 // transaction is active (e.g. after Recover).
 func (e *OverwriteEngine) ReadCommitted(p int64) ([]byte, error) {
 	return e.readHome(p)
-}
-
-// Stats reports counters.
-func (e *OverwriteEngine) Stats() map[string]int64 {
-	return map[string]int64{
-		"redone":   e.redone,
-		"restored": e.restored,
-	}
 }

@@ -329,10 +329,7 @@ func (e *Engine) ReadCommitted(p int64) ([]byte, error) {
 	return e.readCommitted(p)
 }
 
-// Stats reports the page table's size and its free blocks.
+// Stats reports the page table's free blocks.
 func (e *Engine) Stats() map[string]int64 {
-	return map[string]int64{
-		"pages": int64(len(e.current)),
-		"free":  int64(len(e.freeList)),
-	}
+	return map[string]int64{"free": int64(len(e.freeList))}
 }

@@ -142,12 +142,9 @@ type Manager struct {
 	deferSteals bool
 	stealing    bool
 
-	steals     int64
-	uncommit   int64 // dirty pages written while holding an active transaction's update
-	redone     int64
-	undone     int64
-	scanned    int64 // log records merged by the last Recover
-	recoveries int64
+	steals   int64
+	uncommit int64 // dirty pages written while holding an active transaction's update
+	scanned  int64 // log records merged by the last Recover
 
 	// journal, when attached, records recovery decisions in order. A nil
 	// journal is a no-op sink; like every kernel it survives Crash — it
@@ -908,7 +905,6 @@ func (m *Manager) Recover() error {
 	if err := m.logs.Reset(); err != nil {
 		return err
 	}
-	m.recoveries++
 	m.scanned = 0
 	m.resetPool()
 	m.forget()
@@ -998,7 +994,6 @@ func (m *Manager) Recover() error {
 		if err := m.compensate(p.tid, ts); err != nil {
 			return err
 		}
-		m.undone++
 		m.journal.EmitPage(int64(pg), obs.JournalRecord{Event: "undo", Txn: p.tid, LSN: p.lsn})
 		if len(ts.updates) == 0 {
 			m.appendRec(Record{Type: RecAbort, Txn: p.tid})
@@ -1127,7 +1122,6 @@ func (m *Manager) redo(r *Record, ts *txnState) (old []byte, err error) {
 		return nil, err
 	}
 	bp.data, bp.lsn, bp.txn, bp.dirty = data, r.LSN, r.Txn, true
-	m.redone++
 	note := ""
 	if r.IsCLR() {
 		note = "clr"
@@ -1167,16 +1161,14 @@ func (m *Manager) ReadCommitted(p int64) ([]byte, error) { return m.Read(0, p) }
 
 // Stats reports counters: steals (dirty evictions), dirty pages written
 // while an active transaction had an uncompensated update on them (by a
-// steal or a checkpoint's flush), redo and undo actions, and per-stream
-// record, force and byte counts.
+// steal or a checkpoint's flush), the log records the last Recover merged,
+// and per-stream record, force and byte counts. Restart's redo and undo
+// actions are the journal's redo and undo events.
 func (m *Manager) Stats() map[string]int64 {
 	out := map[string]int64{
 		"steals":            m.steals,
 		"stealsUncommitted": m.uncommit,
-		"redone":            m.redone,
-		"undone":            m.undone,
 		"scanned":           m.scanned,
-		"recoveries":        m.recoveries,
 	}
 	for _, s := range m.streams {
 		out[fmt.Sprintf("stream%d.records", s.idx)] = s.records

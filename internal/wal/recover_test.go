@@ -217,7 +217,7 @@ func TestRestartDataIOByPage(t *testing.T) {
 			}
 		}
 		reads, writes := r1-r0, w1-w0
-		t.Logf("%4d pages: restart read %d and wrote %d data pages, redid %d records on %d pages, stole %d", pages, reads, writes, m.Stats()["redone"], len(redone), steals)
+		t.Logf("%4d pages: restart read %d and wrote %d data pages, redid %d records on %d pages, stole %d", pages, reads, writes, events(journal, "redo"), len(redone), steals)
 		bound := pages + int64(len(redone)) + steals
 		if pages <= int64(m.cfg.PoolPages) {
 			bound = pages
@@ -241,12 +241,15 @@ func TestRestartDataIOByPage(t *testing.T) {
 func TestSparseIDsRestartLikeDense(t *testing.T) {
 	const pages, txns, loser = 64, 600, math.MaxUint64
 	type result struct {
-		pages [][]byte
-		stats map[string]int64
-		reads []int64
+		pages      [][]byte
+		stats      map[string]int64
+		reads      []int64
+		redo, undo int
 	}
 	run := func(id func(int64) int64) (res result) {
 		m, _ := newTestManager(Config{PoolPages: 16})
+		journal := obs.NewJournal()
+		m.SetJournal(journal)
 		for p := int64(0); p < pages; p++ {
 			must(t, m.Load(id(p), make([]byte, 8)))
 		}
@@ -284,14 +287,16 @@ func TestSparseIDsRestartLikeDense(t *testing.T) {
 		}
 		res.stats = m.Stats()
 		delete(res.stats, "logBytes")
+		res.redo, res.undo = events(journal, "redo"), events(journal, "undo")
 		return res
 	}
 	dense, sparse := run(func(p int64) int64 { return p }), run(sparsePage)
 	t.Logf("restarts read %v data pages on dense ids and %v on sparse ones", dense.reads, sparse.reads)
 	if !reflect.DeepEqual(dense, sparse) {
-		t.Fatalf("sparse ids: reads %v, stats %v\ndense ids: reads %v, stats %v", sparse.reads, sparse.stats, dense.reads, dense.stats)
+		t.Fatalf("sparse ids: reads %v, stats %v, %d redo and %d undo events\ndense ids: reads %v, stats %v, %d redo and %d undo events",
+			sparse.reads, sparse.stats, sparse.redo, sparse.undo, dense.reads, dense.stats, dense.redo, dense.undo)
 	}
-	if dense.stats["undone"] == 0 {
+	if dense.undo == 0 {
 		t.Fatal("restart undid nothing: the loser's update never reached the log")
 	}
 }

@@ -21,6 +21,17 @@ func newTestManager(cfg Config) (*Manager, *pagestore.Store) {
 
 func page(s string) []byte { return []byte(s) }
 
+// events counts j's records of the named event.
+func events(j *obs.Journal, event string) int {
+	n := 0
+	for _, r := range j.Records() {
+		if r.Event == event {
+			n++
+		}
+	}
+	return n
+}
+
 // encodeChunk encodes recs as one log chunk.
 func encodeChunk(recs ...Record) []byte {
 	var c chunkCodec
@@ -275,6 +286,8 @@ func TestUncommittedRolledBack(t *testing.T) {
 		t.Fatal("expected steals with a 2-page pool")
 	}
 	m.Crash()
+	journal := obs.NewJournal()
+	m.SetJournal(journal)
 	if err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +300,7 @@ func TestUncommittedRolledBack(t *testing.T) {
 			t.Fatalf("page %d = %q, want %q", p, got, want)
 		}
 	}
-	if m.Stats()["undone"] == 0 {
+	if events(journal, "undo") == 0 {
 		t.Fatal("recovery performed no undo")
 	}
 }
@@ -313,6 +326,8 @@ func TestNoForceRedo(t *testing.T) {
 		t.Fatal("no-force violated: data page written at commit")
 	}
 	m.Crash()
+	journal := obs.NewJournal()
+	m.SetJournal(journal)
 	if err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +335,7 @@ func TestNoForceRedo(t *testing.T) {
 	if string(got) != "v1" {
 		t.Fatalf("redo failed: %q", got)
 	}
-	if m.Stats()["redone"] == 0 {
+	if events(journal, "redo") == 0 {
 		t.Fatal("recovery performed no redo")
 	}
 }
